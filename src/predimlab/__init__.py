@@ -24,13 +24,12 @@ from .structures import (
     graph_signature,
     hypergraph,
     hypergraph_signature,
-    is_self_sufficient,
     load_structure,
     path_graph,
     polygon_signature,
 )
 from .closures import ClosureResult, cl0, cld, dim, is_d_closed, self_sufficient
-from .classes import ControlFunction, eval_f, girth, in_C0, in_Cf, in_Kn, make_control
+from .classes import ControlFunction, girth, in_C0, in_Cf, in_Kn, make_control
 from .gadgets import (
     BeattySequence,
     GadgetPair,

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Optional
 from .classes import ControlFunction, in_C0, in_Cf, in_Kn
 from .closures import is_d_closed, self_sufficient
 from .errors import CapacityError, InputError, InternalError
-from .extensions import _co_instance_map
+from .reports import FAIL
 from .structures import (
     BIPARTITE,
     LINE,
@@ -30,8 +30,9 @@ from .structures import (
     FiniteStructure,
     Signature,
     canonical_form,
+    co_instance_neighbors,
     dump_structure,
-    is_self_sufficient,
+    instances_by_vertex,
 )
 
 C0 = "c0"
@@ -60,7 +61,7 @@ def _in_class(
         r = in_Kn(S, ngon)
     else:
         raise InputError(f"unknown class tag {tag!r}")
-    if r.verdict == "FAIL":
+    if r.verdict == FAIL:
         return False, f"witness {sorted(r.witness) if r.witness else '?'}"
     return True, r.verdict
 
@@ -170,7 +171,7 @@ def enumerate_tasks(
                 if tag == CF:
                     good = is_d_closed(ext, base)
                 else:
-                    good = is_self_sufficient(ext, base, verts).holds
+                    good = self_sufficient(ext, base)[0]
                 if not good:
                     continue
                 colors = {v: 1 for v in base}
@@ -186,15 +187,6 @@ def enumerate_tasks(
 
 
 # -- embedding search ------------------------------------------------------------
-
-
-def _instance_index(S: FiniteStructure) -> dict[int, list[tuple[str, tuple[int, ...]]]]:
-    idx: dict[int, list[tuple[str, tuple[int, ...]]]] = {v: [] for v in S.vertices}
-    for name, tups in S.instances.items():
-        for tp in tups:
-            for v in tp:
-                idx[v].append((name, tp))
-    return idx
 
 
 def _embeddings(
@@ -214,21 +206,15 @@ def _embeddings(
     fully placed pattern instance must be an instance of S, and every S
     instance inside the image must be the image of a pattern instance.
     """
-    pat_adj = _co_instance_map(pattern)
+    pat_adj = co_instance_neighbors(pattern)
     if s_adj is None:
-        s_adj = _co_instance_map(S)
+        s_adj = co_instance_neighbors(S)
     if s_index is None:
-        s_index = _instance_index(S)
+        s_index = instances_by_vertex(S)
     s_instances = {
         (name, tp) for name, tups in S.instances.items() for tp in tups
     }
-    pat_by_vertex: dict[int, list[tuple[str, tuple[int, ...]]]] = {
-        v: [] for v in pattern.vertices
-    }
-    for name, tups in pattern.instances.items():
-        for tp in tups:
-            for v in tp:
-                pat_by_vertex[v].append((name, tp))
+    pat_by_vertex = instances_by_vertex(pattern)
     todo = [v for v in pattern.vertices if v not in partial]
 
     def new_complete(phi, v):
@@ -394,7 +380,7 @@ def _quick_not_ss(
     Sound rejection only; survivors still need the exact check.
     """
     if s_index is None:
-        s_index = _instance_index(S)
+        s_index = instances_by_vertex(S)
     nw = S.signature.vertex_weight
     weights = {rel.name: rel.weight for rel in S.signature.relations}
     load: dict[int, int] = {}
@@ -503,8 +489,8 @@ def build_generic(config: BuildConfig) -> BuildResult:
     steps = 0
     while steps < config.budget:
         progressed = False
-        s_index = _instance_index(S)
-        s_adj = _co_instance_map(S)
+        s_index = instances_by_vertex(S)
+        s_adj = co_instance_neighbors(S)
         for ti, task in enumerate(tasks):
             if steps >= config.budget:
                 break
@@ -522,8 +508,8 @@ def build_generic(config: BuildConfig) -> BuildResult:
                 S, copy_image = _amalgamate(S, task, phi)
                 if ss_cache is not None:
                     ss_cache[copy_image] = True  # fresh copy over a strong base
-                s_index = _instance_index(S)
-                s_adj = _co_instance_map(S)
+                s_index = instances_by_vertex(S)
+                s_adj = co_instance_neighbors(S)
                 realized_cache.add(cache_key)
                 steps += 1
                 progressed = True
@@ -628,8 +614,8 @@ def audit_extension_property(
 ) -> AuditReport:
     """For each task, are its first embedded bases covered by an extension copy?"""
     entries = []
-    s_index = _instance_index(S)
-    s_adj = _co_instance_map(S)
+    s_index = instances_by_vertex(S)
+    s_adj = co_instance_neighbors(S)
     ss_cache: dict = {}
     for task in tasks:
         bases = list(_base_embeddings(S, task, cap=cap_per_task, s_index=s_index,

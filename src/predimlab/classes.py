@@ -21,11 +21,8 @@ from typing import Callable, Iterable, Optional
 
 from .closures import _solve, delta_table
 from .errors import InputError
-from .structures import BIPARTITE, FiniteStructure, delta_mask
-
-PASS = "PASS"
-FAIL = "FAIL"
-PARTIAL = "PARTIAL"
+from .reports import FAIL, PARTIAL, PASS
+from .structures import BIPARTITE, FiniteStructure, co_instance_neighbors, delta_mask
 
 DEFAULT_CF_EXHAUSTIVE_CAP = 18
 DEFAULT_CONN_SIZE = 18
@@ -110,10 +107,6 @@ def make_control(name: str, n: int) -> ControlFunction:
     raise InputError(f"unknown control function family {name!r}")
 
 
-def eval_f(f: ControlFunction, k: int) -> Fraction:
-    return f(k)
-
-
 @dataclass(frozen=True)
 class MembershipResult:
     verdict: str  # PASS / FAIL / PARTIAL
@@ -145,23 +138,11 @@ def in_C0(S: FiniteStructure) -> MembershipResult:
 # -- Cf -------------------------------------------------------------------------
 
 
-def neighbor_map(S: FiniteStructure) -> dict[int, set[int]]:
-    """Vertices sharing any relation instance count as adjacent."""
-    adj: dict[int, set[int]] = {v: set() for v in S.vertices}
-    for name, tups in S.instances.items():
-        for t in tups:
-            for a in t:
-                for b in t:
-                    if a != b:
-                        adj[a].add(b)
-    return adj
-
-
 def _connected_subsets(
     S: FiniteStructure, max_size: int, budget: int
 ) -> Iterable[frozenset[int]]:
     """Connected subsets (by shared instances), deduplicated, budget-limited."""
-    adj = neighbor_map(S)
+    adj = co_instance_neighbors(S)
     produced = 0
     order = {v: i for i, v in enumerate(S.vertices)}
     for root in S.vertices:

@@ -35,7 +35,7 @@ from .gadgets import (
     verify_gadget,
 )
 from .independence import axiom_suite, check_lemma43_characterization, d_independent, perp
-from .reports import VerificationReport, emit_report
+from .reports import FAIL, PASS, VerificationReport, emit_report
 from .structures import (
     FiniteStructure,
     Signature,
@@ -401,7 +401,7 @@ def _dispatch(args) -> int:
         for e in audit.entries:
             rep.add(
                 f"task:{e.task_key[:60]}",
-                "PASS" if e.realized == e.embeddings_checked else "FAIL",
+                PASS if e.realized == e.embeddings_checked else FAIL,
                 witness=None if e.realized == e.embeddings_checked
                 else f"{e.realized}/{e.embeddings_checked} realized",
                 note=f"base size {e.base_size}",

@@ -18,7 +18,6 @@ with no claim about any infinite limit.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -26,14 +25,19 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import InputError
-from .structures import FiniteStructure, delta_mask, _bits
+from .structures import FiniteStructure, delta_mask, _bits, _env_cap
 
 TABLE_MAX_BITS = 20  # hard memory guard for the table engine
+DEFAULT_TABLE_CUTOFF = 16
 
 
 def _table_cutoff() -> int:
-    raw = os.environ.get("PREDIMLAB_TABLE_CUTOFF")
-    return int(raw) if raw else 16
+    cutoff = _env_cap("PREDIMLAB_TABLE_CUTOFF", DEFAULT_TABLE_CUTOFF)
+    if cutoff > TABLE_MAX_BITS:
+        raise InputError(
+            f"environment cap PREDIMLAB_TABLE_CUTOFF={cutoff} exceeds {TABLE_MAX_BITS}"
+        )
+    return cutoff
 
 
 @dataclass(frozen=True)
@@ -314,22 +318,15 @@ def dim(S: FiniteStructure, X: Iterable[int], engine: str = "auto") -> int:
 
 
 def cl0(S: FiniteStructure, X: Iterable[int], engine: str = "auto") -> ClosureResult:
-    """Smallest Y with X <= Y <= S, by absorption of minimal-delta violations.
+    """Smallest Y with X <= Y <= S: the least minimizer of delta over supersets.
 
-    Ties among violating sets break by delta, then cardinality, then least
-    bitmask; with that rule a single absorption lands on the closure, so the
-    trace has at most one entry.
+    The least minimizer is itself self-sufficient, so one solve lands on the
+    closure; the trace holds the absorbed set, or nothing when X <= S.
     """
     xmask = S.mask_of(X)
-    trace: list[frozenset[int]] = []
-    cur = xmask
-    while True:
-        val, minimal, _ = _solve(S, cur, engine=engine)
-        if val == delta_mask(S, cur):
-            break
-        trace.append(S.ids_of(minimal & ~cur))
-        cur = minimal
-    return ClosureResult(S.ids_of(cur), delta_mask(S, cur), tuple(trace))
+    val, minimal, _ = _solve(S, xmask, engine=engine)
+    trace = (S.ids_of(minimal & ~xmask),) if minimal != xmask else ()
+    return ClosureResult(S.ids_of(minimal), val, trace)
 
 
 def cld(S: FiniteStructure, X: Iterable[int], engine: str = "auto") -> frozenset[int]:
@@ -353,9 +350,8 @@ def self_sufficient(
 ) -> tuple[bool, Optional[frozenset[int]]]:
     """Exact A <= B check with no enumeration cap (B defaults to all of S).
 
-    Unlike :func:`predimlab.structures.is_self_sufficient` this never
-    enumerates subsets, so it stays polynomial on large ambients.  On failure
-    the witness is the minimal-delta, minimal-cardinality violating set
+    It never enumerates subsets, so it stays polynomial on large ambients.  On
+    failure the witness is the minimal-delta, minimal-cardinality violating set
     (suppressed when ``want_witness`` is off, saving a residual scan).
     """
     amask = S.mask_of(A)
@@ -377,16 +373,18 @@ def d_closed_subset_masks(S: FiniteStructure, size_cap: int | None = None) -> li
     if n > _table_cutoff():
         raise InputError("d-closed enumeration needs the table engine")
     dt = dim_table_cached(S)
-    out = []
-    for mask in range(1 << n):
-        if size_cap is not None and mask.bit_count() > size_cap:
-            continue
-        closed = True
-        for i in range(n):
-            b = 1 << i
-            if not mask & b and dt[mask | b] == dt[mask]:
-                closed = False
-                break
-        if closed:
-            out.append(mask)
+    masks = range(1 << n)
+    if size_cap is not None:
+        masks = [m for m in masks if m.bit_count() <= size_cap]
+    return [m for m in masks if cld_from_table(dt, m) == m]
+
+
+def cld_from_table(dt: np.ndarray, mask: int) -> int:
+    """cld(mask) read off a dim table: add every vertex that leaves dim unchanged."""
+    base = dt[mask]
+    out = mask
+    for i in range(len(dt).bit_length() - 1):
+        bit = 1 << i
+        if not mask & bit and dt[mask | bit] == base:
+            out |= bit
     return out

@@ -22,7 +22,13 @@ from typing import Iterable, Iterator, Mapping
 from .closures import self_sufficient
 from .errors import CapacityError, ContractError, InputError
 from .reports import FAIL, PASS, VerificationReport, subset_witness
-from .structures import FiniteStructure, canonical_form, delta_rel, _bits
+from .structures import (
+    FiniteStructure,
+    canonical_form,
+    co_instance_neighbors,
+    delta_rel,
+    _bits,
+)
 
 DEFAULT_EXT_CAP = 12
 DEFAULT_SATURATION = 3
@@ -188,8 +194,8 @@ def count_msa_copies(
                 raise InputError("pin must land inside A")
     copies: set[frozenset[int]] = set()
 
-    adj_pat = _co_instance_map(t.pattern)
-    s_adj = _co_instance_map(S)
+    adj_pat = co_instance_neighbors(t.pattern)
+    s_adj = co_instance_neighbors(S)
     candidates_outside = [v for v in S.vertices if v not in a_set]
 
     def extend(phi: dict[int, int], todo: list[int]):
@@ -223,17 +229,6 @@ def count_msa_copies(
     if require_disjoint and not disjoint:
         raise ContractError("copies are not in free amalgamation over the base set")
     return CopyCount(len(copies_t), copies_t, disjoint)
-
-
-def _co_instance_map(S: FiniteStructure) -> dict[int, set[int]]:
-    got = {v: set() for v in S.vertices}
-    for name, tups in S.instances.items():
-        for tp in tups:
-            for a in tp:
-                for b in tp:
-                    if a != b:
-                        got[a].add(b)
-    return got
 
 
 def _copies_disjoint(

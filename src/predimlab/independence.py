@@ -8,16 +8,17 @@ of d-independence over d-closed subsets, exhaustively up to a size cap.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable
 
 import numpy as np
 
 from .closures import (
     cld,
+    cld_from_table,
     d_closed_subset_masks,
-    delta_table,
     dim,
-    dim_table,
+    dim_table_cached,
     self_sufficient,
 )
 from .errors import ContractError
@@ -43,8 +44,8 @@ def check_lemma43_characterization(
     """Three-condition characterization of d-independence over a common part.
 
     Requires A, B, C d-closed with B inside both A and C.  The conditions:
-    the d-closures of AB and BC meet exactly in B, they are freely
-    amalgamated over B, and their union is self-sufficient in the ambient.
+    the d-closures of AB and BC split freely over B (:func:`lemma43_free_split`)
+    and their union is self-sufficient in the ambient.
     """
     a, b, c = S.subset(A), S.subset(B), S.subset(C)
     for name, x in (("A", a), ("B", b), ("C", c)):
@@ -54,12 +55,10 @@ def check_lemma43_characterization(
         raise ContractError("B must be contained in A and in C")
     u = cld(S, a | b)
     v = cld(S, b | c)
-    if u & v != b:
-        result = False
-    elif not _freely_amalgamated(S, u, v, b):
-        result = False
-    else:
-        result = self_sufficient(S, u | v)[0]
+    result = (
+        lemma43_free_split(S, S.mask_of(u), S.mask_of(v), S.mask_of(b))
+        and self_sufficient(S, u | v)[0]
+    )
     if debug:
         indep = d_independent(S, a, b, c)
         if indep != result:
@@ -69,18 +68,15 @@ def check_lemma43_characterization(
     return result
 
 
-def _freely_amalgamated(
-    S: FiniteStructure, u: frozenset[int], v: frozenset[int], b: frozenset[int]
-) -> bool:
-    """No instance inside u|v meets both u-minus-b and v-minus-b."""
-    union = u | v
-    uu, vv = u - b, v - b
-    for name, tups in S.instances.items():
-        for t in tups:
-            ts = set(t)
-            if ts <= union and ts & uu and ts & vv:
-                return False
-    return True
+def lemma43_free_split(S: FiniteStructure, u: int, v: int, b: int) -> bool:
+    """Masks u and v meet exactly in b, and no weighted instance inside u|v
+    meets both u-minus-b and v-minus-b (zero weights never bind, as in delta)."""
+    if u & v != b:
+        return False
+    union, uu, vv = u | v, u & ~b, v & ~b
+    return not any(
+        im & ~union == 0 and im & uu and im & vv for im, _ in S.instance_masks()
+    )
 
 
 def perp(
@@ -122,8 +118,7 @@ def axiom_suite(
         for key in ("compatibility", "monotonicity", "transitivity", "symmetry"):
             rep.add(key, PASS, note="empty ambient, vacuous")
         return rep.finalize()
-    dtab = delta_table(S)
-    dt = np.asarray(dim_table(dtab, n), dtype=np.int64)
+    dt = dim_table_cached(S)
     closed = d_closed_subset_masks(S, size_cap=size_cap)
     sets = np.array(closed, dtype=np.int64)
     k = len(sets)
@@ -134,20 +129,7 @@ def axiom_suite(
     # Symmetry and compatibility run over triples.
     sym_bad = None
     comp_bad = None
-    cld_cache: dict[int, int] = {}
-
-    def cld_mask(mask: int) -> int:
-        got = cld_cache.get(mask)
-        if got is None:
-            base = dt[mask]
-            out = mask
-            for i in range(n):
-                bit = 1 << i
-                if not mask & bit and dt[mask | bit] == base:
-                    out |= bit
-            cld_cache[mask] = out
-            got = out
-        return got
+    cld_of = functools.cache(functools.partial(cld_from_table, dt))
 
     for ai in range(k):
         a = int(sets[ai])
@@ -179,8 +161,8 @@ def axiom_suite(
         if comp_bad:
             break
         for b in small_masks:
-            bcl = cld_mask(b)
-            acl = cld_mask(a | b)
+            bcl = cld_of(b)
+            acl = cld_of(a | b)
             base = ind_matrix(a, b, cvec)
             checks = (
                 ("closed base", ind_matrix(a, bcl, cvec)),

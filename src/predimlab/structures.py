@@ -38,11 +38,16 @@ def _env_cap(name: str, default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError as exc:
         raise InputError(f"environment cap {name}={raw!r} is not an integer") from exc
+    if value < 0:
+        raise InputError(f"environment cap {name}={raw!r} is negative")
+    return value
 
 
+# No library code reads this cap any more; it survives only because the
+# benchmark stamps the caps in effect on every run.
 def ss_cap_default() -> int:
     return _env_cap("PREDIMLAB_SS_CAP", DEFAULT_SS_CAP)
 
@@ -320,6 +325,28 @@ def _bits(mask: int) -> Iterator[int]:
         i += 1
 
 
+def co_instance_neighbors(S: FiniteStructure) -> dict[int, set[int]]:
+    """Vertices sharing any relation instance (any arity or weight) are adjacent."""
+    adj: dict[int, set[int]] = {v: set() for v in S.vertices}
+    for tups in S.instances.values():
+        for t in tups:
+            for a in t:
+                for b in t:
+                    if a != b:
+                        adj[a].add(b)
+    return adj
+
+
+def instances_by_vertex(S: FiniteStructure) -> dict[int, list[tuple[str, tuple[int, ...]]]]:
+    """The (relation name, instance) pairs through each vertex, in storage order."""
+    idx: dict[int, list[tuple[str, tuple[int, ...]]]] = {v: [] for v in S.vertices}
+    for name, tups in S.instances.items():
+        for tp in tups:
+            for v in tp:
+                idx[v].append((name, tp))
+    return idx
+
+
 def free_amalgam(
     base_ids: Iterable[int], *factors: FiniteStructure
 ) -> FiniteStructure:
@@ -387,56 +414,6 @@ def delta_rel(S: FiniteStructure, A: Iterable[int], B: Iterable[int]) -> int:
     """Relative predimension delta(A over B) = delta(A union B) - delta(B)."""
     am, bm = S.mask_of(A), S.mask_of(B)
     return delta_mask(S, am | bm) - delta_mask(S, bm)
-
-
-@dataclass(frozen=True)
-class SelfSufficiencyResult:
-    holds: bool
-    witness: Optional[frozenset[int]]  # a violating intermediate set when False
-
-
-def is_self_sufficient(
-    S: FiniteStructure,
-    A: Iterable[int],
-    B: Iterable[int],
-    cap: int | None = None,
-    want_witness: bool = True,
-) -> SelfSufficiencyResult:
-    """Decide A <= B inside S by bitmask enumeration over B minus A.
-
-    On failure the witness is a violating intermediate set of minimal delta
-    (ties broken by size then lexicographic mask) when the free part has at
-    most 18 vertices; beyond that the enumeration early-stops at the first
-    violation found.
-    """
-    cap = ss_cap_default() if cap is None else cap
-    am, bm = S.mask_of(A), S.mask_of(B)
-    if am & ~bm:
-        raise InputError("A must be a subset of B")
-    free = bm & ~am
-    k = free.bit_count()
-    if k > cap:
-        raise CapacityError("self-sufficiency enumeration", cap, k)
-    base = delta_mask(S, am)
-    free_bits = [1 << i for i in _bits(free)]
-    exhaustive = k <= 18
-    best = None  # (delta, popcount, mask)
-    # Gray-style enumeration is not needed; instances are checked per mask.
-    for comb_size in range(1, k + 1):
-        for combo in itertools.combinations(free_bits, comb_size):
-            sub = am
-            for b in combo:
-                sub |= b
-            d = delta_mask(S, sub)
-            if d < base:
-                if not exhaustive:
-                    return SelfSufficiencyResult(False, S.ids_of(sub))
-                cand = (d, sub.bit_count(), sub)
-                if best is None or cand < best:
-                    best = cand
-    if best is not None:
-        return SelfSufficiencyResult(False, S.ids_of(best[2]))
-    return SelfSufficiencyResult(True, None)
 
 
 # -- canonical forms ----------------------------------------------------------
@@ -570,9 +547,9 @@ def load_structure(text: str) -> tuple[FiniteStructure, Optional[frozenset[int]]
     Rejects duplicate instances, repeated vertices inside an instance, edges
     joining the same part in bipartite mode, and references to unknown ids.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or lines[0] != FORMAT_HEADER:
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)]
+    lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
+    if not lines or lines[0][1] != FORMAT_HEADER:
         raise InputError(f"missing {FORMAT_HEADER} header")
     vertex_weight = None
     mode = HYPERGRAPH
@@ -582,37 +559,42 @@ def load_structure(text: str) -> tuple[FiniteStructure, Optional[frozenset[int]]
     instances: dict[str, list[tuple[int, ...]]] = {}
     seen_instances: set[tuple[str, tuple[int, ...]]] = set()
     base: Optional[frozenset[int]] = None
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         fields = ln.split()
         kind = fields[0]
-        if kind == "signature":
-            for f in fields[1:]:
-                key, _, val = f.partition("=")
-                if key == "n":
-                    vertex_weight = int(val)
-                elif key == "mode":
-                    mode = val
-                else:
-                    raise InputError(f"unknown signature field {f!r}")
-        elif kind == "relation":
-            name = fields[1]
-            kv = dict(f.partition("=")[::2] for f in fields[2:])
-            relations.append(Relation(name, int(kv["arity"]), int(kv["weight"])))
-        elif kind == "vertices":
-            vertices = [int(v) for v in fields[1:]]
-        elif kind == "part":
-            parts[int(fields[1])] = fields[2]
-        elif kind == "instance":
-            name = fields[1]
-            tup = tuple(sorted(int(v) for v in fields[2:]))
-            if (name, tup) in seen_instances:
-                raise InputError(f"duplicate instance {name} {tup}")
-            seen_instances.add((name, tup))
-            instances.setdefault(name, []).append(tup)
-        elif kind == "base":
-            base = frozenset(int(v) for v in fields[1:])
-        else:
-            raise InputError(f"unknown line kind {kind!r}")
+        try:
+            if kind == "signature":
+                for f in fields[1:]:
+                    key, _, val = f.partition("=")
+                    if key == "n":
+                        vertex_weight = int(val)
+                    elif key == "mode":
+                        mode = val
+                    else:
+                        raise InputError(f"unknown signature field {f!r}")
+            elif kind == "relation":
+                name = fields[1]
+                kv = dict(f.partition("=")[::2] for f in fields[2:])
+                relations.append(Relation(name, int(kv["arity"]), int(kv["weight"])))
+            elif kind == "vertices":
+                vertices = [int(v) for v in fields[1:]]
+            elif kind == "part":
+                parts[int(fields[1])] = fields[2]
+            elif kind == "instance":
+                name = fields[1]
+                tup = tuple(sorted(int(v) for v in fields[2:]))
+                if (name, tup) in seen_instances:
+                    raise InputError(f"duplicate instance {name} {tup}")
+                seen_instances.add((name, tup))
+                instances.setdefault(name, []).append(tup)
+            elif kind == "base":
+                base = frozenset(int(v) for v in fields[1:])
+            else:
+                raise InputError(f"unknown line kind {kind!r}")
+        except InputError as exc:
+            raise InputError(f"line {lineno}: {exc}") from exc
+        except (IndexError, KeyError, ValueError) as exc:
+            raise InputError(f"line {lineno}: malformed {kind} line {ln!r}") from exc
     if vertex_weight is None or vertices is None:
         raise InputError("file must declare a signature and a vertices line")
     sig = Signature(vertex_weight, tuple(relations), mode=mode)

@@ -8,6 +8,7 @@ shows the check can actually catch the fault it is aimed at.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -24,9 +25,10 @@ from .builder import (
 )
 from .classes import ControlFunction, girth_with_witness, in_C0, in_Cf, in_Kn
 from .closures import (
-    cld,
+    cld_from_table,
+    d_closed_subset_masks,
     delta_table,
-    dim_table,
+    dim_table_cached,
     is_d_closed,
     self_sufficient,
     _flow_solve,
@@ -34,6 +36,7 @@ from .closures import (
 )
 from .errors import InputError
 from .extensions import enumerate_msa_pairs, MsaType
+from .independence import lemma43_free_split
 from .gadgets import (
     beatty,
     build_cycle_fan,
@@ -48,7 +51,6 @@ from .gadgets import (
 from .reports import (
     DEGENERATE,
     FAIL,
-    PARTIAL,
     PASS,
     VerificationReport,
     subset_witness,
@@ -495,8 +497,6 @@ def ex512_suite(
 
 def _random_strong_factor(rng, sig, base_struct, base_ids, size):
     """Random factor extending the base with the base self-sufficient in it."""
-    from .structures import is_self_sufficient
-
     r = sig.relations[0].arity
     for _ in range(200):
         fresh = list(range(1000, 1000 + size))
@@ -510,9 +510,25 @@ def _random_strong_factor(rng, sig, base_struct, base_ids, size):
         cand = FiniteStructure(sig, verts, inst)
         if not in_C0(cand).holds:
             continue
-        if is_self_sufficient(cand, base_ids, verts).holds:
+        if self_sufficient(cand, base_ids)[0]:
             return cand
     return None
+
+
+def _straddling_excess(F, max_new, straddle):
+    """Group the straddling msa pairs of F by (base, type).
+
+    Returns the number of groups and, for each group with more copies than
+    delta(base), the triple (base, copies, delta(base)).
+    """
+    groups: dict[tuple, int] = {}
+    zdelta: dict[tuple, int] = {}
+    for Z, W in enumerate_msa_pairs(F, max_new=max_new, straddle=straddle):
+        key = (tuple(sorted(Z)), MsaType(F.induced(Z | W), Z).key())
+        groups[key] = groups.get(key, 0) + 1
+        zdelta[key] = delta_mask(F, F.mask_of(Z))
+    bad = [(key[0], cnt, zdelta[key]) for key, cnt in groups.items() if cnt > zdelta[key]]
+    return len(groups), bad
 
 
 def msa_bound_suite(
@@ -545,49 +561,26 @@ def msa_bound_suite(
 
         F = free_amalgam(base_ids, B, C)
         done += 1
-        groups: dict[tuple, int] = {}
-        zdelta: dict[tuple, int] = {}
-        for Z, W in enumerate_msa_pairs(
-            F,
-            max_new=4,
-            straddle=(frozenset(B.vertices), frozenset(C.vertices)),
-        ):
-            t = MsaType(F.induced(Z | W), Z)
-            key = (tuple(sorted(Z)), t.key())
-            groups[key] = groups.get(key, 0) + 1
-            zdelta[key] = delta_mask(F, F.mask_of(Z))
-        bad = [
-            (key[0], cnt, zdelta[key])
-            for key, cnt in groups.items()
-            if cnt > zdelta[key]
-        ]
+        n_types, bad = _straddling_excess(
+            F, 4, (frozenset(B.vertices), frozenset(C.vertices))
+        )
         rep.add(
             f"trial{done:03d}:{sig.relations[0].arity}-ary",
             PASS if not bad else FAIL,
             witness=None
             if not bad
             else f"base {bad[0][0]}: {bad[0][1]} copies > delta {bad[0][2]}",
-            note=f"{len(groups)} straddling types, |F|={len(F.vertices)}",
+            note=f"{n_types} straddling types, |F|={len(F.vertices)}",
         )
     if negative_control:
         # a claimed amalgam with crossing edges: five shared neighbors of a
         # straddling pair blow past its predimension
         edges = [(0, 2 + i) for i in range(5)] + [(1, 2 + i) for i in range(5)]
-        Fbad = graph(edges)
-        groups = {}
-        zdelta = {}
-        for Z, W in enumerate_msa_pairs(
-            Fbad, max_new=1, straddle=(frozenset({0}), frozenset({1}))
-        ):
-            t = MsaType(Fbad.induced(Z | W), Z)
-            key = (tuple(sorted(Z)), t.key())
-            groups[key] = groups.get(key, 0) + 1
-            zdelta[key] = delta_mask(Fbad, Fbad.mask_of(Z))
-        bad = [k for k, c in groups.items() if c > zdelta[k]]
+        _, bad = _straddling_excess(graph(edges), 1, (frozenset({0}), frozenset({1})))
         rep.add(
             "negative-control:crossing-edges",
             FAIL if bad else PASS,
-            witness=f"base {bad[0][0]}: {groups[bad[0]]} copies > delta {zdelta[bad[0]]}"
+            witness=f"base {bad[0][0]}: {bad[0][1]} copies > delta {bad[0][2]}"
             if bad
             else "corruption went undetected",
             note="a FAIL here is the expected outcome",
@@ -765,26 +758,10 @@ def submodularity_suite(
 
 def _lemma43_equivalence_exhaustive(S: FiniteStructure, size_cap: int = 4) -> tuple[int, tuple | None]:
     """Count admissible d-closed triples; return first disagreement (or None)."""
-    from .closures import d_closed_subset_masks, dim_table_cached
-
-    n = len(S.vertices)
     dt = dim_table_cached(S)
     dtab = delta_table(S)
     closed = d_closed_subset_masks(S, size_cap=size_cap)
-    inst_masks = [im for im, w in S.instance_masks()]
-    cld_cache: dict[int, int] = {}
-
-    def cldm(mask: int) -> int:
-        got = cld_cache.get(mask)
-        if got is None:
-            base = dt[mask]
-            got = mask
-            for i in range(n):
-                b = 1 << i
-                if not mask & b and dt[mask | b] == base:
-                    got |= b
-            cld_cache[mask] = got
-        return got
+    cld_of = functools.cache(functools.partial(cld_from_table, dt))
 
     checked = 0
     for amask in closed:
@@ -798,19 +775,9 @@ def _lemma43_equivalence_exhaustive(S: FiniteStructure, size_cap: int = 4) -> tu
                     dt[amask | bmask | cmask] + dt[bmask]
                     == dt[amask | bmask] + dt[bmask | cmask]
                 )
-                u = cldm(amask | bmask)
-                v = cldm(bmask | cmask)
-                if u & v != bmask:
-                    cond = False
-                else:
-                    free = True
-                    uu, vv = u & ~bmask, v & ~bmask
-                    union = u | v
-                    for im in inst_masks:
-                        if im & ~union == 0 and im & uu and im & vv:
-                            free = False
-                            break
-                    cond = free and dt[union] == dtab[union]
+                u = cld_of(amask | bmask)
+                v = cld_of(bmask | cmask)
+                cond = lemma43_free_split(S, u, v, bmask) and dt[u | v] == dtab[u | v]
                 if indep != cond:
                     return checked, (amask, bmask, cmask, indep, cond)
     return checked, None

@@ -64,6 +64,27 @@ def brute_min_superset(S, X):
     return best, frozenset(smallest), union
 
 
+def brute_self_sufficient(S, A, B):
+    """Independent oracle for A <= B: enumerate every set between A and B.
+
+    Returns (holds, witness); the witness is a violating set of minimal
+    delta, ties broken by size and then by sorted vertex list.
+    """
+    A = frozenset(A)
+    base = brute_delta(S, A)
+    rest = sorted(set(B) - A)
+    best = None
+    for k in range(1, len(rest) + 1):
+        for extra in itertools.combinations(rest, k):
+            Y = A | set(extra)
+            cand = (brute_delta(S, Y), len(Y), sorted(Y))
+            if cand[0] < base and (best is None or cand < best):
+                best = cand
+    if best is None:
+        return True, None
+    return False, frozenset(best[2])
+
+
 def brute_isomorphic(a, b):
     """Independent isomorphism oracle by raw permutation search."""
     if len(a.vertices) != len(b.vertices) or a.signature != b.signature:

@@ -20,6 +20,8 @@ from predimlab import (
 )
 from predimlab.builder import C0, CF, KN, LE, LE_D, enumerate_tasks
 
+from conftest import brute_self_sufficient
+
 
 SIG = graph_signature(2, 1)
 
@@ -56,10 +58,8 @@ def test_tasks_have_strong_bases():
     patterns = enumerate_class(SIG, C0, 3)
     tasks, skipped = enumerate_tasks(patterns, C0)
     assert skipped == []
-    from predimlab.structures import is_self_sufficient
-
     for t in tasks:
-        assert is_self_sufficient(t.ext, t.base_ids, t.ext.vertices).holds
+        assert brute_self_sufficient(t.ext, t.base_ids, t.ext.vertices)[0]
     assert {len(t.base_ids) for t in tasks} == {0, 1, 2}
 
 

@@ -10,7 +10,6 @@ from predimlab import (
     ControlFunction,
     FiniteStructure,
     InputError,
-    eval_f,
     girth,
     graph,
     graph_signature,
@@ -30,11 +29,11 @@ from conftest import brute_delta, small_graphs
 
 def test_control_function_values():
     f = ControlFunction.harmonic(2)
-    assert eval_f(f, 0) == 0
-    assert eval_f(f, 1) == 2
-    assert eval_f(f, 2) == 3
-    assert eval_f(f, 4) == Fraction(23, 6)
-    assert isinstance(eval_f(f, 7), Fraction)
+    assert f(0) == 0
+    assert f(1) == 2
+    assert f(2) == 3
+    assert f(4) == Fraction(23, 6)
+    assert isinstance(f(7), Fraction)
     f.validate(64)
     g = ControlFunction.half_harmonic(1)
     g.validate(64)

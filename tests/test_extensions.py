@@ -110,7 +110,7 @@ def test_count_copies_pinned():
 
 
 def test_msa_bound_on_seeded_amalgams():
-    from predimlab.structures import is_self_sufficient
+    from predimlab import self_sufficient
     import random
 
     rng = random.Random(11)
@@ -131,7 +131,7 @@ def test_msa_bound_on_seeded_amalgams():
                 cand = FiniteStructure(sig, verts, {"R": edges})
                 from predimlab import in_C0
 
-                if in_C0(cand).holds and is_self_sufficient(cand, base, verts).holds:
+                if in_C0(cand).holds and self_sufficient(cand, base)[0]:
                     return cand
             return None
         B = factor(bsz, 10)

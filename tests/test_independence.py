@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from predimlab import (
     BuildConfig,
     ContractError,
+    FiniteStructure,
+    Relation,
+    Signature,
     axiom_suite,
     build_generic,
     check_lemma43_characterization,
@@ -124,3 +127,12 @@ def test_perp_implies_independent():
                     continue
                 if perp(S, [b], A, C):
                     assert d_independent(S, [b], A, C)
+
+
+def test_lemma43_ignores_zero_weight_relations():
+    # Z has weight 0, so its instances never lower delta and cannot entangle
+    # the two sides; the characterization must agree with d_independent
+    sig = Signature(2, (Relation("R", 2, 1), Relation("Z", 2, 0)))
+    S = FiniteStructure(sig, range(4), {"R": [(0, 3), (1, 2)], "Z": [(0, 1), (0, 2)]})
+    expected = d_independent(S, [0], [], [1])
+    assert check_lemma43_characterization(S, [0], [], [1], debug=True) == expected

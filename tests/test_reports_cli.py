@@ -8,7 +8,7 @@ import pytest
 from predimlab import InputError, VerificationReport, emit_report, run_suite
 from predimlab.cli import main
 from predimlab.reports import FAIL, PASS, CaseResult
-from predimlab.structures import dump_structure, graph
+from predimlab.structures import dump_structure, graph, load_structure
 
 
 def test_fail_requires_witness():
@@ -79,6 +79,35 @@ def test_cli_exit_codes(tmp_path):
     # 2: usage errors
     assert main(["verify", "nosuchsuite"]) == 2
     assert main(["delta", str(tmp_path / "missing.pdl"), "--set", "1"]) == 2
+
+
+VALID_HEADER = "predimlab/1\nsignature n=2 mode=hypergraph\n"
+
+
+@pytest.mark.parametrize(
+    "text,env",
+    [
+        (VALID_HEADER + "relation\nvertices 0\n", None),
+        (VALID_HEADER + "relation R weight=1\nvertices 0\n", None),
+        ("predimlab/1\nsignature n=x\nrelation R arity=2 weight=1\nvertices 0\n", None),
+        (VALID_HEADER + "relation R arity=2 weight=1\nvertices 0\npart 0\n", None),
+        (VALID_HEADER + "relation R arity=2 weight=1\nvertices 0\n", "abc"),
+        (VALID_HEADER + "relation R arity=2 weight=1\nvertices 0\n", "-1"),
+        (VALID_HEADER + "relation R arity=2 weight=1\nvertices 0\n", "21"),
+    ],
+    ids=["relation-no-name", "relation-no-arity", "signature-n", "part-one-field",
+         "table-cutoff-abc", "table-cutoff-negative", "table-cutoff-above-max"],
+)
+def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, capsys, text, env):
+    f = tmp_path / "bad.pdl"
+    f.write_text(text)
+    if env is not None:
+        monkeypatch.setenv("PREDIMLAB_TABLE_CUTOFF", env)
+    else:
+        with pytest.raises(InputError, match="line "):
+            load_structure(text)
+    assert main(["closure", str(f), "--set", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_structure_workflow(tmp_path):

@@ -17,13 +17,19 @@ from predimlab import (
     free_amalgam,
     graph,
     graph_signature,
-    is_self_sufficient,
     load_structure,
     path_graph,
+    self_sufficient,
 )
 from predimlab.structures import bipartite_graph, cycle_graph
 
-from conftest import brute_delta, brute_isomorphic, small_graphs, small_hypergraphs
+from conftest import (
+    brute_delta,
+    brute_isomorphic,
+    brute_self_sufficient,
+    small_graphs,
+    small_hypergraphs,
+)
 
 
 def test_signature_validation():
@@ -86,22 +92,21 @@ def test_delta_invariant_under_relabeling(S, perm):
 
 def test_self_sufficiency_examples():
     P3 = path_graph(3)
-    assert is_self_sufficient(P3, [0, 3], P3.vertices).holds
+    assert self_sufficient(P3, [0, 3], P3.vertices)[0]
     P2 = path_graph(2)
-    assert is_self_sufficient(P2, [0, 2], P2.vertices).holds
+    assert self_sufficient(P2, [0, 2], P2.vertices)[0]
     T = graph([(0, 1), (1, 2), (0, 2)])
-    assert is_self_sufficient(T, [0, 1, 2], [0, 1, 2]).holds  # A = B
+    assert self_sufficient(T, [0, 1, 2], [0, 1, 2])[0]  # A = B
     E = graph([(0, 1)], n=1, m=2)
-    res = is_self_sufficient(E, [0], [0, 1])
-    assert not res.holds and res.witness == frozenset({0, 1})
+    assert self_sufficient(E, [0], [0, 1]) == (False, frozenset({0, 1}))
 
 
 def test_self_sufficiency_minimal_witness():
     # two violating supersets; the minimal-delta one must be returned
     S = graph([(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)], n=1, m=1)
-    res = is_self_sufficient(S, [0], S.vertices)
-    assert not res.holds
-    d = delta(S, res.witness)
+    holds, witness = self_sufficient(S, [0], S.vertices)
+    assert not holds
+    d = delta(S, witness)
     for k in range(1, 5):
         for X in itertools.combinations(S.vertices, k):
             if 0 in X:
@@ -109,9 +114,9 @@ def test_self_sufficiency_minimal_witness():
 
 
 def test_self_sufficiency_cap():
+    # the exact check has no enumeration cap
     S = graph([], vertices=range(30))
-    with pytest.raises(CapacityError):
-        is_self_sufficient(S, [], S.vertices, cap=24)
+    assert self_sufficient(S, [], S.vertices) == (True, None)
 
 
 @given(small_graphs(max_n=6))
@@ -128,7 +133,9 @@ def test_self_sufficiency_matches_definition(S):
                         for Bp in itertools.combinations(B, size)
                         if set(A) <= set(Bp)
                     )
-                    assert is_self_sufficient(S, A, B).holds == expected
+                    got = self_sufficient(S, A, B)
+                    assert got[0] == expected
+                    assert got == brute_self_sufficient(S, A, B)
 
 
 @pytest.mark.parametrize("n_w,m_w,arity", [(2, 1, 2), (1, 1, 2), (3, 2, 2), (1, 1, 3)])
