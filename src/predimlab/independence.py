@@ -69,8 +69,11 @@ def check_lemma43_characterization(
 
 
 def lemma43_free_split(S: FiniteStructure, u: int, v: int, b: int) -> bool:
-    """Masks u and v meet exactly in b, and no weighted instance inside u|v
-    meets both u-minus-b and v-minus-b (zero weights never bind, as in delta)."""
+    """Masks u and v meet exactly in b, and no instance inside u|v meets both
+    u-minus-b and v-minus-b.
+
+    Zero-weight relations are ignored, as in delta: they never bind.
+    """
     if u & v != b:
         return False
     union, uu, vv = u | v, u & ~b, v & ~b
