@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from .closures import _solve, delta_table
+from .closures import _LEAST, _solve, delta_table
 from .errors import InputError
 from .reports import FAIL, PARTIAL, PASS
 from .structures import BIPARTITE, FiniteStructure, co_instance_neighbors, delta_mask
@@ -128,7 +128,7 @@ class MembershipResult:
 
 def in_C0(S: FiniteStructure) -> MembershipResult:
     """Exact at every scale: the global minimum of delta is a min-cut."""
-    val, minimal, _ = _solve(S, 0)
+    val, minimal, _ = _solve(S, 0, need=_LEAST)
     if val >= 0:
         return MembershipResult(PASS, margin=Fraction(val), checked=1)
     wit = S.ids_of(minimal)
@@ -322,7 +322,7 @@ def in_Kn(
     long_cycles, complete = _simple_cycles_longer_than(S, 2 * ngon, cycle_budget)
     bound = 2 * ngon + 2
     for cyc in long_cycles:
-        val, minimal, _ = _solve(S, S.mask_of(cyc))
+        val, minimal, _ = _solve(S, S.mask_of(cyc), need=_LEAST)
         if val < bound:
             return MembershipResult(
                 FAIL,

@@ -18,6 +18,7 @@ with no claim about any infinite limit.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -92,7 +93,11 @@ def dim_table_cached(S: FiniteStructure) -> np.ndarray:
 
 
 def _table_solve(S: FiniteStructure, xmask: int) -> tuple[int, int, int]:
-    """(dim, minimal minimizer mask, maximal minimizer mask) by table scan."""
+    """(dim, minimal minimizer mask, maximal minimizer mask) by table scan.
+
+    The minimizers over supersets of X form a lattice closed under
+    intersection and union, so the least one is the AND of them all.
+    """
     n = len(S.vertices)
     dtab = delta_table(S)
     dt = dim_table_cached(S)
@@ -100,17 +105,15 @@ def _table_solve(S: FiniteStructure, xmask: int) -> tuple[int, int, int]:
     masks = np.arange(1 << n, dtype=np.int64)
     sup = (masks & xmask) == xmask
     winners = masks[sup & (dtab == best)]
-    pcs = np.array([int(m).bit_count() for m in winners])
-    order = np.lexsort((winners, pcs))
-    minimal = int(winners[order[0]])
-    maximal = int(np.bitwise_or.reduce(winners))
-    return best, minimal, maximal
+    return best, int(np.bitwise_and.reduce(winners)), int(np.bitwise_or.reduce(winners))
 
 
 # -- flow engine ---------------------------------------------------------------
 
 
 _INF_CAP = 1 << 60
+# Which minimizers a flow solve computes; a skipped one comes back as None.
+_LEAST, _GREATEST = 1, 2
 
 
 class StructureFlowSolver:
@@ -118,11 +121,29 @@ class StructureFlowSolver:
 
     Topology is built once: a force-select slot from the source to every
     vertex (capacity 0 until a query pins it), vertex-to-sink edges with the
-    vertex weight, and a project node per weighted instance.  Each query
-    copies the capacity array, opens the slots for X, and runs one max-flow;
-    then dim(X) = mincut - total instance weight, the minimal minimizer is
-    the residual source side and the maximal one the complement of the
-    sink's residual co-reach.
+    vertex weight, and a project node per weighted instance.  The empty
+    query is solved once and its residual kept as the base.  A query only
+    adds capacity (the slots of X), so it resumes from a copy of that
+    residual and pays just the marginal augmentation, as in monotone
+    parametric min-cut.  dim(X) = mincut - total instance weight.
+
+    A query touches only the residual region it reaches:
+
+    * the warm start records the source edges it left unsaturated; a query's
+      source adjacency is those plus the slots of X, since augmenting paths
+      never re-enter the source and a source edge never regains capacity;
+    * each Dinic phase stops its level BFS once the sink has a level; the
+      last phase finds no path and labels exactly the residual source side,
+      whose vertices are the least minimizer;
+    * ``solve_value`` takes a known upper bound on dim(X) (delta(X) is one)
+      and stops augmenting once the flow reaches it, the value being exact
+      from then on;
+    * ``solve`` builds only the minimizers it is asked for.  The least one
+      is the source side the last phase labelled.  The greatest one is the
+      set of vertices that cannot reach the sink; a query only grows the
+      source side, so these are the base's plus those the query cut off,
+      found by searching again only the subtrees of a base co-reach tree
+      that hang below edges the query saturated.
     """
 
     def __init__(self, S: FiniteStructure):
@@ -161,57 +182,76 @@ class StructureFlowSolver:
         self.to = to
         self.base_caps = caps
         self.head = [tuple(h) for h in head]
-        # Warm start: run the empty-query flow once; every query only adds
-        # capacity (the force-select slots), so Dinic can resume from this
-        # residual and pay just the marginal augmentation.
-        self._base_flow = self._max_flow(caps)
+        self._base_flow, _ = self._max_flow(caps, self.head[0], [])
+        self._live_src = tuple(eid for eid in self.head[0] if caps[eid] > 0)
+        self._sink_tree = None  # built by the first query that asks for cld
 
-    def _solve_caps(self, xmask: int) -> tuple[int, list[int]]:
+    def _augment(self, xmask: int, limit: int | None = None):
+        """Open the slots of X on a copy of the base residual and max-flow.
+
+        Returns dim(X), the residual capacities, the source side (or None,
+        see :meth:`_max_flow`) and the edges the augmenting paths used.
+        """
         caps = self.base_caps.copy()
-        m = xmask
-        i = 0
-        while m:
-            if m & 1:
-                caps[self.slot_eid[i]] = _INF_CAP
-            m >>= 1
-            i += 1
-        cut = self._base_flow + self._max_flow(caps)
-        return cut - self.total_w, caps
+        src = list(self._live_src)
+        while xmask:
+            low = xmask & -xmask
+            eid = self.slot_eid[low.bit_length() - 1]
+            caps[eid] = _INF_CAP
+            src.append(eid)
+            xmask ^= low
+        used: list[int] = []
+        extra, reach = self._max_flow(caps, src, used, limit)
+        return self._base_flow + extra - self.total_w, caps, reach, used
 
-    def solve_value(self, xmask: int) -> int:
-        return self._solve_caps(xmask)[0]
+    def solve_value(self, xmask: int, at_most: int | None = None) -> int:
+        """dim(X); ``at_most`` is an upper bound on it that lets augmenting stop early."""
+        limit = None if at_most is None else at_most + self.total_w - self._base_flow
+        return self._augment(xmask, limit)[0]
 
-    def solve(self, xmask: int) -> tuple[int, int, int]:
-        dim_val, caps = self._solve_caps(xmask)
-        minimal = 0
-        reach = self._reachable(caps)
-        coreach = self._coreach(caps)
-        maximal = 0
-        for i in range(self.n_items):
-            if reach[2 + i]:
-                minimal |= 1 << i
-            if not coreach[2 + i]:
-                maximal |= 1 << i
-        return dim_val, minimal | xmask, maximal | xmask
+    def solve(self, xmask: int, need: int = _LEAST | _GREATEST) -> tuple[int, int | None, int | None]:
+        dim_val, caps, reach, used = self._augment(xmask)
+        minimal = maximal = None
+        if need & _LEAST:
+            minimal = self._vertex_mask(reach) | xmask
+        if need & _GREATEST:
+            maximal = self._cut_off(caps, used) | xmask
+        return dim_val, minimal, maximal
 
-    # standard Dinic on the static topology; iterative blocking-flow DFS
-    def _max_flow(self, caps: list[int]) -> int:
+    def _vertex_mask(self, nodes: list[int]) -> int:
+        end = 2 + self.n_items
+        mask = 0
+        for u in nodes:
+            if 1 < u < end:
+                mask |= 1 << (u - 2)
+        return mask
+
+    # Dinic on the static topology, with the source's adjacency given as
+    # ``src``; iterative blocking-flow DFS.  Returns the flow and the nodes
+    # of the residual source side, or None for them when the flow reached
+    # ``limit`` first.  Every edge an augmenting path pushes along is
+    # appended to ``used``.
+    def _max_flow(self, caps: list[int], src, used: list[int], limit: int | None = None):
         to, head = self.to, self.head
         n_nodes = self.n_nodes
         flow = 0
         while True:
+            if limit is not None and flow >= limit:
+                return flow, None
             level = [-1] * n_nodes
             level[0] = 0
             queue = [0]
             for u in queue:
                 lv = level[u] + 1
-                for eid in head[u]:
+                for eid in src if u == 0 else head[u]:
                     v = to[eid]
                     if caps[eid] > 0 and level[v] < 0:
                         level[v] = lv
                         queue.append(v)
-            if level[1] < 0:
-                return flow
+                if level[1] > 0:
+                    break
+            else:
+                return flow, queue
             it = [0] * n_nodes
             path: list[int] = []  # edge ids from the source to the current node
             u = 0
@@ -225,51 +265,98 @@ class StructureFlowSolver:
                         caps[eid ^ 1] += pushed
                         if cut_at < 0 and caps[eid] == 0:
                             cut_at = k
+                    if limit is not None and flow >= limit:
+                        return flow, None
+                    used += path
                     del path[cut_at:]
                     u = to[path[-1]] if path else 0
                     continue
-                advanced = False
-                hu = head[u]
-                while it[u] < len(hu):
-                    eid = hu[it[u]]
-                    v = to[eid]
-                    if caps[eid] > 0 and level[v] == level[u] + 1:
+                hu = src if u == 0 else head[u]
+                nxt = level[u] + 1
+                for k in range(it[u], len(hu)):
+                    eid = hu[k]
+                    if caps[eid] > 0 and level[to[eid]] == nxt:
+                        it[u] = k
                         path.append(eid)
-                        u = v
-                        advanced = True
+                        u = to[eid]
                         break
-                    it[u] += 1
-                if not advanced:
+                else:  # dead end: retire u for this phase and step back
                     level[u] = -1
                     if not path:
                         break
                     u = to[path.pop() ^ 1]
 
-    def _reachable(self, caps: list[int]) -> list[bool]:
-        to, head = self.to, self.head
-        seen = [False] * self.n_nodes
-        seen[0] = True
-        queue = [0]
-        for u in queue:
-            for eid in head[u]:
-                v = to[eid]
-                if caps[eid] > 0 and not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        return seen
+    def _cut_off(self, caps: list[int], used: list[int]) -> int:
+        """Mask of the vertices that cannot reach the sink after a query.
 
-    def _coreach(self, caps: list[int]) -> list[bool]:
+        A query only grows the source side, so they are the vertices cut off
+        at the base plus those whose every residual path to the sink ran
+        through an edge the query saturated.  Only the base tree's subtrees
+        below such edges are searched again, the rest keeps its tree path.
+        """
+        if self._sink_tree is None:
+            self._sink_tree = self._build_sink_tree()
+        up, pre, end, order, base = self._sink_tree
         to, head = self.to, self.head
-        seen = [False] * self.n_nodes
-        seen[1] = True
+        suspects: set[int] = set()
+        for eid in used:
+            u = to[eid ^ 1]
+            if up[u] == eid and caps[eid] == 0 and u not in suspects:
+                suspects.update(order[pre[u]:end[u]])
+        if not suspects:
+            return base
+        # suspects with a residual edge out of the suspects into the base
+        # co-reach still reach the sink, and so does whatever reaches them
+        alive = [
+            u for u in suspects
+            if any(caps[eid] > 0 and pre[to[eid]] >= 0 and to[eid] not in suspects
+                   for eid in head[u])
+        ]
+        seen = set(alive)
+        for v in alive:
+            for eid in head[v]:
+                u = to[eid]
+                if caps[eid ^ 1] > 0 and u in suspects and u not in seen:
+                    seen.add(u)
+                    alive.append(u)
+        return base | self._vertex_mask(suspects - seen)
+
+    def _build_sink_tree(self):
+        """BFS tree of the sink's co-reach in the base residual, in preorder.
+
+        Returns (up, pre, end, order, base): ``up[u]`` is u's tree edge
+        toward the sink, ``order[pre[u]:end[u]]`` the subtree of u (pre[u] is
+        -1 off the co-reach) and ``base`` the mask of the vertices off it,
+        the greatest minimizer of the empty query.
+        """
+        to, head, caps = self.to, self.head, self.base_caps
+        n_nodes = self.n_nodes
+        up = array("i", [-1]) * n_nodes
+        children: list[list[int]] = [[] for _ in range(n_nodes)]
         queue = [1]
         for v in queue:
             for eid in head[v]:
                 u = to[eid]
-                if caps[eid ^ 1] > 0 and not seen[u]:
-                    seen[u] = True
+                if caps[eid ^ 1] > 0 and up[u] < 0 and u != 1:
+                    up[u] = eid ^ 1
+                    children[v].append(u)
                     queue.append(u)
-        return seen
+        pre = array("i", [-1]) * n_nodes
+        order = array("i")
+        stack = [1]
+        while stack:
+            u = stack.pop()
+            pre[u] = len(order)
+            order.append(u)
+            stack += children[u]
+        end = array("i", [1]) * n_nodes  # subtree sizes, then ends
+        for u in reversed(order):
+            if u != 1:
+                end[to[up[u]]] += end[u]
+        for u in order:
+            end[u] += pre[u]
+        base = ((1 << self.n_items) - 1) ^ self._vertex_mask(queue)
+        return up, pre, end, order, base
 
 
 @lru_cache(maxsize=64)
@@ -277,43 +364,50 @@ def _solver_for(S: FiniteStructure) -> StructureFlowSolver:
     return StructureFlowSolver(S)
 
 
-def _flow_solve(S: FiniteStructure, xmask: int, within: int | None = None) -> tuple[int, int, int]:
+def _flow_solve(S: FiniteStructure, xmask: int, need: int = _LEAST | _GREATEST):
     """Project-selection reduction; same triple as :func:`_table_solve`.
 
-    ``within`` restricts the optimization to subsets of the given mask (that
-    path induces the substructure and solves there).
+    ``need`` names the minimizers to compute (``_LEAST``, ``_GREATEST`` or
+    both); a skipped one is None.
     """
-    if within is not None and within != S.full_mask():
-        if xmask & ~within:
-            raise InputError("X must lie inside the restriction set")
-        sub = S.induced(S.ids_of(within))
-        d, mn, mx = _flow_solve(sub, sub.mask_of(S.ids_of(xmask)))
-        return d, S.mask_of(sub.ids_of(mn)), S.mask_of(sub.ids_of(mx))
-    return _solver_for(S).solve(xmask)
+    return _solver_for(S).solve(xmask, need)
 
 
 # -- public operations ----------------------------------------------------------
 
 
 def _solve(
-    S: FiniteStructure, xmask: int, within: int | None = None, engine: str = "auto"
-) -> tuple[int, int, int]:
+    S: FiniteStructure,
+    xmask: int,
+    within: int | None = None,
+    engine: str = "auto",
+    need: int = _LEAST | _GREATEST,
+) -> tuple[int, int | None, int | None]:
+    """(dim, least, greatest minimizer) over supersets of X inside ``within``.
+
+    The flow engine computes only the minimizers in ``need``; the table
+    engine ignores it and always returns both.  ``within`` induces the
+    substructure and solves there.
+    """
     if engine == "auto":
         engine = "table" if (within is None and len(S.vertices) <= _table_cutoff()) else "flow"
+    if engine not in ("table", "flow"):
+        raise InputError(f"unknown engine {engine!r}")
+    if within is not None and within != S.full_mask():
+        if xmask & ~within:
+            raise InputError("X must lie inside the restriction set")
+        sub = S.induced(S.ids_of(within))
+        d, *minimizers = _solve(sub, sub.mask_of(S.ids_of(xmask)), engine=engine, need=need)
+        mn, mx = (None if m is None else S.mask_of(sub.ids_of(m)) for m in minimizers)
+        return d, mn, mx
     if engine == "table":
-        if within is not None:
-            sub = S.induced(S.ids_of(within))
-            d, mn, mx = _table_solve(sub, sub.mask_of(S.ids_of(xmask)))
-            return d, S.mask_of(sub.ids_of(mn)), S.mask_of(sub.ids_of(mx))
         return _table_solve(S, xmask)
-    if engine == "flow":
-        return _flow_solve(S, xmask, within)
-    raise InputError(f"unknown engine {engine!r}")
+    return _flow_solve(S, xmask, need)
 
 
 def dim(S: FiniteStructure, X: Iterable[int], engine: str = "auto") -> int:
     """Ambient-relative dimension: minimum delta over supersets of X."""
-    val, _, _ = _solve(S, S.mask_of(X), engine=engine)
+    val, _, _ = _solve(S, S.mask_of(X), engine=engine, need=0)
     return val
 
 
@@ -324,20 +418,20 @@ def cl0(S: FiniteStructure, X: Iterable[int], engine: str = "auto") -> ClosureRe
     closure; the trace holds the absorbed set, or nothing when X <= S.
     """
     xmask = S.mask_of(X)
-    val, minimal, _ = _solve(S, xmask, engine=engine)
+    val, minimal, _ = _solve(S, xmask, engine=engine, need=_LEAST)
     trace = (S.ids_of(minimal & ~xmask),) if minimal != xmask else ()
     return ClosureResult(S.ids_of(minimal), val, trace)
 
 
 def cld(S: FiniteStructure, X: Iterable[int], engine: str = "auto") -> frozenset[int]:
     """d-closure: all vertices of zero relative dimension over X."""
-    _, _, maximal = _solve(S, S.mask_of(X), engine=engine)
+    _, _, maximal = _solve(S, S.mask_of(X), engine=engine, need=_GREATEST)
     return S.ids_of(maximal)
 
 
 def is_d_closed(S: FiniteStructure, X: Iterable[int], engine: str = "auto") -> bool:
     xmask = S.mask_of(X)
-    _, _, maximal = _solve(S, xmask, engine=engine)
+    _, _, maximal = _solve(S, xmask, engine=engine, need=_GREATEST)
     return maximal == xmask
 
 
@@ -351,18 +445,20 @@ def self_sufficient(
     """Exact A <= B check with no enumeration cap (B defaults to all of S).
 
     It never enumerates subsets, so it stays polynomial on large ambients.  On
-    failure the witness is the minimal-delta, minimal-cardinality violating set
-    (suppressed when ``want_witness`` is off, saving a residual scan).
+    failure the witness is the minimal-delta, minimal-cardinality violating set.
+    With ``want_witness`` off, the flow engine only computes dim(A), and stops
+    as soon as it reaches delta(A), which always bounds it.
     """
     amask = S.mask_of(A)
     within = None if B is None else S.mask_of(B)
     if within is not None and amask & ~within:
         raise InputError("A must be a subset of B")
-    if not want_witness and within is None and len(S.vertices) > _table_cutoff():
-        val = _solver_for(S).solve_value(amask)
-        return val >= delta_mask(S, amask), None
-    val, minimal, _ = _solve(S, amask, within=within, engine=engine)
-    if val >= delta_mask(S, amask):
+    delta_a = delta_mask(S, amask)
+    flow = engine == "flow" or (engine == "auto" and len(S.vertices) > _table_cutoff())
+    if not want_witness and within is None and flow:
+        return _solver_for(S).solve_value(amask, at_most=delta_a) >= delta_a, None
+    val, minimal, _ = _solve(S, amask, within=within, engine=engine, need=_LEAST)
+    if val >= delta_a:
         return True, None
     return False, S.ids_of(minimal)
 

@@ -1,22 +1,39 @@
 import itertools
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predimlab import (
     cl0,
     cld,
+    delta,
     dim,
     graph,
+    hypergraph,
     in_C0,
     is_d_closed,
     path_graph,
     self_sufficient,
 )
-from predimlab.closures import _flow_solve, _table_solve, d_closed_subset_masks
+from predimlab import closures
+from predimlab.closures import (
+    StructureFlowSolver,
+    _flow_solve,
+    _solver_for,
+    _table_solve,
+    d_closed_subset_masks,
+)
 from predimlab.builder import enumerate_class, C0
 from predimlab.structures import graph_signature
 
-from conftest import brute_delta, brute_min_superset, small_graphs, small_hypergraphs
+from conftest import (
+    brute_delta,
+    brute_min_superset,
+    brute_self_sufficient,
+    small_graphs,
+    small_hypergraphs,
+)
 
 
 def test_cl0_examples():
@@ -156,6 +173,110 @@ def test_d_closed_enumeration_matches_pointwise():
             assert (S.mask_of(X) in masks) == is_d_closed(S, X)
 
 
+def _check_flow_queries(S, max_k):
+    for k in range(min(len(S.vertices), max_k) + 1):
+        for X in itertools.combinations(S.vertices, k):
+            best, least, greatest = brute_min_superset(S, X)
+            assert dim(S, X, engine="flow") == best
+            res = cl0(S, X, engine="flow")
+            assert (res.closure, res.dimension) == (least, best)
+            assert cld(S, X, engine="flow") == greatest
+            assert is_d_closed(S, X, engine="flow") == (greatest == frozenset(X))
+            holds, _ = brute_self_sufficient(S, X, S.vertices)
+            assert self_sufficient(S, X, engine="flow", want_witness=False) == (holds, None)
+
+
+@given(small_graphs())
+@settings(max_examples=60, deadline=None)
+def test_flow_queries_match_brute_oracle(S):
+    _check_flow_queries(S, max_k=len(S.vertices))
+
+
+@given(small_hypergraphs())
+@settings(max_examples=60, deadline=None)
+def test_flow_queries_match_brute_oracle_hypergraphs(S):
+    # the (1, 1) signature often has dim(empty) < 0, so the warm start leaves
+    # live source edges behind
+    _check_flow_queries(S, max_k=3)
+
+
+def test_flow_queries_leave_the_base_residual_alone():
+    rng = random.Random(7)
+    S = hypergraph(
+        {tuple(sorted(rng.sample(range(30), 3))) for _ in range(40)}, vertices=range(30)
+    )
+    solver = _solver_for(S)
+    base = (solver.base_caps.copy(), solver._base_flow, solver._live_src)
+    assert solver._live_src  # dim(empty) < 0 here
+    for _ in range(60):
+        X = rng.sample(range(30), rng.randint(0, 4))
+        xmask = S.mask_of(X)
+        want = StructureFlowSolver(S).solve(xmask)
+        op = rng.choice(["dim", "cl0", "cld", "is_d_closed", "ss", "ss_value"])
+        if op == "dim":
+            assert dim(S, X, engine="flow") == want[0]
+        elif op == "cl0":
+            assert cl0(S, X, engine="flow").closure == S.ids_of(want[1])
+        elif op == "cld":
+            assert cld(S, X, engine="flow") == S.ids_of(want[2])
+        elif op == "is_d_closed":
+            assert is_d_closed(S, X, engine="flow") == (want[2] == xmask)
+        else:
+            holds = want[0] == delta(S, X)
+            got = self_sufficient(S, X, engine="flow", want_witness=op == "ss")
+            assert got[0] == holds
+            if op == "ss" and not holds:
+                assert got[1] == S.ids_of(want[1])
+        assert solver.solve(xmask) == want
+    assert (solver.base_caps, solver._base_flow, solver._live_src) == base
+
+
+def test_self_sufficient_respects_the_engine(monkeypatch):
+    rng = random.Random(3)
+    S = graph({tuple(sorted(rng.sample(range(18), 2))) for _ in range(30)}, vertices=range(18))
+    A = [0, 1, 2]
+    want = self_sufficient(S, A)
+
+    def no_flow(_):
+        raise AssertionError("engine='table' reached the flow engine")
+
+    monkeypatch.setattr(closures, "_solver_for", no_flow)
+    assert self_sufficient(S, A, engine="table", want_witness=False)[0] == want[0]
+    assert self_sufficient(S, A, engine="table") == want
+    monkeypatch.undo()
+    # engine="flow" takes the value-only path at any size
+    calls = []
+    real = StructureFlowSolver.solve_value
+    monkeypatch.setattr(
+        StructureFlowSolver, "solve_value", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    small = path_graph(3)
+    assert self_sufficient(small, [0, 3], engine="flow", want_witness=False) == (True, None)
+    assert len(calls) == 1
+
+
+def _planted_graph(rng, n):
+    """Sparse (2, 1) graph with a planted K4 on every twelfth vertex block."""
+    order = rng.sample(range(n), n)
+    planted = [order[k : k + 4] for k in range(0, n // 12 * 4, 4)]
+    edges = {tuple(sorted(p)) for q in planted for p in itertools.combinations(q, 2)}
+    while len(edges) < int(1.3 * n):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return graph(sorted(edges), vertices=range(n)), planted
+
+
+def _planted_hypergraph(rng, n):
+    """Sparse (2, 1) 3-hypergraph with planted dense 5-sets."""
+    order = rng.sample(range(n), n)
+    planted = [order[k : k + 5] for k in range(0, n // 15 * 5, 5)]
+    triples = {
+        tuple(sorted(t)) for q in planted for t in itertools.combinations(q, 3) if rng.random() < 0.6
+    }
+    while len(triples) < int(0.7 * n):
+        triples.add(tuple(sorted(rng.sample(range(n), 3))))
+    return hypergraph(sorted(triples), vertices=range(n), n=2, m=1), planted
+
+
 def test_flow_engine_on_large_ambient():
     # a 60-vertex cycle: far past the table cutoff, still exact
     S = graph([(i, (i + 1) % 60) for i in range(60)])
@@ -164,3 +285,25 @@ def test_flow_engine_on_large_ambient():
     ok, _ = self_sufficient(S, [0, 1])
     assert ok
     assert in_C0(S).holds
+    # 400-vertex ambients with dense spots: engine-free identities
+    rng = random.Random(11)
+    for family in (_planted_graph, _planted_hypergraph):
+        S, planted = family(rng, 400)
+        for _ in range(25):
+            pool = rng.choice(planted) if rng.random() < 0.5 else range(400)
+            X = frozenset(rng.sample(list(pool), rng.randint(1, 3)))
+            d = dim(S, X)
+            least = cl0(S, X)
+            greatest = cld(S, X)
+            assert least.dimension == delta(S, least.closure) == d == delta(S, greatest)
+            assert X <= least.closure <= greatest
+            assert self_sufficient(S, least.closure) == (True, None)
+            holds, witness = self_sufficient(S, X)
+            assert holds == (d == delta(S, X))
+            assert witness == (None if holds else least.closure)
+            assert self_sufficient(S, X, want_witness=False) == (holds, None)
+            assert is_d_closed(S, X) == (greatest == X)
+            # greatest: a vertex joins at no cost exactly when it lies in cld(X)
+            outside = rng.sample(sorted(set(S.vertices) - greatest), 5)
+            for v in sorted(greatest - X) + outside:
+                assert (dim(S, X | {v}) == d) == (v in greatest)
