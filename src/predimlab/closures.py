@@ -184,7 +184,7 @@ class StructureFlowSolver:
         self.head = [tuple(h) for h in head]
         self._base_flow, _ = self._max_flow(caps, self.head[0], [])
         self._live_src = tuple(eid for eid in self.head[0] if caps[eid] > 0)
-        self._sink_tree = None  # built by the first query that asks for cld
+        self._sink_tree = None  # built by the first query for a greatest minimizer
 
     def _augment(self, xmask: int, limit: int | None = None):
         """Open the slots of X on a copy of the base residual and max-flow.
@@ -209,7 +209,9 @@ class StructureFlowSolver:
         limit = None if at_most is None else at_most + self.total_w - self._base_flow
         return self._augment(xmask, limit)[0]
 
-    def solve(self, xmask: int, need: int = _LEAST | _GREATEST) -> tuple[int, int | None, int | None]:
+    def solve(
+        self, xmask: int, need: int = _LEAST | _GREATEST
+    ) -> tuple[int, int | None, int | None]:
         dim_val, caps, reach, used = self._augment(xmask)
         minimal = maximal = None
         if need & _LEAST:

@@ -256,7 +256,7 @@ def test_self_sufficient_respects_the_engine(monkeypatch):
 
 
 def _planted_graph(rng, n):
-    """Sparse (2, 1) graph with a planted K4 on every twelfth vertex block."""
+    """Sparse (2, 1) graph with n // 12 planted K4s on disjoint vertex sets."""
     order = rng.sample(range(n), n)
     planted = [order[k : k + 4] for k in range(0, n // 12 * 4, 4)]
     edges = {tuple(sorted(p)) for q in planted for p in itertools.combinations(q, 2)}
@@ -266,11 +266,14 @@ def _planted_graph(rng, n):
 
 
 def _planted_hypergraph(rng, n):
-    """Sparse (2, 1) 3-hypergraph with planted dense 5-sets."""
+    """Sparse (2, 1) 3-hypergraph with n // 15 planted dense 5-sets."""
     order = rng.sample(range(n), n)
     planted = [order[k : k + 5] for k in range(0, n // 15 * 5, 5)]
     triples = {
-        tuple(sorted(t)) for q in planted for t in itertools.combinations(q, 3) if rng.random() < 0.6
+        tuple(sorted(t))
+        for q in planted
+        for t in itertools.combinations(q, 3)
+        if rng.random() < 0.6
     }
     while len(triples) < int(0.7 * n):
         triples.add(tuple(sorted(rng.sample(range(n), 3))))
