@@ -7,8 +7,10 @@ size; Kn is the generalized-polygon class (bipartite, cycle conditions).
 C0 membership is decided exactly at any scale through the flow engine.
 Cf membership is exhaustive below a size cap; above it the verdict can be
 PARTIAL: a budgeted enumeration of connected subsets plus seeded random
-subsets, never reported as a positive certificate.  All comparisons against
-the control function use exact rationals.
+subsets, never reported as a positive certificate.  Comparisons against the
+control function stay exact without rationals: delta is an integer, so
+delta(A) < f(k) exactly when delta(A) < ceil(f(k)), and each call tabulates
+those integer thresholds once.  Only a reported margin is a rational.
 """
 
 from __future__ import annotations
@@ -17,12 +19,20 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterator, Optional
 
-from .closures import _LEAST, _solve, delta_table
+import numpy as np
+
+from .closures import _LEAST, _solve, delta_table, popcounts
 from .errors import InputError
 from .reports import FAIL, PARTIAL, PASS
-from .structures import BIPARTITE, FiniteStructure, co_instance_neighbors, delta_mask
+from .structures import (
+    BIPARTITE,
+    FiniteStructure,
+    _bits,
+    co_instance_neighbors,
+    delta_mask,
+)
 
 DEFAULT_CF_EXHAUSTIVE_CAP = 18
 DEFAULT_CONN_SIZE = 18
@@ -140,28 +150,45 @@ def in_C0(S: FiniteStructure) -> MembershipResult:
 
 def _connected_subsets(
     S: FiniteStructure, max_size: int, budget: int
-) -> Iterable[frozenset[int]]:
-    """Connected subsets (by shared instances), deduplicated, budget-limited."""
-    adj = co_instance_neighbors(S)
+) -> Iterator[tuple[int, int, int]]:
+    """Connected subsets (by shared instances) as (mask, size, delta), budget-limited.
+
+    A depth-first search from each root over the vertices above it.  A set
+    reachable along several frontier orders is produced once per order, and
+    the budget counts every production, so the push order fixes which sets
+    fall inside the budget.
+    """
+    n = len(S.vertices)
+    adj = [S.mask_of(nbrs) for nbrs in co_instance_neighbors(S).values()]
+    weighted: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for imask, w in S.instance_masks():
+        for i in _bits(imask):
+            weighted[i].append((imask, w))
+    vw = S.signature.vertex_weight
     produced = 0
-    order = {v: i for i, v in enumerate(S.vertices)}
-    for root in S.vertices:
-        # enumerate connected sets whose minimum vertex is root
-        stack = [(frozenset([root]), frozenset(w for w in adj[root] if order[w] > order[root]))]
+    for root in range(n):
+        above = -1 << (root + 1)
+        # a singleton holds no instance: every arity is at least 2
+        stack = [(1 << root, adj[root] & above, 1, vw)]
         while stack:
-            current, frontier = stack.pop()
-            yield current
+            mask, frontier, size, d = stack.pop()
+            yield mask, size, d
             produced += 1
             if produced >= budget:
                 return
-            if len(current) >= max_size:
+            if size >= max_size:
                 continue
-            frontier_list = sorted(frontier)
-            for i, w in enumerate(frontier_list):
-                new_frontier = frozenset(frontier_list[i + 1 :]) | frozenset(
-                    u for u in adj[w] if order[u] > order[root] and u not in current
-                )
-                stack.append((current | {w}, new_frontier - current))
+            rest = frontier
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                w = low.bit_length() - 1
+                grown = mask | low
+                dw = d + vw
+                for imask, weight in weighted[w]:
+                    if imask & grown == imask:
+                        dw -= weight
+                stack.append((grown, (rest | (adj[w] & above)) & ~mask, size + 1, dw))
 
 
 def in_Cf(
@@ -174,23 +201,25 @@ def in_Cf(
     seed: int = 0,
 ) -> MembershipResult:
     n = len(S.vertices)
+    thr = [math.ceil(f(k)) for k in range(n + 1)]
     if n <= exhaustive_cap:
         dtab = delta_table(S)
-        best = None  # (size, mask) of a violating subset
-        for mask in range(1 << n):
-            k = mask.bit_count()
-            if Fraction(int(dtab[mask])) < f(k):
-                cand = (k, mask)
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
+        pc = popcounts(n)
+        # Clamped to the table's range, every comparison is unchanged and
+        # every threshold fits in int64.
+        lo, hi = int(dtab.min()), int(dtab.max()) + 1
+        bound = np.array([min(max(t, lo), hi) for t in thr], dtype=np.int64)
+        viol = np.flatnonzero(dtab < bound[pc])
+        if viol.size == 0:
             c0 = in_C0(S)
             if not c0.holds:  # f >= 0 makes this unreachable; assert the implication
                 return MembershipResult(FAIL, witness=c0.witness, margin=c0.margin,
                                         detail="delta bound holds but C0 fails")
             return MembershipResult(PASS, checked=1 << n)
-        wmask = best[1]
-        margin = Fraction(delta_mask(S, wmask)) - f(best[0])
+        sizes = pc[viol]
+        k = int(sizes.min())
+        wmask = int(viol[sizes == k][0])
+        margin = Fraction(delta_mask(S, wmask)) - f(k)
         return MembershipResult(FAIL, witness=S.ids_of(wmask), margin=margin,
                                 checked=1 << n)
 
@@ -200,24 +229,22 @@ def in_Cf(
         return MembershipResult(FAIL, witness=c0.witness, margin=c0.margin)
     violations: list[tuple[int, int]] = []
     checked = 0
-    for sub in _connected_subsets(S, conn_size, conn_budget):
-        mask = S.mask_of(sub)
+    for mask, k, d in _connected_subsets(S, conn_size, conn_budget):
         checked += 1
-        if Fraction(delta_mask(S, mask)) < f(len(sub)):
-            violations.append((len(sub), mask))
+        if d < thr[k]:
+            violations.append((k, mask))
     rng = random.Random(seed)
     verts = list(S.vertices)
     for _ in range(samples):
         k = rng.randint(1, n)
-        sub = rng.sample(verts, k)
-        mask = S.mask_of(sub)
+        mask = S.mask_of(rng.sample(verts, k))
         checked += 1
-        if Fraction(delta_mask(S, mask)) < f(k):
+        if delta_mask(S, mask) < thr[k]:
             violations.append((k, mask))
     if violations:
-        best = min(violations)
-        margin = Fraction(delta_mask(S, best[1])) - f(best[0])
-        return MembershipResult(FAIL, witness=S.ids_of(best[1]), margin=margin,
+        k, wmask = min(violations)
+        margin = Fraction(delta_mask(S, wmask)) - f(k)
+        return MembershipResult(FAIL, witness=S.ids_of(wmask), margin=margin,
                                 checked=checked)
     return MembershipResult(
         PARTIAL,

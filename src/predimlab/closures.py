@@ -51,6 +51,15 @@ class ClosureResult:
 # -- table engine --------------------------------------------------------------
 
 
+def popcounts(n: int) -> np.ndarray:
+    """Number of set bits of every mask below 2**n, as int64 (not cached)."""
+    pc = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        step = 1 << i
+        pc[step : 2 * step] = pc[:step] + 1
+    return pc
+
+
 @lru_cache(maxsize=512)
 def delta_table(S: FiniteStructure) -> np.ndarray:
     """delta of every vertex subset of S, indexed by bitmask."""
@@ -66,11 +75,7 @@ def delta_table(S: FiniteStructure) -> np.ndarray:
         step = 1 << i
         view = counts.reshape(-1, 2, step)
         view[:, 1, :] += view[:, 0, :]
-    pc = np.zeros(size, dtype=np.int64)
-    for i in range(n):
-        step = 1 << i
-        pc[step : 2 * step] = pc[:step] + 1
-    out = S.signature.vertex_weight * pc - counts
+    out = S.signature.vertex_weight * popcounts(n) - counts
     out.setflags(write=False)
     return out
 

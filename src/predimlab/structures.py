@@ -317,12 +317,11 @@ class FiniteStructure:
 
 
 def _bits(mask: int) -> Iterator[int]:
-    i = 0
+    """Positions of the set bits of mask, ascending."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def co_instance_neighbors(S: FiniteStructure) -> dict[int, set[int]]:

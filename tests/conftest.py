@@ -1,8 +1,12 @@
 import itertools
+import random
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from predimlab import FiniteStructure, graph_signature, hypergraph_signature
+from predimlab import FiniteStructure, graph_signature, hypergraph_signature, in_C0
+from predimlab.classes import MembershipResult
+from predimlab.reports import FAIL, PARTIAL, PASS
 
 
 @st.composite
@@ -83,6 +87,87 @@ def brute_self_sufficient(S, A, B):
     if best is None:
         return True, None
     return False, frozenset(best[2])
+
+
+def brute_connected_subsets(S, max_size, budget):
+    """Oracle enumeration of connected subsets as frozensets, in the DFS order
+    (and with the duplicates) that ``classes.in_Cf`` must reproduce."""
+    adj = {v: set() for v in S.vertices}
+    for tups in S.instances.values():
+        for t in tups:
+            for a in t:
+                adj[a].update(b for b in t if b != a)
+    produced = 0
+    for root in S.vertices:
+        stack = [(frozenset([root]), frozenset(w for w in adj[root] if w > root))]
+        while stack:
+            current, frontier = stack.pop()
+            yield current
+            produced += 1
+            if produced >= budget:
+                return
+            if len(current) >= max_size:
+                continue
+            frontier_list = sorted(frontier)
+            for i, w in enumerate(frontier_list):
+                new_frontier = frozenset(frontier_list[i + 1 :]) | frozenset(
+                    u for u in adj[w] if u > root and u not in current
+                )
+                stack.append((current | {w}, new_frontier - current))
+
+
+def brute_in_Cf(S, f, exhaustive_cap=18, conn_size=18, conn_budget=200_000,
+                samples=1000, seed=0):
+    """Oracle for ``in_Cf``: every delta counted from the definition and
+    compared with the exact rational f(k)."""
+    n = len(S.vertices)
+    if n <= exhaustive_cap:
+        best = None
+        for mask in range(1 << n):
+            k = mask.bit_count()
+            if Fraction(brute_delta(S, S.ids_of(mask))) < f(k):
+                if best is None or (k, mask) < best:
+                    best = (k, mask)
+        if best is None:
+            c0 = in_C0(S)
+            if not c0.holds:
+                return MembershipResult(FAIL, witness=c0.witness, margin=c0.margin,
+                                        detail="delta bound holds but C0 fails")
+            return MembershipResult(PASS, checked=1 << n)
+        margin = Fraction(brute_delta(S, S.ids_of(best[1]))) - f(best[0])
+        return MembershipResult(FAIL, witness=S.ids_of(best[1]), margin=margin,
+                                checked=1 << n)
+    c0 = in_C0(S)
+    if not c0.holds:
+        return MembershipResult(FAIL, witness=c0.witness, margin=c0.margin)
+    violations = []
+    checked = 0
+    for sub in brute_connected_subsets(S, conn_size, conn_budget):
+        checked += 1
+        if Fraction(brute_delta(S, sub)) < f(len(sub)):
+            violations.append((len(sub), S.mask_of(sub)))
+    rng = random.Random(seed)
+    verts = list(S.vertices)
+    for _ in range(samples):
+        k = rng.randint(1, n)
+        sub = rng.sample(verts, k)
+        checked += 1
+        if Fraction(brute_delta(S, sub)) < f(k):
+            violations.append((k, S.mask_of(sub)))
+    if violations:
+        k, mask = min(violations)
+        margin = Fraction(brute_delta(S, S.ids_of(mask))) - f(k)
+        return MembershipResult(FAIL, witness=S.ids_of(mask), margin=margin,
+                                checked=checked)
+    return MembershipResult(
+        PARTIAL,
+        checked=checked,
+        detail=(
+            f"size {n} exceeds exhaustive cap {exhaustive_cap}; "
+            f"checked {checked} subsets (connected <= {conn_size} within budget "
+            f"{conn_budget}, plus {samples} seeded random); not a certificate"
+        ),
+    )
 
 
 def brute_isomorphic(a, b):

@@ -21,10 +21,16 @@ from predimlab import (
     path_graph,
     self_sufficient,
 )
-from predimlab.structures import bipartite_graph, cycle_graph, free_amalgam
+from predimlab.structures import (
+    Relation,
+    Signature,
+    bipartite_graph,
+    cycle_graph,
+    free_amalgam,
+)
 from predimlab.builder import enumerate_class, C0, CF
 
-from conftest import brute_delta, small_graphs
+from conftest import brute_delta, brute_in_Cf, small_graphs
 
 
 def test_control_function_values():
@@ -102,6 +108,70 @@ def test_in_cf_partial_above_cap():
     res2 = in_Cf(bad, ControlFunction.harmonic(2), exhaustive_cap=18,
                  conn_size=6, conn_budget=5000, samples=200, seed=1)
     assert res2.verdict == "FAIL"
+
+
+@st.composite
+def cf_cases(draw):
+    """A structure (graph, 3-uniform hypergraph, or a graph with a zero-weight
+    second relation) plus a control function and in_Cf's budgets."""
+    kind = draw(st.sampled_from(["graph", "3-uniform", "zero-weight"]))
+    n = draw(st.integers(min_value=0, max_value=9))
+    vw = draw(st.integers(min_value=1, max_value=3))
+    arity = 3 if kind == "3-uniform" else 2
+    rels = [Relation("R", arity, draw(st.integers(min_value=1, max_value=3)))]
+    if kind == "zero-weight":
+        rels.append(Relation("Z", 2, 0))
+    pool = list(itertools.combinations(range(n), arity))
+    inst = {}
+    for rel in rels:
+        inst[rel.name] = draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
+    S = FiniteStructure(Signature(vw, tuple(rels)), range(n), inst)
+    # an anchor equal to the vertex weight puts delta(A) = f(k) on singletons
+    anchor = draw(st.sampled_from([vw, 1, 2, 3]))
+    f = draw(st.sampled_from([ControlFunction.harmonic, ControlFunction.half_harmonic]))(anchor)
+    opts = dict(
+        exhaustive_cap=draw(st.integers(min_value=-1, max_value=10)),
+        conn_size=draw(st.integers(min_value=1, max_value=7)),
+        conn_budget=draw(st.integers(min_value=1, max_value=60)),
+        samples=draw(st.integers(min_value=0, max_value=12)),
+        seed=draw(st.integers(min_value=0, max_value=3)),
+    )
+    if n == 0:
+        opts["exhaustive_cap"] = max(opts["exhaustive_cap"], 0)  # no sample of size >= 1
+    return S, f, opts
+
+
+@given(cf_cases())
+@settings(max_examples=250, deadline=None)
+def test_in_cf_matches_rational_oracle(case):
+    S, f, opts = case
+    assert in_Cf(S, f, **opts) == brute_in_Cf(S, f, **opts)
+
+
+@pytest.mark.parametrize("cap", [0, 18])
+def test_in_cf_exact_bound_is_not_a_violation(cap):
+    # delta = 2 = f(1) on every singleton and 4 > f(2) on every pair
+    S = graph([], vertices=range(6))
+    f = ControlFunction.harmonic(2)
+    res = in_Cf(S, f, exhaustive_cap=cap, conn_size=4, conn_budget=10, samples=20)
+    assert res.verdict == ("PASS" if cap else "PARTIAL")
+    assert res == brute_in_Cf(S, f, exhaustive_cap=cap, conn_size=4, conn_budget=10,
+                              samples=20)
+
+
+def test_in_cf_connected_budget_keeps_search_order():
+    # a path of 12 vertices with a triangle hung at its far end: a small
+    # budget stops the search before the triangle, a larger one reaches it
+    edges = [(i, i + 1) for i in range(11)] + [(10, 12), (11, 12)]
+    S = graph(edges)
+    f = ControlFunction.harmonic(2)
+    for budget in (5, 40, 400):
+        opts = dict(exhaustive_cap=0, conn_size=5, conn_budget=budget, samples=0)
+        assert in_Cf(S, f, **opts) == brute_in_Cf(S, f, **opts)
+    assert in_Cf(S, f, exhaustive_cap=0, conn_size=5, conn_budget=5,
+                 samples=0).verdict == "PARTIAL"
+    assert in_Cf(S, f, exhaustive_cap=0, conn_size=5, conn_budget=400,
+                 samples=0).verdict == "FAIL"
 
 
 def test_girth_examples():
