@@ -471,23 +471,24 @@ def self_sufficient(
 
 
 def d_closed_subset_masks(S: FiniteStructure, size_cap: int | None = None) -> list[int]:
-    """All d-closed subset masks (size-capped), via the dim table."""
+    """All d-closed subset masks (size-capped), in ascending order, via the dim table."""
     n = len(S.vertices)
     if n > _table_cutoff():
         raise InputError("d-closed enumeration needs the table engine")
-    dt = dim_table_cached(S)
-    masks = range(1 << n)
+    masks = np.arange(1 << n, dtype=np.int64)
     if size_cap is not None:
-        masks = [m for m in masks if m.bit_count() <= size_cap]
-    return [m for m in masks if cld_from_table(dt, m) == m]
+        masks = masks[popcounts(n) <= size_cap]
+    return masks[cld_from_table(dim_table_cached(S), masks) == masks].tolist()
 
 
-def cld_from_table(dt: np.ndarray, mask: int) -> int:
-    """cld(mask) read off a dim table: add every vertex that leaves dim unchanged."""
+def cld_from_table(dt: np.ndarray, mask):
+    """cld(mask) read off a dim table: add every vertex that leaves dim unchanged.
+
+    ``mask`` is an int, or an int64 array of masks closed element-wise.  dim
+    is monotone, so a vertex already in the mask always qualifies.
+    """
     base = dt[mask]
     out = mask
     for i in range(len(dt).bit_length() - 1):
-        bit = 1 << i
-        if not mask & bit and dt[mask | bit] == base:
-            out |= bit
-    return out
+        out = out | (dt[mask | (1 << i)] == base) * (1 << i)
+    return out if isinstance(mask, np.ndarray) else int(out)

@@ -17,8 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .classes import ControlFunction, MembershipResult, in_Cf
-from .closures import cld, is_d_closed
+from .closures import cld, is_d_closed, popcounts
 from .errors import CapacityError, InputError
 from .independence import perp
 from .reports import (
@@ -176,6 +178,14 @@ def build_gadget(n: int, m: int, r: int = 2) -> GadgetPair:
     return GadgetPair(Y, frozenset(x_skel) | frozenset(pad), params, degenerate, reason)
 
 
+def _submasks(mask: int) -> np.ndarray:
+    """Every submask of ``mask`` in ascending order, as int64."""
+    out = np.zeros(1, dtype=np.int64)
+    for i in _bits(mask):
+        out = np.concatenate([out, out | (1 << i)])
+    return out
+
+
 def verify_gadget(g: GadgetPair, cap: int = 22) -> VerificationReport:
     """Exhaustive check of the three gadget clauses by subset enumeration."""
     rep = VerificationReport(suite="gadget-verify")
@@ -197,61 +207,29 @@ def verify_gadget(g: GadgetPair, cap: int = 22) -> VerificationReport:
         witness=None if ok1 else f"delta(Y/X)={d}, |X|={len(xs)}",
         margin=Fraction(d + 1),
     )
-    xmask = S.mask_of(xs)
-    free_bits = [1 << i for i in _bits(S.mask_of(ys))]
-    x_bits = [1 << i for i in _bits(xmask)]
-
-    bad2 = None
-    for um_free in range(1 << len(free_bits)):
-        fmask = 0
-        for k in range(len(free_bits)):
-            if um_free >> k & 1:
-                fmask |= free_bits[k]
-        for um_x in range(1 << len(x_bits)):
-            if um_x == (1 << len(x_bits)) - 1:
-                continue  # X would be inside U
-            xpart = 0
-            for k in range(len(x_bits)):
-                if um_x >> k & 1:
-                    xpart |= x_bits[k]
-            base = delta_mask(S, xpart)
-            # minimum of delta over sets between U-cap-X and U
-            for w in range(1 << len(free_bits)):
-                if w & um_free != w:
-                    continue
-                wmask = 0
-                for k in range(len(free_bits)):
-                    if w >> k & 1:
-                        wmask |= free_bits[k]
-                if delta_mask(S, xpart | wmask) < base:
-                    bad2 = (xpart | fmask, xpart | wmask)
-                    break
-            if bad2:
-                break
-        if bad2:
-            break
+    # D[p, w] = delta(P | W) over the x-parts P and free parts W, both in
+    # ascending mask order; the last row is all of X.  U ranges over every
+    # free part, so "proper-parts" says D[p, w] >= D[p, 0] for every proper P
+    # and every W.  The first U with a violation is the least violating W,
+    # so no smaller W inside it violates: the violating set is P | U itself.
+    xmask, free = S.mask_of(xs), S.mask_of(ys)
+    xm, fm = _submasks(xmask), _submasks(free)
+    parts = xm[:, None] | fm
+    D = S.signature.vertex_weight * (popcounts(len(xs))[:, None] + popcounts(len(ys)))
+    for imask, w in S.instance_masks():
+        D -= w * ((parts & imask) == imask)
+    hits = np.argwhere((D[:-1] < D[:-1, :1]).T)  # (W, P), least W first
+    bad2 = int(fm[hits[0, 0]] | xm[hits[0, 1]]) if len(hits) else None
     rep.add(
         f"{tag}:proper-parts",
         PASS if bad2 is None else FAIL,
         witness=None
         if bad2 is None
-        else f"U={subset_witness(S.ids_of(bad2[0]))} "
-        f"violating={subset_witness(S.ids_of(bad2[1]))}",
+        else f"U={subset_witness(S.ids_of(bad2))} violating={subset_witness(S.ids_of(bad2))}",
     )
 
-    bad3 = None
-    full_free = S.mask_of(ys)
-    base_x = delta_mask(S, xmask)
-    for w in range(1 << len(free_bits)):
-        wmask = 0
-        for k in range(len(free_bits)):
-            if w >> k & 1:
-                wmask |= free_bits[k]
-        if wmask == full_free:
-            continue
-        if delta_mask(S, xmask | wmask) - base_x < 0:
-            bad3 = xmask | wmask
-            break
+    lows = np.flatnonzero(D[-1, :-1] < D[-1, 0])  # W short of all the free part
+    bad3 = int(xmask | fm[lows[0]]) if len(lows) else None
     rep.add(
         f"{tag}:intermediate",
         PASS if bad3 is None else FAIL,

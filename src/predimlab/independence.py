@@ -8,7 +8,6 @@ of d-independence over d-closed subsets, exhaustively up to a size cap.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable
 
 import numpy as np
@@ -19,6 +18,7 @@ from .closures import (
     d_closed_subset_masks,
     dim,
     dim_table_cached,
+    popcounts,
     self_sufficient,
 )
 from .errors import ContractError
@@ -56,7 +56,7 @@ def check_lemma43_characterization(
     u = cld(S, a | b)
     v = cld(S, b | c)
     result = (
-        lemma43_free_split(S, S.mask_of(u), S.mask_of(v), S.mask_of(b))
+        bool(lemma43_free_split(S, S.mask_of(u), S.mask_of(v), S.mask_of(b)))
         and self_sufficient(S, u | v)[0]
     )
     if debug:
@@ -68,18 +68,19 @@ def check_lemma43_characterization(
     return result
 
 
-def lemma43_free_split(S: FiniteStructure, u: int, v: int, b: int) -> bool:
+def lemma43_free_split(S: FiniteStructure, u, v, b):
     """Masks u and v meet exactly in b, and no instance inside u|v meets both
     u-minus-b and v-minus-b.
 
+    The masks are ints, or int64 arrays of one shape answered entry by entry.
     Zero-weight relations are ignored, as in delta: they never bind.
     """
-    if u & v != b:
-        return False
+    dtype = np.int64 if len(S.vertices) < 64 else object
+    ims = np.array([im for im, _ in S.instance_masks()], dtype=dtype)
+    u, v, b = (np.asarray(x, dtype=dtype)[..., None] for x in (u, v, b))
     union, uu, vv = u | v, u & ~b, v & ~b
-    return not any(
-        im & ~union == 0 and im & uu and im & vv for im, _ in S.instance_masks()
-    )
+    straddles = ((ims & ~union) == 0) & ((ims & uu) != 0) & ((ims & vv) != 0)
+    return ((u & v) == b)[..., 0] & ~straddles.any(axis=-1)
 
 
 def perp(
@@ -132,7 +133,6 @@ def axiom_suite(
     # Symmetry and compatibility run over triples.
     sym_bad = None
     comp_bad = None
-    cld_of = functools.cache(functools.partial(cld_from_table, dt))
 
     for ai in range(k):
         a = int(sets[ai])
@@ -158,38 +158,30 @@ def axiom_suite(
     # it can fail in a finite fragment (two singletons each independent from
     # C while the pair is not) because the entangling points it would take to
     # detect the joint dependence need not exist in the fragment.
-    small_masks = [m for m in range(1 << n) if m.bit_count() <= size_cap]
-    cvec = sets
-    for a in map(int, sets):
-        if comp_bad:
+    # Each A checks every (B, C) at once; the element-wise clause does not
+    # depend on A, so it is tabulated per vertex up front.
+    small = np.arange(1 << n, dtype=np.int64)
+    small = small[popcounts(n) <= size_cap]
+    bb, cc = small[:, None], sets[None, :]
+    bcl = cld_from_table(dt, bb)
+    bit = np.arange(n)[:, None]
+    elem = ind_matrix(1 << bit[:, :, None], bb, cc)  # (vertex, B, C)
+    for a in sets.tolist():
+        acl = cld_from_table(dt, a | small)
+        base = ind_matrix(a, bb, cc)
+        in_acl = (acl >> bit & 1).astype(bool)[:, :, None]
+        fails = (
+            ("closed base", base != ind_matrix(a, bcl, cc)),
+            ("closure of a over base", base != ind_matrix(acl[:, None], bb, cc)),
+            ("joint independence must pass to closure elements",
+             base & (in_acl & ~elem).any(axis=0)),
+        )
+        rows = np.flatnonzero(np.any([f.any(axis=1) for _, f in fails], axis=0))
+        if len(rows):
+            bi = rows[0]
+            label, f = next((label, f) for label, f in fails if f[bi].any())
+            comp_bad = (a, int(small[bi]), int(sets[np.argmax(f[bi])]), label)
             break
-        for b in small_masks:
-            bcl = cld_of(b)
-            acl = cld_of(a | b)
-            base = ind_matrix(a, b, cvec)
-            checks = (
-                ("closed base", ind_matrix(a, bcl, cvec)),
-                ("closure of a over base", ind_matrix(acl, b, cvec)),
-            )
-            bad_ci = None
-            label = ""
-            for label_, vec in checks:
-                if not np.array_equal(base, vec):
-                    bad_ci = int(np.argwhere(base != vec)[0][0])
-                    label = label_
-                    break
-            if bad_ci is None:
-                elementwise = np.ones(len(cvec), dtype=bool)
-                for i in range(n):
-                    if acl & (1 << i):
-                        elementwise &= ind_matrix(1 << i, b, cvec)
-                joint_without_elem = base & ~elementwise
-                if joint_without_elem.any():
-                    bad_ci = int(np.argwhere(joint_without_elem)[0][0])
-                    label = "joint independence must pass to closure elements"
-            if bad_ci is not None:
-                comp_bad = (a, b, int(cvec[bad_ci]), label)
-                break
     rep.add(
         "compatibility",
         PASS if comp_bad is None else FAIL,

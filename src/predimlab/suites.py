@@ -8,7 +8,6 @@ shows the check can actually catch the fault it is aimed at.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -30,6 +29,7 @@ from .closures import (
     delta_table,
     dim_table_cached,
     is_d_closed,
+    popcounts,
     self_sufficient,
     _flow_solve,
     _table_solve,
@@ -630,6 +630,32 @@ def _interval_min_table(dtab: np.ndarray, n: int) -> np.ndarray:
     return M
 
 
+def _restriction_witness(SS: np.ndarray) -> tuple[int, int, int] | None:
+    """First (a, b, x), in that order, with ``SS[a, b]``, x inside b and not
+    ``SS[a & x, x]``; ``SS[a, b]`` says a <= b, over all masks below len(SS).
+
+    ``SS[a & x, x]`` does not depend on b, so a fails exactly when some x in
+    the down-closure of {b : SS[a, b]} fails it; that down-closure takes one
+    OR pass over the subset lattice per bit.
+    """
+    size = len(SS)
+    masks = np.arange(size)
+    restricts = SS[masks[:, None] & masks, masks]  # [a, x]
+    below = SS.copy()
+    step = 1
+    while step < size:
+        view = below.reshape(size, -1, 2, step)
+        view[:, :, 0, :] |= view[:, :, 1, :]
+        step *= 2
+    rows = np.flatnonzero((below & ~restricts).any(axis=1))
+    if not len(rows):
+        return None
+    a = int(rows[0])
+    inside = (masks[:, None] & masks) == masks  # [b, x]: x inside b
+    b, x = np.argwhere(SS[a][:, None] & inside & ~restricts[a])[0]
+    return a, int(b), int(x)
+
+
 def submodularity_suite(
     max_n: int = 7,
     oracle_cases: int = 10_000,
@@ -659,18 +685,9 @@ def submodularity_suite(
         M = _interval_min_table(dt, n)
         contained = (a[: sz, : sz] == masks[:sz, None])  # a subset of b
         SS = contained & (M[:sz, :sz] == dt[:sz, None])
-        # restriction: a strong in b passes to intersections with any x in b
-        for amask in range(sz):
-            bs = np.nonzero(SS[amask])[0]
-            for bmask in bs:
-                xs = masks[:sz][(masks[:sz] & bmask) == masks[:sz]]
-                if not SS[amask & xs, xs].all():
-                    bad_x = int(xs[np.argwhere(~SS[amask & xs, xs])[0][0]])
-                    res_bad = (G, amask, int(bmask), bad_x)
-                    break
-            if res_bad:
-                break
-        if res_bad:
+        res = _restriction_witness(SS)
+        if res:
+            res_bad = (G, *res)
             break
         T = (SS.astype(np.int16) @ SS.astype(np.int16)) > 0
         if (T & ~SS).any():
@@ -698,6 +715,7 @@ def submodularity_suite(
     )
 
     rng = random.Random(seed)
+    tables = {}  # n -> (masks, popcounts), built once per n
     bad_oracle = None
     checked = 0
     structures = max(1, oracle_cases // 25)
@@ -708,11 +726,9 @@ def submodularity_suite(
         S = graph(edges, vertices=range(n))
         dt = np.asarray(delta_table(S), dtype=np.int64)
         sz = 1 << n
-        mk = np.arange(sz, dtype=np.int64)
-        pc = np.zeros(sz, dtype=np.int64)
-        for i in range(n):
-            step = 1 << i
-            pc[step : 2 * step] = pc[:step] + 1
+        if n not in tables:
+            tables[n] = (np.arange(sz, dtype=np.int64), popcounts(n))
+        mk, pc = tables[n]
         for _ in range(25):
             checked += 1
             xmask = rng.randrange(sz)
@@ -757,29 +773,30 @@ def submodularity_suite(
 
 
 def _lemma43_equivalence_exhaustive(S: FiniteStructure, size_cap: int = 4) -> tuple[int, tuple | None]:
-    """Count admissible d-closed triples; return first disagreement (or None)."""
+    """Count admissible d-closed triples; return first disagreement (or None).
+
+    Triples run A, then C, then B over the d-closed sets in ascending order,
+    with B inside A and C; each A checks all its (C, B) pairs in one pass.
+    """
     dt = dim_table_cached(S)
     dtab = delta_table(S)
-    closed = d_closed_subset_masks(S, size_cap=size_cap)
-    cld_of = functools.cache(functools.partial(cld_from_table, dt))
-
+    sets = np.array(d_closed_subset_masks(S, size_cap=size_cap), dtype=np.int64)
     checked = 0
-    for amask in closed:
-        for cmask in closed:
-            inter = amask & cmask
-            for bmask in closed:
-                if bmask & ~inter:
-                    continue
-                checked += 1
-                indep = (
-                    dt[amask | bmask | cmask] + dt[bmask]
-                    == dt[amask | bmask] + dt[bmask | cmask]
-                )
-                u = cld_of(amask | bmask)
-                v = cld_of(bmask | cmask)
-                cond = lemma43_free_split(S, u, v, bmask) and dt[u | v] == dtab[u | v]
-                if indep != cond:
-                    return checked, (amask, bmask, cmask, indep, cond)
+    for amask in sets.tolist():
+        ci, bi = np.nonzero(sets[None, :] & ~(amask & sets[:, None]) == 0)
+        c, b = sets[ci], sets[bi]
+        indep = dt[amask | b | c] + dt[b] == dt[amask | b] + dt[b | c]
+        u = cld_from_table(dt, amask | b)
+        v = cld_from_table(dt, b | c)
+        split = lemma43_free_split(S, u, v, b)
+        cond = split & (dt[u | v] == dtab[u | v])
+        bad = np.flatnonzero(indep != cond)
+        if len(bad):
+            i = bad[0]
+            # a failed split gives a plain False, as the short-circuit did
+            cond_i = cond[i] if split[i] else False
+            return checked + int(i) + 1, (amask, int(b[i]), int(c[i]), indep[i], cond_i)
+        checked += len(ci)
     return checked, None
 
 

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import strategies as st
 
 from predimlab import FiniteStructure, graph_signature, hypergraph_signature, in_C0
@@ -189,3 +190,130 @@ def brute_isomorphic(a, b):
         if ok:
             return True
     return False
+
+
+# -- loop forms of the array passes in the exhaustive suites ---------------------
+
+
+def brute_cld_from_table(dt, mask):
+    """Oracle d-closure off a dim table: one bit at a time, outside the mask."""
+    base = dt[mask]
+    out = mask
+    for i in range(len(dt).bit_length() - 1):
+        bit = 1 << i
+        if not mask & bit and dt[mask | bit] == base:
+            out |= bit
+    return out
+
+
+def brute_d_closed_masks(dt, size_cap=None):
+    """Oracle list of the d-closed masks (size-capped), ascending."""
+    return [
+        m for m in range(len(dt))
+        if (size_cap is None or m.bit_count() <= size_cap)
+        and brute_cld_from_table(dt, m) == m
+    ]
+
+
+def brute_free_split(S, u, v, b):
+    """Oracle for ``independence.lemma43_free_split`` on int masks."""
+    if u & v != b:
+        return False
+    union, uu, vv = u | v, u & ~b, v & ~b
+    return not any(
+        im & ~union == 0 and im & uu and im & vv for im, _ in S.instance_masks()
+    )
+
+
+def brute_lemma43_equivalence(S, dt, dtab, size_cap):
+    """Oracle for ``suites._lemma43_equivalence_exhaustive``: the triple loop
+    over (A, C, B), on the given dim and delta tables."""
+    closed = brute_d_closed_masks(dt, size_cap)
+    checked = 0
+    for amask in closed:
+        for cmask in closed:
+            inter = amask & cmask
+            for bmask in closed:
+                if bmask & ~inter:
+                    continue
+                checked += 1
+                indep = (
+                    dt[amask | bmask | cmask] + dt[bmask]
+                    == dt[amask | bmask] + dt[bmask | cmask]
+                )
+                u = brute_cld_from_table(dt, amask | bmask)
+                v = brute_cld_from_table(dt, bmask | cmask)
+                cond = brute_free_split(S, u, v, bmask) and dt[u | v] == dtab[u | v]
+                if indep != cond:
+                    return checked, (amask, bmask, cmask, indep, cond)
+    return checked, None
+
+
+def brute_axiom_suite(S, dt, size_cap):
+    """Oracle for the compatibility clause of ``independence.axiom_suite``:
+    the per-(A, B) loop.  Returns the first (a, b, c, label) or None."""
+    n = len(S.vertices)
+    cvec = np.array(brute_d_closed_masks(dt, size_cap), dtype=np.int64)
+
+    def ind(a, b, c):
+        return dt[a | b | c] + dt[b] == dt[a | b] + dt[b | c]
+
+    for a in map(int, cvec):
+        for b in (m for m in range(1 << n) if m.bit_count() <= size_cap):
+            bcl = brute_cld_from_table(dt, b)
+            acl = brute_cld_from_table(dt, a | b)
+            base = ind(a, b, cvec)
+            checks = (
+                ("closed base", base != ind(a, bcl, cvec)),
+                ("closure of a over base", base != ind(acl, b, cvec)),
+            )
+            for label, bad in checks:
+                if bad.any():
+                    return a, b, int(cvec[np.argmax(bad)]), label
+            elementwise = np.ones(len(cvec), dtype=bool)
+            for i in range(n):
+                if acl & (1 << i):
+                    elementwise &= ind(1 << i, b, cvec)
+            bad = base & ~elementwise
+            if bad.any():
+                return (a, b, int(cvec[np.argmax(bad)]),
+                        "joint independence must pass to closure elements")
+    return None
+
+
+def brute_restriction(SS):
+    """Oracle for ``suites._restriction_witness``: per (a, b), every x in b."""
+    masks = np.arange(len(SS))
+    for amask in range(len(SS)):
+        for bmask in np.nonzero(SS[amask])[0]:
+            xs = masks[(masks & bmask) == masks]
+            ok = SS[amask & xs, xs]
+            if not ok.all():
+                return amask, int(bmask), int(xs[np.argmin(ok)])
+    return None
+
+
+def brute_proper_parts(S, xmask, free):
+    """Oracle for the "proper-parts" and "intermediate" clauses of
+    ``gadgets.verify_gadget``: the loops over U, the x-part and W inside U.
+
+    Returns the proper-parts witness (U, violating set) and the intermediate
+    witness (X plus a part of the free set), each as masks or None.
+    """
+    frees = [m for m in range(free + 1) if m & free == m]
+    parts = [m for m in range(xmask) if m & xmask == m]  # proper: not X itself
+    proper = None
+    for u in frees:
+        for p in parts:
+            base = brute_delta(S, S.ids_of(p))
+            w = next((w for w in frees if w & u == w
+                      and brute_delta(S, S.ids_of(p | w)) < base), None)
+            if w is not None:
+                proper = (p | u, p | w)
+                break
+        if proper:
+            break
+    base_x = brute_delta(S, S.ids_of(xmask))
+    intermediate = next((xmask | w for w in frees if w != free
+                         and brute_delta(S, S.ids_of(xmask | w)) < base_x), None)
+    return proper, intermediate

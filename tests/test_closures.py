@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,12 +23,15 @@ from predimlab.closures import (
     _flow_solve,
     _solver_for,
     _table_solve,
+    cld_from_table,
     d_closed_subset_masks,
 )
 from predimlab.builder import enumerate_class, C0
 from predimlab.structures import graph_signature
 
 from conftest import (
+    brute_cld_from_table,
+    brute_d_closed_masks,
     brute_delta,
     brute_min_superset,
     brute_self_sufficient,
@@ -310,3 +314,22 @@ def test_flow_engine_on_large_ambient():
             outside = rng.sample(sorted(set(S.vertices) - greatest), 5)
             for v in sorted(greatest - X) + outside:
                 assert (dim(S, X | {v}) == d) == (v in greatest)
+
+
+@given(st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.integers(-3, 3), min_size=1 << n, max_size=1 << n)))
+@settings(max_examples=60, deadline=None)
+def test_cld_from_table_matches_loop_form_on_any_table(values):
+    # any table, not only a monotone dim table, as a corrupted entry would give
+    dt = np.array(values, dtype=np.int64)
+    want = [brute_cld_from_table(dt, m) for m in range(len(dt))]
+    assert [cld_from_table(dt, m) for m in range(len(dt))] == want
+    assert cld_from_table(dt, np.arange(len(dt), dtype=np.int64)).tolist() == want
+
+
+@given(st.one_of(small_graphs(max_n=7), small_hypergraphs(max_n=7)))
+@settings(max_examples=40, deadline=None)
+def test_d_closed_enumeration_matches_loop_form(S):
+    dt = closures.dim_table_cached(S)
+    for cap in (None, 0, 1, 3):
+        assert d_closed_subset_masks(S, size_cap=cap) == brute_d_closed_masks(dt, cap)

@@ -1,9 +1,8 @@
 """Behavioural fingerprint: the seed-0 machine reports must stay byte-identical.
 
 The expected digests live in ``perfbench/fingerprint.json``, which the
-benchmark also checks; this test only reads that file.  ``submodularity`` is
-left to the benchmark because it runs for a long time at its fingerprinted
-size.
+benchmark also checks; this test only reads that file.  Every suite runs at
+the options the benchmark fingerprints it with.
 """
 
 import json
@@ -26,6 +25,7 @@ CASES = [
     ("msa-bound", {}),
     ("extension-property", {}),
     ("axioms", {"size_cap": 2, "lemma43_cap": 3}),
+    ("submodularity", {"max_n": 6, "oracle_cases": 10_000, "oracle_max_n": 14}),
 ]
 
 

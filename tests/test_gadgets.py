@@ -2,11 +2,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predimlab import (
     ControlFunction,
     FiniteStructure,
     InputError,
+    Relation,
+    Signature,
     beatty,
     build_fan_join,
     build_gadget,
@@ -23,11 +27,15 @@ from predimlab import (
     verify_gadget,
 )
 from predimlab.gadgets import (
+    GadgetPair,
     build_cycle_fan,
     build_double_cycle,
     sample_c_closures,
     sample_closed_connected_subsets,
 )
+from predimlab.reports import subset_witness
+
+from conftest import brute_proper_parts, small_graphs, small_hypergraphs, subsets_of
 
 
 def test_beatty_examples():
@@ -212,3 +220,63 @@ def test_cycle_fan():
     assert all(fan.d_samples_closed)
     assert all(fan.copies_sampled_closed)
     assert fan.b_closure_is_all
+
+
+def _clause_cases(g):
+    """(status, witness) of "proper-parts" and "intermediate" by the loop form."""
+    S = g.structure
+    proper, intermediate = brute_proper_parts(S, S.mask_of(g.x_set), S.mask_of(g.y_minus_x))
+    return [
+        ("PASS", None) if proper is None else
+        ("FAIL", f"U={subset_witness(S.ids_of(proper[0]))} "
+                 f"violating={subset_witness(S.ids_of(proper[1]))}"),
+        ("PASS", None) if intermediate is None else
+        ("FAIL", subset_witness(S.ids_of(intermediate))),
+    ]
+
+
+def _faulty_gadgets():
+    """Every suite-grid gadget with each edge removed in turn, and with the
+    vertex or edge weight off by one."""
+    grid = [(n, m, 2) for n in range(2, 11) for m in range(1, n)]
+    grid += [(n, m, 3) for n in range(1, 7) for m in range(1, n + 1)]
+    for n, m, r in grid:
+        if math.gcd(n, m) != 1:
+            continue
+        g = build_gadget(n, m, r)
+        if g.degenerate:
+            continue
+        S = g.structure
+        yield g
+        for k in range(len(S.instances["R"])):
+            inst = {"R": [t for i, t in enumerate(S.instances["R"]) if i != k]}
+            yield GadgetPair(FiniteStructure(S.signature, S.vertices, inst), g.x_set, g.params)
+        rel = S.signature.relations[0]
+        for nw, mw in ((n - 1, m), (n + 1, m), (n, m - 1), (n, m + 1)):
+            if nw < 1 or mw < 0:
+                continue
+            sig = Signature(nw, (Relation(rel.name, rel.arity, mw),))
+            yield GadgetPair(FiniteStructure(sig, S.vertices, S.instances), g.x_set, g.params)
+
+
+def test_verify_gadget_matches_loop_forms_on_faults():
+    # The suite's gadgets all pass, so the removed edges and wrong weights
+    # are what show that each first witness is the loop form's.
+    fails = [0, 0]
+    for g in _faulty_gadgets():
+        tag = f"n={g.params.n},m={g.params.m},r={g.params.r}"
+        cases = {c.key: (c.status, c.witness) for c in verify_gadget(g).cases}
+        got = [cases[f"{tag}:proper-parts"], cases[f"{tag}:intermediate"]]
+        assert got == _clause_cases(g)
+        fails = [f + (status == "FAIL") for f, (status, _) in zip(fails, got)]
+    assert fails[0] >= 20 and fails[1] >= 1
+
+
+@given(st.one_of(small_graphs(max_n=7), small_hypergraphs(max_n=7)), st.data())
+@settings(max_examples=80, deadline=None)
+def test_verify_gadget_matches_loop_forms(S, data):
+    x_set = data.draw(subsets_of(S))
+    g = GadgetPair(S, x_set, gadget_params(2, 1, 2))
+    cases = {c.key: (c.status, c.witness) for c in verify_gadget(g).cases}
+    assert [cases["n=2,m=1,r=2:proper-parts"], cases["n=2,m=1,r=2:intermediate"]] \
+        == _clause_cases(g)

@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predimlab import (
     BuildConfig,
@@ -19,10 +21,17 @@ from predimlab import (
     is_d_closed,
     perp,
 )
+from predimlab import closures, independence, suites
 from predimlab.builder import C0
-from predimlab.closures import d_closed_subset_masks
+from predimlab.closures import d_closed_subset_masks, delta_table, dim_table_cached
 
-from conftest import small_graphs
+from conftest import (
+    brute_axiom_suite,
+    brute_free_split,
+    brute_lemma43_equivalence,
+    small_graphs,
+    small_hypergraphs,
+)
 
 
 def test_d_independent_examples():
@@ -136,3 +145,85 @@ def test_lemma43_ignores_zero_weight_relations():
     S = FiniteStructure(sig, range(4), {"R": [(0, 3), (1, 2)], "Z": [(0, 1), (0, 2)]})
     expected = d_independent(S, [0], [], [1])
     assert check_lemma43_characterization(S, [0], [], [1], debug=True) == expected
+
+
+# -- array passes against their loop forms -----------------------------------------
+
+
+def _compatibility_case(S, dt, size_cap):
+    """(status, witness, note) that ``axiom_suite`` must give by the loop form."""
+    if not S.vertices:
+        return "PASS", None, "empty ambient, vacuous"
+    bad = brute_axiom_suite(S, dt, size_cap)
+    if bad is None:
+        return "PASS", None, ""
+    return "FAIL", independence._triple_witness(S, bad[:3]), bad[3]
+
+
+def _check_against_loop_forms(S, dt, dtab, lemma43_cap, size_cap):
+    """Run both checks on the given dim and delta tables, against the oracles."""
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (closures, independence, suites):
+            mp.setattr(mod, "dim_table_cached", lambda _S: dt)
+        mp.setattr(suites, "delta_table", lambda _S: dtab)
+        got = suites._lemma43_equivalence_exhaustive(S, size_cap=lemma43_cap)
+        rep = axiom_suite(S, size_cap=size_cap)
+    want = brute_lemma43_equivalence(S, dt, dtab, lemma43_cap)
+    # the report prints the witness tuple, so its element types count too
+    assert (got[0], str(got[1])) == (want[0], str(want[1]))
+    case = next(c for c in rep.cases if c.key == "compatibility")
+    assert (case.status, case.witness, case.note) == _compatibility_case(S, dt, size_cap)
+    return got[1] is not None, case.status == "FAIL"
+
+
+@given(st.one_of(small_graphs(max_n=7), small_hypergraphs(max_n=7)))
+@settings(max_examples=40, deadline=None)
+def test_lemma43_and_compatibility_match_loop_forms(S):
+    _check_against_loop_forms(S, dim_table_cached(S), delta_table(S), 3, 2)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_lemma43_and_compatibility_match_loop_forms_on_faults(seed):
+    # At the true tables everything passes, so only corrupted entries show
+    # that the first witness is the loop form's.
+    S = build_generic(BuildConfig(graph_signature(2, 1), C0, 2, 5, seed=seed)).structure
+    rng = random.Random(seed)
+    lemma_fails = comp_fails = 0
+    for trial in range(12):
+        dt, dtab = dim_table_cached(S).copy(), delta_table(S).copy()
+        table = dt if trial % 2 else dtab
+        table[rng.randrange(1, len(table))] += rng.choice((-1, 1))
+        lemma_fail, comp_fail = _check_against_loop_forms(S, dt, dtab, 3, 2)
+        lemma_fails += lemma_fail
+        comp_fails += comp_fail
+    assert lemma_fails >= 6 and comp_fails >= 3
+
+
+def test_lemma43_and_compatibility_match_loop_forms_on_corrupted_graphs():
+    # Small graphs with one or two corrupted dim entries; some of them fail
+    # two compatibility checks on the same (A, B), which pins their order.
+    rng = random.Random(0)
+    for _ in range(500):
+        n = rng.randint(2, 6)
+        pool = list(itertools.combinations(range(n), 2))
+        S = graph(rng.sample(pool, rng.randint(0, len(pool))), vertices=range(n))
+        dt = dim_table_cached(S).copy()
+        for _ in range(rng.randint(1, 2)):
+            dt[rng.randrange(len(dt))] += rng.choice((-1, 1))
+        _check_against_loop_forms(S, dt, delta_table(S), 3, 2)
+
+
+@pytest.mark.parametrize("n", [12, 80])
+def test_free_split_matches_loop_form(n):
+    # 80 vertices take masks past int64, where the split works on Python ints
+    rng = random.Random(n)
+    pool = list(itertools.combinations(range(n), 2))
+    S = graph(rng.sample(pool, n // 2), vertices=range(n))
+    seen = set()
+    for _ in range(300):
+        u, v = rng.getrandbits(n) & rng.getrandbits(n), rng.getrandbits(n) & rng.getrandbits(n)
+        b = u & v if rng.random() < 0.8 else rng.getrandbits(n)
+        got = independence.lemma43_free_split(S, u, v, b)
+        assert got == brute_free_split(S, u, v, b)
+        seen.add(bool(got))
+    assert seen == {True, False}

@@ -1,0 +1,121 @@
+"""The input boundary: any text given to the loader either parses or raises
+``InputError``, dump and load round-trip, and the CLI answers every class of
+malformed line with exit code 2 (never the FAIL code 1, never a traceback).
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from predimlab import FiniteStructure, InputError, dump_structure, load_structure
+from predimlab.cli import main
+from predimlab.structures import bipartite_graph
+
+from conftest import small_graphs, small_hypergraphs, subsets_of
+
+HEADER = "predimlab/1"
+VALID = (
+    f"{HEADER}\nsignature n=2 mode=hypergraph\nrelation R arity=2 weight=1\n"
+    "vertices 0 1 2\ninstance R 0 1\n"
+)
+
+# Tokens that come close to well-formed lines, so that mutated text gets
+# past the header and into every branch of the line parser.
+TOKENS = st.sampled_from([
+    "signature", "relation", "vertices", "part", "instance", "base", "mode=bipartite",
+    "mode=hypergraph", "mode=x", "n=2", "n=0", "n=-1", "n=x", "n=", "arity=2", "arity=1",
+    "arity=3", "arity=x", "weight=1", "weight=0", "weight=-1", "weight=x", "R", "S", "adj",
+    "point", "line", "0", "1", "2", "-1", "99", "10000000000000000000000", "x", "=", "#",
+    "1.5", "１",
+])
+LINES = st.one_of(
+    st.lists(TOKENS, min_size=1, max_size=6).map(" ".join),
+    st.text(max_size=20),
+)
+
+
+def _loads_or_rejects(text):
+    try:
+        S, base = load_structure(text)
+    except InputError:
+        return
+    assert isinstance(S, FiniteStructure)
+    assert base is None or base <= set(S.vertices)
+
+
+@given(st.text(max_size=200))
+@settings(max_examples=200, deadline=None)
+def test_loader_on_arbitrary_text(text):
+    _loads_or_rejects(text)
+
+
+@given(st.lists(LINES, max_size=10), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_loader_on_mutated_lines(lines, keep_valid):
+    prefix = VALID if keep_valid else HEADER + "\n"
+    _loads_or_rejects(prefix + "\n".join(lines) + "\n")
+
+
+@st.composite
+def bipartite_structures(draw, max_n=6):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    points = [v for v in range(n) if draw(st.booleans())]
+    lines_ = [v for v in range(n) if v not in points]
+    pool = list(itertools.product(points, lines_))
+    edges = draw(st.lists(st.sampled_from(pool), unique=True) if pool else st.just([]))
+    return bipartite_graph(edges, points, lines_, ngon=draw(st.integers(3, 6)))
+
+
+@given(
+    st.one_of(small_graphs(), small_hypergraphs(), bipartite_structures()).flatmap(
+        lambda S: st.tuples(st.just(S), st.none() | subsets_of(S))
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_dump_load_roundtrip(case):
+    S, base = case
+    assert load_structure(dump_structure(S, base_ids=base)) == (S, base)
+
+
+# One malformed line per class the loader rejects, each put into a file that
+# is valid without it.
+MALFORMED = {
+    "relation-no-name": "relation",
+    "relation-no-arity": "relation T weight=1",
+    "relation-bad-weight": "relation T arity=2 weight=x",
+    "relation-bad-arity": "relation T arity=1 weight=1",
+    "signature-bad-n": "signature n=x",
+    "signature-unknown-field": "signature q=1",
+    "vertex-not-integer": "vertices 0 x",
+    "part-one-field": "part 0",
+    "instance-bad-id": "instance R 0 y",
+    "instance-unknown-vertex": "instance R 0 99",
+    "instance-repeated-vertex": "instance R 2 2",
+    "instance-wrong-arity": "instance R 0 1 2",
+    "instance-duplicate": "instance R 1 0",
+    "instance-unknown-relation": "instance Q 0 1",
+    "base-unknown-vertex": "base 0 99",
+    "unknown-kind": "edges 0 1",
+}
+
+
+@pytest.mark.parametrize("line", MALFORMED.values(), ids=MALFORMED.keys())
+def test_cli_delta_exits_2_on_each_malformed_line(tmp_path, capsys, line):
+    f = tmp_path / "bad.pdl"
+    f.write_text(VALID + line + "\n")
+    with pytest.raises(InputError):
+        load_structure(f.read_text())
+    assert main(["delta", str(f), "--set", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "predimlab/9\n", f"{HEADER}\nvertices 0\n",
+                                  f"{HEADER}\nsignature n=2\nvertices 0\n"],
+                         ids=["empty", "wrong-header", "no-signature", "no-relation"])
+def test_cli_delta_exits_2_on_malformed_file(tmp_path, capsys, text):
+    f = tmp_path / "bad.pdl"
+    f.write_text(text)
+    assert main(["delta", str(f), "--set", "0"]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,11 +23,14 @@ from predimlab import (
     path_graph,
     self_sufficient,
 )
+from predimlab import suites
+from predimlab.closures import delta_table
 from predimlab.structures import bipartite_graph, cycle_graph
 
 from conftest import (
     brute_delta,
     brute_isomorphic,
+    brute_restriction,
     brute_self_sufficient,
     small_graphs,
     small_hypergraphs,
@@ -240,3 +245,47 @@ def test_free_amalgam():
     assert len(F.instances["R"]) == 2
     with pytest.raises(InputError):
         free_amalgam([0], B, graph([(0, 1)]))  # overlapping non-base ids
+
+
+def _strong_pairs(dt, n):
+    """SS[a, b]: a <= b, read off a delta table as the submodularity suite does."""
+    masks = np.arange(1 << n)
+    contained = (masks[:, None] & masks) == masks[:, None]
+    return contained & (suites._interval_min_table(dt, n) == dt[:, None])
+
+
+@given(st.one_of(small_graphs(max_n=6), small_hypergraphs(max_n=6)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_restriction_matches_loop_form(S, data):
+    n = len(S.vertices)
+    dt = np.array(delta_table(S), dtype=np.int64)
+    SS = _strong_pairs(dt, n)
+    assert suites._restriction_witness(SS) == brute_restriction(SS)
+    # a corrupted delta entry, as a faulty table would give
+    dt[data.draw(st.integers(0, len(dt) - 1))] += data.draw(st.sampled_from((-2, -1, 1, 2)))
+    SS = _strong_pairs(dt, n)
+    assert suites._restriction_witness(SS) == brute_restriction(SS)
+
+
+def test_restriction_matches_loop_form_on_faults():
+    # Every true table passes, so only faults show that the first witness
+    # is the loop form's: corrupted delta entries and arbitrary relations.
+    rng = random.Random(0)
+    fails = 0
+    for trial in range(200):
+        n = rng.randint(1, 5)
+        masks = np.arange(1 << n)
+        if trial % 2:
+            pool = list(itertools.combinations(range(n), 2))
+            S = graph(rng.sample(pool, rng.randint(0, len(pool))), vertices=range(n))
+            dt = np.array(delta_table(S), dtype=np.int64)
+            dt[rng.randrange(len(dt))] += rng.choice((-2, -1, 1, 2))
+            SS = _strong_pairs(dt, n)
+        else:
+            contained = (masks[:, None] & masks) == masks[:, None]
+            SS = contained & (np.array([rng.random() for _ in range(1 << 2 * n)])
+                              .reshape(1 << n, 1 << n) < 0.8)
+        got = suites._restriction_witness(SS)
+        assert got == brute_restriction(SS)
+        fails += got is not None
+    assert fails >= 50
