@@ -274,7 +274,6 @@ def test_restriction_matches_loop_form_on_faults():
     fails = 0
     for trial in range(200):
         n = rng.randint(1, 5)
-        masks = np.arange(1 << n)
         if trial % 2:
             pool = list(itertools.combinations(range(n), 2))
             S = graph(rng.sample(pool, rng.randint(0, len(pool))), vertices=range(n))
@@ -282,6 +281,7 @@ def test_restriction_matches_loop_form_on_faults():
             dt[rng.randrange(len(dt))] += rng.choice((-2, -1, 1, 2))
             SS = _strong_pairs(dt, n)
         else:
+            masks = np.arange(1 << n)
             contained = (masks[:, None] & masks) == masks[:, None]
             SS = contained & (np.array([rng.random() for _ in range(1 << 2 * n)])
                               .reshape(1 << n, 1 << n) < 0.8)
