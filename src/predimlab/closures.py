@@ -3,7 +3,8 @@
 Because the predimension is submodular, ``min{delta(Y) : X <= Y <= S}`` can
 be computed exactly two independent ways:
 
-* a subset table over all bitmasks (small ambients; doubles as the oracle);
+* one lattice table per structure over all bitmasks, after whose build every
+  query is an index (small ambients; doubles as the oracle);
 * a project-selection max-flow reduction (any ambient size, polynomial).
 
 The set of minimizers is a lattice.  Its least element is the intrinsic
@@ -80,37 +81,37 @@ def delta_table(S: FiniteStructure) -> np.ndarray:
     return out
 
 
-def dim_table(dtab: np.ndarray, n: int) -> np.ndarray:
-    """dim of every subset: minimum delta over supersets, via subset DP."""
-    out = dtab.copy()
-    for i in range(n):
-        step = 1 << i
-        view = out.reshape(-1, 2, step)
-        np.minimum(view[:, 0, :], view[:, 1, :], out=view[:, 0, :])
-    return out
-
-
 @lru_cache(maxsize=512)
-def dim_table_cached(S: FiniteStructure) -> np.ndarray:
-    out = dim_table(delta_table(S), len(S.vertices))
-    out.setflags(write=False)
-    return out
+def dim_table_cached(S: FiniteStructure) -> tuple[np.ndarray, np.ndarray]:
+    """Least and greatest minimizer of delta over the supersets of every mask.
 
-
-def _table_solve(S: FiniteStructure, xmask: int) -> tuple[int, int, int]:
-    """(dim, minimal minimizer mask, maximal minimizer mask) by table scan.
-
-    The minimizers over supersets of X form a lattice closed under
-    intersection and union, so the least one is the AND of them all.
+    One superset DP: each bit step merges a mask without the bit with its
+    partner, keeping the smaller minimum, or on equal minima the AND of the
+    least minimizers and the OR of the greatest (the minimizers form a
+    lattice).  dim(X) = delta(least[X]), so it is not stored.  Both arrays
+    are read-only int32.
     """
     n = len(S.vertices)
-    dtab = delta_table(S)
-    dt = dim_table_cached(S)
-    best = int(dt[xmask])
-    masks = np.arange(1 << n, dtype=np.int64)
-    sup = (masks & xmask) == xmask
-    winners = masks[sup & (dtab == best)]
-    return best, int(np.bitwise_and.reduce(winners)), int(np.bitwise_or.reduce(winners))
+    val = delta_table(S).copy()
+    least = np.arange(1 << n, dtype=np.int32)
+    greatest = least.copy()
+    for i in range(n):
+        v, lo, gr = (t.reshape(-1, 2, 1 << i) for t in (val, least, greatest))
+        lower = v[:, 1, :] < v[:, 0, :]
+        tie = v[:, 1, :] == v[:, 0, :]
+        np.minimum(v[:, 0, :], v[:, 1, :], out=v[:, 0, :])
+        for t, merge in ((lo, np.bitwise_and), (gr, np.bitwise_or)):
+            np.copyto(t[:, 0, :], t[:, 1, :], where=lower)
+            merge(t[:, 0, :], t[:, 1, :], out=t[:, 0, :], where=tie)
+    least.setflags(write=False)
+    greatest.setflags(write=False)
+    return least, greatest
+
+
+def dim_cld_tables(S: FiniteStructure) -> tuple[np.ndarray, np.ndarray]:
+    """dim (int64) and cld (int32) of every vertex subset, indexed by bitmask."""
+    least, greatest = dim_table_cached(S)
+    return delta_table(S)[least], greatest
 
 
 # -- flow engine ---------------------------------------------------------------
@@ -372,7 +373,7 @@ def _solver_for(S: FiniteStructure) -> StructureFlowSolver:
 
 
 def _flow_solve(S: FiniteStructure, xmask: int, need: int = _LEAST | _GREATEST):
-    """Project-selection reduction; same triple as :func:`_table_solve`.
+    """Project-selection reduction; same triple as the table engine.
 
     ``need`` names the minimizers to compute (``_LEAST``, ``_GREATEST`` or
     both); a skipped one is None.
@@ -393,13 +394,10 @@ def _solve(
     """(dim, least, greatest minimizer) over supersets of X inside ``within``.
 
     The flow engine computes only the minimizers in ``need``; the table
-    engine ignores it and always returns both.  ``within`` induces the
+    engine reads both off its cached arrays.  ``within`` induces the
     substructure and solves there.
     """
-    if engine == "auto":
-        engine = "table" if (within is None and len(S.vertices) <= _table_cutoff()) else "flow"
-    if engine not in ("table", "flow"):
-        raise InputError(f"unknown engine {engine!r}")
+    engine = _resolve_engine(S, engine, within)
     if within is not None and within != S.full_mask():
         if xmask & ~within:
             raise InputError("X must lie inside the restriction set")
@@ -408,8 +406,18 @@ def _solve(
         mn, mx = (None if m is None else S.mask_of(sub.ids_of(m)) for m in minimizers)
         return d, mn, mx
     if engine == "table":
-        return _table_solve(S, xmask)
+        least, greatest = dim_table_cached(S)
+        return int(delta_table(S)[least[xmask]]), int(least[xmask]), int(greatest[xmask])
     return _flow_solve(S, xmask, need)
+
+
+def _resolve_engine(S: FiniteStructure, engine: str, within: int | None) -> str:
+    """"table" or "flow"; "auto" reads the cutoff, so resolve once per public call."""
+    if engine == "auto":
+        return "table" if len(S.vertices) <= _table_cutoff() and within is None else "flow"
+    if engine not in ("table", "flow"):
+        raise InputError(f"unknown engine {engine!r}")
+    return engine
 
 
 def dim(S: FiniteStructure, X: Iterable[int], engine: str = "auto") -> int:
@@ -461,8 +469,8 @@ def self_sufficient(
     if within is not None and amask & ~within:
         raise InputError("A must be a subset of B")
     delta_a = delta_mask(S, amask)
-    flow = engine == "flow" or (engine == "auto" and len(S.vertices) > _table_cutoff())
-    if not want_witness and within is None and flow:
+    engine = _resolve_engine(S, engine, within)
+    if not want_witness and within is None and engine == "flow":
         return _solver_for(S).solve_value(amask, at_most=delta_a) >= delta_a, None
     val, minimal, _ = _solve(S, amask, within=within, engine=engine, need=_LEAST)
     if val >= delta_a:
@@ -471,24 +479,13 @@ def self_sufficient(
 
 
 def d_closed_subset_masks(S: FiniteStructure, size_cap: int | None = None) -> list[int]:
-    """All d-closed subset masks (size-capped), in ascending order, via the dim table."""
+    """All d-closed subset masks (size-capped), in ascending order, via the cld table."""
     n = len(S.vertices)
     if n > _table_cutoff():
         raise InputError("d-closed enumeration needs the table engine")
     masks = np.arange(1 << n, dtype=np.int64)
     if size_cap is not None:
         masks = masks[popcounts(n) <= size_cap]
-    return masks[cld_from_table(dim_table_cached(S), masks) == masks].tolist()
+    _, greatest = dim_cld_tables(S)
+    return masks[greatest[masks] == masks].tolist()
 
-
-def cld_from_table(dt: np.ndarray, mask):
-    """cld(mask) read off a dim table: add every vertex that leaves dim unchanged.
-
-    ``mask`` is an int, or an int64 array of masks closed element-wise.  dim
-    is monotone, so a vertex already in the mask always qualifies.
-    """
-    base = dt[mask]
-    out = mask
-    for i in range(len(dt).bit_length() - 1):
-        out = out | (dt[mask | (1 << i)] == base) * (1 << i)
-    return out if isinstance(mask, np.ndarray) else int(out)

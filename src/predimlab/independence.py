@@ -14,10 +14,9 @@ import numpy as np
 
 from .closures import (
     cld,
-    cld_from_table,
     d_closed_subset_masks,
     dim,
-    dim_table_cached,
+    dim_cld_tables,
     popcounts,
     self_sufficient,
 )
@@ -122,7 +121,7 @@ def axiom_suite(
         for key in ("compatibility", "monotonicity", "transitivity", "symmetry"):
             rep.add(key, PASS, note="empty ambient, vacuous")
         return rep.finalize()
-    dt = dim_table_cached(S)
+    dt, cl = dim_cld_tables(S)
     closed = d_closed_subset_masks(S, size_cap=size_cap)
     sets = np.array(closed, dtype=np.int64)
     k = len(sets)
@@ -163,11 +162,11 @@ def axiom_suite(
     small = np.arange(1 << n, dtype=np.int64)
     small = small[popcounts(n) <= size_cap]
     bb, cc = small[:, None], sets[None, :]
-    bcl = cld_from_table(dt, bb)
+    bcl = cl[bb]
     bit = np.arange(n)[:, None]
     elem = ind_matrix(1 << bit[:, :, None], bb, cc)  # (vertex, B, C)
     for a in sets.tolist():
-        acl = cld_from_table(dt, a | small)
+        acl = cl[a | small]
         base = ind_matrix(a, bb, cc)
         in_acl = (acl >> bit & 1).astype(bool)[:, :, None]
         fails = (
@@ -198,14 +197,15 @@ def axiom_suite(
         partial_note = f"fourth set limited to first {keep} of {k} d-closed sets"
     mono_bad = None
     trans_bad = None
+    bb, cc, dd = sets[:, None, None], sets[None, :, None], d_sets[None, None, :]
     for ai in range(k):
         a = int(sets[ai])
-        bb = sets[:, None, None]
-        cc = sets[None, :, None]
-        dd = d_sets[None, None, :]
-        i_b_cd = ind_matrix(a, bb, cc | dd)
+        # d(A over BCD), shared by both predicates that quantify D
+        over_bcd = dt[a | bb | cc | dd]
+        over_bcd -= dt[bb | cc | dd]
+        i_b_cd = over_bcd == dt[a | bb] - dt[bb]
         i_b_c = ind_matrix(a, bb, cc)
-        i_bc_d = ind_matrix(a, bb | cc, dd)
+        i_bc_d = over_bcd == dt[a | bb | cc] - dt[bb | cc]
         mono = ~i_b_cd | (i_b_c & i_bc_d)
         if not mono.all():
             bi, ci, di = np.argwhere(~mono)[0]

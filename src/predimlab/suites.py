@@ -24,15 +24,14 @@ from .builder import (
 )
 from .classes import ControlFunction, girth_with_witness, in_C0, in_Cf, in_Kn
 from .closures import (
-    cld_from_table,
     d_closed_subset_masks,
     delta_table,
-    dim_table_cached,
+    dim_cld_tables,
     is_d_closed,
     popcounts,
     self_sufficient,
     _flow_solve,
-    _table_solve,
+    _solve,
 )
 from .errors import InputError
 from .extensions import enumerate_msa_pairs, MsaType
@@ -740,7 +739,7 @@ def submodularity_suite(
             order = np.lexsort((winners, pc[winners]))
             oracle = (best, int(winners[order[0]]), int(np.bitwise_or.reduce(winners)))
             flow = _flow_solve(S, xmask)
-            table = _table_solve(S, xmask)
+            table = _solve(S, xmask, engine="table")
             if not (oracle == flow == table):
                 bad_oracle = (S, xmask, oracle, flow, table)
                 break
@@ -778,7 +777,7 @@ def _lemma43_equivalence_exhaustive(S: FiniteStructure, size_cap: int = 4) -> tu
     Triples run A, then C, then B over the d-closed sets in ascending order,
     with B inside A and C; each A checks all its (C, B) pairs in one pass.
     """
-    dt = dim_table_cached(S)
+    dt, cl = dim_cld_tables(S)
     dtab = delta_table(S)
     sets = np.array(d_closed_subset_masks(S, size_cap=size_cap), dtype=np.int64)
     checked = 0
@@ -786,8 +785,8 @@ def _lemma43_equivalence_exhaustive(S: FiniteStructure, size_cap: int = 4) -> tu
         ci, bi = np.nonzero(sets[None, :] & ~(amask & sets[:, None]) == 0)
         c, b = sets[ci], sets[bi]
         indep = dt[amask | b | c] + dt[b] == dt[amask | b] + dt[b | c]
-        u = cld_from_table(dt, amask | b)
-        v = cld_from_table(dt, b | c)
+        u = cl[amask | b]
+        v = cl[b | c]
         split = lemma43_free_split(S, u, v, b)
         cond = split & (dt[u | v] == dtab[u | v])
         bad = np.flatnonzero(indep != cond)

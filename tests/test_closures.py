@@ -21,16 +21,14 @@ from predimlab import closures
 from predimlab.closures import (
     StructureFlowSolver,
     _flow_solve,
+    _solve,
     _solver_for,
-    _table_solve,
-    cld_from_table,
     d_closed_subset_masks,
 )
 from predimlab.builder import enumerate_class, C0
-from predimlab.structures import graph_signature
+from predimlab.structures import FiniteStructure, Relation, Signature, graph_signature
 
 from conftest import (
-    brute_cld_from_table,
     brute_d_closed_masks,
     brute_delta,
     brute_min_superset,
@@ -85,6 +83,10 @@ def test_is_d_closed_examples():
         assert is_d_closed(P, [v])
 
 
+def _table(S, xmask):
+    return _solve(S, xmask, engine="table")
+
+
 @given(small_graphs())
 @settings(max_examples=80, deadline=None)
 def test_engines_match_brute_oracle(S):
@@ -92,7 +94,7 @@ def test_engines_match_brute_oracle(S):
         for X in itertools.combinations(S.vertices, k):
             oracle = brute_min_superset(S, X)
             xmask = S.mask_of(X)
-            for solver in (_table_solve, _flow_solve):
+            for solver in (_table, _flow_solve):
                 val, minimal, maximal = solver(S, xmask)
                 assert val == oracle[0]
                 assert S.ids_of(minimal) == oracle[1]
@@ -102,12 +104,42 @@ def test_engines_match_brute_oracle(S):
 @given(small_hypergraphs())
 @settings(max_examples=40, deadline=None)
 def test_engines_match_brute_oracle_hypergraphs(S):
-    for k in range(min(len(S.vertices), 3) + 1):
+    for k in range(len(S.vertices) + 1):
         for X in itertools.combinations(S.vertices, k):
             oracle = brute_min_superset(S, X)
             xmask = S.mask_of(X)
-            assert _table_solve(S, xmask)[0] == _flow_solve(S, xmask)[0] == oracle[0]
-            assert _table_solve(S, xmask) == _flow_solve(S, xmask)
+            val, minimal, maximal = _table(S, xmask)
+            assert (val, S.ids_of(minimal), S.ids_of(maximal)) == oracle
+            assert _table(S, xmask) == _flow_solve(S, xmask)
+
+
+@st.composite
+def tied_structures(draw, max_n=7):
+    """Weights up to 3 and a zero-weight relation, so minima often tie."""
+    n = draw(st.integers(0, max_n))
+    arity = draw(st.integers(2, 3))
+    sig = Signature(draw(st.integers(1, 3)),
+                    (Relation("R", arity, draw(st.integers(1, 3))), Relation("Z", 2, 0)))
+
+    def pick(k):
+        pool = list(itertools.combinations(range(n), k))
+        return draw(st.lists(st.sampled_from(pool), unique=True) if pool else st.just([]))
+
+    return FiniteStructure(sig, range(n), {"R": pick(arity), "Z": pick(2)})
+
+
+@given(tied_structures())
+@settings(max_examples=80, deadline=None)
+def test_lattice_table_matches_brute_oracle_on_every_mask(S):
+    least, greatest = closures.dim_table_cached(S)
+    dt, cl = closures.dim_cld_tables(S)
+    assert least.dtype == greatest.dtype == np.int32
+    assert not (least.flags.writeable or greatest.flags.writeable)
+    assert (cl == greatest).all()
+    for xmask in range(1 << len(S.vertices)):
+        val, minimal, maximal = brute_min_superset(S, S.ids_of(xmask))
+        got = int(dt[xmask]), S.ids_of(int(least[xmask])), S.ids_of(int(greatest[xmask]))
+        assert got == (val, minimal, maximal)
 
 
 def _c0_structures_up_to(n):
@@ -235,6 +267,26 @@ def test_flow_queries_leave_the_base_residual_alone():
     assert (solver.base_caps, solver._base_flow, solver._live_src) == base
 
 
+def test_auto_engine_reads_the_cutoff_once_per_call(monkeypatch):
+    reads = []
+    real = closures._table_cutoff
+    monkeypatch.setattr(closures, "_table_cutoff", lambda: reads.append(1) or real())
+    for S in (path_graph(3), path_graph(20)):  # table and flow side of the cutoff
+        calls = (
+            lambda: dim(S, [0]),
+            lambda: cl0(S, [0]),
+            lambda: cld(S, [0]),
+            lambda: is_d_closed(S, [0]),
+            lambda: self_sufficient(S, [0]),
+            lambda: self_sufficient(S, [0], want_witness=False),
+            lambda: self_sufficient(S, [0], B=[0, 1]),
+        )
+        for call in calls:
+            reads.clear()
+            call()
+            assert len(reads) == 1
+
+
 def test_self_sufficient_respects_the_engine(monkeypatch):
     rng = random.Random(3)
     S = graph({tuple(sorted(rng.sample(range(18), 2))) for _ in range(30)}, vertices=range(18))
@@ -316,20 +368,9 @@ def test_flow_engine_on_large_ambient():
                 assert (dim(S, X | {v}) == d) == (v in greatest)
 
 
-@given(st.integers(0, 6).flatmap(
-    lambda n: st.lists(st.integers(-3, 3), min_size=1 << n, max_size=1 << n)))
-@settings(max_examples=60, deadline=None)
-def test_cld_from_table_matches_loop_form_on_any_table(values):
-    # any table, not only a monotone dim table, as a corrupted entry would give
-    dt = np.array(values, dtype=np.int64)
-    want = [brute_cld_from_table(dt, m) for m in range(len(dt))]
-    assert [cld_from_table(dt, m) for m in range(len(dt))] == want
-    assert cld_from_table(dt, np.arange(len(dt), dtype=np.int64)).tolist() == want
-
-
 @given(st.one_of(small_graphs(max_n=7), small_hypergraphs(max_n=7)))
 @settings(max_examples=40, deadline=None)
 def test_d_closed_enumeration_matches_loop_form(S):
-    dt = closures.dim_table_cached(S)
+    dt, _ = closures.dim_cld_tables(S)
     for cap in (None, 0, 1, 3):
         assert d_closed_subset_masks(S, size_cap=cap) == brute_d_closed_masks(dt, cap)

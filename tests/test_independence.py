@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,10 +24,11 @@ from predimlab import (
 )
 from predimlab import closures, independence, suites
 from predimlab.builder import C0
-from predimlab.closures import d_closed_subset_masks, delta_table, dim_table_cached
+from predimlab.closures import d_closed_subset_masks, delta_table, dim_cld_tables
 
 from conftest import (
     brute_axiom_suite,
+    brute_cld_from_table,
     brute_free_split,
     brute_lemma43_equivalence,
     small_graphs,
@@ -161,10 +163,15 @@ def _compatibility_case(S, dt, size_cap):
 
 
 def _check_against_loop_forms(S, dt, dtab, lemma43_cap, size_cap):
-    """Run both checks on the given dim and delta tables, against the oracles."""
+    """Run both checks on the given dim and delta tables, against the oracles.
+
+    The cld array handed to the checks is read off ``dt`` by the loop form,
+    so a corrupted dim entry reaches the d-closures as it would in the loop.
+    """
+    cl = np.array([brute_cld_from_table(dt, m) for m in range(len(dt))], dtype=np.int32)
     with pytest.MonkeyPatch.context() as mp:
         for mod in (closures, independence, suites):
-            mp.setattr(mod, "dim_table_cached", lambda _S: dt)
+            mp.setattr(mod, "dim_cld_tables", lambda _S: (dt, cl))
         mp.setattr(suites, "delta_table", lambda _S: dtab)
         got = suites._lemma43_equivalence_exhaustive(S, size_cap=lemma43_cap)
         rep = axiom_suite(S, size_cap=size_cap)
@@ -179,7 +186,7 @@ def _check_against_loop_forms(S, dt, dtab, lemma43_cap, size_cap):
 @given(st.one_of(small_graphs(max_n=7), small_hypergraphs(max_n=7)))
 @settings(max_examples=40, deadline=None)
 def test_lemma43_and_compatibility_match_loop_forms(S):
-    _check_against_loop_forms(S, dim_table_cached(S), delta_table(S), 3, 2)
+    _check_against_loop_forms(S, dim_cld_tables(S)[0], delta_table(S), 3, 2)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7])
@@ -190,7 +197,7 @@ def test_lemma43_and_compatibility_match_loop_forms_on_faults(seed):
     rng = random.Random(seed)
     lemma_fails = comp_fails = 0
     for trial in range(12):
-        dt, dtab = dim_table_cached(S).copy(), delta_table(S).copy()
+        dt, dtab = dim_cld_tables(S)[0], delta_table(S).copy()
         table = dt if trial % 2 else dtab
         table[rng.randrange(1, len(table))] += rng.choice((-1, 1))
         lemma_fail, comp_fail = _check_against_loop_forms(S, dt, dtab, 3, 2)
@@ -207,7 +214,7 @@ def test_lemma43_and_compatibility_match_loop_forms_on_corrupted_graphs():
         n = rng.randint(2, 6)
         pool = list(itertools.combinations(range(n), 2))
         S = graph(rng.sample(pool, rng.randint(0, len(pool))), vertices=range(n))
-        dt = dim_table_cached(S).copy()
+        dt = dim_cld_tables(S)[0]
         for _ in range(rng.randint(1, 2)):
             dt[rng.randrange(len(dt))] += rng.choice((-1, 1))
         _check_against_loop_forms(S, dt, delta_table(S), 3, 2)

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -160,10 +162,14 @@ def test_cli_verify_machine_out(tmp_path):
 
 
 def test_console_script_end_to_end():
+    # the subprocess does not inherit pytest's pythonpath, so hand it src
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "predimlab.cli", "verify", "path-fact"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "summary" in proc.stdout
