@@ -7,6 +7,11 @@ the embedded base.  Every step keeps the previous structure self-sufficient
 (d-closed for the control-function class) in the new one and keeps the whole
 structure inside the class; breaking either aborts loudly.
 
+One chain reuses its work across steps.  The embedding search runs on each
+structure's bitmask index.  The chain check reads only the subsets of the
+new vertices.  The flow network of a structure is handed to the next one and
+grows.  Verdicts on images are memoized for the whole chain.
+
 Outputs are finite approximants: no claim is made about any infinite limit.
 Identical configs replay to byte-identical logs and structures.
 """
@@ -17,10 +22,11 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .classes import ControlFunction, in_C0, in_Cf, in_Kn
-from .closures import is_d_closed, self_sufficient
+from .closures import hand_over_solver, is_d_closed, self_sufficient
 from .errors import CapacityError, InputError, InternalError
 from .reports import FAIL
 from .structures import (
@@ -29,10 +35,9 @@ from .structures import (
     POINT,
     FiniteStructure,
     Signature,
+    _bits,
     canonical_form,
-    co_instance_neighbors,
     dump_structure,
-    instances_by_vertex,
 )
 
 C0 = "c0"
@@ -147,6 +152,10 @@ class ExtensionTask:
     def base_tuple(self) -> tuple[int, ...]:
         return tuple(sorted(self.base_ids))
 
+    @cached_property
+    def base_pattern(self) -> FiniteStructure:
+        return self.ext.induced(self.base_ids)
+
 
 def enumerate_tasks(
     patterns: list[FiniteStructure],
@@ -193,93 +202,79 @@ def _embeddings(
     S: FiniteStructure,
     pattern: FiniteStructure,
     partial: dict[int, int],
-    s_index: dict[int, list[tuple[str, tuple[int, ...]]]] | None = None,
-    s_adj: dict[int, set[int]] | None = None,
     newest_first: bool = False,
 ) -> Iterator[dict[int, int]]:
     """Induced embeddings of pattern into S extending ``partial``.
 
     Deterministic placement order: unplaced pattern vertices ascending, each
-    ranging over ascending candidates (restricted to co-instance neighbors
-    once anchored; newest-first flips the candidate order, which finds fresh
-    amalgam copies quickly).  Consistency is maintained incrementally: every
-    fully placed pattern instance must be an instance of S, and every S
-    instance inside the image must be the image of a pattern instance.
+    ranging over ascending candidates (newest-first flips the candidate
+    order, which finds fresh amalgam copies quickly).  The search runs on
+    vertex positions and the two structures' bitmask indexes: the candidates
+    of an anchored vertex are the AND of the co-instance masks of its placed
+    neighbours' images, the others range over all of S, and the image is
+    masked out of both.  Consistency is kept incrementally: every pattern
+    instance a placement completes must be an instance of S, and the S
+    instances through the new image vertex inside the image must be exactly
+    as many, so they are the images of those (the embedding is induced).
     """
-    pat_adj = co_instance_neighbors(pattern)
-    if s_adj is None:
-        s_adj = co_instance_neighbors(S)
-    if s_index is None:
-        s_index = instances_by_vertex(S)
-    s_instances = {
-        (name, tp) for name, tups in S.instances.items() for tp in tups
-    }
-    pat_by_vertex = instances_by_vertex(pattern)
-    todo = [v for v in pattern.vertices if v not in partial]
+    sx, px = S.bit_index(), pattern.bit_index()
+    pverts, sverts = pattern.vertices, S.vertices
+    pparts = [pattern.parts[v] for v in pverts] if pattern.parts else None
+    phi = [-1] * len(pverts)  # pattern position -> S position
+    for v, w in partial.items():
+        phi[pverts.index(v)] = S.mask_of((w,)).bit_length() - 1
 
-    def new_complete(phi, v):
-        out = []
-        for name, tp in pat_by_vertex[v]:
-            if all(u in phi for u in tp):
-                out.append((name, tuple(sorted(phi[u] for u in tp))))
+    def image_of(m: int) -> int:
+        out = 0
+        for i in _bits(m):
+            out |= 1 << phi[i]
         return out
 
-    def rec(phi: dict[int, int], mapped: set, rest: list[int]) -> Iterator[dict[int, int]]:
-        if not rest:
-            yield dict(phi)
-            return
-        v = rest[0]
-        used = set(phi.values())
-        anchored = [u for u in pat_adj[v] if u in phi]
-        if anchored:
-            pool = None
-            for u in anchored:
-                cand = s_adj[phi[u]]
-                pool = set(cand) if pool is None else pool & cand
-            pool = sorted(pool, reverse=newest_first)
-        else:
-            pool = S.vertices[::-1] if newest_first else S.vertices
-        image = used
-        for w in pool:
-            if w in used:
-                continue
-            if pattern.parts and pattern.parts[v] != S.parts[w]:
-                continue
-            phi[v] = w
-            fresh = new_complete(phi, v)
-            ok = all((name, img) in s_instances for name, img in fresh)
-            if ok:
-                mapped_new = mapped | set(fresh)
-                # S instances through w inside the current image must be mapped
-                for name, tp in s_index[w]:
-                    if all(u == w or u in image for u in tp):
-                        if (name, tp) not in mapped_new:
-                            ok = False
-                            break
-            if ok:
-                yield from rec(phi, mapped_new, rest[1:])
-            del phi[v]
+    def consistent(fresh) -> bool:
+        return all((name, image_of(m)) in sx.pairs for name, m in fresh)
 
-    # validate and seed from the prefilled part
-    phi0 = dict(partial)
-    mapped0 = set()
-    for name, tups in pattern.instances.items():
-        for tp in tups:
-            if all(u in phi0 for u in tp):
-                img = tuple(sorted(phi0[u] for u in tp))
-                if (name, img) not in s_instances:
-                    return
-                mapped0.add((name, img))
-    img0 = frozenset(phi0.values())
-    for w in img0:
-        for name, tp in s_index[w]:
-            if set(tp) <= img0 and (name, tp) not in mapped0:
-                return
-    if pattern.parts:
-        for v, w in phi0.items():
-            if pattern.parts[v] != S.parts[w]:
-                return
-    yield from rec(phi0, mapped0, todo)
+    # validate the prefilled part
+    placed, img = pattern.mask_of(partial), S.mask_of(partial.values())
+    mapped = [(name, m) for name, m in px.pairs if m & ~placed == 0]
+    inside = {(name, m) for w in _bits(img) for name, m in sx.through[w] if m & ~img == 0}
+    if not consistent(mapped) or len(inside) != len(mapped):
+        return
+    if pparts and any(pparts[i] != S.parts[sverts[phi[i]]] for i in _bits(placed)):
+        return
+    # per placement: the vertex, its placed neighbours, the instances it completes
+    steps = []
+    for i in range(len(pverts)):
+        if not placed >> i & 1:
+            steps.append((i, px.co[i] & placed,
+                          [(name, m) for name, m in px.through[i] if m & ~placed & ~(1 << i) == 0]))
+            placed |= 1 << i
+
+    def rec(k: int, img: int) -> Iterator[dict[int, int]]:
+        if k == len(steps):
+            out = dict(partial)
+            for i, _, _ in steps:
+                out[pverts[i]] = sverts[phi[i]]
+            yield out
+            return
+        i, anchors, fresh = steps[k]
+        pool = S.full_mask()
+        for j in _bits(anchors):
+            pool &= sx.co[phi[j]]
+        pool &= ~img
+        while pool:
+            w = (pool if newest_first else pool & -pool).bit_length() - 1
+            pool ^= 1 << w
+            if pparts and pparts[i] != S.parts[sverts[w]]:
+                continue
+            phi[i] = w
+            img_w = img | 1 << w
+            if consistent(fresh) and len(fresh) == sum(
+                1 for _, m in sx.through[w] if m & ~img_w == 0
+            ):
+                yield from rec(k + 1, img_w)
+        phi[i] = -1
+
+    yield from rec(0, img)
 
 
 def find_sese_embeddings(
@@ -358,116 +353,57 @@ class BuildResult:
     tasks: list[ExtensionTask]
 
 
+def _strong(
+    S: FiniteStructure, image: frozenset[int], tag: str, memo: dict
+) -> bool:
+    """The chain's verdict on an image, memoized by image for the whole chain.
+
+    The verdict is d-closure for the control-function class and
+    self-sufficiency otherwise.  Both persist along the chain in both
+    directions.  Self-sufficiency restricts to an earlier member and
+    extends by transitivity.  Along a d-closed chain S_k <=_d S_{k+1} the
+    dimensions of subsets of S_k agree in both structures, so their
+    d-closures do too.
+    """
+    got = memo.get(image)
+    if got is None:
+        if tag == CF:
+            got = is_d_closed(S, image)
+        else:
+            got = self_sufficient(S, image, want_witness=False)[0]
+        memo[image] = got
+    return got
+
+
 def _good_base(
-    S: FiniteStructure,
-    image: frozenset[int],
-    tag: str,
-    ss_cache: Optional[dict] = None,
-    s_index=None,
+    S: FiniteStructure, image: frozenset[int], tag: str, memo: dict
 ) -> bool:
-    if tag == CF:
-        return is_d_closed(S, image)
+    # the polygon chain is only self-sufficient, so its d-closure is not memoized
     if tag == KN:
-        return _cached_ss(S, image, ss_cache, s_index) and is_d_closed(S, image)
-    return _cached_ss(S, image, ss_cache, s_index)
-
-
-def _quick_not_ss(
-    S: FiniteStructure, image: frozenset[int], s_index=None
-) -> bool:
-    """One-step violation test: some outside vertex attaches too heavily.
-
-    Sound rejection only; survivors still need the exact check.
-    """
-    if s_index is None:
-        s_index = instances_by_vertex(S)
-    nw = S.signature.vertex_weight
-    weights = {rel.name: rel.weight for rel in S.signature.relations}
-    load: dict[int, int] = {}
-    for v in image:
-        for name, tp in s_index[v]:
-            inside = [u for u in tp if u in image]
-            if v != inside[0]:
-                continue  # count each instance once
-            outside = [u for u in tp if u not in image]
-            if len(outside) == 1:
-                w = outside[0]
-                load[w] = load.get(w, 0) + weights[name]
-                if load[w] > nw:
-                    return True
-    return False
-
-
-def _cached_ss(
-    S: FiniteStructure,
-    image: frozenset[int],
-    ss_cache: Optional[dict],
-    s_index=None,
-) -> bool:
-    """Self-sufficiency memoized by image.
-
-    Along a free-amalgamation chain the verdict for a fixed vertex set never
-    changes (restricting a self-sufficient set to an earlier chain member
-    preserves it, and extending preserves it by transitivity), so both
-    polarities persist for the whole build.
-    """
-    if ss_cache is not None:
-        got = ss_cache.get(image)
-        if got is not None:
-            return got
-    if _quick_not_ss(S, image, s_index):
-        ok = False
-    else:
-        ok = self_sufficient(S, image, want_witness=False)[0]
-    if ss_cache is not None:
-        ss_cache[image] = ok
-    return ok
-
-
-def _good_ext_image(
-    S: FiniteStructure,
-    image: frozenset[int],
-    tag: str,
-    ss_cache: Optional[dict] = None,
-    s_index=None,
-) -> bool:
-    if tag == CF:
-        return is_d_closed(S, image)
-    return _cached_ss(S, image, ss_cache, s_index)
+        return _strong(S, image, tag, memo) and is_d_closed(S, image)
+    return _strong(S, image, tag, memo)
 
 
 def _realized(
-    S: FiniteStructure,
-    task: ExtensionTask,
-    base_phi: dict[int, int],
-    s_index=None,
-    ss_cache: Optional[dict] = None,
-    s_adj=None,
+    S: FiniteStructure, task: ExtensionTask, base_phi: dict[int, int], memo: dict
 ) -> bool:
     # newest-first: fresh amalgam copies are the likeliest witnesses
-    for phi in _embeddings(S, task.ext, dict(base_phi), s_index, s_adj, newest_first=True):
-        if _good_ext_image(S, frozenset(phi.values()), task.tag, ss_cache, s_index):
+    for phi in _embeddings(S, task.ext, base_phi, newest_first=True):
+        if _strong(S, frozenset(phi.values()), task.tag, memo):
             return True
     return False
 
 
 def _base_embeddings(
-    S: FiniteStructure,
-    task: ExtensionTask,
-    cap: Optional[int] = None,
-    s_index=None,
-    ss_cache: Optional[dict] = None,
-    s_adj=None,
+    S: FiniteStructure, task: ExtensionTask, memo: dict, cap: Optional[int] = None
 ) -> Iterator[dict[int, int]]:
     """Embedded bases with a strong image, in deterministic placement order."""
-    base = task.base_ids
-    if not base:
+    if not task.base_ids:
         yield {}
         return
-    pattern = task.ext.induced(base)
     emitted = 0
-    for phi in _embeddings(S, pattern, {}, s_index, s_adj):
-        if _good_base(S, frozenset(phi.values()), task.tag, ss_cache, s_index):
+    for phi in _embeddings(S, task.base_pattern, {}):
+        if _good_base(S, frozenset(phi.values()), task.tag, memo):
             yield phi
             emitted += 1
             if cap is not None and emitted >= cap:
@@ -485,31 +421,26 @@ def build_generic(config: BuildConfig) -> BuildResult:
     log = BuildLog(config_key=_config_key(config))
     log.skipped_tasks = [str(t.key) for t in skipped]
     realized_cache: set[tuple[int, tuple[int, ...]]] = set()
-    ss_cache: Optional[dict] = {} if config.tag != CF else None
+    memo: dict[frozenset[int], bool] = {}
     steps = 0
     while steps < config.budget:
         progressed = False
-        s_index = instances_by_vertex(S)
-        s_adj = co_instance_neighbors(S)
         for ti, task in enumerate(tasks):
             if steps >= config.budget:
                 break
             walked = 0
-            for phi in _base_embeddings(S, task, s_index=s_index, ss_cache=ss_cache, s_adj=s_adj):
+            for phi in _base_embeddings(S, task, memo):
                 walked += 1
                 if walked > config.scan_window:
                     break
                 cache_key = (ti, tuple(phi[v] for v in sorted(phi)))
                 if cache_key in realized_cache:
                     continue
-                if _realized(S, task, phi, s_index, ss_cache, s_adj):
+                if _realized(S, task, phi, memo):
                     realized_cache.add(cache_key)
                     continue
                 S, copy_image = _amalgamate(S, task, phi)
-                if ss_cache is not None:
-                    ss_cache[copy_image] = True  # fresh copy over a strong base
-                s_index = instances_by_vertex(S)
-                s_adj = co_instance_neighbors(S)
+                memo[copy_image] = True  # fresh copy over a strong base
                 realized_cache.add(cache_key)
                 steps += 1
                 progressed = True
@@ -537,7 +468,6 @@ def build_generic(config: BuildConfig) -> BuildResult:
 def _amalgamate(
     S: FiniteStructure, task: ExtensionTask, base_phi: dict[int, int]
 ) -> tuple[FiniteStructure, frozenset[int]]:
-    prev_vertices = frozenset(S.vertices)
     next_id = (max(S.vertices) + 1) if S.vertices else 0
     phi = dict(base_phi)
     new_parts = {}
@@ -557,14 +487,26 @@ def _amalgamate(
                     tuple(sorted(phi[v] for v in tp))
                 )
     out = S.with_added(new_ids, new_inst, new_parts or None)
-    # chain property: the previous structure stays embedded the strong way
-    if task.tag == CF:
-        ok = is_d_closed(out, prev_vertices)
-    else:
-        ok, _ = self_sufficient(out, prev_vertices)
-    if not ok:
-        raise InternalError("chain property broken by amalgamation step")
+    _check_chain(len(S.vertices), out, strict=task.tag == CF)
+    hand_over_solver(S, out)
     return out, frozenset(phi.values())
+
+
+def _check_chain(n_prev: int, out: FiniteStructure, strict: bool) -> None:
+    """Raise unless the previous structure, out's first ``n_prev`` positions,
+    is self-sufficient in out (d-closed when ``strict``).
+
+    prev <= out iff delta(V/prev) >= 0 for every V inside out - prev, and
+    prev is d-closed in out iff delta(V/prev) > 0 for every non-empty such V.
+    So only the subsets of the new vertices are enumerated, against the
+    instances of out that meet them; the check stays exact.
+    """
+    nw = out.signature.vertex_weight
+    new = [(imask >> n_prev, w) for imask, w in out.instance_masks() if imask >> n_prev]
+    for vmask in range(1, 1 << (len(out.vertices) - n_prev)):
+        d = nw * vmask.bit_count() - sum(w for m, w in new if m & ~vmask == 0)
+        if d < 0 or (strict and d == 0):
+            raise InternalError("chain property broken by amalgamation step")
 
 
 def _config_key(config: BuildConfig) -> str:
@@ -614,13 +556,10 @@ def audit_extension_property(
 ) -> AuditReport:
     """For each task, are its first embedded bases covered by an extension copy?"""
     entries = []
-    s_index = instances_by_vertex(S)
-    s_adj = co_instance_neighbors(S)
-    ss_cache: dict = {}
+    memo: dict[frozenset[int], bool] = {}
     for task in tasks:
-        bases = list(_base_embeddings(S, task, cap=cap_per_task, s_index=s_index,
-                                      ss_cache=ss_cache, s_adj=s_adj))
-        realized = sum(1 for phi in bases if _realized(S, task, phi, s_index, ss_cache, s_adj))
+        bases = list(_base_embeddings(S, task, memo, cap=cap_per_task))
+        realized = sum(1 for phi in bases if _realized(S, task, phi, memo))
         entries.append(
             AuditEntry(str(task.key), len(task.base_ids), len(bases), realized)
         )

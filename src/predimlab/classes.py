@@ -30,7 +30,6 @@ from .structures import (
     BIPARTITE,
     FiniteStructure,
     _bits,
-    co_instance_neighbors,
     delta_mask,
 )
 
@@ -159,7 +158,7 @@ def _connected_subsets(
     fall inside the budget.
     """
     n = len(S.vertices)
-    adj = [S.mask_of(nbrs) for nbrs in co_instance_neighbors(S).values()]
+    adj = S.bit_index().co
     weighted: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for imask, w in S.instance_masks():
         for i in _bits(imask):

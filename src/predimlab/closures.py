@@ -20,6 +20,7 @@ with no claim about any infinite limit.
 from __future__ import annotations
 
 from array import array
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -123,15 +124,22 @@ _LEAST, _GREATEST = 1, 2
 
 
 class StructureFlowSolver:
-    """Reusable project-selection network for one structure.
+    """Reusable project-selection network for one structure, grown along its chain.
 
-    Topology is built once: a force-select slot from the source to every
-    vertex (capacity 0 until a query pins it), vertex-to-sink edges with the
-    vertex weight, and a project node per weighted instance.  The empty
+    Nodes are allocated in creation order after the source (0) and the sink
+    (1): a node per vertex, with a force-select slot from the source
+    (capacity 0 until a query pins it) and an edge to the sink with the
+    vertex weight, then a project node per weighted instance.  ``node_pos``
+    maps each node to its vertex position, -1 off the vertices.  The empty
     query is solved once and its residual kept as the base.  A query only
     adds capacity (the slots of X), so it resumes from a copy of that
     residual and pays just the marginal augmentation, as in monotone
     parametric min-cut.  dim(X) = mincut - total instance weight.
+
+    :meth:`grow` moves the network to an extension of its structure, as
+    dynamic graph cuts do (Kohli and Torr): new vertex nodes and the project
+    nodes of the new instances append, and since added edges keep the old
+    residual a feasible flow, the base flow resumes from it.
 
     A query touches only the residual region it reaches:
 
@@ -153,15 +161,43 @@ class StructureFlowSolver:
     """
 
     def __init__(self, S: FiniteStructure):
-        self.S = S
-        n = len(S.vertices)
-        self.n_items = n
-        pairs = S.instance_masks()
-        n_nodes = 2 + n + len(pairs)
-        self.n_nodes = n_nodes
-        to: list[int] = []
-        caps: list[int] = []
-        head: list[list[int]] = [[] for _ in range(n_nodes)]
+        self.n_items = 0
+        self.to: list[int] = []
+        self.base_caps: list[int] = []
+        self.head: list[list[int]] = [[], []]
+        self.node_pos = [-1, -1]
+        self.slot_eid: list[int] = []
+        self.total_w = 0
+        self._base_flow = 0
+        self._live_src: tuple[int, ...] = ()
+        self._extend(S, S.instance_masks())
+
+    def grow(self, out: FiniteStructure) -> bool:
+        """Move the network to ``out``, an extension of the current structure.
+
+        ``out`` must share the signature, keep the current vertex positions
+        as a prefix and hold every current instance; otherwise nothing
+        changes and the answer is False.
+        """
+        S = self.S
+        if out.signature != S.signature or out.vertices[: self.n_items] != S.vertices:
+            return False
+        old = Counter(S.instance_masks())
+        fresh = []
+        for pair in out.instance_masks():
+            if old[pair]:
+                old[pair] -= 1
+            else:
+                fresh.append(pair)
+        if +old:
+            return False
+        self._extend(out, fresh)
+        return True
+
+    def _extend(self, out: FiniteStructure, pairs) -> None:
+        """Append out's new vertices and the project nodes of ``pairs``, then
+        resume the base flow from the old live source edges and the new ones."""
+        to, caps, head, node_pos = self.to, self.base_caps, self.head, self.node_pos
 
         def add(u, v, c):
             head[u].append(len(to))
@@ -171,25 +207,32 @@ class StructureFlowSolver:
             to.append(u)
             caps.append(0)
 
-        self.slot_eid = []
-        for i in range(n):
+        def node(pos):
+            head.append([])
+            node_pos.append(pos)
+            return len(head) - 1
+
+        added = [node(i) for i in range(self.n_items, len(out.vertices))]
+        for u in added:
             self.slot_eid.append(len(to))
-            add(0, 2 + i, 0)
-        nw = S.signature.vertex_weight
-        for i in range(n):
-            add(2 + i, 1, nw)
-        self.total_w = 0
-        for k, (imask, w) in enumerate(pairs):
-            pnode = 2 + n + k
+            add(0, u, 0)
+        nw = out.signature.vertex_weight
+        for u in added:
+            add(u, 1, nw)
+        src = list(self._live_src)
+        for imask, w in pairs:
+            pnode = node(-1)
+            src.append(len(to))
             add(0, pnode, w)
             self.total_w += w
             for i in _bits(imask):
-                add(pnode, 2 + i, _INF_CAP)
-        self.to = to
-        self.base_caps = caps
-        self.head = [tuple(h) for h in head]
-        self._base_flow, _ = self._max_flow(caps, self.head[0], [])
-        self._live_src = tuple(eid for eid in self.head[0] if caps[eid] > 0)
+                add(pnode, to[self.slot_eid[i]], _INF_CAP)
+        self.S = out
+        self.n_items = len(out.vertices)
+        self.n_nodes = len(head)
+        extra, _ = self._max_flow(caps, src, [])
+        self._base_flow += extra
+        self._live_src = tuple(eid for eid in src if caps[eid] > 0)
         self._sink_tree = None  # built by the first query for a greatest minimizer
 
     def _augment(self, xmask: int, limit: int | None = None):
@@ -227,14 +270,14 @@ class StructureFlowSolver:
         return dim_val, minimal, maximal
 
     def _vertex_mask(self, nodes: list[int]) -> int:
-        end = 2 + self.n_items
+        node_pos = self.node_pos
         mask = 0
         for u in nodes:
-            if 1 < u < end:
-                mask |= 1 << (u - 2)
+            if node_pos[u] >= 0:
+                mask |= 1 << node_pos[u]
         return mask
 
-    # Dinic on the static topology, with the source's adjacency given as
+    # Dinic on the current topology, with the source's adjacency given as
     # ``src``; iterative blocking-flow DFS.  Returns the flow and the nodes
     # of the residual source side, or None for them when the flow reached
     # ``limit`` first.  Every edge an augmenting path pushes along is
@@ -367,9 +410,39 @@ class StructureFlowSolver:
         return up, pre, end, order, base
 
 
-@lru_cache(maxsize=64)
+# Flow networks by structure, least recently used first.  An explicit LRU,
+# because a handed-over network changes its key.
+_SOLVERS_MAX = 64
+_solvers: OrderedDict[FiniteStructure, StructureFlowSolver] = OrderedDict()
+
+
 def _solver_for(S: FiniteStructure) -> StructureFlowSolver:
-    return StructureFlowSolver(S)
+    solver = _solvers.get(S)
+    if solver is None:
+        solver = _remember(S, StructureFlowSolver(S))
+    else:
+        _solvers.move_to_end(S)
+    return solver
+
+
+def _remember(S: FiniteStructure, solver: StructureFlowSolver) -> StructureFlowSolver:
+    _solvers[S] = solver
+    if len(_solvers) > _SOLVERS_MAX:
+        _solvers.popitem(last=False)
+    return solver
+
+
+def hand_over_solver(S: FiniteStructure, out: FiniteStructure) -> None:
+    """Move S's cached flow network, if any, to its chain extension ``out``.
+
+    The network grows instead of being rebuilt, and S's entry leaves the
+    cache, so a chain holds one network.  When ``out`` does not extend S
+    position by position the network is dropped, and a query on ``out``
+    builds a fresh one.
+    """
+    solver = _solvers.pop(S, None)
+    if solver is not None and out not in _solvers and solver.grow(out):
+        _remember(out, solver)
 
 
 def _flow_solve(S: FiniteStructure, xmask: int, need: int = _LEAST | _GREATEST):

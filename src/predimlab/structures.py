@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import CapacityError, InputError
 
@@ -125,6 +125,14 @@ def polygon_signature(ngon: int) -> Signature:
     return Signature(ngon - 1, (Relation("adj", 2, ngon - 2),), mode=BIPARTITE)
 
 
+class BitIndex(NamedTuple):
+    """Instances by vertex position, as bitmasks over the positions."""
+
+    co: tuple[int, ...]  # co-instance neighbours of each position
+    through: tuple[tuple[tuple[str, int], ...], ...]  # (relation, mask) per position
+    pairs: frozenset[tuple[str, int]]  # every instance as (relation, mask)
+
+
 class FiniteStructure:
     """Immutable finite structure over a :class:`Signature`.
 
@@ -143,6 +151,7 @@ class FiniteStructure:
         "_key",
         "_hash",
         "_adj",
+        "_bit_index",
     )
 
     def __init__(
@@ -200,6 +209,7 @@ class FiniteStructure:
 
         self._inst_masks = None
         self._adj = None
+        self._bit_index = None
         part_key = tuple(self.parts[v] for v in vs) if self.parts else None
         self._key = (signature, vs, tuple(sorted(inst.items())), part_key)
         self._hash = hash(self._key)
@@ -276,6 +286,32 @@ class FiniteStructure:
             self._adj = adj
         return self._adj
 
+    def bit_index(self) -> "BitIndex":
+        """The bitmask instance/adjacency index by vertex position, built once.
+
+        Every relation counts, whatever its arity or weight.
+        """
+        if self._bit_index is None:
+            n = len(self.vertices)
+            co = [0] * n
+            through: list[list[tuple[str, int]]] = [[] for _ in range(n)]
+            pairs = set()
+            for name, tups in self.instances.items():
+                for tup in tups:
+                    m = 0
+                    for v in tup:
+                        m |= 1 << self._index[v]
+                    pairs.add((name, m))
+                    for i in _bits(m):
+                        co[i] |= m
+                        through[i].append((name, m))
+            self._bit_index = BitIndex(
+                tuple(c & ~(1 << i) for i, c in enumerate(co)),
+                tuple(map(tuple, through)),
+                frozenset(pairs),
+            )
+        return self._bit_index
+
     # -- derived structures -------------------------------------------------
 
     def induced(self, ids: Iterable[int]) -> "FiniteStructure":
@@ -324,26 +360,9 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def co_instance_neighbors(S: FiniteStructure) -> dict[int, set[int]]:
+def co_instance_neighbors(S: FiniteStructure) -> dict[int, frozenset[int]]:
     """Vertices sharing any relation instance (any arity or weight) are adjacent."""
-    adj: dict[int, set[int]] = {v: set() for v in S.vertices}
-    for tups in S.instances.values():
-        for t in tups:
-            for a in t:
-                for b in t:
-                    if a != b:
-                        adj[a].add(b)
-    return adj
-
-
-def instances_by_vertex(S: FiniteStructure) -> dict[int, list[tuple[str, tuple[int, ...]]]]:
-    """The (relation name, instance) pairs through each vertex, in storage order."""
-    idx: dict[int, list[tuple[str, tuple[int, ...]]]] = {v: [] for v in S.vertices}
-    for name, tups in S.instances.items():
-        for tp in tups:
-            for v in tp:
-                idx[v].append((name, tp))
-    return idx
+    return {v: S.ids_of(co) for v, co in zip(S.vertices, S.bit_index().co)}
 
 
 def free_amalgam(

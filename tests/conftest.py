@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from predimlab import FiniteStructure, graph_signature, hypergraph_signature, in_C0
+from predimlab.structures import Relation, Signature
 from predimlab.classes import MembershipResult
 from predimlab.reports import FAIL, PARTIAL, PASS
 
@@ -26,6 +27,41 @@ def small_hypergraphs(draw, max_n=6, arity=3):
     pool = list(itertools.combinations(range(n), arity))
     inst = draw(st.lists(st.sampled_from(pool), unique=True) if pool else st.just([]))
     return FiniteStructure(hypergraph_signature(1, 1, arity), range(n), {"R": inst})
+
+
+# graphs, 3-hypergraphs, and a signature with a zero-weight relation
+CHAIN_SIGNATURES = (
+    graph_signature(2, 1),
+    hypergraph_signature(1, 1, 3),
+    Signature(2, (Relation("R", 2, 1), Relation("Z", 3, 0))),
+)
+
+
+@st.composite
+def extension_chains(draw, max_steps=4, max_new=3, max_instances=6):
+    """A chain of structures, each adding vertices (ids above the old ones)
+    and instances to the one before, over a drawn signature.  New instances
+    meet the new vertices, apart from at most one among the old ones."""
+    sig = draw(st.sampled_from(CHAIN_SIGNATURES))
+    chain = [FiniteStructure(sig, [], {})]
+    for _ in range(draw(st.integers(min_value=1, max_value=max_steps))):
+        S = chain[-1]
+        n = len(S.vertices)
+        k = draw(st.integers(min_value=0, max_value=max_new))
+        inst = {}
+        for rel in sig.relations:
+            have = set(S.instances[rel.name])
+            tups = [t for t in itertools.combinations(range(n + k), rel.arity) if t not in have]
+            meet = [t for t in tups if t[-1] >= n]
+            inst[rel.name] = draw(
+                st.lists(st.sampled_from(meet), unique=True, max_size=max_instances)
+                if meet else st.just([])
+            )
+            old = [t for t in tups if t[-1] < n]
+            if old and draw(st.booleans()):
+                inst[rel.name].append(draw(st.sampled_from(old)))
+        chain.append(S.with_added(range(n, n + k), inst))
+    return chain
 
 
 @st.composite
@@ -169,6 +205,84 @@ def brute_in_Cf(S, f, exhaustive_cap=18, conn_size=18, conn_budget=200_000,
             f"{conn_budget}, plus {samples} seeded random); not a certificate"
         ),
     )
+
+
+def brute_embeddings(S, pattern, partial, newest_first=False):
+    """Oracle for ``builder._embeddings``: the set-based search it replaced.
+
+    Same placement order (unplaced pattern vertices ascending, candidates
+    ascending or newest-first), with neighbour sets and instance lists in
+    place of bitmasks.
+    """
+    def neighbours(T):
+        adj = {v: set() for v in T.vertices}
+        for tups in T.instances.values():
+            for t in tups:
+                for a in t:
+                    adj[a].update(b for b in t if b != a)
+        return adj
+
+    def by_vertex(T):
+        idx = {v: [] for v in T.vertices}
+        for name, tups in T.instances.items():
+            for tp in tups:
+                for v in tp:
+                    idx[v].append((name, tp))
+        return idx
+
+    pat_adj, s_adj = neighbours(pattern), neighbours(S)
+    pat_by_vertex, s_index = by_vertex(pattern), by_vertex(S)
+    s_instances = {(name, tp) for name, tups in S.instances.items() for tp in tups}
+    todo = [v for v in pattern.vertices if v not in partial]
+
+    def new_complete(phi, v):
+        return [(name, tuple(sorted(phi[u] for u in tp)))
+                for name, tp in pat_by_vertex[v] if all(u in phi for u in tp)]
+
+    def rec(phi, mapped, rest):
+        if not rest:
+            yield dict(phi)
+            return
+        v = rest[0]
+        used = set(phi.values())
+        anchored = [u for u in pat_adj[v] if u in phi]
+        if anchored:
+            pool = set.intersection(*(s_adj[phi[u]] for u in anchored))
+            pool = sorted(pool, reverse=newest_first)
+        else:
+            pool = S.vertices[::-1] if newest_first else S.vertices
+        for w in pool:
+            if w in used or (pattern.parts and pattern.parts[v] != S.parts[w]):
+                continue
+            phi[v] = w
+            fresh = new_complete(phi, v)
+            ok = all(inst in s_instances for inst in fresh)
+            mapped_new = mapped | set(fresh)
+            if ok:
+                # S instances through w inside the image must be mapped
+                ok = all(inst in mapped_new for inst in s_index[w]
+                         if all(u == w or u in used for u in inst[1]))
+            if ok:
+                yield from rec(phi, mapped_new, rest[1:])
+            del phi[v]
+
+    phi0 = dict(partial)
+    mapped0 = set()
+    for name, tups in pattern.instances.items():
+        for tp in tups:
+            if all(u in phi0 for u in tp):
+                img = tuple(sorted(phi0[u] for u in tp))
+                if (name, img) not in s_instances:
+                    return
+                mapped0.add((name, img))
+    img0 = frozenset(phi0.values())
+    for w in img0:
+        for name, tp in s_index[w]:
+            if set(tp) <= img0 and (name, tp) not in mapped0:
+                return
+    if pattern.parts and any(pattern.parts[v] != S.parts[w] for v, w in phi0.items()):
+        return
+    yield from rec(phi0, mapped0, todo)
 
 
 def brute_isomorphic(a, b):

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predimlab import (
     BuildConfig,
@@ -18,9 +22,22 @@ from predimlab import (
     polygon_signature,
     self_sufficient,
 )
-from predimlab.builder import C0, CF, KN, LE, LE_D, enumerate_tasks
+from predimlab.builder import (
+    C0,
+    CF,
+    KN,
+    LE,
+    LE_D,
+    ExtensionTask,
+    _amalgamate,
+    _check_chain,
+    _embeddings,
+    enumerate_tasks,
+)
+from predimlab.errors import InternalError
+from predimlab.structures import LINE, POINT
 
-from conftest import brute_self_sufficient
+from conftest import CHAIN_SIGNATURES, brute_embeddings, brute_self_sufficient, extension_chains
 
 
 SIG = graph_signature(2, 1)
@@ -157,3 +174,80 @@ def test_find_sese_embeddings():
     resf = build_generic(BuildConfig(SIG, CF, max_pattern=2, budget=8, seed=0, control=f))
     embs_d = find_sese_embeddings(resf.structure, single, LE_D)
     assert len(embs_d) == len(resf.structure.vertices)
+
+
+@st.composite
+def embedding_cases(draw):
+    """(S, pattern, partial, newest_first) over graphs, hypergraphs, a
+    zero-weight relation and bipartite parts; S has spread-out vertex ids and
+    the partial seed is often a piece of a real embedding."""
+    sig = draw(st.sampled_from(CHAIN_SIGNATURES + (polygon_signature(3),)))
+
+    def structure(max_n, stride=1):
+        ids = range(1, stride * draw(st.integers(min_value=0, max_value=max_n)) + 1, stride)
+        parts = None
+        if sig.mode == "bipartite":
+            parts = {v: draw(st.sampled_from([POINT, LINE])) for v in ids}
+        inst = {}
+        for rel in sig.relations:
+            pool = [t for t in itertools.combinations(ids, rel.arity)
+                    if parts is None or parts[t[0]] != parts[t[1]]]
+            inst[rel.name] = draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
+        return FiniteStructure(sig, ids, inst, parts)
+
+    S = structure(8, stride=draw(st.integers(min_value=1, max_value=3)))
+    pattern = structure(4)
+    found = list(itertools.islice(brute_embeddings(S, pattern, {}), 20))
+    if found and draw(st.booleans()):
+        phi = draw(st.sampled_from(found))
+    else:
+        keys = draw(st.permutations(pattern.vertices))
+        phi = dict(zip(keys, draw(st.permutations(S.vertices))))
+    keep = draw(st.lists(st.sampled_from(sorted(phi)), unique=True)) if phi else []
+    return S, pattern, {v: phi[v] for v in keep}, draw(st.booleans())
+
+
+@given(embedding_cases())
+@settings(max_examples=150, deadline=None)
+def test_embedding_search_matches_the_set_based_oracle(case):
+    S, pattern, partial, newest_first = case
+    got = [list(phi.items()) for phi in _embeddings(S, pattern, partial, newest_first)]
+    want = [list(phi.items()) for phi in brute_embeddings(S, pattern, partial, newest_first)]
+    assert got == want
+
+
+@given(extension_chains(max_steps=2, max_new=4))
+@settings(max_examples=100, deadline=None)
+def test_chain_check_matches_the_exact_engine(chain):
+    prev, out = chain[-2:]
+    for strict, holds in ((False, self_sufficient(out, prev.vertices)[0]),
+                          (True, is_d_closed(out, prev.vertices))):
+        try:
+            _check_chain(len(prev.vertices), out, strict)
+        except InternalError:
+            assert not holds
+        else:
+            assert holds
+
+
+@pytest.mark.parametrize("tag,edges,base,phi", [
+    # C0: the new vertex hangs on two base vertices (delta 0 over the path)
+    (C0, [(0, 1), (1, 2)], {0, 2}, {0: 0, 2: 2}),
+    # CF: the new vertex hangs on one base vertex (delta 1 over the path)
+    (CF, [(0, 1)], {0}, {0: 0}),
+])
+def test_amalgam_with_an_injected_instance_breaks_the_chain(monkeypatch, tag, edges, base, phi):
+    S = graph([(0, 1), (1, 2), (2, 3)])
+    task = ExtensionTask(graph(edges), frozenset(base), tag)
+    out, _ = _amalgamate(S, task, phi)  # the clean step keeps the chain
+    assert out.vertices == (0, 1, 2, 3, 4)
+    real = FiniteStructure.with_added
+
+    def with_extra_edge(self, new_vertices, new_instances, new_parts=None):
+        inst = {name: [*tups, (3, 4)] for name, tups in new_instances.items()}
+        return real(self, new_vertices, inst, new_parts)
+
+    # one more edge at the new vertex: delta over the path drops by one
+    monkeypatch.setattr(FiniteStructure, "with_added", with_extra_edge)
+    with pytest.raises(InternalError, match="chain property broken"):
+        _amalgamate(S, task, phi)

@@ -24,6 +24,7 @@ from predimlab.closures import (
     _solve,
     _solver_for,
     d_closed_subset_masks,
+    hand_over_solver,
 )
 from predimlab.builder import enumerate_class, C0
 from predimlab.structures import FiniteStructure, Relation, Signature, graph_signature
@@ -33,6 +34,7 @@ from conftest import (
     brute_delta,
     brute_min_superset,
     brute_self_sufficient,
+    extension_chains,
     small_graphs,
     small_hypergraphs,
 )
@@ -265,6 +267,45 @@ def test_flow_queries_leave_the_base_residual_alone():
                 assert got[1] == S.ids_of(want[1])
         assert solver.solve(xmask) == want
     assert (solver.base_caps, solver._base_flow, solver._live_src) == base
+
+
+@given(extension_chains(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_grown_network_matches_a_fresh_one(chain, rng):
+    solver = StructureFlowSolver(chain[0])
+    for S in chain[1:]:
+        # a query before growing leaves a sink tree behind that must not survive
+        solver.solve(rng.getrandbits(solver.n_items) if solver.n_items else 0)
+        assert solver.grow(S)
+        fresh = StructureFlowSolver(S)
+        assert solver._base_flow == fresh._base_flow
+        assert solver.total_w == fresh.total_w
+        for _ in range(8):
+            xmask = rng.getrandbits(len(S.vertices)) if S.vertices else 0
+            assert solver.solve(xmask) == fresh.solve(xmask)
+            assert solver.solve_value(xmask) == fresh.solve_value(xmask)
+
+
+def test_networks_are_handed_over_along_a_chain():
+    S = path_graph(20)
+    out = S.with_added([21, 22], {"R": [(20, 21), (21, 22)]})
+    solver = _solver_for(S)
+    hand_over_solver(S, out)
+    assert S not in closures._solvers
+    assert _solver_for(out) is solver
+    assert solver.solve(out.mask_of([0])) == StructureFlowSolver(out).solve(out.mask_of([0]))
+    # no growth into a structure that shifts the old positions or drops an instance
+    shifted = out.with_added([-1], {"R": [(-1, 0)]})
+    dropped = FiniteStructure(out.signature, out.vertices, {"R": out.instances["R"][1:]})
+    assert not solver.grow(shifted) and not solver.grow(dropped)
+    hand_over_solver(out, shifted)
+    assert out not in closures._solvers and shifted not in closures._solvers
+
+
+def test_network_cache_is_bounded():
+    for n in range(3, 3 + closures._SOLVERS_MAX + 5):
+        _solver_for(path_graph(n))
+    assert len(closures._solvers) == closures._SOLVERS_MAX
 
 
 def test_auto_engine_reads_the_cutoff_once_per_call(monkeypatch):
