@@ -12,6 +12,12 @@ structure's bitmask index.  The chain check reads only the subsets of the
 new vertices.  The flow network of a structure is handed to the next one and
 grows.  Verdicts on images are memoized for the whole chain.
 
+The search for a realizing copy of an extension places the pattern
+anchored-first and cuts at prefixes: whenever the placed part of the pattern
+is strong in the extension, its image must be strong in the structure, or no
+completion of it can be (strong is transitive).  The cut is exact, so only
+the number of flow queries changes, never a verdict.
+
 Outputs are finite approximants: no claim is made about any infinite limit.
 Identical configs replay to byte-identical logs and structures.
 """
@@ -23,7 +29,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .classes import ControlFunction, in_C0, in_Cf, in_Kn
 from .closures import hand_over_solver, is_d_closed, self_sufficient
@@ -156,6 +162,26 @@ class ExtensionTask:
     def base_pattern(self) -> FiniteStructure:
         return self.ext.induced(self.base_ids)
 
+    @cached_property
+    def search_plan(self) -> tuple[tuple[int, bool], ...]:
+        """The anchored-first placement order of the positions outside the
+        base, each paired with whether the prefix it completes (the base and
+        every position up to it) is strong in ``ext``.
+
+        The next position is the lowest unplaced one with a placed
+        co-instance neighbour, or the lowest unplaced one if there is none.
+        The whole pattern is strong in itself, so the last flag is True.
+        """
+        co = self.ext.bit_index().co
+        placed = self.ext.mask_of(self.base_ids)
+        plan = []
+        while placed != self.ext.full_mask():
+            free = list(_bits(self.ext.full_mask() & ~placed))
+            i = next((j for j in free if co[j] & placed), free[0])
+            placed |= 1 << i
+            plan.append((i, _is_strong(self.ext, self.ext.ids_of(placed), self.tag)))
+        return tuple(plan)
+
 
 def enumerate_tasks(
     patterns: list[FiniteStructure],
@@ -177,11 +203,7 @@ def enumerate_tasks(
         for bsize in range(0, len(verts)):
             for combo in itertools.combinations(verts, bsize):
                 base = frozenset(combo)
-                if tag == CF:
-                    good = is_d_closed(ext, base)
-                else:
-                    good = self_sufficient(ext, base)[0]
-                if not good:
+                if not _is_strong(ext, base, tag):
                     continue
                 colors = {v: 1 for v in base}
                 key = canonical_form(ext, cap=len(verts), colors=colors)
@@ -203,12 +225,17 @@ def _embeddings(
     pattern: FiniteStructure,
     partial: dict[int, int],
     newest_first: bool = False,
+    order: Optional[Sequence[tuple[int, bool]]] = None,
+    keep: Optional[Callable[[int], bool]] = None,
 ) -> Iterator[dict[int, int]]:
     """Induced embeddings of pattern into S extending ``partial``.
 
-    Deterministic placement order: unplaced pattern vertices ascending, each
-    ranging over ascending candidates (newest-first flips the candidate
-    order, which finds fresh amalgam copies quickly).  The search runs on
+    Deterministic placement order: ``order`` lists the unplaced pattern
+    positions, by default ascending, each ranging over ascending candidates
+    (newest-first flips the candidate order, which finds fresh amalgam
+    copies quickly).  After a placement whose ``order`` flag is set, the
+    image so far, as a mask of S positions, goes to ``keep``; a False drops
+    every embedding through it.  The search runs on
     vertex positions and the two structures' bitmask indexes: the candidates
     of an anchored vertex are the AND of the co-instance masks of its placed
     neighbours' images, the others range over all of S, and the image is
@@ -241,22 +268,25 @@ def _embeddings(
         return
     if pparts and any(pparts[i] != S.parts[sverts[phi[i]]] for i in _bits(placed)):
         return
-    # per placement: the vertex, its placed neighbours, the instances it completes
+    if order is None:
+        order = [(i, False) for i in range(len(pverts)) if not placed >> i & 1]
+    # per placement: the vertex, its placed neighbours, the instances it
+    # completes, and whether the image so far goes to ``keep``
     steps = []
-    for i in range(len(pverts)):
-        if not placed >> i & 1:
-            steps.append((i, px.co[i] & placed,
-                          [(name, m) for name, m in px.through[i] if m & ~placed & ~(1 << i) == 0]))
-            placed |= 1 << i
+    for i, check in order:
+        steps.append((i, px.co[i] & placed,
+                      [(name, m) for name, m in px.through[i] if m & ~placed & ~(1 << i) == 0],
+                      check))
+        placed |= 1 << i
 
     def rec(k: int, img: int) -> Iterator[dict[int, int]]:
         if k == len(steps):
             out = dict(partial)
-            for i, _, _ in steps:
+            for i, _, _, _ in steps:
                 out[pverts[i]] = sverts[phi[i]]
             yield out
             return
-        i, anchors, fresh = steps[k]
+        i, anchors, fresh, check = steps[k]
         pool = S.full_mask()
         for j in _bits(anchors):
             pool &= sx.co[phi[j]]
@@ -270,7 +300,7 @@ def _embeddings(
             img_w = img | 1 << w
             if consistent(fresh) and len(fresh) == sum(
                 1 for _, m in sx.through[w] if m & ~img_w == 0
-            ):
+            ) and (not check or keep(img_w)):
                 yield from rec(k + 1, img_w)
         phi[i] = -1
 
@@ -367,12 +397,15 @@ def _strong(
     """
     got = memo.get(image)
     if got is None:
-        if tag == CF:
-            got = is_d_closed(S, image)
-        else:
-            got = self_sufficient(S, image, want_witness=False)[0]
-        memo[image] = got
+        got = memo[image] = _is_strong(S, image, tag)
     return got
+
+
+def _is_strong(S: FiniteStructure, ids: Iterable[int], tag: str) -> bool:
+    """d-closed in S for the control-function class, self-sufficient otherwise."""
+    if tag == CF:
+        return is_d_closed(S, ids)
+    return self_sufficient(S, ids, want_witness=False)[0]
 
 
 def _good_base(
@@ -387,11 +420,23 @@ def _good_base(
 def _realized(
     S: FiniteStructure, task: ExtensionTask, base_phi: dict[int, int], memo: dict
 ) -> bool:
-    # newest-first: fresh amalgam copies are the likeliest witnesses
-    for phi in _embeddings(S, task.ext, base_phi, newest_first=True):
-        if _strong(S, frozenset(phi.values()), task.tag, memo):
-            return True
-    return False
+    """Is the embedded base covered by a copy of the extension strong in S?
+
+    The search follows ``task.search_plan`` and checks the image so far with
+    :func:`_strong` after every placement that completes a prefix P strong in
+    the extension; a False drops every completion.  That is exact: if an
+    embedding phi had an image A' strong in S, then phi(P) <= A' because phi
+    is an isomorphism onto the induced A' and P <= ext, and phi(P) <= S by
+    transitivity of <=.  The same holds for <=_d, which is transitive too:
+    for C inside A' <=_d S, the d-closure of C in S lies inside A', where
+    dimensions agree with those in S, so it is the d-closure of C in A'.
+    The last prefix is the whole
+    pattern, so every embedding found has a strong image.  Candidates run
+    newest-first: fresh amalgam copies are the likeliest witnesses.
+    """
+    hits = _embeddings(S, task.ext, base_phi, True, task.search_plan,
+                       lambda img: _strong(S, S.ids_of(img), task.tag, memo))
+    return next(hits, None) is not None
 
 
 def _base_embeddings(

@@ -320,7 +320,7 @@ class FiniteStructure:
             name: [t for t in tups if all(v in keep for v in t)]
             for name, tups in self.instances.items()
         }
-        parts = {v: self.parts[v] for v in keep} if self.parts else None
+        parts = {v: self.parts[v] for v in keep} if self.parts is not None else None
         return FiniteStructure(self.signature, keep, inst, parts)
 
     def relabel(self, mapping: Mapping[int, int]) -> "FiniteStructure":
@@ -331,7 +331,9 @@ class FiniteStructure:
             for name, tups in self.instances.items()
         }
         parts = (
-            {mapping[v]: lab for v, lab in self.parts.items()} if self.parts else None
+            {mapping[v]: lab for v, lab in self.parts.items()}
+            if self.parts is not None
+            else None
         )
         return FiniteStructure(self.signature, mapping.values(), inst, parts)
 
@@ -345,7 +347,7 @@ class FiniteStructure:
         inst = {name: list(tups) for name, tups in self.instances.items()}
         for name, tups in new_instances.items():
             inst.setdefault(name, []).extend(tups)
-        parts = dict(self.parts) if self.parts else None
+        parts = dict(self.parts) if self.parts is not None else None
         if new_parts:
             parts = dict(parts or {})
             parts.update(new_parts)

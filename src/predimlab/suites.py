@@ -111,21 +111,28 @@ def run_suite(name: str, seed: int = 0, negative_control: bool = False, **option
 
 
 def _beatty_window_checks(seq, ell: int, b: int) -> str | None:
-    """Periodicity, full-window sums and the density bound; None when clean."""
-    vals = {i: seq.value(i) for i in range(-b, 4 * b + 1)}
-    for i in range(-b, 3 * b):
-        if vals[i] != seq.value(i + b):
-            return f"period broken at i={i}"
-    pref = {-b: 0}
-    for i in range(-b + 1, 4 * b + 1):
-        pref[i] = pref[i - 1] + vals[i]
-    for i in range(-b, b + 1):
-        if pref[i + b] - pref[i] != ell:
-            return f"window sum at i={i} is {pref[i + b] - pref[i]}"
-        for s in range(1, 3 * b + 1):
-            if (pref[i + s] - pref[i] - 1) * b > s * ell:
-                return f"density bound broken at i={i}, s={s}"
-    return None
+    """Periodicity, full-window sums and the density bound; None when clean.
+
+    Each check is one array pass over the entries i = -b .. 4b (stored at
+    i + b).  The witness is the first in loop order: the period, then per
+    start i the window sum before the density bound at s = 1 .. 3b.
+    """
+    vals = np.array([seq.value(i) for i in range(-b, 4 * b + 1)], dtype=np.int64)
+    broken = np.flatnonzero(vals[: 4 * b] != vals[b : 5 * b])
+    if broken.size:
+        return f"period broken at i={int(broken[0]) - b}"
+    pref = np.concatenate(([0], np.cumsum(vals[1:])))  # pref[j]: entries -b+1 .. j-b
+    starts = np.arange(2 * b + 1)
+    lengths = np.arange(1, 3 * b + 1)
+    window = pref[starts + b] - pref[starts]
+    dense = (pref[starts[:, None] + lengths] - pref[starts, None] - 1) * b > lengths * ell
+    broken = np.flatnonzero((window != ell) | dense.any(axis=1))
+    if not broken.size:
+        return None
+    j = int(broken[0])
+    if window[j] != ell:
+        return f"window sum at i={j - b} is {int(window[j])}"
+    return f"density bound broken at i={j - b}, s={int(dense[j].argmax()) + 1}"
 
 
 def beatty_suite(b_max: int = 40, seed: int = 0, negative_control: bool = False) -> VerificationReport:

@@ -5,7 +5,15 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from predimlab import FiniteStructure, graph_signature, hypergraph_signature, in_C0
+from predimlab import (
+    FiniteStructure,
+    graph_signature,
+    hypergraph_signature,
+    in_C0,
+    is_d_closed,
+    self_sufficient,
+)
+from predimlab.builder import CF, _embeddings
 from predimlab.structures import Relation, Signature
 from predimlab.classes import MembershipResult
 from predimlab.reports import FAIL, PARTIAL, PASS
@@ -285,6 +293,20 @@ def brute_embeddings(S, pattern, partial, newest_first=False):
     yield from rec(phi0, mapped0, todo)
 
 
+def brute_realized(S, task, base_phi):
+    """Oracle for ``builder._realized``: the search without the prefix cut.
+
+    Every induced copy of the extension over the embedded base, in ascending
+    placement order, until one has an image that the exact engine finds
+    d-closed in S (control-function class) or self-sufficient (otherwise).
+    """
+    for phi in _embeddings(S, task.ext, base_phi, newest_first=True):
+        image = frozenset(phi.values())
+        if is_d_closed(S, image) if task.tag == CF else self_sufficient(S, image)[0]:
+            return True
+    return False
+
+
 def brute_isomorphic(a, b):
     """Independent isomorphism oracle by raw permutation search."""
     if len(a.vertices) != len(b.vertices) or a.signature != b.signature:
@@ -431,3 +453,21 @@ def brute_proper_parts(S, xmask, free):
     intermediate = next((xmask | w for w in frees if w != free
                          and brute_delta(S, S.ids_of(xmask | w)) < base_x), None)
     return proper, intermediate
+
+
+def brute_beatty_window_checks(seq, ell, b):
+    """Oracle for ``suites._beatty_window_checks``: the loop form it replaced."""
+    vals = {i: seq.value(i) for i in range(-b, 4 * b + 1)}
+    for i in range(-b, 3 * b):
+        if vals[i] != seq.value(i + b):
+            return f"period broken at i={i}"
+    pref = {-b: 0}
+    for i in range(-b + 1, 4 * b + 1):
+        pref[i] = pref[i - 1] + vals[i]
+    for i in range(-b, b + 1):
+        if pref[i + b] - pref[i] != ell:
+            return f"window sum at i={i} is {pref[i + b] - pref[i]}"
+        for s in range(1, 3 * b + 1):
+            if (pref[i + s] - pref[i] - 1) * b > s * ell:
+                return f"density bound broken at i={i}, s={s}"
+    return None

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -15,6 +16,7 @@ from predimlab import (
     find_sese_embeddings,
     graph,
     graph_signature,
+    hypergraph_signature,
     in_C0,
     in_Cf,
     in_Kn,
@@ -22,6 +24,7 @@ from predimlab import (
     polygon_signature,
     self_sufficient,
 )
+from predimlab import builder
 from predimlab.builder import (
     C0,
     CF,
@@ -32,12 +35,19 @@ from predimlab.builder import (
     _amalgamate,
     _check_chain,
     _embeddings,
+    _realized,
     enumerate_tasks,
 )
 from predimlab.errors import InternalError
 from predimlab.structures import LINE, POINT
 
-from conftest import CHAIN_SIGNATURES, brute_embeddings, brute_self_sufficient, extension_chains
+from conftest import (
+    CHAIN_SIGNATURES,
+    brute_embeddings,
+    brute_realized,
+    brute_self_sufficient,
+    extension_chains,
+)
 
 
 SIG = graph_signature(2, 1)
@@ -251,3 +261,83 @@ def test_amalgam_with_an_injected_instance_breaks_the_chain(monkeypatch, tag, ed
     monkeypatch.setattr(FiniteStructure, "with_added", with_extra_edge)
     with pytest.raises(InternalError, match="chain property broken"):
         _amalgamate(S, task, phi)
+
+
+REALIZED_SETUPS = (
+    (graph_signature(2, 1), C0),
+    (graph_signature(2, 1), CF),
+    (hypergraph_signature(1, 1, 3), C0),
+    (hypergraph_signature(1, 1, 3), CF),
+    (polygon_signature(3), KN),
+)
+
+
+@functools.cache
+def _oracle_tasks(sig, tag):
+    """Tasks over the C0 patterns up to 4 vertices.  For the cf and kn tags
+    some patterns lie outside the class; the cut's soundness does not need
+    them inside, and they bring prefixes that are not strong."""
+    return enumerate_tasks(enumerate_class(sig, C0, 4), tag)[0]
+
+
+@st.composite
+def realized_cases(draw):
+    """(S, tasks): the structure of a short build chain, with a few extra
+    instances among its vertices that break some copies, and drawn tasks."""
+    sig, tag = draw(st.sampled_from(REALIZED_SETUPS))
+    config = BuildConfig(
+        sig, tag, max_pattern=draw(st.integers(min_value=2, max_value=3)),
+        budget=draw(st.integers(min_value=1, max_value=8)),
+        control=ControlFunction.harmonic(sig.vertex_weight) if tag == CF else None,
+        ngon=3 if tag == KN else None,
+    )
+    S = build_generic(config).structure
+    pool = [(rel.name, t) for rel in sig.relations
+            for t in itertools.combinations(S.vertices, rel.arity)
+            if t not in S.instances[rel.name] and (S.parts is None or S.parts[t[0]] != S.parts[t[1]])]
+    extra = {}
+    if pool:
+        for name, t in draw(st.lists(st.sampled_from(pool), unique=True, max_size=3)):
+            extra.setdefault(name, []).append(t)
+    tasks = _oracle_tasks(sig, tag)
+    picked = draw(st.lists(st.sampled_from(range(len(tasks))), min_size=1, max_size=4, unique=True))
+    return S.with_added([], extra), [tasks[i] for i in picked]
+
+
+@given(realized_cases())
+@settings(max_examples=80, deadline=None)
+def test_prefix_cut_keeps_the_verdict_of_the_uncut_search(case):
+    S, tasks = case
+    memo = {}  # one chain memo across tasks and bases, as in a build
+    for task in tasks:
+        # every embedded base, strong in S or not: the cut never relies on it
+        for phi in itertools.islice(_embeddings(S, task.base_pattern, {}), 6):
+            assert _realized(S, task, phi, memo) == brute_realized(S, task, phi)
+
+
+def test_prefix_cut_decides_an_impossible_task_with_few_checks(monkeypatch):
+    # K4 on 0..3, a pendant vertex 4 at 0, ten isolated vertices
+    S = graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4)], vertices=range(15))
+    # a triangle at the base plus an isolated vertex, over the base 1: K4
+    # (delta 2) lies over every edge at 1, so no image is self-sufficient.
+    # The edge {0, 1} is self-sufficient in the pattern but not d-closed, so
+    # the C0 cut fires at depth one, where a d-closed test would wait for
+    # the triangle.
+    task = ExtensionTask(graph([(0, 1), (0, 2), (1, 2)], vertices=[0, 1, 2, 3]),
+                         frozenset({0}), C0)
+    assert task.search_plan == ((1, True), (2, True), (3, True))
+    phi = {0: 1}
+    uncut = sum(1 for _ in _embeddings(S, task.ext, phi))  # one check per image
+    checked = []
+    real = builder._strong
+
+    def counting(S, image, tag, memo):
+        checked.append(image)
+        return real(S, image, tag, memo)
+
+    monkeypatch.setattr(builder, "_strong", counting)
+    assert not _realized(S, task, phi, {})
+    assert not brute_realized(S, task, phi)
+    # the cut asks once per image of the edge {0, 1}, never for a whole image
+    assert uncut == 62
+    assert sorted(map(sorted, checked)) == [[0, 1], [1, 2], [1, 3]]

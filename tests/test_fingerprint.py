@@ -4,7 +4,8 @@ stay byte-identical.
 The expected digests live in ``perfbench/fingerprint.json``, which the
 benchmark also checks; this test only reads that file.  Every suite runs at
 the options the benchmark fingerprints it with, and every build is a
-``predimlab build`` call with the benchmark's arguments.
+``predimlab build`` call with the benchmark's arguments, followed by a
+``predimlab audit`` call with the benchmark's audit arguments and exit code.
 """
 
 import contextlib
@@ -14,8 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from predimlab import run_suite
+from predimlab import audit_extension_property, builder, enumerate_class, load_structure, run_suite
+from predimlab.builder import enumerate_tasks
 from predimlab.cli import main
+
+from conftest import brute_realized
 
 FINGERPRINT = Path(__file__).resolve().parents[1] / "perfbench" / "fingerprint.json"
 
@@ -44,19 +48,62 @@ def test_seed0_report_digest(fingerprint, name, options):
     assert run_suite(name, seed=0, **options).digest() == fingerprint[name]
 
 
-BUILDS = [
-    ("c0-mp3-b200", ["--class", "c0", "--max-pattern", "3", "--budget", "200"]),
-    ("cf-harmonic-b50", ["--class", "cf", "--f", "harmonic", "--max-pattern", "3",
-                         "--budget", "50"]),
-    ("c0-mp4-b40", ["--class", "c0", "--max-pattern", "4", "--budget", "40"]),
-]
+# name: (build arguments, audit arguments, audit exit code)
+BUILDS = {
+    "c0-mp3-b200": (["--class", "c0", "--max-pattern", "3", "--budget", "200"],
+                    ["--class", "c0", "--max-pattern", "3", "--max-base", "1"], 0),
+    "cf-harmonic-b50": (["--class", "cf", "--f", "harmonic", "--max-pattern", "3",
+                         "--budget", "50"],
+                        ["--class", "cf", "--f", "harmonic", "--max-pattern", "3",
+                         "--max-base", "1"], 0),
+    "c0-mp4-b40": (["--class", "c0", "--max-pattern", "4", "--budget", "40"],
+                   ["--class", "c0", "--max-pattern", "4", "--max-base", "1"], 1),
+}
 
 
-@pytest.mark.parametrize("name,args", BUILDS, ids=[b[0] for b in BUILDS])
-def test_seed0_build_log_digest(tmp_path, name, args):
+@pytest.fixture(scope="module")
+def seed0_build(tmp_path_factory):
+    """Runs each seed-0 build once: name -> (exit code, log file, structure file)."""
+    done = {}
+
+    def build(name):
+        if name not in done:
+            work = tmp_path_factory.mktemp(name)
+            out, log = work / "out.pdl", work / "log.json"
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = main(["build", *BUILDS[name][0], "--seed", "0", "--out", str(out),
+                           "--log-out", str(log)])
+            done[name] = rc, log, out
+        return done[name]
+
+    return build
+
+
+@pytest.mark.parametrize("name", BUILDS)
+def test_seed0_build_log_digest(seed0_build, name):
     want = json.loads(FINGERPRINT.read_text())["build-audit"][name]
-    out, log = tmp_path / "out.pdl", tmp_path / "log.json"
-    with contextlib.redirect_stdout(io.StringIO()):
-        rc = main(["build", *args, "--seed", "0", "--out", str(out), "--log-out", str(log)])
+    rc, log, _ = seed0_build(name)
     assert rc == 0
     assert json.loads(log.read_text())["digest"] == want
+
+
+@pytest.mark.parametrize("name", BUILDS)
+def test_seed0_audit_exit_code(seed0_build, name):
+    _, _, out = seed0_build(name)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["audit", str(out), *BUILDS[name][1]])
+    assert rc == BUILDS[name][2]
+
+
+def test_seed0_audit_matches_the_uncut_search(seed0_build, monkeypatch):
+    """The audit of the max-pattern-4 approximant (the one that fails) gives
+    the same entries when every extension search runs without the prefix cut."""
+    _, _, out = seed0_build("c0-mp4-b40")
+    S, _ = load_structure(out.read_text())
+    tasks = [t for t in enumerate_tasks(enumerate_class(S.signature, "c0", 4), "c0")[0]
+             if len(t.base_ids) <= 1]
+    got = audit_extension_property(S, tasks).entries
+    assert any(e.realized < e.embeddings_checked for e in got)
+    monkeypatch.setattr(builder, "_realized",
+                        lambda S, task, base_phi, memo: brute_realized(S, task, base_phi))
+    assert audit_extension_property(S, tasks).entries == got

@@ -34,8 +34,15 @@ from predimlab.gadgets import (
     sample_closed_connected_subsets,
 )
 from predimlab.reports import subset_witness
+from predimlab.suites import _beatty_window_checks
 
-from conftest import brute_proper_parts, small_graphs, small_hypergraphs, subsets_of
+from conftest import (
+    brute_beatty_window_checks,
+    brute_proper_parts,
+    small_graphs,
+    small_hypergraphs,
+    subsets_of,
+)
 
 
 def test_beatty_examples():
@@ -54,6 +61,35 @@ def test_beatty_window_sums():
             assert seq.window_sum(start, b) == ell
             for s in range(1, 3 * b + 1):
                 assert (seq.window_sum(start, s) - 1) * b <= s * ell
+
+
+class _OneFlip:
+    """A Beatty sequence with the entry at index ``at`` flipped (not periodic)."""
+
+    def __init__(self, seq, at):
+        self.seq, self.at = seq, at
+
+    def value(self, i):
+        return self.seq.value(i) ^ (i == self.at)
+
+
+def test_beatty_window_checks_match_the_loop_form():
+    for b in range(2, 41):
+        for ell in range(1, b):
+            seq = beatty(ell, b)
+            assert _beatty_window_checks(seq, ell, b) is None
+            assert brute_beatty_window_checks(seq, ell, b) is None
+            flipped = list(seq.period)
+            flipped[(7 * ell) % b] ^= 1
+            # a flip breaks the windows or the period
+            for bad in (type(seq)(ell, b, tuple(flipped)), _OneFlip(seq, (5 * ell) % (5 * b) - b)):
+                got = _beatty_window_checks(bad, ell, b)
+                assert got is not None
+                assert got == brute_beatty_window_checks(bad, ell, b)
+            # packing the ones together keeps the windows and mostly breaks
+            # the density bound
+            packed = type(seq)(ell, b, tuple(sorted(seq.period)))
+            assert _beatty_window_checks(packed, ell, b) == brute_beatty_window_checks(packed, ell, b)
 
 
 def test_gadget_params_examples():

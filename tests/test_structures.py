@@ -21,11 +21,12 @@ from predimlab import (
     graph_signature,
     load_structure,
     path_graph,
+    polygon_signature,
     self_sufficient,
 )
 from predimlab import suites
 from predimlab.closures import delta_table
-from predimlab.structures import bipartite_graph, cycle_graph
+from predimlab.structures import LINE, POINT, bipartite_graph, cycle_graph
 
 from conftest import (
     brute_delta,
@@ -234,6 +235,15 @@ def test_loader_rejects_same_part_edge():
     )
     with pytest.raises(InputError):
         load_structure(text)
+
+
+def test_derived_structures_of_an_empty_bipartite_structure():
+    empty = FiniteStructure(polygon_signature(3), [], {}, {})
+    assert empty.induced([]) == empty
+    assert empty.relabel({}) == empty
+    assert empty.with_added([], {}) == empty
+    grown = empty.with_added([0, 1], {"adj": [(0, 1)]}, {0: POINT, 1: LINE})
+    assert grown.parts == {0: POINT, 1: LINE} and grown.instances["adj"] == ((0, 1),)
 
 
 def test_free_amalgam():
