@@ -29,7 +29,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 from .classes import ControlFunction, in_C0, in_Cf, in_Kn
 from .closures import hand_over_solver, is_d_closed, self_sufficient
@@ -42,6 +42,7 @@ from .structures import (
     FiniteStructure,
     Signature,
     _bits,
+    _embeddings,
     canonical_form,
     dump_structure,
 )
@@ -96,25 +97,34 @@ def enumerate_class(
         raise InputError("cf enumeration needs a control function")
     if tag == KN and ngon is None:
         raise InputError("kn enumeration needs an ngon")
-    bipartite = signature.mode == BIPARTITE
-    empty = FiniteStructure(signature, [], {}, {} if bipartite else None)
-    levels: list[list[FiniteStructure]] = [[empty]]
-    out = [empty]
+    return _isomorph_free_types(
+        signature, max_size, lambda S: _in_class(S, tag, control, ngon)[0], canon_cap
+    )
+
+
+def _isomorph_free_types(
+    signature: Signature,
+    max_size: int,
+    keep: Callable[[FiniteStructure], bool],
+    canon_cap: int,
+) -> list[FiniteStructure]:
+    """One structure per isomorphism type, up to ``max_size`` vertices, by
+    size and then canonical form.
+
+    Each level grows every type of the one below by a vertex in every way
+    and keeps the candidates that pass ``keep``.  That reaches every type
+    when ``keep`` is hereditary.
+    """
+    empty = FiniteStructure(signature, [], {}, {} if signature.mode == BIPARTITE else None)
+    level, out = [empty], [empty]
     for size in range(1, max_size + 1):
         seen: dict[tuple, FiniteStructure] = {}
-        new_v = size - 1
-        for base in levels[size - 1]:
-            for cand in _augmentations(base, new_v):
-                ok, _ = _in_class(cand, tag, control, ngon)
-                if not ok:
-                    continue
-                key = canonical_form(cand, cap=canon_cap)
-                if key not in seen:
-                    seen[key] = cand
+        for base in level:
+            for cand in _augmentations(base, size - 1):
+                if keep(cand):
+                    seen.setdefault(canonical_form(cand, cap=canon_cap), cand)
         level = [seen[k] for k in sorted(seen)]
-        levels.append(level)
         out.extend(level)
-    out.sort(key=lambda s: (len(s.vertices), canonical_form(s, cap=canon_cap)))
     return out
 
 
@@ -215,96 +225,6 @@ def enumerate_tasks(
     ordered = sorted(tasks.values(), key=lambda t: (len(t.base_ids), len(t.ext.vertices), t.key))
     skipped_l = sorted(skipped.values(), key=lambda t: (len(t.base_ids), len(t.ext.vertices), t.key))
     return ordered, skipped_l
-
-
-# -- embedding search ------------------------------------------------------------
-
-
-def _embeddings(
-    S: FiniteStructure,
-    pattern: FiniteStructure,
-    partial: dict[int, int],
-    newest_first: bool = False,
-    order: Optional[Sequence[tuple[int, bool]]] = None,
-    keep: Optional[Callable[[int], bool]] = None,
-) -> Iterator[dict[int, int]]:
-    """Induced embeddings of pattern into S extending ``partial``.
-
-    Deterministic placement order: ``order`` lists the unplaced pattern
-    positions, by default ascending, each ranging over ascending candidates
-    (newest-first flips the candidate order, which finds fresh amalgam
-    copies quickly).  After a placement whose ``order`` flag is set, the
-    image so far, as a mask of S positions, goes to ``keep``; a False drops
-    every embedding through it.  The search runs on
-    vertex positions and the two structures' bitmask indexes: the candidates
-    of an anchored vertex are the AND of the co-instance masks of its placed
-    neighbours' images, the others range over all of S, and the image is
-    masked out of both.  Consistency is kept incrementally: every pattern
-    instance a placement completes must be an instance of S, and the S
-    instances through the new image vertex inside the image must be exactly
-    as many, so they are the images of those (the embedding is induced).
-    """
-    sx, px = S.bit_index(), pattern.bit_index()
-    pverts, sverts = pattern.vertices, S.vertices
-    pparts = [pattern.parts[v] for v in pverts] if pattern.parts else None
-    phi = [-1] * len(pverts)  # pattern position -> S position
-    for v, w in partial.items():
-        phi[pverts.index(v)] = S.mask_of((w,)).bit_length() - 1
-
-    def image_of(m: int) -> int:
-        out = 0
-        for i in _bits(m):
-            out |= 1 << phi[i]
-        return out
-
-    def consistent(fresh) -> bool:
-        return all((name, image_of(m)) in sx.pairs for name, m in fresh)
-
-    # validate the prefilled part
-    placed, img = pattern.mask_of(partial), S.mask_of(partial.values())
-    mapped = [(name, m) for name, m in px.pairs if m & ~placed == 0]
-    inside = {(name, m) for w in _bits(img) for name, m in sx.through[w] if m & ~img == 0}
-    if not consistent(mapped) or len(inside) != len(mapped):
-        return
-    if pparts and any(pparts[i] != S.parts[sverts[phi[i]]] for i in _bits(placed)):
-        return
-    if order is None:
-        order = [(i, False) for i in range(len(pverts)) if not placed >> i & 1]
-    # per placement: the vertex, its placed neighbours, the instances it
-    # completes, and whether the image so far goes to ``keep``
-    steps = []
-    for i, check in order:
-        steps.append((i, px.co[i] & placed,
-                      [(name, m) for name, m in px.through[i] if m & ~placed & ~(1 << i) == 0],
-                      check))
-        placed |= 1 << i
-
-    def rec(k: int, img: int) -> Iterator[dict[int, int]]:
-        if k == len(steps):
-            out = dict(partial)
-            for i, _, _, _ in steps:
-                out[pverts[i]] = sverts[phi[i]]
-            yield out
-            return
-        i, anchors, fresh, check = steps[k]
-        pool = S.full_mask()
-        for j in _bits(anchors):
-            pool &= sx.co[phi[j]]
-        pool &= ~img
-        while pool:
-            w = (pool if newest_first else pool & -pool).bit_length() - 1
-            pool ^= 1 << w
-            if pparts and pparts[i] != S.parts[sverts[w]]:
-                continue
-            phi[i] = w
-            img_w = img | 1 << w
-            if consistent(fresh) and len(fresh) == sum(
-                1 for _, m in sx.through[w] if m & ~img_w == 0
-            ) and (not check or keep(img_w)):
-                yield from rec(k + 1, img_w)
-        phi[i] = -1
-
-    yield from rec(0, img)
 
 
 def find_sese_embeddings(

@@ -259,71 +259,75 @@ def in_Cf(
 # -- girth and Kn -----------------------------------------------------------------
 
 
+def _binary_co(S: FiniteStructure) -> tuple[int, ...]:
+    """Adjacency masks by position; the signature must be binary."""
+    if any(rel.arity != 2 for rel in S.signature.relations):
+        raise InputError("cycles and girth need a signature with binary relations only")
+    return S.bit_index().co
+
+
 def girth(S: FiniteStructure) -> float:
-    """Length of a shortest cycle via BFS from every vertex; inf for forests."""
+    """Length of a shortest cycle via BFS from every vertex; inf for forests.
+
+    Every relation of the signature must be binary; all of them count as
+    edges.
+    """
     g, _ = girth_with_witness(S)
     return g
 
 
 def girth_with_witness(S: FiniteStructure) -> tuple[float, Optional[frozenset[int]]]:
-    adj = S.adjacency()
+    co = _binary_co(S)
+    n = len(S.vertices)
     best = math.inf
     witness = None
-    for root in S.vertices:
-        dist = {root: 0}
-        parent = {root: None}
+    for root in range(n):
+        dist = [-1] * n
+        parent = [-1] * n
+        dist[root] = 0
         queue = [root]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
+        for u in queue:
             if dist[u] * 2 >= best:
                 break
-            for w in adj[u]:
-                if w not in dist:
+            for w in _bits(co[u]):
+                if dist[w] < 0:
                     dist[w] = dist[u] + 1
                     parent[w] = u
                     queue.append(w)
-                elif parent.get(u) != w and parent.get(w) != u:
+                elif parent[u] != w and parent[w] != u:
                     length = dist[u] + dist[w] + 1
                     if length < best:
                         best = length
-                        path = set()
-                        for start in (u, w):
-                            x = start
-                            while x is not None:
-                                path.add(x)
+                        path = 0
+                        for x in (u, w):
+                            while x >= 0:
+                                path |= 1 << x
                                 x = parent[x]
-                        witness = frozenset(path)
+                        witness = S.ids_of(path)
     return best, witness
 
 
 def _simple_cycles_longer_than(
     S: FiniteStructure, length: int, budget: int
-) -> tuple[list[frozenset[int]], bool]:
-    """All simple cycles of length > ``length``; second value means complete."""
-    adj = S.adjacency()
-    cycles: list[frozenset[int]] = []
+) -> tuple[list[int], bool]:
+    """Masks of all simple cycles of length > ``length``; second value means complete."""
+    co = _binary_co(S)
+    cycles: list[int] = []
     steps = 0
-    verts = list(S.vertices)
-    order = {v: i for i, v in enumerate(verts)}
-    complete = True
-    for root in verts:
-        stack = [(root, [root], {root})]
+    for root in range(len(S.vertices)):
+        stack = [(root, [root], 1 << root)]
         while stack:
             u, path, onpath = stack.pop()
             steps += 1
             if steps > budget:
                 return cycles, False
-            for w in sorted(adj[u]):
-                if order[w] < order[root]:
-                    continue
+            for w in _bits(co[u] >> root << root):
                 if w == root and len(path) >= 3:
                     if len(path) > length and path[1] < path[-1]:
-                        cycles.append(frozenset(path))
-                elif w not in onpath:
-                    stack.append((w, path + [w], onpath | {w}))
-    return cycles, complete
+                        cycles.append(onpath)
+                elif not onpath >> w & 1:
+                    stack.append((w, path + [w], onpath | 1 << w))
+    return cycles, True
 
 
 def in_Kn(
@@ -331,7 +335,10 @@ def in_Kn(
     ngon: int,
     cycle_budget: int = 2_000_000,
 ) -> MembershipResult:
-    """Generalized-polygon class: girth and long-cycle predimension conditions."""
+    """Generalized-polygon class: girth and long-cycle predimension conditions.
+
+    The structure must be in bipartite mode, so its one relation is binary.
+    """
     if ngon < 3:
         raise InputError(f"ngon must be >= 3, got {ngon}")
     if S.signature.mode != BIPARTITE:
@@ -348,13 +355,13 @@ def in_Kn(
     long_cycles, complete = _simple_cycles_longer_than(S, 2 * ngon, cycle_budget)
     bound = 2 * ngon + 2
     for cyc in long_cycles:
-        val, minimal, _ = _solve(S, S.mask_of(cyc), need=_LEAST)
+        val, minimal, _ = _solve(S, cyc, need=_LEAST)
         if val < bound:
             return MembershipResult(
                 FAIL,
                 witness=S.ids_of(minimal),
                 margin=Fraction(val - bound),
-                detail=f"subset over a {len(cyc)}-cycle has delta {val} < {bound}",
+                detail=f"subset over a {cyc.bit_count()}-cycle has delta {val} < {bound}",
             )
     if not complete:
         return MembershipResult(PARTIAL,

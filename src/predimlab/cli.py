@@ -411,8 +411,13 @@ def _dispatch(args) -> int:
     if cmd == "verify":
         options = {}
         for item in args.option:
-            key, _, val = item.partition("=")
-            options[key.replace("-", "_")] = int(val)
+            key, eq, val = item.partition("=")
+            if not eq:
+                raise InputError(f"--option {item!r} is not key=value")
+            try:
+                options[key.replace("-", "_")] = int(val)
+            except ValueError:
+                raise InputError(f"--option {item!r}: {val!r} is not an integer") from None
         rep = run_suite(args.suite, seed=args.seed,
                         negative_control=args.negative_control, **options)
         return _report_exit(args, rep)

@@ -19,15 +19,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .closures import self_sufficient
+from .closures import delta_table, self_sufficient
 from .errors import CapacityError, ContractError, InputError
 from .reports import FAIL, PASS, VerificationReport, subset_witness
 from .structures import (
     FiniteStructure,
     canonical_form,
-    co_instance_neighbors,
     delta_rel,
     _bits,
+    _embeddings,
 )
 
 DEFAULT_EXT_CAP = 12
@@ -54,19 +54,19 @@ def is_simply_algebraic(
     return True
 
 
+def _touching(S: FiniteStructure, zmask: int, wmask: int) -> int:
+    """Positions of Z sharing a weighted instance inside Z union W with W."""
+    whole = zmask | wmask
+    out = 0
+    for m, _ in S.instance_masks():
+        if m & wmask and m & ~whole == 0:
+            out |= m
+    return out & zmask
+
+
 def _touching_base(S: FiniteStructure, Z: frozenset[int], new: frozenset[int]) -> frozenset[int]:
     """Base points sharing a weighted instance (inside Z union new) with new points."""
-    whole = Z | new
-    touched = set()
-    weights = {rel.name: rel.weight for rel in S.signature.relations}
-    for name, tups in S.instances.items():
-        if weights[name] == 0:
-            continue
-        for t in tups:
-            ts = set(t)
-            if ts <= whole and ts & new:
-                touched |= ts & Z
-    return frozenset(touched)
+    return S.ids_of(_touching(S, S.mask_of(Z), S.mask_of(new)))
 
 
 def is_msa(
@@ -136,36 +136,6 @@ class CopyCount:
     disjoint_over_base: bool
 
 
-def _instance_exact(
-    S: FiniteStructure, t: MsaType, phi: Mapping[int, int], A: frozenset[int]
-) -> bool:
-    """Image is induced-isomorphic to the pattern and free over A."""
-    img = frozenset(phi.values())
-    ext_img = frozenset(phi[v] for v in t.new_points)
-    mapped = set()
-    for name, tups in t.pattern.instances.items():
-        for tp in tups:
-            mapped.add((name, tuple(sorted(phi[v] for v in tp))))
-    scope = A | ext_img
-    for name, tups in S.instances.items():
-        for tp in tups:
-            ts = set(tp)
-            if not ts & ext_img:
-                continue
-            if not ts <= scope:
-                continue  # leaves A+copy, irrelevant to the extension pair
-            if (name, tp) not in mapped:
-                return False
-    for name, tp in mapped:
-        if tp not in S.instances[name]:
-            return False
-    base_img = img - ext_img
-    back = {phi[v]: v for v in t.base}
-    if S.induced(base_img).relabel(back) != t.pattern.induced(t.base):
-        return False
-    return True
-
-
 def count_msa_copies(
     S: FiniteStructure,
     A: Iterable[int],
@@ -177,72 +147,54 @@ def count_msa_copies(
     """Distinct sa extensions of A realizing the msa type, counted inside S.
 
     ``pin`` fixes where the base sits in A (pointwise); without it every
-    placement of the base inside A is searched.  Copies are the new-point
-    sets; when A is self-sufficient in S they are pairwise disjoint and
-    relation-free over each other, which ``require_disjoint`` asserts.
+    placement of the base inside A is searched.  A copy is the image of an
+    induced embedding of the pattern over a placement whose new points lie
+    outside A and share no instance inside A union the image with the rest
+    of A.  Copies are the new-point sets; when A is self-sufficient in S
+    they are pairwise disjoint and relation-free over each other, which
+    ``require_disjoint`` asserts.
     """
     a_set = S.subset(A)
     ext = sorted(t.new_points)
     if len(ext) > cap:
         raise CapacityError("msa copy search", cap, len(ext))
-    base = sorted(t.base)
-    if pin is not None:
-        if set(pin) != set(base):
+    if pin is None:
+        placements = _embeddings(S.induced(a_set), t.pattern.induced(t.base), {})
+    else:
+        if set(pin) != t.base:
             raise InputError("pin must map exactly the base vertices")
-        for v in pin.values():
-            if v not in a_set:
-                raise InputError("pin must land inside A")
-    copies: set[frozenset[int]] = set()
-
-    adj_pat = co_instance_neighbors(t.pattern)
-    s_adj = co_instance_neighbors(S)
-    candidates_outside = [v for v in S.vertices if v not in a_set]
-
-    def extend(phi: dict[int, int], todo: list[int]):
-        if not todo:
-            if _instance_exact(S, t, phi, a_set):
-                copies.add(frozenset(phi[v] for v in t.new_points))
-            return
-        v = todo[0]
-        used = set(phi.values())
-        pool = (sorted(a_set) if v in t.base else candidates_outside)
-        anchored = [u for u in adj_pat[v] if u in phi]
-        if anchored:
-            near = None
-            for u in anchored:
-                cand = s_adj[phi[u]]
-                near = cand if near is None else near & cand
-            pool = [w for w in pool if w in near]
-        for w in pool:
-            if w in used:
-                continue
-            phi[v] = w
-            extend(phi, todo[1:])
-            del phi[v]
-
-    start: dict[int, int] = dict(pin) if pin else {}
-    todo = ([] if pin else base) + ext
-    extend(start, todo)
-
-    copies_t = tuple(sorted(copies, key=sorted))
-    disjoint = _copies_disjoint(S, a_set, copies_t)
+        if len(set(pin.values())) != len(pin):
+            raise InputError("pin must be injective")
+        if not set(pin.values()) <= a_set:
+            raise InputError("pin must land inside A")
+        placements = [dict(pin)]
+    a_mask = S.mask_of(a_set)
+    through = S.bit_index().through
+    order = [(i, True) for i, v in enumerate(t.pattern.vertices) if v not in t.base]
+    copies: set[int] = set()
+    for base_phi in placements:
+        base_mask = S.mask_of(base_phi.values())
+        rest = a_mask & ~base_mask
+        for phi in _embeddings(S, t.pattern, base_phi, order=order,
+                               keep=lambda img: img & rest == 0):  # new points outside A
+            new = S.mask_of(phi[v] for v in ext)
+            scope = a_mask | new
+            if not any(m & rest and m & ~scope == 0 for i in _bits(new) for _, m in through[i]):
+                copies.add(new)
+    disjoint = _copies_disjoint(S, a_mask, copies)
     if require_disjoint and not disjoint:
         raise ContractError("copies are not in free amalgamation over the base set")
+    copies_t = tuple(sorted((S.ids_of(m) for m in copies), key=sorted))
     return CopyCount(len(copies_t), copies_t, disjoint)
 
 
-def _copies_disjoint(
-    S: FiniteStructure, A: frozenset[int], copies: tuple[frozenset[int], ...]
-) -> bool:
+def _copies_disjoint(S: FiniteStructure, a_mask: int, copies: Iterable[int]) -> bool:
+    """No two copies meet, or share an instance inside A and the two copies."""
+    through = S.bit_index().through
     for w1, w2 in itertools.combinations(copies, 2):
-        if w1 & w2:
+        scope = a_mask | w1 | w2
+        if w1 & w2 or any(m & w2 and m & ~scope == 0 for i in _bits(w1) for _, m in through[i]):
             return False
-        scope = A | w1 | w2
-        for name, tups in S.instances.items():
-            for tp in tups:
-                ts = set(tp)
-                if ts <= scope and ts & w1 and ts & w2:
-                    return False
     return True
 
 
@@ -261,67 +213,45 @@ def enumerate_msa_pairs(
     ``straddle=(P, Q)`` keeps only bases meeting both P-P∩Q and Q-P∩Q.
     """
     n = len(S.vertices)
-    weights = {rel.name: rel.weight for rel in S.signature.relations}
-    verts = list(S.vertices)
-    inst_masks = []
-    for name, tups in S.instances.items():
-        if weights[name] == 0:
-            continue
-        for tp in tups:
-            inst_masks.append(S.mask_of(tp))
-    from .closures import delta_table
-
     if n > 16:
         raise CapacityError("msa pair enumeration", 16, n)
+    weighted = [m for m, _ in S.instance_masks()]
     dtab = delta_table(S)
     if straddle:
-        p_mask = S.mask_of(straddle[0])
-        q_mask = S.mask_of(straddle[1])
-        shared = p_mask & q_mask
+        p_mask, q_mask = S.mask_of(straddle[0]), S.mask_of(straddle[1])
+
+    def straddles(zmask: int) -> bool:
+        return not straddle or bool(zmask & p_mask & ~q_mask and zmask & q_mask & ~p_mask)
+
     for wmask in range(1, 1 << n):
-        wsize = wmask.bit_count()
-        if max_new is not None and wsize > max_new:
+        if max_new is not None and wmask.bit_count() > max_new:
             continue
         touch = 0
-        for im in inst_masks:
-            if im & wmask:
-                touch |= im & ~wmask
-        if straddle and not (
-            touch & p_mask & ~shared and touch & q_mask & ~shared
-        ):
+        for m in weighted:
+            if m & wmask:
+                touch |= m & ~wmask
+        if not straddles(touch):
             continue
-        touch_bits = list(_bits(touch))
-        for zsel in range(1 << len(touch_bits)):
-            zmask = 0
-            for k in range(len(touch_bits)):
-                if zsel >> k & 1:
-                    zmask |= 1 << touch_bits[k]
-            if straddle and not (zmask & p_mask & ~shared and zmask & q_mask & ~shared):
-                continue
-            if dtab[zmask | wmask] != dtab[zmask]:
-                continue
+        for zmask in _submasks(touch):
             whole = zmask | wmask
-            # every base point must touch W inside Z|W
-            touched = 0
-            for im in inst_masks:
-                if im & wmask and im & whole == im:
-                    touched |= im & zmask
-            if touched != zmask:
-                continue
-            ok = True
-            wbits = list(_bits(wmask))
-            for sub in range(1, 1 << len(wbits)):
-                if sub == (1 << len(wbits)) - 1:
-                    continue
-                smask = 0
-                for k in range(len(wbits)):
-                    if sub >> k & 1:
-                        smask |= 1 << wbits[k]
-                if dtab[whole] - dtab[zmask | smask] >= 0:
-                    ok = False
-                    break
-            if ok:
+            if (
+                straddles(zmask)
+                and dtab[whole] == dtab[zmask]
+                and _touching(S, zmask, wmask) == zmask
+                and all(dtab[whole] < dtab[zmask | sub]
+                        for sub in _submasks(wmask) if 0 != sub != wmask)
+            ):
                 yield S.ids_of(zmask), S.ids_of(wmask)
+
+
+def _submasks(mask: int) -> Iterator[int]:
+    """The submasks of mask, ascending from 0 to mask."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
 
 
 # -- base duplication ------------------------------------------------------------------

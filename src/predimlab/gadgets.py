@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .classes import ControlFunction, MembershipResult, in_Cf
+from .classes import ControlFunction, MembershipResult, _binary_co, in_Cf
 from .closures import cld, is_d_closed, popcounts
 from .errors import CapacityError, InputError
 from .independence import perp
@@ -268,9 +268,9 @@ def build_tower_amalgam(
     if C.signature != g.structure.signature or B.signature != C.signature:
         raise InputError("C, B and the gadget must share a signature")
     base = frozenset(int(v) for v in base_ids)
-    for name, tups in g.structure.induced(g.x_set).instances.items():
-        if tups:
-            raise InputError("gadget base X must be relation-free")
+    x_mask = g.structure.mask_of(g.x_set)
+    if any(m & ~x_mask == 0 for _, m in g.structure.bit_index().pairs):
+        raise InputError("gadget base X must be relation-free")
     k = len(g.x_set)
     c_pool = sorted(set(C.vertices) - base)
     if c_vertex is None:
@@ -527,9 +527,8 @@ def sample_closed_connected_subsets(
     """Seeded d-closed connected samples; checks 2*delta(X) >= |X| + 3 exactly."""
     S = dc.structure
     rng = random.Random(seed)
-    adj = S.adjacency()
-    verts = list(S.vertices)
-    full = frozenset(verts)
+    co = _binary_co(S)
+    n = len(S.vertices)
     violations = []
     seen = set()
     accepted = 0
@@ -540,19 +539,23 @@ def sample_closed_connected_subsets(
         if attempts > 80 * count:
             raise InputError("sampling could not reach the requested count")
         size = rng.randint(1, max_seed_size)
-        seed_set = {rng.choice(verts)}
-        while len(seed_set) < size:
-            frontier = sorted(set().union(*(adj[v] for v in seed_set)) - seed_set)
+        seed_mask = 1 << rng.randrange(n)
+        while seed_mask.bit_count() < size:
+            near = 0
+            for i in _bits(seed_mask):
+                near |= co[i]
+            frontier = list(_bits(near & ~seed_mask))
             if not frontier:
                 break
-            seed_set.add(rng.choice(frontier))
-        X = cld(S, seed_set)
-        if X == full or len(X) > max_size or not _connected_in(adj, X):
+            seed_mask |= 1 << rng.choice(frontier)
+        X = cld(S, S.ids_of(seed_mask))
+        xmask = S.mask_of(X)
+        if len(X) == n or len(X) > max_size or not _connected_in(co, xmask):
             skipped += 1
             continue
         accepted += 1
         seen.add(X)
-        if 2 * delta_mask(S, S.mask_of(X)) < len(X) + 3:
+        if 2 * delta_mask(S, xmask) < len(X) + 3:
             violations.append(tuple(sorted(X)))
     return SampledInequality(accepted, len(seen), tuple(violations), skipped)
 
@@ -578,17 +581,16 @@ def sample_c_closures(
     return SampledInequality(count, len(seen), tuple(violations))
 
 
-def _connected_in(adj: dict[int, set[int]], X: frozenset[int]) -> bool:
-    if not X:
-        return True
-    queue = [next(iter(X))]
-    seen = {queue[0]}
-    for u in queue:
-        for w in adj[u]:
-            if w in X and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen == X
+def _connected_in(co: tuple[int, ...], xmask: int) -> bool:
+    """Is the set of positions xmask connected under the adjacency masks co?"""
+    seen = frontier = xmask & -xmask
+    while frontier:
+        near = 0
+        for i in _bits(frontier):
+            near |= co[i]
+        frontier = near & xmask & ~seen
+        seen |= frontier
+    return seen == xmask
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import CapacityError, InputError
 
@@ -150,7 +150,6 @@ class FiniteStructure:
         "_inst_masks",
         "_key",
         "_hash",
-        "_adj",
         "_bit_index",
     )
 
@@ -208,7 +207,6 @@ class FiniteStructure:
             self.parts = None
 
         self._inst_masks = None
-        self._adj = None
         self._bit_index = None
         part_key = tuple(self.parts[v] for v in vs) if self.parts else None
         self._key = (signature, vs, tuple(sorted(inst.items())), part_key)
@@ -268,23 +266,6 @@ class FiniteStructure:
                     pairs.append((m, rel.weight))
             self._inst_masks = tuple(pairs)
         return self._inst_masks
-
-    def adjacency(self) -> dict[int, set[int]]:
-        """Binary adjacency pooled over all arity-2 relations."""
-        if self._adj is None:
-            adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-            found = False
-            for rel in self.signature.relations:
-                if rel.arity != 2:
-                    continue
-                found = True
-                for a, b in self.instances[rel.name]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-            if not found:
-                raise InputError("structure has no arity-2 relation")
-            self._adj = adj
-        return self._adj
 
     def bit_index(self) -> "BitIndex":
         """The bitmask instance/adjacency index by vertex position, built once.
@@ -362,9 +343,94 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def co_instance_neighbors(S: FiniteStructure) -> dict[int, frozenset[int]]:
-    """Vertices sharing any relation instance (any arity or weight) are adjacent."""
-    return {v: S.ids_of(co) for v, co in zip(S.vertices, S.bit_index().co)}
+# -- embedding search ------------------------------------------------------------
+
+
+def _embeddings(
+    S: FiniteStructure,
+    pattern: FiniteStructure,
+    partial: dict[int, int],
+    newest_first: bool = False,
+    order: Optional[Sequence[tuple[int, bool]]] = None,
+    keep: Optional[Callable[[int], bool]] = None,
+) -> Iterator[dict[int, int]]:
+    """Induced embeddings of pattern into S extending ``partial``.
+
+    Deterministic placement order: ``order`` lists the unplaced pattern
+    positions, by default ascending, each ranging over ascending candidates
+    (newest-first flips the candidate order, which finds fresh amalgam
+    copies quickly).  After a placement whose ``order`` flag is set, the
+    image so far, as a mask of S positions, goes to ``keep``; a False drops
+    every embedding through it.  The search runs on
+    vertex positions and the two structures' bitmask indexes: the candidates
+    of an anchored vertex are the AND of the co-instance masks of its placed
+    neighbours' images, the others range over all of S, and the image is
+    masked out of both.  Consistency is kept incrementally: every pattern
+    instance a placement completes must be an instance of S, and the S
+    instances through the new image vertex inside the image must be exactly
+    as many, so they are the images of those (the embedding is induced).
+    """
+    sx, px = S.bit_index(), pattern.bit_index()
+    pverts, sverts = pattern.vertices, S.vertices
+    pparts = [pattern.parts[v] for v in pverts] if pattern.parts else None
+    phi = [-1] * len(pverts)  # pattern position -> S position
+    for v, w in partial.items():
+        phi[pverts.index(v)] = S.mask_of((w,)).bit_length() - 1
+
+    def image_of(m: int) -> int:
+        out = 0
+        for i in _bits(m):
+            out |= 1 << phi[i]
+        return out
+
+    def consistent(fresh) -> bool:
+        return all((name, image_of(m)) in sx.pairs for name, m in fresh)
+
+    # validate the prefilled part
+    placed, img = pattern.mask_of(partial), S.mask_of(partial.values())
+    mapped = [(name, m) for name, m in px.pairs if m & ~placed == 0]
+    inside = {(name, m) for w in _bits(img) for name, m in sx.through[w] if m & ~img == 0}
+    if not consistent(mapped) or len(inside) != len(mapped):
+        return
+    if pparts and any(pparts[i] != S.parts[sverts[phi[i]]] for i in _bits(placed)):
+        return
+    if order is None:
+        order = [(i, False) for i in range(len(pverts)) if not placed >> i & 1]
+    # per placement: the vertex, its placed neighbours, the instances it
+    # completes, and whether the image so far goes to ``keep``
+    steps = []
+    for i, check in order:
+        steps.append((i, px.co[i] & placed,
+                      [(name, m) for name, m in px.through[i] if m & ~placed & ~(1 << i) == 0],
+                      check))
+        placed |= 1 << i
+
+    def rec(k: int, img: int) -> Iterator[dict[int, int]]:
+        if k == len(steps):
+            out = dict(partial)
+            for i, _, _, _ in steps:
+                out[pverts[i]] = sverts[phi[i]]
+            yield out
+            return
+        i, anchors, fresh, check = steps[k]
+        pool = S.full_mask()
+        for j in _bits(anchors):
+            pool &= sx.co[phi[j]]
+        pool &= ~img
+        while pool:
+            w = (pool if newest_first else pool & -pool).bit_length() - 1
+            pool ^= 1 << w
+            if pparts and pparts[i] != S.parts[sverts[w]]:
+                continue
+            phi[i] = w
+            img_w = img | 1 << w
+            if consistent(fresh) and len(fresh) == sum(
+                1 for _, m in sx.through[w] if m & ~img_w == 0
+            ) and (not check or keep(img_w)):
+                yield from rec(k + 1, img_w)
+        phi[i] = -1
+
+    yield from rec(0, img)
 
 
 def free_amalgam(
@@ -448,19 +514,14 @@ def _refine_colors(S: FiniteStructure, colors0: Mapping[int, int] | None = None)
         colors = [0 if S.parts[v] == POINT else 1 for v in S.vertices]
     else:
         colors = [0] * n
-    pairs = S.instance_masks()
-    idx_tuples = []
-    for rel in S.signature.relations:
-        for tup in S.instances[rel.name]:
-            idx_tuples.append((rel.name, tuple(S._index[v] for v in tup)))
+    # the other positions of every instance through each position
+    others = [[(name, list(_bits(m & ~(1 << i)))) for name, m in through]
+              for i, through in enumerate(S.bit_index().through)]
     for _ in range(n):
         sigs = []
         for i in range(n):
-            neigh = []
-            for name, tup in idx_tuples:
-                if i in tup:
-                    neigh.append((name, tuple(sorted(colors[j] for j in tup if j != i))))
-            sigs.append((colors[i], tuple(sorted(neigh))))
+            neigh = sorted((name, tuple(sorted(colors[j] for j in js))) for name, js in others[i])
+            sigs.append((colors[i], tuple(neigh)))
         ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
         new = [ranking[s] for s in sigs]
         if new == colors:

@@ -8,6 +8,7 @@ shows the check can actually catch the fault it is aimed at.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import random
@@ -19,6 +20,7 @@ import numpy as np
 from .builder import (
     C0,
     BuildConfig,
+    _isomorph_free_types,
     audit_extension_property,
     build_generic,
 )
@@ -57,7 +59,6 @@ from .reports import (
 from .structures import (
     FiniteStructure,
     bipartite_graph,
-    canonical_form,
     delta,
     delta_mask,
     graph,
@@ -100,6 +101,15 @@ def run_suite(name: str, seed: int = 0, negative_control: bool = False, **option
     fn = fns.get(name)
     if fn is None:
         raise InputError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
+    params = {k: p.default for k, p in inspect.signature(fn).parameters.items()
+              if k not in ("seed", "negative_control")}
+    for key, value in options.items():
+        if key not in params:
+            raise InputError(f"suite {name!r} has no option {key!r}; "
+                             f"known: {', '.join(params) or 'none'}")
+        if isinstance(value, int) != isinstance(params[key], int):
+            raise InputError(f"option {key!r} of suite {name!r} takes "
+                             f"{type(params[key]).__name__} values, got {value!r}")
     t0 = time.monotonic()
     rep = fn(seed=seed, negative_control=negative_control, **options)
     rep.wall_time = time.monotonic() - t0
@@ -597,30 +607,6 @@ def msa_bound_suite(
 # -- submodularity and closure oracles -------------------------------------------------
 
 
-def _all_graphs_up_to(n_max: int):
-    """Isomorphism classes of all simple graphs up to n_max vertices."""
-    sig = graph_signature(2, 1)
-    levels = [[FiniteStructure(sig, [])]]
-    for size in range(1, n_max + 1):
-        seen = {}
-        for base in levels[size - 1]:
-            old = list(base.vertices)
-            for bits in range(1 << len(old)):
-                edges = [
-                    (old[i], size - 1) for i in range(len(old)) if bits >> i & 1
-                ]
-                inst = {"R": list(base.instances["R"]) + edges}
-                cand = FiniteStructure(sig, old + [size - 1], inst)
-                key = canonical_form(cand, cap=size)
-                if key not in seen:
-                    seen[key] = cand
-        levels.append([seen[k] for k in sorted(seen)])
-    out = []
-    for lv in levels:
-        out.extend(lv)
-    return out
-
-
 def _interval_min_table(dtab: np.ndarray, n: int) -> np.ndarray:
     """M[a, b] = min delta over sets between a and b (junk where a is not in b)."""
     size = 1 << n
@@ -670,7 +656,7 @@ def submodularity_suite(
     negative_control: bool = False,
 ) -> VerificationReport:
     rep = VerificationReport(suite="submodularity")
-    graphs = _all_graphs_up_to(max_n)
+    graphs = _isomorph_free_types(graph_signature(2, 1), max_n, lambda G: True, max_n)
     size = 1 << max_n
     masks = np.arange(size, dtype=np.int64)
     OR = masks[:, None] | masks[None, :]

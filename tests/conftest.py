@@ -13,8 +13,8 @@ from predimlab import (
     is_d_closed,
     self_sufficient,
 )
-from predimlab.builder import CF, _embeddings
-from predimlab.structures import Relation, Signature
+from predimlab.builder import CF
+from predimlab.structures import Relation, Signature, _embeddings
 from predimlab.classes import MembershipResult
 from predimlab.reports import FAIL, PARTIAL, PASS
 
@@ -43,6 +43,31 @@ CHAIN_SIGNATURES = (
     hypergraph_signature(1, 1, 3),
     Signature(2, (Relation("R", 2, 1), Relation("Z", 3, 0))),
 )
+
+
+@st.composite
+def small_structures(draw, max_n=7):
+    """A structure over one of ``CHAIN_SIGNATURES``."""
+    sig = draw(st.sampled_from(CHAIN_SIGNATURES))
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    inst = {}
+    for rel in sig.relations:
+        pool = list(itertools.combinations(range(n), rel.arity))
+        inst[rel.name] = draw(st.lists(st.sampled_from(pool), unique=True) if pool else st.just([]))
+    return FiniteStructure(sig, range(n), inst)
+
+
+@st.composite
+def small_bipartite(draw, max_n=8, ngon=3):
+    """A bipartite-mode structure with random part labels and edges."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    parts = {v: draw(st.sampled_from(["point", "line"])) for v in range(n)}
+    pool = [(a, b) for a, b in itertools.combinations(range(n), 2) if parts[a] != parts[b]]
+    edges = draw(st.lists(st.sampled_from(pool), unique=True) if pool else st.just([]))
+    return FiniteStructure(
+        Signature(ngon - 1, (Relation("adj", 2, ngon - 2),), mode="bipartite"),
+        range(n), {"adj": edges}, parts,
+    )
 
 
 @st.composite
@@ -216,7 +241,7 @@ def brute_in_Cf(S, f, exhaustive_cap=18, conn_size=18, conn_budget=200_000,
 
 
 def brute_embeddings(S, pattern, partial, newest_first=False):
-    """Oracle for ``builder._embeddings``: the set-based search it replaced.
+    """Oracle for ``structures._embeddings``: the set-based search it replaced.
 
     Same placement order (unplaced pattern vertices ascending, candidates
     ascending or newest-first), with neighbour sets and instance lists in
@@ -471,3 +496,161 @@ def brute_beatty_window_checks(seq, ell, b):
             if (pref[i + s] - pref[i] - 1) * b > s * ell:
                 return f"density bound broken at i={i}, s={s}"
     return None
+
+
+def _co_instance_neighbours(S):
+    adj = {v: set() for v in S.vertices}
+    for tups in S.instances.values():
+        for tp in tups:
+            for a in tp:
+                adj[a].update(b for b in tp if b != a)
+    return adj
+
+
+def brute_count_msa_copies(S, A, t, pin=None):
+    """Oracle for ``extensions.count_msa_copies``: the set-based search it
+    replaced, returning (copies, disjoint over A).
+
+    Base vertices range over A, new vertices over the rest of S, anchored
+    vertices over the common neighbours of their placed neighbours' images.
+    A full map counts when its image is an induced copy of the pattern and
+    every instance of S inside A and the new points that meets them is an
+    image of a pattern instance.
+    """
+    a_set = frozenset(A)
+    ext, base = sorted(t.new_points), sorted(t.base)
+    adj_pat, s_adj = _co_instance_neighbours(t.pattern), _co_instance_neighbours(S)
+    outside = [v for v in S.vertices if v not in a_set]
+    copies = set()
+
+    def exact(phi):
+        ext_img = frozenset(phi[v] for v in ext)
+        mapped = {(name, tuple(sorted(phi[v] for v in tp)))
+                  for name, tups in t.pattern.instances.items() for tp in tups}
+        for name, tups in S.instances.items():
+            for tp in tups:
+                if set(tp) & ext_img and set(tp) <= a_set | ext_img and (name, tp) not in mapped:
+                    return False
+        if any(tp not in S.instances[name] for name, tp in mapped):
+            return False
+        back = {phi[v]: v for v in base}
+        return S.induced(back).relabel(back) == t.pattern.induced(t.base)
+
+    def extend(phi, todo):
+        if not todo:
+            if exact(phi):
+                copies.add(frozenset(phi[v] for v in ext))
+            return
+        v = todo[0]
+        pool = sorted(a_set) if v in t.base else outside
+        for u in adj_pat[v]:
+            if u in phi:
+                pool = [w for w in pool if w in s_adj[phi[u]]]
+        for w in pool:
+            if w not in phi.values():
+                phi[v] = w
+                extend(phi, todo[1:])
+                del phi[v]
+
+    extend(dict(pin) if pin else {}, ([] if pin else base) + ext)
+    copies_t = tuple(sorted(copies, key=sorted))
+    disjoint = True
+    for w1, w2 in itertools.combinations(copies_t, 2):
+        scope = a_set | w1 | w2
+        if w1 & w2 or any(set(tp) <= scope and set(tp) & w1 and set(tp) & w2
+                          for tups in S.instances.values() for tp in tups):
+            disjoint = False
+    return copies_t, disjoint
+
+
+def brute_enumerate_msa_pairs(S, max_new=None, straddle=None):
+    """Oracle for ``extensions.enumerate_msa_pairs``: the loop form, with its
+    own weighted instance list, in the same yield order."""
+    n = len(S.vertices)
+    weights = {rel.name: rel.weight for rel in S.signature.relations}
+    inst_masks = [S.mask_of(tp) for name, tups in S.instances.items()
+                  for tp in tups if weights[name]]
+    dtab = [brute_delta(S, S.ids_of(m)) for m in range(1 << n)]
+    if straddle:
+        p_mask, q_mask = S.mask_of(straddle[0]), S.mask_of(straddle[1])
+        shared = p_mask & q_mask
+    for wmask in range(1, 1 << n):
+        wbits = [i for i in range(n) if wmask >> i & 1]
+        if max_new is not None and len(wbits) > max_new:
+            continue
+        touch = 0
+        for im in inst_masks:
+            if im & wmask:
+                touch |= im & ~wmask
+        if straddle and not (touch & p_mask & ~shared and touch & q_mask & ~shared):
+            continue
+        touch_bits = [i for i in range(n) if touch >> i & 1]
+        for zsel in range(1 << len(touch_bits)):
+            zmask = sum(1 << touch_bits[k] for k in range(len(touch_bits)) if zsel >> k & 1)
+            if straddle and not (zmask & p_mask & ~shared and zmask & q_mask & ~shared):
+                continue
+            whole = zmask | wmask
+            if dtab[whole] != dtab[zmask]:
+                continue
+            touched = 0
+            for im in inst_masks:
+                if im & wmask and im & whole == im:
+                    touched |= im & zmask
+            if touched != zmask:
+                continue
+            if all(dtab[whole] < dtab[zmask | sum(1 << wbits[k] for k in range(len(wbits))
+                                                  if sub >> k & 1)]
+                   for sub in range(1, (1 << len(wbits)) - 1)):
+                yield S.ids_of(zmask), S.ids_of(wmask)
+
+
+def brute_refine_colors(S, colors0=None):
+    """Oracle for ``structures._refine_colors``: each round rescans every
+    instance for every vertex."""
+    n = len(S.vertices)
+    if colors0 is not None:
+        colors = [colors0.get(v, 0) for v in S.vertices]
+    elif S.parts:
+        colors = [0 if S.parts[v] == "point" else 1 for v in S.vertices]
+    else:
+        colors = [0] * n
+    pos = {v: i for i, v in enumerate(S.vertices)}
+    idx_tuples = [(rel.name, tuple(pos[v] for v in tup))
+                  for rel in S.signature.relations for tup in S.instances[rel.name]]
+    for _ in range(n):
+        sigs = []
+        for i in range(n):
+            neigh = [(name, tuple(sorted(colors[j] for j in tup if j != i)))
+                     for name, tup in idx_tuples if i in tup]
+            sigs.append((colors[i], tuple(sorted(neigh))))
+        ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        new = [ranking[s] for s in sigs]
+        if new == colors:
+            break
+        colors = new
+    return colors
+
+
+def brute_girth(S):
+    """Oracle for ``classes.girth``: BFS from every vertex over adjacency sets
+    pooled from the arity-2 relations."""
+    adj = {v: set() for v in S.vertices}
+    for rel in S.signature.relations:
+        if rel.arity == 2:
+            for a, b in S.instances[rel.name]:
+                adj[a].add(b)
+                adj[b].add(a)
+    best = float("inf")
+    for root in S.vertices:
+        dist, parent = {root: 0}, {root: None}
+        queue = [root]
+        for u in queue:
+            if dist[u] * 2 >= best:
+                break
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w], parent[w] = dist[u] + 1, u
+                    queue.append(w)
+                elif parent[u] != w and parent[w] != u:
+                    best = min(best, dist[u] + dist[w] + 1)
+    return best

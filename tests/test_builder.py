@@ -34,12 +34,11 @@ from predimlab.builder import (
     ExtensionTask,
     _amalgamate,
     _check_chain,
-    _embeddings,
     _realized,
     enumerate_tasks,
 )
 from predimlab.errors import InternalError
-from predimlab.structures import LINE, POINT
+from predimlab.structures import LINE, POINT, _embeddings
 
 from conftest import (
     CHAIN_SIGNATURES,

@@ -29,8 +29,9 @@ from predimlab.structures import (
     free_amalgam,
 )
 from predimlab.builder import enumerate_class, C0, CF
+from predimlab.classes import _simple_cycles_longer_than, girth_with_witness
 
-from conftest import brute_delta, brute_in_Cf, small_graphs
+from conftest import brute_delta, brute_girth, brute_in_Cf, small_bipartite, small_graphs
 
 
 def test_control_function_values():
@@ -178,6 +179,28 @@ def test_girth_examples():
     assert girth(cycle_graph(6)) == 6
     assert girth(path_graph(5)) == math.inf
     assert girth(graph([(0, 1), (1, 2), (0, 2)])) == 3
+
+
+@given(st.one_of(small_graphs(max_n=8), small_bipartite(max_n=10)))
+@settings(max_examples=150, deadline=None)
+def test_girth_matches_adjacency_bfs(S):
+    g, witness = girth_with_witness(S)
+    assert g == brute_girth(S)
+    assert witness is None if g == math.inf else len(witness) == g
+
+
+def test_girth_needs_a_binary_signature():
+    sig = Signature(2, (Relation("R", 2, 1), Relation("T", 3, 1)))
+    S = FiniteStructure(sig, range(4), {"R": [(0, 1), (1, 2), (0, 2)], "T": [(1, 2, 3)]})
+    with pytest.raises(InputError, match="binary"):
+        girth(S)
+
+
+def test_long_cycles_are_listed_once_each():
+    k4 = graph(itertools.combinations(range(4), 2))
+    cycles, complete = _simple_cycles_longer_than(k4, 3, budget=10_000)
+    assert complete and sorted(cycles) == [0b1111] * 3
+    assert _simple_cycles_longer_than(k4, 3, budget=3) == ([], False)
 
 
 def test_in_kn_examples():

@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predimlab import (
     ContractError,
     FiniteStructure,
+    InputError,
     MsaType,
     PartialMap,
     check_potential_extendability,
@@ -21,7 +23,14 @@ from predimlab import (
     msa_type_of,
 )
 
-from conftest import brute_delta, small_graphs
+from conftest import (
+    brute_count_msa_copies,
+    brute_delta,
+    brute_enumerate_msa_pairs,
+    small_graphs,
+    small_structures,
+    subsets_of,
+)
 
 
 def test_sa_examples():
@@ -208,3 +217,57 @@ def test_saturation_threshold_reported():
     rep = check_potential_extendability(S, PartialMap(((0, 10),)), base_cap=1, ext_cap=3)
     assert rep.ok
     assert any("SATURATED" in c.note for c in rep.cases)
+
+
+@st.composite
+def copy_cases(draw):
+    """(S, A, type, pin): an msa pair of S as the type, or any rooted
+    substructure of S; A holds the base or is any subset; pin is None or an
+    injective map of the base into A."""
+    S = draw(small_structures(max_n=7))
+    pairs = list(enumerate_msa_pairs(S, max_new=3))
+    if pairs and draw(st.booleans()):
+        Z, W = draw(st.sampled_from(pairs))
+        t = MsaType(S.induced(Z | W), Z)
+    else:
+        P = draw(subsets_of(S))
+        base = frozenset(v for v in P if draw(st.booleans()))
+        if len(P - base) > 4:
+            P = base | frozenset(sorted(P - base)[:4])
+        t = MsaType(S.induced(P), base)
+    A = draw(subsets_of(S))
+    if draw(st.booleans()):
+        A |= t.base
+    pin = None
+    if len(A) >= len(t.base) and draw(st.booleans()):
+        image = draw(st.permutations(sorted(A)))[: len(t.base)]
+        pin = dict(zip(sorted(t.base), image))
+    return S, A, t, pin
+
+
+@given(copy_cases())
+@settings(max_examples=300, deadline=None)
+def test_count_copies_matches_set_based_search(case):
+    S, A, t, pin = case
+    got = count_msa_copies(S, A, t, pin=pin)
+    want_copies, want_disjoint = brute_count_msa_copies(S, A, t, pin)
+    assert (got.count, got.copies, got.disjoint_over_base) == (
+        len(want_copies), want_copies, want_disjoint)
+
+
+@given(small_structures(max_n=7), st.data())
+@settings(max_examples=120, deadline=None)
+def test_msa_pairs_match_loop_form(S, data):
+    max_new = data.draw(st.sampled_from([None, 1, 2, 3]))
+    straddle = None
+    if data.draw(st.booleans()):
+        straddle = (data.draw(subsets_of(S)), data.draw(subsets_of(S)))
+    assert (list(enumerate_msa_pairs(S, max_new, straddle))
+            == list(brute_enumerate_msa_pairs(S, max_new, straddle)))
+
+
+def test_count_copies_rejects_a_non_injective_pin():
+    amb = graph([(2, 0), (2, 1), (3, 0), (3, 1)])
+    t = msa_type_of(amb, [0, 1], [0, 1, 2])
+    with pytest.raises(InputError, match="injective"):
+        count_msa_copies(amb, [0, 1], t, pin={0: 0, 1: 0})

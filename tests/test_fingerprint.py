@@ -9,6 +9,7 @@ the options the benchmark fingerprints it with, and every build is a
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 from pathlib import Path
@@ -21,21 +22,22 @@ from predimlab.cli import main
 
 from conftest import brute_realized
 
-FINGERPRINT = Path(__file__).resolve().parents[1] / "perfbench" / "fingerprint.json"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+FINGERPRINT = PERFBENCH / "fingerprint.json"
 
-CASES = [
-    ("beatty", {}),
-    ("gadget", {}),
-    ("lemma49", {}),
-    ("path-fact", {}),
-    ("ex511", {}),
-    ("ex512", {}),
-    ("kn", {}),
-    ("msa-bound", {}),
-    ("extension-property", {}),
-    ("axioms", {"size_cap": 2, "lemma43_cap": 3}),
-    ("submodularity", {"max_n": 6, "oracle_cases": 10_000, "oracle_max_n": 14}),
-]
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_WORKLOADS = _load_workloads()
+SUITE_OPTIONS = _WORKLOADS.SUITE_OPTIONS["full"]
+# name: (build arguments, audit arguments, audit exit code)
+BUILDS = {name: (build, audit, rc) for name, build, audit, rc in _WORKLOADS.BUILDS["full"]}
 
 
 @pytest.fixture(scope="module")
@@ -43,22 +45,9 @@ def fingerprint():
     return json.loads(FINGERPRINT.read_text())["verify-suites"]
 
 
-@pytest.mark.parametrize("name,options", CASES, ids=[c[0] for c in CASES])
-def test_seed0_report_digest(fingerprint, name, options):
-    assert run_suite(name, seed=0, **options).digest() == fingerprint[name]
-
-
-# name: (build arguments, audit arguments, audit exit code)
-BUILDS = {
-    "c0-mp3-b200": (["--class", "c0", "--max-pattern", "3", "--budget", "200"],
-                    ["--class", "c0", "--max-pattern", "3", "--max-base", "1"], 0),
-    "cf-harmonic-b50": (["--class", "cf", "--f", "harmonic", "--max-pattern", "3",
-                         "--budget", "50"],
-                        ["--class", "cf", "--f", "harmonic", "--max-pattern", "3",
-                         "--max-base", "1"], 0),
-    "c0-mp4-b40": (["--class", "c0", "--max-pattern", "4", "--budget", "40"],
-                   ["--class", "c0", "--max-pattern", "4", "--max-base", "1"], 1),
-}
+@pytest.mark.parametrize("name", SUITE_OPTIONS)
+def test_seed0_report_digest(fingerprint, name):
+    assert run_suite(name, seed=0, **SUITE_OPTIONS[name]).digest() == fingerprint[name]
 
 
 @pytest.fixture(scope="module")

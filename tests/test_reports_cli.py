@@ -83,6 +83,13 @@ def test_cli_exit_codes(tmp_path):
     assert main(["delta", str(tmp_path / "missing.pdl"), "--set", "1"]) == 2
 
 
+@pytest.mark.parametrize("option", ["ngons=x", "bogus=1", "ngons=3", "b_max"],
+                         ids=["not-an-int", "unknown-name", "int-for-a-tuple", "no-equals"])
+def test_cli_verify_bad_option_exits_2(capsys, option):
+    assert main(["verify", "kn", "--option", option]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 VALID_HEADER = "predimlab/1\nsignature n=2 mode=hypergraph\n"
 
 

@@ -26,15 +26,18 @@ from predimlab import (
 )
 from predimlab import suites
 from predimlab.closures import delta_table
-from predimlab.structures import LINE, POINT, bipartite_graph, cycle_graph
+from predimlab.structures import LINE, POINT, _refine_colors, bipartite_graph, cycle_graph
 
 from conftest import (
     brute_delta,
     brute_isomorphic,
+    brute_refine_colors,
     brute_restriction,
     brute_self_sufficient,
+    small_bipartite,
     small_graphs,
     small_hypergraphs,
+    small_structures,
 )
 
 
@@ -299,3 +302,12 @@ def test_restriction_matches_loop_form_on_faults():
         assert got == brute_restriction(SS)
         fails += got is not None
     assert fails >= 50
+
+
+@given(st.one_of(small_structures(), small_hypergraphs(), small_bipartite()), st.data())
+@settings(max_examples=150, deadline=None)
+def test_refine_colors_matches_rescan(S, data):
+    colors = None
+    if data.draw(st.booleans()):
+        colors = {v: data.draw(st.integers(0, 2)) for v in S.vertices if data.draw(st.booleans())}
+    assert _refine_colors(S, colors) == brute_refine_colors(S, colors)
