@@ -294,7 +294,7 @@ def girth_with_witness(S: FiniteStructure) -> tuple[float, Optional[frozenset[in
                     dist[w] = dist[u] + 1
                     parent[w] = u
                     queue.append(w)
-                elif parent[u] != w and parent[w] != u:
+                elif parent[u] != w:  # u's one tree edge to a seen vertex
                     length = dist[u] + dist[w] + 1
                     if length < best:
                         best = length
