@@ -54,6 +54,10 @@ KN = "kn"
 LE = "LE"
 LE_D = "LE_D"
 
+# per task visit, at most this many embedded bases are examined; keeps a
+# visit from drowning in already-realized embeddings deep in the order
+SCAN_WINDOW = 50
+
 
 def _in_class(
     S: FiniteStructure,
@@ -164,10 +168,6 @@ class ExtensionTask:
     tag: str
     key: tuple = field(compare=False, default=())
 
-    @property
-    def base_tuple(self) -> tuple[int, ...]:
-        return tuple(sorted(self.base_ids))
-
     @cached_property
     def base_pattern(self) -> FiniteStructure:
         return self.ext.induced(self.base_ids)
@@ -263,9 +263,6 @@ class BuildConfig:
     seed: int = 0
     control: Optional[ControlFunction] = None
     ngon: Optional[int] = None
-    # per task visit, at most this many embedded bases are examined; keeps a
-    # visit from drowning in already-realized embeddings deep in the order
-    scan_window: int = 50
 
     def __post_init__(self):
         if self.budget < 0 or self.max_pattern < 0:
@@ -396,7 +393,7 @@ def build_generic(config: BuildConfig) -> BuildResult:
             walked = 0
             for phi in _base_embeddings(S, task, memo):
                 walked += 1
-                if walked > config.scan_window:
+                if walked > SCAN_WINDOW:
                     break
                 cache_key = (ti, tuple(phi[v] for v in sorted(phi)))
                 if cache_key in realized_cache:

@@ -35,7 +35,7 @@ from .gadgets import (
     verify_gadget,
 )
 from .independence import axiom_suite, check_lemma43_characterization, d_independent, perp
-from .reports import FAIL, PASS, VerificationReport, emit_report
+from .reports import VerificationReport, emit_report
 from .structures import (
     FiniteStructure,
     Signature,
@@ -399,10 +399,9 @@ def _dispatch(args) -> int:
         audit = audit_extension_property(S, tasks, cap_per_task=args.cap_per_task)
         rep = VerificationReport(suite="audit")
         for e in audit.entries:
-            rep.add(
+            rep.check(
                 f"task:{e.task_key[:60]}",
-                PASS if e.realized == e.embeddings_checked else FAIL,
-                witness=None if e.realized == e.embeddings_checked
+                None if e.realized == e.embeddings_checked
                 else f"{e.realized}/{e.embeddings_checked} realized",
                 note=f"base size {e.base_size}",
             )

@@ -261,8 +261,9 @@ def duplicate_base_points(t: MsaType) -> MsaType:
     """Split the base so each new base point sits in exactly one new instance.
 
     Every weighted instance that meets the extension gets its own fresh copy
-    of its base points; base-internal structure is dropped.  The result is
-    again msa.
+    of its base points.  Base-internal structure is dropped, as it does not
+    bind delta over the base, and so is a zero-weight instance that meets the
+    base, which binds no delta at all.  The result is again msa.
     """
     pat, base = t.pattern, t.base
     new = sorted(t.new_points)
@@ -273,8 +274,8 @@ def duplicate_base_points(t: MsaType) -> MsaType:
     for name, tups in pat.instances.items():
         for tp in tups:
             ts = set(tp)
-            if not ts & set(new):
-                continue  # base-internal structure is dropped
+            if not ts & set(new) or (weights[name] == 0 and ts & base):
+                continue  # binds no delta over the base
             rebuilt = []
             for v in tp:
                 if v in base:

@@ -23,13 +23,7 @@ from .classes import ControlFunction, MembershipResult, _binary_co, in_Cf
 from .closures import cld, is_d_closed, popcounts
 from .errors import CapacityError, InputError
 from .independence import perp
-from .reports import (
-    DEGENERATE,
-    FAIL,
-    PASS,
-    VerificationReport,
-    subset_witness,
-)
+from .reports import DEGENERATE, VerificationReport, subset_witness
 from .structures import (
     FiniteStructure,
     delta_mask,
@@ -201,10 +195,9 @@ def verify_gadget(g: GadgetPair, cap: int = 22) -> VerificationReport:
     ys = sorted(g.y_minus_x)
     d = delta_rel(S, ys, xs)
     ok1 = d == -1 and len(xs) >= 2
-    rep.add(
+    rep.check(
         f"{tag}:deficiency",
-        PASS if ok1 else FAIL,
-        witness=None if ok1 else f"delta(Y/X)={d}, |X|={len(xs)}",
+        None if ok1 else f"delta(Y/X)={d}, |X|={len(xs)}",
         margin=Fraction(d + 1),
     )
     # D[p, w] = delta(P | W) over the x-parts P and free parts W, both in
@@ -220,22 +213,41 @@ def verify_gadget(g: GadgetPair, cap: int = 22) -> VerificationReport:
         D -= w * ((parts & imask) == imask)
     hits = np.argwhere((D[:-1] < D[:-1, :1]).T)  # (W, P), least W first
     bad2 = int(fm[hits[0, 0]] | xm[hits[0, 1]]) if len(hits) else None
-    rep.add(
+    rep.check(
         f"{tag}:proper-parts",
-        PASS if bad2 is None else FAIL,
-        witness=None
+        None
         if bad2 is None
         else f"U={subset_witness(S.ids_of(bad2))} violating={subset_witness(S.ids_of(bad2))}",
     )
 
     lows = np.flatnonzero(D[-1, :-1] < D[-1, 0])  # W short of all the free part
     bad3 = int(xmask | fm[lows[0]]) if len(lows) else None
-    rep.add(
+    rep.check(
         f"{tag}:intermediate",
-        PASS if bad3 is None else FAIL,
-        witness=None if bad3 is None else subset_witness(S.ids_of(bad3)),
+        None if bad3 is None else subset_witness(S.ids_of(bad3)),
     )
     return rep.finalize()
+
+
+def _fresh_copies(
+    B: FiniteStructure, base: frozenset[int], k: int, anchor: int, next_id: int
+) -> tuple[list[FiniteStructure], list[int], int]:
+    """k copies of B over the base, each vertex outside it renamed to a fresh id.
+
+    Returns the copies, the image of ``anchor`` in each, and the next unused id.
+    """
+    copies, anchors = [], []
+    for _ in range(k):
+        mapping = {}
+        for v in B.vertices:
+            if v in base:
+                mapping[v] = v
+            else:
+                mapping[v] = next_id
+                next_id += 1
+        copies.append(B.relabel(mapping))
+        anchors.append(mapping[anchor])
+    return copies, anchors, next_id
 
 
 # -- tower amalgam ---------------------------------------------------------------------
@@ -286,27 +298,16 @@ def build_tower_amalgam(
         raise InputError(f"u0_vertex {u0_vertex} must lie in B outside the base")
 
     next_id = max(list(C.vertices) + list(B.vertices) + [-1]) + 1
-    factors = [C]
-    copy_blocks = []
+    copies = []
     x_points = [c_vertex]
     if u0_vertex is not None:
-        for _ in range(k - 1):
-            mapping = {}
-            for v in B.vertices:
-                if v in base:
-                    mapping[v] = v
-                else:
-                    mapping[v] = next_id
-                    next_id += 1
-            copy = B.relabel(mapping)
-            factors.append(copy)
-            copy_blocks.append(frozenset(copy.vertices))
-            x_points.append(mapping[u0_vertex])
+        copies, u0_copies, next_id = _fresh_copies(B, base, k - 1, u0_vertex, next_id)
+        x_points += u0_copies
         if len(set(x_points)) != k:
             raise InputError(f"could not identify {k} distinct x-points")
     # with empty amalgamation arms only the distinguished point is identified;
     # the rest of the gadget base stays fresh
-    Z = free_amalgam(base, *factors)
+    Z = free_amalgam(base, C, *copies)
 
     gx = sorted(g.x_set)
     gmap = {}
@@ -324,15 +325,11 @@ def build_tower_amalgam(
             new_points.append(next_id)
             next_id += 1
     glued = g.structure.relabel(gmap)
-    verts = set(Z.vertices) | set(glued.vertices)
-    inst = {name: list(tups) for name, tups in Z.instances.items()}
-    for name, tups in glued.instances.items():
-        inst.setdefault(name, []).extend(tups)
-    E = FiniteStructure(Z.signature, verts, inst)
+    E = Z.with_added(glued.vertices, glued.instances)
     return TowerAmalgam(
         E,
         frozenset(C.vertices),
-        tuple(copy_blocks),
+        tuple(frozenset(copy.vertices) for copy in copies),
         tuple(x_points),
         frozenset(new_points),
     )
@@ -399,24 +396,9 @@ def build_fan_join(
     base = frozenset(int(v) for v in base_ids)
     if b_vertex in base or b_vertex not in B._index:
         raise InputError("b_vertex must lie in B outside the base")
-    next_id = max(B.vertices) + 1
-    factors = []
-    copy_blocks = []
-    b_copies = []
-    for _ in range(r - 1):
-        mapping = {}
-        for v in B.vertices:
-            if v in base:
-                mapping[v] = v
-            else:
-                mapping[v] = next_id
-                next_id += 1
-        copy = B.relabel(mapping)
-        factors.append(copy)
-        copy_blocks.append(frozenset(copy.vertices))
-        b_copies.append(mapping[b_vertex])
-    F = free_amalgam(base, *factors)
-    c = next_id
+    copies, b_copies, c = _fresh_copies(B, base, r - 1, b_vertex, max(B.vertices) + 1)
+    copy_blocks = [frozenset(copy.vertices) for copy in copies]
+    F = free_amalgam(base, *copies)
     E = F.with_added([c], {rel.name: [tuple(sorted(b_copies + [c]))]})
 
     membership = in_Cf(E, f)
@@ -643,30 +625,13 @@ def build_cycle_fan(
             raise InputError("block ids must be disjoint from the double cycle")
         next_id = max(next_id, max(Bp.vertices) + 1)
 
-    copy_blocks = []
-    b_copies = []
-    factors = []
-    for _ in range(s):
-        mapping = {}
-        for v in Bp.vertices:
-            if v in base:
-                mapping[v] = v
-            else:
-                mapping[v] = next_id
-                next_id += 1
-        copy = Bp.relabel(mapping)
-        factors.append(copy)
-        copy_blocks.append(frozenset(copy.vertices))
-        b_copies.append(mapping[b_vertex])
-    Bpart = free_amalgam(base, *factors)
-    verts = set(Bpart.vertices) | set(S.vertices)
-    inst = {name: list(tups) for name, tups in Bpart.instances.items()}
-    for name, tups in S.instances.items():
-        inst.setdefault(name, []).extend(tups)
+    copies, b_copies, _ = _fresh_copies(Bp, base, s, b_vertex, next_id)
+    copy_blocks = [frozenset(copy.vertices) for copy in copies]
     rel = S.signature.relations[0].name
-    for i in range(s):
-        inst[rel].append((b_copies[i], dc.c_vertices[i]))
-    E = FiniteStructure(S.signature, verts, inst)
+    matching = tuple(zip(b_copies, dc.c_vertices))
+    E = free_amalgam(base, *copies).with_added(
+        S.vertices, {**S.instances, rel: S.instances[rel] + matching}
+    )
 
     delta_e = delta_mask(E, E.full_mask())
     f_at = f(len(E.vertices))

@@ -21,7 +21,7 @@ from .closures import (
     self_sufficient,
 )
 from .errors import ContractError
-from .reports import FAIL, PARTIAL, PASS, VerificationReport, subset_witness
+from .reports import PARTIAL, VerificationReport, subset_witness
 from .structures import FiniteStructure
 
 
@@ -119,7 +119,7 @@ def axiom_suite(
     n = len(S.vertices)
     if n == 0:
         for key in ("compatibility", "monotonicity", "transitivity", "symmetry"):
-            rep.add(key, PASS, note="empty ambient, vacuous")
+            rep.check(key, None, note="empty ambient, vacuous")
         return rep.finalize()
     dt, cl = dim_cld_tables(S)
     closed = d_closed_subset_masks(S, size_cap=size_cap)
@@ -143,10 +143,9 @@ def axiom_suite(
             bi, ci = np.argwhere(lhs != rhs)[0]
             sym_bad = (a, int(sets[bi]), int(sets[ci]))
             break
-    rep.add(
+    rep.check(
         "symmetry",
-        PASS if sym_bad is None else FAIL,
-        witness=None if sym_bad is None else _triple_witness(S, sym_bad),
+        None if sym_bad is None else _triple_witness(S, sym_bad),
         note=f"{k} d-closed sets (size cap {size_cap})",
     )
 
@@ -181,10 +180,9 @@ def axiom_suite(
             label, f = next((label, f) for label, f in fails if f[bi].any())
             comp_bad = (a, int(small[bi]), int(sets[np.argmax(f[bi])]), label)
             break
-    rep.add(
+    rep.check(
         "compatibility",
-        PASS if comp_bad is None else FAIL,
-        witness=None if comp_bad is None else _triple_witness(S, comp_bad[:3]),
+        None if comp_bad is None else _triple_witness(S, comp_bad[:3]),
         note="" if comp_bad is None else comp_bad[3],
     )
 
@@ -217,10 +215,10 @@ def axiom_suite(
         if mono_bad or trans_bad:
             break
     for key, bad in (("monotonicity", mono_bad), ("transitivity", trans_bad)):
-        if bad is not None:
-            rep.add(key, FAIL, witness=_quad_witness(S, bad))
+        if bad is None and partial_note:
+            rep.add(key, PARTIAL, note=partial_note)
         else:
-            rep.add(key, PARTIAL if partial_note else PASS, note=partial_note)
+            rep.check(key, None if bad is None else _quad_witness(S, bad))
     return rep.finalize()
 
 

@@ -61,6 +61,16 @@ class VerificationReport:
     ) -> None:
         self.cases.append(CaseResult(key, status, witness, margin, note))
 
+    def check(
+        self,
+        key: str,
+        witness: Optional[str],
+        margin: Optional[Fraction] = None,
+        note: str = "",
+    ) -> None:
+        """Record a case that FAILs exactly when it carries a witness."""
+        self.add(key, PASS if witness is None else FAIL, witness, margin, note)
+
     def finalize(self) -> "VerificationReport":
         keys = [c.key for c in self.cases]
         if len(set(keys)) != len(keys):

@@ -547,16 +547,6 @@ def _encode_under(
     return (len(S.vertices), labels, tuple(rels))
 
 
-def iso_invariant(S: FiniteStructure) -> tuple:
-    """Cheap isomorphism invariant used to prefilter canonicalization."""
-    colors = _refine_colors(S)
-    return (
-        len(S.vertices),
-        tuple(sorted(colors)),
-        tuple((r.name, len(S.instances[r.name])) for r in S.signature.relations),
-    )
-
-
 def canonical_form(
     S: FiniteStructure,
     cap: int | None = None,
@@ -588,14 +578,6 @@ def canonical_form(
         if best is None or enc < best:
             best = enc
     return best
-
-
-def are_isomorphic(a: FiniteStructure, b: FiniteStructure, cap: int | None = None) -> bool:
-    if a.signature != b.signature or len(a) != len(b):
-        return False
-    if iso_invariant(a) != iso_invariant(b):
-        return False
-    return canonical_form(a, cap) == canonical_form(b, cap)
 
 
 # -- predimlab/1 file format ---------------------------------------------------

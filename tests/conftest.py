@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -17,6 +19,15 @@ from predimlab.builder import CF
 from predimlab.structures import Relation, Signature, _embeddings
 from predimlab.classes import MembershipResult
 from predimlab.reports import FAIL, PARTIAL, PASS
+
+
+def perfbench_workloads():
+    """``perfbench/workloads.py``, loaded by path and only read."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @st.composite

@@ -10,6 +10,8 @@ from predimlab import (
     InputError,
     MsaType,
     PartialMap,
+    Relation,
+    Signature,
     check_potential_extendability,
     count_msa_copies,
     duplicate_base_points,
@@ -161,15 +163,21 @@ def test_msa_bound_on_seeded_amalgams():
 
 
 def test_duplicate_base_points():
-    amb = graph([(2, 0), (2, 1), (3, 0), (3, 1)])
-    t = msa_type_of(amb, [0, 1], [0, 1, 2])
-    t2 = duplicate_base_points(t)
-    assert is_msa(t2.pattern, t2.base, frozenset(t2.pattern.vertices))
-    for v in t2.base:
-        hits = sum(
-            1 for name, tups in t2.pattern.instances.items() for tp in tups if v in tp
-        )
-        assert hits == 1
+    weighted = msa_type_of(graph([(2, 0), (2, 1), (3, 0), (3, 1)]), [0, 1], [0, 1, 2])
+    # a zero-weight instance through the base binds no delta and is dropped
+    sig = Signature(2, (Relation("R", 2, 1), Relation("Z", 3, 0)))
+    mixed = MsaType(FiniteStructure(sig, [0, 1, 2], {"R": [(0, 2), (1, 2)], "Z": [(0, 1, 2)]}),
+                    frozenset({0, 1}))
+    for t in (weighted, mixed):
+        assert is_msa(t.pattern, t.base, frozenset(t.pattern.vertices))
+        t2 = duplicate_base_points(t)
+        assert is_msa(t2.pattern, t2.base, frozenset(t2.pattern.vertices))
+        assert len(t2.base) == 2
+        for v in t2.base:
+            hits = sum(
+                1 for name, tups in t2.pattern.instances.items() for tp in tups if v in tp
+            )
+            assert hits == 1
 
 
 def test_partial_map_validation():

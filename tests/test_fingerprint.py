@@ -9,7 +9,6 @@ the options the benchmark fingerprints it with, and every build is a
 """
 
 import contextlib
-import importlib.util
 import io
 import json
 from pathlib import Path
@@ -20,21 +19,11 @@ from predimlab import audit_extension_property, builder, enumerate_class, load_s
 from predimlab.builder import enumerate_tasks
 from predimlab.cli import main
 
-from conftest import brute_realized
+from conftest import brute_realized, perfbench_workloads
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-FINGERPRINT = PERFBENCH / "fingerprint.json"
+FINGERPRINT = Path(__file__).resolve().parents[1] / "perfbench" / "fingerprint.json"
 
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_WORKLOADS = _load_workloads()
+_WORKLOADS = perfbench_workloads()
 SUITE_OPTIONS = _WORKLOADS.SUITE_OPTIONS["full"]
 # name: (build arguments, audit arguments, audit exit code)
 BUILDS = {name: (build, audit, rc) for name, build, audit, rc in _WORKLOADS.BUILDS["full"]}

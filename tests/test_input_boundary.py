@@ -3,17 +3,27 @@
 malformed line with exit code 2 (never the FAIL code 1, never a traceback).
 """
 
+import contextlib
+import inspect
+import io
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from predimlab import FiniteStructure, InputError, dump_structure, load_structure
+from predimlab import (
+    FiniteStructure,
+    InputError,
+    dump_structure,
+    load_structure,
+    run_suite,
+    suites,
+)
 from predimlab.cli import main
 from predimlab.structures import bipartite_graph
 
-from conftest import small_graphs, small_hypergraphs, subsets_of
+from conftest import perfbench_workloads, small_graphs, small_hypergraphs, subsets_of
 
 HEADER = "predimlab/1"
 VALID = (
@@ -119,3 +129,53 @@ def test_cli_delta_exits_2_on_malformed_file(tmp_path, capsys, text):
     f.write_text(text)
     assert main(["delta", str(f), "--set", "0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# Suite inputs that once escaped as raw tracebacks with the FAIL code.
+BAD_SUITE_INPUTS = [
+    ["extension-property", "--negative-control", "--option", "budget=0"],
+    ["extension-property", "--negative-control", "--option", "budget=1"],
+    ["extension-property", "--negative-control", "--option", "max_pattern=0"],
+    ["extension-property", "--negative-control", "--option", "max_pattern=1"],
+    ["submodularity", "--option", "oracle_max_n=1"],
+    ["submodularity", "--option", "oracle_max_n=-1"],
+    ["submodularity", "--option", "max_n=-1"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_SUITE_INPUTS, ids=lambda argv: " ".join(argv[1:]))
+def test_cli_verify_bad_suite_input_exits_2(capsys, argv):
+    assert main(["verify", *argv]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_n", [1, 2])
+def test_submodularity_negative_control_at_small_max_n(max_n):
+    rep = run_suite("submodularity", negative_control=True, max_n=max_n, oracle_cases=25,
+                    oracle_max_n=4)
+    assert [c.key for c in rep.failures()] == ["negative-control:corrupted-delta"]
+
+
+TINY = perfbench_workloads().SUITE_OPTIONS["tiny"]
+
+
+def _int_options(name):
+    fn = getattr(suites, f"{name.replace('-', '_')}_suite")
+    return [k for k, p in inspect.signature(fn).parameters.items()
+            if type(p.default) is int and k != "seed"]
+
+
+SWEEP = [(name, key, value, control)
+         for name in suites.SUITE_NAMES for key in _int_options(name)
+         for value in (-1, 0, 1) for control in (False, True)]
+
+
+@pytest.mark.parametrize("name,key,value,control", SWEEP,
+                         ids=[f"{n}-{k}={v}{'-nc' if c else ''}" for n, k, v, c in SWEEP])
+def test_cli_verify_option_boundary_sweep(name, key, value, control):
+    options = {**TINY[name], key: value}
+    argv = ["verify", name, *(["--negative-control"] if control else [])]
+    for k, v in options.items():
+        argv += ["--option", f"{k}={v}"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from predimlab import InputError, VerificationReport, emit_report, run_suite
+from predimlab import InputError, VerificationReport, builder, emit_report, run_suite, suites
 from predimlab.cli import main
 from predimlab.reports import FAIL, PASS, CaseResult
 from predimlab.structures import dump_structure, graph, load_structure
@@ -16,6 +16,35 @@ from predimlab.structures import dump_structure, graph, load_structure
 def test_fail_requires_witness():
     with pytest.raises(InputError):
         CaseResult("k", FAIL)
+
+
+def test_check_derives_status_from_witness():
+    rep = VerificationReport(suite="t")
+    rep.check("clean", None, margin=Fraction(3, 2), note="n")
+    rep.check("broken", "w", margin=Fraction(-1), note="m")
+    clean, broken = rep.cases
+    assert clean == CaseResult("clean", PASS, None, Fraction(3, 2), "n")
+    assert broken == CaseResult("broken", FAIL, "w", Fraction(-1), "m")
+
+
+def test_missed_negative_control_is_a_pass_without_witness(monkeypatch, capsys):
+    # a window check that sees nothing misses the flipped period entry
+    monkeypatch.setattr(suites, "_beatty_window_checks", lambda seq, ell, b: None)
+    rep = run_suite("beatty", b_max=6, negative_control=True)
+    case = next(c for c in rep.cases if c.key == "negative-control:l=02,b=05")
+    assert (case.status, case.witness) == (PASS, None)
+    assert case.note == "flipped period entry 2; a FAIL here is the expected outcome"
+    assert main(["verify", "beatty", "--negative-control", "--option", "b_max=6"]) == 0
+
+
+def test_failing_zero_budget_control_carries_a_witness(monkeypatch, capsys):
+    # a build that realizes everything without a single step breaks the control
+    monkeypatch.setattr(builder.AuditReport, "ratio", lambda self, max_base=None: 1.0)
+    rep = run_suite("extension-property", budget=25)
+    case = next(c for c in rep.cases if c.key == "zero-budget-control")
+    assert case.status == FAIL and case.witness
+    assert [c.key for c in rep.failures()] == ["zero-budget-control"]
+    assert main(["verify", "extension-property", "--option", "budget=25"]) == 1
 
 
 def test_empty_suite_report():
