@@ -40,6 +40,7 @@ from .structures import (
     LINE,
     POINT,
     FiniteStructure,
+    DEFAULT_CANON_CAP,
     Signature,
     _bits,
     _embeddings,
@@ -57,6 +58,8 @@ LE_D = "LE_D"
 # per task visit, at most this many embedded bases are examined; keeps a
 # visit from drowning in already-realized embeddings deep in the order
 SCAN_WINDOW = 50
+
+SESE_PATTERN_CAP = 10  # most pattern vertices find_sese_embeddings accepts
 
 
 def _in_class(
@@ -88,21 +91,20 @@ def enumerate_class(
     max_size: int,
     control: Optional[ControlFunction] = None,
     ngon: Optional[int] = None,
-    canon_cap: int = 8,
 ) -> list[FiniteStructure]:
     """All isomorphism types in the class up to ``max_size``, canonically ordered.
 
     Grown by vertex augmentation, which is complete because the classes are
     hereditary; every emitted structure is certified in-class.
     """
-    if max_size > canon_cap:
-        raise CapacityError("class enumeration size", canon_cap, max_size)
+    if max_size > DEFAULT_CANON_CAP:
+        raise CapacityError("class enumeration size", DEFAULT_CANON_CAP, max_size)
     if tag == CF and control is None:
         raise InputError("cf enumeration needs a control function")
     if tag == KN and ngon is None:
         raise InputError("kn enumeration needs an ngon")
     return _isomorph_free_types(
-        signature, max_size, lambda S: _in_class(S, tag, control, ngon)[0], canon_cap
+        signature, max_size, lambda S: _in_class(S, tag, control, ngon)[0]
     )
 
 
@@ -110,7 +112,6 @@ def _isomorph_free_types(
     signature: Signature,
     max_size: int,
     keep: Callable[[FiniteStructure], bool],
-    canon_cap: int,
 ) -> list[FiniteStructure]:
     """One structure per isomorphism type, up to ``max_size`` vertices, by
     size and then canonical form.
@@ -126,7 +127,7 @@ def _isomorph_free_types(
         for base in level:
             for cand in _augmentations(base, size - 1):
                 if keep(cand):
-                    seen.setdefault(canonical_form(cand, cap=canon_cap), cand)
+                    seen.setdefault(canonical_form(cand, cap=size), cand)
         level = [seen[k] for k in sorted(seen)]
         out.extend(level)
     return out
@@ -228,27 +229,14 @@ def enumerate_tasks(
 
 
 def find_sese_embeddings(
-    S: FiniteStructure,
-    pattern: FiniteStructure,
-    mode: str = LE,
-    cap: int = 10,
-    limit: Optional[int] = None,
+    S: FiniteStructure, pattern: FiniteStructure, mode: str = LE
 ) -> list[dict[int, int]]:
     """All embeddings of the pattern whose image is self-sufficient (LE) or
     d-closed (LE_D) in S, canonically ordered."""
-    if len(pattern.vertices) > cap:
-        raise CapacityError("embedding pattern size", cap, len(pattern.vertices))
-    out = []
-    for phi in _embeddings(S, pattern, {}):
-        image = frozenset(phi.values())
-        good = (
-            self_sufficient(S, image)[0] if mode == LE else is_d_closed(S, image)
-        )
-        if good:
-            out.append(phi)
-            if limit is not None and len(out) >= limit:
-                break
-    return out
+    if len(pattern.vertices) > SESE_PATTERN_CAP:
+        raise CapacityError("embedding pattern size", SESE_PATTERN_CAP, len(pattern.vertices))
+    tag = C0 if mode == LE else CF
+    return [phi for phi in _embeddings(S, pattern, {}) if _is_strong(S, phi.values(), tag)]
 
 
 # -- build -----------------------------------------------------------------------

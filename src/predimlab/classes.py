@@ -37,6 +37,7 @@ DEFAULT_CF_EXHAUSTIVE_CAP = 18
 DEFAULT_CONN_SIZE = 18
 DEFAULT_CONN_BUDGET = 200_000
 DEFAULT_SAMPLES = 1000
+KN_CYCLE_BUDGET = 2_000_000  # long-cycle search steps in_Kn takes before PARTIAL
 
 
 class ControlFunction:
@@ -330,11 +331,7 @@ def _simple_cycles_longer_than(
     return cycles, True
 
 
-def in_Kn(
-    S: FiniteStructure,
-    ngon: int,
-    cycle_budget: int = 2_000_000,
-) -> MembershipResult:
+def in_Kn(S: FiniteStructure, ngon: int) -> MembershipResult:
     """Generalized-polygon class: girth and long-cycle predimension conditions.
 
     The structure must be in bipartite mode, so its one relation is binary.
@@ -352,7 +349,7 @@ def in_Kn(
         if g < 2 * ngon:
             return MembershipResult(FAIL, witness=cyc,
                                     detail=f"cycle of length {int(g)} < {2 * ngon}")
-    long_cycles, complete = _simple_cycles_longer_than(S, 2 * ngon, cycle_budget)
+    long_cycles, complete = _simple_cycles_longer_than(S, 2 * ngon, KN_CYCLE_BUDGET)
     bound = 2 * ngon + 2
     for cyc in long_cycles:
         val, minimal, _ = _solve(S, cyc, need=_LEAST)
@@ -365,5 +362,5 @@ def in_Kn(
             )
     if not complete:
         return MembershipResult(PARTIAL,
-                                detail=f"cycle enumeration budget {cycle_budget} hit")
+                                detail=f"cycle enumeration budget {KN_CYCLE_BUDGET} hit")
     return MembershipResult(PASS, checked=len(long_cycles) + 1)

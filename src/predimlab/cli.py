@@ -61,14 +61,6 @@ def _load(path: str) -> FiniteStructure:
     return S
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _signature_from(args) -> Signature:
     if args.r == 2:
         return graph_signature(args.n, args.m)
@@ -197,8 +189,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def _report_exit(args, rep: VerificationReport) -> int:
-    _emit(args, emit_report(rep, getattr(args, "report", "text")))
+def _report_exit(args, rep: VerificationReport, out: str | None = None) -> int:
+    """Write the report to ``out``, or to stdout, and return the exit code."""
+    text = emit_report(rep, args.report)
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return 0 if rep.ok else 1
 
 
@@ -318,9 +316,7 @@ def _dispatch(args) -> int:
         if g.degenerate:
             print(f"# DEGENERATE: {g.degenerate_reason}", file=sys.stderr)
         if args.verify:
-            rep = verify_gadget(g)
-            sys.stdout.write(emit_report(rep, args.report))
-            return 0 if rep.ok else 1
+            return _report_exit(args, verify_gadget(g))
         return 0
 
     if cmd == "beatty":
@@ -419,7 +415,7 @@ def _dispatch(args) -> int:
                 raise InputError(f"--option {item!r}: {val!r} is not an integer") from None
         rep = run_suite(args.suite, seed=args.seed,
                         negative_control=args.negative_control, **options)
-        return _report_exit(args, rep)
+        return _report_exit(args, rep, args.out)
 
     raise InputError(f"unknown command {cmd!r}")
 

@@ -458,36 +458,23 @@ def _flow_solve(S: FiniteStructure, xmask: int, need: int = _LEAST | _GREATEST):
 
 
 def _solve(
-    S: FiniteStructure,
-    xmask: int,
-    within: int | None = None,
-    engine: str = "auto",
-    need: int = _LEAST | _GREATEST,
+    S: FiniteStructure, xmask: int, engine: str = "auto", need: int = _LEAST | _GREATEST
 ) -> tuple[int, int | None, int | None]:
-    """(dim, least, greatest minimizer) over supersets of X inside ``within``.
+    """(dim, least, greatest minimizer) over supersets of X.
 
     The flow engine computes only the minimizers in ``need``; the table
-    engine reads both off its cached arrays.  ``within`` induces the
-    substructure and solves there.
+    engine reads both off its cached arrays.
     """
-    engine = _resolve_engine(S, engine, within)
-    if within is not None and within != S.full_mask():
-        if xmask & ~within:
-            raise InputError("X must lie inside the restriction set")
-        sub = S.induced(S.ids_of(within))
-        d, *minimizers = _solve(sub, sub.mask_of(S.ids_of(xmask)), engine=engine, need=need)
-        mn, mx = (None if m is None else S.mask_of(sub.ids_of(m)) for m in minimizers)
-        return d, mn, mx
-    if engine == "table":
+    if _resolve_engine(S, engine) == "table":
         least, greatest = dim_table_cached(S)
         return int(delta_table(S)[least[xmask]]), int(least[xmask]), int(greatest[xmask])
     return _flow_solve(S, xmask, need)
 
 
-def _resolve_engine(S: FiniteStructure, engine: str, within: int | None) -> str:
+def _resolve_engine(S: FiniteStructure, engine: str) -> str:
     """"table" or "flow"; "auto" reads the cutoff, so resolve once per public call."""
     if engine == "auto":
-        return "table" if len(S.vertices) <= _table_cutoff() and within is None else "flow"
+        return "table" if len(S.vertices) <= _table_cutoff() else "flow"
     if engine not in ("table", "flow"):
         raise InputError(f"unknown engine {engine!r}")
     return engine
@@ -532,20 +519,22 @@ def self_sufficient(
 ) -> tuple[bool, Optional[frozenset[int]]]:
     """Exact A <= B check with no enumeration cap (B defaults to all of S).
 
-    It never enumerates subsets, so it stays polynomial on large ambients.  On
-    failure the witness is the minimal-delta, minimal-cardinality violating set.
+    A given B is checked in the structure B induces.  It never enumerates
+    subsets, so it stays polynomial on large ambients.  On failure the
+    witness is the minimal-delta, minimal-cardinality violating set.
     With ``want_witness`` off, the flow engine only computes dim(A), and stops
     as soon as it reaches delta(A), which always bounds it.
     """
+    if B is not None:
+        if not S.subset(A) <= S.subset(B):
+            raise InputError("A must be a subset of B")
+        return self_sufficient(S.induced(B), A, engine=engine, want_witness=want_witness)
     amask = S.mask_of(A)
-    within = None if B is None else S.mask_of(B)
-    if within is not None and amask & ~within:
-        raise InputError("A must be a subset of B")
     delta_a = delta_mask(S, amask)
-    engine = _resolve_engine(S, engine, within)
-    if not want_witness and within is None and engine == "flow":
+    engine = _resolve_engine(S, engine)
+    if not want_witness and engine == "flow":
         return _solver_for(S).solve_value(amask, at_most=delta_a) >= delta_a, None
-    val, minimal, _ = _solve(S, amask, within=within, engine=engine, need=_LEAST)
+    val, minimal, _ = _solve(S, amask, engine=engine, need=_LEAST)
     if val >= delta_a:
         return True, None
     return False, S.ids_of(minimal)

@@ -28,22 +28,21 @@ from .structures import (
     delta_rel,
     _bits,
     _embeddings,
+    _submasks,
 )
 
 DEFAULT_EXT_CAP = 12
 DEFAULT_SATURATION = 3
 
 
-def is_simply_algebraic(
-    S: FiniteStructure, Z: Iterable[int], Y: Iterable[int], cap: int = DEFAULT_EXT_CAP
-) -> bool:
+def is_simply_algebraic(S: FiniteStructure, Z: Iterable[int], Y: Iterable[int]) -> bool:
     """delta(Y/Z) = 0 and delta(Y/Z1) < 0 for every intermediate Z1."""
     zs, ys = S.subset(Z), S.subset(Y)
     if not zs < ys:
         raise InputError("need Z strictly inside Y")
     new = sorted(ys - zs)
-    if len(new) > cap:
-        raise CapacityError("sa intermediate enumeration", cap, len(new))
+    if len(new) > DEFAULT_EXT_CAP:
+        raise CapacityError("sa intermediate enumeration", DEFAULT_EXT_CAP, len(new))
     if delta_rel(S, new, zs) != 0:
         return False
     for k in range(1, len(new)):
@@ -69,18 +68,16 @@ def _touching_base(S: FiniteStructure, Z: frozenset[int], new: frozenset[int]) -
     return S.ids_of(_touching(S, S.mask_of(Z), S.mask_of(new)))
 
 
-def is_msa(
-    S: FiniteStructure, Z: Iterable[int], Y: Iterable[int], cap: int = DEFAULT_EXT_CAP
-) -> bool:
+def is_msa(S: FiniteStructure, Z: Iterable[int], Y: Iterable[int]) -> bool:
     """Simply algebraic with every base point attached to a new point."""
     zs, ys = S.subset(Z), S.subset(Y)
-    if not is_simply_algebraic(S, zs, ys, cap):
+    if not is_simply_algebraic(S, zs, ys):
         return False
     return _touching_base(S, zs, ys - zs) == zs
 
 
 def msa_base(
-    S: FiniteStructure, Z: Iterable[int], Y: Iterable[int], cap: int = DEFAULT_EXT_CAP
+    S: FiniteStructure, Z: Iterable[int], Y: Iterable[int]
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Minimal base of a simply algebraic pair: (Z1, Y1 = Z1 + new points).
 
@@ -88,12 +85,12 @@ def msa_base(
     and Y decomposes as the free amalgam of Z and Y1 over Z1.
     """
     zs, ys = S.subset(Z), S.subset(Y)
-    if not is_simply_algebraic(S, zs, ys, cap):
+    if not is_simply_algebraic(S, zs, ys):
         raise ContractError("msa_base needs a simply algebraic input pair")
     new = ys - zs
     z1 = _touching_base(S, zs, new)
     y1 = z1 | new
-    if not is_msa(S, z1, y1, cap):
+    if not is_msa(S, z1, y1):
         raise ContractError("extracted base failed the msa check")
     return z1, y1
 
@@ -122,10 +119,8 @@ class MsaType:
         return canonical_form(self.pattern, cap=len(self.pattern.vertices), colors=colors)
 
 
-def msa_type_of(
-    S: FiniteStructure, Z: Iterable[int], Y: Iterable[int], cap: int = DEFAULT_EXT_CAP
-) -> MsaType:
-    z1, y1 = msa_base(S, Z, Y, cap)
+def msa_type_of(S: FiniteStructure, Z: Iterable[int], Y: Iterable[int]) -> MsaType:
+    z1, y1 = msa_base(S, Z, Y)
     return MsaType(S.induced(y1), z1)
 
 
@@ -141,8 +136,6 @@ def count_msa_copies(
     A: Iterable[int],
     t: MsaType,
     pin: Mapping[int, int] | None = None,
-    cap: int = DEFAULT_EXT_CAP,
-    require_disjoint: bool = False,
 ) -> CopyCount:
     """Distinct sa extensions of A realizing the msa type, counted inside S.
 
@@ -151,13 +144,12 @@ def count_msa_copies(
     induced embedding of the pattern over a placement whose new points lie
     outside A and share no instance inside A union the image with the rest
     of A.  Copies are the new-point sets; when A is self-sufficient in S
-    they are pairwise disjoint and relation-free over each other, which
-    ``require_disjoint`` asserts.
+    they are pairwise disjoint and relation-free over each other.
     """
     a_set = S.subset(A)
     ext = sorted(t.new_points)
-    if len(ext) > cap:
-        raise CapacityError("msa copy search", cap, len(ext))
+    if len(ext) > DEFAULT_EXT_CAP:
+        raise CapacityError("msa copy search", DEFAULT_EXT_CAP, len(ext))
     if pin is None:
         placements = _embeddings(S.induced(a_set), t.pattern.induced(t.base), {})
     else:
@@ -181,11 +173,8 @@ def count_msa_copies(
             scope = a_mask | new
             if not any(m & rest and m & ~scope == 0 for i in _bits(new) for _, m in through[i]):
                 copies.add(new)
-    disjoint = _copies_disjoint(S, a_mask, copies)
-    if require_disjoint and not disjoint:
-        raise ContractError("copies are not in free amalgamation over the base set")
     copies_t = tuple(sorted((S.ids_of(m) for m in copies), key=sorted))
-    return CopyCount(len(copies_t), copies_t, disjoint)
+    return CopyCount(len(copies_t), copies_t, _copies_disjoint(S, a_mask, copies))
 
 
 def _copies_disjoint(S: FiniteStructure, a_mask: int, copies: Iterable[int]) -> bool:
@@ -242,16 +231,6 @@ def enumerate_msa_pairs(
                         for sub in _submasks(wmask) if 0 != sub != wmask)
             ):
                 yield S.ids_of(zmask), S.ids_of(wmask)
-
-
-def _submasks(mask: int) -> Iterator[int]:
-    """The submasks of mask, ascending from 0 to mask."""
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask
 
 
 # -- base duplication ------------------------------------------------------------------
@@ -363,7 +342,6 @@ def check_potential_extendability(
     pmap: PartialMap,
     base_cap: int = 3,
     ext_cap: int = 2,
-    saturation: int = DEFAULT_SATURATION,
 ) -> VerificationReport:
     """Compare ambient-relative msa multiplicities across a partial map.
 
@@ -393,8 +371,8 @@ def check_potential_extendability(
                 c2 = count_msa_copies(S, img, t2, pin={v: v for v in Z2})
                 case_i += 1
                 key = f"type{case_i:03d}:Z={subset_witness(Z)}:ext{len(t.new_points)}"
-                if c1.count >= saturation and c2.count >= saturation:
-                    rep.add(key, PASS, note=f"SATURATED (both >= {saturation})")
+                if min(c1.count, c2.count) >= DEFAULT_SATURATION:
+                    rep.add(key, PASS, note=f"SATURATED (both >= {DEFAULT_SATURATION})")
                 elif c1.count == c2.count:
                     rep.add(key, PASS, note=f"mult {c1.count} both sides")
                 else:

@@ -32,11 +32,14 @@ from .structures import (
     graph,
     hypergraph_signature,
     _bits,
+    _submasks,
 )
 
 M_EQUALS_1 = "M_EQUALS_1"
 B_EQUALS_1 = "B_EQUALS_1"
 B_GE_2 = "B_GE_2"
+
+GADGET_VERIFY_CAP = 22  # most gadget vertices verify_gadget enumerates
 
 
 # -- Beatty sequences -------------------------------------------------------------
@@ -172,21 +175,13 @@ def build_gadget(n: int, m: int, r: int = 2) -> GadgetPair:
     return GadgetPair(Y, frozenset(x_skel) | frozenset(pad), params, degenerate, reason)
 
 
-def _submasks(mask: int) -> np.ndarray:
-    """Every submask of ``mask`` in ascending order, as int64."""
-    out = np.zeros(1, dtype=np.int64)
-    for i in _bits(mask):
-        out = np.concatenate([out, out | (1 << i)])
-    return out
-
-
-def verify_gadget(g: GadgetPair, cap: int = 22) -> VerificationReport:
+def verify_gadget(g: GadgetPair) -> VerificationReport:
     """Exhaustive check of the three gadget clauses by subset enumeration."""
     rep = VerificationReport(suite="gadget-verify")
     S = g.structure
     tag = f"n={g.params.n},m={g.params.m},r={g.params.r}"
-    if len(S.vertices) > cap:
-        raise CapacityError("gadget verification", cap, len(S.vertices))
+    if len(S.vertices) > GADGET_VERIFY_CAP:
+        raise CapacityError("gadget verification", GADGET_VERIFY_CAP, len(S.vertices))
     if g.degenerate:
         for clause in ("deficiency", "proper-parts", "intermediate"):
             rep.add(f"{tag}:{clause}", DEGENERATE, note=g.degenerate_reason)
@@ -206,7 +201,7 @@ def verify_gadget(g: GadgetPair, cap: int = 22) -> VerificationReport:
     # and every W.  The first U with a violation is the least violating W,
     # so no smaller W inside it violates: the violating set is P | U itself.
     xmask, free = S.mask_of(xs), S.mask_of(ys)
-    xm, fm = _submasks(xmask), _submasks(free)
+    xm, fm = (np.fromiter(_submasks(m), dtype=np.int64) for m in (xmask, free))
     parts = xm[:, None] | fm
     D = S.signature.vertex_weight * (popcounts(len(xs))[:, None] + popcounts(len(ys)))
     for imask, w in S.instance_masks():
@@ -267,15 +262,14 @@ def build_tower_amalgam(
     B: FiniteStructure,
     base_ids: Iterable[int],
     g: GadgetPair,
-    c_vertex: int | None = None,
-    u0_vertex: int | None = None,
 ) -> TowerAmalgam:
     """Glue the gadget onto one distinguished point of C and copies of B.
 
     C and B share the base (same ids, same induced structure).  The gadget's
     base X is identified with (c, and the u0 copy in each of |X|-1 fresh
-    copies of B); the rest of the gadget is added freely.  The gadget base
-    must carry no relations among its own points.
+    copies of B), where c and u0 are the least vertices of C and of B
+    outside the base; the rest of the gadget is added freely.  The gadget
+    base must carry no relations among its own points.
     """
     if C.signature != g.structure.signature or B.signature != C.signature:
         raise InputError("C, B and the gadget must share a signature")
@@ -285,23 +279,15 @@ def build_tower_amalgam(
         raise InputError("gadget base X must be relation-free")
     k = len(g.x_set)
     c_pool = sorted(set(C.vertices) - base)
-    if c_vertex is None:
-        if not c_pool:
-            raise InputError("C has no vertex outside the base")
-        c_vertex = c_pool[0]
-    elif c_vertex not in c_pool:
-        raise InputError(f"c_vertex {c_vertex} must lie in C outside the base")
+    if not c_pool:
+        raise InputError("C has no vertex outside the base")
     b_pool = sorted(set(B.vertices) - base)
-    if u0_vertex is None:
-        u0_vertex = b_pool[0] if b_pool else None
-    elif u0_vertex not in b_pool:
-        raise InputError(f"u0_vertex {u0_vertex} must lie in B outside the base")
 
     next_id = max(list(C.vertices) + list(B.vertices) + [-1]) + 1
     copies = []
-    x_points = [c_vertex]
-    if u0_vertex is not None:
-        copies, u0_copies, next_id = _fresh_copies(B, base, k - 1, u0_vertex, next_id)
+    x_points = [c_pool[0]]
+    if b_pool:
+        copies, u0_copies, next_id = _fresh_copies(B, base, k - 1, b_pool[0], next_id)
         x_points += u0_copies
         if len(set(x_points)) != k:
             raise InputError(f"could not identify {k} distinct x-points")
@@ -504,9 +490,11 @@ def sample_closed_connected_subsets(
     count: int = 1000,
     max_size: int = 18,
     seed: int = 0,
-    max_seed_size: int = 5,
 ) -> SampledInequality:
-    """Seeded d-closed connected samples; checks 2*delta(X) >= |X| + 3 exactly."""
+    """Seeded d-closed connected samples; checks 2*delta(X) >= |X| + 3 exactly.
+
+    Each sample is the d-closure of a connected seed of 1 to 5 vertices.
+    """
     S = dc.structure
     rng = random.Random(seed)
     co = _binary_co(S)
@@ -520,7 +508,7 @@ def sample_closed_connected_subsets(
         attempts += 1
         if attempts > 80 * count:
             raise InputError("sampling could not reach the requested count")
-        size = rng.randint(1, max_seed_size)
+        size = rng.randint(1, 5)
         seed_mask = 1 << rng.randrange(n)
         while seed_mask.bit_count() < size:
             near = 0
@@ -546,15 +534,14 @@ def sample_c_closures(
     dc: DoubleCycle,
     count: int = 300,
     seed: int = 1,
-    max_seed_size: int = 6,
 ) -> SampledInequality:
-    """Closures of seeds inside C; checks |closure| <= 4*|seed| - 3."""
+    """Closures of seeds of 1 to 6 C vertices; checks |closure| <= 4*|seed| - 3."""
     S = dc.structure
     rng = random.Random(seed)
     violations = []
     seen = set()
     for _ in range(count):
-        size = rng.randint(1, max_seed_size)
+        size = rng.randint(1, 6)
         seed_set = frozenset(rng.sample(list(dc.c_vertices), size))
         X = cld(S, seed_set)
         seen.add(X)
@@ -577,94 +564,52 @@ def _connected_in(co: tuple[int, ...], xmask: int) -> bool:
 
 @dataclass(frozen=True)
 class CycleFanResult:
-    structure: FiniteStructure  # E = B-copies + CD with matching edges
-    base: frozenset[int]  # A
-    copy_blocks: tuple[frozenset[int], ...]
-    b_copies: tuple[int, ...]
+    structure: FiniteStructure  # E = CD plus a pendant vertex on every C vertex
+    b_copies: tuple[int, ...]  # the pendant vertices, in C-vertex order
     dc: DoubleCycle
     delta_e: int
     f_at_size: Fraction
     delta_bound_ok: bool
     smallest_valid_s: Optional[int]
-    d_samples_closed: tuple[bool, ...]  # base + single D vertex d-closed in E
+    d_samples_closed: tuple[bool, ...]  # single D vertex d-closed in E
     copies_sampled_closed: tuple[bool, ...]
     b_closure_is_all: bool
 
 
-def build_cycle_fan(
-    dc: DoubleCycle,
-    f: ControlFunction,
-    Bp: FiniteStructure | None = None,
-    base_ids: Iterable[int] = (),
-    b_vertex: int | None = None,
-    check_count: int = 3,
-    seed: int = 0,
-) -> CycleFanResult:
-    """Hang one copy of Bp over the base on every C vertex of the double cycle.
+def build_cycle_fan(dc: DoubleCycle, f: ControlFunction, seed: int = 0) -> CycleFanResult:
+    """Hang a fresh vertex over the empty base on every C vertex of the double cycle.
 
-    Defaults to the minimal block: empty base, Bp a single fresh vertex.
     d-closedness claims are verified on the full structure via the flow
-    engine, on ``check_count`` seeded positions.
+    engine, on 3 seeded positions each.
     """
     S = dc.structure
     s = dc.s
-    base = frozenset(int(v) for v in base_ids)
-    next_id = max(S.vertices) + 1
-    if Bp is None:
-        if base or b_vertex is not None:
-            raise InputError("default block takes no base and no b_vertex")
-        Bp = graph([], vertices=[next_id], n=2, m=1)
-        b_vertex = next_id
-        next_id += 1
-    else:
-        if Bp.signature != S.signature:
-            raise InputError("block must share the double cycle's signature")
-        if b_vertex is None or b_vertex in base or b_vertex not in Bp._index:
-            raise InputError("b_vertex must lie in the block outside the base")
-        if set(Bp.vertices) & set(S.vertices):
-            raise InputError("block ids must be disjoint from the double cycle")
-        next_id = max(next_id, max(Bp.vertices) + 1)
-
-    copies, b_copies, _ = _fresh_copies(Bp, base, s, b_vertex, next_id)
-    copy_blocks = [frozenset(copy.vertices) for copy in copies]
+    b_copies = tuple(range(max(S.vertices) + 1, max(S.vertices) + 1 + s))
     rel = S.signature.relations[0].name
-    matching = tuple(zip(b_copies, dc.c_vertices))
-    E = free_amalgam(base, *copies).with_added(
-        S.vertices, {**S.instances, rel: S.instances[rel] + matching}
-    )
+    E = S.with_added(b_copies, {rel: tuple(zip(b_copies, dc.c_vertices))})
 
     delta_e = delta_mask(E, E.full_mask())
     f_at = f(len(E.vertices))
     bound_ok = Fraction(delta_e) >= f_at
 
-    base_delta = delta_mask(E, E.mask_of(base))
-    per_copy = delta_rel(Bp, set(Bp.vertices) - base, base)
-    block_size = len(Bp.vertices) - len(base)
+    # the fan on a double cycle of length 2t has 3t vertices and delta 2t
     smallest = None
     t = 73
     while t <= 12 * s + 1200:
-        if math.gcd(6, t) == 1 and 72 < t:
-            dlt = base_delta + t * per_copy
-            size = len(base) + t * (block_size + 2)
-            if Fraction(dlt) >= f(size):
-                smallest = t
-                break
+        if math.gcd(6, t) == 1 and Fraction(2 * t) >= f(3 * t):
+            smallest = t
+            break
         t += 1
 
     rng = random.Random(seed)
-    d_choices = rng.sample(list(dc.d_vertices), min(check_count, s))
-    d_closed = tuple(is_d_closed(E, base | {e}) for e in d_choices)
-    copy_choices = rng.sample(range(s), min(check_count, s))
-    copies_closed = tuple(is_d_closed(E, copy_blocks[i]) for i in copy_choices)
-    ball = set(base)
-    for blk in copy_blocks:
-        ball |= blk
-    b_closure_all = cld(E, ball) == frozenset(E.vertices)
+    d_choices = rng.sample(list(dc.d_vertices), 3)
+    d_closed = tuple(is_d_closed(E, {e}) for e in d_choices)
+    copy_choices = rng.sample(range(s), 3)
+    copies_closed = tuple(is_d_closed(E, {b_copies[i]}) for i in copy_choices)
+    b_closure_all = cld(E, b_copies) == frozenset(E.vertices)
     return CycleFanResult(
         E,
-        base,
-        tuple(copy_blocks),
-        tuple(b_copies),
+        b_copies,
         dc,
         delta_e,
         f_at,

@@ -24,6 +24,10 @@ from .errors import ContractError
 from .reports import PARTIAL, VerificationReport, subset_witness
 from .structures import FiniteStructure
 
+# most quadruples of d-closed sets axiom_suite enumerates; above it the
+# fourth set is cut to a prefix and the two axioms that need it are PARTIAL
+QUAD_LIMIT = 400_000_000
+
 
 def d_independent(
     S: FiniteStructure, A: Iterable[int], B: Iterable[int], C: Iterable[int]
@@ -103,17 +107,13 @@ def perp(
 # -- axiom suite -----------------------------------------------------------------
 
 
-def axiom_suite(
-    S: FiniteStructure,
-    size_cap: int = 3,
-    quad_limit: int = 400_000_000,
-) -> VerificationReport:
+def axiom_suite(S: FiniteStructure, size_cap: int = 3) -> VerificationReport:
     """Exhaustive independence-axiom check over d-closed subsets of S.
 
     Tests compatibility, monotonicity, transitivity and symmetry of
     d-independence; the two axioms quantifying a fourth set enumerate
     quadruples, falling back to a deterministic prefix of the d-closed sets
-    (status PARTIAL) if the quadruple count would exceed ``quad_limit``.
+    (status PARTIAL) if the quadruple count would exceed :data:`QUAD_LIMIT`.
     """
     rep = VerificationReport(suite="axioms")
     n = len(S.vertices)
@@ -145,7 +145,7 @@ def axiom_suite(
             break
     rep.check(
         "symmetry",
-        None if sym_bad is None else _triple_witness(S, sym_bad),
+        None if sym_bad is None else _sets_witness(S, sym_bad),
         note=f"{k} d-closed sets (size cap {size_cap})",
     )
 
@@ -182,15 +182,15 @@ def axiom_suite(
             break
     rep.check(
         "compatibility",
-        None if comp_bad is None else _triple_witness(S, comp_bad[:3]),
+        None if comp_bad is None else _sets_witness(S, comp_bad[:3]),
         note="" if comp_bad is None else comp_bad[3],
     )
 
     # Monotonicity and transitivity quantify a fourth set.
     d_sets = sets
     partial_note = ""
-    if k ** 4 > quad_limit:
-        keep = max(2, int((quad_limit / max(k, 1)) ** (1 / 3)))
+    if k ** 4 > QUAD_LIMIT:
+        keep = max(2, int((QUAD_LIMIT / max(k, 1)) ** (1 / 3)))
         d_sets = sets[:keep]
         partial_note = f"fourth set limited to first {keep} of {k} d-closed sets"
     mono_bad = None
@@ -218,21 +218,10 @@ def axiom_suite(
         if bad is None and partial_note:
             rep.add(key, PARTIAL, note=partial_note)
         else:
-            rep.check(key, None if bad is None else _quad_witness(S, bad))
+            rep.check(key, None if bad is None else _sets_witness(S, bad))
     return rep.finalize()
 
 
-def _triple_witness(S: FiniteStructure, triple) -> str:
-    a, b, c = triple
-    return (
-        f"A={subset_witness(S.ids_of(a))} B={subset_witness(S.ids_of(b))} "
-        f"C={subset_witness(S.ids_of(c))}"
-    )
-
-
-def _quad_witness(S: FiniteStructure, quad) -> str:
-    a, b, c, d = quad
-    return (
-        f"A={subset_witness(S.ids_of(a))} B={subset_witness(S.ids_of(b))} "
-        f"C={subset_witness(S.ids_of(c))} D={subset_witness(S.ids_of(d))}"
-    )
+def _sets_witness(S: FiniteStructure, masks) -> str:
+    """The subsets of a failing triple or quadruple, labelled A, B, C, D."""
+    return " ".join(f"{label}={subset_witness(S.ids_of(m))}" for label, m in zip("ABCD", masks))

@@ -145,9 +145,9 @@ class VerificationReport:
 
 
 def emit_report(report: VerificationReport, fmt: str = "text") -> str:
-    if fmt in ("text", "TEXT"):
+    if fmt == "text":
         return report.to_text()
-    if fmt in ("machine", "MACHINE", "json"):
+    if fmt == "machine":
         return report.to_machine()
     raise InputError(f"unknown report format {fmt!r}")
 

@@ -28,7 +28,8 @@ LINE = "line"
 
 FORMAT_HEADER = "predimlab/1"
 
-# Cap defaults; every cap can be overridden per call or via environment.
+# The canonicalization cap bounds builder.enumerate_class as a fixed value;
+# PREDIMLAB_CANON_CAP overrides it only for canonical_form called without a cap.
 DEFAULT_SS_CAP = 24
 DEFAULT_CANON_CAP = 8
 
@@ -341,6 +342,16 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _submasks(mask: int) -> Iterator[int]:
+    """The submasks of mask, ascending from 0 to mask."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
 
 
 # -- embedding search ------------------------------------------------------------

@@ -603,7 +603,7 @@ def submodularity_suite(
         raise InputError(f"max_n must be nonnegative, got {max_n}")
     if oracle_max_n < 2:
         raise InputError(f"oracle_max_n must be at least 2, got {oracle_max_n}")
-    graphs = _isomorph_free_types(graph_signature(2, 1), max_n, lambda G: True, max_n)
+    graphs = _isomorph_free_types(graph_signature(2, 1), max_n, lambda G: True)
     size = 1 << max_n
     masks = np.arange(size, dtype=np.int64)
     OR = masks[:, None] | masks[None, :]
@@ -823,16 +823,20 @@ def extension_property_suite(
         note=f"zero-budget build realizes ratio {ratio0:.2f}",
     )
     if negative_control:
-        # deleting an edge breaks a realized copy: re-audit must drop below 1
-        if not S.instances["R"]:
-            raise InputError(f"the negative control deletes an edge, and the build "
-                             f"with budget={budget}, max_pattern={max_pattern} has none")
-        removed, *kept = S.instances["R"]
+        # the first vertex is the first image of every one-point base, so
+        # deleting its edges breaks realized copies: re-audit must drop below 1
+        removed = [e for e in S.instances["R"] if S.vertices[0] in e]
+        if not removed:
+            raise InputError(f"the negative control deletes the edges at the first vertex, "
+                             f"and the build with budget={budget}, max_pattern={max_pattern} "
+                             f"has none")
+        kept = [e for e in S.instances["R"] if e not in removed]
         corrupted = FiniteStructure(S.signature, S.vertices, {"R": kept})
         audit_c = audit_extension_property(corrupted, small_tasks, cap_per_task=cap_per_task)
         ratio_c = audit_c.ratio(max_base=1)
-        _negative_control(rep, "removed-edge",
-                          f"removed {removed}; ratio {ratio_c:.3f}" if ratio_c < 1.0 else None)
+        _negative_control(rep, "removed-edges",
+                          f"removed the {len(removed)} edges at vertex {S.vertices[0]}; "
+                          f"ratio {ratio_c:.3f}" if ratio_c < 1.0 else None)
     return rep.finalize()
 
 

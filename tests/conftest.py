@@ -21,6 +21,24 @@ from predimlab.classes import MembershipResult
 from predimlab.reports import FAIL, PARTIAL, PASS
 
 
+# Light suite options for the negative-control runs.  extension-property
+# builds with budget 30, the smallest seed-0 budget whose clean audit passes,
+# so its control's FAIL comes from the injected fault alone.
+LIGHT = {
+    "beatty": {"b_max": 6},
+    "gadget": {},
+    "lemma49": {},
+    "path-fact": {},
+    "ex511": {},
+    "ex512": {"samples": 50},
+    "msa-bound": {"trials": 4},
+    "submodularity": {"oracle_cases": 200},
+    "axioms": {"lemma43_cap": 2},
+    "extension-property": {"budget": 30},
+    "kn": {},
+}
+
+
 def perfbench_workloads():
     """``perfbench/workloads.py``, loaded by path and only read."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"

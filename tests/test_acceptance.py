@@ -11,6 +11,8 @@ from predimlab import run_suite
 from predimlab.cli import main
 from predimlab.reports import DEGENERATE, FAIL, PARTIAL, PASS
 
+from conftest import LIGHT
+
 
 def _gate(capsys, number, name, limit_s, rep, extra_ok=True, notes=""):
     elapsed = rep.wall_time if rep.wall_time is not None else 0.0
@@ -113,21 +115,8 @@ def test_accept_10_kn(capsys):
 def test_accept_11_negative_controls(capsys):
     """Every suite catches an injected fault and exit codes hold end to end."""
     t0 = time.monotonic()
-    light = {
-        "beatty": {"b_max": 6},
-        "gadget": {},
-        "lemma49": {},
-        "path-fact": {},
-        "ex511": {},
-        "ex512": {"samples": 50},
-        "msa-bound": {"trials": 4},
-        "submodularity": {"oracle_cases": 200},
-        "axioms": {"lemma43_cap": 2},
-        "extension-property": {"budget": 25},
-        "kn": {},
-    }
     problems = []
-    for suite, opts in light.items():
+    for suite, opts in LIGHT.items():
         rep = run_suite(suite, negative_control=True, **opts)
         fails = rep.failures()
         if not fails:

@@ -159,7 +159,7 @@ def _compatibility_case(S, dt, size_cap):
     bad = brute_axiom_suite(S, dt, size_cap)
     if bad is None:
         return "PASS", None, ""
-    return "FAIL", independence._triple_witness(S, bad[:3]), bad[3]
+    return "FAIL", independence._sets_witness(S, bad[:3]), bad[3]
 
 
 def _check_against_loop_forms(S, dt, dtab, lemma43_cap, size_cap):

@@ -10,7 +10,7 @@ import pytest
 from predimlab import InputError, VerificationReport, builder, emit_report, run_suite, suites
 from predimlab.cli import main
 from predimlab.reports import FAIL, PASS, CaseResult
-from predimlab.structures import dump_structure, graph, load_structure
+from predimlab.structures import bipartite_graph, dump_structure, graph, load_structure
 
 
 def test_fail_requires_witness():
@@ -227,3 +227,45 @@ def test_fail_witness_replayable():
     )
     again = in_Kn(square, 3)
     assert not again.holds and again.witness == frozenset(ids)
+
+
+# Commands no other test runs: each argv, its exit code and one line it prints
+# (or writes to {out}).  {g} is the graph with edges 01 and 02, {k} a
+# bipartite 6-cycle.
+CLI_COVERAGE = [
+    (["msa", "{g}", "--base", "1,2", "--ext", "0"], 0,
+     "minimal base: [1, 2]; pattern: [0, 1, 2]"),
+    (["beatty", "--l", "2", "--b", "5", "--window", "7"], 0, "window: 0 0 1 0 1 0 0"),
+    (["ex511", "--r", "3"], 0, "summary: 5 cases, PASS=5"),
+    (["ex512", "--samples", "50"], 0, "summary: 7 cases, PASS=6 PARTIAL=1"),
+    (["gadget", "--n", "3", "--m", "2", "--out", "{out}"], 0, "base 0 1"),
+    (["check", "{k}", "--class", "kn", "--ngon", "3"], 0, "  [PASS      ] kn-membership"),
+    (["closure", "{g}", "--set", "1", "--kind", "cl0"], 0, "cl0: [1]"),
+    (["closure", "{g}", "--set", "1,2", "--kind", "cld", "--report", "machine"], 0,
+     '{"ambient_relative": true, "closure": [0, 1, 2], "dimension": 4, "kind": "cld", '
+     '"trace": []}'),
+    (["indep", "{g}", "--a", "1", "--b", "", "--c", "2", "--perp", "--characterize"], 0,
+     "perp: False"),
+]
+
+
+@pytest.mark.parametrize("argv,code,line", CLI_COVERAGE,
+                         ids=[" ".join(argv) for argv, _, _ in CLI_COVERAGE])
+def test_cli_command_coverage(tmp_path, capsys, argv, code, line):
+    files = {"g": tmp_path / "g.pdl", "k": tmp_path / "k.pdl", "out": tmp_path / "out.pdl"}
+    files["g"].write_text(dump_structure(graph([(0, 1), (0, 2)])))
+    files["k"].write_text(dump_structure(
+        bipartite_graph([(i, (i + 1) % 6) for i in range(6)], [0, 2, 4], [1, 3, 5], ngon=3)))
+    assert main([a.format(**files) for a in argv]) == code
+    written = files["out"].read_text() if files["out"].exists() else ""
+    assert line in (capsys.readouterr().out + written).splitlines()
+
+
+@pytest.mark.parametrize("argv", [["ex511", "--r", "3"], ["ex512", "--samples", "50"]],
+                         ids=["ex511", "ex512"])
+def test_cli_example_out_holds_the_structure(tmp_path, capsys, argv):
+    out = tmp_path / "E.pdl"
+    assert main([*argv, "--out", str(out)]) == 0
+    S, _ = load_structure(out.read_text())
+    assert S.vertices
+    assert capsys.readouterr().out.startswith(f"suite {argv[0]} ")
