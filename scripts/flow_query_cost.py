@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""Flow-engine cost against the size of the structure.
+
+Usage: PYTHONPATH=src python scripts/flow_query_cost.py
+
+For each size, one sparse graph (vertex weight 2, edge weight 1, 1.3 edges
+per vertex, a K4 planted on every twelfth vertex group of four) gets a fresh
+network built five times, then 400 warm flow-engine queries of one to three
+vertices, half of them inside a planted K4, asking in turn for ``dim``,
+``cl0`` and ``cld``.  Prints the median build time and the median time per
+query over seven passes.
+"""
+
+import itertools
+import random
+import statistics
+import time
+
+from predimlab import cl0, cld, dim, graph
+from predimlab.closures import StructureFlowSolver
+
+SIZES = (100, 1000, 2000, 4000)
+SEED = 5
+QUERIES = 400
+
+
+def planted_graph(rng: random.Random, n: int):
+    order = rng.sample(range(n), n)
+    planted = [order[k : k + 4] for k in range(0, n // 12 * 4, 4)]
+    edges = {tuple(sorted(p)) for q in planted for p in itertools.combinations(q, 2)}
+    while len(edges) < int(1.3 * n):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return graph(sorted(edges), vertices=range(n)), planted
+
+
+def main() -> None:
+    print("vertices  build_ms  query_us")
+    for n in SIZES:
+        rng = random.Random(SEED)
+        S, planted = planted_graph(rng, n)
+        S.instance_masks()  # cached on the structure, not part of a build
+        builds = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            StructureFlowSolver(S)
+            builds.append(time.perf_counter() - t0)
+        queries = []
+        for k in range(QUERIES):
+            pool = rng.choice(planted) if rng.random() < 0.5 else range(n)
+            queries.append(((dim, cl0, cld)[k % 3], rng.sample(list(pool), rng.randint(1, 3))))
+        for op, X in queries:
+            op(S, X, engine="flow")  # builds the cached network
+        passes = []
+        for _ in range(7):
+            t0 = time.perf_counter()
+            for op, X in queries:
+                op(S, X, engine="flow")
+            passes.append((time.perf_counter() - t0) / QUERIES)
+        print(f"{n:8d}  {statistics.median(builds) * 1e3:8.1f}  "
+              f"{statistics.median(passes) * 1e6:8.0f}")
+
+
+if __name__ == "__main__":
+    main()

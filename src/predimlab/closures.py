@@ -123,37 +123,53 @@ _INF_CAP = 1 << 60
 _LEAST, _GREATEST = 1, 2
 
 
+def _push(caps: list[int], path, amount: int) -> None:
+    """Push ``amount`` along the edges of ``path``; a negative amount takes it back."""
+    for eid in path:
+        caps[eid] -= amount
+        caps[eid ^ 1] += amount
+
+
 class StructureFlowSolver:
     """Reusable project-selection network for one structure, grown along its chain.
 
     Nodes are allocated in creation order after the source (0) and the sink
     (1): a node per vertex, with a force-select slot from the source
     (capacity 0 until a query pins it) and an edge to the sink with the
-    vertex weight, then a project node per weighted instance.  ``node_pos``
-    maps each node to its vertex position, -1 off the vertices.  The empty
-    query is solved once and its residual kept as the base.  A query only
-    adds capacity (the slots of X), so it resumes from a copy of that
-    residual and pays just the marginal augmentation, as in monotone
-    parametric min-cut.  dim(X) = mincut - total instance weight.
+    vertex weight, the first two edges at the node, then a project node per
+    weighted instance.  ``node_pos`` maps each node to its vertex position,
+    -1 off the vertices.  dim(X) = mincut - total instance weight.
 
-    :meth:`grow` moves the network to an extension of its structure, as
-    dynamic graph cuts do (Kohli and Torr): new vertex nodes and the project
-    nodes of the new instances append, and since added edges keep the old
-    residual a feasible flow, the base flow resumes from it.
+    Every flow is computed by one kernel, :meth:`_max_flow`: shortest
+    augmenting paths (Edmonds and Karp).  A breadth-first search from the
+    source records the edge it reached each node by and stops as soon as it
+    reaches the sink; the path traced back along those edges takes its
+    bottleneck.  The search that finds no path has visited exactly the
+    residual source side, whose vertices are the least minimizer.
 
+    The empty query is solved once and its residual kept as the base.  Each
+    new project edge is first pushed greedily through its member vertices
+    straight to the sink, so only what that leaves pays a search, one source
+    edge at a time.  :meth:`grow` moves the network to an extension of its
+    structure, as dynamic graph cuts do (Kohli and Torr): new vertex nodes
+    and the project nodes of the new instances append, and since added edges
+    keep the old residual a feasible flow, the base flow resumes from it.
+
+    A query only adds capacity (the slots of X), so it resumes from the base
+    residual itself and pays just the marginal augmentation, as in monotone
+    parametric min-cut.  Afterwards it takes back its own pushes and closes
+    its slots, in a ``finally``, so the base survives a query that raises.
     A query touches only the residual region it reaches:
 
-    * the warm start records the source edges it left unsaturated; a query's
+    * the base records the source edges it left unsaturated; a query's
       source adjacency is those plus the slots of X, since augmenting paths
       never re-enter the source and a source edge never regains capacity;
-    * each Dinic phase stops its level BFS once the sink has a level; the
-      last phase finds no path and labels exactly the residual source side,
-      whose vertices are the least minimizer;
+    * a search stores only the nodes it visits;
     * ``solve_value`` takes a known upper bound on dim(X) (delta(X) is one)
       and stops augmenting once the flow reaches it, the value being exact
       from then on;
     * ``solve`` builds only the minimizers it is asked for.  The least one
-      is the source side the last phase labelled.  The greatest one is the
+      is the source side the last search visited.  The greatest one is the
       set of vertices that cannot reach the sink; a query only grows the
       source side, so these are the base's plus those the query cut off,
       found by searching again only the subtrees of a base co-reach tree
@@ -195,9 +211,11 @@ class StructureFlowSolver:
         return True
 
     def _extend(self, out: FiniteStructure, pairs) -> None:
-        """Append out's new vertices and the project nodes of ``pairs``, then
+        """Append out's new vertices and the project nodes of ``pairs``, push
+        each new project edge greedily to the sink through its members, then
         resume the base flow from the old live source edges and the new ones."""
         to, caps, head, node_pos = self.to, self.base_caps, self.head, self.node_pos
+        slot_eid = self.slot_eid
 
         def add(u, v, c):
             head[u].append(len(to))
@@ -214,59 +232,102 @@ class StructureFlowSolver:
 
         added = [node(i) for i in range(self.n_items, len(out.vertices))]
         for u in added:
-            self.slot_eid.append(len(to))
+            slot_eid.append(len(to))
             add(0, u, 0)
         nw = out.signature.vertex_weight
         for u in added:
             add(u, 1, nw)
         src = list(self._live_src)
+        flow = 0
         for imask, w in pairs:
             pnode = node(-1)
-            src.append(len(to))
+            eid = len(to)
             add(0, pnode, w)
             self.total_w += w
             for i in _bits(imask):
-                add(pnode, to[self.slot_eid[i]], _INF_CAP)
+                v = to[slot_eid[i]]
+                path = (eid, len(to), head[v][1])  # project, member, sink
+                add(pnode, v, _INF_CAP)
+                pushed = min(caps[eid], caps[path[2]])
+                if pushed > 0:
+                    _push(caps, path, pushed)
+                    flow += pushed
+            if caps[eid] > 0:
+                src.append(eid)
         self.S = out
         self.n_items = len(out.vertices)
-        self.n_nodes = len(head)
-        extra, _ = self._max_flow(caps, src, [])
-        self._base_flow += extra
+        # one source edge at a time: a search then starts from one project
+        # node, not from all of them.  A node that cannot reach the sink never
+        # can again, so one pass over the edges leaves no path, and later
+        # searches skip the nodes a failed search visited.
+        dead: dict[int, int] = {}
+        for eid in src:
+            extra, reach = self._max_flow([eid], [], dead=dead)
+            flow += extra
+            dead.update(dict.fromkeys(reach, -1))
+        self._base_flow += flow
         self._live_src = tuple(eid for eid in src if caps[eid] > 0)
         self._sink_tree = None  # built by the first query for a greatest minimizer
 
-    def _augment(self, xmask: int, limit: int | None = None):
-        """Open the slots of X on a copy of the base residual and max-flow.
+    def _augment(self, xmask: int, pushes: list, limit: int | None = None):
+        """Open the slots of X on the base residual and max-flow.
 
-        Returns dim(X), the residual capacities, the source side (or None,
-        see :meth:`_max_flow`) and the edges the augmenting paths used.
+        Returns dim(X) and the source side (or None, see :meth:`_max_flow`).
+        The caller must hand ``xmask`` and ``pushes`` to :meth:`_restore`
+        afterwards, also when this raises.
         """
-        caps = self.base_caps.copy()
+        caps, slot_eid = self.base_caps, self.slot_eid
         src = list(self._live_src)
         while xmask:
             low = xmask & -xmask
-            eid = self.slot_eid[low.bit_length() - 1]
+            eid = slot_eid[low.bit_length() - 1]
             caps[eid] = _INF_CAP
             src.append(eid)
             xmask ^= low
-        used: list[int] = []
-        extra, reach = self._max_flow(caps, src, used, limit)
-        return self._base_flow + extra - self.total_w, caps, reach, used
+        extra, reach = self._max_flow(src, pushes, limit)
+        return self._base_flow + extra - self.total_w, reach
+
+    def _restore(self, xmask: int, pushes: list) -> None:
+        """Take back a query's pushes and close the slots of X: the base again.
+
+        An edge back at capacity ``_INF_CAP`` gets that one shared int again;
+        otherwise every edge a query used would keep its own copy of it.
+        """
+        caps, slot_eid = self.base_caps, self.slot_eid
+        for path, pushed in pushes:
+            _push(caps, path, -pushed)
+            for eid in path:
+                if caps[eid] == _INF_CAP:
+                    caps[eid] = _INF_CAP
+                elif caps[eid ^ 1] == _INF_CAP:
+                    caps[eid ^ 1] = _INF_CAP
+        for i in _bits(xmask):
+            caps[slot_eid[i]] = 0
 
     def solve_value(self, xmask: int, at_most: int | None = None) -> int:
         """dim(X); ``at_most`` is an upper bound on it that lets augmenting stop early."""
         limit = None if at_most is None else at_most + self.total_w - self._base_flow
-        return self._augment(xmask, limit)[0]
+        pushes: list = []
+        try:
+            return self._augment(xmask, pushes, limit)[0]
+        finally:
+            self._restore(xmask, pushes)
 
     def solve(
         self, xmask: int, need: int = _LEAST | _GREATEST
     ) -> tuple[int, int | None, int | None]:
-        dim_val, caps, reach, used = self._augment(xmask)
-        minimal = maximal = None
-        if need & _LEAST:
-            minimal = self._vertex_mask(reach) | xmask
-        if need & _GREATEST:
-            maximal = self._cut_off(caps, used) | xmask
+        if need & _GREATEST and self._sink_tree is None:
+            self._sink_tree = self._build_sink_tree()  # needs the base residual
+        pushes: list = []
+        try:
+            dim_val, reach = self._augment(xmask, pushes)
+            minimal = maximal = None
+            if need & _LEAST:
+                minimal = self._vertex_mask(reach) | xmask
+            if need & _GREATEST:
+                maximal = self._cut_off(pushes) | xmask
+        finally:
+            self._restore(xmask, pushes)
         return dim_val, minimal, maximal
 
     def _vertex_mask(self, nodes: list[int]) -> int:
@@ -277,67 +338,50 @@ class StructureFlowSolver:
                 mask |= 1 << node_pos[u]
         return mask
 
-    # Dinic on the current topology, with the source's adjacency given as
-    # ``src``; iterative blocking-flow DFS.  Returns the flow and the nodes
-    # of the residual source side, or None for them when the flow reached
-    # ``limit`` first.  Every edge an augmenting path pushes along is
-    # appended to ``used``.
-    def _max_flow(self, caps: list[int], src, used: list[int], limit: int | None = None):
-        to, head = self.to, self.head
-        n_nodes = self.n_nodes
+    def _max_flow(
+        self, src: list[int], pushes: list, limit: int | None = None, dead: dict | None = None
+    ):
+        """Augment the base residual along shortest paths until none is left.
+
+        ``src`` is the source's adjacency; no search enters the nodes in
+        ``dead``, which are known not to reach the sink.  Returns the flow
+        added and the other nodes of the residual source side, or None for
+        them when the flow reached ``limit`` first.  Every push is appended
+        to ``pushes`` as (path edges, amount).
+        """
+        to, head, caps = self.to, self.head, self.base_caps
         flow = 0
-        while True:
-            if limit is not None and flow >= limit:
-                return flow, None
-            level = [-1] * n_nodes
-            level[0] = 0
+        while limit is None or flow < limit:
+            # the edge each visited node was reached by
+            pred = {0: -1} if dead is None else {**dead, 0: -1}
             queue = [0]
             for u in queue:
-                lv = level[u] + 1
                 for eid in src if u == 0 else head[u]:
-                    v = to[eid]
-                    if caps[eid] > 0 and level[v] < 0:
-                        level[v] = lv
-                        queue.append(v)
-                if level[1] > 0:
-                    break
+                    if caps[eid] > 0:
+                        v = to[eid]
+                        if v not in pred:
+                            pred[v] = eid
+                            if v == 1:
+                                break
+                            queue.append(v)
+                else:
+                    continue
+                break
             else:
                 return flow, queue
-            it = [0] * n_nodes
-            path: list[int] = []  # edge ids from the source to the current node
-            u = 0
-            while True:
-                if u == 1:
-                    pushed = min(caps[eid] for eid in path)
-                    flow += pushed
-                    cut_at = -1
-                    for k, eid in enumerate(path):
-                        caps[eid] -= pushed
-                        caps[eid ^ 1] += pushed
-                        if cut_at < 0 and caps[eid] == 0:
-                            cut_at = k
-                    if limit is not None and flow >= limit:
-                        return flow, None
-                    used += path
-                    del path[cut_at:]
-                    u = to[path[-1]] if path else 0
-                    continue
-                hu = src if u == 0 else head[u]
-                nxt = level[u] + 1
-                for k in range(it[u], len(hu)):
-                    eid = hu[k]
-                    if caps[eid] > 0 and level[to[eid]] == nxt:
-                        it[u] = k
-                        path.append(eid)
-                        u = to[eid]
-                        break
-                else:  # dead end: retire u for this phase and step back
-                    level[u] = -1
-                    if not path:
-                        break
-                    u = to[path.pop() ^ 1]
+            path = []
+            v = 1
+            while v:
+                eid = pred[v]
+                path.append(eid)
+                v = to[eid ^ 1]
+            pushed = min(caps[eid] for eid in path)
+            _push(caps, path, pushed)
+            pushes.append((path, pushed))
+            flow += pushed
+        return flow, None
 
-    def _cut_off(self, caps: list[int], used: list[int]) -> int:
+    def _cut_off(self, pushes: list) -> int:
         """Mask of the vertices that cannot reach the sink after a query.
 
         A query only grows the source side, so they are the vertices cut off
@@ -345,15 +389,14 @@ class StructureFlowSolver:
         through an edge the query saturated.  Only the base tree's subtrees
         below such edges are searched again, the rest keeps its tree path.
         """
-        if self._sink_tree is None:
-            self._sink_tree = self._build_sink_tree()
         up, pre, end, order, base = self._sink_tree
-        to, head = self.to, self.head
+        to, head, caps = self.to, self.head, self.base_caps
         suspects: set[int] = set()
-        for eid in used:
-            u = to[eid ^ 1]
-            if up[u] == eid and caps[eid] == 0 and u not in suspects:
-                suspects.update(order[pre[u]:end[u]])
+        for path, _ in pushes:
+            for eid in path:
+                u = to[eid ^ 1]
+                if up[u] == eid and caps[eid] == 0 and u not in suspects:
+                    suspects.update(order[pre[u]:end[u]])
         if not suspects:
             return base
         # suspects with a residual edge out of the suspects into the base
@@ -381,7 +424,7 @@ class StructureFlowSolver:
         the greatest minimizer of the empty query.
         """
         to, head, caps = self.to, self.head, self.base_caps
-        n_nodes = self.n_nodes
+        n_nodes = len(head)
         up = array("i", [-1]) * n_nodes
         children: list[list[int]] = [[] for _ in range(n_nodes)]
         queue = [1]
@@ -522,8 +565,9 @@ def self_sufficient(
     A given B is checked in the structure B induces.  It never enumerates
     subsets, so it stays polynomial on large ambients.  On failure the
     witness is the minimal-delta, minimal-cardinality violating set.
-    With ``want_witness`` off, the flow engine only computes dim(A), and stops
-    as soon as it reaches delta(A), which always bounds it.
+    With ``want_witness`` off the witness is None on either engine, and the
+    flow engine only computes dim(A), stopping as soon as it reaches
+    delta(A), which always bounds it.
     """
     if B is not None:
         if not S.subset(A) <= S.subset(B):
@@ -535,9 +579,8 @@ def self_sufficient(
     if not want_witness and engine == "flow":
         return _solver_for(S).solve_value(amask, at_most=delta_a) >= delta_a, None
     val, minimal, _ = _solve(S, amask, engine=engine, need=_LEAST)
-    if val >= delta_a:
-        return True, None
-    return False, S.ids_of(minimal)
+    holds = val >= delta_a
+    return holds, None if holds or not want_witness else S.ids_of(minimal)
 
 
 def d_closed_subset_masks(S: FiniteStructure, size_cap: int | None = None) -> list[int]:

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .closures import delta_table, self_sufficient
 from .errors import CapacityError, ContractError, InputError
-from .reports import FAIL, PASS, VerificationReport, subset_witness
+from .reports import VerificationReport, subset_witness
 from .structures import (
     FiniteStructure,
     canonical_form,
@@ -372,16 +372,15 @@ def check_potential_extendability(
                 case_i += 1
                 key = f"type{case_i:03d}:Z={subset_witness(Z)}:ext{len(t.new_points)}"
                 if min(c1.count, c2.count) >= DEFAULT_SATURATION:
-                    rep.add(key, PASS, note=f"SATURATED (both >= {DEFAULT_SATURATION})")
+                    witness, note = None, f"SATURATED (both >= {DEFAULT_SATURATION})"
                 elif c1.count == c2.count:
-                    rep.add(key, PASS, note=f"mult {c1.count} both sides")
+                    witness, note = None, f"mult {c1.count} both sides"
                 else:
-                    rep.add(
-                        key,
-                        FAIL,
-                        witness=f"mult {c1.count} vs {c2.count}; copies "
-                        f"{[sorted(c) for c in c1.copies]} vs {[sorted(c) for c in c2.copies]}",
-                    )
+                    witness = (f"mult {c1.count} vs {c2.count}; copies "
+                               f"{[sorted(c) for c in c1.copies]} vs "
+                               f"{[sorted(c) for c in c2.copies]}")
+                    note = ""
+                rep.check(key, witness, note=note)
     if case_i == 0:
-        rep.add("no-types", PASS, note=f"no msa types up to ext size {ext_cap}")
+        rep.check("no-types", None, note=f"no msa types up to ext size {ext_cap}")
     return rep.finalize()

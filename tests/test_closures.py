@@ -1,7 +1,9 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +29,13 @@ from predimlab.closures import (
     hand_over_solver,
 )
 from predimlab.builder import enumerate_class, C0
-from predimlab.structures import FiniteStructure, Relation, Signature, graph_signature
+from predimlab.structures import (
+    FiniteStructure,
+    Relation,
+    Signature,
+    delta_mask,
+    graph_signature,
+)
 
 from conftest import (
     brute_d_closed_masks,
@@ -247,6 +255,8 @@ def test_flow_queries_leave_the_base_residual_alone():
     base = (solver.base_caps.copy(), solver._base_flow, solver._live_src)
     assert solver._live_src  # dim(empty) < 0 here
     for _ in range(60):
+        # every query, whatever it asks, hands the base residual back as it was
+        assert (solver.base_caps, solver._base_flow, solver._live_src) == base
         X = rng.sample(range(30), rng.randint(0, 4))
         xmask = S.mask_of(X)
         want = StructureFlowSolver(S).solve(xmask)
@@ -267,6 +277,52 @@ def test_flow_queries_leave_the_base_residual_alone():
                 assert got[1] == S.ids_of(want[1])
         assert solver.solve(xmask) == want
     assert (solver.base_caps, solver._base_flow, solver._live_src) == base
+
+
+@given(tied_structures(max_n=8))
+@settings(max_examples=80, deadline=None)
+def test_weighted_flow_kernel_matches_the_table_engine(S):
+    # weights above 1 make the greedy warm start push partial amounts and
+    # single paths push more than 1; the zero-weight relation adds no node
+    solver = StructureFlowSolver(S)
+    base = solver.base_caps.copy()
+    for xmask in range(1 << len(S.vertices)):
+        want = _table(S, xmask)
+        assert solver.solve(xmask) == want
+        assert solver.solve(xmask, need=0) == (want[0], None, None)
+        # early stops: at a bound equal to dim(X) the flow stops on reaching it
+        bound = delta_mask(S, xmask)
+        for at_most in (None, want[0], want[0] + 1, bound):
+            assert solver.solve_value(xmask, at_most=at_most) == want[0]
+        assert solver.base_caps == base
+
+
+def test_a_query_that_raises_leaves_the_network_intact(monkeypatch):
+    rng = random.Random(5)
+    S = graph({tuple(sorted(rng.sample(range(24), 2))) for _ in range(30)}, vertices=range(24))
+    solver = StructureFlowSolver(S)
+    base = (solver.base_caps.copy(), solver._base_flow, solver._live_src)
+    seen = []
+
+    def boom(self, pushes):
+        seen.append(len(pushes))
+        raise RuntimeError("cut-off failed")
+
+    monkeypatch.setattr(StructureFlowSolver, "_cut_off", boom)
+    xmask = S.mask_of(range(6))
+    with pytest.raises(RuntimeError):
+        solver.solve(xmask)
+    monkeypatch.undo()
+    assert seen[0] > 0  # the failed query had pushed flow before it raised
+    assert (solver.base_caps, solver._base_flow, solver._live_src) == base
+    fresh = StructureFlowSolver(S)
+    shared = [c is closures._INF_CAP for c in fresh.base_caps]
+    for _ in range(30):
+        xmask = rng.getrandbits(24)
+        assert solver.solve(xmask) == fresh.solve(xmask)
+        assert solver.solve_value(xmask) == fresh.solve_value(xmask)
+    # edges back at full capacity hold the one shared int, not a copy each
+    assert all(c is closures._INF_CAP for c, was in zip(fresh.base_caps, shared) if was)
 
 
 @given(extension_chains(), st.randoms(use_true_random=False))
@@ -338,7 +394,7 @@ def test_self_sufficient_respects_the_engine(monkeypatch):
         raise AssertionError("engine='table' reached the flow engine")
 
     monkeypatch.setattr(closures, "_solver_for", no_flow)
-    assert self_sufficient(S, A, engine="table", want_witness=False)[0] == want[0]
+    assert self_sufficient(S, A, engine="table", want_witness=False) == (want[0], None)
     assert self_sufficient(S, A, engine="table") == want
     monkeypatch.undo()
     # engine="flow" takes the value-only path at any size
@@ -350,6 +406,17 @@ def test_self_sufficient_respects_the_engine(monkeypatch):
     small = path_graph(3)
     assert self_sufficient(small, [0, 3], engine="flow", want_witness=False) == (True, None)
     assert len(calls) == 1
+
+
+def test_self_sufficient_without_a_witness_gives_none_on_both_engines():
+    K4 = graph(list(itertools.combinations(range(4), 2)), n=1, m=1)
+    for engine in ("table", "flow"):
+        assert self_sufficient(K4, [0], engine=engine) == (False, frozenset(range(4)))
+        assert self_sufficient(K4, [0], engine=engine, want_witness=False) == (False, None)
+        assert self_sufficient(K4, [0, 1, 2, 3], engine=engine, want_witness=False) == (
+            True,
+            None,
+        )
 
 
 def _planted_graph(rng, n):
@@ -415,3 +482,17 @@ def test_d_closed_enumeration_matches_loop_form(S):
     dt, _ = closures.dim_cld_tables(S)
     for cap in (None, 0, 1, 3):
         assert d_closed_subset_masks(S, size_cap=cap) == brute_d_closed_masks(dt, cap)
+
+
+def test_a_flow_query_allocates_for_the_region_it_reaches_only():
+    # a copied residual of a 3,000-vertex network is about 35k entries
+    # (~280 KB); one cl0 query reaches a few dozen nodes
+    S, _ = _planted_graph(random.Random(17), 3000)
+    cl0(S, [0])  # builds the network
+    tracemalloc.start()
+    try:
+        cl0(S, [1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024

@@ -198,6 +198,9 @@ def test_potential_extendability_identity_and_symmetric():
     assert rep.ok
     rep2 = check_potential_extendability(K44, PartialMap(((0, 4),)), base_cap=2, ext_cap=3)
     assert rep2.ok
+    # the reports themselves are pinned, byte for byte
+    k44 = "f9f2f3bcbe505953059e4fe69758e1557b4b9c844327ba726f0eaf69264dbe21"
+    assert rep.digest() == rep2.digest() == k44
 
 
 def test_potential_extendability_detects_mismatch():
@@ -211,6 +214,7 @@ def test_potential_extendability_detects_mismatch():
     rep = check_potential_extendability(S, PartialMap(((0, 7),)), base_cap=1, ext_cap=3)
     fails = rep.failures()
     assert fails and "mult 2 vs 1" in fails[0].witness
+    assert rep.digest() == "835c08c2229fbfc37c0b3aa43aac8c260cd59f0881df63558633e7f2c00478e8"
 
 
 def test_saturation_threshold_reported():
@@ -225,6 +229,7 @@ def test_saturation_threshold_reported():
     rep = check_potential_extendability(S, PartialMap(((0, 10),)), base_cap=1, ext_cap=3)
     assert rep.ok
     assert any("SATURATED" in c.note for c in rep.cases)
+    assert rep.digest() == "ac056390c9f75c7e139553a99baf393ba99666e06f44f2e6df466804cf7f105f"
 
 
 @st.composite
