@@ -1,0 +1,50 @@
+#!/usr/bin/env python3
+"""Chain-build time against the build's length.
+
+Usage: PYTHONPATH=src python scripts/build_scaling.py
+
+Runs the seed-0 ``c0`` max-pattern-4 build (vertex weight 2, edge weight 1,
+as ``predimlab build --class c0 --max-pattern 4 --budget B``) at budgets
+200, 400 and 800, three times each.  Prints for each budget the vertices
+and steps of the approximant, the median seconds, and whether the build-log
+digest matches the pinned one, then the ratio of the budget-800 median to
+the budget-400 median: about 2 when a step costs the same at any length,
+about 4 when it costs in proportion to the structure.
+"""
+
+import statistics
+import time
+
+from predimlab import BuildConfig, build_generic, graph_signature
+from predimlab.builder import C0
+
+BUDGETS = (200, 400, 800)
+RUNS = 3
+# build-log digests of the seed-0 builds, pinned before the chain builds
+# stopped rebuilding the structure at every step
+PINNED = {
+    200: "b9332c23c8c0c163df1519a8a4ba8fa715e37ba2f14ceb91f9cfcd5c7992b85d",
+    400: "d2234bbf11f7de7899474fee3f4972da38013713e360fd0603213c00bfe76567",
+    800: "ac2c38e477be4ce4830d3eeca5ea25c65b4bd2ddface4122d9f68264b108703e",
+}
+
+
+def main() -> None:
+    print("budget  vertices  steps  seconds  digest")
+    medians = {}
+    for budget in BUDGETS:
+        config = BuildConfig(graph_signature(2, 1), C0, max_pattern=4, budget=budget, seed=0)
+        times = []
+        for _ in range(RUNS):
+            t0 = time.perf_counter()
+            res = build_generic(config)
+            times.append(time.perf_counter() - t0)
+        medians[budget] = statistics.median(times)
+        match = "pinned" if res.log.digest() == PINNED[budget] else "DIFFERS"
+        print(f"{budget:6d}  {len(res.structure.vertices):8d}  {len(res.log.steps):5d}  "
+              f"{medians[budget]:7.2f}  {match}")
+    print(f"800/400 ratio: {medians[800] / medians[400]:.2f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -42,6 +42,7 @@ from .structures import (
     FiniteStructure,
     DEFAULT_CANON_CAP,
     Signature,
+    _added_instances,
     _bits,
     _embeddings,
     canonical_form,
@@ -449,10 +450,12 @@ def _check_chain(n_prev: int, out: FiniteStructure, strict: bool) -> None:
     prev <= out iff delta(V/prev) >= 0 for every V inside out - prev, and
     prev is d-closed in out iff delta(V/prev) > 0 for every non-empty such V.
     So only the subsets of the new vertices are enumerated, against the
-    instances of out that meet them; the check stays exact.
+    instances of out that meet them, read off out's index at the new
+    positions; the check stays exact.
     """
-    nw = out.signature.vertex_weight
-    new = [(imask >> n_prev, w) for imask, w in out.instance_masks() if imask >> n_prev]
+    sig = out.signature
+    nw = sig.vertex_weight
+    new = [(m >> n_prev, sig.relation(name).weight) for name, m in _added_instances(out, n_prev)]
     for vmask in range(1, 1 << (len(out.vertices) - n_prev)):
         d = nw * vmask.bit_count() - sum(w for m, w in new if m & ~vmask == 0)
         if d < 0 or (strict and d == 0):

@@ -20,7 +20,7 @@ with no claim about any infinite limit.
 from __future__ import annotations
 
 from array import array
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -28,7 +28,14 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import InputError
-from .structures import FiniteStructure, delta_mask, _bits, _env_cap
+from .structures import (
+    FiniteStructure,
+    delta_mask,
+    _added_instances,
+    _bits,
+    _env_cap,
+    _instance_order,
+)
 
 TABLE_MAX_BITS = 20  # hard memory guard for the table engine
 DEFAULT_TABLE_CUTOFF = 16
@@ -193,21 +200,21 @@ class StructureFlowSolver:
 
         ``out`` must share the signature, keep the current vertex positions
         as a prefix and hold every current instance; otherwise nothing
-        changes and the answer is False.
+        changes and the answer is False.  The new instances are read off
+        out's index at the new positions.  Only when the counts show some
+        among the old positions too are all of out's instances diffed.
         """
-        S = self.S
-        if out.signature != S.signature or out.vertices[: self.n_items] != S.vertices:
+        S, n = self.S, self.n_items
+        if out.signature != S.signature or out.vertices[:n] != S.vertices:
             return False
-        old = Counter(S.instance_masks())
-        fresh = []
-        for pair in out.instance_masks():
-            if old[pair]:
-                old[pair] -= 1
-            else:
-                fresh.append(pair)
-        if +old:
+        old, pairs = S.bit_index().pairs, out.bit_index().pairs
+        if not old <= pairs:
             return False
-        self._extend(out, fresh)
+        new = _added_instances(out, n)
+        if len(pairs) != len(old) + len(new):  # new instances among the old positions too
+            new = sorted(pairs - old, key=_instance_order(out.signature))
+        weight = {rel.name: rel.weight for rel in out.signature.relations}
+        self._extend(out, [(m, weight[name]) for name, m in new if weight[name]])
         return True
 
     def _extend(self, out: FiniteStructure, pairs) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -164,44 +165,19 @@ class FiniteStructure:
         self.signature = signature
         vs = tuple(sorted(set(int(v) for v in vertices)))
         self.vertices = vs
-        vset = set(vs)
         self._index = {v: i for i, v in enumerate(vs)}
 
-        inst: dict[str, tuple[tuple[int, ...], ...]] = {}
         instances = instances or {}
-        for name in instances:
-            signature.relation(name)  # validates the name
-        for rel in signature.relations:
-            seen = set()
-            for raw in instances.get(rel.name, ()):
-                tup = tuple(sorted(int(v) for v in raw))
-                if len(tup) != rel.arity:
-                    raise InputError(
-                        f"instance {tup} of {rel.name} has arity {len(tup)}, expected {rel.arity}"
-                    )
-                if len(set(tup)) != len(tup):
-                    raise InputError(f"instance {tup} of {rel.name} repeats a vertex")
-                for v in tup:
-                    if v not in vset:
-                        raise InputError(f"instance {tup} references unknown vertex {v}")
-                seen.add(tup)
-            inst[rel.name] = tuple(sorted(seen))
-        self.instances = inst
+        self.instances = {
+            name: tuple(sorted(seen))
+            for name, seen in _checked_instances(signature, instances, self._index).items()
+        }
 
         if signature.mode == BIPARTITE:
             if parts is None:
                 raise InputError("bipartite structure needs part labels")
-            pt = {}
-            for v in vs:
-                lab = parts.get(v)
-                if lab not in (POINT, LINE):
-                    raise InputError(f"vertex {v}: part label must be point/line, got {lab!r}")
-                pt[v] = lab
-            self.parts = pt
-            for tup in inst[signature.relations[0].name]:
-                a, b = tup
-                if pt[a] == pt[b]:
-                    raise InputError(f"edge {tup} joins two {pt[a]} vertices")
+            self.parts = {v: _part_label(parts, v) for v in vs}
+            _check_edges(self.instances[signature.relations[0].name], self.parts)
         else:
             if parts is not None:
                 raise InputError("part labels only allowed in bipartite mode")
@@ -210,7 +186,7 @@ class FiniteStructure:
         self._inst_masks = None
         self._bit_index = None
         part_key = tuple(self.parts[v] for v in vs) if self.parts else None
-        self._key = (signature, vs, tuple(sorted(inst.items())), part_key)
+        self._key = (signature, vs, tuple(sorted(self.instances.items())), part_key)
         self._hash = hash(self._key)
 
     # -- identity ---------------------------------------------------------
@@ -325,7 +301,20 @@ class FiniteStructure:
         new_instances: Mapping[str, Iterable[Iterable[int]]],
         new_parts: Mapping[int, str] | None = None,
     ) -> "FiniteStructure":
-        verts = set(self.vertices) | set(new_vertices)
+        """This structure with the new vertices, instances and part labels.
+
+        A chain step, where every new vertex id lies above the old ones and
+        every new instance meets a new vertex, is assembled from this
+        structure by :meth:`_extended`; any other call is built afresh.
+        """
+        added = sorted(set(int(v) for v in new_vertices))
+        new_instances = {name: list(tups) for name, tups in new_instances.items()}
+        if (not added or not self.vertices or added[0] > self.vertices[-1]) and (
+            not new_parts or set(new_parts) <= set(added)
+        ):
+            out = self._extended(added, new_instances, new_parts)
+            if out is not None:
+                return out
         inst = {name: list(tups) for name, tups in self.instances.items()}
         for name, tups in new_instances.items():
             inst.setdefault(name, []).extend(tups)
@@ -333,7 +322,142 @@ class FiniteStructure:
         if new_parts:
             parts = dict(parts or {})
             parts.update(new_parts)
-        return FiniteStructure(self.signature, verts, inst, parts)
+        return FiniteStructure(self.signature, {*self.vertices, *added}, inst, parts)
+
+    def _extended(
+        self,
+        added: list[int],
+        new_instances: Mapping[str, list],
+        new_parts: Mapping[int, str] | None,
+    ) -> Optional["FiniteStructure"]:
+        """The chain step of :meth:`with_added`, or None when a new instance
+        misses the new vertices ``added`` (ascending, above the old ids).
+
+        Only the new instances and labels are checked, with the messages the
+        constructor gives.  The old positions stay, so the new instances merge
+        into the sorted tuples, and the indexes built so far carry over with
+        the new entries inserted where a fresh build puts them.  The result
+        equals the constructor's, field for field, and holds no reference to
+        this structure.
+        """
+        sig, n = self.signature, len(self.vertices)
+        index = dict(self._index)
+        index.update((v, n + k) for k, v in enumerate(added))
+        fresh = {}  # relation -> sorted [(tuple, mask)] of the new instances
+        for name, seen in _checked_instances(sig, new_instances, index).items():
+            if not seen:
+                continue
+            if any(index[tup[-1]] < n for tup in seen):
+                return None
+            fresh[name] = [(tup, sum(1 << index[v] for v in tup)) for tup in sorted(seen)]
+        parts = None
+        if sig.mode == BIPARTITE:
+            parts = dict(self.parts)
+            parts.update((v, _part_label(new_parts or {}, v)) for v in added)
+            _check_edges([tup for tup, _ in fresh.get(sig.relations[0].name, ())], parts)
+        elif new_parts:
+            raise InputError("part labels only allowed in bipartite mode")
+
+        inst = dict(self.instances)
+        spots = {}  # relation -> the positions of its new instances in inst
+        for name, new in fresh.items():
+            spots[name] = [bisect_left(inst[name], tup) + j for j, (tup, _) in enumerate(new)]
+            merged = list(inst[name])
+            for p, (tup, _) in zip(spots[name], new):
+                merged.insert(p, tup)
+            inst[name] = tuple(merged)
+
+        out = FiniteStructure.__new__(FiniteStructure)
+        out.signature, out.vertices, out.instances, out.parts = (
+            sig, self.vertices + tuple(added), inst, parts)
+        out._index = index
+        part_key = (self._key[3] or ()) + tuple(parts[v] for v in added) if parts else None
+        out._key = (sig, out.vertices, tuple(sorted(inst.items())), part_key)
+        out._hash = hash(out._key)
+        out._inst_masks = out._bit_index = None
+        if self._inst_masks is not None:
+            masks, start = list(self._inst_masks), 0
+            for rel in sig.relations:
+                if rel.weight == 0:
+                    continue
+                for p, (_, m) in zip(spots.get(rel.name, ()), fresh.get(rel.name, ())):
+                    masks.insert(start + p, (m, rel.weight))
+                start += len(inst[rel.name])
+            out._inst_masks = tuple(masks)
+        if self._bit_index is not None:
+            co, through, pairs = self._bit_index
+            co, through = list(co) + [0] * len(added), list(through) + [()] * len(added)
+            order = _instance_order(sig)
+            for name, new in fresh.items():
+                for _, m in new:
+                    for i in _bits(m):
+                        co[i] |= m & ~(1 << i)
+                        row = through[i]
+                        p = bisect_left(row, order((name, m)), key=order)
+                        through[i] = (*row[:p], (name, m), *row[p:])
+            out._bit_index = BitIndex(
+                tuple(co), tuple(through),
+                pairs.union((name, m) for name, new in fresh.items() for _, m in new))
+        return out
+
+
+def _instance_order(signature: Signature) -> Callable[[tuple[str, int]], tuple]:
+    """Sort key of (relation, mask) pairs in storage order: relations as the
+    signature lists them, then positions ascending, as the sorted instance
+    tuples run.  Every row of the bit index is in this order."""
+    rank = {rel.name: r for r, rel in enumerate(signature.relations)}
+    return lambda pair: (rank[pair[0]], tuple(_bits(pair[1])))
+
+
+def _added_instances(S: FiniteStructure, n: int) -> list[tuple[str, int]]:
+    """The instances of S that meet a position at or above ``n``, as
+    (relation, mask) pairs in storage order, read off the bit index."""
+    through = S.bit_index().through
+    return sorted({pair for row in through[n:] for pair in row},
+                  key=_instance_order(S.signature))
+
+
+def _checked_instances(
+    signature: Signature, instances: Mapping[str, Iterable[Iterable[int]]], known
+) -> dict[str, set[tuple[int, ...]]]:
+    """Each relation's instances as sorted vertex tuples, in signature order.
+
+    Raises on an unknown relation name, a wrong arity, a repeated vertex or
+    a vertex not in ``known``.
+    """
+    for name in instances:
+        signature.relation(name)  # validates the name
+    out = {}
+    for rel in signature.relations:
+        seen = out[rel.name] = set()
+        for raw in instances.get(rel.name, ()):
+            tup = tuple(sorted(int(v) for v in raw))
+            if len(tup) != rel.arity:
+                raise InputError(
+                    f"instance {tup} of {rel.name} has arity {len(tup)}, expected {rel.arity}"
+                )
+            if len(set(tup)) != len(tup):
+                raise InputError(f"instance {tup} of {rel.name} repeats a vertex")
+            for v in tup:
+                if v not in known:
+                    raise InputError(f"instance {tup} references unknown vertex {v}")
+            seen.add(tup)
+    return out
+
+
+def _part_label(parts: Mapping[int, str], v: int) -> str:
+    lab = parts.get(v)
+    if lab not in (POINT, LINE):
+        raise InputError(f"vertex {v}: part label must be point/line, got {lab!r}")
+    return lab
+
+
+def _check_edges(edges: Iterable[tuple[int, int]], parts: Mapping[int, str]) -> None:
+    """Raise at the first edge, in the given order, inside one part."""
+    for tup in edges:
+        a, b = tup
+        if parts[a] == parts[b]:
+            raise InputError(f"edge {tup} joins two {parts[a]} vertices")
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -16,7 +16,7 @@ from predimlab import (
     self_sufficient,
 )
 from predimlab.builder import CF
-from predimlab.structures import Relation, Signature, _embeddings
+from predimlab.structures import LINE, POINT, Relation, Signature, _embeddings, polygon_signature
 from predimlab.classes import MembershipResult
 from predimlab.reports import FAIL, PARTIAL, PASS
 
@@ -100,20 +100,27 @@ def small_bipartite(draw, max_n=8, ngon=3):
 
 
 @st.composite
-def extension_chains(draw, max_steps=4, max_new=3, max_instances=6):
+def extension_chains(draw, max_steps=4, max_new=3, max_instances=6, bipartite=False):
     """A chain of structures, each adding vertices (ids above the old ones)
-    and instances to the one before, over a drawn signature.  New instances
-    meet the new vertices, apart from at most one among the old ones."""
-    sig = draw(st.sampled_from(CHAIN_SIGNATURES))
-    chain = [FiniteStructure(sig, [], {})]
+    and instances to the one before, over a drawn signature, or over
+    polygon_signature(3) with drawn part labels when ``bipartite``.  New
+    instances meet the new vertices, apart from at most one among the old
+    ones."""
+    sig = polygon_signature(3) if bipartite else draw(st.sampled_from(CHAIN_SIGNATURES))
+    chain = [FiniteStructure(sig, [], {}, {} if bipartite else None)]
     for _ in range(draw(st.integers(min_value=1, max_value=max_steps))):
         S = chain[-1]
         n = len(S.vertices)
         k = draw(st.integers(min_value=0, max_value=max_new))
+        parts = label = None
+        if bipartite:
+            parts = {v: draw(st.sampled_from((POINT, LINE))) for v in range(n, n + k)}
+            label = {**S.parts, **parts}
         inst = {}
         for rel in sig.relations:
             have = set(S.instances[rel.name])
-            tups = [t for t in itertools.combinations(range(n + k), rel.arity) if t not in have]
+            tups = [t for t in itertools.combinations(range(n + k), rel.arity)
+                    if t not in have and (label is None or label[t[0]] != label[t[1]])]
             meet = [t for t in tups if t[-1] >= n]
             inst[rel.name] = draw(
                 st.lists(st.sampled_from(meet), unique=True, max_size=max_instances)
@@ -122,7 +129,7 @@ def extension_chains(draw, max_steps=4, max_new=3, max_instances=6):
             old = [t for t in tups if t[-1] < n]
             if old and draw(st.booleans()):
                 inst[rel.name].append(draw(st.sampled_from(old)))
-        chain.append(S.with_added(range(n, n + k), inst))
+        chain.append(S.with_added(range(n, n + k), inst, parts))
     return chain
 
 

@@ -1,5 +1,9 @@
 import functools
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +104,39 @@ def test_build_deterministic():
     b = build_generic(cfg)
     assert a.log.digest() == b.log.digest()
     assert a.structure == b.structure
+
+
+def test_seed0_budget400_build_log_is_pinned():
+    # the longest seed-0 build Tier 1 replays; scripts/build_scaling.py
+    # checks the budget-800 one
+    res = build_generic(BuildConfig(SIG, C0, max_pattern=4, budget=400, seed=0))
+    assert res.log.digest() == (
+        "d2234bbf11f7de7899474fee3f4972da38013713e360fd0603213c00bfe76567"
+    )
+
+
+def _live_structures_after_build(budget):
+    """Live FiniteStructure objects after a seed-0 c0 max-pattern-3 build,
+    counted in a fresh interpreter so no other test's caches count."""
+    code = (
+        "import gc\n"
+        "from predimlab import BuildConfig, FiniteStructure, build_generic, graph_signature\n"
+        f"res = build_generic(BuildConfig(graph_signature(2, 1), 'c0', 3, {budget}))\n"
+        "gc.collect()\n"
+        "print(sum(isinstance(o, FiniteStructure) for o in gc.get_objects()))\n"
+    )
+    # the subprocess does not inherit pytest's pythonpath, so hand it src
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    return int(proc.stdout)
+
+
+def test_a_longer_build_keeps_no_more_structures_alive():
+    # a chain step that kept the structure it extends reachable would keep
+    # every earlier member of the chain alive
+    assert _live_structures_after_build(200) <= _live_structures_after_build(50)
 
 
 def test_build_chain_and_class_preserved():

@@ -342,7 +342,7 @@ def test_grown_network_matches_a_fresh_one(chain, rng):
             assert solver.solve_value(xmask) == fresh.solve_value(xmask)
 
 
-def test_networks_are_handed_over_along_a_chain():
+def test_networks_are_handed_over_along_a_chain(monkeypatch):
     S = path_graph(20)
     out = S.with_added([21, 22], {"R": [(20, 21), (21, 22)]})
     solver = _solver_for(S)
@@ -350,6 +350,23 @@ def test_networks_are_handed_over_along_a_chain():
     assert S not in closures._solvers
     assert _solver_for(out) is solver
     assert solver.solve(out.mask_of([0])) == StructureFlowSolver(out).solve(out.mask_of([0]))
+    # a step that also joins two old vertices is built afresh, and the
+    # network still grows exactly
+    inits = []
+    real_init = FiniteStructure.__init__
+    monkeypatch.setattr(FiniteStructure, "__init__",
+                        lambda self, *a, **k: inits.append(1) or real_init(self, *a, **k))
+    chord = out.with_added([23], {"R": [(0, 5), (22, 23)]})
+    monkeypatch.undo()
+    assert inits
+    hand_over_solver(out, chord)
+    assert _solver_for(chord) is solver
+    fresh = StructureFlowSolver(FiniteStructure(chord.signature, chord.vertices, chord.instances))
+    rng = random.Random(7)
+    for _ in range(20):
+        xmask = rng.getrandbits(len(chord.vertices))
+        assert solver.solve(xmask) == fresh.solve(xmask)
+    out = chord
     # no growth into a structure that shifts the old positions or drops an instance
     shifted = out.with_added([-1], {"R": [(-1, 0)]})
     dropped = FiniteStructure(out.signature, out.vertices, {"R": out.instances["R"][1:]})

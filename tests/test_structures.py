@@ -24,8 +24,8 @@ from predimlab import (
     polygon_signature,
     self_sufficient,
 )
-from predimlab import suites
-from predimlab.closures import delta_table
+from predimlab import closures, suites
+from predimlab.closures import StructureFlowSolver, cl0, cld, delta_table, dim, hand_over_solver
 from predimlab.structures import LINE, POINT, _refine_colors, bipartite_graph, cycle_graph
 
 from conftest import (
@@ -34,6 +34,7 @@ from conftest import (
     brute_refine_colors,
     brute_restriction,
     brute_self_sufficient,
+    extension_chains,
     small_bipartite,
     small_graphs,
     small_hypergraphs,
@@ -247,6 +248,92 @@ def test_derived_structures_of_an_empty_bipartite_structure():
     assert empty.with_added([], {}) == empty
     grown = empty.with_added([0, 1], {"adj": [(0, 1)]}, {0: POINT, 1: LINE})
     assert grown.parts == {0: POINT, 1: LINE} and grown.instances["adj"] == ((0, 1),)
+
+
+def _step_of(prev, nxt):
+    """with_added arguments that take prev to nxt."""
+    n = len(prev.vertices)
+    inst = {name: sorted(set(tups) - set(prev.instances[name]))
+            for name, tups in nxt.instances.items()}
+    parts = {v: nxt.parts[v] for v in nxt.vertices[n:]} if nxt.parts is not None else None
+    return nxt.vertices[n:], inst, parts
+
+
+@given(st.one_of(extension_chains(), extension_chains(bipartite=True)),
+       st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_chain_steps_equal_fresh_structures(chain, rng):
+    real_init = FiniteStructure.__init__
+    inits = []
+
+    def counted_init(self, *args, **kwargs):
+        inits.append(1)
+        real_init(self, *args, **kwargs)
+
+    steps = [chain[0]]
+    for nxt in chain[1:]:
+        S = steps[-1]
+        # a step may find the indexes of the structure it extends built or not
+        if rng.random() < 0.5:
+            S.instance_masks()
+        if rng.random() < 0.5:
+            S.bit_index()
+        new_vertices, new_instances, new_parts = _step_of(S, nxt)
+        chain_step = all(t[-1] >= len(S.vertices) for ts in new_instances.values() for t in ts)
+        inits.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(FiniteStructure, "__init__", counted_init)
+            steps.append(S.with_added(new_vertices, new_instances, new_parts))
+        assert bool(inits) != chain_step  # only other steps build afresh
+    for out, nxt in zip(steps[1:], chain[1:]):
+        fresh = FiniteStructure(nxt.signature, nxt.vertices, nxt.instances, nxt.parts)
+        assert out == fresh and out._key == fresh._key and hash(out) == hash(fresh)
+        assert out.instance_masks() == fresh.instance_masks()
+        assert out.bit_index() == fresh.bit_index()
+        assert dump_structure(out) == dump_structure(fresh)
+    # a network handed over along the chain answers as a fresh one
+    closures._solvers.clear()
+    solver = closures._solver_for(steps[0])
+    for S, out in zip(steps, steps[1:]):
+        hand_over_solver(S, out)
+        assert closures._solvers.get(out) is solver
+        fresh = StructureFlowSolver(FiniteStructure(out.signature, out.vertices, out.instances,
+                                                    out.parts))
+        for _ in range(6):
+            xmask = rng.getrandbits(len(out.vertices)) if out.vertices else 0
+            X = out.ids_of(xmask)
+            value, least, greatest = fresh.solve(xmask)
+            assert dim(out, X, engine="flow") == value
+            assert cl0(out, X, engine="flow").closure == out.ids_of(least)
+            assert cld(out, X, engine="flow") == out.ids_of(greatest)
+
+
+BIPARTITE_EDGE = bipartite_graph([(0, 1)], [0], [1], 3)
+
+
+@pytest.mark.parametrize("S,new_vertices,new_instances,new_parts", [
+    pytest.param(path_graph(3), [4], {"R": [(0, 3, 4)]}, None, id="wrong-arity"),
+    pytest.param(path_graph(3), [4], {"R": [(4, 4)]}, None, id="repeated-vertex"),
+    pytest.param(path_graph(3), [4], {"R": [(4, 9)]}, None, id="unknown-vertex"),
+    pytest.param(BIPARTITE_EDGE, [2], {"adj": [(0, 2)]}, {2: POINT}, id="same-part-edge"),
+    pytest.param(BIPARTITE_EDGE, [2], {"adj": [(1, 2)]}, {}, id="missing-part-label"),
+    pytest.param(path_graph(3), [4], {"R": [(3, 4)]}, {4: POINT}, id="parts-outside-bipartite"),
+])
+def test_chain_steps_raise_what_the_constructor_raises(
+    monkeypatch, S, new_vertices, new_instances, new_parts
+):
+    inst = {name: [*tups, *new_instances.get(name, ())] for name, tups in S.instances.items()}
+    parts = {**S.parts, **new_parts} if S.parts is not None else new_parts
+    with pytest.raises(InputError) as general:
+        FiniteStructure(S.signature, [*S.vertices, *new_vertices], inst, parts)
+
+    def no_init(self, *args, **kwargs):
+        raise AssertionError("a chain step built a structure afresh")
+
+    monkeypatch.setattr(FiniteStructure, "__init__", no_init)
+    with pytest.raises(InputError) as chain:
+        S.with_added(new_vertices, new_instances, new_parts)
+    assert str(chain.value) == str(general.value)
 
 
 def test_free_amalgam():
