@@ -199,20 +199,19 @@ class StructureFlowSolver:
         """Move the network to ``out``, an extension of the current structure.
 
         ``out`` must share the signature, keep the current vertex positions
-        as a prefix and hold every current instance; otherwise nothing
-        changes and the answer is False.  The new instances are read off
-        out's index at the new positions.  Only when the counts show some
-        among the old positions too are all of out's instances diffed.
+        as a prefix, hold every current instance and add only instances that
+        meet a new position, as a chain step does; otherwise nothing changes
+        and the answer is False.  The new instances are read off out's index
+        at the new positions.
         """
         S, n = self.S, self.n_items
         if out.signature != S.signature or out.vertices[:n] != S.vertices:
             return False
         old, pairs = S.bit_index().pairs, out.bit_index().pairs
-        if not old <= pairs:
-            return False
         new = _added_instances(out, n)
-        if len(pairs) != len(old) + len(new):  # new instances among the old positions too
-            new = sorted(pairs - old, key=_instance_order(out.signature))
+        if len(pairs) != len(old) + len(new) or not old <= pairs:
+            return False
+        new = sorted(new, key=_instance_order(out.signature))
         weight = {rel.name: rel.weight for rel in out.signature.relations}
         self._extend(out, [(m, weight[name]) for name, m in new if weight[name]])
         return True
@@ -486,9 +485,9 @@ def hand_over_solver(S: FiniteStructure, out: FiniteStructure) -> None:
     """Move S's cached flow network, if any, to its chain extension ``out``.
 
     The network grows instead of being rebuilt, and S's entry leaves the
-    cache, so a chain holds one network.  When ``out`` does not extend S
-    position by position the network is dropped, and a query on ``out``
-    builds a fresh one.
+    cache, so a chain holds one network.  When ``out`` is not a chain step
+    from S (see ``StructureFlowSolver.grow``) the network is dropped, and a
+    query on ``out`` builds a fresh one.
     """
     solver = _solvers.pop(S, None)
     if solver is not None and out not in _solvers and solver.grow(out):

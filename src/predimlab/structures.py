@@ -409,12 +409,10 @@ def _instance_order(signature: Signature) -> Callable[[tuple[str, int]], tuple]:
     return lambda pair: (rank[pair[0]], tuple(_bits(pair[1])))
 
 
-def _added_instances(S: FiniteStructure, n: int) -> list[tuple[str, int]]:
-    """The instances of S that meet a position at or above ``n``, as
-    (relation, mask) pairs in storage order, read off the bit index."""
-    through = S.bit_index().through
-    return sorted({pair for row in through[n:] for pair in row},
-                  key=_instance_order(S.signature))
+def _added_instances(S: FiniteStructure, n: int) -> set[tuple[str, int]]:
+    """The instances of S that meet a position at or above ``n``, as a set
+    of (relation, mask) pairs read off the bit index."""
+    return {pair for row in S.bit_index().through[n:] for pair in row}
 
 
 def _checked_instances(

@@ -329,10 +329,16 @@ def test_a_query_that_raises_leaves_the_network_intact(monkeypatch):
 @settings(max_examples=80, deadline=None)
 def test_grown_network_matches_a_fresh_one(chain, rng):
     solver = StructureFlowSolver(chain[0])
-    for S in chain[1:]:
+    for prev, S in zip(chain, chain[1:]):
         # a query before growing leaves a sink tree behind that must not survive
         solver.solve(rng.getrandbits(solver.n_items) if solver.n_items else 0)
-        assert solver.grow(S)
+        n = len(prev.vertices)
+        chain_step = all(t[-1] >= n for name, ts in S.instances.items()
+                         for t in set(ts) - set(prev.instances[name]))
+        # a step that adds an instance among the old vertices is refused
+        assert solver.grow(S) == chain_step
+        if not chain_step:
+            solver = StructureFlowSolver(S)
         fresh = StructureFlowSolver(S)
         assert solver._base_flow == fresh._base_flow
         assert solver.total_w == fresh.total_w
@@ -350,8 +356,8 @@ def test_networks_are_handed_over_along_a_chain(monkeypatch):
     assert S not in closures._solvers
     assert _solver_for(out) is solver
     assert solver.solve(out.mask_of([0])) == StructureFlowSolver(out).solve(out.mask_of([0]))
-    # a step that also joins two old vertices is built afresh, and the
-    # network still grows exactly
+    # a step that also joins two old vertices is built afresh, and its
+    # network is dropped, not grown
     inits = []
     real_init = FiniteStructure.__init__
     monkeypatch.setattr(FiniteStructure, "__init__",
@@ -360,13 +366,15 @@ def test_networks_are_handed_over_along_a_chain(monkeypatch):
     monkeypatch.undo()
     assert inits
     hand_over_solver(out, chord)
-    assert _solver_for(chord) is solver
-    fresh = StructureFlowSolver(FiniteStructure(chord.signature, chord.vertices, chord.instances))
+    assert out not in closures._solvers and chord not in closures._solvers
+    assert _solver_for(chord) is not solver
+    # the refused network is left as it was
+    rebuilt = StructureFlowSolver(out)
     rng = random.Random(7)
     for _ in range(20):
-        xmask = rng.getrandbits(len(chord.vertices))
-        assert solver.solve(xmask) == fresh.solve(xmask)
-    out = chord
+        xmask = rng.getrandbits(len(out.vertices))
+        assert solver.solve(xmask) == rebuilt.solve(xmask)
+    out, solver = chord, _solver_for(chord)
     # no growth into a structure that shifts the old positions or drops an instance
     shifted = out.with_added([-1], {"R": [(-1, 0)]})
     dropped = FiniteStructure(out.signature, out.vertices, {"R": out.instances["R"][1:]})

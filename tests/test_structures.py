@@ -291,12 +291,17 @@ def test_chain_steps_equal_fresh_structures(chain, rng):
         assert out.instance_masks() == fresh.instance_masks()
         assert out.bit_index() == fresh.bit_index()
         assert dump_structure(out) == dump_structure(fresh)
-    # a network handed over along the chain answers as a fresh one
+    # a network handed over along the chain answers as a fresh one; a step
+    # with an instance among the old vertices drops it for a fresh one
     closures._solvers.clear()
     solver = closures._solver_for(steps[0])
     for S, out in zip(steps, steps[1:]):
         hand_over_solver(S, out)
-        assert closures._solvers.get(out) is solver
+        if all(m >> len(S.vertices) for _, m in out.bit_index().pairs - S.bit_index().pairs):
+            assert closures._solvers.get(out) is solver
+        else:
+            assert out not in closures._solvers
+            solver = closures._solver_for(out)
         fresh = StructureFlowSolver(FiniteStructure(out.signature, out.vertices, out.instances,
                                                     out.parts))
         for _ in range(6):
