@@ -9,10 +9,12 @@ as ``predimlab build --class c0 --max-pattern 4 --budget B``) at budgets
 and steps of the approximant, the median seconds, and whether the build-log
 digest matches the pinned one, then the ratio of the budget-800 median to
 the budget-400 median: about 2 when a step costs the same at any length,
-about 4 when it costs in proportion to the structure.
+about 4 when it costs in proportion to the structure.  The ratio's gate
+is 2.5.  Exits 1 when a digest differs from its pin, 0 otherwise.
 """
 
 import statistics
+import sys
 import time
 
 from predimlab import BuildConfig, build_generic, graph_signature
@@ -20,6 +22,7 @@ from predimlab.builder import C0
 
 BUDGETS = (200, 400, 800)
 RUNS = 3
+RATIO_GATE = 2.5
 # build-log digests of the seed-0 builds, pinned before the chain builds
 # stopped rebuilding the structure at every step
 PINNED = {
@@ -29,9 +32,9 @@ PINNED = {
 }
 
 
-def main() -> None:
+def main() -> int:
     print("budget  vertices  steps  seconds  digest")
-    medians = {}
+    medians, differs = {}, False
     for budget in BUDGETS:
         config = BuildConfig(graph_signature(2, 1), C0, max_pattern=4, budget=budget, seed=0)
         times = []
@@ -40,11 +43,15 @@ def main() -> None:
             res = build_generic(config)
             times.append(time.perf_counter() - t0)
         medians[budget] = statistics.median(times)
-        match = "pinned" if res.log.digest() == PINNED[budget] else "DIFFERS"
+        pinned = res.log.digest() == PINNED[budget]
+        differs |= not pinned
         print(f"{budget:6d}  {len(res.structure.vertices):8d}  {len(res.log.steps):5d}  "
-              f"{medians[budget]:7.2f}  {match}")
-    print(f"800/400 ratio: {medians[800] / medians[400]:.2f}")
+              f"{medians[budget]:7.2f}  {'pinned' if pinned else 'DIFFERS'}")
+    ratio = medians[800] / medians[400]
+    verdict = "meets" if ratio <= RATIO_GATE else "misses"
+    print(f"800/400 ratio: {ratio:.2f} ({verdict} the gate of {RATIO_GATE})")
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

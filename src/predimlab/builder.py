@@ -10,7 +10,11 @@ structure inside the class; breaking either aborts loudly.
 One chain reuses its work across steps.  The embedding search runs on each
 structure's bitmask index.  The chain check reads only the subsets of the
 new vertices.  The flow network of a structure is handed to the next one and
-grows.  Verdicts on images are memoized for the whole chain.
+grows.  Verdicts on images are memoized for the whole chain.  Each task
+keeps a window of its first embedded bases, and a visit brings it up to
+date from the embeddings that meet the vertices added since the last one,
+as semi-naive evaluation does for recursive queries (Bancilhon and
+Ramakrishnan); a visit never walks the bases from the first one again.
 
 The search for a realizing copy of an extension places the pattern
 anchored-first and cuts at prefixes: whenever the placed part of the pattern
@@ -25,6 +29,7 @@ Identical configs replay to byte-identical logs and structures.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -56,8 +61,9 @@ KN = "kn"
 LE = "LE"
 LE_D = "LE_D"
 
-# per task visit, at most this many embedded bases are examined; keeps a
-# visit from drowning in already-realized embeddings deep in the order
+# a task visit examines only the first this many good embedded bases, by
+# key; keeps a visit from drowning in already-realized embeddings deep in
+# the order
 SCAN_WINDOW = 50
 
 SESE_PATTERN_CAP = 10  # most pattern vertices find_sese_embeddings accepts
@@ -317,7 +323,7 @@ def _is_strong(S: FiniteStructure, ids: Iterable[int], tag: str) -> bool:
 def _good_base(
     S: FiniteStructure, image: frozenset[int], tag: str, memo: dict
 ) -> bool:
-    # the polygon chain is only self-sufficient, so its d-closure is not memoized
+    # the memo holds self-sufficiency for the polygon class; d-closure is asked apart
     if tag == KN:
         return _strong(S, image, tag, memo) and is_d_closed(S, image)
     return _strong(S, image, tag, memo)
@@ -346,14 +352,22 @@ def _realized(
 
 
 def _base_embeddings(
-    S: FiniteStructure, task: ExtensionTask, memo: dict, cap: Optional[int] = None
+    S: FiniteStructure,
+    task: ExtensionTask,
+    memo: dict,
+    cap: Optional[int] = None,
+    after: Optional[tuple[int, ...]] = None,
 ) -> Iterator[dict[int, int]]:
-    """Embedded bases with a strong image, in deterministic placement order."""
+    """Embedded bases with a strong image, in ascending key order: at most
+    ``cap`` of them, and only keys above ``after``."""
+    if cap is not None and cap < 1:
+        return
     if not task.base_ids:
-        yield {}
+        if after is None:
+            yield {}
         return
     emitted = 0
-    for phi in _embeddings(S, task.base_pattern, {}):
+    for phi in _embeddings(S, task.base_pattern, {}, after=after):
         if _good_base(S, frozenset(phi.values()), task.tag, memo):
             yield phi
             emitted += 1
@@ -361,8 +375,113 @@ def _base_embeddings(
                 return
 
 
+def _key(phi: dict[int, int]) -> tuple[int, ...]:
+    """The S ids of the pattern vertices, in pattern vertex order."""
+    return tuple(phi[v] for v in sorted(phi))
+
+
+@dataclass
+class _Window:
+    """What a build knows of one task's good embedded bases.
+
+    ``keys`` holds, by ascending key, every good key of the structure of
+    size ``seen`` up to ``reach`` (none while it is None), or every one of
+    them when ``complete``; at most ``SCAN_WINDOW``, and a full window
+    reaches its last key.  Every key before ``cursor`` is done: found
+    realized, or amalgamated over.  ``done`` holds every key ever done,
+    also those that left the window.
+    """
+
+    keys: list[tuple[int, ...]] = field(default_factory=list)
+    reach: Optional[tuple[int, ...]] = None
+    complete: bool = False
+    seen: int = 0
+    cursor: int = 0
+    done: set[tuple[int, ...]] = field(default_factory=set)
+
+
+def _bring_up_to_date(
+    S: FiniteStructure, task: ExtensionTask, win: _Window, memo: dict
+) -> None:
+    """Make ``win`` a window of S, reading only what is new since ``win.seen``.
+
+    The structure grew by chain steps since: its ids are its positions, the
+    new ones lie above the old, and every new instance meets a new vertex.
+    So an old induced embedding stays induced, and its verdict stays (see
+    :func:`_strong`); the good embeddings of S are the old ones plus the new
+    good ones N that meet a new position, and those up to ``reach`` are the
+    window's keys and the members of N up to ``reach``.  N is searched by
+    the pattern position p of its first new vertex: the positions before p
+    old, p new, no key beyond ``reach``.  Its goodness is judged in key
+    order, only as far as the window goes, and the cursor goes back to the
+    first key let in.
+
+    The polygon class also asks a base to be d-closed.  That stays too: its
+    steps are d-closed (see :func:`_amalgamate`), so d-closures of old sets
+    do not change.
+    """
+    n = len(S.vertices)
+    if win.seen == n or not task.base_ids:
+        return
+    seen, win.seen = win.seen, n
+    if win.reach is None and not win.complete:
+        return
+    pattern = task.base_pattern
+    size = len(pattern.vertices)
+    old = (1 << seen) - 1
+    fresh = sorted(
+        _key(phi)
+        for p in range(size)
+        for phi in _embeddings(S, pattern, {}, within=[old] * p + [~old] + [-1] * (size - p - 1),
+                               upto=None if win.complete else win.reach)
+    )
+    keys = []
+    for key, is_new in heapq.merge(((k, False) for k in win.keys), ((k, True) for k in fresh)):
+        if len(keys) == SCAN_WINDOW:
+            break
+        if not is_new:
+            keys.append(key)
+        elif _good_base(S, frozenset(key), task.tag, memo):
+            win.cursor = min(win.cursor, len(keys))
+            keys.append(key)
+    win.keys = keys
+    if len(keys) == SCAN_WINDOW:
+        win.reach, win.complete = keys[-1], False
+
+
+def _open_keys(
+    S: FiniteStructure, task: ExtensionTask, win: _Window, memo: dict
+) -> Iterator[tuple[int, ...]]:
+    """The window's keys from the cursor on that are not done yet, each
+    marked done as it is handed out.  Past the last key, the walk goes on
+    from ``reach`` while the window has room."""
+    walk = None
+    while True:
+        if win.cursor == len(win.keys):
+            if win.complete or len(win.keys) == SCAN_WINDOW:
+                return
+            walk = walk or _base_embeddings(S, task, memo, after=win.reach)
+            phi = next(walk, None)
+            if phi is None:
+                win.complete = True
+                return
+            win.reach = _key(phi)
+            win.keys.append(win.reach)
+        key = win.keys[win.cursor]
+        win.cursor += 1
+        if key not in win.done:
+            win.done.add(key)
+            yield key
+
+
 def build_generic(config: BuildConfig) -> BuildResult:
-    """Round-robin chain construction; returns the approximant and its log."""
+    """Round-robin chain construction; returns the approximant and its log.
+
+    Each visit to a task works through its window of embedded bases (see
+    :func:`_bring_up_to_date`): the done ones are skipped, the realized
+    ones marked done, and the first unrealized one gets a fresh copy of the
+    extension, which ends the visit.
+    """
     patterns = enumerate_class(
         config.signature, config.tag, config.max_pattern, config.control, config.ngon
     )
@@ -371,7 +490,7 @@ def build_generic(config: BuildConfig) -> BuildResult:
     S = FiniteStructure(config.signature, [], {}, {} if bipartite else None)
     log = BuildLog(config_key=_config_key(config))
     log.skipped_tasks = [str(t.key) for t in skipped]
-    realized_cache: set[tuple[int, tuple[int, ...]]] = set()
+    windows: dict[int, _Window] = {}
     memo: dict[frozenset[int], bool] = {}
     steps = 0
     while steps < config.budget:
@@ -379,20 +498,14 @@ def build_generic(config: BuildConfig) -> BuildResult:
         for ti, task in enumerate(tasks):
             if steps >= config.budget:
                 break
-            walked = 0
-            for phi in _base_embeddings(S, task, memo):
-                walked += 1
-                if walked > SCAN_WINDOW:
-                    break
-                cache_key = (ti, tuple(phi[v] for v in sorted(phi)))
-                if cache_key in realized_cache:
-                    continue
+            win = windows.setdefault(ti, _Window())
+            _bring_up_to_date(S, task, win, memo)
+            for key in _open_keys(S, task, win, memo):
+                phi = dict(zip(task.base_pattern.vertices, key))
                 if _realized(S, task, phi, memo):
-                    realized_cache.add(cache_key)
                     continue
                 S, copy_image = _amalgamate(S, task, phi)
                 memo[copy_image] = True  # fresh copy over a strong base
-                realized_cache.add(cache_key)
                 steps += 1
                 progressed = True
                 ok, note = _in_class(S, config.tag, config.control, config.ngon, light=True)
@@ -438,7 +551,10 @@ def _amalgamate(
                     tuple(sorted(phi[v] for v in tp))
                 )
     out = S.with_added(new_ids, new_inst, new_parts or None)
-    _check_chain(len(S.vertices), out, strict=task.tag == CF)
+    # the cf and kn tasks have bases d-closed in their extensions, which
+    # makes their steps d-closed: new vertices V have delta(V/S) =
+    # delta(V/base) > 0
+    _check_chain(len(S.vertices), out, strict=task.tag != C0)
     hand_over_solver(S, out)
     return out, frozenset(phi.values())
 

@@ -61,6 +61,14 @@ def _load(path: str) -> FiniteStructure:
     return S
 
 
+def _at_least(args, **least: int) -> None:
+    """Raise on a count option below its least value."""
+    for name, low in least.items():
+        value = getattr(args, name)
+        if value < low:
+            raise InputError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
+
+
 def _signature_from(args) -> Signature:
     if args.r == 2:
         return graph_signature(args.n, args.m)
@@ -236,6 +244,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "check":
+        _at_least(args, cap=0, samples=0)
         S = _load(args.file)
         if args.klass == "c0":
             res = in_C0(S)
@@ -275,6 +284,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "axioms":
+        _at_least(args, cap=0)
         S = _load(args.file)
         rep = axiom_suite(S, size_cap=args.cap)
         return _report_exit(args, rep)
@@ -320,6 +330,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "beatty":
+        _at_least(args, window=0)
         seq = beatty(args.l, args.b)
         print("period:", " ".join(str(v) for v in seq.period))
         if args.window:
@@ -382,6 +393,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "audit":
+        _at_least(args, max_pattern=0, max_base=0, cap_per_task=1)
         S = _load(args.file)
         from .builder import enumerate_tasks
 

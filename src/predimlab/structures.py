@@ -133,6 +133,11 @@ class BitIndex(NamedTuple):
     co: tuple[int, ...]  # co-instance neighbours of each position
     through: tuple[tuple[tuple[str, int], ...], ...]  # (relation, mask) per position
     pairs: frozenset[tuple[str, int]]  # every instance as (relation, mask)
+    # the weighted instances as (mask, weight), by highest position and then
+    # in storage order; those topped by position i start at starts[i], and
+    # starts ends with their number
+    weighted: tuple[tuple[int, int], ...]
+    starts: tuple[int, ...]
 
 
 class FiniteStructure:
@@ -247,14 +252,17 @@ class FiniteStructure:
     def bit_index(self) -> "BitIndex":
         """The bitmask instance/adjacency index by vertex position, built once.
 
-        Every relation counts, whatever its arity or weight.
+        Every relation counts, whatever its arity or weight, except in
+        ``weighted``.
         """
         if self._bit_index is None:
             n = len(self.vertices)
             co = [0] * n
             through: list[list[tuple[str, int]]] = [[] for _ in range(n)]
+            top: list[list[tuple[int, int]]] = [[] for _ in range(n)]
             pairs = set()
             for name, tups in self.instances.items():
+                weight = self.signature.relation(name).weight
                 for tup in tups:
                     m = 0
                     for v in tup:
@@ -263,10 +271,13 @@ class FiniteStructure:
                     for i in _bits(m):
                         co[i] |= m
                         through[i].append((name, m))
+                    if weight:
+                        top[m.bit_length() - 1].append((m, weight))
             self._bit_index = BitIndex(
                 tuple(c & ~(1 << i) for i, c in enumerate(co)),
                 tuple(map(tuple, through)),
                 frozenset(pairs),
+                *_by_top(top),
             )
         return self._bit_index
 
@@ -385,19 +396,24 @@ class FiniteStructure:
                 start += len(inst[rel.name])
             out._inst_masks = tuple(masks)
         if self._bit_index is not None:
-            co, through, pairs = self._bit_index
+            co, through, pairs, weighted, starts = self._bit_index
             co, through = list(co) + [0] * len(added), list(through) + [()] * len(added)
+            top = [[] for _ in added]  # a new instance tops at a new position
             order = _instance_order(sig)
             for name, new in fresh.items():
+                weight = sig.relation(name).weight
                 for _, m in new:
                     for i in _bits(m):
                         co[i] |= m & ~(1 << i)
                         row = through[i]
                         p = bisect_left(row, order((name, m)), key=order)
                         through[i] = (*row[:p], (name, m), *row[p:])
+                    if weight:
+                        top[m.bit_length() - 1 - n].append((m, weight))
             out._bit_index = BitIndex(
                 tuple(co), tuple(through),
-                pairs.union((name, m) for name, new in fresh.items() for _, m in new))
+                pairs.union((name, m) for name, new in fresh.items() for _, m in new),
+                *_by_top(top, weighted, starts))
         return out
 
 
@@ -407,6 +423,19 @@ def _instance_order(signature: Signature) -> Callable[[tuple[str, int]], tuple]:
     tuples run.  Every row of the bit index is in this order."""
     rank = {rel.name: r for r, rel in enumerate(signature.relations)}
     return lambda pair: (rank[pair[0]], tuple(_bits(pair[1])))
+
+
+def _by_top(
+    rows: list[list[tuple[int, int]]],
+    weighted: tuple[tuple[int, int], ...] = (),
+    starts: tuple[int, ...] = (0,),
+) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The ``weighted`` and ``starts`` fields of a bit index, with the
+    weighted instances topped by each next position, ``rows``, appended."""
+    ends = list(starts)
+    for row in rows:
+        ends.append(ends[-1] + len(row))
+    return weighted + tuple(itertools.chain.from_iterable(rows)), tuple(ends)
 
 
 def _added_instances(S: FiniteStructure, n: int) -> set[tuple[str, int]]:
@@ -486,15 +515,24 @@ def _embeddings(
     newest_first: bool = False,
     order: Optional[Sequence[tuple[int, bool]]] = None,
     keep: Optional[Callable[[int], bool]] = None,
+    within: Optional[Sequence[int]] = None,
+    after: Optional[Sequence[int]] = None,
+    upto: Optional[Sequence[int]] = None,
 ) -> Iterator[dict[int, int]]:
     """Induced embeddings of pattern into S extending ``partial``.
 
     Deterministic placement order: ``order`` lists the unplaced pattern
     positions, by default ascending, each ranging over ascending candidates
     (newest-first flips the candidate order, which finds fresh amalgam
-    copies quickly).  After a placement whose ``order`` flag is set, the
-    image so far, as a mask of S positions, goes to ``keep``; a False drops
-    every embedding through it.  The search runs on
+    copies quickly).  With both defaults the embeddings come in ascending
+    order of their key, the S ids of the pattern vertices in order.  After
+    a placement whose ``order`` flag is set, the image so far, as a mask of
+    S positions, goes to ``keep``; a False drops every embedding through
+    it.  ``within`` gives, per pattern position, a mask of the S positions
+    the search may place it on.  With the default order, ``after`` and ``upto`` bound the
+    key: only keys above ``after`` and not above ``upto`` come, and a
+    candidate is cut as soon as the placed prefix of its key falls outside
+    them.  The search runs on
     vertex positions and the two structures' bitmask indexes: the candidates
     of an anchored vertex are the AND of the co-instance masks of its placed
     neighbours' images, the others range over all of S, and the image is
@@ -509,6 +547,11 @@ def _embeddings(
     phi = [-1] * len(pverts)  # pattern position -> S position
     for v, w in partial.items():
         phi[pverts.index(v)] = S.mask_of((w,)).bit_length() - 1
+
+    def positions(key):
+        return None if key is None else [S.mask_of((w,)).bit_length() - 1 for w in key]
+
+    after, upto = positions(after), positions(upto)
 
     def image_of(m: int) -> int:
         out = 0
@@ -539,17 +582,38 @@ def _embeddings(
         placed |= 1 << i
 
     def rec(k: int, img: int) -> Iterator[dict[int, int]]:
+        # the key prefix up to the next placement is known (the default
+        # order places ascending); outside the bounds' prefixes, no
+        # completion fits, and on one of them the next position is bounded
+        low = high = False
+        if after is not None or upto is not None:
+            head = steps[k][0] if k < len(steps) else len(pverts)
+            prefix = phi[:head]
+            if after is not None:
+                if prefix < after[:head]:
+                    return
+                low = prefix == after[:head]
+            if upto is not None:
+                if prefix > upto[:head]:
+                    return
+                high = prefix == upto[:head]
         if k == len(steps):
+            if low:  # the key equals ``after``
+                return
             out = dict(partial)
             for i, _, _, _ in steps:
                 out[pverts[i]] = sverts[phi[i]]
             yield out
             return
         i, anchors, fresh, check = steps[k]
-        pool = S.full_mask()
+        pool = S.full_mask() if within is None else within[i] & S.full_mask()
         for j in _bits(anchors):
             pool &= sx.co[phi[j]]
         pool &= ~img
+        if low:
+            pool &= -1 << after[i]
+        if high:
+            pool &= (2 << upto[i]) - 1
         while pool:
             w = (pool if newest_first else pool & -pool).bit_length() - 1
             pool ^= 1 << w
@@ -622,10 +686,26 @@ def delta(S: FiniteStructure, X: Iterable[int]) -> int:
 
 
 def delta_mask(S: FiniteStructure, mask: int) -> int:
+    """Predimension of the positions in mask.
+
+    The bit index lists each weighted instance under its highest position,
+    so an instance inside the mask is listed under one of the mask's
+    positions.  A sparse mask reads only those runs; a dense one reads the
+    list up to its highest position in one pass, since starting a run costs
+    about as much as testing a few instances.
+    """
+    bx = S.bit_index()
+    weighted, starts = bx.weighted, bx.starts
     total = S.signature.vertex_weight * mask.bit_count()
-    for imask, w in S.instance_masks():
-        if imask & mask == imask:
-            total -= w
+    if 4 * mask.bit_count() < len(starts):
+        for i in _bits(mask):
+            for imask, w in weighted[starts[i]:starts[i + 1]]:
+                if imask & mask == imask:
+                    total -= w
+    else:
+        for imask, w in itertools.islice(weighted, starts[mask.bit_length()]):
+            if imask & mask == imask:
+                total -= w
     return total
 
 

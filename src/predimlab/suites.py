@@ -396,6 +396,8 @@ def ex512_suite(
     seed: int = 0,
     negative_control: bool = False,
 ) -> VerificationReport:
+    if samples < 0:
+        raise InputError(f"samples must be nonnegative, got {samples}")
     rep = VerificationReport(suite="ex512")
     dc = build_double_cycle(s, step)
     CD = dc.structure
@@ -778,6 +780,8 @@ def extension_property_suite(
     seed: int = 0,
     negative_control: bool = False,
 ) -> VerificationReport:
+    if cap_per_task < 1:
+        raise InputError(f"cap_per_task must be at least 1, got {cap_per_task}")
     rep = VerificationReport(suite="extension-property")
     sig = graph_signature(2, 1)
     cfg = BuildConfig(sig, C0, max_pattern=max_pattern, budget=budget, seed=seed)

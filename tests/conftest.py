@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from predimlab import (
     FiniteStructure,
+    builder,
+    dump_structure,
     graph_signature,
     hypergraph_signature,
     in_C0,
@@ -366,6 +368,51 @@ def brute_realized(S, task, base_phi):
         if is_d_closed(S, image) if task.tag == CF else self_sufficient(S, image)[0]:
             return True
     return False
+
+
+def brute_build_generic(config):
+    """Oracle for ``builder.build_generic``: the re-walk it replaced.
+
+    Every task visit walks the task's good embedded bases from the first
+    one, up to ``builder.SCAN_WINDOW`` of them, skips those done before,
+    marks the realized ones done, and amalgamates over the first unrealized
+    one.  Returns the build log.
+    """
+    patterns = builder.enumerate_class(
+        config.signature, config.tag, config.max_pattern, config.control, config.ngon)
+    tasks, skipped = builder.enumerate_tasks(patterns, config.tag)
+    S = FiniteStructure(config.signature, [], {},
+                        {} if config.signature.mode == "bipartite" else None)
+    log = builder.BuildLog(config_key=builder._config_key(config))
+    log.skipped_tasks = [str(t.key) for t in skipped]
+    done, memo, steps = set(), {}, 0
+    while steps < config.budget:
+        progressed = False
+        for ti, task in enumerate(tasks):
+            if steps >= config.budget:
+                break
+            bases = builder._base_embeddings(S, task, memo)
+            for phi in itertools.islice(bases, builder.SCAN_WINDOW):
+                key = (ti, tuple(phi[v] for v in sorted(phi)))
+                if key in done:
+                    continue
+                done.add(key)
+                if builder._realized(S, task, phi, memo):
+                    continue
+                S, copy_image = builder._amalgamate(S, task, phi)
+                memo[copy_image] = True
+                steps += 1
+                progressed = True
+                ok, note = builder._in_class(S, config.tag, config.control, config.ngon,
+                                             light=True)
+                assert ok, note
+                log.steps.append({"step": steps, "task": ti, "task_key": str(task.key),
+                                  "embedding": sorted(phi.items()), "size": len(S.vertices)})
+                break
+        if not progressed:
+            break
+    log.structure_dump = dump_structure(S)
+    return log
 
 
 def brute_isomorphic(a, b):

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from predimlab import (
@@ -46,6 +46,7 @@ from predimlab.structures import LINE, POINT, _embeddings
 
 from conftest import (
     CHAIN_SIGNATURES,
+    brute_build_generic,
     brute_embeddings,
     brute_realized,
     brute_self_sufficient,
@@ -107,12 +108,73 @@ def test_build_deterministic():
 
 
 def test_seed0_budget400_build_log_is_pinned():
-    # the longest seed-0 build Tier 1 replays; scripts/build_scaling.py
-    # checks the budget-800 one
+    # scripts/build_scaling.py checks this digest too
     res = build_generic(BuildConfig(SIG, C0, max_pattern=4, budget=400, seed=0))
     assert res.log.digest() == (
         "d2234bbf11f7de7899474fee3f4972da38013713e360fd0603213c00bfe76567"
     )
+
+
+def test_seed0_budget800_build_log_is_pinned():
+    # the longest seed-0 build Tier 1 replays; scripts/build_scaling.py
+    # checks this digest too
+    res = build_generic(BuildConfig(SIG, C0, max_pattern=4, budget=800, seed=0))
+    assert res.log.digest() == (
+        "ac2c38e477be4ce4830d3eeca5ea25c65b4bd2ddface4122d9f68264b108703e"
+    )
+
+
+BUILD_SETUPS = (
+    (graph_signature(2, 1), C0),
+    (graph_signature(2, 1), CF),
+    (hypergraph_signature(1, 1, 3), C0),
+    (polygon_signature(3), C0),
+    (polygon_signature(3), KN),
+)
+
+
+@given(st.sampled_from(BUILD_SETUPS), st.integers(min_value=2, max_value=3),
+       st.integers(min_value=0, max_value=60), st.sampled_from([1, 2, 3, 6, 50]))
+@settings(max_examples=40, deadline=None)
+# a step adds a base before a done one in a window that is not full
+@example(BUILD_SETUPS[2], 3, 20, 50)
+# steps add bases inside full windows, pushing their last keys out
+@example(BUILD_SETUPS[0], 3, 60, 50)
+@example(BUILD_SETUPS[3], 3, 20, 6)
+def test_windowed_build_matches_the_rewalk(setup, max_pattern, budget, window):
+    sig, tag = setup
+    config = BuildConfig(
+        sig, tag, max_pattern=max_pattern, budget=budget,
+        control=ControlFunction.harmonic(sig.vertex_weight) if tag == CF else None,
+        ngon=3 if tag == KN else None,
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(builder, "SCAN_WINDOW", window)
+        assert build_generic(config).log.digest() == brute_build_generic(config).digest()
+
+
+def test_a_polygon_step_must_be_d_closed():
+    # points 0, 2 and line 1 on a path; the task hangs a new line on point 0
+    sigp = polygon_signature(3)
+    S = FiniteStructure(sigp, [0, 1, 2], {"adj": [(0, 1), (1, 2)]},
+                        {0: POINT, 1: LINE, 2: POINT})
+    ext = FiniteStructure(sigp, [0, 1], {"adj": [(0, 1)]}, {0: POINT, 1: LINE})
+    task = ExtensionTask(ext, frozenset({0}), KN)
+    out, _ = _amalgamate(S, task, {0: 0})
+    assert is_d_closed(out, S.vertices)
+    real = FiniteStructure.with_added
+
+    def with_extra_edge(self, new_vertices, new_instances, new_parts=None):
+        inst = {name: [*tups, (2, 3)] for name, tups in new_instances.items()}
+        return real(self, new_vertices, inst, new_parts)
+
+    # a second edge at the new line: still self-sufficient, no longer d-closed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FiniteStructure, "with_added", with_extra_edge)
+        bad = FiniteStructure.with_added(S, [3], {"adj": [(0, 3)]}, {3: LINE})
+        assert self_sufficient(bad, S.vertices)[0] and not is_d_closed(bad, S.vertices)
+        with pytest.raises(InternalError, match="chain property broken"):
+            _amalgamate(S, task, {0: 0})
 
 
 def _live_structures_after_build(budget):
@@ -259,6 +321,29 @@ def test_embedding_search_matches_the_set_based_oracle(case):
     S, pattern, partial, newest_first = case
     got = [list(phi.items()) for phi in _embeddings(S, pattern, partial, newest_first)]
     want = [list(phi.items()) for phi in brute_embeddings(S, pattern, partial, newest_first)]
+    assert got == want
+
+
+@given(embedding_cases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_key_bounds_and_position_masks_filter_the_oracle(case, data):
+    S, pattern, partial, _ = case
+
+    def key(phi):
+        return tuple(phi[v] for v in pattern.vertices)
+
+    every = [key(phi) for phi in brute_embeddings(S, pattern, partial)]
+    bounds = st.none() | st.sampled_from(every) if every else st.none()
+    after, upto = data.draw(bounds), data.draw(bounds)
+    within = data.draw(st.none() | st.lists(st.integers(min_value=-1, max_value=S.full_mask()),
+                                            min_size=len(pattern.vertices),
+                                            max_size=len(pattern.vertices)))
+    want = [k for k in every
+            if (after is None or k > after) and (upto is None or k <= upto)
+            and (within is None or all(S.mask_of((w,)) & m for w, m in zip(k, within)
+                                       if w not in partial.values()))]
+    got = [key(phi) for phi in _embeddings(S, pattern, partial, within=within,
+                                           after=after, upto=upto)]
     assert got == want
 
 

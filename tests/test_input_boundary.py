@@ -13,13 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predimlab import (
+    BuildConfig,
     FiniteStructure,
     InputError,
+    build_generic,
     dump_structure,
+    graph_signature,
     load_structure,
     run_suite,
     suites,
 )
+from predimlab.builder import _base_embeddings
 from predimlab.cli import main
 from predimlab.structures import bipartite_graph
 
@@ -140,6 +144,8 @@ BAD_SUITE_INPUTS = [
     ["submodularity", "--option", "oracle_max_n=1"],
     ["submodularity", "--option", "oracle_max_n=-1"],
     ["submodularity", "--option", "max_n=-1"],
+    ["extension-property", "--option", "cap_per_task=0"],
+    ["ex512", "--option", "samples=-1"],
 ]
 
 
@@ -147,6 +153,44 @@ BAD_SUITE_INPUTS = [
 def test_cli_verify_bad_suite_input_exits_2(capsys, argv):
     assert main(["verify", *argv]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# Count options that once gave a vacuous PASS, or a FAIL, instead of a
+# usage error.
+BAD_COUNTS = [
+    ["audit", "{file}", "--max-base", "-1"],
+    ["audit", "{file}", "--max-pattern", "-2"],
+    ["audit", "{file}", "--cap-per-task", "0"],
+    ["audit", "{file}", "--cap-per-task", "-1"],
+    ["check", "{file}", "--class", "cf", "--samples", "-5"],
+    ["check", "{file}", "--class", "cf", "--cap", "-1"],
+    ["axioms", "{file}", "--cap", "-1"],
+    ["ex512", "--samples", "-1"],
+    ["beatty", "--l", "2", "--b", "5", "--window", "-3"],
+]
+
+
+@pytest.fixture(scope="module")
+def budget30_build(tmp_path_factory):
+    out = tmp_path_factory.mktemp("build") / "b30.pdl"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["build", "--class", "c0", "--budget", "30", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("argv", BAD_COUNTS, ids=lambda argv: " ".join(argv[::2]))
+def test_cli_rejects_negative_counts(budget30_build, capsys, argv):
+    assert main([arg.format(file=budget30_build) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be" in err
+
+
+def test_base_walk_with_cap_zero_yields_nothing():
+    res = build_generic(BuildConfig(graph_signature(2, 1), "c0", max_pattern=2, budget=10))
+    memo = {}
+    for task in res.tasks:
+        assert list(_base_embeddings(res.structure, task, memo, cap=0)) == []
+        assert len(list(_base_embeddings(res.structure, task, memo, cap=1))) == 1
 
 
 @pytest.mark.parametrize("max_n", [1, 2])

@@ -26,7 +26,14 @@ from predimlab import (
 )
 from predimlab import closures, suites
 from predimlab.closures import StructureFlowSolver, cl0, cld, delta_table, dim, hand_over_solver
-from predimlab.structures import LINE, POINT, _refine_colors, bipartite_graph, cycle_graph
+from predimlab.structures import (
+    LINE,
+    POINT,
+    _refine_colors,
+    bipartite_graph,
+    cycle_graph,
+    delta_mask,
+)
 
 from conftest import (
     brute_delta,
@@ -88,6 +95,16 @@ def test_delta_matches_brute_oracle(S):
     for k in range(len(S.vertices) + 1):
         for X in itertools.combinations(S.vertices, k):
             assert delta(S, X) == brute_delta(S, X)
+
+
+@given(st.one_of(small_structures(max_n=12), extension_chains().map(lambda chain: chain[-1])),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_delta_mask_matches_the_instance_scan(S, data):
+    # zero-weight relations, and masks sparse enough to read single rows
+    for _ in range(8):
+        X = data.draw(st.lists(st.sampled_from(S.vertices), unique=True)) if S.vertices else []
+        assert delta_mask(S, S.mask_of(X)) == brute_delta(S, X)
 
 
 @given(small_graphs(max_n=6), st.permutations(range(6)))
