@@ -38,7 +38,7 @@ def main() -> None:
     for n in SIZES:
         rng = random.Random(SEED)
         S, planted = planted_graph(rng, n)
-        S.instance_masks()  # cached on the structure, not part of a build
+        S.bit_index()  # cached on the structure, not part of a build
         builds = []
         for _ in range(5):
             t0 = time.perf_counter()

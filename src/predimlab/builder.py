@@ -47,7 +47,6 @@ from .structures import (
     FiniteStructure,
     DEFAULT_CANON_CAP,
     Signature,
-    _added_instances,
     _bits,
     _embeddings,
     canonical_form,
@@ -412,9 +411,10 @@ def _bring_up_to_date(
     good ones N that meet a new position, and those up to ``reach`` are the
     window's keys and the members of N up to ``reach``.  N is searched by
     the pattern position p of its first new vertex: the positions before p
-    old, p new, no key beyond ``reach``.  Its goodness is judged in key
-    order, only as far as the window goes, and the cursor goes back to the
-    first key let in.
+    old, p new, no key beyond ``reach``.  The ids of ``reach`` are all old,
+    so p = 0 is searched only when the window is complete.  Its goodness is
+    judged in key order, only as far as the window goes, and the cursor goes
+    back to the first key let in.
 
     The polygon class also asks a base to be d-closed.  That stays too: its
     steps are d-closed (see :func:`_amalgamate`), so d-closures of old sets
@@ -431,7 +431,7 @@ def _bring_up_to_date(
     old = (1 << seen) - 1
     fresh = sorted(
         _key(phi)
-        for p in range(size)
+        for p in range(0 if win.complete else 1, size)
         for phi in _embeddings(S, pattern, {}, within=[old] * p + [~old] + [-1] * (size - p - 1),
                                upto=None if win.complete else win.reach)
     )
@@ -566,12 +566,12 @@ def _check_chain(n_prev: int, out: FiniteStructure, strict: bool) -> None:
     prev <= out iff delta(V/prev) >= 0 for every V inside out - prev, and
     prev is d-closed in out iff delta(V/prev) > 0 for every non-empty such V.
     So only the subsets of the new vertices are enumerated, against the
-    instances of out that meet them, read off out's index at the new
-    positions; the check stays exact.
+    weighted instances of out that meet them: those its index tops at the
+    new positions.  The check stays exact.
     """
-    sig = out.signature
-    nw = sig.vertex_weight
-    new = [(m >> n_prev, sig.relation(name).weight) for name, m in _added_instances(out, n_prev)]
+    nw = out.signature.vertex_weight
+    bx = out.bit_index()
+    new = [(m >> n_prev, w) for m, w in bx.weighted[bx.starts[n_prev]:]]
     for vmask in range(1, 1 << (len(out.vertices) - n_prev)):
         d = nw * vmask.bit_count() - sum(w for m, w in new if m & ~vmask == 0)
         if d < 0 or (strict and d == 0):

@@ -161,7 +161,7 @@ def _connected_subsets(
     n = len(S.vertices)
     adj = S.bit_index().co
     weighted: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for imask, w in S.instance_masks():
+    for imask, w in S.bit_index().weighted:
         for i in _bits(imask):
             weighted[i].append((imask, w))
     vw = S.signature.vertex_weight

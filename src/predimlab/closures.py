@@ -28,14 +28,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import InputError
-from .structures import (
-    FiniteStructure,
-    delta_mask,
-    _added_instances,
-    _bits,
-    _env_cap,
-    _instance_order,
-)
+from .structures import FiniteStructure, delta_mask, _bits, _env_cap
 
 TABLE_MAX_BITS = 20  # hard memory guard for the table engine
 DEFAULT_TABLE_CUTOFF = 16
@@ -77,7 +70,7 @@ def delta_table(S: FiniteStructure) -> np.ndarray:
         raise InputError(f"table engine limited to {TABLE_MAX_BITS} vertices, got {n}")
     size = 1 << n
     counts = np.zeros(size, dtype=np.int64)
-    for imask, w in S.instance_masks():
+    for imask, w in S.bit_index().weighted:
         counts[imask] += w
     # zeta transform: counts[mask] = total weight of instances inside mask
     for i in range(n):
@@ -193,7 +186,7 @@ class StructureFlowSolver:
         self.total_w = 0
         self._base_flow = 0
         self._live_src: tuple[int, ...] = ()
-        self._extend(S, S.instance_masks())
+        self._extend(S, S.bit_index().weighted)
 
     def grow(self, out: FiniteStructure) -> bool:
         """Move the network to ``out``, an extension of the current structure.
@@ -201,19 +194,16 @@ class StructureFlowSolver:
         ``out`` must share the signature, keep the current vertex positions
         as a prefix, hold every current instance and add only instances that
         meet a new position, as a chain step does; otherwise nothing changes
-        and the answer is False.  The new instances are read off out's index
-        at the new positions.
+        and the answer is False.  The new weighted instances are those out's
+        index tops at the new positions.
         """
         S, n = self.S, self.n_items
         if out.signature != S.signature or out.vertices[:n] != S.vertices:
             return False
-        old, pairs = S.bit_index().pairs, out.bit_index().pairs
-        new = _added_instances(out, n)
-        if len(pairs) != len(old) + len(new) or not old <= pairs:
+        old, bx = S.bit_index().pairs, out.bit_index()
+        if not old <= bx.pairs or not all(m >> n for _, m in bx.pairs - old):
             return False
-        new = sorted(new, key=_instance_order(out.signature))
-        weight = {rel.name: rel.weight for rel in out.signature.relations}
-        self._extend(out, [(m, weight[name]) for name, m in new if weight[name]])
+        self._extend(out, bx.weighted[bx.starts[n]:])
         return True
 
     def _extend(self, out: FiniteStructure, pairs) -> None:
@@ -494,15 +484,6 @@ def hand_over_solver(S: FiniteStructure, out: FiniteStructure) -> None:
         _remember(out, solver)
 
 
-def _flow_solve(S: FiniteStructure, xmask: int, need: int = _LEAST | _GREATEST):
-    """Project-selection reduction; same triple as the table engine.
-
-    ``need`` names the minimizers to compute (``_LEAST``, ``_GREATEST`` or
-    both); a skipped one is None.
-    """
-    return _solver_for(S).solve(xmask, need)
-
-
 # -- public operations ----------------------------------------------------------
 
 
@@ -517,7 +498,7 @@ def _solve(
     if _resolve_engine(S, engine) == "table":
         least, greatest = dim_table_cached(S)
         return int(delta_table(S)[least[xmask]]), int(least[xmask]), int(greatest[xmask])
-    return _flow_solve(S, xmask, need)
+    return _solver_for(S).solve(xmask, need)
 
 
 def _resolve_engine(S: FiniteStructure, engine: str) -> str:

@@ -57,7 +57,7 @@ def _touching(S: FiniteStructure, zmask: int, wmask: int) -> int:
     """Positions of Z sharing a weighted instance inside Z union W with W."""
     whole = zmask | wmask
     out = 0
-    for m, _ in S.instance_masks():
+    for m, _ in S.bit_index().weighted:
         if m & wmask and m & ~whole == 0:
             out |= m
     return out & zmask
@@ -204,7 +204,7 @@ def enumerate_msa_pairs(
     n = len(S.vertices)
     if n > 16:
         raise CapacityError("msa pair enumeration", 16, n)
-    weighted = [m for m, _ in S.instance_masks()]
+    weighted = [m for m, _ in S.bit_index().weighted]
     dtab = delta_table(S)
     if straddle:
         p_mask, q_mask = S.mask_of(straddle[0]), S.mask_of(straddle[1])

@@ -204,15 +204,13 @@ def verify_gadget(g: GadgetPair) -> VerificationReport:
     xm, fm = (np.fromiter(_submasks(m), dtype=np.int64) for m in (xmask, free))
     parts = xm[:, None] | fm
     D = S.signature.vertex_weight * (popcounts(len(xs))[:, None] + popcounts(len(ys)))
-    for imask, w in S.instance_masks():
+    for imask, w in S.bit_index().weighted:
         D -= w * ((parts & imask) == imask)
     hits = np.argwhere((D[:-1] < D[:-1, :1]).T)  # (W, P), least W first
     bad2 = int(fm[hits[0, 0]] | xm[hits[0, 1]]) if len(hits) else None
     rep.check(
         f"{tag}:proper-parts",
-        None
-        if bad2 is None
-        else f"U={subset_witness(S.ids_of(bad2))} violating={subset_witness(S.ids_of(bad2))}",
+        None if bad2 is None else subset_witness(S.ids_of(bad2)),
     )
 
     lows = np.flatnonzero(D[-1, :-1] < D[-1, 0])  # W short of all the free part

@@ -79,7 +79,7 @@ def lemma43_free_split(S: FiniteStructure, u, v, b):
     Zero-weight relations are ignored, as in delta: they never bind.
     """
     dtype = np.int64 if len(S.vertices) < 64 else object
-    ims = np.array([im for im, _ in S.instance_masks()], dtype=dtype)
+    ims = np.array([im for im, _ in S.bit_index().weighted], dtype=dtype)
     u, v, b = (np.asarray(x, dtype=dtype)[..., None] for x in (u, v, b))
     union, uu, vv = u | v, u & ~b, v & ~b
     straddles = ((ims & ~union) == 0) & ((ims & uu) != 0) & ((ims & vv) != 0)

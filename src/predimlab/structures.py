@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -128,16 +127,56 @@ def polygon_signature(ngon: int) -> Signature:
 
 
 class BitIndex(NamedTuple):
-    """Instances by vertex position, as bitmasks over the positions."""
+    """Instances by vertex position, as bitmasks over the positions: the one
+    per-structure list of them.
+
+    Every row runs in one order: by highest position, then in storage order
+    (relations as the signature lists them, then the sorted vertex tuples).
+    So a chain step, whose new instances all top at new positions, only
+    appends to each row; :func:`_indexed` builds and extends an index.
+    """
 
     co: tuple[int, ...]  # co-instance neighbours of each position
     through: tuple[tuple[tuple[str, int], ...], ...]  # (relation, mask) per position
     pairs: frozenset[tuple[str, int]]  # every instance as (relation, mask)
-    # the weighted instances as (mask, weight), by highest position and then
-    # in storage order; those topped by position i start at starts[i], and
-    # starts ends with their number
+    # the weighted instances as (mask, weight); those topped by position i
+    # start at starts[i], and starts ends with their number
     weighted: tuple[tuple[int, int], ...]
     starts: tuple[int, ...]
+
+
+_EMPTY_INDEX = BitIndex((), (), frozenset(), (), (0,))
+
+
+def _indexed(
+    signature: Signature, index: BitIndex, k: int, new: Iterable[tuple[str, int]]
+) -> BitIndex:
+    """``index`` grown to ``k`` positions and the instances ``new``, given as
+    (relation, mask) pairs in storage order, each topped by a position the
+    index does not have yet.  A fresh index grows from :data:`_EMPTY_INDEX`.
+    """
+    co, through, pairs, weighted, starts = index
+    old = len(co)
+    new = sorted(new, key=lambda pair: pair[1].bit_length())  # stable: storage order stays
+    weights = {rel.name: rel.weight for rel in signature.relations}
+    co, rows = list(co) + [0] * (k - old), {}
+    tops, added = [0] * (k - old), []
+    for name, m in new:
+        for i in _bits(m):
+            co[i] |= m & ~(1 << i)
+            rows.setdefault(i, []).append((name, m))
+        weight = weights[name]
+        if weight:
+            tops[m.bit_length() - 1 - old] += 1
+            added.append((m, weight))
+    through = list(through) + [()] * (k - old)
+    for i, row in rows.items():
+        through[i] += tuple(row)
+    ends = list(starts)
+    for count in tops:
+        ends.append(ends[-1] + count)
+    return BitIndex(tuple(co), tuple(through), pairs.union(new),
+                    weighted + tuple(added), tuple(ends))
 
 
 class FiniteStructure:
@@ -154,7 +193,6 @@ class FiniteStructure:
         "instances",
         "parts",
         "_index",
-        "_inst_masks",
         "_key",
         "_hash",
         "_bit_index",
@@ -188,7 +226,6 @@ class FiniteStructure:
                 raise InputError("part labels only allowed in bipartite mode")
             self.parts = None
 
-        self._inst_masks = None
         self._bit_index = None
         part_key = tuple(self.parts[v] for v in vs) if self.parts else None
         self._key = (signature, vs, tuple(sorted(self.instances.items())), part_key)
@@ -234,21 +271,6 @@ class FiniteStructure:
                 raise InputError(f"vertex {v} not in structure")
         return out
 
-    def instance_masks(self) -> tuple[tuple[int, int], ...]:
-        """All weighted instances as (mask, weight) pairs; zero weights dropped."""
-        if self._inst_masks is None:
-            pairs = []
-            for rel in self.signature.relations:
-                if rel.weight == 0:
-                    continue
-                for tup in self.instances[rel.name]:
-                    m = 0
-                    for v in tup:
-                        m |= 1 << self._index[v]
-                    pairs.append((m, rel.weight))
-            self._inst_masks = tuple(pairs)
-        return self._inst_masks
-
     def bit_index(self) -> "BitIndex":
         """The bitmask instance/adjacency index by vertex position, built once.
 
@@ -256,29 +278,10 @@ class FiniteStructure:
         ``weighted``.
         """
         if self._bit_index is None:
-            n = len(self.vertices)
-            co = [0] * n
-            through: list[list[tuple[str, int]]] = [[] for _ in range(n)]
-            top: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-            pairs = set()
-            for name, tups in self.instances.items():
-                weight = self.signature.relation(name).weight
-                for tup in tups:
-                    m = 0
-                    for v in tup:
-                        m |= 1 << self._index[v]
-                    pairs.add((name, m))
-                    for i in _bits(m):
-                        co[i] |= m
-                        through[i].append((name, m))
-                    if weight:
-                        top[m.bit_length() - 1].append((m, weight))
-            self._bit_index = BitIndex(
-                tuple(c & ~(1 << i) for i, c in enumerate(co)),
-                tuple(map(tuple, through)),
-                frozenset(pairs),
-                *_by_top(top),
-            )
+            index = self._index
+            new = [(name, sum(1 << index[v] for v in tup))
+                   for name, tups in self.instances.items() for tup in tups]
+            self._bit_index = _indexed(self.signature, _EMPTY_INDEX, len(self.vertices), new)
         return self._bit_index
 
     # -- derived structures -------------------------------------------------
@@ -346,10 +349,9 @@ class FiniteStructure:
 
         Only the new instances and labels are checked, with the messages the
         constructor gives.  The old positions stay, so the new instances merge
-        into the sorted tuples, and the indexes built so far carry over with
-        the new entries inserted where a fresh build puts them.  The result
-        equals the constructor's, field for field, and holds no reference to
-        this structure.
+        into the sorted tuples, and a bit index built so far carries over,
+        extended by :func:`_indexed`.  The result equals the constructor's,
+        field for field, and holds no reference to this structure.
         """
         sig, n = self.signature, len(self.vertices)
         index = dict(self._index)
@@ -370,13 +372,8 @@ class FiniteStructure:
             raise InputError("part labels only allowed in bipartite mode")
 
         inst = dict(self.instances)
-        spots = {}  # relation -> the positions of its new instances in inst
         for name, new in fresh.items():
-            spots[name] = [bisect_left(inst[name], tup) + j for j, (tup, _) in enumerate(new)]
-            merged = list(inst[name])
-            for p, (tup, _) in zip(spots[name], new):
-                merged.insert(p, tup)
-            inst[name] = tuple(merged)
+            inst[name] = tuple(sorted(inst[name] + tuple(tup for tup, _ in new)))
 
         out = FiniteStructure.__new__(FiniteStructure)
         out.signature, out.vertices, out.instances, out.parts = (
@@ -385,63 +382,11 @@ class FiniteStructure:
         part_key = (self._key[3] or ()) + tuple(parts[v] for v in added) if parts else None
         out._key = (sig, out.vertices, tuple(sorted(inst.items())), part_key)
         out._hash = hash(out._key)
-        out._inst_masks = out._bit_index = None
-        if self._inst_masks is not None:
-            masks, start = list(self._inst_masks), 0
-            for rel in sig.relations:
-                if rel.weight == 0:
-                    continue
-                for p, (_, m) in zip(spots.get(rel.name, ()), fresh.get(rel.name, ())):
-                    masks.insert(start + p, (m, rel.weight))
-                start += len(inst[rel.name])
-            out._inst_masks = tuple(masks)
+        out._bit_index = None
         if self._bit_index is not None:
-            co, through, pairs, weighted, starts = self._bit_index
-            co, through = list(co) + [0] * len(added), list(through) + [()] * len(added)
-            top = [[] for _ in added]  # a new instance tops at a new position
-            order = _instance_order(sig)
-            for name, new in fresh.items():
-                weight = sig.relation(name).weight
-                for _, m in new:
-                    for i in _bits(m):
-                        co[i] |= m & ~(1 << i)
-                        row = through[i]
-                        p = bisect_left(row, order((name, m)), key=order)
-                        through[i] = (*row[:p], (name, m), *row[p:])
-                    if weight:
-                        top[m.bit_length() - 1 - n].append((m, weight))
-            out._bit_index = BitIndex(
-                tuple(co), tuple(through),
-                pairs.union((name, m) for name, new in fresh.items() for _, m in new),
-                *_by_top(top, weighted, starts))
+            out._bit_index = _indexed(sig, self._bit_index, len(out.vertices),
+                                      [(name, m) for name, new in fresh.items() for _, m in new])
         return out
-
-
-def _instance_order(signature: Signature) -> Callable[[tuple[str, int]], tuple]:
-    """Sort key of (relation, mask) pairs in storage order: relations as the
-    signature lists them, then positions ascending, as the sorted instance
-    tuples run.  Every row of the bit index is in this order."""
-    rank = {rel.name: r for r, rel in enumerate(signature.relations)}
-    return lambda pair: (rank[pair[0]], tuple(_bits(pair[1])))
-
-
-def _by_top(
-    rows: list[list[tuple[int, int]]],
-    weighted: tuple[tuple[int, int], ...] = (),
-    starts: tuple[int, ...] = (0,),
-) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """The ``weighted`` and ``starts`` fields of a bit index, with the
-    weighted instances topped by each next position, ``rows``, appended."""
-    ends = list(starts)
-    for row in rows:
-        ends.append(ends[-1] + len(row))
-    return weighted + tuple(itertools.chain.from_iterable(rows)), tuple(ends)
-
-
-def _added_instances(S: FiniteStructure, n: int) -> set[tuple[str, int]]:
-    """The instances of S that meet a position at or above ``n``, as a set
-    of (relation, mask) pairs read off the bit index."""
-    return {pair for row in S.bit_index().through[n:] for pair in row}
 
 
 def _checked_instances(

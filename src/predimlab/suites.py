@@ -32,7 +32,6 @@ from .closures import (
     is_d_closed,
     popcounts,
     self_sufficient,
-    _flow_solve,
     _solve,
 )
 from .errors import InputError
@@ -675,7 +674,7 @@ def submodularity_suite(
             winners = cands[vals == best]
             order = np.lexsort((winners, pc[winners]))
             oracle = (best, int(winners[order[0]]), int(np.bitwise_or.reduce(winners)))
-            flow = _flow_solve(S, xmask)
+            flow = _solve(S, xmask, engine="flow")
             table = _solve(S, xmask, engine="table")
             if not (oracle == flow == table):
                 bad_oracle = (S, xmask, oracle, flow, table)

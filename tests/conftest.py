@@ -465,7 +465,7 @@ def brute_free_split(S, u, v, b):
         return False
     union, uu, vv = u | v, u & ~b, v & ~b
     return not any(
-        im & ~union == 0 and im & uu and im & vv for im, _ in S.instance_masks()
+        im & ~union == 0 and im & uu and im & vv for im, _ in S.bit_index().weighted
     )
 
 

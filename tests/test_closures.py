@@ -22,7 +22,6 @@ from predimlab import (
 from predimlab import closures
 from predimlab.closures import (
     StructureFlowSolver,
-    _flow_solve,
     _solve,
     _solver_for,
     d_closed_subset_masks,
@@ -97,6 +96,10 @@ def _table(S, xmask):
     return _solve(S, xmask, engine="table")
 
 
+def _flow(S, xmask):
+    return _solve(S, xmask, engine="flow")
+
+
 @given(small_graphs())
 @settings(max_examples=80, deadline=None)
 def test_engines_match_brute_oracle(S):
@@ -104,7 +107,7 @@ def test_engines_match_brute_oracle(S):
         for X in itertools.combinations(S.vertices, k):
             oracle = brute_min_superset(S, X)
             xmask = S.mask_of(X)
-            for solver in (_table, _flow_solve):
+            for solver in (_table, _flow):
                 val, minimal, maximal = solver(S, xmask)
                 assert val == oracle[0]
                 assert S.ids_of(minimal) == oracle[1]
@@ -120,7 +123,7 @@ def test_engines_match_brute_oracle_hypergraphs(S):
             xmask = S.mask_of(X)
             val, minimal, maximal = _table(S, xmask)
             assert (val, S.ids_of(minimal), S.ids_of(maximal)) == oracle
-            assert _table(S, xmask) == _flow_solve(S, xmask)
+            assert _table(S, xmask) == _flow(S, xmask)
 
 
 @st.composite

@@ -259,13 +259,16 @@ def test_cycle_fan():
 
 
 def _clause_cases(g):
-    """(status, witness) of "proper-parts" and "intermediate" by the loop form."""
+    """(status, witness) of "proper-parts" and "intermediate" by the loop form.
+
+    The first U with a violation is the least violating W, so the loop
+    form's U and violating set agree, and the witness is that one set.
+    """
     S = g.structure
     proper, intermediate = brute_proper_parts(S, S.mask_of(g.x_set), S.mask_of(g.y_minus_x))
+    assert proper is None or proper[0] == proper[1]
     return [
-        ("PASS", None) if proper is None else
-        ("FAIL", f"U={subset_witness(S.ids_of(proper[0]))} "
-                 f"violating={subset_witness(S.ids_of(proper[1]))}"),
+        ("PASS", None) if proper is None else ("FAIL", subset_witness(S.ids_of(proper[0]))),
         ("PASS", None) if intermediate is None else
         ("FAIL", subset_witness(S.ids_of(intermediate))),
     ]

@@ -290,9 +290,7 @@ def test_chain_steps_equal_fresh_structures(chain, rng):
     steps = [chain[0]]
     for nxt in chain[1:]:
         S = steps[-1]
-        # a step may find the indexes of the structure it extends built or not
-        if rng.random() < 0.5:
-            S.instance_masks()
+        # a step may find the index of the structure it extends built or not
         if rng.random() < 0.5:
             S.bit_index()
         new_vertices, new_instances, new_parts = _step_of(S, nxt)
@@ -305,9 +303,25 @@ def test_chain_steps_equal_fresh_structures(chain, rng):
     for out, nxt in zip(steps[1:], chain[1:]):
         fresh = FiniteStructure(nxt.signature, nxt.vertices, nxt.instances, nxt.parts)
         assert out == fresh and out._key == fresh._key and hash(out) == hash(fresh)
-        assert out.instance_masks() == fresh.instance_masks()
         assert out.bit_index() == fresh.bit_index()
         assert dump_structure(out) == dump_structure(fresh)
+    # the weighted instances meeting a position >= n are the tail of
+    # ``weighted`` from starts[n], and every row of a fresh index runs by
+    # highest position, then in storage order
+    for S, out in zip(steps, steps[1:]):
+        n, bx = len(S.vertices), out.bit_index()
+        weights = {rel.name: rel.weight for rel in out.signature.relations}
+        meeting = [(m, weights[name]) for name, m in bx.pairs if m >> n and weights[name]]
+        assert sorted(bx.weighted[bx.starts[n]:]) == sorted(meeting)
+        fresh = FiniteStructure(out.signature, out.vertices, out.instances, out.parts)
+        storage = [(rel.name, out.mask_of(tup)) for rel in out.signature.relations
+                   for tup in fresh.instances[rel.name]]
+        rank = {pair: r for r, pair in enumerate(storage)}
+        by_top = sorted(storage, key=lambda pair: (pair[1].bit_length(), rank[pair]))
+        fx = fresh.bit_index()
+        for i, row in enumerate(fx.through):
+            assert list(row) == [pair for pair in by_top if pair[1] >> i & 1]
+        assert list(fx.weighted) == [(m, weights[name]) for name, m in by_top if weights[name]]
     # a network handed over along the chain answers as a fresh one; a step
     # with an instance among the old vertices drops it for a fresh one
     closures._solvers.clear()
