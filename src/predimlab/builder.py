@@ -48,6 +48,7 @@ from .structures import (
     DEFAULT_CANON_CAP,
     Signature,
     _bits,
+    _canonical_search,
     _embeddings,
     canonical_form,
     dump_structure,
@@ -124,46 +125,82 @@ def _isomorph_free_types(
 
     Each level grows every type of the one below by a vertex in every way
     and keeps the candidates that pass ``keep``.  That reaches every type
-    when ``keep`` is hereditary.
+    when ``keep`` is hereditary and an isomorphism invariant.  A type's
+    representative is its first candidate; :func:`_augmentations` leaves out
+    a candidate that an automorphism of its base maps onto an earlier one,
+    as it can never be the first of its type.
     """
     empty = FiniteStructure(signature, [], {}, {} if signature.mode == BIPARTITE else None)
-    level, out = [empty], [empty]
+    level, out = [(empty, [])], [empty]
     for size in range(1, max_size + 1):
-        seen: dict[tuple, FiniteStructure] = {}
-        for base in level:
-            for cand in _augmentations(base, size - 1):
+        seen: dict[tuple, tuple[FiniteStructure, list]] = {}
+        for base, autos in level:
+            for cand in _augmentations(base, size - 1, autos):
                 if keep(cand):
-                    seen.setdefault(canonical_form(cand, cap=size), cand)
+                    key, cand_autos = _canonical_search(cand)
+                    seen.setdefault(key, (cand, cand_autos))
         level = [seen[k] for k in sorted(seen)]
-        out.extend(level)
+        out.extend(S for S, _ in level)
     return out
 
 
-def _augmentations(base: FiniteStructure, new_v: int) -> Iterator[FiniteStructure]:
+def _augmentations(
+    base: FiniteStructure, new_v: int, autos: list[tuple[int, ...]]
+) -> Iterator[FiniteStructure]:
+    """Every one-vertex extension of ``base`` by ``new_v``, one per orbit of
+    the automorphisms ``autos`` (position maps) generate on the instance
+    sets the new vertex can take: the first of each, in order."""
     sig = base.signature
     labels = [None]
     if sig.mode == BIPARTITE:
         labels = [POINT, LINE]
+    vs = base.vertices
+    maps = [{vs[i]: vs[j] for i, j in enumerate(g)} for g in autos]
     for lab in labels:
         pool = []
         for rel in sig.relations:
-            for combo in itertools.combinations(base.vertices, rel.arity - 1):
+            for combo in itertools.combinations(vs, rel.arity - 1):
                 if lab is not None and any(
                     base.parts[v] == lab for v in combo if rel.arity == 2
                 ):
                     continue
                 pool.append((rel.name, tuple(sorted((*combo, new_v)))))
-        for sel in range(1 << len(pool)):
+        at = {entry: k for k, entry in enumerate(pool)}
+        perms = [[at[name, tuple(sorted(g.get(v, v) for v in tup))] for name, tup in pool]
+                 for g in maps]
+
+        def images(sel: int) -> Iterator[int]:
+            for perm in perms:
+                yield sum(1 << perm[k] for k in _bits(sel))
+
+        for sel in _orbit_firsts(range(1 << len(pool)), images):
             inst = {name: list(tups) for name, tups in base.instances.items()}
-            for k in range(len(pool)):
-                if sel >> k & 1:
-                    name, tup = pool[k]
-                    inst.setdefault(name, []).append(tup)
+            for k in _bits(sel):
+                name, tup = pool[k]
+                inst.setdefault(name, []).append(tup)
             parts = dict(base.parts) if base.parts is not None else None
             if lab is not None:
                 parts = dict(parts or {})
                 parts[new_v] = lab
-            yield FiniteStructure(sig, list(base.vertices) + [new_v], inst, parts)
+            yield FiniteStructure(sig, list(vs) + [new_v], inst, parts)
+
+
+def _orbit_firsts(points: Iterable, images: Callable[[object], Iterable]) -> Iterator:
+    """The first point of each orbit, in the order of ``points``, of the
+    group that the maps behind ``images`` generate: a point that no chain of
+    images reaches from an earlier one."""
+    reached = set()
+    for p in points:
+        if p in reached:
+            continue
+        yield p
+        reached.add(p)
+        todo = [p]
+        while todo:
+            for q in images(todo.pop()):
+                if q not in reached:
+                    reached.add(q)
+                    todo.append(q)
 
 
 @dataclass(frozen=True)
@@ -209,7 +246,9 @@ def enumerate_tasks(
     The base must be self-sufficient in the extension (d-closed for the
     control-function class); the polygon class additionally requires a
     d-closed base for its amalgamation step, and pairs failing only that are
-    returned in ``skipped``.
+    returned in ``skipped``.  The first base of each isomorphism type gives
+    its task, so a base that an automorphism of its extension maps onto an
+    earlier base of the same size is never looked at.
     """
     tasks: dict[tuple, ExtensionTask] = {}
     skipped: dict[tuple, ExtensionTask] = {}
@@ -217,8 +256,14 @@ def enumerate_tasks(
         if not ext.vertices:
             continue
         verts = list(ext.vertices)
+        maps = [dict(zip(verts, (verts[j] for j in g))) for g in _canonical_search(ext)[1]]
+
+        def images(combo: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+            for g in maps:
+                yield tuple(sorted(g[v] for v in combo))
+
         for bsize in range(0, len(verts)):
-            for combo in itertools.combinations(verts, bsize):
+            for combo in _orbit_firsts(itertools.combinations(verts, bsize), images):
                 base = frozenset(combo)
                 if not _is_strong(ext, base, tag):
                     continue

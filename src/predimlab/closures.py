@@ -397,11 +397,13 @@ class StructureFlowSolver:
             return base
         # suspects with a residual edge out of the suspects into the base
         # co-reach still reach the sink, and so does whatever reaches them
-        alive = [
-            u for u in suspects
-            if any(caps[eid] > 0 and pre[to[eid]] >= 0 and to[eid] not in suspects
-                   for eid in head[u])
-        ]
+        alive = []
+        for u in suspects:
+            for eid in head[u]:
+                v = to[eid]
+                if caps[eid] > 0 and pre[v] >= 0 and v not in suspects:
+                    alive.append(u)
+                    break
         seen = set(alive)
         for v in alive:
             for eid in head[v]:

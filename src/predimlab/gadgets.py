@@ -56,10 +56,6 @@ class BeattySequence:
     def value(self, i: int) -> int:
         return self.period[(i - 1) % self.b]
 
-    def window_sum(self, start: int, length: int) -> int:
-        """Sum of entries start+1 .. start+length of the periodic extension."""
-        return sum(self.value(j) for j in range(start + 1, start + length + 1))
-
 
 def beatty(ell: int, b: int) -> BeattySequence:
     if not 0 < ell < b:

@@ -672,14 +672,24 @@ def _refine_colors(S: FiniteStructure, colors0: Mapping[int, int] | None = None)
         colors = [0 if S.parts[v] == POINT else 1 for v in S.vertices]
     else:
         colors = [0] * n
-    # the other positions of every instance through each position
-    others = [[(name, list(_bits(m & ~(1 << i)))) for name, m in through]
-              for i, through in enumerate(S.bit_index().through)]
+    # the other positions of every instance through each position; those of
+    # a binary instance as the one int, which sorts as its 1-tuple would
+    index = S._index
+    others: list[list[tuple[str, int | list[int]]]] = [[] for _ in range(n)]
+    for name, tups in S.instances.items():
+        for tup in tups:
+            ps = [index[v] for v in tup]
+            if len(ps) == 2:
+                others[ps[0]].append((name, ps[1]))
+                others[ps[1]].append((name, ps[0]))
+            else:
+                for i in ps:
+                    others[i].append((name, [j for j in ps if j != i]))
     for _ in range(n):
-        sigs = []
-        for i in range(n):
-            neigh = sorted((name, tuple(sorted(colors[j] for j in js))) for name, js in others[i])
-            sigs.append((colors[i], tuple(neigh)))
+        sigs = [(colors[i], tuple(sorted([
+                    (name, colors[js] if type(js) is int else tuple(sorted([colors[j] for j in js])))
+                    for name, js in row])))
+                for i, row in enumerate(others)]
         ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
         new = [ranking[s] for s in sigs]
         if new == colors:
@@ -688,21 +698,117 @@ def _refine_colors(S: FiniteStructure, colors0: Mapping[int, int] | None = None)
     return colors
 
 
-def _encode_under(
-    S: FiniteStructure, order: Sequence[int], colors0: Mapping[int, int] | None = None
-) -> tuple:
-    pos = {order[i]: i for i in range(len(order))}
-    rels = []
-    for rel in S.signature.relations:
-        tups = sorted(tuple(sorted(pos[S._index[v]] for v in t)) for t in S.instances[rel.name])
-        rels.append((rel.name, tuple(tups)))
-    if colors0 is not None:
-        labels = tuple(colors0.get(S.vertices[i], 0) for i in order)
+def _canonical_search(
+    S: FiniteStructure, colors: Mapping[int, int] | None = None
+) -> tuple[tuple, list[tuple[int, ...]]]:
+    """:func:`canonical_form`'s value for S, with automorphisms of S that
+    generate its group of label-respecting automorphisms, each a tuple that
+    maps vertex positions to positions.
+
+    A depth-first search fills the order one position at a time, from the
+    refined color class that owns the position.  Each instance is encoded as
+    one integer, its sorted positions read as digits in base n, so a leaf's
+    encoding is a flat list of integers with the order of the tuples it
+    stands for.  Two orders with equal encodings differ by an automorphism.
+    A found automorphism that fixes the vertices placed so far maps a
+    candidate's subtree onto that of every vertex in the candidate's orbit,
+    encodings and all, so only the least candidate of each orbit is searched
+    (automorphism pruning: McKay and Piperno, *Practical graph isomorphism
+    II*, 2014).  The first order to reach the least encoding is never cut,
+    so the value is exact; and every later order that reaches it either is
+    searched, giving an automorphism, or is the image of an earlier one
+    under the automorphisms found, so those generate the group.
+    """
+    n = len(S.vertices)
+    classes: dict[int, list[int]] = {}
+    for i, c in enumerate(_refine_colors(S, colors) if n else ()):
+        classes.setdefault(c, []).append(i)
+    cells = [classes[c] for c in sorted(classes)]
+    cell_at = [cell for cell in cells for _ in cell]
+    index = S._index
+    rels = [(rel.arity == 2, [[index[v] for v in t] for t in S.instances[rel.name]])
+            for rel in S.signature.relations]
+
+    def encode(pos: list[int]) -> list[int]:
+        out = []
+        for binary, insts in rels:
+            if binary:
+                codes = [a * n + b if a < b else b * n + a
+                         for a, b in ((pos[x], pos[y]) for x, y in insts)]
+            else:
+                codes = []
+                for t in insts:
+                    code = 0
+                    for p in sorted([pos[i] for i in t]):
+                        code = code * n + p
+                    codes.append(code)
+            codes.sort()
+            out += codes
+        return out
+
+    pos, order, used = [0] * n, [], [False] * n
+    best: Optional[list[int]] = None
+    best_order: list[int] = []
+    autos: list[tuple[int, ...]] = []
+
+    def search(k: int) -> None:
+        nonlocal best, best_order
+        if k == n:
+            code = encode(pos)
+            if best is None or code < best:
+                best, best_order = code, order[:]
+            elif code == best:
+                g = [0] * n
+                for a, b in zip(best_order, order):
+                    g[a] = b
+                autos.append(tuple(g))
+            return
+        fixing: list[tuple[int, ...]] = []
+        checked = 0
+        for c in cell_at[k]:
+            if used[c]:
+                continue
+            if len(autos) > checked:
+                fixing += [g for g in autos[checked:] if all(g[v] == v for v in order)]
+                checked = len(autos)
+            if fixing and _orbit_has_less(c, fixing):
+                continue
+            used[c], pos[c] = True, k
+            order.append(c)
+            search(k + 1)
+            order.pop()
+            used[c] = False
+
+    search(0)
+    for k, v in enumerate(best_order):
+        pos[v] = k
+    if colors is not None:
+        labels = tuple(colors.get(S.vertices[i], 0) for i in best_order)
     elif S.parts:
-        labels = tuple(S.parts[S.vertices[i]] for i in order)
+        labels = tuple(S.parts[S.vertices[i]] for i in best_order)
     else:
         labels = None
-    return (len(S.vertices), labels, tuple(rels))
+    encoded = tuple(
+        (rel.name, tuple(sorted(tuple(sorted(pos[i] for i in t)) for t in insts)))
+        for rel, (_, insts) in zip(S.signature.relations, rels)
+    )
+    return (n, labels, encoded), autos
+
+
+def _orbit_has_less(c: int, gens: Sequence[tuple[int, ...]]) -> bool:
+    """Does the orbit of ``c`` under the group ``gens`` generate hold a
+    smaller point?"""
+    orbit, todo = {c}, [c]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = g[x]
+            if y < c:
+                return True
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return False
 
 
 def canonical_form(
@@ -712,30 +818,24 @@ def canonical_form(
 ) -> tuple:
     """Minimal encoding over label-respecting vertex permutations.
 
+    The value is ``(n, labels, relations)``.  Color refinement splits the
+    vertex positions into classes, listed by refined color; an order lists
+    each class in some permutation, one class after the other.  Under an
+    order, ``relations`` holds, per relation in signature order, the sorted
+    tuple of every instance's sorted new positions, and ``labels`` the
+    ``colors`` (or part labels) by new position, or None.  The value is the
+    least such encoding over all orders.
+
     Equal encodings characterize isomorphic structures (color-respecting,
-    when ``colors`` distinguishes vertices).  Color refinement trims the
-    permutation search; the hard cap guards the worst case.
+    when ``colors`` distinguishes vertices).  The value itself must not
+    change: build logs print it as a task key, so their digests depend on
+    it.  The hard cap guards the worst case.
     """
     cap = canon_cap_default() if cap is None else cap
     n = len(S.vertices)
     if n > cap:
         raise CapacityError("canonicalization", cap, n)
-    if n == 0:
-        return _encode_under(S, (), colors)
-    refined = _refine_colors(S, colors)
-    classes: dict[int, list[int]] = {}
-    for i, c in enumerate(refined):
-        classes.setdefault(c, []).append(i)
-    ordered_classes = [classes[c] for c in sorted(classes)]
-    best = None
-    for perm_parts in itertools.product(
-        *(itertools.permutations(cls) for cls in ordered_classes)
-    ):
-        order = [i for part in perm_parts for i in part]
-        enc = _encode_under(S, order, colors)
-        if best is None or enc < best:
-            best = enc
-    return best
+    return _canonical_search(S, colors)[0]
 
 
 # -- predimlab/1 file format ---------------------------------------------------
@@ -875,8 +975,3 @@ def path_graph(length: int, n: int = 2, m: int = 1) -> FiniteStructure:
     """Path with ``length`` edges on vertices 0..length."""
     return graph([(i, i + 1) for i in range(length)], vertices=range(length + 1), n=n, m=m)
 
-
-def cycle_graph(length: int, n: int = 2, m: int = 1) -> FiniteStructure:
-    if length < 3:
-        raise InputError(f"cycle length must be >= 3, got {length}")
-    return graph([(i, (i + 1) % length) for i in range(length)], n=n, m=m)

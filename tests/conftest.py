@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from predimlab import (
     FiniteStructure,
     builder,
+    canonical_form,
     dump_structure,
+    graph,
     graph_signature,
     hypergraph_signature,
     in_C0,
@@ -39,6 +41,17 @@ LIGHT = {
     "extension-property": {"budget": 30},
     "kn": {},
 }
+
+
+def cycle_graph(length, n=2, m=1):
+    """The cycle on vertices 0..length-1."""
+    return graph([(i, (i + 1) % length) for i in range(length)], n=n, m=m)
+
+
+def window_sum(seq, start, length):
+    """Sum of entries start+1 .. start+length of a Beatty sequence's
+    periodic extension."""
+    return sum(seq.value(j) for j in range(start + 1, start + length + 1))
 
 
 def perfbench_workloads():
@@ -415,6 +428,75 @@ def brute_build_generic(config):
     return log
 
 
+def brute_isomorph_free_types(signature, max_size, keep):
+    """Oracle for ``builder._isomorph_free_types``: every one-vertex
+    augmentation of every type of the level below is canonicalized, with no
+    orbit pruning."""
+    empty = FiniteStructure(signature, [], {}, {} if signature.mode == "bipartite" else None)
+    level, out = [empty], [empty]
+    for size in range(1, max_size + 1):
+        seen = {}
+        for base in level:
+            for cand in _all_augmentations(base, size - 1):
+                if keep(cand):
+                    seen.setdefault(canonical_form(cand, cap=size), cand)
+        level = [seen[k] for k in sorted(seen)]
+        out.extend(level)
+    return out
+
+
+def _all_augmentations(base, new_v):
+    sig = base.signature
+    labels = [None]
+    if sig.mode == "bipartite":
+        labels = [POINT, LINE]
+    for lab in labels:
+        pool = []
+        for rel in sig.relations:
+            for combo in itertools.combinations(base.vertices, rel.arity - 1):
+                if lab is not None and any(
+                    base.parts[v] == lab for v in combo if rel.arity == 2
+                ):
+                    continue
+                pool.append((rel.name, tuple(sorted((*combo, new_v)))))
+        for sel in range(1 << len(pool)):
+            inst = {name: list(tups) for name, tups in base.instances.items()}
+            for k in range(len(pool)):
+                if sel >> k & 1:
+                    name, tup = pool[k]
+                    inst.setdefault(name, []).append(tup)
+            parts = dict(base.parts) if base.parts is not None else None
+            if lab is not None:
+                parts = dict(parts or {})
+                parts[new_v] = lab
+            yield FiniteStructure(sig, list(base.vertices) + [new_v], inst, parts)
+
+
+def brute_enumerate_tasks(patterns, tag):
+    """Oracle for ``builder.enumerate_tasks``: every base of every pattern is
+    canonicalized, with no orbit pruning."""
+    tasks, skipped = {}, {}
+    for ext in patterns:
+        if not ext.vertices:
+            continue
+        verts = list(ext.vertices)
+        for bsize in range(0, len(verts)):
+            for combo in itertools.combinations(verts, bsize):
+                base = frozenset(combo)
+                if not builder._is_strong(ext, base, tag):
+                    continue
+                key = canonical_form(ext, cap=len(verts), colors={v: 1 for v in base})
+                task = builder.ExtensionTask(ext, base, tag, key)
+                if tag == builder.KN and not is_d_closed(ext, base):
+                    skipped.setdefault(key, task)
+                    continue
+                tasks.setdefault(key, task)
+    return tuple(
+        sorted(d.values(), key=lambda t: (len(t.base_ids), len(t.ext.vertices), t.key))
+        for d in (tasks, skipped)
+    )
+
+
 def brute_isomorphic(a, b):
     """Independent isomorphism oracle by raw permutation search."""
     if len(a.vertices) != len(b.vertices) or a.signature != b.signature:
@@ -712,6 +794,43 @@ def brute_refine_colors(S, colors0=None):
             break
         colors = new
     return colors
+
+
+def _encode_under(S, order, colors0=None):
+    pos = {order[i]: i for i in range(len(order))}
+    rels = []
+    for rel in S.signature.relations:
+        tups = sorted(tuple(sorted(pos[S._index[v]] for v in t)) for t in S.instances[rel.name])
+        rels.append((rel.name, tuple(tups)))
+    if colors0 is not None:
+        labels = tuple(colors0.get(S.vertices[i], 0) for i in order)
+    elif S.parts:
+        labels = tuple(S.parts[S.vertices[i]] for i in order)
+    else:
+        labels = None
+    return (len(S.vertices), labels, tuple(rels))
+
+
+def brute_canonical_form(S, colors=None):
+    """Oracle for ``structures.canonical_form``: the least encoding over the
+    whole product of the permutations of the refined color classes."""
+    n = len(S.vertices)
+    if n == 0:
+        return _encode_under(S, (), colors)
+    refined = brute_refine_colors(S, colors)
+    classes = {}
+    for i, c in enumerate(refined):
+        classes.setdefault(c, []).append(i)
+    ordered_classes = [classes[c] for c in sorted(classes)]
+    best = None
+    for perm_parts in itertools.product(
+        *(itertools.permutations(cls) for cls in ordered_classes)
+    ):
+        order = [i for part in perm_parts for i in part]
+        enc = _encode_under(S, order, colors)
+        if best is None or enc < best:
+            best = enc
+    return best
 
 
 def brute_girth(S):

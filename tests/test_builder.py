@@ -48,6 +48,8 @@ from conftest import (
     CHAIN_SIGNATURES,
     brute_build_generic,
     brute_embeddings,
+    brute_enumerate_tasks,
+    brute_isomorph_free_types,
     brute_realized,
     brute_self_sufficient,
     extension_chains,
@@ -83,6 +85,49 @@ def test_enumerate_class_kn():
 def test_enumerate_class_cap():
     with pytest.raises(CapacityError):
         enumerate_class(SIG, C0, 9)
+
+
+def _class_keep(tag, control=None, ngon=None):
+    return lambda S: builder._in_class(S, tag, control, ngon)[0]
+
+
+@pytest.mark.parametrize("signature, max_size, keep", [
+    (SIG, 6, _class_keep(C0)),
+    (SIG, 5, _class_keep(CF, control=ControlFunction.harmonic(2))),
+    (polygon_signature(3), 5, _class_keep(KN, ngon=3)),
+    (polygon_signature(4), 5, _class_keep(KN, ngon=4)),
+    (hypergraph_signature(1, 1, 3), 5, lambda S: True),
+], ids=["c0", "cf", "k3", "k4", "3-uniform"])
+def test_orbit_pruned_generation_matches_unpruned(signature, max_size, keep):
+    got = builder._isomorph_free_types(signature, max_size, keep)
+    assert got == brute_isomorph_free_types(signature, max_size, keep)
+
+
+def test_graph_type_counts_and_canonical_searches(monkeypatch):
+    searches = []
+    search = builder._canonical_search
+    monkeypatch.setattr(builder, "_canonical_search",
+                        lambda S, colors=None: searches.append(S) or search(S, colors))
+    types = builder._isomorph_free_types(SIG, 6, lambda S: True)
+    # graphs on at most k vertices, k = 0..6: OEIS A000088 summed
+    assert [sum(len(S) <= k for S in types) for k in range(7)] == [1, 2, 4, 8, 19, 53, 209]
+    # one search per orbit of the base's automorphisms on the new vertex's
+    # neighbourhoods; all 1,307 candidates without the pruning
+    assert len(searches) == 663
+
+
+@pytest.mark.parametrize("tag, signature, options", [
+    (C0, SIG, {}),
+    (CF, SIG, {"control": ControlFunction.harmonic(2)}),
+    (KN, polygon_signature(3), {"ngon": 3}),
+    (KN, polygon_signature(4), {"ngon": 4}),
+])
+def test_orbit_pruned_tasks_match_unpruned(tag, signature, options):
+    patterns = enumerate_class(signature, tag, 4, **options)
+    got = enumerate_tasks(patterns, tag)
+    want = brute_enumerate_tasks(patterns, tag)
+    assert [[(t.ext, t.base_ids, t.key) for t in lst] for lst in got] == [
+        [(t.ext, t.base_ids, t.key) for t in lst] for lst in want]
 
 
 def test_tasks_have_strong_bases():

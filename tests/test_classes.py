@@ -25,13 +25,14 @@ from predimlab.structures import (
     Relation,
     Signature,
     bipartite_graph,
-    cycle_graph,
     free_amalgam,
 )
 from predimlab.builder import enumerate_class, C0, CF
 from predimlab.classes import _simple_cycles_longer_than, girth_with_witness
 
-from conftest import brute_delta, brute_girth, brute_in_Cf, small_bipartite, small_graphs
+from conftest import (
+    brute_delta, brute_girth, brute_in_Cf, cycle_graph, small_bipartite, small_graphs,
+)
 
 
 def test_control_function_values():

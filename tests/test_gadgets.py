@@ -42,6 +42,7 @@ from conftest import (
     small_graphs,
     small_hypergraphs,
     subsets_of,
+    window_sum,
 )
 
 
@@ -58,9 +59,9 @@ def test_beatty_window_sums():
     for ell, b in [(2, 5), (3, 8), (1, 7), (7, 12)]:
         seq = beatty(ell, b)
         for start in range(-b, b + 1):
-            assert seq.window_sum(start, b) == ell
+            assert window_sum(seq, start, b) == ell
             for s in range(1, 3 * b + 1):
-                assert (seq.window_sum(start, s) - 1) * b <= s * ell
+                assert (window_sum(seq, start, s) - 1) * b <= s * ell
 
 
 class _OneFlip:

@@ -29,18 +29,20 @@ from predimlab.closures import StructureFlowSolver, cl0, cld, delta_table, dim, 
 from predimlab.structures import (
     LINE,
     POINT,
+    _canonical_search,
     _refine_colors,
     bipartite_graph,
-    cycle_graph,
     delta_mask,
 )
 
 from conftest import (
+    brute_canonical_form,
     brute_delta,
     brute_isomorphic,
     brute_refine_colors,
     brute_restriction,
     brute_self_sufficient,
+    cycle_graph,
     extension_chains,
     small_bipartite,
     small_graphs,
@@ -214,6 +216,27 @@ def test_canonical_form_matches_brute_isomorphism(a, b):
 def test_canonical_form_invariant_hypergraphs(S):
     mapping = {v: 50 - v for v in S.vertices}
     assert canonical_form(S) == canonical_form(S.relabel(mapping))
+
+
+@given(st.one_of(small_graphs(max_n=6), small_hypergraphs(max_n=6), small_bipartite(max_n=7),
+                 small_structures(max_n=6)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_canonical_form_equals_permutation_product(S, data):
+    colors = None
+    if data.draw(st.booleans()):
+        colors = {v: data.draw(st.integers(0, 2)) for v in S.vertices if data.draw(st.booleans())}
+    form, autos = _canonical_search(S, colors)
+    assert form == brute_canonical_form(S, colors)
+    assert canonical_form(S, colors=colors) == form
+    vs, index = S.vertices, S._index
+    for g in autos:
+        assert sorted(g) == list(range(len(vs)))
+        for name, tups in S.instances.items():
+            assert {tuple(sorted(vs[g[index[v]]] for v in t)) for t in tups} == set(tups)
+        if colors is not None:
+            assert all(colors.get(vs[g[i]], 0) == colors.get(v, 0) for i, v in enumerate(vs))
+        elif S.parts:
+            assert all(S.parts[vs[g[i]]] == S.parts[v] for i, v in enumerate(vs))
 
 
 def test_file_roundtrip():
