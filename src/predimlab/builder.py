@@ -267,7 +267,9 @@ def enumerate_tasks(
                 base = frozenset(combo)
                 if not _is_strong(ext, base, tag):
                     continue
-                colors = {v: 1 for v in base}
+                # colors replace the part labels, so they carry them: +2 on a line
+                colors = {v: int(v in base) + (2 if ext.parts and ext.parts[v] == LINE else 0)
+                          for v in verts}
                 key = canonical_form(ext, cap=len(verts), colors=colors)
                 task = ExtensionTask(ext, base, tag, key)
                 if tag == KN and not is_d_closed(ext, base):

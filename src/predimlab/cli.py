@@ -50,9 +50,13 @@ from .suites import run_suite
 
 
 def _ids(text: str) -> list[int]:
-    if not text:
-        return []
-    return [int(tok) for tok in text.replace(",", " ").split()]
+    ids = []
+    for tok in text.replace(",", " ").split():
+        try:
+            ids.append(int(tok))
+        except ValueError:
+            raise InputError(f"vertex id {tok!r} is not an integer") from None
+    return ids
 
 
 def _load(path: str) -> FiniteStructure:
@@ -338,6 +342,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "ex511":
+        _at_least(args, base_size=0)
         rep = run_suite("ex511", r_values=(args.r,))
         if args.out:
             from .classes import ControlFunction

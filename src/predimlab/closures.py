@@ -20,7 +20,6 @@ with no claim about any infinite limit.
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -188,19 +187,20 @@ class StructureFlowSolver:
         self._live_src: tuple[int, ...] = ()
         self._extend(S, S.bit_index().weighted)
 
-    def grow(self, out: FiniteStructure) -> bool:
-        """Move the network to ``out``, an extension of the current structure.
+    def grow(self, prev: FiniteStructure, out: FiniteStructure) -> bool:
+        """Move the network from ``prev``, the structure it was built for, to
+        ``out``, an extension of it.
 
-        ``out`` must share the signature, keep the current vertex positions
-        as a prefix, hold every current instance and add only instances that
-        meet a new position, as a chain step does; otherwise nothing changes
-        and the answer is False.  The new weighted instances are those out's
+        ``out`` must share the signature, keep prev's vertex positions as a
+        prefix, hold every instance of prev and add only instances that meet
+        a new position, as a chain step does; otherwise nothing changes and
+        the answer is False.  The new weighted instances are those out's
         index tops at the new positions.
         """
-        S, n = self.S, self.n_items
-        if out.signature != S.signature or out.vertices[:n] != S.vertices:
+        n = self.n_items
+        if out.signature != prev.signature or out.vertices[:n] != prev.vertices:
             return False
-        old, bx = S.bit_index().pairs, out.bit_index()
+        old, bx = prev.bit_index().pairs, out.bit_index()
         if not old <= bx.pairs or not all(m >> n for _, m in bx.pairs - old):
             return False
         self._extend(out, bx.weighted[bx.starts[n]:])
@@ -250,7 +250,6 @@ class StructureFlowSolver:
                     flow += pushed
             if caps[eid] > 0:
                 src.append(eid)
-        self.S = out
         self.n_items = len(out.vertices)
         # one source edge at a time: a search then starts from one project
         # node, not from all of them.  A node that cannot reach the sink never
@@ -451,39 +450,24 @@ class StructureFlowSolver:
         return up, pre, end, order, base
 
 
-# Flow networks by structure, least recently used first.  An explicit LRU,
-# because a handed-over network changes its key.
-_SOLVERS_MAX = 64
-_solvers: OrderedDict[FiniteStructure, StructureFlowSolver] = OrderedDict()
-
-
 def _solver_for(S: FiniteStructure) -> StructureFlowSolver:
-    solver = _solvers.get(S)
-    if solver is None:
-        solver = _remember(S, StructureFlowSolver(S))
-    else:
-        _solvers.move_to_end(S)
-    return solver
-
-
-def _remember(S: FiniteStructure, solver: StructureFlowSolver) -> StructureFlowSolver:
-    _solvers[S] = solver
-    if len(_solvers) > _SOLVERS_MAX:
-        _solvers.popitem(last=False)
-    return solver
+    """S's flow network, built into its slot on first use."""
+    if S._solver is None:
+        S._solver = StructureFlowSolver(S)
+    return S._solver
 
 
 def hand_over_solver(S: FiniteStructure, out: FiniteStructure) -> None:
-    """Move S's cached flow network, if any, to its chain extension ``out``.
+    """Move S's flow network, if any, to its chain extension ``out``.
 
-    The network grows instead of being rebuilt, and S's entry leaves the
-    cache, so a chain holds one network.  When ``out`` is not a chain step
-    from S (see ``StructureFlowSolver.grow``) the network is dropped, and a
-    query on ``out`` builds a fresh one.
+    The network grows instead of being rebuilt and leaves S's slot, so a
+    chain holds one network.  When ``out`` has a network already, or is not
+    a chain step from S (see ``StructureFlowSolver.grow``), S's network is
+    dropped, and a query on S or ``out`` builds a fresh one.
     """
-    solver = _solvers.pop(S, None)
-    if solver is not None and out not in _solvers and solver.grow(out):
-        _remember(out, solver)
+    solver, S._solver = S._solver, None
+    if solver is not None and out._solver is None and solver.grow(S, out):
+        out._solver = solver
 
 
 # -- public operations ----------------------------------------------------------

@@ -33,6 +33,7 @@ from .structures import (
 
 DEFAULT_EXT_CAP = 12
 DEFAULT_SATURATION = 3
+MSA_PAIR_CAP = 16
 
 
 def is_simply_algebraic(S: FiniteStructure, Z: Iterable[int], Y: Iterable[int]) -> bool:
@@ -202,8 +203,8 @@ def enumerate_msa_pairs(
     ``straddle=(P, Q)`` keeps only bases meeting both P-P∩Q and Q-P∩Q.
     """
     n = len(S.vertices)
-    if n > 16:
-        raise CapacityError("msa pair enumeration", 16, n)
+    if n > MSA_PAIR_CAP:
+        raise CapacityError("msa pair enumeration", MSA_PAIR_CAP, n)
     weighted = [m for m, _ in S.bit_index().weighted]
     dtab = delta_table(S)
     if straddle:

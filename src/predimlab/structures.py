@@ -184,7 +184,11 @@ class FiniteStructure:
 
     Instances are stored in canonical sorted order; two structures with equal
     canonical storage compare equal.  All operations treat the structure as a
-    pure value, so sharing across threads is safe.
+    pure value.  Two slots hold data derived from it, built on first use and
+    never part of its key: the bit index, and the flow network that
+    :mod:`.closures` builds for it (and hands on along a chain).  A flow query
+    changes the network for the duration of the query only, so concurrent
+    flow queries on one structure are not safe.
     """
 
     __slots__ = (
@@ -196,6 +200,7 @@ class FiniteStructure:
         "_key",
         "_hash",
         "_bit_index",
+        "_solver",
     )
 
     def __init__(
@@ -226,7 +231,7 @@ class FiniteStructure:
                 raise InputError("part labels only allowed in bipartite mode")
             self.parts = None
 
-        self._bit_index = None
+        self._bit_index = self._solver = None
         part_key = tuple(self.parts[v] for v in vs) if self.parts else None
         self._key = (signature, vs, tuple(sorted(self.instances.items())), part_key)
         self._hash = hash(self._key)
@@ -382,7 +387,7 @@ class FiniteStructure:
         part_key = (self._key[3] or ()) + tuple(parts[v] for v in added) if parts else None
         out._key = (sig, out.vertices, tuple(sorted(inst.items())), part_key)
         out._hash = hash(out._key)
-        out._bit_index = None
+        out._bit_index = out._solver = None
         if self._bit_index is not None:
             out._bit_index = _indexed(sig, self._bit_index, len(out.vertices),
                                       [(name, m) for name, new in fresh.items() for _, m in new])

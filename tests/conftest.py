@@ -485,7 +485,9 @@ def brute_enumerate_tasks(patterns, tag):
                 base = frozenset(combo)
                 if not builder._is_strong(ext, base, tag):
                     continue
-                key = canonical_form(ext, cap=len(verts), colors={v: 1 for v in base})
+                colors = {v: int(v in base) + (2 if ext.parts and ext.parts[v] == LINE else 0)
+                          for v in verts}
+                key = canonical_form(ext, cap=len(verts), colors=colors)
                 task = builder.ExtensionTask(ext, base, tag, key)
                 if tag == builder.KN and not is_d_closed(ext, base):
                     skipped.setdefault(key, task)

@@ -116,6 +116,10 @@ def test_graph_type_counts_and_canonical_searches(monkeypatch):
     assert len(searches) == 663
 
 
+# (tasks, skipped) at max_pattern 4, by tag and ngon
+TASK_COUNTS = {(C0, None): (94, 0), (CF, None): (58, 0), (KN, 3): (183, 16), (KN, 4): (182, 1)}
+
+
 @pytest.mark.parametrize("tag, signature, options", [
     (C0, SIG, {}),
     (CF, SIG, {"control": ControlFunction.harmonic(2)}),
@@ -128,6 +132,9 @@ def test_orbit_pruned_tasks_match_unpruned(tag, signature, options):
     want = brute_enumerate_tasks(patterns, tag)
     assert [[(t.ext, t.base_ids, t.key) for t in lst] for lst in got] == [
         [(t.ext, t.base_ids, t.key) for t in lst] for lst in want]
+    # the kn keys tell lines from points, so tasks that differ only in which
+    # vertices are lines are all kept
+    assert tuple(map(len, got)) == TASK_COUNTS[tag, options.get("ngon")]
 
 
 def test_tasks_have_strong_bases():

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -339,7 +341,7 @@ def test_grown_network_matches_a_fresh_one(chain, rng):
         chain_step = all(t[-1] >= n for name, ts in S.instances.items()
                          for t in set(ts) - set(prev.instances[name]))
         # a step that adds an instance among the old vertices is refused
-        assert solver.grow(S) == chain_step
+        assert solver.grow(prev, S) == chain_step
         if not chain_step:
             solver = StructureFlowSolver(S)
         fresh = StructureFlowSolver(S)
@@ -355,8 +357,9 @@ def test_networks_are_handed_over_along_a_chain(monkeypatch):
     S = path_graph(20)
     out = S.with_added([21, 22], {"R": [(20, 21), (21, 22)]})
     solver = _solver_for(S)
+    assert S._solver is solver and _solver_for(S) is solver
     hand_over_solver(S, out)
-    assert S not in closures._solvers
+    assert S._solver is None and out._solver is solver
     assert _solver_for(out) is solver
     assert solver.solve(out.mask_of([0])) == StructureFlowSolver(out).solve(out.mask_of([0]))
     # a step that also joins two old vertices is built afresh, and its
@@ -369,7 +372,7 @@ def test_networks_are_handed_over_along_a_chain(monkeypatch):
     monkeypatch.undo()
     assert inits
     hand_over_solver(out, chord)
-    assert out not in closures._solvers and chord not in closures._solvers
+    assert out._solver is None and chord._solver is None
     assert _solver_for(chord) is not solver
     # the refused network is left as it was
     rebuilt = StructureFlowSolver(out)
@@ -381,15 +384,37 @@ def test_networks_are_handed_over_along_a_chain(monkeypatch):
     # no growth into a structure that shifts the old positions or drops an instance
     shifted = out.with_added([-1], {"R": [(-1, 0)]})
     dropped = FiniteStructure(out.signature, out.vertices, {"R": out.instances["R"][1:]})
-    assert not solver.grow(shifted) and not solver.grow(dropped)
+    assert not solver.grow(out, shifted) and not solver.grow(out, dropped)
     hand_over_solver(out, shifted)
-    assert out not in closures._solvers and shifted not in closures._solvers
+    assert out._solver is None and shifted._solver is None
+    # a step that has a network of its own keeps it; the old one is dropped
+    step = path_graph(20)
+    grown = step.with_added([21], {"R": [(20, 21)]})
+    own = _solver_for(grown)
+    _solver_for(step)
+    hand_over_solver(step, grown)
+    assert step._solver is None and grown._solver is own
 
 
-def test_network_cache_is_bounded():
-    for n in range(3, 3 + closures._SOLVERS_MAX + 5):
-        _solver_for(path_graph(n))
-    assert len(closures._solvers) == closures._SOLVERS_MAX
+def test_a_dropped_structure_frees_its_network():
+    S = path_graph(29)  # 30 vertices: above the table cutoff
+    assert cld(S, [0]) == frozenset({0})
+    ref = weakref.ref(S._solver)
+    # no reference cycle: reference counting frees the network at once,
+    # with the cycle collector off
+    gc.disable()
+    try:
+        del S
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_equal_structures_get_separate_networks():
+    S, T = path_graph(29), path_graph(29)
+    assert S == T and S is not T
+    assert _solver_for(S) is not _solver_for(T)
+    assert T._solver.solve(T.mask_of([0])) == S._solver.solve(S.mask_of([0]))
 
 
 def test_auto_engine_reads_the_cutoff_once_per_call(monkeypatch):

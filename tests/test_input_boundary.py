@@ -3,21 +3,27 @@
 malformed line with exit code 2 (never the FAIL code 1, never a traceback).
 """
 
+import ast
 import contextlib
+import importlib
 import inspect
 import io
 import itertools
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import predimlab
 from predimlab import (
     BuildConfig,
     FiniteStructure,
     InputError,
     build_generic,
     dump_structure,
+    graph,
     graph_signature,
     load_structure,
     run_suite,
@@ -167,6 +173,7 @@ BAD_COUNTS = [
     ["axioms", "{file}", "--cap", "-1"],
     ["ex512", "--samples", "-1"],
     ["beatty", "--l", "2", "--b", "5", "--window", "-3"],
+    ["ex511", "--r", "3", "--base-size", "-1"],
 ]
 
 
@@ -183,6 +190,26 @@ def test_cli_rejects_negative_counts(budget30_build, capsys, argv):
     assert main([arg.format(file=budget30_build) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "must be" in err
+
+
+# Vertex-id options with a token that is not an integer.
+BAD_IDS = [
+    ["delta", "{file}", "--set", "a"],
+    ["closure", "{file}", "--set", "0,x"],
+    ["indep", "{file}", "--a", "0", "--b", "q", "--c", "1"],
+    ["msa", "{file}", "--base", "0", "--ext", "z"],
+    ["mult", "{file}", "--over", "0 1.5", "--type", "{typefile}"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_IDS, ids=lambda argv: " ".join(argv[::2]))
+def test_cli_rejects_non_integer_vertex_ids(budget30_build, tmp_path, capsys, argv):
+    typefile = tmp_path / "type.pdl"
+    typefile.write_text(dump_structure(graph([(2, 0), (2, 1)]), base_ids=[0, 1]))
+    assert main([arg.format(file=budget30_build, typefile=typefile) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: vertex id ") and "not an integer" in err
+    assert "Traceback" not in err
 
 
 def test_base_walk_with_cap_zero_yields_nothing():
@@ -223,3 +250,29 @@ def test_cli_verify_option_boundary_sweep(name, key, value, control):
         argv += ["--option", f"{k}={v}"]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 1, 2)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cap_table_matches_the_constants():
+    table = README.read_text().split("Fixed caps", 1)[1].split("\n\n")[1].splitlines()
+    rows = [re.fullmatch(r"\| `(\w+)\.(\w+)` \| ([\d,]+) \| .* \|", line) for line in table[2:]]
+    assert rows and all(rows), table
+    for row in rows:
+        module, name, value = row.groups()
+        constant = getattr(importlib.import_module(f"predimlab.{module}"), name)
+        assert constant == int(value.replace(",", "")), row[0]
+
+
+def test_no_capacity_error_passes_a_literal_cap():
+    # a cap is a named constant (listed in the README table) or a parameter
+    calls = 0
+    for path in Path(predimlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CapacityError":
+                calls += 1
+                caps = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "cap_value"]
+                assert not any(isinstance(cap, ast.Constant) for cap in caps), (
+                    f"{path.name}:{node.lineno}")
+    assert calls >= 7

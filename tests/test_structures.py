@@ -345,16 +345,17 @@ def test_chain_steps_equal_fresh_structures(chain, rng):
         for i, row in enumerate(fx.through):
             assert list(row) == [pair for pair in by_top if pair[1] >> i & 1]
         assert list(fx.weighted) == [(m, weights[name]) for name, m in by_top if weights[name]]
-    # a network handed over along the chain answers as a fresh one; a step
-    # with an instance among the old vertices drops it for a fresh one
-    closures._solvers.clear()
+    # a network handed over along the chain moves from slot to slot and
+    # answers as a fresh one; a step with an instance among the old vertices
+    # drops it for a fresh one
     solver = closures._solver_for(steps[0])
     for S, out in zip(steps, steps[1:]):
         hand_over_solver(S, out)
+        assert S._solver is None
         if all(m >> len(S.vertices) for _, m in out.bit_index().pairs - S.bit_index().pairs):
-            assert closures._solvers.get(out) is solver
+            assert out._solver is solver
         else:
-            assert out not in closures._solvers
+            assert out._solver is None
             solver = closures._solver_for(out)
         fresh = StructureFlowSolver(FiniteStructure(out.signature, out.vertices, out.instances,
                                                     out.parts))
