@@ -234,10 +234,10 @@ def in_Cf(
         if d < thr[k]:
             violations.append((k, mask))
     rng = random.Random(seed)
-    verts = list(S.vertices)
     for _ in range(samples):
         k = rng.randint(1, n)
-        mask = S.mask_of(rng.sample(verts, k))
+        # sample picks by index alone, so positions draw the subsets ids would
+        mask = sum(1 << p for p in rng.sample(range(n), k))
         checked += 1
         if delta_mask(S, mask) < thr[k]:
             violations.append((k, mask))

@@ -85,27 +85,42 @@ def delta_table(S: FiniteStructure) -> np.ndarray:
 def dim_table_cached(S: FiniteStructure) -> tuple[np.ndarray, np.ndarray]:
     """Least and greatest minimizer of delta over the supersets of every mask.
 
-    One superset DP: each bit step merges a mask without the bit with its
-    partner, keeping the smaller minimum, or on equal minima the AND of the
-    least minimizers and the OR of the greatest (the minimizers form a
-    lattice).  dim(X) = delta(least[X]), so it is not stored.  Both arrays
-    are read-only int32.
+    The minimizers over X form a lattice, so the least one is the unique
+    minimizer with the fewest vertices and the greatest the unique one with
+    the most.  Each table is therefore the mask part of one superset minimum
+    over the int64 key ``code(delta(Y)) << (n + 5) | c(Y) << n | Y``, with
+    ``c = popcount`` for the least and ``n - popcount`` for the greatest,
+    taken with one ``np.minimum`` per bit.  ``code`` is delta minus its
+    minimum while ``(span + 1) << (n + 5)`` stays below 2**62, and otherwise
+    the dense rank of delta, which is below 2**n; either way the key fits.
+    dim(X) = delta(least[X]), so it is not stored.  Both arrays are
+    read-only int32.
     """
     n = len(S.vertices)
-    val = delta_table(S).copy()
-    least = np.arange(1 << n, dtype=np.int32)
-    greatest = least.copy()
-    for i in range(n):
-        v, lo, gr = (t.reshape(-1, 2, 1 << i) for t in (val, least, greatest))
-        lower = v[:, 1, :] < v[:, 0, :]
-        tie = v[:, 1, :] == v[:, 0, :]
-        np.minimum(v[:, 0, :], v[:, 1, :], out=v[:, 0, :])
-        for t, merge in ((lo, np.bitwise_and), (gr, np.bitwise_or)):
-            np.copyto(t[:, 0, :], t[:, 1, :], where=lower)
-            merge(t[:, 0, :], t[:, 1, :], out=t[:, 0, :], where=tie)
-    least.setflags(write=False)
-    greatest.setflags(write=False)
-    return least, greatest
+    size = 1 << n
+    dt = delta_table(S)
+    code, lo = dt, int(dt.min())
+    if (int(dt.max()) - lo + 1) << (n + 5) >= 1 << 62:
+        code, lo = np.unique(dt, return_inverse=True)[1], 0
+    key, low = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    tables = []
+    for c_empty, dc in ((0, 1), (n, -1)):  # c = popcount, then n - popcount
+        # low[Y] = c(Y) << n | Y, one bit at a time as in popcounts
+        low[0] = c_empty << n
+        for i in range(n):
+            step = 1 << i
+            np.add(low[:step], (dc << n) + step, out=low[step : 2 * step])
+        np.subtract(code, lo, out=key)
+        key <<= n + 5
+        key |= low
+        for i in range(n):
+            v = key.reshape(-1, 2, 1 << i)
+            np.minimum(v[:, 0, :], v[:, 1, :], out=v[:, 0, :])
+        key &= size - 1
+        table = key.astype(np.int32)
+        table.setflags(write=False)
+        tables.append(table)
+    return tables[0], tables[1]
 
 
 def dim_cld_tables(S: FiniteStructure) -> tuple[np.ndarray, np.ndarray]:

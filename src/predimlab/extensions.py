@@ -19,7 +19,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .closures import delta_table, self_sufficient
+import numpy as np
+
+from .closures import delta_table, popcounts, self_sufficient
 from .errors import CapacityError, ContractError, InputError
 from .reports import VerificationReport, subset_witness
 from .structures import (
@@ -28,12 +30,12 @@ from .structures import (
     delta_rel,
     _bits,
     _embeddings,
-    _submasks,
 )
 
 DEFAULT_EXT_CAP = 12
 DEFAULT_SATURATION = 3
 MSA_PAIR_CAP = 16
+MSA_PAIR_CHUNK = 1 << 15  # (W, Z) rows expanded at once by enumerate_msa_pairs
 
 
 def is_simply_algebraic(S: FiniteStructure, Z: Iterable[int], Y: Iterable[int]) -> bool:
@@ -191,6 +193,39 @@ def _copies_disjoint(S: FiniteStructure, a_mask: int, copies: Iterable[int]) -> 
 # -- enumeration of msa pairs inside a structure -------------------------------------
 
 
+def _submask_rows(masks: np.ndarray, pc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every submask of every mask, one row each: the index of its mask in
+    ``masks`` and the submask, ascending within each mask.
+
+    A mask's k-th submask deposits the bits of k into the mask's set bits,
+    low to high, one set bit of every mask per pass.  ``pc`` is a popcount
+    table covering the masks.
+    """
+    counts = 1 << pc[masks]
+    owner = np.repeat(np.arange(len(masks)), counts)
+    k = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    sub = np.zeros_like(k)
+    rest = masks.copy()
+    while rest.any():
+        low = rest & -rest  # the next set bit of each mask, or 0 once it has none left
+        sub |= (k & 1) * np.repeat(low, counts)
+        k >>= 1
+        rest ^= low
+    return owner, sub
+
+
+def _chunks(counts: np.ndarray) -> Iterator[slice]:
+    """Consecutive slices whose counts sum to at most MSA_PAIR_CHUNK, or to
+    one entry each where a single count is larger."""
+    ends = np.cumsum(counts)
+    start = 0
+    while start < len(counts):
+        before = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, before + MSA_PAIR_CHUNK, "right")))
+        yield slice(start, stop)
+        start = stop
+
+
 def enumerate_msa_pairs(
     S: FiniteStructure,
     max_new: int | None = None,
@@ -201,36 +236,55 @@ def enumerate_msa_pairs(
     A pair qualifies when delta(W/Z) = 0, every intermediate set is strictly
     negative, and every base point touches W through a weighted instance.
     ``straddle=(P, Q)`` keeps only bases meeting both P-P∩Q and Q-P∩Q.
+
+    Pairs come in ascending W, then ascending Z.  The candidate bases of W
+    are the submasks of ``touch``, the points outside W sharing a weighted
+    instance with it.  Each chunk of W values, cut so that it expands to at
+    most MSA_PAIR_CHUNK (W, Z) rows, is filtered with whole-array passes
+    over the delta table: straddle, delta(Z|W) = delta(Z), the touching
+    condition, then every proper nonempty submask of W strictly above.
     """
     n = len(S.vertices)
     if n > MSA_PAIR_CAP:
         raise CapacityError("msa pair enumeration", MSA_PAIR_CAP, n)
     weighted = [m for m, _ in S.bit_index().weighted]
     dtab = delta_table(S)
+    pc = popcounts(n)
     if straddle:
         p_mask, q_mask = S.mask_of(straddle[0]), S.mask_of(straddle[1])
 
-    def straddles(zmask: int) -> bool:
-        return not straddle or bool(zmask & p_mask & ~q_mask and zmask & q_mask & ~p_mask)
+    def straddles(zmask: np.ndarray) -> np.ndarray:
+        return ((zmask & (p_mask & ~q_mask)) != 0) & ((zmask & (q_mask & ~p_mask)) != 0)
 
-    for wmask in range(1, 1 << n):
-        if max_new is not None and wmask.bit_count() > max_new:
-            continue
-        touch = 0
+    w = np.arange(1, 1 << n, dtype=np.int64)
+    if max_new is not None:
+        w = w[pc[w] <= max_new]
+    touch = np.zeros_like(w)
+    for m in weighted:
+        touch |= np.where(w & m != 0, m & ~w, 0)
+    if straddle:
+        keep = straddles(touch)
+        w, touch = w[keep], touch[keep]
+    for part in _chunks(1 << pc[touch]):
+        owner, z = _submask_rows(touch[part], pc)
+        wz = w[part][owner]
+        if straddle:
+            keep = straddles(z)
+            z, wz = z[keep], wz[keep]
+        whole = z | wz
+        keep = dtab[whole] == dtab[z]
+        z, wz, whole = z[keep], wz[keep], whole[keep]
+        touched = np.zeros_like(z)
         for m in weighted:
-            if m & wmask:
-                touch |= m & ~wmask
-        if not straddles(touch):
-            continue
-        for zmask in _submasks(touch):
-            whole = zmask | wmask
-            if (
-                straddles(zmask)
-                and dtab[whole] == dtab[zmask]
-                and _touching(S, zmask, wmask) == zmask
-                and all(dtab[whole] < dtab[zmask | sub]
-                        for sub in _submasks(wmask) if 0 != sub != wmask)
-            ):
+            touched |= np.where((wz & m != 0) & (whole & m == m), m, 0)
+        keep = touched & z == z
+        z, wz, whole = z[keep], wz[keep], whole[keep]
+        for rows in _chunks(1 << pc[wz]):
+            zr, wr, level = z[rows], wz[rows], dtab[whole[rows]]
+            row, sub = _submask_rows(wr, pc)
+            not_above = (sub != 0) & (sub != wr[row]) & (dtab[zr[row] | sub] <= level[row])
+            minimal = np.bincount(row, weights=not_above, minlength=len(wr)) == 0
+            for zmask, wmask in zip(zr[minimal].tolist(), wr[minimal].tolist()):
                 yield S.ids_of(zmask), S.ids_of(wmask)
 
 

@@ -32,6 +32,7 @@ from .closures import (
     is_d_closed,
     popcounts,
     self_sufficient,
+    TABLE_MAX_BITS,
     _solve,
 )
 from .errors import InputError
@@ -165,6 +166,8 @@ def _beatty_window_checks(seq, ell: int, b: int) -> str | None:
 
 
 def beatty_suite(b_max: int = 40, seed: int = 0, negative_control: bool = False) -> VerificationReport:
+    if b_max < 2:
+        raise InputError(f"b_max must be at least 2, got {b_max}")
     rep = VerificationReport(suite="beatty")
     for b in range(2, b_max + 1):
         for ell in range(1, b):
@@ -505,6 +508,8 @@ def msa_bound_suite(
     trials: int = 200, seed: int = 0, negative_control: bool = False
 ) -> VerificationReport:
     """Straddling msa types in random free amalgams never exceed delta(base)."""
+    if trials < 0:
+        raise InputError(f"trials must be nonnegative, got {trials}")
     rep = VerificationReport(suite="msa-bound")
     rng = random.Random(seed)
     sigs = [graph_signature(2, 1), hypergraph_signature(1, 1, 3)]
@@ -552,17 +557,18 @@ def msa_bound_suite(
 
 
 def _interval_min_table(dtab: np.ndarray, n: int) -> np.ndarray:
-    """M[a, b] = min delta over sets between a and b (junk where a is not in b)."""
+    """M[a, b] = min delta over sets between a and b (junk where a is not in b).
+
+    Bit i at a time: where a lacks the bit and b has it, the set may drop
+    the bit, so M[a, b] takes min(M[a, b], M[a, b - bit]).  Viewed as
+    ``(high, bit, low)`` on both axes that is one in-place minimum.
+    """
     size = 1 << n
     M = np.broadcast_to(dtab[None, :], (size, size)).copy()
-    masks = np.arange(size)
     for i in range(n):
-        bit = 1 << i
-        rows = (masks & bit) == 0  # a without the bit
-        cols = (masks & bit) == bit  # b with the bit
-        sub = M[np.ix_(rows, cols)]
-        other = M[np.ix_(rows, masks[cols] ^ bit)]
-        M[np.ix_(rows, cols)] = np.minimum(sub, other)
+        high, low = size >> (i + 1), 1 << i
+        v = M.reshape(high, 2, low, high, 2, low)
+        np.minimum(v[:, 0, :, :, 1, :], v[:, 0, :, :, 0, :], out=v[:, 0, :, :, 1, :])
     return M
 
 
@@ -602,8 +608,11 @@ def submodularity_suite(
     rep = VerificationReport(suite="submodularity")
     if max_n < 0:
         raise InputError(f"max_n must be nonnegative, got {max_n}")
-    if oracle_max_n < 2:
-        raise InputError(f"oracle_max_n must be at least 2, got {oracle_max_n}")
+    if oracle_cases < 0:
+        raise InputError(f"oracle_cases must be nonnegative, got {oracle_cases}")
+    if not 2 <= oracle_max_n <= TABLE_MAX_BITS:
+        raise InputError(f"oracle_max_n must be between 2 and {TABLE_MAX_BITS}, "
+                         f"got {oracle_max_n}")
     graphs = _isomorph_free_types(graph_signature(2, 1), max_n, lambda G: True)
     size = 1 << max_n
     masks = np.arange(size, dtype=np.int64)
@@ -737,6 +746,9 @@ def axioms_suite(
 ) -> VerificationReport:
     from .independence import axiom_suite as run_axioms
 
+    for key, cap in (("size_cap", size_cap), ("lemma43_cap", lemma43_cap)):
+        if cap < 0:
+            raise InputError(f"{key} must be nonnegative, got {cap}")
     rep = VerificationReport(suite="axioms")
     sig = graph_signature(2, 1)
     approximants = [

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,10 +26,15 @@ from predimlab.structures import (
     Relation,
     Signature,
     bipartite_graph,
+    delta_mask,
     free_amalgam,
 )
 from predimlab.builder import enumerate_class, C0, CF
-from predimlab.classes import _simple_cycles_longer_than, girth_with_witness
+from predimlab.classes import (
+    _connected_subsets,
+    _simple_cycles_longer_than,
+    girth_with_witness,
+)
 
 from conftest import (
     brute_delta, brute_girth, brute_in_Cf, cycle_graph, small_bipartite, small_graphs,
@@ -110,6 +116,38 @@ def test_in_cf_partial_above_cap():
     res2 = in_Cf(bad, ControlFunction.harmonic(2), exhaustive_cap=18,
                  conn_size=6, conn_budget=5000, samples=200, seed=1)
     assert res2.verdict == "FAIL"
+
+
+@pytest.mark.parametrize("chords", [0, 20])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_in_cf_samples_draw_what_the_id_loop_drew(chords, seed):
+    # non-contiguous ids, given in descending order: a position is not an id
+    n = 24
+    ids = [7 + 5 * i for i in range(n)][::-1]
+    edges = [(ids[i], ids[(i + 1) % n]) for i in range(n)]
+    edges += [(ids[i], ids[(i + 5) % n]) for i in range(chords)]
+    S = graph(edges, vertices=ids)
+    f = ControlFunction.harmonic(2)
+    res = in_Cf(S, f, exhaustive_cap=10, conn_size=3, conn_budget=40, samples=300, seed=seed)
+    # the loop it replaced, which sampled vertex ids
+    thr = [math.ceil(f(k)) for k in range(n + 1)]
+    violations = []
+    checked = 0
+    for mask, k, d in _connected_subsets(S, 3, 40):
+        checked += 1
+        if d < thr[k]:
+            violations.append((k, mask))
+    rng = random.Random(seed)
+    verts = list(S.vertices)
+    for _ in range(300):
+        k = rng.randint(1, n)
+        mask = S.mask_of(rng.sample(verts, k))
+        checked += 1
+        if delta_mask(S, mask) < thr[k]:
+            violations.append((k, mask))
+    want = ("FAIL", S.ids_of(min(violations)[1])) if violations else ("PARTIAL", None)
+    assert (res.verdict, res.witness, res.checked) == (*want, checked)
+    assert res.verdict == ("FAIL" if chords else "PARTIAL")
 
 
 @st.composite

@@ -129,12 +129,12 @@ def test_engines_match_brute_oracle_hypergraphs(S):
 
 
 @st.composite
-def tied_structures(draw, max_n=7):
-    """Weights up to 3 and a zero-weight relation, so minima often tie."""
-    n = draw(st.integers(0, max_n))
+def tied_structures(draw, max_n=7, min_n=0, unit=1):
+    """Weights up to 3 units and a zero-weight relation, so minima often tie."""
+    n = draw(st.integers(min_n, max_n))
     arity = draw(st.integers(2, 3))
-    sig = Signature(draw(st.integers(1, 3)),
-                    (Relation("R", arity, draw(st.integers(1, 3))), Relation("Z", 2, 0)))
+    sig = Signature(unit * draw(st.integers(1, 3)),
+                    (Relation("R", arity, unit * draw(st.integers(1, 3))), Relation("Z", 2, 0)))
 
     def pick(k):
         pool = list(itertools.combinations(range(n), k))
@@ -154,6 +154,24 @@ def test_lattice_table_matches_brute_oracle_on_every_mask(S):
     for xmask in range(1 << len(S.vertices)):
         val, minimal, maximal = brute_min_superset(S, S.ids_of(xmask))
         got = int(dt[xmask]), S.ids_of(int(least[xmask])), S.ids_of(int(greatest[xmask]))
+        assert got == (val, minimal, maximal)
+
+
+# Weights near 2**54: at 3 or more vertices delta spans at least one unit,
+# so (span + 1) << (n + 5) passes 2**62 and the key is the rank of delta.
+@given(tied_structures(min_n=3, unit=2**54 + 1))
+@settings(max_examples=40, deadline=None)
+def test_lattice_table_with_large_weights_uses_the_rank_key(S):
+    unique = np.unique
+    ranked = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "unique", lambda *a, **k: ranked.append(1) or unique(*a, **k))
+        least, greatest = closures.dim_table_cached.__wrapped__(S)
+    assert ranked
+    dt = closures.delta_table(S)
+    for xmask in range(1 << len(S.vertices)):
+        val, minimal, maximal = brute_min_superset(S, S.ids_of(xmask))
+        got = int(dt[least[xmask]]), S.ids_of(int(least[xmask])), S.ids_of(int(greatest[xmask]))
         assert got == (val, minimal, maximal)
 
 

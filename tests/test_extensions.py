@@ -24,6 +24,7 @@ from predimlab import (
     msa_base,
     msa_type_of,
 )
+from predimlab import extensions
 
 from conftest import (
     brute_count_msa_copies,
@@ -268,15 +269,28 @@ def test_count_copies_matches_set_based_search(case):
         len(want_copies), want_copies, want_disjoint)
 
 
-@given(small_structures(max_n=7), st.data())
-@settings(max_examples=120, deadline=None)
-def test_msa_pairs_match_loop_form(S, data):
+def _check_msa_pairs_against_loop_form(S, data):
     max_new = data.draw(st.sampled_from([None, 1, 2, 3]))
     straddle = None
     if data.draw(st.booleans()):
         straddle = (data.draw(subsets_of(S)), data.draw(subsets_of(S)))
     assert (list(enumerate_msa_pairs(S, max_new, straddle))
             == list(brute_enumerate_msa_pairs(S, max_new, straddle)))
+
+
+@given(small_structures(max_n=7), st.data())
+@settings(max_examples=120, deadline=None)
+def test_msa_pairs_match_loop_form(S, data):
+    _check_msa_pairs_against_loop_form(S, data)
+
+
+@given(small_structures(max_n=7), st.data())
+@settings(max_examples=60, deadline=None)
+def test_msa_pairs_match_loop_form_one_row_per_chunk(S, data):
+    # nearly every W, and every pair left for the minimality check, is a chunk
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extensions, "MSA_PAIR_CHUNK", 1)
+        _check_msa_pairs_against_loop_form(S, data)
 
 
 def test_count_copies_rejects_a_non_injective_pin():

@@ -174,6 +174,13 @@ BAD_COUNTS = [
     ["ex512", "--samples", "-1"],
     ["beatty", "--l", "2", "--b", "5", "--window", "-3"],
     ["ex511", "--r", "3", "--base-size", "-1"],
+    ["verify", "msa-bound", "--option=trials=-1"],
+    ["verify", "submodularity", "--option=oracle_cases=-5", "--option=max_n=2"],
+    ["verify", "submodularity", "--option=oracle_max_n=21", "--option=oracle_cases=500",
+     "--option=max_n=2"],
+    ["verify", "axioms", "--option=lemma43_cap=-1", "--option=size_cap=1"],
+    ["verify", "axioms", "--option=size_cap=-1"],
+    ["verify", "beatty", "--option=b_max=-1"],
 ]
 
 

@@ -414,6 +414,19 @@ def _strong_pairs(dt, n):
     return contained & (suites._interval_min_table(dt, n) == dt[:, None])
 
 
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(-50, 50), min_size=1 << n, max_size=1 << n))))
+@settings(max_examples=60, deadline=None)
+def test_interval_min_table_matches_brute_minimum(case):
+    n, values = case
+    M = suites._interval_min_table(np.array(values, dtype=np.int64), n)
+    for b in range(1 << n):
+        for a in range(b + 1):
+            if a & b == a:
+                between = [values[y] for y in range(a, b + 1) if y & a == a and y & b == y]
+                assert M[a, b] == min(between)
+
+
 @given(st.one_of(small_graphs(max_n=6), small_hypergraphs(max_n=6)), st.data())
 @settings(max_examples=60, deadline=None)
 def test_restriction_matches_loop_form(S, data):
