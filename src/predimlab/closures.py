@@ -138,7 +138,7 @@ _LEAST, _GREATEST = 1, 2
 
 
 def _push(caps: list[int], path, amount: int) -> None:
-    """Push ``amount`` along the edges of ``path``; a negative amount takes it back."""
+    """Push ``amount`` along the edges of ``path``."""
     for eid in path:
         caps[eid] -= amount
         caps[eid ^ 1] += amount
@@ -156,10 +156,13 @@ class StructureFlowSolver:
 
     Every flow is computed by one kernel, :meth:`_max_flow`: shortest
     augmenting paths (Edmonds and Karp).  A breadth-first search from the
-    source records the edge it reached each node by and stops as soon as it
-    reaches the sink; the path traced back along those edges takes its
-    bottleneck.  The search that finds no path has visited exactly the
-    residual source side, whose vertices are the least minimizer.
+    source records the edge it reached each node by and stops on entering
+    the first vertex node whose sink edge has residual capacity.  Only
+    vertex nodes have sink edges and nodes are entered in level order, so
+    that sink edge and the edges traced back from its node form a shortest
+    augmenting path; the trace takes its bottleneck and pushes it.  The
+    search that finds no path has visited exactly the residual source side,
+    whose vertices are the least minimizer.
 
     The empty query is solved once and its residual kept as the base.  Each
     new project edge is first pushed greedily through its member vertices
@@ -287,13 +290,16 @@ class StructureFlowSolver:
         afterwards, also when this raises.
         """
         caps, slot_eid = self.base_caps, self.slot_eid
-        src = list(self._live_src)
+        # X's slots first: a vertex of X with spare sink capacity then ends
+        # the first search at its own slot
+        src = []
         while xmask:
             low = xmask & -xmask
             eid = slot_eid[low.bit_length() - 1]
             caps[eid] = _INF_CAP
             src.append(eid)
             xmask ^= low
+        src += self._live_src
         extra, reach = self._max_flow(src, pushes, limit)
         return self._base_flow + extra - self.total_w, reach
 
@@ -305,12 +311,11 @@ class StructureFlowSolver:
         """
         caps, slot_eid = self.base_caps, self.slot_eid
         for path, pushed in pushes:
-            _push(caps, path, -pushed)
             for eid in path:
-                if caps[eid] == _INF_CAP:
-                    caps[eid] = _INF_CAP
-                elif caps[eid ^ 1] == _INF_CAP:
-                    caps[eid ^ 1] = _INF_CAP
+                c = caps[eid] + pushed
+                caps[eid] = _INF_CAP if c == _INF_CAP else c
+                c = caps[eid ^ 1] - pushed
+                caps[eid ^ 1] = _INF_CAP if c == _INF_CAP else c
         for i in _bits(xmask):
             caps[slot_eid[i]] = 0
 
@@ -357,9 +362,9 @@ class StructureFlowSolver:
         ``dead``, which are known not to reach the sink.  Returns the flow
         added and the other nodes of the residual source side, or None for
         them when the flow reached ``limit`` first.  Every push is appended
-        to ``pushes`` as (path edges, amount).
+        to ``pushes`` as (path edges, amount), the sink edge first.
         """
-        to, head, caps = self.to, self.head, self.base_caps
+        to, head, caps, node_pos = self.to, self.head, self.base_caps, self.node_pos
         flow = 0
         while limit is None or flow < limit:
             # the edge each visited node was reached by
@@ -371,7 +376,10 @@ class StructureFlowSolver:
                         v = to[eid]
                         if v not in pred:
                             pred[v] = eid
-                            if v == 1:
+                            # only vertex nodes have a sink edge, and nodes
+                            # are entered in level order: the first one with
+                            # spare sink capacity ends a shortest path
+                            if node_pos[v] >= 0 and caps[head[v][1]] > 0:
                                 break
                             queue.append(v)
                 else:
@@ -379,14 +387,18 @@ class StructureFlowSolver:
                 break
             else:
                 return flow, queue
-            path = []
-            v = 1
+            eid = head[v][1]
+            path = [eid]
+            pushed = caps[eid]
             while v:
                 eid = pred[v]
                 path.append(eid)
+                if caps[eid] < pushed:
+                    pushed = caps[eid]
                 v = to[eid ^ 1]
-            pushed = min(caps[eid] for eid in path)
-            _push(caps, path, pushed)
+            for eid in path:
+                caps[eid] -= pushed
+                caps[eid ^ 1] += pushed
             pushes.append((path, pushed))
             flow += pushed
         return flow, None

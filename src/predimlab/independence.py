@@ -196,24 +196,34 @@ def axiom_suite(S: FiniteStructure, size_cap: int = 3) -> VerificationReport:
     mono_bad = None
     trans_bad = None
     bb, cc, dd = sets[:, None, None], sets[None, :, None], d_sets[None, None, :]
-    for ai in range(k):
-        a = int(sets[ai])
-        # d(A over BCD), shared by both predicates that quantify D
-        over_bcd = dt[a | bb | cc | dd]
-        over_bcd -= dt[bb | cc | dd]
-        i_b_cd = over_bcd == dt[a | bb] - dt[bb]
-        i_b_c = ind_matrix(a, bb, cc)
-        i_bc_d = over_bcd == dt[a | bb | cc] - dt[bb | cc]
-        mono = ~i_b_cd | (i_b_c & i_bc_d)
+    dt_bcd, dt_bc, dt_b = dt[bb | cc | dd], dt[bb | cc], dt[bb]
+    # A|BCD and d(A over BCD) go to two buffers reused for every A, which
+    # keeps peak memory at one quadruple array of each
+    abcd, over_bcd = np.empty_like(dt_bcd, dtype=np.int64), np.empty_like(dt_bcd)
+    for a in sets.tolist():
+        abc = a | bb | cc
+        over_b = dt[a | bb] - dt_b
+        over_bc = dt[abc] - dt_bc
+        # d(A over BCD), shared by both predicates that quantify D; every
+        # index is a mask below len(dt), so "clip" never clips
+        np.take(dt, np.bitwise_or(abc, dd, out=abcd), out=over_bcd, mode="clip")
+        over_bcd -= dt_bcd
+        # A independent of CD over B; of C over B and of D over BC.
+        # Monotonicity fails where the first holds without both of the
+        # others, transitivity where both hold without the first.
+        i_b_cd = over_bcd == over_b
+        both = (over_bc == over_b) & (over_bcd == over_bc)
+        if np.array_equal(i_b_cd, both):
+            continue
+        mono = ~i_b_cd | both
         if not mono.all():
             bi, ci, di = np.argwhere(~mono)[0]
             mono_bad = (a, int(sets[bi]), int(sets[ci]), int(d_sets[di]))
-        trans = ~(i_b_c & i_bc_d) | i_b_cd
+        trans = ~both | i_b_cd
         if not trans.all():
             bi, ci, di = np.argwhere(~trans)[0]
             trans_bad = (a, int(sets[bi]), int(sets[ci]), int(d_sets[di]))
-        if mono_bad or trans_bad:
-            break
+        break
     for key, bad in (("monotonicity", mono_bad), ("transitivity", trans_bad)):
         if bad is None and partial_note:
             rep.add(key, PARTIAL, note=partial_note)

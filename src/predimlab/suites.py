@@ -662,8 +662,8 @@ def submodularity_suite(
     tables = {}  # n -> (masks, popcounts), built once per n
     bad_oracle = None
     checked = 0
-    structures = max(1, oracle_cases // 25)
-    for _ in range(structures):
+    # batches of 25 cases per structure, the remainder in the last one
+    for first in range(0, oracle_cases, 25):
         n = rng.randint(2, oracle_max_n)
         pool = list(itertools.combinations(range(n), 2))
         edges = rng.sample(pool, rng.randint(0, len(pool)))
@@ -673,7 +673,7 @@ def submodularity_suite(
         if n not in tables:
             tables[n] = (np.arange(sz, dtype=np.int64), popcounts(n))
         mk, pc = tables[n]
-        for _ in range(25):
+        for _ in range(min(25, oracle_cases - first)):
             checked += 1
             xmask = rng.randrange(sz)
             sup = (mk & xmask) == xmask

@@ -609,6 +609,29 @@ def brute_axiom_suite(S, dt, size_cap):
     return None
 
 
+def brute_axiom_quadruples(dt, size_cap):
+    """Oracle for the monotonicity and transitivity clauses of
+    ``independence.axiom_suite``: the per-quadruple loop.  Returns the first
+    failing (a, b, c, d) of each, or None, from the first A where either fails."""
+    closed = brute_d_closed_masks(dt, size_cap)
+    t = dt.tolist()
+    mono = trans = None
+    for a in closed:
+        for b in closed:
+            for c in closed:
+                for d in closed:
+                    i_b_cd = t[a | b | c | d] - t[b | c | d] == t[a | b] - t[b]
+                    i_b_c = t[a | b | c] - t[b | c] == t[a | b] - t[b]
+                    i_bc_d = t[a | b | c | d] - t[b | c | d] == t[a | b | c] - t[b | c]
+                    if mono is None and i_b_cd and not (i_b_c and i_bc_d):
+                        mono = (a, b, c, d)
+                    if trans is None and i_b_c and i_bc_d and not i_b_cd:
+                        trans = (a, b, c, d)
+        if mono or trans:
+            break
+    return mono, trans
+
+
 def brute_restriction(SS):
     """Oracle for ``suites._restriction_witness``: per (a, b), every x in b."""
     masks = np.arange(len(SS))

@@ -27,6 +27,7 @@ from predimlab.builder import C0
 from predimlab.closures import d_closed_subset_masks, delta_table, dim_cld_tables
 
 from conftest import (
+    brute_axiom_quadruples,
     brute_axiom_suite,
     brute_cld_from_table,
     brute_free_split,
@@ -162,11 +163,28 @@ def _compatibility_case(S, dt, size_cap):
     return "FAIL", independence._sets_witness(S, bad[:3]), bad[3]
 
 
+_QUAD_KEYS = ("monotonicity", "transitivity")
+
+
+def _quadruple_cases(S, dt, size_cap):
+    """{key: (status, witness)} that ``axiom_suite`` must give for
+    monotonicity and transitivity by the per-quadruple loop."""
+    if not S.vertices:
+        return {key: ("PASS", None) for key in _QUAD_KEYS}
+    bad = brute_axiom_quadruples(dt, size_cap)
+    return {
+        key: ("PASS", None) if quad is None else ("FAIL", independence._sets_witness(S, quad))
+        for key, quad in zip(_QUAD_KEYS, bad)
+    }
+
+
 def _check_against_loop_forms(S, dt, dtab, lemma43_cap, size_cap):
-    """Run both checks on the given dim and delta tables, against the oracles.
+    """Run the checks on the given dim and delta tables, against the oracles.
 
     The cld array handed to the checks is read off ``dt`` by the loop form,
     so a corrupted dim entry reaches the d-closures as it would in the loop.
+    Returns whether lemma 4.3, compatibility, monotonicity and transitivity
+    failed.
     """
     cl = np.array([brute_cld_from_table(dt, m) for m in range(len(dt))], dtype=np.int32)
     with pytest.MonkeyPatch.context() as mp:
@@ -178,9 +196,13 @@ def _check_against_loop_forms(S, dt, dtab, lemma43_cap, size_cap):
     want = brute_lemma43_equivalence(S, dt, dtab, lemma43_cap)
     # the report prints the witness tuple, so its element types count too
     assert (got[0], str(got[1])) == (want[0], str(want[1]))
-    case = next(c for c in rep.cases if c.key == "compatibility")
+    cases = {c.key: c for c in rep.cases}
+    case = cases["compatibility"]
     assert (case.status, case.witness, case.note) == _compatibility_case(S, dt, size_cap)
-    return got[1] is not None, case.status == "FAIL"
+    quads = {key: (cases[key].status, cases[key].witness) for key in _QUAD_KEYS}
+    assert quads == _quadruple_cases(S, dt, size_cap)
+    return (got[1] is not None, case.status == "FAIL",
+            *(quads[key][0] == "FAIL" for key in _QUAD_KEYS))
 
 
 @given(st.one_of(small_graphs(max_n=7), small_hypergraphs(max_n=7)))
@@ -195,15 +217,16 @@ def test_lemma43_and_compatibility_match_loop_forms_on_faults(seed):
     # that the first witness is the loop form's.
     S = build_generic(BuildConfig(graph_signature(2, 1), C0, 2, 5, seed=seed)).structure
     rng = random.Random(seed)
-    lemma_fails = comp_fails = 0
+    fails = [0, 0, 0, 0]  # lemma 4.3, compatibility, monotonicity, transitivity
     for trial in range(12):
         dt, dtab = dim_cld_tables(S)[0], delta_table(S).copy()
         table = dt if trial % 2 else dtab
         table[rng.randrange(1, len(table))] += rng.choice((-1, 1))
-        lemma_fail, comp_fail = _check_against_loop_forms(S, dt, dtab, 3, 2)
-        lemma_fails += lemma_fail
-        comp_fails += comp_fail
-    assert lemma_fails >= 6 and comp_fails >= 3
+        for i, failed in enumerate(_check_against_loop_forms(S, dt, dtab, 3, 2)):
+            fails[i] += failed
+    # transitivity never fails, corrupted or not: from d(A/BC) = d(A/B) and
+    # d(A/BCD) = d(A/BC) its check reads d(A/BCD) = d(A/B) by equality alone
+    assert fails[0] >= 6 and fails[1] >= 3 and fails[2] >= 3 and fails[3] == 0
 
 
 def test_lemma43_and_compatibility_match_loop_forms_on_corrupted_graphs():

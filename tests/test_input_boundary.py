@@ -234,6 +234,19 @@ def test_submodularity_negative_control_at_small_max_n(max_n):
     assert [c.key for c in rep.failures()] == ["negative-control:corrupted-delta"]
 
 
+@pytest.mark.parametrize("cases", [0, 30])
+def test_submodularity_runs_the_oracle_cases_it_names(cases, monkeypatch):
+    # 30 is one batch of 25 and one of 5; 0 switches the oracle check off
+    calls = []
+    solve = suites._solve
+    monkeypatch.setattr(suites, "_solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    rep = run_suite("submodularity", max_n=2, oracle_cases=cases, oracle_max_n=4)
+    case = next(c for c in rep.cases if c.key == "closure-oracle-agreement")
+    assert case.status == "PASS"
+    assert case.note.startswith(f"{cases} seeded (structure, subset) cases")
+    assert len(calls) == 2 * cases  # the flow and the table engine per case
+
+
 TINY = perfbench_workloads().SUITE_OPTIONS["tiny"]
 
 
