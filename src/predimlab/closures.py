@@ -26,20 +26,17 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import InputError
-from .structures import FiniteStructure, delta_mask, _bits, _env_cap
+from .errors import CapacityError, InputError
+from .structures import FiniteStructure, delta_mask, _bits
 
 TABLE_MAX_BITS = 20  # hard memory guard for the table engine
 DEFAULT_TABLE_CUTOFF = 16
 
 
+# Nothing in the library calls this; the benchmark stamps the caps in effect
+# through it, and it goes with ROADMAP item 1's benchmark change.
 def _table_cutoff() -> int:
-    cutoff = _env_cap("PREDIMLAB_TABLE_CUTOFF", DEFAULT_TABLE_CUTOFF)
-    if cutoff > TABLE_MAX_BITS:
-        raise InputError(
-            f"environment cap PREDIMLAB_TABLE_CUTOFF={cutoff} exceeds {TABLE_MAX_BITS}"
-        )
-    return cutoff
+    return DEFAULT_TABLE_CUTOFF
 
 
 @dataclass(frozen=True)
@@ -515,9 +512,9 @@ def _solve(
 
 
 def _resolve_engine(S: FiniteStructure, engine: str) -> str:
-    """"table" or "flow"; "auto" reads the cutoff, so resolve once per public call."""
+    """"table" or "flow"; "auto" picks by the vertex count."""
     if engine == "auto":
-        return "table" if len(S.vertices) <= _table_cutoff() else "flow"
+        return "table" if len(S.vertices) <= DEFAULT_TABLE_CUTOFF else "flow"
     if engine not in ("table", "flow"):
         raise InputError(f"unknown engine {engine!r}")
     return engine
@@ -586,8 +583,8 @@ def self_sufficient(
 def d_closed_subset_masks(S: FiniteStructure, size_cap: int | None = None) -> list[int]:
     """All d-closed subset masks (size-capped), in ascending order, via the cld table."""
     n = len(S.vertices)
-    if n > _table_cutoff():
-        raise InputError("d-closed enumeration needs the table engine")
+    if n > DEFAULT_TABLE_CUTOFF:
+        raise CapacityError("d-closed enumeration", DEFAULT_TABLE_CUTOFF, n)
     masks = np.arange(1 << n, dtype=np.int64)
     if size_cap is not None:
         masks = masks[popcounts(n) <= size_cap]

@@ -42,7 +42,6 @@ def check_lemma43_characterization(
     A: Iterable[int],
     B: Iterable[int],
     C: Iterable[int],
-    debug: bool = False,
 ) -> bool:
     """Three-condition characterization of d-independence over a common part.
 
@@ -58,17 +57,10 @@ def check_lemma43_characterization(
         raise ContractError("B must be contained in A and in C")
     u = cld(S, a | b)
     v = cld(S, b | c)
-    result = (
+    return (
         bool(lemma43_free_split(S, S.mask_of(u), S.mask_of(v), S.mask_of(b)))
         and self_sufficient(S, u | v)[0]
     )
-    if debug:
-        indep = d_independent(S, a, b, c)
-        if indep != result:
-            raise ContractError(
-                f"characterization mismatch: independent={indep}, conditions={result}"
-            )
-    return result
 
 
 def lemma43_free_split(S: FiniteStructure, u, v, b):

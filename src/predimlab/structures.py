@@ -14,7 +14,6 @@ dimension, class membership, gadgets) is built on these two notions.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -28,33 +27,18 @@ LINE = "line"
 
 FORMAT_HEADER = "predimlab/1"
 
-# The canonicalization cap bounds builder.enumerate_class as a fixed value;
-# PREDIMLAB_CANON_CAP overrides it only for canonical_form called without a cap.
 DEFAULT_SS_CAP = 24
 DEFAULT_CANON_CAP = 8
 
 
-def _env_cap(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise InputError(f"environment cap {name}={raw!r} is not an integer") from exc
-    if value < 0:
-        raise InputError(f"environment cap {name}={raw!r} is negative")
-    return value
-
-
-# No library code reads this cap any more; it survives only because the
-# benchmark stamps the caps in effect on every run.
+# Nothing in the library calls these; the benchmark stamps the caps in effect
+# through them, and they go with ROADMAP item 1's benchmark change.
 def ss_cap_default() -> int:
-    return _env_cap("PREDIMLAB_SS_CAP", DEFAULT_SS_CAP)
+    return DEFAULT_SS_CAP
 
 
 def canon_cap_default() -> int:
-    return _env_cap("PREDIMLAB_CANON_CAP", DEFAULT_CANON_CAP)
+    return DEFAULT_CANON_CAP
 
 
 @dataclass(frozen=True)
@@ -818,7 +802,7 @@ def _orbit_has_less(c: int, gens: Sequence[tuple[int, ...]]) -> bool:
 
 def canonical_form(
     S: FiniteStructure,
-    cap: int | None = None,
+    cap: int = DEFAULT_CANON_CAP,
     colors: Mapping[int, int] | None = None,
 ) -> tuple:
     """Minimal encoding over label-respecting vertex permutations.
@@ -836,7 +820,6 @@ def canonical_form(
     change: build logs print it as a task key, so their digests depend on
     it.  The hard cap guards the worst case.
     """
-    cap = canon_cap_default() if cap is None else cap
     n = len(S.vertices)
     if n > cap:
         raise CapacityError("canonicalization", cap, n)

@@ -28,6 +28,7 @@ from .classes import ControlFunction, girth_with_witness, in_C0, in_Cf, in_Kn
 from .closures import (
     d_closed_subset_masks,
     delta_table,
+    dim,
     dim_cld_tables,
     is_d_closed,
     popcounts,
@@ -37,7 +38,7 @@ from .closures import (
 )
 from .errors import InputError
 from .extensions import enumerate_msa_pairs, MsaType
-from .independence import lemma43_free_split
+from .independence import axiom_suite, lemma43_free_split
 from .gadgets import (
     beatty,
     build_cycle_fan,
@@ -61,6 +62,7 @@ from .structures import (
     bipartite_graph,
     delta,
     delta_mask,
+    free_amalgam,
     graph,
     graph_signature,
     hypergraph_signature,
@@ -68,37 +70,10 @@ from .structures import (
     polygon_signature,
 )
 
-SUITE_NAMES = (
-    "beatty",
-    "gadget",
-    "lemma49",
-    "path-fact",
-    "ex511",
-    "ex512",
-    "msa-bound",
-    "submodularity",
-    "axioms",
-    "extension-property",
-    "kn",
-)
-
 
 def run_suite(name: str, seed: int = 0, negative_control: bool = False, **options) -> VerificationReport:
     """Dispatch a named suite; reports are deterministic for fixed seeds."""
-    fns = {
-        "beatty": beatty_suite,
-        "gadget": gadget_suite,
-        "lemma49": lemma49_suite,
-        "path-fact": path_fact_suite,
-        "ex511": ex511_suite,
-        "ex512": ex512_suite,
-        "msa-bound": msa_bound_suite,
-        "submodularity": submodularity_suite,
-        "axioms": axioms_suite,
-        "extension-property": extension_property_suite,
-        "kn": kn_suite,
-    }
-    fn = fns.get(name)
+    fn = _SUITES.get(name)
     if fn is None:
         raise InputError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
     params = {k: p.default for k, p in inspect.signature(fn).parameters.items()
@@ -532,8 +507,6 @@ def msa_bound_suite(
         if C is None:
             continue
         C = C.relabel({v: (v if v in base_ids else v + 1000) for v in C.vertices})
-        from .structures import free_amalgam
-
         F = free_amalgam(base_ids, B, C)
         done += 1
         n_types, excess = _straddling_excess(
@@ -744,8 +717,6 @@ def axioms_suite(
     seed: int = 0,
     negative_control: bool = False,
 ) -> VerificationReport:
-    from .independence import axiom_suite as run_axioms
-
     for key, cap in (("size_cap", size_cap), ("lemma43_cap", lemma43_cap)):
         if cap < 0:
             raise InputError(f"{key} must be nonnegative, got {cap}")
@@ -756,7 +727,7 @@ def axioms_suite(
         ("approx-9", build_generic(BuildConfig(sig, C0, 2, 5, seed=seed)).structure),
     ]
     for label, S in approximants:
-        sub = run_axioms(S, size_cap=size_cap)
+        sub = axiom_suite(S, size_cap=size_cap)
         for case in sub.cases:
             rep.add(f"{label}:{case.key}", case.status, case.witness, case.margin,
                     case.note or f"|S|={len(S.vertices)}")
@@ -769,8 +740,6 @@ def axioms_suite(
     if negative_control:
         # claim symmetry on an asymmetric relation: swap one side's dimension
         S = approximants[0][1]
-        from .closures import dim
-
         a, b, c = [S.vertices[0]], [S.vertices[1]], [S.vertices[2]]
         lhs = dim(S, set(a) | set(b) | set(c)) + dim(S, b)
         rhs = dim(S, set(a) | set(b)) + dim(S, set(b) | set(c))
@@ -910,3 +879,19 @@ def kn_suite(
         _negative_control(rep, "4-cycle-claimed",
                           None if verdict.holds else subset_witness(verdict.witness or []))
     return rep.finalize()
+
+
+_SUITES = {
+    "beatty": beatty_suite,
+    "gadget": gadget_suite,
+    "lemma49": lemma49_suite,
+    "path-fact": path_fact_suite,
+    "ex511": ex511_suite,
+    "ex512": ex512_suite,
+    "msa-bound": msa_bound_suite,
+    "submodularity": submodularity_suite,
+    "axioms": axioms_suite,
+    "extension-property": extension_property_suite,
+    "kn": kn_suite,
+}
+SUITE_NAMES = tuple(_SUITES)

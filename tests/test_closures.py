@@ -487,24 +487,31 @@ def test_equal_structures_get_separate_networks():
     assert T._solver.solve(T.mask_of([0])) == S._solver.solve(S.mask_of([0]))
 
 
-def test_auto_engine_reads_the_cutoff_once_per_call(monkeypatch):
-    reads = []
-    real = closures._table_cutoff
-    monkeypatch.setattr(closures, "_table_cutoff", lambda: reads.append(1) or real())
-    for S in (path_graph(3), path_graph(20)):  # table and flow side of the cutoff
+def test_auto_engine_picks_the_table_up_to_16_vertices(monkeypatch):
+    def refuse(engine):
+        def fail(*_):
+            raise AssertionError(f"engine='auto' reached the {engine} engine")
+        return fail
+
+    assert closures.DEFAULT_TABLE_CUTOFF == 16
+    for S, engine, other, blocked in (  # 16 and 17 vertices
+        (path_graph(15), "table", "flow", ("_solver_for",)),
+        (path_graph(16), "flow", "table", ("delta_table", "dim_table_cached")),
+    ):
+        assert closures._resolve_engine(S, "auto") == engine
         calls = (
-            lambda: dim(S, [0]),
-            lambda: cl0(S, [0]),
-            lambda: cld(S, [0]),
-            lambda: is_d_closed(S, [0]),
-            lambda: self_sufficient(S, [0]),
-            lambda: self_sufficient(S, [0], want_witness=False),
-            lambda: self_sufficient(S, [0], B=[0, 1]),
+            lambda e: dim(S, [0], engine=e),
+            lambda e: cl0(S, [0], engine=e),
+            lambda e: cld(S, [0], engine=e),
+            lambda e: is_d_closed(S, [0], engine=e),
+            lambda e: self_sufficient(S, [0], engine=e),
+            lambda e: self_sufficient(S, [0], engine=e, want_witness=False),
         )
-        for call in calls:
-            reads.clear()
-            call()
-            assert len(reads) == 1
+        want = [call(engine) for call in calls]
+        with monkeypatch.context() as m:
+            for name in blocked:
+                m.setattr(closures, name, refuse(other))
+            assert [call("auto") for call in calls] == want
 
 
 def test_self_sufficient_respects_the_engine(monkeypatch):

@@ -58,8 +58,8 @@ def test_d_independent_matches_dim_identity(S):
 
 def test_lemma43_examples():
     P = graph([(0, 1), (1, 2)])
-    assert check_lemma43_characterization(P, [0, 1], [1], [1, 2], debug=True)
-    assert check_lemma43_characterization(P, [0], [0], [0], debug=True)
+    for A, B, C in (([0, 1], [1], [1, 2]), ([0], [0], [0])):
+        assert check_lemma43_characterization(P, A, B, C) and d_independent(P, A, B, C)
     with pytest.raises(ContractError):
         T = graph([(0, 1), (1, 2), (0, 2)])
         check_lemma43_characterization(T, [0, 1], [1], [1, 2])  # A not d-closed
@@ -68,7 +68,8 @@ def test_lemma43_examples():
 def test_lemma43_detects_edge_between_sides():
     T = graph([(0, 1), (1, 2), (0, 2)])
     # singletons are d-closed in a triangle; the edge between sides breaks freeness
-    assert not check_lemma43_characterization(T, [0], [], [2], debug=True)
+    assert not check_lemma43_characterization(T, [0], [], [2])
+    assert not d_independent(T, [0], [], [2])
 
 
 def test_lemma43_equivalence_on_built_approximants():
@@ -147,7 +148,7 @@ def test_lemma43_ignores_zero_weight_relations():
     sig = Signature(2, (Relation("R", 2, 1), Relation("Z", 2, 0)))
     S = FiniteStructure(sig, range(4), {"R": [(0, 3), (1, 2)], "Z": [(0, 1), (0, 2)]})
     expected = d_independent(S, [0], [], [1])
-    assert check_lemma43_characterization(S, [0], [], [1], debug=True) == expected
+    assert check_lemma43_characterization(S, [0], [], [1]) == expected
 
 
 # -- array passes against their loop forms -----------------------------------------

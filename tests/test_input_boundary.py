@@ -26,6 +26,7 @@ from predimlab import (
     graph,
     graph_signature,
     load_structure,
+    path_graph,
     run_suite,
     suites,
 )
@@ -296,3 +297,24 @@ def test_no_capacity_error_passes_a_literal_cap():
                 assert not any(isinstance(cap, ast.Constant) for cap in caps), (
                     f"{path.name}:{node.lineno}")
     assert calls >= 7
+
+
+def test_no_module_reads_the_environment():
+    # caps and engines are constants or per-call parameters, so no query
+    # pays for an environment lookup
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    for path in Path(predimlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+            else:
+                names = {getattr(node, "attr", None)}
+            assert not names & readers, f"{path.name}:{node.lineno}"
+
+
+def test_cli_axioms_above_the_table_cutoff_names_the_cap(tmp_path, capsys):
+    f = tmp_path / "p17.pdl"
+    f.write_text(dump_structure(path_graph(16)))
+    assert main(["axioms", str(f), "--cap", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "d-closed enumeration cap exceeded" in err and "cap 16" in err

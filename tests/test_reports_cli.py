@@ -123,29 +123,49 @@ VALID_HEADER = "predimlab/1\nsignature n=2 mode=hypergraph\n"
 
 
 @pytest.mark.parametrize(
-    "text,env",
+    "text",
     [
-        (VALID_HEADER + "relation\nvertices 0\n", None),
-        (VALID_HEADER + "relation R weight=1\nvertices 0\n", None),
-        ("predimlab/1\nsignature n=x\nrelation R arity=2 weight=1\nvertices 0\n", None),
-        (VALID_HEADER + "relation R arity=2 weight=1\nvertices 0\npart 0\n", None),
-        (VALID_HEADER + "relation R arity=2 weight=1\nvertices 0\n", "abc"),
-        (VALID_HEADER + "relation R arity=2 weight=1\nvertices 0\n", "-1"),
-        (VALID_HEADER + "relation R arity=2 weight=1\nvertices 0\n", "21"),
+        VALID_HEADER + "relation\nvertices 0\n",
+        VALID_HEADER + "relation R weight=1\nvertices 0\n",
+        "predimlab/1\nsignature n=x\nrelation R arity=2 weight=1\nvertices 0\n",
+        VALID_HEADER + "relation R arity=2 weight=1\nvertices 0\npart 0\n",
     ],
-    ids=["relation-no-name", "relation-no-arity", "signature-n", "part-one-field",
-         "table-cutoff-abc", "table-cutoff-negative", "table-cutoff-above-max"],
+    ids=["relation-no-name", "relation-no-arity", "signature-n", "part-one-field"],
 )
-def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, capsys, text, env):
+def test_cli_malformed_input_exits_2(tmp_path, capsys, text):
     f = tmp_path / "bad.pdl"
     f.write_text(text)
-    if env is not None:
-        monkeypatch.setenv("PREDIMLAB_TABLE_CUTOFF", env)
-    else:
-        with pytest.raises(InputError, match="line "):
-            load_structure(text)
+    with pytest.raises(InputError, match="line "):
+        load_structure(text)
     assert main(["closure", str(f), "--set", "0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+CAP_VARIABLES = ("PREDIMLAB_TABLE_CUTOFF", "PREDIMLAB_CANON_CAP", "PREDIMLAB_SS_CAP")
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "21", "10"])
+@pytest.mark.parametrize("var", CAP_VARIABLES)
+def test_cli_ignores_cap_environment_variables(tmp_path, monkeypatch, capsys, var, value):
+    # caps are module constants: malformed, negative and too-large values
+    # neither fail a command nor change its output
+    f = tmp_path / "p.pdl"
+    f.write_text(dump_structure(graph([(0, 1), (1, 2)])))
+    argv = ["closure", str(f), "--set", "0,2", "--kind", "cld"]
+    assert main(argv) == 0
+    want = capsys.readouterr()
+    monkeypatch.setenv(var, value)
+    assert main(argv) == 0
+    assert capsys.readouterr() == want
+
+
+def test_cli_verify_axioms_ignores_a_small_table_cutoff(monkeypatch, capsys):
+    # 10 is below the 12-vertex approximant's size; the d-closed enumeration
+    # needs the table engine there, so a cutoff read from the environment
+    # would turn this PASS into exit 2
+    monkeypatch.setenv("PREDIMLAB_TABLE_CUTOFF", "10")
+    assert main(["verify", "axioms"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_structure_workflow(tmp_path):
