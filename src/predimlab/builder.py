@@ -8,8 +8,9 @@ the embedded base.  Every step keeps the previous structure self-sufficient
 structure inside the class; breaking either aborts loudly.
 
 One chain reuses its work across steps.  The embedding search runs on each
-structure's bitmask index.  The chain check reads only the subsets of the
-new vertices.  The flow network of a structure is handed to the next one and
+structure's bitmask index.  The chain check, and the certificate that keeps
+a c0 or cf structure in its class, read only the subsets of the new
+vertices.  The flow network of a structure is handed to the next one and
 grows.  Verdicts on images are memoized for the whole chain.  Each task
 keeps a window of its first embedded bases, and a visit brings it up to
 date from the embeddings that meet the vertices added since the last one,
@@ -528,6 +529,13 @@ def build_generic(config: BuildConfig) -> BuildResult:
     :func:`_bring_up_to_date`): the done ones are skipped, the realized
     ones marked done, and the first unrealized one gets a fresh copy of the
     extension, which ends the visit.
+
+    Every step is checked against the class.  For c0 and cf a step
+    certifies itself from what it adds (see :func:`_step_certified`), so
+    while every step has, every structure of the chain is exactly in the
+    class.  From the first step that misses on, and at every kn step, the
+    whole structure gets the light check of :func:`_in_class` instead; a
+    FAIL raises ``InternalError``.
     """
     patterns = enumerate_class(
         config.signature, config.tag, config.max_pattern, config.control, config.ngon
@@ -540,6 +548,8 @@ def build_generic(config: BuildConfig) -> BuildResult:
     windows: dict[int, _Window] = {}
     memo: dict[frozenset[int], bool] = {}
     steps = 0
+    f = config.control if config.tag == CF else None
+    certified = config.tag != KN  # the empty structure is in every class
     while steps < config.budget:
         progressed = False
         for ti, task in enumerate(tasks):
@@ -551,15 +561,18 @@ def build_generic(config: BuildConfig) -> BuildResult:
                 phi = dict(zip(task.base_pattern.vertices, key))
                 if _realized(S, task, phi, memo):
                     continue
+                prev = S
                 S, copy_image = _amalgamate(S, task, phi)
                 memo[copy_image] = True  # fresh copy over a strong base
                 steps += 1
                 progressed = True
-                ok, note = _in_class(S, config.tag, config.control, config.ngon, light=True)
-                if not ok:
-                    raise InternalError(
-                        f"class violated after step {steps}: {note}"
-                    )
+                certified = certified and _step_certified(prev, S, f)
+                if not certified:
+                    ok, note = _in_class(S, config.tag, config.control, config.ngon, light=True)
+                    if not ok:
+                        raise InternalError(
+                            f"class violated after step {steps}: {note}"
+                        )
                 log.steps.append(
                     {
                         "step": steps,
@@ -612,17 +625,76 @@ def _check_chain(n_prev: int, out: FiniteStructure, strict: bool) -> None:
 
     prev <= out iff delta(V/prev) >= 0 for every V inside out - prev, and
     prev is d-closed in out iff delta(V/prev) > 0 for every non-empty such V.
-    So only the subsets of the new vertices are enumerated, against the
-    weighted instances of out that meet them: those its index tops at the
-    new positions.  The check stays exact.
+    So only the subsets of the new vertices are enumerated (see
+    :func:`_relative_deltas`).  The check stays exact.
+    """
+    for _, d in _relative_deltas(n_prev, out, (1 << n_prev) - 1):
+        if d < 0 or (strict and d == 0):
+            raise InternalError("chain property broken by amalgamation step")
+
+
+def _relative_deltas(n_prev: int, out: FiniteStructure, cmask: int) -> Iterator[tuple[int, int]]:
+    """(|V|, delta(V/C)) for every non-empty V among out's positions from
+    ``n_prev`` on, where C is the old positions in ``cmask``.
+
+    Read against the weighted instances of out that meet the new positions,
+    those its index tops there, and of them the ones whose old part lies
+    inside C.  That is exact for a chain step, whose new instances all meet
+    a new vertex.
     """
     nw = out.signature.vertex_weight
     bx = out.bit_index()
-    new = [(m >> n_prev, w) for m, w in bx.weighted[bx.starts[n_prev]:]]
+    outside = ((1 << n_prev) - 1) & ~cmask
+    new = [(m >> n_prev, w) for m, w in bx.weighted[bx.starts[n_prev]:] if not m & outside]
     for vmask in range(1, 1 << (len(out.vertices) - n_prev)):
-        d = nw * vmask.bit_count() - sum(w for m, w in new if m & ~vmask == 0)
-        if d < 0 or (strict and d == 0):
-            raise InternalError("chain property broken by amalgamation step")
+        v = vmask.bit_count()
+        yield v, nw * v - sum(w for m, w in new if m & ~vmask == 0)
+
+
+def _step_certified(
+    prev: FiniteStructure, out: FiniteStructure, f: Optional[ControlFunction]
+) -> bool:
+    """Is the chain step ``out`` of ``prev`` in the class whenever prev is?
+
+    ``f`` is the control function, None for C0.  As :func:`_amalgamate`
+    makes it, out keeps prev's vertices at their positions and adds
+    vertices and instances.  The step's new instances all meet the new
+    positions N, and their old vertices make up T.  So for
+    A inside prev and V inside N, delta(A | V) = delta(A) + delta(V/A & T).
+    When f is concave on the integers with f(0) = 0, it follows that out is
+    in the class if prev is and delta(V/C) >= f(|C| + |V|) - f(|C|) for
+    every C inside T and every non-empty V: with C = A & T,
+    f(|A| + |V|) - f(|A|) <= f(|C| + |V|) - f(|C|).  For C0, f = 0 and
+    weights are nonnegative, so C = T is the worst case, which
+    :func:`_check_chain` has passed already.
+
+    The index confirms that out adds no instance inside prev: it tops as
+    many weighted instances at old positions as prev has.  Concavity is
+    checked only from prev's size on; the caller certified the steps up to
+    prev.  False when any of this misses, although out may still be in the
+    class: the caller then checks it directly.
+    """
+    n_prev = len(prev.vertices)
+    bx = out.bit_index()
+    if bx.starts[n_prev] != len(prev.bit_index().weighted):
+        return False  # an instance inside the old part
+    if f is None:
+        return True
+    n = len(out.vertices)
+    if any(f(k + 1) - f(k) > f(k) - f(k - 1) for k in range(max(n_prev, 1), n)):
+        return False
+    touched = 0
+    for m, _ in bx.weighted[bx.starts[n_prev]:]:
+        touched |= m
+    touched &= (1 << n_prev) - 1
+    cmask = touched
+    while True:
+        c = cmask.bit_count()
+        if any(d < f(c + v) - f(c) for v, d in _relative_deltas(n_prev, out, cmask)):
+            return False
+        if not cmask:
+            return True
+        cmask = (cmask - 1) & touched
 
 
 def _config_key(config: BuildConfig) -> str:

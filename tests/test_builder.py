@@ -1,12 +1,13 @@
 import functools
 import itertools
+from fractions import Fraction
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from predimlab import (
@@ -25,6 +26,7 @@ from predimlab import (
     in_Cf,
     in_Kn,
     is_d_closed,
+    make_control,
     polygon_signature,
     self_sufficient,
 )
@@ -42,13 +44,16 @@ from predimlab.builder import (
     enumerate_tasks,
 )
 from predimlab.errors import InternalError
-from predimlab.structures import LINE, POINT, _embeddings
+from predimlab.reports import FAIL, PASS
+from predimlab.structures import LINE, POINT, _bits, _embeddings
 
 from conftest import (
     CHAIN_SIGNATURES,
     brute_build_generic,
+    brute_delta,
     brute_embeddings,
     brute_enumerate_tasks,
+    brute_in_Cf,
     brute_isomorph_free_types,
     brute_realized,
     brute_self_sufficient,
@@ -173,6 +178,15 @@ def test_seed0_budget800_build_log_is_pinned():
     res = build_generic(BuildConfig(SIG, C0, max_pattern=4, budget=800, seed=0))
     assert res.log.digest() == (
         "ac2c38e477be4ce4830d3eeca5ea25c65b4bd2ddface4122d9f68264b108703e"
+    )
+
+
+def test_seed0_kn_build_log_is_pinned():
+    # kn steps run the light class check every time; this pins that path
+    res = build_generic(BuildConfig(polygon_signature(3), KN, max_pattern=4, budget=40,
+                                    seed=0, ngon=3))
+    assert res.log.digest() == (
+        "5acc2710d3c1e797ce74f8b708fd3a766c7e560d9e3ad8638a0c2498de36aedb"
     )
 
 
@@ -434,6 +448,174 @@ def test_amalgam_with_an_injected_instance_breaks_the_chain(monkeypatch, tag, ed
     monkeypatch.setattr(FiniteStructure, "with_added", with_extra_edge)
     with pytest.raises(InternalError, match="chain property broken"):
         _amalgamate(S, task, phi)
+
+
+@st.composite
+def class_steps(draw, signatures, keep):
+    """(prev, out): prev in the class that ``keep`` decides, grown greedily
+    by drawn instances, and a step adding 1-3 vertices with drawn instances
+    that meet them, plus at most one among the old vertices."""
+    sig = draw(st.sampled_from(signatures))
+    n = draw(st.integers(min_value=0, max_value=5))
+    prev = FiniteStructure(sig, range(n), {})
+    if not keep(prev):
+        n, prev = 0, FiniteStructure(sig, [], {})
+    old = [(rel.name, t) for rel in sig.relations
+           for t in itertools.combinations(range(n), rel.arity)]
+    for name, t in draw(st.lists(st.sampled_from(old), unique=True, max_size=6) if old
+                        else st.just([])):
+        grown = prev.with_added([], {name: [t]})
+        if keep(grown):
+            prev = grown
+    k = draw(st.integers(min_value=1, max_value=3))
+    added = []
+    # drawn apart, so the new part is often dense on its own
+    for inner in (True, False):
+        meet = [(rel.name, t) for rel in sig.relations
+                for t in itertools.combinations(range(n + k), rel.arity)
+                if t[-1] >= n and (t[0] >= n) == inner]
+        if meet:
+            added += draw(st.lists(st.sampled_from(meet), unique=True, max_size=4))
+    fresh = [pair for pair in old if pair[1] not in prev.instances[pair[0]]]
+    if fresh and draw(st.integers(min_value=0, max_value=4)) == 0:
+        added.append(draw(st.sampled_from(fresh)))
+    inst = {}
+    for name, t in added:
+        inst.setdefault(name, []).append(t)
+    return prev, prev.with_added(range(n, n + k), inst)
+
+
+CF_STEP_SIGNATURES = (graph_signature(2, 1), hypergraph_signature(1, 1, 3))
+
+
+@given(st.data(), st.sampled_from(["harmonic", "half-harmonic"]),
+       st.sampled_from(["vw", 1, 2]))
+@settings(max_examples=300, deadline=None)
+def test_a_certified_cf_step_stays_in_the_class(data, family, anchor):
+    sig = data.draw(st.sampled_from(CF_STEP_SIGNATURES))
+    f = make_control(family, sig.vertex_weight if anchor == "vw" else anchor)
+    prev, out = data.draw(class_steps((sig,), lambda S: brute_in_Cf(S, f).holds))
+    certified = builder._step_certified(prev, out, f)
+    event(f"certified: {certified}")
+    if certified:
+        assert brute_in_Cf(out, f).verdict == PASS
+
+
+@given(class_steps(CHAIN_SIGNATURES, lambda S: in_C0(S).holds))
+@settings(max_examples=300, deadline=None)
+def test_a_certified_c0_step_stays_in_the_class(step):
+    prev, out = step
+    try:
+        _check_chain(len(prev.vertices), out, strict=False)
+    except InternalError:
+        event("chain broken")
+        return
+    certified = builder._step_certified(prev, out, None)
+    event(f"certified: {certified}")
+    if certified:
+        assert in_C0(out).holds
+        assert all(brute_delta(out, X) >= 0 for k in range(len(out.vertices) + 1)
+                   for X in itertools.combinations(out.vertices, k))
+
+
+def test_a_step_is_certified_against_every_part_of_what_it_touches():
+    f = ControlFunction.harmonic(2)
+    # a triangle on new vertices 1, 2, 3 hanging from the old vertex 0 at 1
+    prev = graph([], vertices=[0])
+    out = prev.with_added([1, 2, 3], {"R": [(0, 1), (1, 2), (1, 3), (2, 3)]})
+    # over all of T = {0} the step clears its bound: delta(V/T) = 2 >= f(4) - f(1)
+    assert min(d for v, d in builder._relative_deltas(1, out, 1) if v == 3) == 2
+    assert 2 >= f(4) - f(1)
+    # over C = {} it does not, and the triangle breaks the class
+    assert not builder._step_certified(prev, out, f)
+    assert in_Cf(out, f).verdict == FAIL
+
+
+def test_a_step_certifies_only_up_to_where_f_is_concave():
+    harmonic = ControlFunction.harmonic(2)
+    bumpy = ControlFunction(2, "bumpy", lambda k: Fraction(2) if k == 3 else Fraction(1, k - 1))
+    prev = graph([(0, 1)])
+    out = prev.with_added([2], {"R": [(1, 2)]})
+    assert builder._step_certified(prev, out, harmonic)
+    assert not builder._step_certified(prev, out, bumpy)  # f(3) - f(2) > f(2) - f(1)
+    # below the bump the two agree
+    assert builder._step_certified(graph([]), prev, bumpy)
+
+
+def _light_checks(monkeypatch):
+    """Count the light class checks, the per-step ones, of the builds to come."""
+    calls = []
+    real = builder._in_class
+
+    def counting(S, tag, control, ngon, light=False):
+        if light:
+            calls.append(len(S.vertices))
+        return real(S, tag, control, ngon, light)
+
+    monkeypatch.setattr(builder, "_in_class", counting)
+    return calls
+
+
+CF_BUILD = BuildConfig(SIG, CF, max_pattern=3, budget=12, seed=0,
+                       control=ControlFunction.harmonic(2))
+
+
+def test_a_step_that_breaks_the_class_is_caught_by_the_fallback(monkeypatch):
+    real = builder._amalgamate
+    made = []
+
+    def with_a_triangle(S, task, phi):
+        out, image = real(S, task, phi)
+        made.append(out)
+        if len(made) == 6:
+            # close a triangle x-y-z through a new vertex y: delta 3 < f(3)
+            co, n_prev = out.bit_index().co, len(S.vertices)
+            y, x, z = next((y, x, z) for y in range(n_prev, len(out.vertices))
+                           for x in _bits(co[y]) for z in _bits(co[x] & ~co[y])
+                           if z != y)
+            out = out.with_added([], {"R": [tuple(sorted(out.vertices[i] for i in (y, z)))]})
+            made[-1] = out
+        return out, image
+
+    monkeypatch.setattr(builder, "_amalgamate", with_a_triangle)
+    light = _light_checks(monkeypatch)
+    with pytest.raises(InternalError, match="class violated after step 6"):
+        build_generic(CF_BUILD)
+    # the five clean steps certify themselves; the sixth misses and falls back
+    assert len(made) == 6 and light == [len(made[-1].vertices)]
+    assert not builder._step_certified(made[-2], made[-1], CF_BUILD.control)
+    # the check every step ran before catches it too
+    assert not builder._in_class(made[-1], CF, CF_BUILD.control, None, light=True)[0]
+
+
+@pytest.mark.parametrize("config,miss_at", [
+    (CF_BUILD, 4),
+    (BuildConfig(SIG, C0, max_pattern=3, budget=12, seed=0), 7),
+])
+def test_every_step_after_a_miss_runs_the_light_check(monkeypatch, config, miss_at):
+    want = build_generic(config).log
+    real = builder._step_certified
+    asked = []
+
+    def missing_once(prev, out, f):
+        asked.append(len(out.vertices))
+        return len(asked) != miss_at and real(prev, out, f)
+
+    monkeypatch.setattr(builder, "_step_certified", missing_once)
+    light = _light_checks(monkeypatch)
+    got = build_generic(config).log
+    assert got.digest() == want.digest()
+    sizes = [step["size"] for step in got.steps]
+    # certified flag stays down: no later step asks the certificate again
+    assert asked == sizes[:miss_at]
+    assert light == sizes[miss_at - 1:]
+
+
+def test_every_kn_step_runs_the_light_check(monkeypatch):
+    light = _light_checks(monkeypatch)
+    res = build_generic(BuildConfig(polygon_signature(3), KN, max_pattern=3, budget=8,
+                                    seed=0, ngon=3))
+    assert light == [step["size"] for step in res.log.steps]
 
 
 REALIZED_SETUPS = (
