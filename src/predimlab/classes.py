@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -148,49 +148,6 @@ def in_C0(S: FiniteStructure) -> MembershipResult:
 # -- Cf -------------------------------------------------------------------------
 
 
-def _connected_subsets(
-    S: FiniteStructure, max_size: int, budget: int
-) -> Iterator[tuple[int, int, int]]:
-    """Connected subsets (by shared instances) as (mask, size, delta), budget-limited.
-
-    A depth-first search from each root over the vertices above it.  A set
-    reachable along several frontier orders is produced once per order, and
-    the budget counts every production, so the push order fixes which sets
-    fall inside the budget.
-    """
-    n = len(S.vertices)
-    adj = S.bit_index().co
-    weighted: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for imask, w in S.bit_index().weighted:
-        for i in _bits(imask):
-            weighted[i].append((imask, w))
-    vw = S.signature.vertex_weight
-    produced = 0
-    for root in range(n):
-        above = -1 << (root + 1)
-        # a singleton holds no instance: every arity is at least 2
-        stack = [(1 << root, adj[root] & above, 1, vw)]
-        while stack:
-            mask, frontier, size, d = stack.pop()
-            yield mask, size, d
-            produced += 1
-            if produced >= budget:
-                return
-            if size >= max_size:
-                continue
-            rest = frontier
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                w = low.bit_length() - 1
-                grown = mask | low
-                dw = d + vw
-                for imask, weight in weighted[w]:
-                    if imask & grown == imask:
-                        dw -= weight
-                stack.append((grown, (rest | (adj[w] & above)) & ~mask, size + 1, dw))
-
-
 def in_Cf(
     S: FiniteStructure,
     f: ControlFunction,
@@ -228,11 +185,45 @@ def in_Cf(
     if not c0.holds:
         return MembershipResult(FAIL, witness=c0.witness, margin=c0.margin)
     violations: list[tuple[int, int]] = []
+    # Connected subsets (by shared instances), by a depth-first search from
+    # each root over the vertices above it, each with its size and delta.  A
+    # set reachable along several frontier orders is produced once per
+    # order, and the budget counts every production, so the push order
+    # fixes which sets fall inside the budget.
+    adj = S.bit_index().co
+    weighted: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for imask, w in S.bit_index().weighted:
+        for i in _bits(imask):
+            weighted[i].append((imask, w))
+    vw = S.signature.vertex_weight
     checked = 0
-    for mask, k, d in _connected_subsets(S, conn_size, conn_budget):
-        checked += 1
-        if d < thr[k]:
-            violations.append((k, mask))
+    for root in range(n):
+        above = -1 << (root + 1)
+        # a singleton holds no instance: every arity is at least 2
+        stack = [(1 << root, adj[root] & above, 1, vw)]
+        while stack:
+            mask, frontier, size, d = stack.pop()
+            checked += 1
+            if d < thr[size]:
+                violations.append((size, mask))
+            if checked >= conn_budget:
+                break
+            if size >= conn_size:
+                continue
+            rest = frontier
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                w = low.bit_length() - 1
+                grown = mask | low
+                dw = d + vw
+                for imask, weight in weighted[w]:
+                    if imask & grown == imask:
+                        dw -= weight
+                stack.append((grown, (rest | (adj[w] & above)) & ~mask, size + 1, dw))
+        else:
+            continue
+        break
     rng = random.Random(seed)
     for _ in range(samples):
         k = rng.randint(1, n)

@@ -175,9 +175,15 @@ class StructureFlowSolver:
     its slots, in a ``finally``, so the base survives a query that raises.
     A query touches only the residual region it reaches:
 
-    * the base records the source edges it left unsaturated; a query's
-      source adjacency is those plus the slots of X, since augmenting paths
-      never re-enter the source and a source edge never regains capacity;
+    * the base keeps its residual source side, the nodes its failed searches
+      reached, as a dead set.  No residual edge leaves it and none of its
+      vertices has spare sink capacity, so no augmenting path enters it, and
+      a push along a path that avoids it changes no edge leaving it.  Every
+      search starts with those nodes marked visited, a query's from the
+      slots of X alone, and finds the same paths, in the same order, as one
+      that walked through them; the least minimizer adds the dead vertices
+      back.  A grow keeps the set too, since the edges it adds only enter
+      it, and searches only from the new source edges;
     * a search stores only the nodes it visits;
     * ``solve_value`` takes a known upper bound on dim(X) (delta(X) is one)
       and stops augmenting once the flow reaches it, the value being exact
@@ -199,7 +205,10 @@ class StructureFlowSolver:
         self.slot_eid: list[int] = []
         self.total_w = 0
         self._base_flow = 0
-        self._live_src: tuple[int, ...] = ()
+        # the base's residual source side, each node mapped to -1 as a
+        # search's ``pred`` maps the source, and the mask of its vertices
+        self._dead: dict[int, int] = {0: -1}
+        self._dead_mask = 0
         self._extend(S, S.bit_index().weighted)
 
     def grow(self, prev: FiniteStructure, out: FiniteStructure) -> bool:
@@ -224,7 +233,8 @@ class StructureFlowSolver:
     def _extend(self, out: FiniteStructure, pairs) -> None:
         """Append out's new vertices and the project nodes of ``pairs``, push
         each new project edge greedily to the sink through its members, then
-        resume the base flow from the old live source edges and the new ones."""
+        resume the base flow from the new source edges the greedy pass left
+        live; the old live ones lead only into the dead set."""
         to, caps, head, node_pos = self.to, self.base_caps, self.head, self.node_pos
         slot_eid = self.slot_eid
 
@@ -248,7 +258,7 @@ class StructureFlowSolver:
         nw = out.signature.vertex_weight
         for u in added:
             add(u, 1, nw)
-        src = list(self._live_src)
+        src = []
         flow = 0
         for imask, w in pairs:
             pnode = node(-1)
@@ -270,13 +280,12 @@ class StructureFlowSolver:
         # node, not from all of them.  A node that cannot reach the sink never
         # can again, so one pass over the edges leaves no path, and later
         # searches skip the nodes a failed search visited.
-        dead: dict[int, int] = {}
         for eid in src:
-            extra, reach = self._max_flow([eid], [], dead=dead)
+            extra, reach = self._max_flow([eid], [])
             flow += extra
-            dead.update(dict.fromkeys(reach, -1))
+            self._dead.update(dict.fromkeys(reach, -1))
         self._base_flow += flow
-        self._live_src = tuple(eid for eid in src if caps[eid] > 0)
+        self._dead_mask = self._vertex_mask(self._dead)
         self._sink_tree = None  # built by the first query for a greatest minimizer
 
     def _augment(self, xmask: int, pushes: list, limit: int | None = None):
@@ -287,8 +296,8 @@ class StructureFlowSolver:
         afterwards, also when this raises.
         """
         caps, slot_eid = self.base_caps, self.slot_eid
-        # X's slots first: a vertex of X with spare sink capacity then ends
-        # the first search at its own slot
+        # the base's live source edges lead into the dead set, so X's slots
+        # are the whole source adjacency
         src = []
         while xmask:
             low = xmask & -xmask
@@ -296,7 +305,6 @@ class StructureFlowSolver:
             caps[eid] = _INF_CAP
             src.append(eid)
             xmask ^= low
-        src += self._live_src
         extra, reach = self._max_flow(src, pushes, limit)
         return self._base_flow + extra - self.total_w, reach
 
@@ -335,7 +343,7 @@ class StructureFlowSolver:
             dim_val, reach = self._augment(xmask, pushes)
             minimal = maximal = None
             if need & _LEAST:
-                minimal = self._vertex_mask(reach) | xmask
+                minimal = self._vertex_mask(reach) | self._dead_mask | xmask
             if need & _GREATEST:
                 maximal = self._cut_off(pushes) | xmask
         finally:
@@ -350,22 +358,21 @@ class StructureFlowSolver:
                 mask |= 1 << node_pos[u]
         return mask
 
-    def _max_flow(
-        self, src: list[int], pushes: list, limit: int | None = None, dead: dict | None = None
-    ):
+    def _max_flow(self, src: list[int], pushes: list, limit: int | None = None):
         """Augment the base residual along shortest paths until none is left.
 
-        ``src`` is the source's adjacency; no search enters the nodes in
-        ``dead``, which are known not to reach the sink.  Returns the flow
-        added and the other nodes of the residual source side, or None for
-        them when the flow reached ``limit`` first.  Every push is appended
-        to ``pushes`` as (path edges, amount), the sink edge first.
+        ``src`` is the source's adjacency; no search enters the dead set,
+        which is known not to reach the sink.  Returns the flow added and
+        the nodes of the residual source side outside the dead set, with the
+        source, or None for them when the flow reached ``limit`` first.
+        Every push is appended to ``pushes`` as (path edges, amount), the
+        sink edge first.
         """
         to, head, caps, node_pos = self.to, self.head, self.base_caps, self.node_pos
         flow = 0
         while limit is None or flow < limit:
             # the edge each visited node was reached by
-            pred = {0: -1} if dead is None else {**dead, 0: -1}
+            pred = self._dead.copy()
             queue = [0]
             for u in queue:
                 for eid in src if u == 0 else head[u]:

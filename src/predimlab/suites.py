@@ -529,46 +529,148 @@ def msa_bound_suite(
 # -- submodularity and closure oracles -------------------------------------------------
 
 
-def _interval_min_table(dtab: np.ndarray, n: int) -> np.ndarray:
-    """M[a, b] = min delta over sets between a and b (junk where a is not in b).
+# bytes of one bool (subset, subset, graph) array in a chunk of the
+# per-graph passes: 64 graphs at 7 vertices
+_CHUNK_BYTES = 1 << 20
 
-    Bit i at a time: where a lacks the bit and b has it, the set may drop
-    the bit, so M[a, b] takes min(M[a, b], M[a, b - bit]).  Viewed as
-    ``(high, bit, low)`` on both axes that is one in-place minimum.
+
+def _or_over_subsets(arr: np.ndarray, up: bool) -> None:
+    """In place over the leading axis, indexed by mask: ``arr[b]`` becomes
+    the OR of ``arr[y]`` over the y inside b (``up``) or containing b.
+
+    One pass per bit; the leading axis comes first, so each pass runs on
+    contiguous blocks of the other axes.
     """
-    size = 1 << n
-    M = np.broadcast_to(dtab[None, :], (size, size)).copy()
-    for i in range(n):
-        high, low = size >> (i + 1), 1 << i
-        v = M.reshape(high, 2, low, high, 2, low)
-        np.minimum(v[:, 0, :, :, 1, :], v[:, 0, :, :, 0, :], out=v[:, 0, :, :, 1, :])
-    return M
+    step = 1
+    while step < len(arr):
+        view = arr.reshape(-1, 2, step, *arr.shape[1:])
+        if up:
+            view[:, 1] |= view[:, 0]
+        else:
+            view[:, 0] |= view[:, 1]
+        step *= 2
+
+
+def _strong_subsets(dts: np.ndarray, n: int) -> np.ndarray:
+    """SS[b, a, g]: a <= b in graph g, whose delta table is ``dts[:, g]``;
+    a is inside b and no set between them has smaller delta.
+
+    ``low[y, a, g]`` marks the y containing a with delta below delta(a); a
+    is strong in b exactly when no y inside b is marked.
+    """
+    masks = np.arange(1 << n)
+    inside = ((masks[:, None] & masks) == masks)[:, :, None]  # [b, a, 1]
+    low = inside & (dts[:, None, :] < dts)
+    _or_over_subsets(low, up=True)
+    return inside & ~low
+
+
+def _restriction_rows(SS: np.ndarray) -> np.ndarray:
+    """[a, g]: some b with ``SS[b, a, g]`` holds an x with not ``SS[x, a & x, g]``.
+
+    ``SS[x, a & x, g]`` does not depend on b, so a fails exactly when some x
+    in the down-closure of {b : SS[b, a, g]} fails it; that down-closure is
+    one OR pass over the subsets.
+    """
+    masks = np.arange(len(SS))
+    restricts = SS[masks[:, None], masks[:, None] & masks]  # [x, a, g]
+    below = SS.copy()
+    _or_over_subsets(below, up=False)
+    return (below & ~restricts).any(axis=0)
 
 
 def _restriction_witness(SS: np.ndarray) -> tuple[int, int, int] | None:
     """First (a, b, x), in that order, with ``SS[a, b]``, x inside b and not
-    ``SS[a & x, x]``; ``SS[a, b]`` says a <= b, over all masks below len(SS).
-
-    ``SS[a & x, x]`` does not depend on b, so a fails exactly when some x in
-    the down-closure of {b : SS[a, b]} fails it; that down-closure takes one
-    OR pass over the subset lattice per bit.
-    """
-    size = len(SS)
-    masks = np.arange(size)
-    restricts = SS[masks[:, None] & masks, masks]  # [a, x]
-    below = SS.copy()
-    step = 1
-    while step < size:
-        view = below.reshape(size, -1, 2, step)
-        view[:, :, 0, :] |= view[:, :, 1, :]
-        step *= 2
-    rows = np.flatnonzero((below & ~restricts).any(axis=1))
+    ``SS[a & x, x]``; ``SS[a, b]`` says a <= b, over all masks below len(SS)."""
+    rows = np.flatnonzero(_restriction_rows(SS.T[:, :, None])[:, 0])
     if not len(rows):
         return None
     a = int(rows[0])
+    masks = np.arange(len(SS))
     inside = (masks[:, None] & masks) == masks  # [b, x]: x inside b
-    b, x = np.argwhere(SS[a][:, None] & inside & ~restricts[a])[0]
+    b, x = np.argwhere(SS[a][:, None] & inside & ~SS[a & masks, masks])[0]
     return a, int(b), int(x)
+
+
+def _subset_chains(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every chain of masks below 2**n with a inside b inside c, as three
+    index arrays sorted by (a, c).  Chain t puts bit i outside c, in c only,
+    in b only or in a, as base-4 digit i of t is 0, 1, 2 or 3: 4**n chains
+    in all."""
+    t = np.arange(4 ** n, dtype=np.int64)
+    a, b, c = (np.zeros_like(t) for _ in range(3))
+    for i in range(n):
+        digit = t >> 2 * i & 3
+        a |= (digit == 3) << i
+        b |= (digit >= 2) << i
+        c |= (digit >= 1) << i
+    order = np.lexsort((c, a))
+    return a[order], b[order], c[order]
+
+
+def _crossing_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j of masks below 2**n with neither inside the other:
+    for the rest, submodularity is an equation."""
+    i, j = np.nonzero(np.triu(np.ones((1 << n, 1 << n), dtype=bool), 1))
+    keep = (i & ~j != 0) & (j & ~i != 0)
+    return i[keep], j[keep]
+
+
+def _exhaustive_checks(dts: np.ndarray, n: int, pairs: tuple, chains: tuple):
+    """Submodularity, restriction and transitivity over the delta tables of
+    n-vertex graphs, one per column of ``dts``, shape (2**n, graphs), given
+    n's :func:`_crossing_pairs` and :func:`_subset_chains`.
+
+    Returns the per-graph failure flags of the three checks, shape
+    (3, graphs), and the strong-subset relation of :func:`_strong_subsets`.
+    Submodularity reads the crossing pairs only, being symmetric and an
+    equation on the others.  ``SS[a, b]`` implies a inside b, so a product
+    ``SS[a, b] & SS[b, c]`` can only be true along a chain a inside b inside
+    c: transitivity reads those 4**n triples, not a (2**n)**3 matrix product.
+    Every array keeps the graphs on its last axis, so each gather and each
+    pass over the subsets moves whole rows of graphs.
+    """
+    i, j = pairs
+    sub = dts[i | j] + dts[i & j] > dts[i] + dts[j]
+    SS = _strong_subsets(dts, n)
+    a, b, c = chains
+    trans = SS[b, a] & SS[c, b] & ~SS[c, a]
+    fails = np.stack([sub.any(axis=0), _restriction_rows(SS).any(axis=0), trans.any(axis=0)])
+    return fails, SS
+
+
+def _first_exhaustive_failure(graphs: list) -> tuple:
+    """(sub_bad, res_bad, tr_bad) of the first graph that fails a check, in
+    the order of ``graphs`` and then of the three checks, and None for the
+    others; all three None when every graph passes.
+
+    Runs of graphs with one vertex count are checked in chunks of at most
+    :data:`_CHUNK_BYTES` per relation array.  A failing graph's witness is
+    the first failing pair, triple or chain in mask order.
+    """
+    for n, run in itertools.groupby(graphs, key=lambda G: len(G.vertices)):
+        run = list(run)
+        per = max(1, _CHUNK_BYTES >> 2 * n)
+        pairs, chains = _crossing_pairs(n), _subset_chains(n)
+        for start in range(0, len(run), per):
+            chunk = run[start:start + per]
+            dts = np.stack([delta_table(G) for G in chunk], axis=1)
+            fails, SS = _exhaustive_checks(dts, n, pairs, chains)
+            bad = np.flatnonzero(fails.any(axis=0))
+            if not len(bad):
+                continue
+            g = bad[0]
+            G, dt, ss = chunk[g], dts[:, g], SS[:, :, g].T
+            if fails[0, g]:
+                m = np.arange(1 << n)
+                i, j = np.argwhere(dt[m[:, None] | m] > dt[:, None] + dt - dt[m[:, None] & m])[0]
+                return (G, int(i), int(j)), None, None
+            if fails[1, g]:
+                return None, (G, *_restriction_witness(ss)), None
+            a, b, c = chains
+            t = np.argmax(ss[a, b] & ss[b, c] & ~ss[a, c])
+            return None, None, (G, int(a[t]), int(c[t]))
+    return None, None, None
 
 
 def submodularity_suite(
@@ -587,35 +689,7 @@ def submodularity_suite(
         raise InputError(f"oracle_max_n must be between 2 and {TABLE_MAX_BITS}, "
                          f"got {oracle_max_n}")
     graphs = _isomorph_free_types(graph_signature(2, 1), max_n, lambda G: True)
-    size = 1 << max_n
-    masks = np.arange(size, dtype=np.int64)
-    OR = masks[:, None] | masks[None, :]
-    AND = masks[:, None] & masks[None, :]
-    sub_bad = res_bad = tr_bad = None
-    for G in graphs:
-        n = len(G.vertices)
-        dt = np.asarray(delta_table(G), dtype=np.int64)
-        sz = 1 << n
-        o = OR[:sz, :sz]
-        a = AND[:sz, :sz]
-        lhs = dt[o]
-        rhs = dt[:sz, None] + dt[None, :sz] - dt[a]
-        if (lhs > rhs).any():
-            i, j = np.argwhere(lhs > rhs)[0]
-            sub_bad = (G, int(masks[i]), int(masks[j]))
-            break
-        M = _interval_min_table(dt, n)
-        contained = (a[: sz, : sz] == masks[:sz, None])  # a subset of b
-        SS = contained & (M[:sz, :sz] == dt[:sz, None])
-        res = _restriction_witness(SS)
-        if res:
-            res_bad = (G, *res)
-            break
-        T = (SS.astype(np.int16) @ SS.astype(np.int16)) > 0
-        if (T & ~SS).any():
-            i, j = np.argwhere(T & ~SS)[0]
-            tr_bad = (G, int(i), int(j))
-            break
+    sub_bad, res_bad, tr_bad = _first_exhaustive_failure(graphs)
     rep.check(
         "submodularity-exhaustive",
         None if sub_bad is None else f"A={sub_bad[1]:b} B={sub_bad[2]:b} in {sub_bad[0]}",
@@ -688,14 +762,23 @@ def _lemma43_equivalence_exhaustive(S: FiniteStructure, size_cap: int = 4) -> tu
 
     Triples run A, then C, then B over the d-closed sets in ascending order,
     with B inside A and C; each A checks all its (C, B) pairs in one pass.
+    Containment is tabulated once, so each A gathers its pairs from the sets
+    B inside it and the sets C above each such B, and then sorts them back
+    to (C, B) order.
     """
     dt, cl = dim_cld_tables(S)
     dtab = delta_table(S)
     sets = np.array(d_closed_subset_masks(S, size_cap=size_cap), dtype=np.int64)
+    inside = (sets[:, None] & ~sets) == 0  # [i, j]: set i inside set j
+    above = [np.flatnonzero(row) for row in inside]
     checked = 0
-    for amask in sets.tolist():
-        ci, bi = np.nonzero(sets[None, :] & ~(amask & sets[:, None]) == 0)
-        c, b = sets[ci], sets[bi]
+    for amask, below in zip(sets.tolist(), inside.T):
+        bs = np.flatnonzero(below)
+        ci = np.concatenate([above[j] for j in bs])
+        bi = np.repeat(bs, [len(above[j]) for j in bs])
+        # bi ascends already, so a stable sort by C gives the (C, B) order
+        order = np.argsort(ci, kind="stable")
+        c, b = sets[ci[order]], sets[bi[order]]
         indep = dt[amask | b | c] + dt[b] == dt[amask | b] + dt[b | c]
         u = cl[amask | b]
         v = cl[b | c]
@@ -707,7 +790,7 @@ def _lemma43_equivalence_exhaustive(S: FiniteStructure, size_cap: int = 4) -> tu
             # a failed split gives a plain False, as the short-circuit did
             cond_i = cond[i] if split[i] else False
             return checked + int(i) + 1, (amask, int(b[i]), int(c[i]), indep[i], cond_i)
-        checked += len(ci)
+        checked += len(b)
     return checked, None
 
 

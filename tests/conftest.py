@@ -644,6 +644,71 @@ def brute_restriction(SS):
     return None
 
 
+def brute_submodularity(dt):
+    """Oracle for the submodularity pass of the submodularity suite: the
+    first pair (i, j), row-major, with delta(i|j) + delta(i&j) > delta(i) + delta(j)."""
+    t = dt.tolist()
+    for i in range(len(t)):
+        for j in range(len(t)):
+            if t[i | j] + t[i & j] > t[i] + t[j]:
+                return i, j
+    return None
+
+
+def brute_strong_pairs(dt):
+    """Oracle SS[a, b]: a inside b, and no set between them has delta below
+    delta(a); every y between is a with a submask of b - a."""
+    t = dt.tolist()
+    SS = np.zeros((len(t), len(t)), dtype=bool)
+    for b in range(len(t)):
+        for a in range(b + 1):
+            if a & b != a:
+                continue
+            rest, y, ok = b & ~a, b & ~a, True
+            while ok:
+                ok = t[a | y] >= t[a]
+                if not y:
+                    break
+                y = (y - 1) & rest
+            SS[a, b] = ok
+    return SS
+
+
+def brute_transitivity(SS):
+    """Oracle for the transitivity pass of the submodularity suite: the
+    first (a, c), row-major, with SS[a, b] and SS[b, c] for some b but not
+    SS[a, c]."""
+    rows = SS.tolist()
+    size = len(rows)
+    for a in range(size):
+        for c in range(size):
+            if not rows[a][c] and any(rows[a][b] and rows[b][c] for b in range(size)):
+                return a, c
+    return None
+
+
+def brute_first_exhaustive_failure(graphs, tables, relations=None):
+    """Oracle for ``suites._first_exhaustive_failure``: graph by graph, the
+    submodularity, restriction and transitivity loops on the given delta
+    tables, keyed by ``id`` of the graph.  ``relations`` replaces the strong
+    subset relation of some graphs, keyed the same way."""
+    for G in graphs:
+        dt = tables[id(G)]
+        bad = brute_submodularity(dt)
+        if bad:
+            return (G, *bad), None, None
+        SS = (relations or {}).get(id(G))
+        if SS is None:
+            SS = brute_strong_pairs(dt)
+        bad = brute_restriction(SS)
+        if bad:
+            return None, (G, *bad), None
+        bad = brute_transitivity(SS)
+        if bad:
+            return None, None, (G, *bad)
+    return None, None, None
+
+
 def brute_proper_parts(S, xmask, free):
     """Oracle for the "proper-parts" and "intermediate" clauses of
     ``gadgets.verify_gadget``: the loops over U, the x-part and W inside U.

@@ -31,13 +31,13 @@ from predimlab.structures import (
 )
 from predimlab.builder import enumerate_class, C0, CF
 from predimlab.classes import (
-    _connected_subsets,
     _simple_cycles_longer_than,
     girth_with_witness,
 )
 
 from conftest import (
-    brute_delta, brute_girth, brute_in_Cf, cycle_graph, small_bipartite, small_graphs,
+    brute_connected_subsets, brute_delta, brute_girth, brute_in_Cf, cycle_graph,
+    small_bipartite, small_graphs,
 )
 
 
@@ -129,14 +129,16 @@ def test_in_cf_samples_draw_what_the_id_loop_drew(chords, seed):
     S = graph(edges, vertices=ids)
     f = ControlFunction.harmonic(2)
     res = in_Cf(S, f, exhaustive_cap=10, conn_size=3, conn_budget=40, samples=300, seed=seed)
-    # the loop it replaced, which sampled vertex ids
+    # the loop it replaced, which sampled vertex ids; the connected search
+    # runs over positions, so the oracle searches the same graph on them
     thr = [math.ceil(f(k)) for k in range(n + 1)]
     violations = []
     checked = 0
-    for mask, k, d in _connected_subsets(S, 3, 40):
+    P = graph([(S.vertices.index(u), S.vertices.index(v)) for u, v in edges], vertices=range(n))
+    for sub in brute_connected_subsets(P, 3, 40):
         checked += 1
-        if d < thr[k]:
-            violations.append((k, mask))
+        if brute_delta(P, sub) < thr[len(sub)]:
+            violations.append((len(sub), P.mask_of(sub)))
     rng = random.Random(seed)
     verts = list(S.vertices)
     for _ in range(300):

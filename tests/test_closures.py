@@ -275,11 +275,11 @@ def test_flow_queries_leave_the_base_residual_alone():
         {tuple(sorted(rng.sample(range(30), 3))) for _ in range(40)}, vertices=range(30)
     )
     solver = _solver_for(S)
-    base = (solver.base_caps.copy(), solver._base_flow, solver._live_src)
-    assert solver._live_src  # dim(empty) < 0 here
+    base = (solver.base_caps.copy(), solver._base_flow, dict(solver._dead))
+    assert solver._dead_mask  # dim(empty) < 0 here
     for _ in range(60):
         # every query, whatever it asks, hands the base residual back as it was
-        assert (solver.base_caps, solver._base_flow, solver._live_src) == base
+        assert (solver.base_caps, solver._base_flow, solver._dead) == base
         X = rng.sample(range(30), rng.randint(0, 4))
         xmask = S.mask_of(X)
         want = StructureFlowSolver(S).solve(xmask)
@@ -299,7 +299,7 @@ def test_flow_queries_leave_the_base_residual_alone():
             if op == "ss" and not holds:
                 assert got[1] == S.ids_of(want[1])
         assert solver.solve(xmask) == want
-    assert (solver.base_caps, solver._base_flow, solver._live_src) == base
+    assert (solver.base_caps, solver._base_flow, solver._dead) == base
 
 
 @given(tied_structures(max_n=8))
@@ -376,7 +376,7 @@ def test_a_query_that_raises_leaves_the_network_intact(monkeypatch):
     rng = random.Random(5)
     S = graph({tuple(sorted(rng.sample(range(24), 2))) for _ in range(30)}, vertices=range(24))
     solver = StructureFlowSolver(S)
-    base = (solver.base_caps.copy(), solver._base_flow, solver._live_src)
+    base = (solver.base_caps.copy(), solver._base_flow, dict(solver._dead))
     seen = []
 
     def boom(self, pushes):
@@ -389,7 +389,7 @@ def test_a_query_that_raises_leaves_the_network_intact(monkeypatch):
         solver.solve(xmask)
     monkeypatch.undo()
     assert seen[0] > 0  # the failed query had pushed flow before it raised
-    assert (solver.base_caps, solver._base_flow, solver._live_src) == base
+    assert (solver.base_caps, solver._base_flow, solver._dead) == base
     fresh = StructureFlowSolver(S)
     shared = [c is closures._INF_CAP for c in fresh.base_caps]
     for _ in range(30):
@@ -417,10 +417,72 @@ def test_grown_network_matches_a_fresh_one(chain, rng):
         fresh = StructureFlowSolver(S)
         assert solver._base_flow == fresh._base_flow
         assert solver.total_w == fresh.total_w
+        assert solver._dead_mask == fresh._dead_mask
         for _ in range(8):
             xmask = rng.getrandbits(len(S.vertices)) if S.vertices else 0
             assert solver.solve(xmask) == fresh.solve(xmask)
             assert solver.solve_value(xmask) == fresh.solve_value(xmask)
+
+
+def _planted_clique_graph(rng, n, clique, extra_edges):
+    """A sparse random graph on n vertices with a complete graph planted on
+    ``clique``.  With vertex weight 2 and edge weight 1 a K6 has delta -3 and
+    a K8 delta -12, so it lies in cl0(empty) and the graph is outside C0."""
+    edges = set(itertools.combinations(sorted(clique), 2))
+    while len(edges) < len(clique) * (len(clique) - 1) // 2 + extra_edges:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return graph(edges, vertices=range(n))
+
+
+def _check_against_brute(S, X):
+    best, least, union = brute_min_superset(S, X)
+    assert dim(S, X, engine="flow") == best
+    assert cl0(S, X, engine="flow").closure == least
+    assert cld(S, X, engine="flow") == union
+
+
+@pytest.mark.parametrize("seed,k", [(0, 6), (1, 6), (2, 8), (3, 8)])
+def test_flow_engine_outside_c0_matches_brute_oracle(seed, k):
+    # the base leaves live source edges into the planted clique, so every
+    # query starts with a nonempty dead source side
+    rng = random.Random(seed)
+    n = 12
+    S = _planted_clique_graph(rng, n, rng.sample(range(n), k), 10)
+    solver = _solver_for(S)
+    assert solver._dead_mask and not in_C0(S).holds
+    assert S.ids_of(solver._dead_mask) == brute_min_superset(S, [])[1]
+    for _ in range(30):
+        _check_against_brute(S, rng.sample(range(n), rng.randint(0, 4)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_grown_network_outside_c0_keeps_a_current_dead_set(seed):
+    # prev has a planted K6.  The step adds vertices joined to that clique,
+    # whose project nodes reach into the dead set, and a second K6 among the
+    # new vertices, which is new dead source side: a dead set kept from
+    # before the step would leave the new clique out of every least minimizer.
+    rng = random.Random(seed)
+    prev = _planted_clique_graph(rng, 8, range(6), 3)
+    new = list(range(8, 15))
+    step = set(itertools.combinations(new[1:], 2))
+    step |= {(rng.randrange(6), v) for v in new[:3]}
+    step |= {tuple(sorted(rng.sample(new, 2))) for _ in range(2)}
+    out = prev.with_added(new, {"R": sorted(step)})
+    solver = _solver_for(prev)
+    old_dead = solver._dead_mask
+    assert old_dead
+    hand_over_solver(prev, out)
+    assert out._solver is solver
+    assert solver._dead_mask & old_dead == old_dead
+    assert solver._dead_mask == StructureFlowSolver(out)._dead_mask
+    assert out.ids_of(solver._dead_mask) == brute_min_superset(out, [])[1]
+    assert solver._dead_mask >> 9 == 0b111111
+    for _ in range(12):
+        X = rng.sample(out.vertices, rng.randint(3, 5))
+        _check_against_brute(out, X)
+        # the table engine agrees on the grown network for any X
+        xmask = rng.getrandbits(len(out.vertices))
+        assert _flow(out, xmask) == _table(out, xmask)
 
 
 def test_networks_are_handed_over_along_a_chain(monkeypatch):

@@ -19,6 +19,7 @@ from predimlab import (
     dim,
     graph,
     graph_signature,
+    hypergraph,
     is_d_closed,
     perp,
 )
@@ -242,6 +243,26 @@ def test_lemma43_and_compatibility_match_loop_forms_on_corrupted_graphs():
         for _ in range(rng.randint(1, 2)):
             dt[rng.randrange(len(dt))] += rng.choice((-1, 1))
         _check_against_loop_forms(S, dt, delta_table(S), 3, 2)
+
+
+def test_lemma43_and_quadruple_passes_match_loop_forms_on_corrupted_hypergraphs():
+    # 3-uniform hypergraphs with size caps of 3: the monotonicity pass then
+    # takes its fourth set among triples, and a corrupted dim or delta entry
+    # moves the first witness of the Lemma 4.3 pass and of monotonicity
+    # anywhere in their orders
+    rng = random.Random(1)
+    fails = [0, 0, 0, 0]
+    for _ in range(50):
+        n = rng.randint(3, 6)
+        pool = list(itertools.combinations(range(n), 3))
+        S = hypergraph(rng.sample(pool, rng.randint(0, min(len(pool), 6))), vertices=range(n))
+        dt, dtab = dim_cld_tables(S)[0], delta_table(S).copy()
+        for _ in range(rng.randint(1, 2)):
+            table = dt if rng.random() < 0.5 else dtab
+            table[rng.randrange(1, len(table))] += rng.choice((-1, 1))
+        for i, failed in enumerate(_check_against_loop_forms(S, dt, dtab, 3, 3)):
+            fails[i] += failed
+    assert fails[0] >= 25 and fails[1] >= 10 and fails[2] >= 3 and fails[3] == 0
 
 
 @pytest.mark.parametrize("n", [12, 80])

@@ -24,7 +24,7 @@ from predimlab import (
     polygon_signature,
     self_sufficient,
 )
-from predimlab import closures, suites
+from predimlab import builder, closures, suites
 from predimlab.closures import StructureFlowSolver, cl0, cld, delta_table, dim, hand_over_solver
 from predimlab.structures import (
     LINE,
@@ -38,10 +38,12 @@ from predimlab.structures import (
 from conftest import (
     brute_canonical_form,
     brute_delta,
+    brute_first_exhaustive_failure,
     brute_isomorphic,
     brute_refine_colors,
     brute_restriction,
     brute_self_sufficient,
+    brute_strong_pairs,
     cycle_graph,
     extension_chains,
     small_bipartite,
@@ -409,22 +411,19 @@ def test_free_amalgam():
 
 def _strong_pairs(dt, n):
     """SS[a, b]: a <= b, read off a delta table as the submodularity suite does."""
-    masks = np.arange(1 << n)
-    contained = (masks[:, None] & masks) == masks[:, None]
-    return contained & (suites._interval_min_table(dt, n) == dt[:, None])
+    return suites._strong_subsets(dt[:, None], n)[:, :, 0].T
 
 
 @given(st.integers(0, 6).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.integers(-50, 50), min_size=1 << n, max_size=1 << n))))
 @settings(max_examples=60, deadline=None)
-def test_interval_min_table_matches_brute_minimum(case):
+def test_strong_subsets_match_brute_minimum(case):
     n, values = case
-    M = suites._interval_min_table(np.array(values, dtype=np.int64), n)
+    SS = _strong_pairs(np.array(values, dtype=np.int64), n)
     for b in range(1 << n):
-        for a in range(b + 1):
-            if a & b == a:
-                between = [values[y] for y in range(a, b + 1) if y & a == a and y & b == y]
-                assert M[a, b] == min(between)
+        for a in range(1 << n):
+            between = [values[y] for y in range(a, b + 1) if y & a == a and y & b == y]
+            assert SS[a, b] == (a & b == a and min(between) == values[a])
 
 
 @given(st.one_of(small_graphs(max_n=6), small_hypergraphs(max_n=6)), st.data())
@@ -462,6 +461,89 @@ def test_restriction_matches_loop_form_on_faults():
         assert got == brute_restriction(SS)
         fails += got is not None
     assert fails >= 50
+
+
+@given(small_graphs(max_n=6), st.data())
+@settings(max_examples=40, deadline=None)
+def test_strong_subsets_match_loop_form(S, data):
+    dt = np.array(delta_table(S), dtype=np.int64)
+    dt[data.draw(st.integers(0, len(dt) - 1))] += data.draw(st.sampled_from((-2, -1, 0, 1, 2)))
+    assert (_strong_pairs(dt, len(S.vertices)) == brute_strong_pairs(dt)).all()
+
+
+_STRONG_SUBSETS = suites._strong_subsets
+
+
+def _exhaustive_deck(seed, max_n=5):
+    """Every graph type up to ``max_n`` vertices with its delta table, keyed
+    by ``id``, and the suite run with chunks of four 5-vertex graphs."""
+    graphs = builder._isomorph_free_types(graph_signature(2, 1), max_n, lambda G: True)
+    tables = {id(G): np.array(delta_table(G), dtype=np.int64) for G in graphs}
+    return random.Random(seed), graphs, tables
+
+
+def _first_failure(monkeypatch, graphs, tables, relations=None):
+    """``_first_exhaustive_failure`` on the given tables and relations."""
+    by_table = {tables[id(G)].tobytes(): G for G in graphs}
+    monkeypatch.setattr(suites, "_CHUNK_BYTES", 1 << 12)
+    monkeypatch.setattr(suites, "delta_table", lambda G: tables[id(G)])
+
+    def strong(dts, n):
+        SS = _STRONG_SUBSETS(dts, n)
+        for g in range(dts.shape[1]):
+            rel = (relations or {}).get(id(by_table[dts[:, g].tobytes()]))
+            if rel is not None:
+                SS[:, :, g] = rel.T
+        return SS
+
+    monkeypatch.setattr(suites, "_strong_subsets", strong)
+    return suites._first_exhaustive_failure(graphs)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exhaustive_passes_match_loop_forms_on_corrupted_tables(monkeypatch, seed):
+    # Corrupted delta entries in two graphs of one chunk of four 5-vertex
+    # graphs, the first of them in the middle of the chunk, so the witness
+    # must come from the first failing column, not from the chunk's edges.
+    # Entries are corrupted until the loop form fails on each graph alone.
+    rng, graphs, tables = _exhaustive_deck(seed)
+    assert _first_failure(monkeypatch, graphs, tables) == (None, None, None)
+    start = [len(G.vertices) for G in graphs].index(5) + 4 * rng.randrange(8)
+    first = start + rng.randint(1, 2)
+    for G in (graphs[first], graphs[rng.randint(first + 1, start + 3)]):
+        dt = tables[id(G)]
+        while brute_first_exhaustive_failure([G], tables) == (None, None, None):
+            dt[rng.randrange(len(dt))] += rng.choice((-2, -1, 1, 2))
+    got = _first_failure(monkeypatch, graphs, tables)
+    assert got == brute_first_exhaustive_failure(graphs, tables)
+    assert next(bad for bad in got if bad)[0] is graphs[first]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exhaustive_passes_match_loop_forms_on_corrupted_relations(monkeypatch, seed):
+    # Submodular tables never fail restriction or transitivity, so faults
+    # there come from a corrupted strong-subset relation, in one or two
+    # graphs of 4 or 5 vertices, the first in the middle of its chunk.  Even
+    # seeds flip entries along containment, which mostly breaks restriction.
+    # Odd seeds clear SS[a, S] for one a: nothing above S is left to restrict
+    # it, so only transitivity can catch that, through a strong set between.
+    rng, graphs, tables = _exhaustive_deck(seed)
+    relations = {}
+    sizes = [len(G.vertices) for G in graphs]
+    for G in rng.sample(graphs[sizes.index(4) + 1:], rng.randint(1, 2)):
+        SS = brute_strong_pairs(tables[id(G)])
+        size = len(SS)
+        for _ in range(rng.randint(1, 3)):
+            b = rng.randrange(size) if seed % 2 == 0 else size - 1
+            a = b & rng.randrange(size)
+            SS[a, b] = not SS[a, b] if seed % 2 == 0 else False
+        relations[id(G)] = SS
+    got = _first_failure(monkeypatch, graphs, tables, relations)
+    assert got == brute_first_exhaustive_failure(graphs, tables, relations)
+    if seed % 2:
+        assert got[2] is not None
+    else:
+        assert got[1] is not None
 
 
 @given(st.one_of(small_structures(), small_hypergraphs(), small_bipartite()), st.data())
