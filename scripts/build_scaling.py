@@ -6,8 +6,10 @@ Usage: PYTHONPATH=src python scripts/build_scaling.py
 Runs the seed-0 ``c0`` max-pattern-4 build (vertex weight 2, edge weight 1,
 as ``predimlab build --class c0 --max-pattern 4 --budget B``) at budgets
 200, 400 and 800, three times each.  Prints for each budget the vertices
-and steps of the approximant, the median seconds, and whether the build-log
-digest matches the pinned one, then the ratio of the budget-800 median to
+and steps of the approximant, its strongness queries (the exact flow
+queries the build asks through ``builder._is_strong``, the same in every
+run), the median seconds, and whether the build-log digest matches the
+pinned one, then the ratio of the budget-800 median to
 the budget-400 median: about 2 when a step costs the same at any length,
 about 4 when it costs in proportion to the structure.  The ratio's gate
 is 2.5.  Exits 1 when a digest differs from its pin, 0 otherwise.
@@ -17,7 +19,7 @@ import statistics
 import sys
 import time
 
-from predimlab import BuildConfig, build_generic, graph_signature
+from predimlab import BuildConfig, build_generic, builder, graph_signature
 from predimlab.builder import C0
 
 BUDGETS = (200, 400, 800)
@@ -32,21 +34,37 @@ PINNED = {
 }
 
 
+def counted_build(config: BuildConfig):
+    """The build's result and the number of strongness queries it asked."""
+    real, calls = builder._is_strong, 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    builder._is_strong = counting
+    try:
+        return build_generic(config), calls
+    finally:
+        builder._is_strong = real
+
+
 def main() -> int:
-    print("budget  vertices  steps  seconds  digest")
+    print("budget  vertices  steps  queries  seconds  digest")
     medians, differs = {}, False
     for budget in BUDGETS:
         config = BuildConfig(graph_signature(2, 1), C0, max_pattern=4, budget=budget, seed=0)
         times = []
         for _ in range(RUNS):
             t0 = time.perf_counter()
-            res = build_generic(config)
+            res, queries = counted_build(config)
             times.append(time.perf_counter() - t0)
         medians[budget] = statistics.median(times)
         pinned = res.log.digest() == PINNED[budget]
         differs |= not pinned
         print(f"{budget:6d}  {len(res.structure.vertices):8d}  {len(res.log.steps):5d}  "
-              f"{medians[budget]:7.2f}  {'pinned' if pinned else 'DIFFERS'}")
+              f"{queries:7d}  {medians[budget]:7.2f}  {'pinned' if pinned else 'DIFFERS'}")
     ratio = medians[800] / medians[400]
     verdict = "meets" if ratio <= RATIO_GATE else "misses"
     print(f"800/400 ratio: {ratio:.2f} ({verdict} the gate of {RATIO_GATE})")

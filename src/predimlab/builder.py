@@ -51,6 +51,8 @@ from .structures import (
     _bits,
     _canonical_search,
     _embeddings,
+    _search,
+    _search_steps,
     canonical_form,
     dump_structure,
 )
@@ -237,6 +239,12 @@ class ExtensionTask:
             plan.append((i, _is_strong(self.ext, self.ext.ids_of(placed), self.tag)))
         return tuple(plan)
 
+    @cached_property
+    def search_steps(self) -> tuple:
+        """``search_plan`` compiled over the base (see :func:`_search_steps`),
+        once per task rather than once per search."""
+        return _search_steps(self.ext, self.ext.mask_of(self.base_ids), self.search_plan)
+
 
 def enumerate_tasks(
     patterns: list[FiniteStructure],
@@ -389,12 +397,18 @@ def _realized(
     transitivity of <=.  The same holds for <=_d, which is transitive too:
     for C inside A' <=_d S, the d-closure of C in S lies inside A', where
     dimensions agree with those in S, so it is the d-closure of C in A'.
-    The last prefix is the whole
-    pattern, so every embedding found has a strong image.  Candidates run
-    newest-first: fresh amalgam copies are the likeliest witnesses.
+    The last prefix is the whole pattern, so every embedding found has a
+    strong image.
+
+    ``base_phi`` must be an induced embedding of ``task.base_pattern``, as
+    every embedded base that :func:`_base_embeddings` or a window hands
+    out is, so the search runs the task's compiled steps without checking
+    it again.  Candidates run ascending, as everywhere: the verdict asks
+    only whether some embedding has a strong image, so the order changes
+    the number of flow queries, never the answer.
     """
-    hits = _embeddings(S, task.ext, base_phi, True, task.search_plan,
-                       lambda img: _strong(S, S.ids_of(img), task.tag, memo))
+    hits = _search(S, task.ext, base_phi, task.search_steps,
+                   lambda img: _strong(S, S.ids_of(img), task.tag, memo))
     return next(hits, None) is not None
 
 
@@ -462,7 +476,8 @@ def _bring_up_to_date(
     old, p new, no key beyond ``reach``.  The ids of ``reach`` are all old,
     so p = 0 is searched only when the window is complete.  Its goodness is
     judged in key order, only as far as the window goes, and the cursor goes
-    back to the first key let in.
+    back to the first key let in.  With nothing new the window stays as it
+    is: the merge would rebuild the same keys, cursor, reach and flag.
 
     The polygon class also asks a base to be d-closed.  That stays too: its
     steps are d-closed (see :func:`_amalgamate`), so d-closures of old sets
@@ -483,6 +498,8 @@ def _bring_up_to_date(
         for phi in _embeddings(S, pattern, {}, within=[old] * p + [~old] + [-1] * (size - p - 1),
                                upto=None if win.complete else win.reach)
     )
+    if not fresh:
+        return
     keys = []
     for key, is_new in heapq.merge(((k, False) for k in win.keys), ((k, True) for k in fresh)):
         if len(keys) == SCAN_WINDOW:

@@ -446,7 +446,6 @@ def _embeddings(
     S: FiniteStructure,
     pattern: FiniteStructure,
     partial: dict[int, int],
-    newest_first: bool = False,
     order: Optional[Sequence[tuple[int, bool]]] = None,
     keep: Optional[Callable[[int], bool]] = None,
     within: Optional[Sequence[int]] = None,
@@ -456,31 +455,91 @@ def _embeddings(
     """Induced embeddings of pattern into S extending ``partial``.
 
     Deterministic placement order: ``order`` lists the unplaced pattern
-    positions, by default ascending, each ranging over ascending candidates
-    (newest-first flips the candidate order, which finds fresh amalgam
-    copies quickly).  With both defaults the embeddings come in ascending
+    positions, by default ascending, each ranging over ascending
+    candidates.  With the default order the embeddings come in ascending
     order of their key, the S ids of the pattern vertices in order.  After
     a placement whose ``order`` flag is set, the image so far, as a mask of
     S positions, goes to ``keep``; a False drops every embedding through
     it.  ``within`` gives, per pattern position, a mask of the S positions
-    the search may place it on.  With the default order, ``after`` and ``upto`` bound the
-    key: only keys above ``after`` and not above ``upto`` come, and a
-    candidate is cut as soon as the placed prefix of its key falls outside
-    them.  The search runs on
-    vertex positions and the two structures' bitmask indexes: the candidates
-    of an anchored vertex are the AND of the co-instance masks of its placed
-    neighbours' images, the others range over all of S, and the image is
-    masked out of both.  Consistency is kept incrementally: every pattern
-    instance a placement completes must be an instance of S, and the S
-    instances through the new image vertex inside the image must be exactly
-    as many, so they are the images of those (the embedding is induced).
+    the search may place it on.  With the default order, ``after`` and
+    ``upto`` bound the key: only keys above ``after`` and not above
+    ``upto`` come, and a candidate is cut as soon as the placed prefix of
+    its key falls outside them.
+
+    ``partial`` is checked first: it must map the pattern's instances
+    among its vertices onto exactly the S instances among their images.
+    The search itself is :func:`_search`, over the steps that
+    :func:`_search_steps` compiles.
     """
-    sx, px = S.bit_index(), pattern.bit_index()
+    placed, img = pattern.mask_of(partial), S.mask_of(partial.values())
+    px, sx = pattern.bit_index(), S.bit_index()
+    pos = {pattern.mask_of((v,)).bit_length() - 1: S.mask_of((w,)).bit_length() - 1
+           for v, w in partial.items()}
+    mapped = [(name, m) for name, m in px.pairs if m & ~placed == 0]
+    inside = {(name, m) for w in _bits(img) for name, m in sx.through[w] if m & ~img == 0}
+    if len(inside) != len(mapped) or any(
+        (name, sum(1 << pos[i] for i in _bits(m))) not in sx.pairs for name, m in mapped
+    ):
+        return
+    if pattern.parts and any(pattern.parts[v] != S.parts[w] for v, w in partial.items()):
+        return
+    if order is None:
+        order = [(i, False) for i in range(len(pattern.vertices)) if not placed >> i & 1]
+    yield from _search(S, pattern, partial, _search_steps(pattern, placed, order),
+                       keep, within, after, upto)
+
+
+def _search_steps(
+    pattern: FiniteStructure, placed: int, order: Sequence[tuple[int, bool]]
+) -> tuple[tuple, ...]:
+    """The compiled placements of ``order`` over the pattern positions in
+    ``placed``: per placement, the position, its placed co-instance
+    neighbours, the pattern instances it completes, and its ``keep`` flag.
+    They depend on the pattern and ``placed`` only, so a caller that
+    searches one pattern over many partial maps compiles them once."""
+    px = pattern.bit_index()
+    steps = []
+    for i, check in order:
+        steps.append((i, px.co[i] & placed,
+                      tuple((name, m) for name, m in px.through[i]
+                            if m & ~placed & ~(1 << i) == 0),
+                      check))
+        placed |= 1 << i
+    return tuple(steps)
+
+
+def _search(
+    S: FiniteStructure,
+    pattern: FiniteStructure,
+    partial: dict[int, int],
+    steps: Sequence[tuple],
+    keep: Optional[Callable[[int], bool]] = None,
+    within: Optional[Sequence[int]] = None,
+    after: Optional[Sequence[int]] = None,
+    upto: Optional[Sequence[int]] = None,
+) -> Iterator[dict[int, int]]:
+    """The search of :func:`_embeddings` over compiled ``steps``, taking
+    ``partial`` as an induced embedding of the pattern positions placed
+    before the first step: its caller has checked that.
+
+    The search runs on vertex positions and the two structures' bitmask
+    indexes: the candidates of an anchored vertex are the AND of the
+    co-instance masks of its placed neighbours' images, the others range
+    over all of S, and the image is masked out of both.  Consistency is
+    kept incrementally: every pattern instance a placement completes must
+    be an instance of S, and the S instances through the new image vertex
+    inside the image must be exactly as many, so they are the images of
+    those (the embedding is induced).  A candidate with no co-instance
+    neighbour in the image lies in no such S instance, so its count is 0
+    without a scan.
+    """
+    sx = S.bit_index()
     pverts, sverts = pattern.vertices, S.vertices
     pparts = [pattern.parts[v] for v in pverts] if pattern.parts else None
     phi = [-1] * len(pverts)  # pattern position -> S position
     for v, w in partial.items():
         phi[pverts.index(v)] = S.mask_of((w,)).bit_length() - 1
+    img, full = S.mask_of(partial.values()), S.full_mask()
 
     def positions(key):
         return None if key is None else [S.mask_of((w,)).bit_length() - 1 for w in key]
@@ -495,25 +554,6 @@ def _embeddings(
 
     def consistent(fresh) -> bool:
         return all((name, image_of(m)) in sx.pairs for name, m in fresh)
-
-    # validate the prefilled part
-    placed, img = pattern.mask_of(partial), S.mask_of(partial.values())
-    mapped = [(name, m) for name, m in px.pairs if m & ~placed == 0]
-    inside = {(name, m) for w in _bits(img) for name, m in sx.through[w] if m & ~img == 0}
-    if not consistent(mapped) or len(inside) != len(mapped):
-        return
-    if pparts and any(pparts[i] != S.parts[sverts[phi[i]]] for i in _bits(placed)):
-        return
-    if order is None:
-        order = [(i, False) for i in range(len(pverts)) if not placed >> i & 1]
-    # per placement: the vertex, its placed neighbours, the instances it
-    # completes, and whether the image so far goes to ``keep``
-    steps = []
-    for i, check in order:
-        steps.append((i, px.co[i] & placed,
-                      [(name, m) for name, m in px.through[i] if m & ~placed & ~(1 << i) == 0],
-                      check))
-        placed |= 1 << i
 
     def rec(k: int, img: int) -> Iterator[dict[int, int]]:
         # the key prefix up to the next placement is known (the default
@@ -540,7 +580,7 @@ def _embeddings(
             yield out
             return
         i, anchors, fresh, check = steps[k]
-        pool = S.full_mask() if within is None else within[i] & S.full_mask()
+        pool = full if within is None else within[i] & full
         for j in _bits(anchors):
             pool &= sx.co[phi[j]]
         pool &= ~img
@@ -549,19 +589,22 @@ def _embeddings(
         if high:
             pool &= (2 << upto[i]) - 1
         while pool:
-            w = (pool if newest_first else pool & -pool).bit_length() - 1
+            w = (pool & -pool).bit_length() - 1
             pool ^= 1 << w
             if pparts and pparts[i] != S.parts[sverts[w]]:
                 continue
             phi[i] = w
             img_w = img | 1 << w
-            if consistent(fresh) and len(fresh) == sum(
-                1 for _, m in sx.through[w] if m & ~img_w == 0
-            ) and (not check or keep(img_w)):
+            if not (sx.co[w] & img):
+                induced = not fresh
+            else:
+                induced = consistent(fresh) and len(fresh) == sum(
+                    1 for _, m in sx.through[w] if m & ~img_w == 0)
+            if induced and (not check or keep(img_w)):
                 yield from rec(k + 1, img_w)
         phi[i] = -1
 
-    yield from rec(0, img)
+    return rec(0, img)
 
 
 def free_amalgam(

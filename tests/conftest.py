@@ -291,12 +291,11 @@ def brute_in_Cf(S, f, exhaustive_cap=18, conn_size=18, conn_budget=200_000,
     )
 
 
-def brute_embeddings(S, pattern, partial, newest_first=False):
+def brute_embeddings(S, pattern, partial):
     """Oracle for ``structures._embeddings``: the set-based search it replaced.
 
     Same placement order (unplaced pattern vertices ascending, candidates
-    ascending or newest-first), with neighbour sets and instance lists in
-    place of bitmasks.
+    ascending), with neighbour sets and instance lists in place of bitmasks.
     """
     def neighbours(T):
         adj = {v: set() for v in T.vertices}
@@ -332,9 +331,9 @@ def brute_embeddings(S, pattern, partial, newest_first=False):
         anchored = [u for u in pat_adj[v] if u in phi]
         if anchored:
             pool = set.intersection(*(s_adj[phi[u]] for u in anchored))
-            pool = sorted(pool, reverse=newest_first)
+            pool = sorted(pool)
         else:
-            pool = S.vertices[::-1] if newest_first else S.vertices
+            pool = S.vertices
         for w in pool:
             if w in used or (pattern.parts and pattern.parts[v] != S.parts[w]):
                 continue
@@ -376,7 +375,7 @@ def brute_realized(S, task, base_phi):
     placement order, until one has an image that the exact engine finds
     d-closed in S (control-function class) or self-sufficient (otherwise).
     """
-    for phi in _embeddings(S, task.ext, base_phi, newest_first=True):
+    for phi in _embeddings(S, task.ext, base_phi):
         image = frozenset(phi.values())
         if is_d_closed(S, image) if task.tag == CF else self_sufficient(S, image)[0]:
             return True
