@@ -44,15 +44,11 @@ from .gadgets import (
 )
 from .extensions import (
     MsaType,
-    PartialMap,
-    check_potential_extendability,
     count_msa_copies,
-    duplicate_base_points,
     enumerate_msa_pairs,
     is_msa,
     is_simply_algebraic,
     msa_base,
-    msa_type_of,
 )
 from .builder import (
     BuildConfig,
@@ -60,7 +56,6 @@ from .builder import (
     audit_extension_property,
     build_generic,
     enumerate_class,
-    find_sese_embeddings,
 )
 from .independence import (
     axiom_suite,

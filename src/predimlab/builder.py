@@ -61,15 +61,10 @@ C0 = "c0"
 CF = "cf"
 KN = "kn"
 
-LE = "LE"
-LE_D = "LE_D"
-
 # a task visit examines only the first this many good embedded bases, by
 # key; keeps a visit from drowning in already-realized embeddings deep in
 # the order
 SCAN_WINDOW = 50
-
-SESE_PATTERN_CAP = 10  # most pattern vertices find_sese_embeddings accepts
 
 
 def _in_class(
@@ -288,17 +283,6 @@ def enumerate_tasks(
     ordered = sorted(tasks.values(), key=lambda t: (len(t.base_ids), len(t.ext.vertices), t.key))
     skipped_l = sorted(skipped.values(), key=lambda t: (len(t.base_ids), len(t.ext.vertices), t.key))
     return ordered, skipped_l
-
-
-def find_sese_embeddings(
-    S: FiniteStructure, pattern: FiniteStructure, mode: str = LE
-) -> list[dict[int, int]]:
-    """All embeddings of the pattern whose image is self-sufficient (LE) or
-    d-closed (LE_D) in S, canonically ordered."""
-    if len(pattern.vertices) > SESE_PATTERN_CAP:
-        raise CapacityError("embedding pattern size", SESE_PATTERN_CAP, len(pattern.vertices))
-    tag = C0 if mode == LE else CF
-    return [phi for phi in _embeddings(S, pattern, {}) if _is_strong(S, phi.values(), tag)]
 
 
 # -- build -----------------------------------------------------------------------

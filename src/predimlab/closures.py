@@ -560,23 +560,18 @@ def is_d_closed(S: FiniteStructure, X: Iterable[int], engine: str = "auto") -> b
 def self_sufficient(
     S: FiniteStructure,
     A: Iterable[int],
-    B: Iterable[int] | None = None,
     engine: str = "auto",
     want_witness: bool = True,
 ) -> tuple[bool, Optional[frozenset[int]]]:
-    """Exact A <= B check with no enumeration cap (B defaults to all of S).
+    """Exact A <= S check with no enumeration cap.
 
-    A given B is checked in the structure B induces.  It never enumerates
-    subsets, so it stays polynomial on large ambients.  On failure the
-    witness is the minimal-delta, minimal-cardinality violating set.
+    To check A <= B for a subset B, pass ``S.induced(B)``.  It never
+    enumerates subsets, so it stays polynomial on large ambients.  On failure
+    the witness is the minimal-delta, minimal-cardinality violating set.
     With ``want_witness`` off the witness is None on either engine, and the
     flow engine only computes dim(A), stopping as soon as it reaches
     delta(A), which always bounds it.
     """
-    if B is not None:
-        if not S.subset(A) <= S.subset(B):
-            raise InputError("A must be a subset of B")
-        return self_sufficient(S.induced(B), A, engine=engine, want_witness=want_witness)
     amask = S.mask_of(A)
     delta_a = delta_mask(S, amask)
     engine = _resolve_engine(S, engine)

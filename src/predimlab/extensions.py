@@ -1,5 +1,5 @@
-"""Simply algebraic extensions, their minimal bases, copy counting, and
-potential extendability of partial maps at finite scale.
+"""Simply algebraic extensions, their minimal bases, copy counting, and the
+enumeration of msa pairs inside a finite structure.
 
 An extension Z of Y is simply algebraic (sa) when the relative predimension
 of Y over Z is zero and strictly negative over every intermediate set; it is
@@ -8,22 +8,20 @@ the same extension.  A base point survives minimization exactly when it
 shares a weighted instance with a new point, which gives a direct base
 extraction instead of a subset search.
 
-Copy counts are ambient-relative.  The infinite multiplicities of a generic
-structure are represented by a saturation threshold: counts at or above it
-compare as SATURATED-equal, and every report says so.
+Copy counts are ambient-relative: a count says how many copies lie inside
+the given finite structure, not what a generic limit would hold.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .closures import delta_table, popcounts, self_sufficient
+from .closures import delta_table, popcounts
 from .errors import CapacityError, ContractError, InputError
-from .reports import VerificationReport, subset_witness
 from .structures import (
     FiniteStructure,
     canonical_form,
@@ -33,7 +31,6 @@ from .structures import (
 )
 
 DEFAULT_EXT_CAP = 12
-DEFAULT_SATURATION = 3
 MSA_PAIR_CAP = 16
 MSA_PAIR_CHUNK = 1 << 15  # (W, Z) rows expanded at once by enumerate_msa_pairs
 
@@ -104,7 +101,6 @@ class MsaType:
 
     pattern: FiniteStructure
     base: frozenset[int]
-    pinned: bool = False  # when True, base vertices are matched pointwise
 
     def __post_init__(self):
         if not self.base <= set(self.pattern.vertices):
@@ -115,16 +111,8 @@ class MsaType:
         return frozenset(self.pattern.vertices) - self.base
 
     def key(self) -> tuple:
-        if self.pinned:
-            colors = {v: i + 1 for i, v in enumerate(sorted(self.base))}
-        else:
-            colors = {v: 1 for v in self.base}
+        colors = {v: 1 for v in self.base}
         return canonical_form(self.pattern, cap=len(self.pattern.vertices), colors=colors)
-
-
-def msa_type_of(S: FiniteStructure, Z: Iterable[int], Y: Iterable[int]) -> MsaType:
-    z1, y1 = msa_base(S, Z, Y)
-    return MsaType(S.induced(y1), z1)
 
 
 @dataclass(frozen=True)
@@ -134,35 +122,23 @@ class CopyCount:
     disjoint_over_base: bool
 
 
-def count_msa_copies(
-    S: FiniteStructure,
-    A: Iterable[int],
-    t: MsaType,
-    pin: Mapping[int, int] | None = None,
-) -> CopyCount:
+def count_msa_copies(S: FiniteStructure, A: Iterable[int], t: MsaType) -> CopyCount:
     """Distinct sa extensions of A realizing the msa type, counted inside S.
 
-    ``pin`` fixes where the base sits in A (pointwise); without it every
-    placement of the base inside A is searched.  A copy is the image of an
-    induced embedding of the pattern over a placement whose new points lie
-    outside A and share no instance inside A union the image with the rest
-    of A.  Copies are the new-point sets; when A is self-sufficient in S
-    they are pairwise disjoint and relation-free over each other.
+    The type must share the signature of S.  Every placement of the base
+    inside A is searched.  A copy is the image of an induced embedding of
+    the pattern over a placement whose new points lie outside A and share
+    no instance inside A union the image with the rest of A.  Copies are
+    the new-point sets; when A is self-sufficient in S they are pairwise
+    disjoint and relation-free over each other.
     """
+    if t.pattern.signature != S.signature:
+        raise InputError("the type's signature differs from the structure's")
     a_set = S.subset(A)
     ext = sorted(t.new_points)
     if len(ext) > DEFAULT_EXT_CAP:
         raise CapacityError("msa copy search", DEFAULT_EXT_CAP, len(ext))
-    if pin is None:
-        placements = _embeddings(S.induced(a_set), t.pattern.induced(t.base), {})
-    else:
-        if set(pin) != t.base:
-            raise InputError("pin must map exactly the base vertices")
-        if len(set(pin.values())) != len(pin):
-            raise InputError("pin must be injective")
-        if not set(pin.values()) <= a_set:
-            raise InputError("pin must land inside A")
-        placements = [dict(pin)]
+    placements = _embeddings(S.induced(a_set), t.pattern.induced(t.base), {})
     a_mask = S.mask_of(a_set)
     through = S.bit_index().through
     order = [(i, True) for i, v in enumerate(t.pattern.vertices) if v not in t.base]
@@ -286,156 +262,3 @@ def enumerate_msa_pairs(
             minimal = np.bincount(row, weights=not_above, minlength=len(wr)) == 0
             for zmask, wmask in zip(zr[minimal].tolist(), wr[minimal].tolist()):
                 yield S.ids_of(zmask), S.ids_of(wmask)
-
-
-# -- base duplication ------------------------------------------------------------------
-
-
-def duplicate_base_points(t: MsaType) -> MsaType:
-    """Split the base so each new base point sits in exactly one new instance.
-
-    Every weighted instance that meets the extension gets its own fresh copy
-    of its base points.  Base-internal structure is dropped, as it does not
-    bind delta over the base, and so is a zero-weight instance that meets the
-    base, which binds no delta at all.  The result is again msa.
-    """
-    pat, base = t.pattern, t.base
-    new = sorted(t.new_points)
-    weights = {rel.name: rel.weight for rel in pat.signature.relations}
-    next_id = max(pat.vertices) + 1
-    fresh_base: list[int] = []
-    new_inst: dict[str, list[tuple[int, ...]]] = {r.name: [] for r in pat.signature.relations}
-    for name, tups in pat.instances.items():
-        for tp in tups:
-            ts = set(tp)
-            if not ts & set(new) or (weights[name] == 0 and ts & base):
-                continue  # binds no delta over the base
-            rebuilt = []
-            for v in tp:
-                if v in base:
-                    rebuilt.append(next_id)
-                    fresh_base.append(next_id)
-                    next_id += 1
-                else:
-                    rebuilt.append(v)
-            new_inst[name].append(tuple(sorted(rebuilt)))
-    verts = list(new) + fresh_base
-    out = FiniteStructure(pat.signature, verts, new_inst)
-    return MsaType(out, frozenset(fresh_base))
-
-
-# -- potential extendability --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PartialMap:
-    """Bijection between two vertex sets that respects induced structure."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def mapping(self) -> dict[int, int]:
-        return dict(self.pairs)
-
-    @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(a for a, _ in self.pairs)
-
-    @property
-    def image(self) -> frozenset[int]:
-        return frozenset(b for _, b in self.pairs)
-
-    def validate(self, S: FiniteStructure) -> None:
-        m = self.mapping
-        if len(m) != len(self.pairs) or len(self.image) != len(self.pairs):
-            raise InputError("partial map must be a bijection")
-        dom = S.induced(self.domain)
-        img = S.induced(self.image)
-        if dom.relabel(m) != img:
-            raise ContractError("partial map does not preserve induced structure")
-
-
-def enumerate_msa_patterns_over(
-    S: FiniteStructure,
-    Z: frozenset[int],
-    ext_cap: int,
-) -> list[MsaType]:
-    """Abstract msa patterns with base the induced structure on Z, deduplicated."""
-    sig = S.signature
-    base_struct = S.induced(Z)
-    out: dict[tuple, MsaType] = {}
-    next_id = (max(S.vertices) if S.vertices else 0) + 1
-    for w in range(1, ext_cap + 1):
-        ext = list(range(next_id, next_id + w))
-        pool: list[tuple[str, tuple[int, ...]]] = []
-        allv = sorted(Z) + ext
-        for rel in sig.relations:
-            for combo in itertools.combinations(allv, rel.arity):
-                if set(combo) & set(ext):
-                    pool.append((rel.name, combo))
-        for sel in range(1, 1 << len(pool)):
-            inst: dict[str, list[tuple[int, ...]]] = {r.name: [] for r in sig.relations}
-            for name, tups in base_struct.instances.items():
-                inst[name].extend(tups)
-            for k in range(len(pool)):
-                if sel >> k & 1:
-                    name, combo = pool[k]
-                    inst[name].append(combo)
-            cand = FiniteStructure(sig, allv, inst)
-            try:
-                if not is_msa(cand, Z, frozenset(allv)):
-                    continue
-            except (InputError, CapacityError):
-                continue
-            t = MsaType(cand, frozenset(Z), pinned=True)
-            out.setdefault(t.key(), t)
-    return sorted(out.values(), key=lambda t: t.key())
-
-
-def check_potential_extendability(
-    S: FiniteStructure,
-    pmap: PartialMap,
-    base_cap: int = 3,
-    ext_cap: int = 2,
-) -> VerificationReport:
-    """Compare ambient-relative msa multiplicities across a partial map.
-
-    Counts at or above the saturation threshold compare as SATURATED-equal,
-    the finite stand-in for equal infinite multiplicities; every such case
-    says so in its note.  Domain and image must be self-sufficient in S.
-    """
-    rep = VerificationReport(suite="potential-extendability")
-    pmap.validate(S)
-    k = pmap.mapping
-    dom, img = pmap.domain, pmap.image
-    for name, side in (("domain", dom), ("image", img)):
-        ok, wit = self_sufficient(S, side)
-        if not ok:
-            raise ContractError(f"{name} is not self-sufficient in the ambient")
-    case_i = 0
-    for zsize in range(1, base_cap + 1):
-        for zc in itertools.combinations(sorted(dom), zsize):
-            Z = frozenset(zc)
-            Z2 = frozenset(k[v] for v in Z)
-            for t in enumerate_msa_patterns_over(S, Z, ext_cap):
-                mapped_pattern = t.pattern.relabel(
-                    {v: k.get(v, v) for v in t.pattern.vertices}
-                )
-                t2 = MsaType(mapped_pattern, Z2, pinned=True)
-                c1 = count_msa_copies(S, dom, t, pin={v: v for v in Z})
-                c2 = count_msa_copies(S, img, t2, pin={v: v for v in Z2})
-                case_i += 1
-                key = f"type{case_i:03d}:Z={subset_witness(Z)}:ext{len(t.new_points)}"
-                if min(c1.count, c2.count) >= DEFAULT_SATURATION:
-                    witness, note = None, f"SATURATED (both >= {DEFAULT_SATURATION})"
-                elif c1.count == c2.count:
-                    witness, note = None, f"mult {c1.count} both sides"
-                else:
-                    witness = (f"mult {c1.count} vs {c2.count}; copies "
-                               f"{[sorted(c) for c in c1.copies]} vs "
-                               f"{[sorted(c) for c in c2.copies]}")
-                    note = ""
-                rep.check(key, witness, note=note)
-    if case_i == 0:
-        rep.check("no-types", None, note=f"no msa types up to ext size {ext_cap}")
-    return rep.finalize()

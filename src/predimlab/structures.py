@@ -60,9 +60,8 @@ class Relation:
 class Signature:
     """Weights defining a predimension: vertex weight plus weighted relations.
 
-    Coprimality of the vertex weight with a relation weight is recorded via
-    :meth:`coprime_with` but never enforced; only the gadget constructions
-    require it.
+    Coprimality of the vertex weight with a relation weight is not enforced;
+    only the gadget constructions require it, and they check it themselves.
     """
 
     vertex_weight: int
@@ -88,11 +87,6 @@ class Signature:
             if r.name == name:
                 return r
         raise InputError(f"unknown relation {name!r}")
-
-    def coprime_with(self, name: str) -> bool:
-        import math
-
-        return math.gcd(self.vertex_weight, self.relation(name).weight) == 1
 
 
 def graph_signature(n: int = 2, m: int = 1, name: str = "R") -> Signature:
@@ -896,8 +890,10 @@ def dump_structure(S: FiniteStructure, base_ids: Iterable[int] | None = None) ->
 def load_structure(text: str) -> tuple[FiniteStructure, Optional[frozenset[int]]]:
     """Parse the predimlab/1 format; returns (structure, optional base annotation).
 
-    Rejects duplicate instances, repeated vertices inside an instance, edges
-    joining the same part in bipartite mode, and references to unknown ids.
+    Rejects duplicate instances, repeated vertices inside an instance or on
+    the vertices line, edges joining the same part in bipartite mode, part
+    lines outside bipartite mode, a second signature, vertices or base line,
+    a second part label for one vertex, and references to unknown ids.
     """
     lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)]
     lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
@@ -908,13 +904,19 @@ def load_structure(text: str) -> tuple[FiniteStructure, Optional[frozenset[int]]
     relations: list[Relation] = []
     vertices: list[int] | None = None
     parts: dict[int, str] = {}
+    part_lines: dict[int, int] = {}  # vertex -> line number of its part label
     instances: dict[str, list[tuple[int, ...]]] = {}
     seen_instances: set[tuple[str, tuple[int, ...]]] = set()
     base: Optional[frozenset[int]] = None
+    once: set[str] = set()  # the line kinds a file may hold only once, seen so far
     for lineno, ln in lines[1:]:
         fields = ln.split()
         kind = fields[0]
         try:
+            if kind in ("signature", "vertices", "base"):
+                if kind in once:
+                    raise InputError(f"second {kind} line")
+                once.add(kind)
             if kind == "signature":
                 for f in fields[1:]:
                     key, _, val = f.partition("=")
@@ -930,8 +932,13 @@ def load_structure(text: str) -> tuple[FiniteStructure, Optional[frozenset[int]]
                 relations.append(Relation(name, int(kv["arity"]), int(kv["weight"])))
             elif kind == "vertices":
                 vertices = [int(v) for v in fields[1:]]
+                if len(set(vertices)) != len(vertices):
+                    raise InputError("repeated vertex id")
             elif kind == "part":
-                parts[int(fields[1])] = fields[2]
+                v = int(fields[1])
+                if v in parts:
+                    raise InputError(f"second part label for vertex {v}")
+                parts[v], part_lines[v] = fields[2], lineno
             elif kind == "instance":
                 name = fields[1]
                 tup = tuple(sorted(int(v) for v in fields[2:]))
@@ -949,6 +956,12 @@ def load_structure(text: str) -> tuple[FiniteStructure, Optional[frozenset[int]]
             raise InputError(f"line {lineno}: malformed {kind} line {ln!r}") from exc
     if vertex_weight is None or vertices is None:
         raise InputError("file must declare a signature and a vertices line")
+    known = set(vertices)
+    for v, lineno in part_lines.items():
+        if mode != BIPARTITE:
+            raise InputError(f"line {lineno}: part labels are only allowed in bipartite mode")
+        if v not in known:
+            raise InputError(f"line {lineno}: part label for unknown vertex {v}")
     sig = Signature(vertex_weight, tuple(relations), mode=mode)
     S = FiniteStructure(sig, vertices, instances, parts if mode == BIPARTITE else None)
     if base is not None:

@@ -761,7 +761,7 @@ def _co_instance_neighbours(S):
     return adj
 
 
-def brute_count_msa_copies(S, A, t, pin=None):
+def brute_count_msa_copies(S, A, t):
     """Oracle for ``extensions.count_msa_copies``: the set-based search it
     replaced, returning (copies, disjoint over A).
 
@@ -806,7 +806,7 @@ def brute_count_msa_copies(S, A, t, pin=None):
                 extend(phi, todo[1:])
                 del phi[v]
 
-    extend(dict(pin) if pin else {}, ([] if pin else base) + ext)
+    extend({}, base + ext)
     copies_t = tuple(sorted(copies, key=sorted))
     disjoint = True
     for w1, w2 in itertools.combinations(copies_t, 2):

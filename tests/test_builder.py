@@ -19,7 +19,6 @@ from predimlab import (
     audit_extension_property,
     build_generic,
     enumerate_class,
-    find_sese_embeddings,
     graph,
     graph_signature,
     hypergraph_signature,
@@ -36,8 +35,6 @@ from predimlab.builder import (
     C0,
     CF,
     KN,
-    LE,
-    LE_D,
     ExtensionTask,
     _amalgamate,
     _check_chain,
@@ -375,29 +372,6 @@ def test_audit_monotone_in_budget():
         ratio = audit.ratio(max_base=1)
         assert ratio >= prev_ratio
         prev_ratio = ratio
-
-
-def test_find_sese_embeddings():
-    res = build_generic(BuildConfig(SIG, C0, max_pattern=2, budget=15, seed=0))
-    S = res.structure
-    single = FiniteStructure(SIG, [0])
-    embs = find_sese_embeddings(S, single, LE)
-    assert len(embs) == len(S.vertices)
-    big = FiniteStructure(SIG, range(12))
-    with pytest.raises(CapacityError):
-        find_sese_embeddings(S, big, LE)
-    edge = graph([(0, 1)])
-    for phi in find_sese_embeddings(S, edge, LE):
-        image = frozenset(phi.values())
-        assert self_sufficient(S, image)[0]
-        assert tuple(sorted(image)) in {
-            tuple(sorted(t)) for t in S.instances["R"]
-        }
-    # d-closed mode: singletons in a control-function structure
-    f = ControlFunction.harmonic(2)
-    resf = build_generic(BuildConfig(SIG, CF, max_pattern=2, budget=8, seed=0, control=f))
-    embs_d = find_sese_embeddings(resf.structure, single, LE_D)
-    assert len(embs_d) == len(resf.structure.vertices)
 
 
 @st.composite

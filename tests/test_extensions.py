@@ -7,14 +7,8 @@ from hypothesis import strategies as st
 from predimlab import (
     ContractError,
     FiniteStructure,
-    InputError,
     MsaType,
-    PartialMap,
-    Relation,
-    Signature,
-    check_potential_extendability,
     count_msa_copies,
-    duplicate_base_points,
     enumerate_msa_pairs,
     free_amalgam,
     graph,
@@ -22,7 +16,6 @@ from predimlab import (
     is_msa,
     is_simply_algebraic,
     msa_base,
-    msa_type_of,
 )
 from predimlab import extensions
 
@@ -107,18 +100,12 @@ def test_sa_decomposes_through_unique_msa_base():
 
 def test_count_copies_examples():
     amb = graph([(2, 0), (2, 1), (3, 0), (3, 1)])
-    t = msa_type_of(amb, [0, 1], [0, 1, 2])
+    z1, y1 = msa_base(amb, [0, 1], [0, 1, 2])
+    t = MsaType(amb.induced(y1), z1)
     cc = count_msa_copies(amb, [0, 1], t)
     assert cc.count == 2
     assert cc.disjoint_over_base
     assert count_msa_copies(graph([], vertices=[0, 1, 2]), [0], t).count == 0
-
-
-def test_count_copies_pinned():
-    amb = graph([(2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 5)], vertices=range(6))
-    t = msa_type_of(amb, [0, 1], [0, 1, 2])
-    pinned = count_msa_copies(amb, [0, 1], t, pin={v: v for v in sorted(t.base)})
-    assert pinned.count == 2
 
 
 def test_msa_bound_on_seeded_amalgams():
@@ -163,81 +150,10 @@ def test_msa_bound_on_seeded_amalgams():
             assert len(ws) <= brute_delta(F, zt)
 
 
-def test_duplicate_base_points():
-    weighted = msa_type_of(graph([(2, 0), (2, 1), (3, 0), (3, 1)]), [0, 1], [0, 1, 2])
-    # a zero-weight instance through the base binds no delta and is dropped
-    sig = Signature(2, (Relation("R", 2, 1), Relation("Z", 3, 0)))
-    mixed = MsaType(FiniteStructure(sig, [0, 1, 2], {"R": [(0, 2), (1, 2)], "Z": [(0, 1, 2)]}),
-                    frozenset({0, 1}))
-    for t in (weighted, mixed):
-        assert is_msa(t.pattern, t.base, frozenset(t.pattern.vertices))
-        t2 = duplicate_base_points(t)
-        assert is_msa(t2.pattern, t2.base, frozenset(t2.pattern.vertices))
-        assert len(t2.base) == 2
-        for v in t2.base:
-            hits = sum(
-                1 for name, tups in t2.pattern.instances.items() for tp in tups if v in tp
-            )
-            assert hits == 1
-
-
-def test_partial_map_validation():
-    S = graph([(0, 1)], vertices=[0, 1, 2])
-    PartialMap(((0, 1),)).validate(S)  # single vertices always match
-    with pytest.raises(ContractError):
-        PartialMap(((0, 2), (1, 0))).validate(S)  # edge mapped onto a non-edge
-
-
-def test_potential_extendability_identity_and_symmetric():
-    edges = []
-    for block in ([0, 1, 2, 3], [4, 5, 6, 7]):
-        edges += [
-            (block[i], block[j]) for i in range(4) for j in range(i + 1, 4)
-        ]
-    K44 = graph(edges)
-    rep = check_potential_extendability(K44, PartialMap(((0, 0),)), base_cap=1, ext_cap=3)
-    assert rep.ok
-    rep2 = check_potential_extendability(K44, PartialMap(((0, 4),)), base_cap=2, ext_cap=3)
-    assert rep2.ok
-    # the reports themselves are pinned, byte for byte
-    k44 = "f9f2f3bcbe505953059e4fe69758e1557b4b9c844327ba726f0eaf69264dbe21"
-    assert rep.digest() == rep2.digest() == k44
-
-
-def test_potential_extendability_detects_mismatch():
-    edges = []
-    for tri in ([1, 2, 3], [4, 5, 6]):
-        edges += [(tri[i], tri[j]) for i in range(3) for j in range(i + 1, 3)]
-        edges += [(0, v) for v in tri]
-    edges += [([8, 9, 10][i], [8, 9, 10][j]) for i in range(3) for j in range(i + 1, 3)]
-    edges += [(7, v) for v in [8, 9, 10]]
-    S = graph(edges)
-    rep = check_potential_extendability(S, PartialMap(((0, 7),)), base_cap=1, ext_cap=3)
-    fails = rep.failures()
-    assert fails and "mult 2 vs 1" in fails[0].witness
-    assert rep.digest() == "835c08c2229fbfc37c0b3aa43aac8c260cd59f0881df63558633e7f2c00478e8"
-
-
-def test_saturation_threshold_reported():
-    # three disjoint completions on each side: counts compare as saturated
-    edges = []
-    for k, root in ((0, 0), (1, 10)):
-        for t0 in range(3):
-            tri = [root + 1 + 3 * t0 + j for j in range(3)]
-            edges += [(tri[i], tri[j]) for i in range(3) for j in range(i + 1, 3)]
-            edges += [(root, v) for v in tri]
-    S = graph(edges)
-    rep = check_potential_extendability(S, PartialMap(((0, 10),)), base_cap=1, ext_cap=3)
-    assert rep.ok
-    assert any("SATURATED" in c.note for c in rep.cases)
-    assert rep.digest() == "ac056390c9f75c7e139553a99baf393ba99666e06f44f2e6df466804cf7f105f"
-
-
 @st.composite
 def copy_cases(draw):
-    """(S, A, type, pin): an msa pair of S as the type, or any rooted
-    substructure of S; A holds the base or is any subset; pin is None or an
-    injective map of the base into A."""
+    """(S, A, type): an msa pair of S as the type, or any rooted
+    substructure of S; A holds the base or is any subset."""
     S = draw(small_structures(max_n=7))
     pairs = list(enumerate_msa_pairs(S, max_new=3))
     if pairs and draw(st.booleans()):
@@ -252,19 +168,15 @@ def copy_cases(draw):
     A = draw(subsets_of(S))
     if draw(st.booleans()):
         A |= t.base
-    pin = None
-    if len(A) >= len(t.base) and draw(st.booleans()):
-        image = draw(st.permutations(sorted(A)))[: len(t.base)]
-        pin = dict(zip(sorted(t.base), image))
-    return S, A, t, pin
+    return S, A, t
 
 
 @given(copy_cases())
 @settings(max_examples=300, deadline=None)
 def test_count_copies_matches_set_based_search(case):
-    S, A, t, pin = case
-    got = count_msa_copies(S, A, t, pin=pin)
-    want_copies, want_disjoint = brute_count_msa_copies(S, A, t, pin)
+    S, A, t = case
+    got = count_msa_copies(S, A, t)
+    want_copies, want_disjoint = brute_count_msa_copies(S, A, t)
     assert (got.count, got.copies, got.disjoint_over_base) == (
         len(want_copies), want_copies, want_disjoint)
 
@@ -292,9 +204,3 @@ def test_msa_pairs_match_loop_form_one_row_per_chunk(S, data):
         mp.setattr(extensions, "MSA_PAIR_CHUNK", 1)
         _check_msa_pairs_against_loop_form(S, data)
 
-
-def test_count_copies_rejects_a_non_injective_pin():
-    amb = graph([(2, 0), (2, 1), (3, 0), (3, 1)])
-    t = msa_type_of(amb, [0, 1], [0, 1, 2])
-    with pytest.raises(InputError, match="injective"):
-        count_msa_copies(amb, [0, 1], t, pin={0: 0, 1: 0})

@@ -119,6 +119,9 @@ MALFORMED = {
     "instance-unknown-relation": "instance Q 0 1",
     "base-unknown-vertex": "base 0 99",
     "unknown-kind": "edges 0 1",
+    "part-in-hypergraph-mode": "part 0 point",
+    "signature-second": "signature n=2 mode=hypergraph",
+    "vertices-second": "vertices 0 1",
 }
 
 
@@ -132,14 +135,50 @@ def test_cli_delta_exits_2_on_each_malformed_line(tmp_path, capsys, line):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["", "predimlab/9\n", f"{HEADER}\nvertices 0\n",
-                                  f"{HEADER}\nsignature n=2\nvertices 0\n"],
-                         ids=["empty", "wrong-header", "no-signature", "no-relation"])
+BIPARTITE_VALID = (
+    f"{HEADER}\nsignature n=2 mode=bipartite\nrelation adj arity=2 weight=1\n"
+    "vertices 0 1 2\npart 0 point\npart 1 line\npart 2 line\ninstance adj 0 1\n"
+)
+MALFORMED_FILES = {
+    "empty": "",
+    "wrong-header": "predimlab/9\n",
+    "no-signature": f"{HEADER}\nvertices 0\n",
+    "no-relation": f"{HEADER}\nsignature n=2\nvertices 0\n",
+    "vertices-repeated-id": VALID.replace("vertices 0 1 2", "vertices 0 1 2 1"),
+    "base-second": VALID + "base 0\nbase 1\n",
+    "part-unknown-vertex": BIPARTITE_VALID + "part 9 line\n",
+    "part-second-label": BIPARTITE_VALID + "part 2 point\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys())
 def test_cli_delta_exits_2_on_malformed_file(tmp_path, capsys, text):
     f = tmp_path / "bad.pdl"
     f.write_text(text)
     assert main(["delta", str(f), "--set", "0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# Type files whose signature differs from the ambient's: once a traceback
+# with the FAIL code, or a silent count.
+OTHER_SIGNATURE_TYPES = {
+    "bipartite": bipartite_graph([(0, 2), (1, 2)], points=[0, 1], lines_=[2], ngon=3),
+    "renamed-relation": FiniteStructure(graph_signature(name="Q"), [0, 1, 2],
+                                        {"Q": [(0, 2), (1, 2)]}),
+    "other-weights": graph([(0, 2), (1, 2)], n=3, m=2),
+}
+
+
+@pytest.mark.parametrize("pattern", OTHER_SIGNATURE_TYPES.values(),
+                         ids=OTHER_SIGNATURE_TYPES.keys())
+def test_cli_mult_rejects_a_type_from_another_signature(tmp_path, capsys, pattern):
+    amb, typefile = tmp_path / "amb.pdl", tmp_path / "type.pdl"
+    amb.write_text(dump_structure(graph([(0, 2), (0, 3), (1, 2), (1, 3)])))
+    typefile.write_text(dump_structure(pattern, base_ids=[0, 1]))
+    assert main(["mult", str(amb), "--over", "0,1", "--type", str(typefile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "signature" in err
+    assert "Traceback" not in err
 
 
 # Suite inputs that once escaped as raw tracebacks with the FAIL code.
@@ -276,26 +315,48 @@ def test_cli_verify_option_boundary_sweep(name, key, value, control):
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_readme_cap_table_matches_the_constants():
+def _readme_cap_rows():
+    """(module, name, value) for each row of the README cap table."""
     table = README.read_text().split("Fixed caps", 1)[1].split("\n\n")[1].splitlines()
     rows = [re.fullmatch(r"\| `(\w+)\.(\w+)` \| ([\d,]+) \| .* \|", line) for line in table[2:]]
     assert rows and all(rows), table
-    for row in rows:
-        module, name, value = row.groups()
+    return [row.groups() for row in rows]
+
+
+def _source_trees():
+    return {path.name: ast.parse(path.read_text())
+            for path in Path(predimlab.__file__).parent.glob("*.py")}
+
+
+def test_readme_cap_table_matches_the_constants():
+    for module, name, value in _readme_cap_rows():
         constant = getattr(importlib.import_module(f"predimlab.{module}"), name)
-        assert constant == int(value.replace(",", "")), row[0]
+        assert constant == int(value.replace(",", "")), (module, name)
+
+
+def test_every_readme_cap_row_is_read_in_the_library():
+    # a row outlives its constant's last reader only as a stale promise
+    read = {getattr(node, "id", getattr(node, "attr", None))
+            for tree in _source_trees().values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    for module, name, _ in _readme_cap_rows():
+        assert name in read, f"{module}.{name} is assigned but never read"
 
 
 def test_no_capacity_error_passes_a_literal_cap():
-    # a cap is a named constant (listed in the README table) or a parameter
+    # a cap is a named constant, listed in the README table, or a parameter
+    listed = {name for _, name, _ in _readme_cap_rows()}
     calls = 0
-    for path in Path(predimlab.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for filename, tree in _source_trees().items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CapacityError":
                 calls += 1
                 caps = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "cap_value"]
                 assert not any(isinstance(cap, ast.Constant) for cap in caps), (
-                    f"{path.name}:{node.lineno}")
+                    f"{filename}:{node.lineno}")
+                for cap in caps:
+                    name = getattr(cap, "id", getattr(cap, "attr", ""))
+                    assert not name.isupper() or name in listed, f"{filename}:{node.lineno}"
     assert calls >= 7
 
 
