@@ -268,10 +268,18 @@ def girth(S: FiniteStructure) -> float:
     return g
 
 
-def girth_with_witness(S: FiniteStructure) -> tuple[float, Optional[frozenset[int]]]:
+def girth_with_witness(
+    S: FiniteStructure, below: float = math.inf
+) -> tuple[float, Optional[frozenset[int]]]:
+    """The girth and the first shortest cycle found, or (inf, None) for a forest.
+
+    With ``below`` only cycles shorter than it count, so each BFS stops at
+    depth ``below / 2``, and the answer is (inf, None) when there is none.
+    A shortest cycle below it is the one the unbounded search finds.
+    """
     co = _binary_co(S)
     n = len(S.vertices)
-    best = math.inf
+    best = below
     witness = None
     for root in range(n):
         dist = [-1] * n
@@ -296,7 +304,7 @@ def girth_with_witness(S: FiniteStructure) -> tuple[float, Optional[frozenset[in
                                 path |= 1 << x
                                 x = parent[x]
                         witness = S.ids_of(path)
-    return best, witness
+    return (best, witness) if witness is not None else (math.inf, None)
 
 
 def _simple_cycles_longer_than(
@@ -336,7 +344,7 @@ def in_Kn(S: FiniteStructure, ngon: int) -> MembershipResult:
         return MembershipResult(FAIL, witness=c0.witness, margin=c0.margin,
                                 detail="not in C0")
     if len(S.vertices):
-        g, cyc = girth_with_witness(S)
+        g, cyc = girth_with_witness(S, below=2 * ngon)
         if g < 2 * ngon:
             return MembershipResult(FAIL, witness=cyc,
                                     detail=f"cycle of length {int(g)} < {2 * ngon}")

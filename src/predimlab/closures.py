@@ -19,9 +19,10 @@ with no claim about any infinite limit.
 
 from __future__ import annotations
 
+import functools
 from array import array
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
@@ -31,6 +32,7 @@ from .structures import FiniteStructure, delta_mask, _bits
 
 TABLE_MAX_BITS = 20  # hard memory guard for the table engine
 DEFAULT_TABLE_CUTOFF = 16
+TABLE_CACHE_BYTES = 4 << 20  # tables the ledger keeps for structures built again
 
 
 # Nothing in the library calls this; the benchmark stamps the caps in effect
@@ -58,7 +60,82 @@ def popcounts(n: int) -> np.ndarray:
     return pc
 
 
-@lru_cache(maxsize=512)
+TableCacheInfo = namedtuple("TableCacheInfo", "hits misses")
+
+
+class _TableLedger:
+    """Recently built lattice tables, least recently used first, charged by bytes.
+
+    A structure keeps its tables in its ``_tables`` slot, the list
+    ``[delta table, (least, greatest)]`` with None for one not built yet, and
+    frees them with itself.  The ledger maps a structure's equality key to
+    such a list, so an entry pins neither a structure nor its flow network,
+    and a structure with an empty slot takes the list of an equal one.  Each
+    build enters its list as the newest entry and evicts the oldest until
+    the bytes charged are within ``TABLE_CACHE_BYTES``; a list above the
+    budget stays on its structures alone.
+    """
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()  # key -> (tables, bytes charged)
+        self.nbytes = 0
+
+    def take(self, S: FiniteStructure) -> list:
+        """Fill S's empty slot: an equal structure's tables, or none built yet."""
+        entry = self._entries.get(S._key)
+        if entry is None:
+            S._tables = [None, None]
+        else:
+            self._entries.move_to_end(S._key)
+            S._tables = entry[0]
+        return S._tables
+
+    def charge(self, key: tuple, tables: list) -> None:
+        """Enter ``tables``, just built into, as the newest entry under ``key``."""
+        old =self._entries.pop(key, None)
+        if old is not None:
+            self.nbytes -= old[1]
+        delta, dims = tables
+        size = sum(a.nbytes for a in (delta, *(dims or ())) if a is not None)
+        if size <= TABLE_CACHE_BYTES:
+            self._entries[key] = (tables, size)
+            self.nbytes += size
+        while self.nbytes > TABLE_CACHE_BYTES:
+            self.nbytes -= self._entries.popitem(last=False)[1][1]
+
+
+_LEDGER = _TableLedger()
+
+
+def _kept_on_structure(slot: int):
+    """Keep ``build(S)`` in slot ``slot`` of S's tables, through the ledger.
+
+    The result counts hits and misses in ``cache_info()``, and
+    ``__wrapped__`` is ``build`` itself, which builds without keeping.
+    """
+
+    def decorate(build):
+        counts = [0, 0]
+
+        @functools.wraps(build)
+        def kept(S: FiniteStructure):
+            tables = S._tables or _LEDGER.take(S)
+            table = tables[slot]
+            if table is None:
+                counts[1] += 1
+                table = tables[slot] = build(S)
+                _LEDGER.charge(S._key, tables)
+            else:
+                counts[0] += 1
+            return table
+
+        kept.cache_info = lambda: TableCacheInfo(*counts)
+        return kept
+
+    return decorate
+
+
+@_kept_on_structure(0)
 def delta_table(S: FiniteStructure) -> np.ndarray:
     """delta of every vertex subset of S, indexed by bitmask."""
     n = len(S.vertices)
@@ -78,7 +155,7 @@ def delta_table(S: FiniteStructure) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=512)
+@_kept_on_structure(1)
 def dim_table_cached(S: FiniteStructure) -> tuple[np.ndarray, np.ndarray]:
     """Least and greatest minimizer of delta over the supersets of every mask.
 

@@ -162,11 +162,12 @@ class FiniteStructure:
 
     Instances are stored in canonical sorted order; two structures with equal
     canonical storage compare equal.  All operations treat the structure as a
-    pure value.  Two slots hold data derived from it, built on first use and
-    never part of its key: the bit index, and the flow network that
-    :mod:`.closures` builds for it (and hands on along a chain).  A flow query
-    changes the network for the duration of the query only, so concurrent
-    flow queries on one structure are not safe.
+    pure value.  Three slots hold data derived from it, built on first use and
+    never part of its key: the bit index, the flow network that
+    :mod:`.closures` builds for it (and hands on along a chain), and the
+    lattice tables that :mod:`.closures` builds or takes from an equal
+    structure.  A flow query changes the network for the duration of the
+    query only, so concurrent flow queries on one structure are not safe.
     """
 
     __slots__ = (
@@ -179,6 +180,7 @@ class FiniteStructure:
         "_hash",
         "_bit_index",
         "_solver",
+        "_tables",
     )
 
     def __init__(
@@ -209,7 +211,7 @@ class FiniteStructure:
                 raise InputError("part labels only allowed in bipartite mode")
             self.parts = None
 
-        self._bit_index = self._solver = None
+        self._bit_index = self._solver = self._tables = None
         part_key = tuple(self.parts[v] for v in vs) if self.parts else None
         self._key = (signature, vs, tuple(sorted(self.instances.items())), part_key)
         self._hash = hash(self._key)
@@ -365,7 +367,7 @@ class FiniteStructure:
         part_key = (self._key[3] or ()) + tuple(parts[v] for v in added) if parts else None
         out._key = (sig, out.vertices, tuple(sorted(inst.items())), part_key)
         out._hash = hash(out._key)
-        out._bit_index = out._solver = None
+        out._bit_index = out._solver = out._tables = None
         if self._bit_index is not None:
             out._bit_index = _indexed(sig, self._bit_index, len(out.vertices),
                                       [(name, m) for name, new in fresh.items() for _, m in new])

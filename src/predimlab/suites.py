@@ -36,7 +36,7 @@ from .closures import (
     TABLE_MAX_BITS,
     _solve,
 )
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .extensions import enumerate_msa_pairs, MsaType
 from .independence import axiom_suite, lemma43_free_split
 from .gadgets import (
@@ -114,6 +114,8 @@ def _failures(sub: VerificationReport) -> str | None:
 
 # -- beatty ------------------------------------------------------------------------
 
+BEATTY_B_MAX = 800  # one (2b + 1) x 3b int64 window array stays under 32 MiB
+
 
 def _beatty_window_checks(seq, ell: int, b: int) -> str | None:
     """Periodicity, full-window sums and the density bound; None when clean.
@@ -143,6 +145,8 @@ def _beatty_window_checks(seq, ell: int, b: int) -> str | None:
 def beatty_suite(b_max: int = 40, seed: int = 0, negative_control: bool = False) -> VerificationReport:
     if b_max < 2:
         raise InputError(f"b_max must be at least 2, got {b_max}")
+    if b_max > BEATTY_B_MAX:
+        raise CapacityError("beatty b_max", BEATTY_B_MAX, b_max)
     rep = VerificationReport(suite="beatty")
     for b in range(2, b_max + 1):
         for ell in range(1, b):

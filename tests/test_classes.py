@@ -230,6 +230,16 @@ def test_girth_matches_adjacency_bfs(S):
     assert witness is None if g == math.inf else len(witness) == g
 
 
+@given(small_bipartite(max_n=14), st.integers(min_value=0, max_value=16))
+@settings(max_examples=200, deadline=None)
+def test_bounded_girth_search_finds_the_unbounded_witness(S, below):
+    # a bound only stops each search early: a cycle below it is the very
+    # one the unbounded search returns, and none below it reads as a forest
+    g, witness = girth_with_witness(S)
+    want = (g, witness) if g < below else (math.inf, None)
+    assert girth_with_witness(S, below=below) == want
+
+
 def test_girth_needs_a_binary_signature():
     sig = Signature(2, (Relation("R", 2, 1), Relation("T", 3, 1)))
     S = FiniteStructure(sig, range(4), {"R": [(0, 1), (1, 2), (0, 2)], "T": [(1, 2, 3)]})

@@ -1,8 +1,13 @@
 import gc
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -547,6 +552,121 @@ def test_equal_structures_get_separate_networks():
     assert S == T and S is not T
     assert _solver_for(S) is not _solver_for(T)
     assert T._solver.solve(T.mask_of([0])) == S._solver.solve(S.mask_of([0]))
+
+
+def _random_graph(seed, n=20):
+    rng = random.Random(seed)
+    return graph({tuple(sorted(rng.sample(range(n), 2))) for _ in range(2 * n)},
+                 vertices=range(n))
+
+
+def test_the_table_ledger_stays_within_its_byte_budget(monkeypatch):
+    # a 20-vertex structure's tables: 8 MiB of delta, 2 x 4 MiB of minimizers
+    budget = 40 << 20
+    monkeypatch.setattr(closures, "_LEDGER", closures._TableLedger())
+    monkeypatch.setattr(closures, "TABLE_CACHE_BYTES", budget)
+    tracemalloc.start()
+    try:
+        for seed in range(4):
+            S = _random_graph(seed)
+            closures.delta_table(S)
+            assert closures._LEDGER.nbytes <= budget
+            closures.dim_table_cached(S)
+            assert closures._LEDGER.nbytes <= budget
+            del S
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the last two structures' tables are kept, and they are all that is held
+    kept = closures._LEDGER.nbytes
+    assert kept == 32 << 20
+    assert abs(held - kept) <= 0.1 * kept
+
+
+def test_a_dropped_structures_tables_are_freed_once_evicted():
+    # 15 vertices: 256 KiB of delta and 2 x 128 KiB of minimizers, so a
+    # 1 MiB ledger keeps two structures' tables; the third evicts the first
+    code = (
+        "import gc, weakref\n"
+        "from predimlab import closures, path_graph\n"
+        "closures.TABLE_CACHE_BYTES = 1 << 20\n"
+        "gc.disable()\n"
+        "S = path_graph(14)\n"
+        "refs = [weakref.ref(closures.delta_table(S)),\n"
+        "        *map(weakref.ref, closures.dim_table_cached(S))]\n"
+        "del S\n"
+        "# the ledger keeps the tables, not the structure\n"
+        "print(sum(isinstance(o, closures.FiniteStructure) for o in gc.get_objects()))\n"
+        "alive = [sum(r() is not None for r in refs)]\n"
+        "for n in (3, 4):  # other vertex weights: other structures\n"
+        "    closures.dim_table_cached(path_graph(14, n=n))\n"
+        "    alive.append(sum(r() is not None for r in refs))\n"
+        "print(alive, closures._LEDGER.nbytes)\n"
+    )
+    # the subprocess does not inherit pytest's pythonpath, so hand it src
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert proc.stdout.split() == ["0", "[3,", "3,", "0]", str(1 << 20)]
+
+
+def test_equal_structures_build_each_table_once(monkeypatch):
+    monkeypatch.setattr(closures, "_LEDGER", closures._TableLedger())
+    S, T = path_graph(9), path_graph(9)
+    assert S == T and S is not T
+    before = closures.delta_table.cache_info(), closures.dim_table_cached.cache_info()
+    dims = closures.dim_table_cached(S)
+    assert closures.dim_table_cached(T) is dims
+    assert closures.delta_table(T) is closures.delta_table(S)
+    after = closures.delta_table.cache_info(), closures.dim_table_cached.cache_info()
+    assert [a.misses - b.misses for a, b in zip(after, before)] == [1, 1]
+    assert T._tables is S._tables
+
+
+def test_a_structure_keeps_its_tables_past_the_ledger(monkeypatch):
+    monkeypatch.setattr(closures, "_LEDGER", closures._TableLedger())
+    monkeypatch.setattr(closures, "TABLE_CACHE_BYTES", 0)
+    S = path_graph(9)
+    dt, dims = closures.delta_table(S), closures.dim_table_cached(S)
+    assert closures._LEDGER.nbytes == 0
+    assert [dim(S, [v]) for v in S.vertices] == [2] * 10
+    assert closures.delta_table(S) is dt and closures.dim_table_cached(S) is dims
+    # an equal structure finds nothing kept and builds its own
+    assert closures.delta_table(path_graph(9)) is not dt
+
+
+def test_table_functions_count_hits_and_misses_and_build_unkept(monkeypatch):
+    # perfbench/tracing.py reads cache_info(); scripts/table_build_cost.py
+    # times __wrapped__
+    monkeypatch.setattr(closures, "_LEDGER", closures._TableLedger())
+    S = path_graph(7)
+    for slot, fn in enumerate((closures.delta_table, closures.dim_table_cached)):
+        info = fn.cache_info()
+        kept = fn(S)
+        assert fn(S) is kept
+        now = fn.cache_info()
+        assert (now.hits - info.hits, now.misses - info.misses) == (1, 1)
+        # __wrapped__ builds afresh: it neither counts nor keeps
+        fresh = fn.__wrapped__(S)
+        assert fresh is not kept and np.array_equal(np.asarray(fresh), np.asarray(kept))
+        other = path_graph(7, n=3)
+        fn.__wrapped__(other)
+        assert other._tables is None or other._tables[slot] is None
+        assert fn.cache_info() == now and S._tables[slot] is kept
+
+
+def test_the_traced_benchmark_reads_both_table_hit_ratios():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "closure-queries", "--size", "tiny",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=Path(__file__).resolve().parents[1], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] and not result["failed"]
+    for name in ("closures.delta_table.hit_ratio", "closures.dim_table_cached.hit_ratio"):
+        assert 0 < result["metrics"][name]["value"] <= 1
 
 
 def test_auto_engine_picks_the_table_up_to_16_vertices(monkeypatch):

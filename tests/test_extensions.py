@@ -18,6 +18,7 @@ from predimlab import (
     msa_base,
 )
 from predimlab import extensions
+from predimlab.structures import bipartite_graph
 
 from conftest import (
     brute_count_msa_copies,
@@ -106,6 +107,20 @@ def test_count_copies_examples():
     assert cc.count == 2
     assert cc.disjoint_over_base
     assert count_msa_copies(graph([], vertices=[0, 1, 2]), [0], t).count == 0
+
+
+def test_msa_type_keys_tell_points_from_lines():
+    # points 0, 1 and lines 2, 3, each line on both points: the two types
+    # are both a path on three vertices over its ends, but count apart
+    amb = bipartite_graph([(0, 2), (0, 3), (1, 2), (1, 3)], [0, 1], [2, 3], ngon=3)
+    lines_base = MsaType(amb.induced([0, 2, 3]), frozenset({2, 3}))
+    points_base = MsaType(amb.induced([0, 1, 2]), frozenset({0, 1}))
+    assert count_msa_copies(amb, [0, 1], lines_base).count == 0
+    assert count_msa_copies(amb, [0, 1], points_base).count == 2
+    assert lines_base.key() != points_base.key()
+    # the key stays an isomorphism invariant, part labels included
+    moved = MsaType(amb.induced([1, 2, 3]), frozenset({2, 3}))
+    assert moved.key() == lines_base.key()
 
 
 def test_msa_bound_on_seeded_amalgams():

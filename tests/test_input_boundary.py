@@ -373,6 +373,14 @@ def test_no_module_reads_the_environment():
             assert not names & readers, f"{path.name}:{node.lineno}"
 
 
+@pytest.mark.parametrize("b_max", [suites.BEATTY_B_MAX + 1, 99999999999])
+def test_cli_verify_beatty_above_its_cap_exits_2_at_once(capsys, b_max):
+    # the window arrays grow with b_max squared; uncapped, this ran until killed
+    assert main(["verify", "beatty", "--option", f"b_max={b_max}"]) == 2
+    err = capsys.readouterr().err
+    assert "beatty b_max cap exceeded" in err and f"cap {suites.BEATTY_B_MAX}" in err
+
+
 def test_cli_axioms_above_the_table_cutoff_names_the_cap(tmp_path, capsys):
     f = tmp_path / "p17.pdl"
     f.write_text(dump_structure(path_graph(16)))
