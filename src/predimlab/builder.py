@@ -48,11 +48,12 @@ from .structures import (
     FiniteStructure,
     DEFAULT_CANON_CAP,
     Signature,
+    _ascending_steps,
     _bits,
     _canonical_search,
-    _embeddings,
     _search,
     _search_steps,
+    _submasks,
     canonical_form,
     dump_structure,
 )
@@ -102,8 +103,6 @@ def enumerate_class(
     Grown by vertex augmentation, which is complete because the classes are
     hereditary; every emitted structure is certified in-class.
     """
-    if max_size > DEFAULT_CANON_CAP:
-        raise CapacityError("class enumeration size", DEFAULT_CANON_CAP, max_size)
     if tag == CF and control is None:
         raise InputError("cf enumeration needs a control function")
     if tag == KN and ngon is None:
@@ -126,8 +125,11 @@ def _isomorph_free_types(
     when ``keep`` is hereditary and an isomorphism invariant.  A type's
     representative is its first candidate; :func:`_augmentations` leaves out
     a candidate that an automorphism of its base maps onto an earlier one,
-    as it can never be the first of its type.
+    as it can never be the first of its type.  Sizes above
+    ``DEFAULT_CANON_CAP`` raise ``CapacityError``.
     """
+    if max_size > DEFAULT_CANON_CAP:
+        raise CapacityError("class enumeration size", DEFAULT_CANON_CAP, max_size)
     empty = FiniteStructure(signature, [], {}, {} if signature.mode == BIPARTITE else None)
     level, out = [(empty, [])], [empty]
     for size in range(1, max_size + 1):
@@ -239,6 +241,12 @@ class ExtensionTask:
         """``search_plan`` compiled over the base (see :func:`_search_steps`),
         once per task rather than once per search."""
         return _search_steps(self.ext, self.ext.mask_of(self.base_ids), self.search_plan)
+
+    @cached_property
+    def base_steps(self) -> tuple:
+        """The ascending steps of ``base_pattern``, for the searches of
+        embedded bases."""
+        return _ascending_steps(self.base_pattern)
 
 
 def enumerate_tasks(
@@ -400,24 +408,17 @@ def _base_embeddings(
     S: FiniteStructure,
     task: ExtensionTask,
     memo: dict,
-    cap: Optional[int] = None,
     after: Optional[tuple[int, ...]] = None,
 ) -> Iterator[dict[int, int]]:
-    """Embedded bases with a strong image, in ascending key order: at most
-    ``cap`` of them, and only keys above ``after``."""
-    if cap is not None and cap < 1:
-        return
+    """Embedded bases with a strong image, in ascending key order, and only
+    keys above ``after``."""
     if not task.base_ids:
         if after is None:
             yield {}
         return
-    emitted = 0
-    for phi in _embeddings(S, task.base_pattern, {}, after=after):
+    for phi in _search(S, task.base_pattern, {}, task.base_steps, after=after):
         if _good_base(S, frozenset(phi.values()), task.tag, memo):
             yield phi
-            emitted += 1
-            if cap is not None and emitted >= cap:
-                return
 
 
 def _key(phi: dict[int, int]) -> tuple[int, ...]:
@@ -473,14 +474,14 @@ def _bring_up_to_date(
     seen, win.seen = win.seen, n
     if win.reach is None and not win.complete:
         return
-    pattern = task.base_pattern
-    size = len(pattern.vertices)
+    size = len(task.base_ids)
     old = (1 << seen) - 1
     fresh = sorted(
         _key(phi)
         for p in range(0 if win.complete else 1, size)
-        for phi in _embeddings(S, pattern, {}, within=[old] * p + [~old] + [-1] * (size - p - 1),
-                               upto=None if win.complete else win.reach)
+        for phi in _search(S, task.base_pattern, {}, task.base_steps,
+                           within=[old] * p + [~old] + [-1] * (size - p - 1),
+                           upto=None if win.complete else win.reach)
     )
     if not fresh:
         return
@@ -688,14 +689,11 @@ def _step_certified(
     for m, _ in bx.weighted[bx.starts[n_prev]:]:
         touched |= m
     touched &= (1 << n_prev) - 1
-    cmask = touched
-    while True:
+    for cmask in _submasks(touched):
         c = cmask.bit_count()
         if any(d < f(c + v) - f(c) for v, d in _relative_deltas(n_prev, out, cmask)):
             return False
-        if not cmask:
-            return True
-        cmask = (cmask - 1) & touched
+    return True
 
 
 def _config_key(config: BuildConfig) -> str:
@@ -747,7 +745,7 @@ def audit_extension_property(
     entries = []
     memo: dict[frozenset[int], bool] = {}
     for task in tasks:
-        bases = list(_base_embeddings(S, task, memo, cap=cap_per_task))
+        bases = list(itertools.islice(_base_embeddings(S, task, memo), max(cap_per_task, 0)))
         realized = sum(1 for phi in bases if _realized(S, task, phi, memo))
         entries.append(
             AuditEntry(str(task.key), len(task.base_ids), len(bases), realized)

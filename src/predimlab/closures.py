@@ -60,6 +60,24 @@ def popcounts(n: int) -> np.ndarray:
     return pc
 
 
+def _over_subsets(arr: np.ndarray, op: np.ufunc, up: bool = True) -> None:
+    """In place over the leading axis, indexed by mask: ``arr[b]`` becomes
+    the ``op`` fold of ``arr[y]`` over the y inside b (``up``) or containing b.
+
+    One pass per bit; the leading axis comes first, so each pass runs on
+    contiguous blocks of the other axes.
+    """
+    step = 1
+    while step < len(arr):
+        view = arr.reshape(-1, 2, step, *arr.shape[1:])
+        lo, hi = view[:, 0], view[:, 1]
+        if up:
+            op(hi, lo, out=hi)
+        else:
+            op(lo, hi, out=lo)
+        step *= 2
+
+
 TableCacheInfo = namedtuple("TableCacheInfo", "hits misses")
 
 
@@ -146,10 +164,7 @@ def delta_table(S: FiniteStructure) -> np.ndarray:
     for imask, w in S.bit_index().weighted:
         counts[imask] += w
     # zeta transform: counts[mask] = total weight of instances inside mask
-    for i in range(n):
-        step = 1 << i
-        view = counts.reshape(-1, 2, step)
-        view[:, 1, :] += view[:, 0, :]
+    _over_subsets(counts, np.add)
     out = S.signature.vertex_weight * popcounts(n) - counts
     out.setflags(write=False)
     return out
@@ -187,9 +202,7 @@ def dim_table_cached(S: FiniteStructure) -> tuple[np.ndarray, np.ndarray]:
         np.subtract(code, lo, out=key)
         key <<= n + 5
         key |= low
-        for i in range(n):
-            v = key.reshape(-1, 2, 1 << i)
-            np.minimum(v[:, 0, :], v[:, 1, :], out=v[:, 0, :])
+        _over_subsets(key, np.minimum, up=False)
         key &= size - 1
         table = key.astype(np.int32)
         table.setflags(write=False)

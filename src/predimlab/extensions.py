@@ -27,8 +27,10 @@ from .structures import (
     FiniteStructure,
     canonical_form,
     delta_rel,
+    _ascending_steps,
     _bits,
-    _embeddings,
+    _search,
+    _search_steps,
 )
 
 DEFAULT_EXT_CAP = 12
@@ -143,16 +145,18 @@ def count_msa_copies(S: FiniteStructure, A: Iterable[int], t: MsaType) -> CopyCo
     ext = sorted(t.new_points)
     if len(ext) > DEFAULT_EXT_CAP:
         raise CapacityError("msa copy search", DEFAULT_EXT_CAP, len(ext))
-    placements = _embeddings(S.induced(a_set), t.pattern.induced(t.base), {})
     a_mask = S.mask_of(a_set)
+    base = t.pattern.induced(t.base)
+    placements = _search(S, base, {}, _ascending_steps(base), within=[a_mask] * len(t.base))
+    placed = t.pattern.mask_of(t.base)
+    steps = _search_steps(t.pattern, placed,
+                          [(i, True) for i in _bits(t.pattern.full_mask() & ~placed)])
     through = S.bit_index().through
-    order = [(i, True) for i, v in enumerate(t.pattern.vertices) if v not in t.base]
     copies: set[int] = set()
     for base_phi in placements:
-        base_mask = S.mask_of(base_phi.values())
-        rest = a_mask & ~base_mask
-        for phi in _embeddings(S, t.pattern, base_phi, order=order,
-                               keep=lambda img: img & rest == 0):  # new points outside A
+        rest = a_mask & ~S.mask_of(base_phi.values())
+        for phi in _search(S, t.pattern, base_phi, steps,
+                           keep=lambda img: img & rest == 0):  # new points outside A
             new = S.mask_of(phi[v] for v in ext)
             scope = a_mask | new
             if not any(m & rest and m & ~scope == 0 for i in _bits(new) for _, m in through[i]):

@@ -438,53 +438,6 @@ def _submasks(mask: int) -> Iterator[int]:
 # -- embedding search ------------------------------------------------------------
 
 
-def _embeddings(
-    S: FiniteStructure,
-    pattern: FiniteStructure,
-    partial: dict[int, int],
-    order: Optional[Sequence[tuple[int, bool]]] = None,
-    keep: Optional[Callable[[int], bool]] = None,
-    within: Optional[Sequence[int]] = None,
-    after: Optional[Sequence[int]] = None,
-    upto: Optional[Sequence[int]] = None,
-) -> Iterator[dict[int, int]]:
-    """Induced embeddings of pattern into S extending ``partial``.
-
-    Deterministic placement order: ``order`` lists the unplaced pattern
-    positions, by default ascending, each ranging over ascending
-    candidates.  With the default order the embeddings come in ascending
-    order of their key, the S ids of the pattern vertices in order.  After
-    a placement whose ``order`` flag is set, the image so far, as a mask of
-    S positions, goes to ``keep``; a False drops every embedding through
-    it.  ``within`` gives, per pattern position, a mask of the S positions
-    the search may place it on.  With the default order, ``after`` and
-    ``upto`` bound the key: only keys above ``after`` and not above
-    ``upto`` come, and a candidate is cut as soon as the placed prefix of
-    its key falls outside them.
-
-    ``partial`` is checked first: it must map the pattern's instances
-    among its vertices onto exactly the S instances among their images.
-    The search itself is :func:`_search`, over the steps that
-    :func:`_search_steps` compiles.
-    """
-    placed, img = pattern.mask_of(partial), S.mask_of(partial.values())
-    px, sx = pattern.bit_index(), S.bit_index()
-    pos = {pattern.mask_of((v,)).bit_length() - 1: S.mask_of((w,)).bit_length() - 1
-           for v, w in partial.items()}
-    mapped = [(name, m) for name, m in px.pairs if m & ~placed == 0]
-    inside = {(name, m) for w in _bits(img) for name, m in sx.through[w] if m & ~img == 0}
-    if len(inside) != len(mapped) or any(
-        (name, sum(1 << pos[i] for i in _bits(m))) not in sx.pairs for name, m in mapped
-    ):
-        return
-    if pattern.parts and any(pattern.parts[v] != S.parts[w] for v, w in partial.items()):
-        return
-    if order is None:
-        order = [(i, False) for i in range(len(pattern.vertices)) if not placed >> i & 1]
-    yield from _search(S, pattern, partial, _search_steps(pattern, placed, order),
-                       keep, within, after, upto)
-
-
 def _search_steps(
     pattern: FiniteStructure, placed: int, order: Sequence[tuple[int, bool]]
 ) -> tuple[tuple, ...]:
@@ -504,6 +457,13 @@ def _search_steps(
     return tuple(steps)
 
 
+def _ascending_steps(pattern: FiniteStructure, placed: int = 0) -> tuple[tuple, ...]:
+    """:func:`_search_steps` for the default order: the pattern positions
+    outside ``placed`` ascending, none of them flagged."""
+    order = [(i, False) for i in _bits(pattern.full_mask() & ~placed)]
+    return _search_steps(pattern, placed, order)
+
+
 def _search(
     S: FiniteStructure,
     pattern: FiniteStructure,
@@ -514,9 +474,22 @@ def _search(
     after: Optional[Sequence[int]] = None,
     upto: Optional[Sequence[int]] = None,
 ) -> Iterator[dict[int, int]]:
-    """The search of :func:`_embeddings` over compiled ``steps``, taking
-    ``partial`` as an induced embedding of the pattern positions placed
-    before the first step: its caller has checked that.
+    """Induced embeddings of pattern into S extending ``partial``, placing
+    the positions of the compiled ``steps`` (see :func:`_search_steps`) in
+    their order, each over ascending candidates.
+
+    ``partial`` must be an induced embedding of the pattern positions
+    placed before the first step: it maps the pattern's instances among its
+    vertices onto exactly the S instances among their images, and respects
+    part labels.  It is not checked.  With :func:`_ascending_steps` the
+    embeddings come in ascending order of their key, the S ids of the
+    pattern vertices in order.  After a placement whose step is flagged,
+    the image so far, as a mask of S positions, goes to ``keep``; a False
+    drops every embedding through it.  ``within`` gives, per pattern
+    position, a mask of the S positions the search may place it on.  With
+    ascending steps, ``after`` and ``upto`` bound the key: only keys above
+    ``after`` and not above ``upto`` come, and a candidate is cut as soon
+    as the placed prefix of its key falls outside them.
 
     The search runs on vertex positions and the two structures' bitmask
     indexes: the candidates of an anchored vertex are the AND of the

@@ -34,6 +34,7 @@ from .closures import (
     popcounts,
     self_sufficient,
     TABLE_MAX_BITS,
+    _over_subsets,
     _solve,
 )
 from .errors import CapacityError, InputError
@@ -538,23 +539,6 @@ def msa_bound_suite(
 _CHUNK_BYTES = 1 << 20
 
 
-def _or_over_subsets(arr: np.ndarray, up: bool) -> None:
-    """In place over the leading axis, indexed by mask: ``arr[b]`` becomes
-    the OR of ``arr[y]`` over the y inside b (``up``) or containing b.
-
-    One pass per bit; the leading axis comes first, so each pass runs on
-    contiguous blocks of the other axes.
-    """
-    step = 1
-    while step < len(arr):
-        view = arr.reshape(-1, 2, step, *arr.shape[1:])
-        if up:
-            view[:, 1] |= view[:, 0]
-        else:
-            view[:, 0] |= view[:, 1]
-        step *= 2
-
-
 def _strong_subsets(dts: np.ndarray, n: int) -> np.ndarray:
     """SS[b, a, g]: a <= b in graph g, whose delta table is ``dts[:, g]``;
     a is inside b and no set between them has smaller delta.
@@ -565,7 +549,7 @@ def _strong_subsets(dts: np.ndarray, n: int) -> np.ndarray:
     masks = np.arange(1 << n)
     inside = ((masks[:, None] & masks) == masks)[:, :, None]  # [b, a, 1]
     low = inside & (dts[:, None, :] < dts)
-    _or_over_subsets(low, up=True)
+    _over_subsets(low, np.bitwise_or)
     return inside & ~low
 
 
@@ -579,7 +563,7 @@ def _restriction_rows(SS: np.ndarray) -> np.ndarray:
     masks = np.arange(len(SS))
     restricts = SS[masks[:, None], masks[:, None] & masks]  # [x, a, g]
     below = SS.copy()
-    _or_over_subsets(below, up=False)
+    _over_subsets(below, np.bitwise_or, up=False)
     return (below & ~restricts).any(axis=0)
 
 
@@ -751,8 +735,7 @@ def submodularity_suite(
         G = graph([(0, 1), (1, 2), (0, 2)])
         dt = np.asarray(delta_table(G), dtype=np.int64).copy()
         dt[7] += 5  # injected fault: corrupted table entry
-        m = np.arange(8)
-        bad = (dt[m[:, None] | m] > dt[:, None] + dt - dt[m[:, None] & m]).any()
+        bad = _exhaustive_checks(dt[:, None], 3, _crossing_pairs(3), _subset_chains(3))[0][0, 0]
         _negative_control(rep, "corrupted-delta",
                           "submodularity violated by corrupted entry" if bad else None)
     return rep.finalize()

@@ -20,7 +20,9 @@ from predimlab import (
     self_sufficient,
 )
 from predimlab.builder import CF
-from predimlab.structures import LINE, POINT, Relation, Signature, _embeddings, polygon_signature
+from predimlab.structures import (
+    LINE, POINT, Relation, Signature, _ascending_steps, _search, polygon_signature,
+)
 from predimlab.classes import MembershipResult
 from predimlab.reports import FAIL, PARTIAL, PASS
 
@@ -291,11 +293,27 @@ def brute_in_Cf(S, f, exhaustive_cap=18, conn_size=18, conn_budget=200_000,
     )
 
 
+def is_induced_partial(S, pattern, partial):
+    """Is ``partial`` an induced embedding of the pattern vertices it maps?
+    Part labels are kept, and the pattern instances among those vertices go
+    onto exactly the S instances among their images."""
+    if pattern.parts and any(pattern.parts[v] != S.parts[w] for v, w in partial.items()):
+        return False
+    img = set(partial.values())
+    mapped = {(name, tuple(sorted(partial[u] for u in tp)))
+              for name, tups in pattern.instances.items() for tp in tups
+              if all(u in partial for u in tp)}
+    return mapped == {(name, tp) for name, tups in S.instances.items() for tp in tups
+                      if set(tp) <= img}
+
+
 def brute_embeddings(S, pattern, partial):
-    """Oracle for ``structures._embeddings``: the set-based search it replaced.
+    """Oracle for ``structures._search`` over ascending steps: the set-based
+    search it replaced.
 
     Same placement order (unplaced pattern vertices ascending, candidates
     ascending), with neighbour sets and instance lists in place of bitmasks.
+    ``partial`` must be an induced embedding (see :func:`is_induced_partial`).
     """
     def neighbours(T):
         adj = {v: set() for v in T.vertices}
@@ -349,23 +367,10 @@ def brute_embeddings(S, pattern, partial):
                 yield from rec(phi, mapped_new, rest[1:])
             del phi[v]
 
-    phi0 = dict(partial)
-    mapped0 = set()
-    for name, tups in pattern.instances.items():
-        for tp in tups:
-            if all(u in phi0 for u in tp):
-                img = tuple(sorted(phi0[u] for u in tp))
-                if (name, img) not in s_instances:
-                    return
-                mapped0.add((name, img))
-    img0 = frozenset(phi0.values())
-    for w in img0:
-        for name, tp in s_index[w]:
-            if set(tp) <= img0 and (name, tp) not in mapped0:
-                return
-    if pattern.parts and any(pattern.parts[v] != S.parts[w] for v, w in phi0.items()):
-        return
-    yield from rec(phi0, mapped0, todo)
+    mapped0 = {(name, tuple(sorted(partial[u] for u in tp)))
+               for name, tups in pattern.instances.items() for tp in tups
+               if all(u in partial for u in tp)}
+    yield from rec(dict(partial), mapped0, todo)
 
 
 def brute_realized(S, task, base_phi):
@@ -375,7 +380,8 @@ def brute_realized(S, task, base_phi):
     placement order, until one has an image that the exact engine finds
     d-closed in S (control-function class) or self-sufficient (otherwise).
     """
-    for phi in _embeddings(S, task.ext, base_phi):
+    for phi in _search(S, task.ext, base_phi,
+                       _ascending_steps(task.ext, task.ext.mask_of(base_phi))):
         image = frozenset(phi.values())
         if is_d_closed(S, image) if task.tag == CF else self_sufficient(S, image)[0]:
             return True

@@ -1,3 +1,4 @@
+import collections
 import copy
 import functools
 import itertools
@@ -30,7 +31,7 @@ from predimlab import (
     polygon_signature,
     self_sufficient,
 )
-from predimlab import builder
+from predimlab import builder, structures
 from predimlab.builder import (
     C0,
     CF,
@@ -43,7 +44,7 @@ from predimlab.builder import (
 )
 from predimlab.errors import InternalError
 from predimlab.reports import FAIL, PASS
-from predimlab.structures import LINE, POINT, _bits, _embeddings
+from predimlab.structures import LINE, POINT, _ascending_steps, _bits, _search
 
 from conftest import (
     CHAIN_SIGNATURES,
@@ -56,6 +57,7 @@ from conftest import (
     brute_realized,
     brute_self_sufficient,
     extension_chains,
+    is_induced_partial,
 )
 
 
@@ -378,7 +380,9 @@ def test_audit_monotone_in_budget():
 def embedding_cases(draw):
     """(S, pattern, partial) over graphs, hypergraphs, a
     zero-weight relation and bipartite parts; S has spread-out vertex ids and
-    the partial seed is often a piece of a real embedding."""
+    the partial seed is often a piece of a real embedding.  The partial map
+    is always an induced embedding of its domain, as the search requires:
+    a random one is cut back to its longest prefix that is."""
     sig = draw(st.sampled_from(CHAIN_SIGNATURES + (polygon_signature(3),)))
 
     def structure(max_n, stride=1):
@@ -402,6 +406,8 @@ def embedding_cases(draw):
         keys = draw(st.permutations(pattern.vertices))
         phi = dict(zip(keys, draw(st.permutations(S.vertices))))
     keep = draw(st.lists(st.sampled_from(sorted(phi)), unique=True)) if phi else []
+    while not is_induced_partial(S, pattern, {v: phi[v] for v in keep}):
+        keep.pop()
     return S, pattern, {v: phi[v] for v in keep}
 
 
@@ -409,7 +415,8 @@ def embedding_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_embedding_search_matches_the_set_based_oracle(case):
     S, pattern, partial = case
-    got = [list(phi.items()) for phi in _embeddings(S, pattern, partial)]
+    steps = _ascending_steps(pattern, pattern.mask_of(partial))
+    got = [list(phi.items()) for phi in _search(S, pattern, partial, steps)]
     want = [list(phi.items()) for phi in brute_embeddings(S, pattern, partial)]
     assert got == want
 
@@ -432,8 +439,9 @@ def test_key_bounds_and_position_masks_filter_the_oracle(case, data):
             if (after is None or k > after) and (upto is None or k <= upto)
             and (within is None or all(S.mask_of((w,)) & m for w, m in zip(k, within)
                                        if w not in partial.values()))]
-    got = [key(phi) for phi in _embeddings(S, pattern, partial, within=within,
-                                           after=after, upto=upto)]
+    steps = _ascending_steps(pattern, pattern.mask_of(partial))
+    got = [key(phi) for phi in _search(S, pattern, partial, steps, within=within,
+                                       after=after, upto=upto)]
     assert got == want
 
 
@@ -690,8 +698,25 @@ def test_prefix_cut_keeps_the_verdict_of_the_uncut_search(case):
     memo = {}  # one chain memo across tasks and bases, as in a build
     for task in tasks:
         # every embedded base, strong in S or not: the cut never relies on it
-        for phi in itertools.islice(_embeddings(S, task.base_pattern, {}), 6):
+        for phi in itertools.islice(_search(S, task.base_pattern, {}, task.base_steps), 6):
             assert _realized(S, task, phi, memo) == brute_realized(S, task, phi)
+
+
+def test_a_build_compiles_each_task_search_steps_at_most_twice(monkeypatch):
+    # once for the extension over its base, once for the base pattern
+    compiled = collections.Counter()
+    real = structures._search_steps
+
+    def counting(pattern, placed, order):
+        compiled[id(pattern), placed] += 1
+        return real(pattern, placed, order)
+
+    monkeypatch.setattr(structures, "_search_steps", counting)
+    monkeypatch.setattr(builder, "_search_steps", counting)
+    res = build_generic(BuildConfig(graph_signature(2, 1), C0, max_pattern=3, budget=30))
+    assert len(res.log.steps) == 30
+    assert max(compiled.values()) == 1
+    assert sum(compiled.values()) <= 2 * len(res.tasks)
 
 
 def test_prefix_cut_decides_an_impossible_task_with_few_checks(monkeypatch):
@@ -706,7 +731,8 @@ def test_prefix_cut_decides_an_impossible_task_with_few_checks(monkeypatch):
                          frozenset({0}), C0)
     assert task.search_plan == ((1, True), (2, True), (3, True))
     phi = {0: 1}
-    uncut = sum(1 for _ in _embeddings(S, task.ext, phi))  # one check per image
+    steps = _ascending_steps(task.ext, task.ext.mask_of(phi))
+    uncut = sum(1 for _ in _search(S, task.ext, phi, steps))  # one check per image
     checked = []
     real = builder._strong
 

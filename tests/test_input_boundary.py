@@ -21,6 +21,7 @@ from predimlab import (
     BuildConfig,
     FiniteStructure,
     InputError,
+    audit_extension_property,
     build_generic,
     dump_structure,
     graph,
@@ -30,7 +31,6 @@ from predimlab import (
     run_suite,
     suites,
 )
-from predimlab.builder import _base_embeddings
 from predimlab.cli import main
 from predimlab.structures import bipartite_graph
 
@@ -260,11 +260,11 @@ def test_cli_rejects_non_integer_vertex_ids(budget30_build, tmp_path, capsys, ar
 
 
 def test_base_walk_with_cap_zero_yields_nothing():
+    # the audit takes its first ``cap_per_task`` bases off the uncapped walk
     res = build_generic(BuildConfig(graph_signature(2, 1), "c0", max_pattern=2, budget=10))
-    memo = {}
-    for task in res.tasks:
-        assert list(_base_embeddings(res.structure, task, memo, cap=0)) == []
-        assert len(list(_base_embeddings(res.structure, task, memo, cap=1))) == 1
+    for cap, want in ((0, 0), (-1, 0), (1, 1)):
+        audit = audit_extension_property(res.structure, res.tasks, cap_per_task=cap)
+        assert [e.embeddings_checked for e in audit.entries] == [want] * len(res.tasks)
 
 
 @pytest.mark.parametrize("max_n", [1, 2])
@@ -379,6 +379,15 @@ def test_cli_verify_beatty_above_its_cap_exits_2_at_once(capsys, b_max):
     assert main(["verify", "beatty", "--option", f"b_max={b_max}"]) == 2
     err = capsys.readouterr().err
     assert "beatty b_max cap exceeded" in err and f"cap {suites.BEATTY_B_MAX}" in err
+
+
+def test_cli_verify_submodularity_above_the_canon_cap_exits_2_at_once(capsys):
+    # the suite enumerates graph types without enumerate_class, so the guard
+    # lives in the enumeration they share; unguarded, max_n=9 runs for well
+    # over 20 s
+    assert main(["verify", "submodularity", "--option", "max_n=9"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: class enumeration size cap exceeded: requested 9, cap 8\n"
 
 
 def test_cli_axioms_above_the_table_cutoff_names_the_cap(tmp_path, capsys):
