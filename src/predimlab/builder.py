@@ -51,10 +51,10 @@ from .structures import (
     _ascending_steps,
     _bits,
     _canonical_search,
+    _rooted_key,
     _search,
     _search_steps,
     _submasks,
-    canonical_form,
     dump_structure,
 )
 
@@ -279,10 +279,7 @@ def enumerate_tasks(
                 base = frozenset(combo)
                 if not _is_strong(ext, base, tag):
                     continue
-                # colors replace the part labels, so they carry them: +2 on a line
-                colors = {v: int(v in base) + (2 if ext.parts and ext.parts[v] == LINE else 0)
-                          for v in verts}
-                key = canonical_form(ext, cap=len(verts), colors=colors)
+                key = _rooted_key(ext, base)
                 task = ExtensionTask(ext, base, tag, key)
                 if tag == KN and not is_d_closed(ext, base):
                     skipped.setdefault(key, task)

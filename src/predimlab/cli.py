@@ -345,13 +345,11 @@ def _dispatch(args) -> int:
         _at_least(args, base_size=0)
         rep = run_suite("ex511", r_values=(args.r,))
         if args.out:
-            from .classes import ControlFunction
             from .suites import _fan_instance
 
-            B, base, b = _fan_instance(args.r, args.base_size, False, False)
-            res = build_fan_join(B, base, b, args.r, ControlFunction.half_harmonic(1))
+            fan = build_fan_join(*_fan_instance(args.r, args.base_size, False, False), args.r)
             with open(args.out, "w") as fh:
-                fh.write(dump_structure(res.structure))
+                fh.write(dump_structure(fan.structure))
         return _report_exit(args, rep)
 
     if cmd == "ex512":

@@ -23,12 +23,11 @@ import numpy as np
 from .closures import delta_table, popcounts
 from .errors import CapacityError, ContractError, InputError
 from .structures import (
-    LINE,
     FiniteStructure,
-    canonical_form,
     delta_rel,
     _ascending_steps,
     _bits,
+    _rooted_key,
     _search,
     _search_steps,
 )
@@ -114,12 +113,7 @@ class MsaType:
         return frozenset(self.pattern.vertices) - self.base
 
     def key(self) -> tuple:
-        # colors replace the part labels, so they carry them: +2 on a line
-        colors = {v: 1 for v in self.base}
-        for v, label in (self.pattern.parts or {}).items():
-            if label == LINE:
-                colors[v] = colors.get(v, 0) + 2
-        return canonical_form(self.pattern, cap=len(self.pattern.vertices), colors=colors)
+        return _rooted_key(self.pattern, self.base)
 
 
 @dataclass(frozen=True)

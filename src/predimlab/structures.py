@@ -838,6 +838,17 @@ def canonical_form(
     return _canonical_search(S, colors)[0]
 
 
+def _rooted_key(S: FiniteStructure, base: frozenset[int]) -> tuple:
+    """Canonical key of S with a distinguished base, at no cap.
+
+    Colors replace the part labels, so they carry them: 1 on the base, +2
+    on a line.
+    """
+    colors = {v: int(v in base) + (2 if S.parts and S.parts[v] == LINE else 0)
+              for v in S.vertices}
+    return canonical_form(S, cap=len(S.vertices), colors=colors)
+
+
 # -- predimlab/1 file format ---------------------------------------------------
 
 

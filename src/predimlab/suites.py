@@ -26,6 +26,7 @@ from .builder import (
 )
 from .classes import ControlFunction, girth_with_witness, in_C0, in_Cf, in_Kn
 from .closures import (
+    cld,
     d_closed_subset_masks,
     delta_table,
     dim,
@@ -39,8 +40,9 @@ from .closures import (
 )
 from .errors import CapacityError, InputError
 from .extensions import enumerate_msa_pairs, MsaType
-from .independence import axiom_suite, lemma43_free_split
+from .independence import axiom_suite, lemma43_free_split, perp
 from .gadgets import (
+    _build_fan_probe,
     beatty,
     build_cycle_fan,
     build_double_cycle,
@@ -69,6 +71,7 @@ from .structures import (
     hypergraph_signature,
     path_graph,
     polygon_signature,
+    _submasks,
 )
 
 
@@ -266,13 +269,9 @@ def lemma49_suite(seed: int = 0, negative_control: bool = False) -> Verification
 # -- path-fact ----------------------------------------------------------------------
 
 
-def path_fact_suite(
-    lengths: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
-    seed: int = 0,
-    negative_control: bool = False,
-) -> VerificationReport:
+def path_fact_suite(seed: int = 0, negative_control: bool = False) -> VerificationReport:
     rep = VerificationReport(suite="path-fact")
-    for ell in lengths:
+    for ell in range(2, 9):
         P = path_graph(ell)
         closed = is_d_closed(P, [0, ell])
         expected = ell >= 3
@@ -315,6 +314,63 @@ def _fan_instance(r: int, a_size: int, extra_b: bool, with_relation: bool):
     return B, base, b
 
 
+def _fan_growth_bound(fan, r: int) -> tuple[int, bool]:
+    """(subsets checked, all within) for the fan's growth bound, in exact form.
+
+    The bound guards the fan's class membership: (|Y_B1| + (r-2)|Y_B1 \\ A|)
+    / (|Y_B1| - 1) <= r - 1/2, below a rational lower bound of e^(r-2).  It
+    applies to every Y holding the copies of b and the joined vertex and
+    meeting the base, whose largest share of one copy block outside the
+    base (that block is B1) has at least 2 points.
+    """
+    mid = Fraction(2 * r - 1, 2)
+    e_low = Fraction(271_828_182, 100_000_000) ** (r - 2)
+    E = fan.structure
+    must = E.mask_of([*fan.b_copies, fan.joined_vertex])
+    base = E.mask_of(fan.base)
+    news = [E.mask_of(blk - fan.base) for blk in fan.copy_blocks]
+    checked, ok = 0, True
+    for rest in _submasks(E.full_mask() & ~must):
+        Y = rest | must
+        if not Y & base:
+            continue
+        mx = max((Y & new).bit_count() for new in news)
+        if mx >= 2:
+            checked += 1
+            yb1 = mx + (Y & base).bit_count()
+            ok &= Fraction(yb1 + (r - 2) * mx, yb1 - 1) <= mid <= e_low
+    return checked, ok
+
+
+def _fan_join_claims(B, base_ids, b, r: int, f: ControlFunction):
+    """Build the fan join of B over the base and check its claims.
+
+    Returns the problems found (empty when every claim holds), the joined
+    structure and the number of subsets the growth bound was checked on.
+    """
+    fan = build_fan_join(B, base_ids, b, r)
+    E, base = fan.structure, fan.base
+    problems = []
+    m = in_Cf(E, f)
+    if not m.holds:
+        problems.append(f"class membership {m.verdict}, witness {sorted(m.witness or [])}")
+    copies_closed = tuple(is_d_closed(E, blk) for blk in fan.copy_blocks)
+    if not all(copies_closed):
+        problems.append(f"copies d-closed: {copies_closed}")
+    if not is_d_closed(E, base | {fan.joined_vertex}):
+        problems.append("base plus joined point not d-closed")
+    checked, bound_ok = _fan_growth_bound(fan, r)
+    if not bound_ok:
+        problems.append("fan growth bound violated")
+    probe, anchor, spokes = _build_fan_probe(B, base, r)
+    spokes_perp = tuple(perp(probe, [e], frozenset(), base) for e in spokes)
+    if not all(spokes_perp):
+        problems.append(f"spokes perp base: {spokes_perp}")
+    if anchor not in cld(probe, base | set(spokes)):
+        problems.append("anchor escaped the spoke closure")
+    return problems, E, checked
+
+
 def ex511_suite(
     r_values: tuple[int, ...] = (3, 4),
     seed: int = 0,
@@ -329,36 +385,19 @@ def ex511_suite(
         if r == 3:
             variants += [(3, False, True)]
         for a_size, extra_b, with_rel in variants:
-            B, base, b = _fan_instance(r, a_size, extra_b, with_rel)
-            res = build_fan_join(B, base, b, r, f)
-            problems = []
-            if not res.membership.holds:
-                problems.append(
-                    f"class membership {res.membership.verdict}, "
-                    f"witness {sorted(res.membership.witness or [])}"
-                )
-            if not all(res.copies_d_closed):
-                problems.append(f"copies d-closed: {res.copies_d_closed}")
-            if not res.base_with_join_d_closed:
-                problems.append("base plus joined point not d-closed")
-            if not res.log_bound_ok:
-                problems.append("fan growth bound violated")
-            if not all(res.probe.spokes_perp_base):
-                problems.append(f"spokes perp base: {res.probe.spokes_perp_base}")
-            if not res.probe.anchor_in_closure:
-                problems.append("anchor escaped the spoke closure")
+            problems, E, checked = _fan_join_claims(*_fan_instance(r, a_size, extra_b, with_rel),
+                                                    r, f)
             key = f"r={r}:|A|={a_size}" + ("+deep" if extra_b else "") + (
                 ":rel" if with_rel else ""
             )
             rep.check(
                 key,
                 "; ".join(problems) or None,
-                note=f"|E|={len(res.structure.vertices)}, f={f.name}, "
-                f"bound checked on {res.log_bound_checked} subsets",
+                note=f"|E|={len(E.vertices)}, f={f.name}, bound checked on {checked} subsets",
             )
     if negative_control:
         B, base, b = _fan_instance(3, 1, False, False)
-        E = build_fan_join(B, base, b, 3, f).structure
+        E = build_fan_join(B, base, b, 3).structure
         v = E.vertices
         # injected fault: two extra relations drive delta under the bound
         m = in_Cf(E.with_added([], {"R": [(v[0], v[1], v[2]), (v[0], v[1], v[3])]}), f)
@@ -374,7 +413,6 @@ def ex512_suite(
     s: int = 73,
     step: int = 6,
     samples: int = 1000,
-    sample_size_cap: int = 18,
     seed: int = 0,
     negative_control: bool = False,
 ) -> VerificationReport:
@@ -403,9 +441,7 @@ def ex512_suite(
         witness=None if m.verdict != FAIL else subset_witness(m.witness),
         note=m.detail or "exhaustive",
     )
-    samp = sample_closed_connected_subsets(
-        dc, count=samples, max_size=sample_size_cap, seed=seed
-    )
+    samp = sample_closed_connected_subsets(dc, count=samples, seed=seed)
     rep.check(
         "closed-subset-margin",
         None if samp.ok else str(samp.violations[0]),
@@ -418,21 +454,24 @@ def ex512_suite(
         None if sc.ok else str(sc.violations[0]),
         note=f"{sc.samples} seeded closures of outer-cycle seeds, size <= 4*seed-3",
     )
-    fan = build_cycle_fan(dc, f, seed=seed)
+    E, pendants = build_cycle_fan(dc)
+    delta_e = delta_mask(E, E.full_mask())
+    f_at = f(len(E.vertices))
+    # the fan on a double cycle of length 2t has 3t vertices and delta 2t
+    smallest = next((t for t in range(73, 12 * s + 1201)
+                     if math.gcd(6, t) == 1 and 2 * t >= f(3 * t)), None)
     rep.check(
         "fan-delta-bound",
-        None
-        if fan.delta_bound_ok
-        else f"delta {fan.delta_e} < f({len(fan.structure.vertices)}) = {fan.f_at_size}",
-        note=f"smallest admissible s for this block: {fan.smallest_valid_s}",
+        None if delta_e >= f_at else f"delta {delta_e} < f({len(E.vertices)}) = {f_at}",
+        note=f"smallest admissible s for this block: {smallest}",
     )
-    ok56 = all(fan.d_samples_closed) and all(fan.copies_sampled_closed)
+    open_singletons = [v for v in (*dc.d_vertices, *pendants) if not is_d_closed(E, {v})]
+    covers = cld(E, pendants) == frozenset(E.vertices)
     rep.check(
         "fan-closure-claims",
         None
-        if ok56 and fan.b_closure_is_all
-        else f"d-vertices {fan.d_samples_closed}, copies {fan.copies_sampled_closed}, "
-        f"closure-covers-all={fan.b_closure_is_all}",
+        if not open_singletons and covers
+        else f"not d-closed: {subset_witness(open_singletons)}, closure-covers-all={covers}",
         note="pendant blocks and single outer vertices d-closed; "
         "block union d-generates the whole fan",
     )

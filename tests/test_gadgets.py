@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -23,6 +25,8 @@ from predimlab import (
     graph_signature,
     hypergraph_signature,
     in_C0,
+    in_Cf,
+    run_suite,
     self_sufficient,
     verify_gadget,
 )
@@ -33,8 +37,14 @@ from predimlab.gadgets import (
     sample_c_closures,
     sample_closed_connected_subsets,
 )
-from predimlab.reports import subset_witness
-from predimlab.suites import _beatty_window_checks
+from predimlab import suites
+from predimlab.reports import FAIL, PASS, subset_witness
+from predimlab.suites import (
+    _beatty_window_checks,
+    _fan_growth_bound,
+    _fan_instance,
+    _fan_join_claims,
+)
 
 from conftest import (
     brute_beatty_window_checks,
@@ -196,24 +206,38 @@ def test_tower_amalgam_empty_arms():
 
 
 def test_fan_join_r3():
-    f = ControlFunction.half_harmonic(1)
     B = FiniteStructure(hypergraph_signature(1, 1, 3), [0, 1])
-    res = build_fan_join(B, [0], 1, 3, f)
-    assert res.membership.holds
-    assert all(res.copies_d_closed)
-    assert res.base_with_join_d_closed
-    assert all(res.probe.spokes_perp_base)
-    assert res.probe.anchor_in_closure
+    fan = build_fan_join(B, [0], 1, 3)
+    assert fan.copy_blocks == (frozenset({0, 2}), frozenset({0, 3}))
+    assert (fan.b_copies, fan.joined_vertex) == ((2, 3), 4)
+    assert fan.structure.instances["R"] == ((2, 3, 4),)
+    # class membership, copies and base + join d-closed, spokes perp the
+    # base and the anchor in the spoke closure
+    problems, E, _ = _fan_join_claims(B, [0], 1, 3, ControlFunction.half_harmonic(1))
+    assert problems == []
+    assert E == fan.structure
 
 
 def test_fan_join_r4_and_growth_bound():
-    f = ControlFunction.half_harmonic(1)
     sig = hypergraph_signature(1, 1, 4)
     B = FiniteStructure(sig, [0, 1, 2, 3], {"R": [(0, 1, 2, 3)]})
-    res = build_fan_join(B, [0, 1], 2, 4, f)
-    assert res.membership.holds
-    assert res.log_bound_checked > 0
-    assert res.log_bound_ok
+    problems, _, checked = _fan_join_claims(B, [0, 1], 2, 4, ControlFunction.half_harmonic(1))
+    assert problems == []
+    assert checked > 0
+
+
+def test_fan_growth_bound_count_matches_the_set_loop():
+    # the count of subsets the bound applies to, by sets of ids
+    for r, a_size in [(3, 2), (4, 2)]:
+        fan = build_fan_join(*_fan_instance(r, a_size, True, False), r)
+        E, base = fan.structure, fan.base
+        must = set(fan.b_copies) | {fan.joined_vertex}
+        checked = 0
+        for Y in (set(c) for k in range(len(E.vertices) + 1)
+                  for c in itertools.combinations(E.vertices, k)):
+            sizes = [len(Y & (blk - base)) for blk in fan.copy_blocks]
+            checked += must <= Y and bool(Y & base) and max(sizes) >= 2
+        assert _fan_growth_bound(fan, r) == (checked, True)
 
 
 def test_fan_join_default_family_conflict_is_real():
@@ -221,10 +245,11 @@ def test_fan_join_default_family_conflict_is_real():
     # dips below the bound: this documents why the slow family is used
     f = ControlFunction.harmonic(1)
     B = FiniteStructure(hypergraph_signature(1, 1, 3), [0, 1])
-    res = build_fan_join(B, [0], 1, 3, f)
-    assert not res.membership.holds
-    assert res.membership.witness == frozenset({2, 3, 4})
-    assert res.membership.margin == Fraction(2) - Fraction(5, 2)
+    problems, E, _ = _fan_join_claims(B, [0], 1, 3, f)
+    assert problems == ["class membership FAIL, witness [2, 3, 4]"]
+    membership = in_Cf(E, f)
+    assert membership.witness == frozenset({2, 3, 4})
+    assert membership.margin == Fraction(2) - Fraction(5, 2)
 
 
 def test_double_cycle_shape():
@@ -249,14 +274,33 @@ def test_double_cycle_sampling():
 
 def test_cycle_fan():
     dc = build_double_cycle(73, 6)
-    fan = build_cycle_fan(dc, ControlFunction.harmonic(2))
-    assert len(fan.structure.vertices) == 219
-    assert fan.delta_e == 146
-    assert fan.delta_bound_ok
-    assert fan.smallest_valid_s == 73
-    assert all(fan.d_samples_closed)
-    assert all(fan.copies_sampled_closed)
-    assert fan.b_closure_is_all
+    E, pendants = build_cycle_fan(dc)
+    assert len(E.vertices) == 219
+    assert delta(E, E.vertices) == 146
+    assert pendants == tuple(range(146, 219))
+    cases = {c.key: c for c in run_suite("ex512", samples=0).cases}
+    assert cases["fan-delta-bound"].status == PASS
+    assert cases["fan-delta-bound"].note == "smallest admissible s for this block: 73"
+    # every D vertex and every pendant vertex d-closed, and the pendants
+    # d-generate the whole fan
+    assert cases["fan-closure-claims"].status == PASS
+
+
+def test_fan_closure_claims_checks_every_position(monkeypatch):
+    # a K4 on d_0 and three fresh vertices has delta 2 = delta({d_0}), so
+    # d_0 (vertex 73) stops being d-closed; no other checked position does.
+    # The claims were once checked on 3 + 3 seeded positions, and d_0 was not
+    # among the seed-0 draw.
+    def faulty(s, step):
+        dc = build_double_cycle(s, step)
+        fresh = [2 * s, 2 * s + 1, 2 * s + 2]
+        k4 = list(itertools.combinations([dc.d_vertices[0], *fresh], 2))
+        return dataclasses.replace(dc, structure=dc.structure.with_added(fresh, {"R": k4}))
+
+    monkeypatch.setattr(suites, "build_double_cycle", faulty)
+    case = next(c for c in run_suite("ex512", samples=0).cases if c.key == "fan-closure-claims")
+    assert case.status == FAIL
+    assert case.witness == "not d-closed: {73}, closure-covers-all=True"
 
 
 def _clause_cases(g):
