@@ -4,8 +4,8 @@ The builder enumerates small patterns in a target class, turns every
 (embedded base, extension) pair into a task, and round-robins through the
 tasks realizing one missing extension per visit by free amalgamation over
 the embedded base.  Every step keeps the previous structure self-sufficient
-(d-closed for the control-function class) in the new one and keeps the whole
-structure inside the class; breaking either aborts loudly.
+(d-closed for the control-function class) in the new one, and the last
+structure is inside the class; breaking either aborts loudly.
 
 One chain reuses its work across steps.  The embedding search runs on each
 structure's bitmask index.  The chain check, and the certificate that keeps
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
-from .classes import ControlFunction, in_C0, in_Cf, in_Kn
+from .classes import ControlFunction, MembershipResult, in_C0, in_Cf, in_Kn
 from .closures import hand_over_solver, is_d_closed, self_sufficient
 from .errors import CapacityError, InputError, InternalError
 from .reports import FAIL
@@ -73,22 +73,14 @@ def _in_class(
     tag: str,
     control: Optional[ControlFunction],
     ngon: Optional[int],
-    light: bool = False,
-) -> tuple[bool, str]:
+) -> MembershipResult:
     if tag == C0:
-        r = in_C0(S)
-    elif tag == CF:
-        if light:
-            r = in_Cf(S, control, conn_size=10, conn_budget=4000, samples=200)
-        else:
-            r = in_Cf(S, control)
-    elif tag == KN:
-        r = in_Kn(S, ngon)
-    else:
-        raise InputError(f"unknown class tag {tag!r}")
-    if r.verdict == FAIL:
-        return False, f"witness {sorted(r.witness) if r.witness else '?'}"
-    return True, r.verdict
+        return in_C0(S)
+    if tag == CF:
+        return in_Cf(S, control)
+    if tag == KN:
+        return in_Kn(S, ngon)
+    raise InputError(f"unknown class tag {tag!r}")
 
 
 def enumerate_class(
@@ -108,7 +100,7 @@ def enumerate_class(
     if tag == KN and ngon is None:
         raise InputError("kn enumeration needs an ngon")
     return _isomorph_free_types(
-        signature, max_size, lambda S: _in_class(S, tag, control, ngon)[0]
+        signature, max_size, lambda S: _in_class(S, tag, control, ngon).verdict != FAIL
     )
 
 
@@ -529,12 +521,14 @@ def build_generic(config: BuildConfig) -> BuildResult:
     ones marked done, and the first unrealized one gets a fresh copy of the
     extension, which ends the visit.
 
-    Every step is checked against the class.  For c0 and cf a step
-    certifies itself from what it adds (see :func:`_step_certified`), so
-    while every step has, every structure of the chain is exactly in the
-    class.  From the first step that misses on, and at every kn step, the
-    whole structure gets the light check of :func:`_in_class` instead; a
-    FAIL raises ``InternalError``.
+    For c0 and cf a step certifies itself from what it adds (see
+    :func:`_step_certified`), so while every step has, every structure of
+    the chain is exactly in the class.  Otherwise (every kn build, and a c0
+    or cf build after a miss) the last structure gets one check of
+    :func:`_in_class`, which covers the chain: the classes are hereditary,
+    and each structure of the chain is the induced structure on a prefix of
+    the last one.  A FAIL raises ``InternalError`` naming the first step
+    whose structure holds the witness, which already leaves the class.
     """
     patterns = enumerate_class(
         config.signature, config.tag, config.max_pattern, config.control, config.ngon
@@ -566,12 +560,6 @@ def build_generic(config: BuildConfig) -> BuildResult:
                 steps += 1
                 progressed = True
                 certified = certified and _step_certified(prev, S, f)
-                if not certified:
-                    ok, note = _in_class(S, config.tag, config.control, config.ngon, light=True)
-                    if not ok:
-                        raise InternalError(
-                            f"class violated after step {steps}: {note}"
-                        )
                 log.steps.append(
                     {
                         "step": steps,
@@ -584,6 +572,12 @@ def build_generic(config: BuildConfig) -> BuildResult:
                 break
         if not progressed:
             break
+    if not certified:
+        r = _in_class(S, config.tag, config.control, config.ngon)
+        if r.verdict == FAIL:
+            top = max(r.witness)
+            step = next(e["step"] for e in log.steps if e["size"] > top)
+            raise InternalError(f"class violated after step {step}: witness {sorted(r.witness)}")
     log.structure_dump = dump_structure(S)
     return BuildResult(S, log, tasks)
 
@@ -671,7 +665,7 @@ def _step_certified(
     many weighted instances at old positions as prev has.  Concavity is
     checked only from prev's size on; the caller certified the steps up to
     prev.  False when any of this misses, although out may still be in the
-    class: the caller then checks it directly.
+    class: the caller then checks the last structure directly.
     """
     n_prev = len(prev.vertices)
     bx = out.bit_index()

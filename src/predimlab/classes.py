@@ -34,8 +34,8 @@ from .structures import (
 )
 
 DEFAULT_CF_EXHAUSTIVE_CAP = 18
-DEFAULT_CONN_SIZE = 18
-DEFAULT_CONN_BUDGET = 200_000
+DEFAULT_CONN_SIZE = 18  # largest connected subset in_Cf checks above the cap
+DEFAULT_CONN_BUDGET = 200_000  # connected subsets in_Cf checks above the cap
 DEFAULT_SAMPLES = 1000
 KN_CYCLE_BUDGET = 2_000_000  # long-cycle search steps in_Kn takes before PARTIAL
 
@@ -152,8 +152,6 @@ def in_Cf(
     S: FiniteStructure,
     f: ControlFunction,
     exhaustive_cap: int = DEFAULT_CF_EXHAUSTIVE_CAP,
-    conn_size: int = DEFAULT_CONN_SIZE,
-    conn_budget: int = DEFAULT_CONN_BUDGET,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> MembershipResult:
@@ -206,9 +204,9 @@ def in_Cf(
             checked += 1
             if d < thr[size]:
                 violations.append((size, mask))
-            if checked >= conn_budget:
+            if checked >= DEFAULT_CONN_BUDGET:
                 break
-            if size >= conn_size:
+            if size >= DEFAULT_CONN_SIZE:
                 continue
             rest = frontier
             while rest:
@@ -242,8 +240,8 @@ def in_Cf(
         checked=checked,
         detail=(
             f"size {n} exceeds exhaustive cap {exhaustive_cap}; "
-            f"checked {checked} subsets (connected <= {conn_size} within budget "
-            f"{conn_budget}, plus {samples} seeded random); not a certificate"
+            f"checked {checked} subsets (connected <= {DEFAULT_CONN_SIZE} within budget "
+            f"{DEFAULT_CONN_BUDGET}, plus {samples} seeded random); not a certificate"
         ),
     )
 

@@ -8,6 +8,7 @@ Exit codes: 0 all checks passed (PARTIAL and DEGENERATE count as non-fail),
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from . import __version__
@@ -46,7 +47,7 @@ from .structures import (
     load_structure,
     polygon_signature,
 )
-from .suites import run_suite
+from .suites import ex512_suite, run_suite
 
 
 def _ids(text: str) -> list[int]:
@@ -143,14 +144,15 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("ex511", help="fan-join example construction")
     p.add_argument("--r", type=int, default=3)
-    p.add_argument("--base-size", type=int, default=1)
+    p.add_argument("--base-size", type=int, default=1,
+                   help="base points of the fan written to --out; the suite runs its own")
     p.add_argument("--out")
     p.add_argument("--report", choices=["text", "machine"], default="text")
 
     p = sub.add_parser("ex512", help="double-cycle example construction")
-    p.add_argument("--s", type=int, default=73)
-    p.add_argument("--step", type=int, default=6)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--s", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--step", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--samples", type=int, default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--report", choices=["text", "machine"], default="text")
@@ -353,10 +355,11 @@ def _dispatch(args) -> int:
         return _report_exit(args, rep)
 
     if cmd == "ex512":
-        rep = run_suite("ex512", s=args.s, step=args.step, samples=args.samples,
-                        seed=args.seed)
+        given = {k: v for k, v in vars(args).items() if k in ("s", "step", "samples")}
+        rep = run_suite("ex512", seed=args.seed, **given)
         if args.out:
-            dc = build_double_cycle(args.s, args.step)
+            shape = inspect.signature(ex512_suite).parameters
+            dc = build_double_cycle(*(given.get(k, shape[k].default) for k in ("s", "step")))
             with open(args.out, "w") as fh:
                 fh.write(dump_structure(dc.structure))
         return _report_exit(args, rep)

@@ -41,6 +41,7 @@ B_EQUALS_1 = "B_EQUALS_1"
 B_GE_2 = "B_GE_2"
 
 GADGET_VERIFY_CAP = 22  # most gadget vertices verify_gadget enumerates
+CLOSED_SAMPLE_MAX = 18  # largest d-closed sample sample_closed_connected_subsets keeps
 
 
 # -- Beatty sequences -------------------------------------------------------------
@@ -248,8 +249,6 @@ class TowerAmalgam:
     structure: FiniteStructure  # the E
     c_block: frozenset[int]  # image of C
     copy_blocks: tuple[frozenset[int], ...]  # images of the B copies
-    x_points: tuple[int, ...]  # identified gadget base, x_1 = c first
-    new_points: frozenset[int]  # gadget vertices glued beyond X
 
 
 def build_tower_amalgam(
@@ -292,18 +291,15 @@ def build_tower_amalgam(
 
     gx = sorted(g.x_set)
     gmap = {}
-    new_points = []
     for i, xv in enumerate(gx):
         if i < len(x_points):
             gmap[xv] = x_points[i]
         else:
             gmap[xv] = next_id
-            new_points.append(next_id)
             next_id += 1
     for v in g.structure.vertices:
         if v not in g.x_set:
             gmap[v] = next_id
-            new_points.append(next_id)
             next_id += 1
     glued = g.structure.relabel(gmap)
     E = Z.with_added(glued.vertices, glued.instances)
@@ -311,8 +307,6 @@ def build_tower_amalgam(
         E,
         frozenset(C.vertices),
         tuple(frozenset(copy.vertices) for copy in copies),
-        tuple(x_points),
-        frozenset(new_points),
     )
 
 
@@ -376,7 +370,6 @@ class DoubleCycle:
     c_vertices: tuple[int, ...]
     d_vertices: tuple[int, ...]
     s: int
-    step: int
 
 
 def build_double_cycle(s: int, step: int) -> DoubleCycle:
@@ -396,7 +389,7 @@ def build_double_cycle(s: int, step: int) -> DoubleCycle:
         edges.append((ds[i], cs[(i + 1) % s]))
         edges.append((ds[i], ds[(i + step) % s] if i != (i + step) % s else None))
     edges = [(a, b) for a, b in edges if b is not None]
-    return DoubleCycle(graph(edges, n=2, m=1), cs, ds, s, step)
+    return DoubleCycle(graph(edges, n=2, m=1), cs, ds, s)
 
 
 @dataclass(frozen=True)
@@ -404,7 +397,6 @@ class SampledInequality:
     samples: int
     distinct: int
     violations: tuple[tuple[int, ...], ...]
-    skipped: int = 0
 
     @property
     def ok(self) -> bool:
@@ -414,12 +406,13 @@ class SampledInequality:
 def sample_closed_connected_subsets(
     dc: DoubleCycle,
     count: int = 1000,
-    max_size: int = 18,
     seed: int = 0,
 ) -> SampledInequality:
     """Seeded d-closed connected samples; checks 2*delta(X) >= |X| + 3 exactly.
 
-    Each sample is the d-closure of a connected seed of 1 to 5 vertices.
+    Each sample is the d-closure of a connected seed of 1 to 5 vertices,
+    kept when it is a proper subset of at most ``CLOSED_SAMPLE_MAX``
+    vertices.
     """
     S = dc.structure
     rng = random.Random(seed)
@@ -428,7 +421,6 @@ def sample_closed_connected_subsets(
     violations = []
     seen = set()
     accepted = 0
-    skipped = 0
     attempts = 0
     while accepted < count:
         attempts += 1
@@ -446,14 +438,13 @@ def sample_closed_connected_subsets(
             seed_mask |= 1 << rng.choice(frontier)
         X = cld(S, S.ids_of(seed_mask))
         xmask = S.mask_of(X)
-        if len(X) == n or len(X) > max_size or not _connected_in(co, xmask):
-            skipped += 1
+        if len(X) == n or len(X) > CLOSED_SAMPLE_MAX or not _connected_in(co, xmask):
             continue
         accepted += 1
         seen.add(X)
         if 2 * delta_mask(S, xmask) < len(X) + 3:
             violations.append(tuple(sorted(X)))
-    return SampledInequality(accepted, len(seen), tuple(violations), skipped)
+    return SampledInequality(accepted, len(seen), tuple(violations))
 
 
 def sample_c_closures(

@@ -376,6 +376,9 @@ def ex511_suite(
     seed: int = 0,
     negative_control: bool = False,
 ) -> VerificationReport:
+    for r in r_values:  # the +deep variant pads an instance with r - 2 of its 2 base points
+        if not 3 <= r <= 4:
+            raise InputError(f"ex511 builds r from 3 to 4 only, got r = {r}")
     rep = VerificationReport(suite="ex511")
     f = ControlFunction.half_harmonic(1)
     f.validate(40)

@@ -117,12 +117,13 @@ def small_bipartite(draw, max_n=8, ngon=3):
 
 
 @st.composite
-def extension_chains(draw, max_steps=4, max_new=3, max_instances=6, bipartite=False):
+def extension_chains(draw, max_steps=4, max_new=3, max_instances=6, bipartite=False,
+                     old_instance=True):
     """A chain of structures, each adding vertices (ids above the old ones)
     and instances to the one before, over a drawn signature, or over
     polygon_signature(3) with drawn part labels when ``bipartite``.  New
     instances meet the new vertices, apart from at most one among the old
-    ones."""
+    ones when ``old_instance``."""
     sig = polygon_signature(3) if bipartite else draw(st.sampled_from(CHAIN_SIGNATURES))
     chain = [FiniteStructure(sig, [], {}, {} if bipartite else None)]
     for _ in range(draw(st.integers(min_value=1, max_value=max_steps))):
@@ -144,7 +145,7 @@ def extension_chains(draw, max_steps=4, max_new=3, max_instances=6, bipartite=Fa
                 if meet else st.just([])
             )
             old = [t for t in tups if t[-1] < n]
-            if old and draw(st.booleans()):
+            if old and old_instance and draw(st.booleans()):
                 inst[rel.name].append(draw(st.sampled_from(old)))
         chain.append(S.with_added(range(n, n + k), inst, parts))
     return chain
@@ -293,6 +294,46 @@ def brute_in_Cf(S, f, exhaustive_cap=18, conn_size=18, conn_budget=200_000,
     )
 
 
+def brute_class_violations(S, tag, f=None, ngon=3):
+    """Oracle class check: the masks of the vertex sets of S that break the
+    class by themselves.  For c0 a set of negative delta, for cf one of
+    delta below f of its size.  For kn also a set of fewer than 2 ngon
+    vertices holding a cycle, or a set of delta below 2 ngon + 2 holding a
+    cycle longer than 2 ngon.  Each reads only the induced structure."""
+    adj = {v: set() for v in S.vertices}
+    for u, w in S.instances["adj"] if tag == "kn" else ():
+        adj[u].add(w)
+        adj[w].add(u)
+
+    def longest_cycle(X):
+        best = 0
+        for root in X:
+            stack = [(root, (root,))]
+            while stack:
+                u, path = stack.pop()
+                for w in adj[u] & X:
+                    if w == root and len(path) >= 3:
+                        best = max(best, len(path))
+                    elif w > root and w not in path:
+                        stack.append((w, path + (w,)))
+        return best
+
+    out = []
+    for mask in range(1 << len(S.vertices)):
+        X = S.ids_of(mask)
+        d, k = brute_delta(S, X), len(X)
+        if tag == "c0":
+            bad = d < 0
+        elif tag == "cf":
+            bad = d < f(k)
+        else:
+            bad = (d < 0 or (k < 2 * ngon and longest_cycle(X) > 0)
+                   or (d < 2 * ngon + 2 and longest_cycle(X) > 2 * ngon))
+        if bad:
+            out.append(mask)
+    return out
+
+
 def is_induced_partial(S, pattern, partial):
     """Is ``partial`` an induced embedding of the pattern vertices it maps?
     Part labels are kept, and the pattern instances among those vertices go
@@ -421,14 +462,13 @@ def brute_build_generic(config):
                 memo[copy_image] = True
                 steps += 1
                 progressed = True
-                ok, note = builder._in_class(S, config.tag, config.control, config.ngon,
-                                             light=True)
-                assert ok, note
                 log.steps.append({"step": steps, "task": ti, "task_key": str(task.key),
                                   "embedding": sorted(phi.items()), "size": len(S.vertices)})
                 break
         if not progressed:
             break
+    r = builder._in_class(S, config.tag, config.control, config.ngon)
+    assert r.verdict != FAIL, r.witness
     log.structure_dump = dump_structure(S)
     return log
 

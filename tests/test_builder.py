@@ -1,5 +1,6 @@
 import collections
 import copy
+import dataclasses
 import functools
 import itertools
 from fractions import Fraction
@@ -93,7 +94,7 @@ def test_enumerate_class_cap():
 
 
 def _class_keep(tag, control=None, ngon=None):
-    return lambda S: builder._in_class(S, tag, control, ngon)[0]
+    return lambda S: builder._in_class(S, tag, control, ngon).verdict != FAIL
 
 
 @pytest.mark.parametrize("signature, max_size, keep", [
@@ -231,7 +232,7 @@ def test_a_refresh_that_lets_nothing_in_leaves_the_window_as_it_was(monkeypatch)
 
 
 def test_seed0_kn_build_log_is_pinned():
-    # kn steps run the light class check every time; this pins that path
+    # a kn build checks its class once, after the last step; this pins it
     res = build_generic(BuildConfig(polygon_signature(3), KN, max_pattern=4, budget=40,
                                     seed=0, ngon=3))
     assert res.log.digest() == (
@@ -574,57 +575,102 @@ def test_a_step_certifies_only_up_to_where_f_is_concave():
     assert builder._step_certified(graph([]), prev, bumpy)
 
 
-def _light_checks(monkeypatch):
-    """Count the light class checks, the per-step ones, of the builds to come."""
+def _class_checks(monkeypatch, config):
+    """The sizes of the structures that builds of ``config`` check against
+    the class, apart from the patterns they enumerate first."""
+    patterns = enumerate_class(config.signature, config.tag, config.max_pattern,
+                               config.control, config.ngon)
+    monkeypatch.setattr(builder, "enumerate_class", lambda *args: patterns)
     calls = []
     real = builder._in_class
-
-    def counting(S, tag, control, ngon, light=False):
-        if light:
-            calls.append(len(S.vertices))
-        return real(S, tag, control, ngon, light)
-
-    monkeypatch.setattr(builder, "_in_class", counting)
+    monkeypatch.setattr(builder, "_in_class",
+                        lambda S, *args: calls.append(len(S.vertices)) or real(S, *args))
     return calls
 
 
 CF_BUILD = BuildConfig(SIG, CF, max_pattern=3, budget=12, seed=0,
                        control=ControlFunction.harmonic(2))
+KN_BUILD = BuildConfig(polygon_signature(3), KN, max_pattern=3, budget=8, seed=0, ngon=3)
 
 
-def test_a_step_that_breaks_the_class_is_caught_by_the_fallback(monkeypatch):
+def _planting_at(monkeypatch, step, plant):
+    """Make the build's ``step``-th amalgamation add ``plant(prev, out)``
+    too, an edge of out; returns the structures the steps made."""
     real = builder._amalgamate
     made = []
 
-    def with_a_triangle(S, task, phi):
+    def planting(S, task, phi):
         out, image = real(S, task, phi)
+        if len(made) + 1 == step:
+            name = out.signature.relations[0].name
+            out = out.with_added([], {name: [plant(S, out)]})
         made.append(out)
-        if len(made) == 6:
-            # close a triangle x-y-z through a new vertex y: delta 3 < f(3)
-            co, n_prev = out.bit_index().co, len(S.vertices)
-            y, x, z = next((y, x, z) for y in range(n_prev, len(out.vertices))
-                           for x in _bits(co[y]) for z in _bits(co[x] & ~co[y])
-                           if z != y)
-            out = out.with_added([], {"R": [tuple(sorted(out.vertices[i] for i in (y, z)))]})
-            made[-1] = out
         return out, image
 
-    monkeypatch.setattr(builder, "_amalgamate", with_a_triangle)
-    light = _light_checks(monkeypatch)
-    with pytest.raises(InternalError, match="class violated after step 6"):
+    monkeypatch.setattr(builder, "_amalgamate", planting)
+    return made
+
+
+def _closing_edge(S, out, length):
+    """An edge of out that closes a cycle of ``length`` through a new
+    vertex: from a new y to the end w of a path y - ... - w of length - 1
+    edges."""
+    co, n_prev = out.bit_index().co, len(S.vertices)
+    for y in range(n_prev, len(out.vertices)):
+        paths = [[y]]
+        for _ in range(length - 1):
+            paths = [p + [w] for p in paths for w in _bits(co[p[-1]]) if w not in p]
+        w = next((p[-1] for p in paths if not co[y] >> p[-1] & 1), None)
+        if w is not None:
+            return tuple(sorted(out.vertices[i] for i in (y, w)))
+    raise AssertionError("no cycle to close")
+
+
+def test_a_step_that_breaks_the_class_is_caught_by_the_fallback(monkeypatch):
+    # a triangle x-y-z through a new vertex y: delta 3 < f(3)
+    made = _planting_at(monkeypatch, 6, lambda S, out: _closing_edge(S, out, 3))
+    checks = _class_checks(monkeypatch, CF_BUILD)
+    with pytest.raises(InternalError, match=r"class violated after step 6: witness \["):
         build_generic(CF_BUILD)
-    # the five clean steps certify themselves; the sixth misses and falls back
-    assert len(made) == 6 and light == [len(made[-1].vertices)]
-    assert not builder._step_certified(made[-2], made[-1], CF_BUILD.control)
-    # the check every step ran before catches it too
-    assert not builder._in_class(made[-1], CF, CF_BUILD.control, None, light=True)[0]
+    # the five clean steps certify themselves, the sixth misses, and the
+    # last structure gets the one class check
+    assert len(made) == CF_BUILD.budget and checks == [len(made[-1].vertices)]
+    assert not builder._step_certified(made[4], made[5], CF_BUILD.control)
+    assert not builder._in_class(made[5], CF, CF_BUILD.control, None)
+
+
+def test_a_kn_step_that_closes_a_short_cycle_is_caught_at_the_end(monkeypatch):
+    # a 4-cycle through a new vertex: girth 4 < 2 * 3; the eighth step's
+    # new vertices start a path of three edges
+    config = dataclasses.replace(KN_BUILD, max_pattern=4, budget=12)
+    made = _planting_at(monkeypatch, 8, lambda S, out: _closing_edge(S, out, 4))
+    checks = _class_checks(monkeypatch, config)
+    with pytest.raises(InternalError, match=r"class violated after step 8: witness \["):
+        build_generic(config)
+    assert len(made) == config.budget and checks == [len(made[-1].vertices)]
+    assert builder._in_class(made[6], KN, None, 3).holds
+    assert not builder._in_class(made[7], KN, None, 3)
+
+
+@pytest.mark.parametrize("config", [CF_BUILD, BuildConfig(SIG, C0, max_pattern=3, budget=12)],
+                         ids=["cf", "c0"])
+def test_a_certified_build_never_checks_its_class(monkeypatch, config):
+    checks = _class_checks(monkeypatch, config)
+    res = build_generic(config)
+    assert len(res.log.steps) == config.budget and checks == []
+
+
+def test_a_kn_build_checks_its_class_once(monkeypatch):
+    checks = _class_checks(monkeypatch, KN_BUILD)
+    res = build_generic(KN_BUILD)
+    assert checks == [len(res.structure.vertices)]
 
 
 @pytest.mark.parametrize("config,miss_at", [
     (CF_BUILD, 4),
     (BuildConfig(SIG, C0, max_pattern=3, budget=12, seed=0), 7),
 ])
-def test_every_step_after_a_miss_runs_the_light_check(monkeypatch, config, miss_at):
+def test_a_miss_leads_to_one_class_check_at_the_end(monkeypatch, config, miss_at):
     want = build_generic(config).log
     real = builder._step_certified
     asked = []
@@ -634,20 +680,13 @@ def test_every_step_after_a_miss_runs_the_light_check(monkeypatch, config, miss_
         return len(asked) != miss_at and real(prev, out, f)
 
     monkeypatch.setattr(builder, "_step_certified", missing_once)
-    light = _light_checks(monkeypatch)
+    checks = _class_checks(monkeypatch, config)
     got = build_generic(config).log
     assert got.digest() == want.digest()
     sizes = [step["size"] for step in got.steps]
     # certified flag stays down: no later step asks the certificate again
     assert asked == sizes[:miss_at]
-    assert light == sizes[miss_at - 1:]
-
-
-def test_every_kn_step_runs_the_light_check(monkeypatch):
-    light = _light_checks(monkeypatch)
-    res = build_generic(BuildConfig(polygon_signature(3), KN, max_pattern=3, budget=8,
-                                    seed=0, ngon=3))
-    assert light == [step["size"] for step in res.log.steps]
+    assert checks == sizes[-1:]
 
 
 REALIZED_SETUPS = (

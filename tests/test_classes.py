@@ -2,9 +2,10 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from predimlab import (
@@ -14,30 +15,36 @@ from predimlab import (
     girth,
     graph,
     graph_signature,
+    hypergraph_signature,
     in_C0,
     in_Cf,
     in_Kn,
     is_d_closed,
     make_control,
     path_graph,
+    polygon_signature,
     self_sufficient,
 )
 from predimlab.structures import (
+    LINE,
+    POINT,
     Relation,
     Signature,
     bipartite_graph,
     delta_mask,
     free_amalgam,
 )
-from predimlab.builder import enumerate_class, C0, CF
+from predimlab import classes
+from predimlab.builder import C0, CF, KN, _in_class, enumerate_class
 from predimlab.classes import (
     _simple_cycles_longer_than,
     girth_with_witness,
 )
+from predimlab.reports import FAIL
 
 from conftest import (
-    brute_connected_subsets, brute_delta, brute_girth, brute_in_Cf, cycle_graph,
-    small_bipartite, small_graphs,
+    brute_class_violations, brute_connected_subsets, brute_delta, brute_girth, brute_in_Cf,
+    cycle_graph, extension_chains, small_bipartite, small_graphs,
 )
 
 
@@ -104,17 +111,23 @@ def test_in_cf_minimal_witness_and_c0_implication():
         assert in_C0(S).holds
 
 
+def conn_caps(size, budget):
+    """in_Cf's connected search capped at ``size`` vertices and ``budget``
+    subsets, for a with block."""
+    return patch.multiple(classes, DEFAULT_CONN_SIZE=size, DEFAULT_CONN_BUDGET=budget)
+
+
 def test_in_cf_partial_above_cap():
     S = graph([(i, (i + 1) % 40) for i in range(40)])
-    res = in_Cf(S, ControlFunction.harmonic(2), exhaustive_cap=18,
-                conn_size=6, conn_budget=2000, samples=100, seed=1)
+    with conn_caps(6, 2000):
+        res = in_Cf(S, ControlFunction.harmonic(2), exhaustive_cap=18, samples=100, seed=1)
     assert res.verdict == "PARTIAL"
     assert not res.holds
     assert "not a certificate" in res.detail
     # a genuine violation is still found exactly: hang a triangle on the cycle
     bad = graph([(i, (i + 1) % 40) for i in range(40)] + [(0, 1), (1, 41), (0, 41)])
-    res2 = in_Cf(bad, ControlFunction.harmonic(2), exhaustive_cap=18,
-                 conn_size=6, conn_budget=5000, samples=200, seed=1)
+    with conn_caps(6, 5000):
+        res2 = in_Cf(bad, ControlFunction.harmonic(2), exhaustive_cap=18, samples=200, seed=1)
     assert res2.verdict == "FAIL"
 
 
@@ -128,7 +141,8 @@ def test_in_cf_samples_draw_what_the_id_loop_drew(chords, seed):
     edges += [(ids[i], ids[(i + 5) % n]) for i in range(chords)]
     S = graph(edges, vertices=ids)
     f = ControlFunction.harmonic(2)
-    res = in_Cf(S, f, exhaustive_cap=10, conn_size=3, conn_budget=40, samples=300, seed=seed)
+    with conn_caps(3, 40):
+        res = in_Cf(S, f, exhaustive_cap=10, samples=300, seed=seed)
     # the loop it replaced, which sampled vertex ids; the connected search
     # runs over positions, so the oracle searches the same graph on them
     thr = [math.ceil(f(k)) for k in range(n + 1)]
@@ -155,7 +169,8 @@ def test_in_cf_samples_draw_what_the_id_loop_drew(chords, seed):
 @st.composite
 def cf_cases(draw):
     """A structure (graph, 3-uniform hypergraph, or a graph with a zero-weight
-    second relation) plus a control function and in_Cf's budgets."""
+    second relation) plus a control function, in_Cf's options and its
+    connected-search caps (size, budget)."""
     kind = draw(st.sampled_from(["graph", "3-uniform", "zero-weight"]))
     n = draw(st.integers(min_value=0, max_value=9))
     vw = draw(st.integers(min_value=1, max_value=3))
@@ -173,21 +188,23 @@ def cf_cases(draw):
     f = draw(st.sampled_from([ControlFunction.harmonic, ControlFunction.half_harmonic]))(anchor)
     opts = dict(
         exhaustive_cap=draw(st.integers(min_value=-1, max_value=10)),
-        conn_size=draw(st.integers(min_value=1, max_value=7)),
-        conn_budget=draw(st.integers(min_value=1, max_value=60)),
         samples=draw(st.integers(min_value=0, max_value=12)),
         seed=draw(st.integers(min_value=0, max_value=3)),
     )
+    caps = (draw(st.integers(min_value=1, max_value=7)),
+            draw(st.integers(min_value=1, max_value=60)))
     if n == 0:
         opts["exhaustive_cap"] = max(opts["exhaustive_cap"], 0)  # no sample of size >= 1
-    return S, f, opts
+    return S, f, opts, caps
 
 
 @given(cf_cases())
 @settings(max_examples=250, deadline=None)
 def test_in_cf_matches_rational_oracle(case):
-    S, f, opts = case
-    assert in_Cf(S, f, **opts) == brute_in_Cf(S, f, **opts)
+    S, f, opts, (size, budget) = case
+    with conn_caps(size, budget):
+        got = in_Cf(S, f, **opts)
+    assert got == brute_in_Cf(S, f, conn_size=size, conn_budget=budget, **opts)
 
 
 @pytest.mark.parametrize("cap", [0, 18])
@@ -195,7 +212,8 @@ def test_in_cf_exact_bound_is_not_a_violation(cap):
     # delta = 2 = f(1) on every singleton and 4 > f(2) on every pair
     S = graph([], vertices=range(6))
     f = ControlFunction.harmonic(2)
-    res = in_Cf(S, f, exhaustive_cap=cap, conn_size=4, conn_budget=10, samples=20)
+    with conn_caps(4, 10):
+        res = in_Cf(S, f, exhaustive_cap=cap, samples=20)
     assert res.verdict == ("PASS" if cap else "PARTIAL")
     assert res == brute_in_Cf(S, f, exhaustive_cap=cap, conn_size=4, conn_budget=10,
                               samples=20)
@@ -207,13 +225,60 @@ def test_in_cf_connected_budget_keeps_search_order():
     edges = [(i, i + 1) for i in range(11)] + [(10, 12), (11, 12)]
     S = graph(edges)
     f = ControlFunction.harmonic(2)
+    verdicts = []
     for budget in (5, 40, 400):
-        opts = dict(exhaustive_cap=0, conn_size=5, conn_budget=budget, samples=0)
-        assert in_Cf(S, f, **opts) == brute_in_Cf(S, f, **opts)
-    assert in_Cf(S, f, exhaustive_cap=0, conn_size=5, conn_budget=5,
-                 samples=0).verdict == "PARTIAL"
-    assert in_Cf(S, f, exhaustive_cap=0, conn_size=5, conn_budget=400,
-                 samples=0).verdict == "FAIL"
+        with conn_caps(5, budget):
+            got = in_Cf(S, f, exhaustive_cap=0, samples=0)
+        assert got == brute_in_Cf(S, f, exhaustive_cap=0, conn_size=5, conn_budget=budget,
+                                  samples=0)
+        verdicts.append(got.verdict)
+    assert verdicts[0] == "PARTIAL" and verdicts[-1] == "FAIL"
+
+
+@st.composite
+def class_chains(draw):
+    """(chain, tag, f): an extension chain whose steps add no instance among
+    old vertices, as a build's steps do, and a class to check it against."""
+    tag = draw(st.sampled_from([C0, CF, KN]))
+    chain = draw(extension_chains(max_instances=9, bipartite=tag == KN, old_instance=False))
+    f = ControlFunction.harmonic(chain[0].signature.vertex_weight) if tag == CF else None
+    return chain, tag, f
+
+
+def _chain(sig, *steps):
+    """The chain from the empty structure over ``sig`` by the steps
+    (new ids, instances by relation, parts or None)."""
+    chain = [FiniteStructure(sig, [], {}, {} if sig.mode == "bipartite" else None)]
+    for ids, inst, parts in steps:
+        chain.append(chain[-1].with_added(ids, inst, parts))
+    return chain
+
+
+@given(class_chains())
+@settings(max_examples=300, deadline=None)
+# a 4-cycle closed by the second step, and a pair of 3-uniform steps whose
+# second drives delta below 0; a third step that adds nothing to either
+@example((_chain(polygon_signature(3),
+                 ([0, 1, 2], {"adj": [(0, 1), (1, 2)]}, {0: POINT, 1: LINE, 2: POINT}),
+                 ([3], {"adj": [(0, 3), (2, 3)]}, {3: LINE}), ([4], {}, {4: POINT})), KN, None))
+@example((_chain(hypergraph_signature(1, 1, 3),
+                 ([0, 1, 2, 3], {"R": list(itertools.combinations(range(4), 3))}, None),
+                 ([4], {"R": [(*t, 4) for t in itertools.combinations(range(4), 2)]}, None),
+                 ([5], {}, None)), C0, None))
+def test_a_chain_leaves_its_class_exactly_when_its_last_member_does(case):
+    # each member is the induced structure on a prefix of the last one, and
+    # the classes are hereditary: one check of the last member covers the chain
+    chain, tag, f = case
+    fails = [brute_class_violations(S, tag, f) for S in chain]
+    assert bool(fails[-1]) == any(fails)
+    last = _in_class(chain[-1], tag, f, 3)
+    assert (last.verdict == FAIL) == bool(fails[-1])
+    event(f"{tag}: {last.verdict}")
+    if last.verdict == FAIL:
+        # the witness's first holder is where the build names the step
+        wmask = chain[-1].mask_of(last.witness)
+        first = next(S for S in chain if wmask >> len(S.vertices) == 0)
+        assert wmask in fails[-1] and wmask in brute_class_violations(first, tag, f)
 
 
 def test_girth_examples():

@@ -224,6 +224,22 @@ BAD_COUNTS = [
 ]
 
 
+# Example parameters the command cannot build: once an error from deep in
+# the construction.
+UNBUILDABLE = [
+    ["ex511", "--r", "5"],
+    ["ex511", "--r", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", UNBUILDABLE, ids=" ".join)
+def test_cli_rejects_unbuildable_example_parameters(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"r = {argv[-1]}" in err
+    assert "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def budget30_build(tmp_path_factory):
     out = tmp_path_factory.mktemp("build") / "b30.pdl"

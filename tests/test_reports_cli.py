@@ -289,3 +289,12 @@ def test_cli_example_out_holds_the_structure(tmp_path, capsys, argv):
     S, _ = load_structure(out.read_text())
     assert S.vertices
     assert capsys.readouterr().out.startswith(f"suite {argv[0]} ")
+
+
+def test_cli_ex512_runs_the_suite_at_its_defaults(capsys):
+    # the command hands the suite only the options it was given
+    digests = []
+    for argv in (["ex512"], ["verify", "ex512"]):
+        assert main([*argv, "--report", "machine"]) == 0
+        digests.append(json.loads(capsys.readouterr().out)["digest"])
+    assert digests[0] == digests[1]
