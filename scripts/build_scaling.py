@@ -9,7 +9,9 @@ as ``predimlab build --class c0 --max-pattern 4 --budget B``) at budgets
 and steps of the approximant, its strongness queries (the exact flow
 queries the build asks through ``builder._is_strong``, the same in every
 run), the median seconds, and whether the build-log digest matches the
-pinned one, then the ratio of the budget-800 median to
+pinned one.  The queries column counts ``_is_strong`` calls only: the
+d-closure queries a ``kn`` build asks of its bases through ``is_d_closed``
+are not in it.  Then it prints the ratio of the budget-800 median to
 the budget-400 median: about 2 when a step costs the same at any length,
 about 4 when it costs in proportion to the structure.  The ratio's gate
 is 2.5.  Then times the seed-0 ``kn`` ngon-3 max-pattern-4 build (as

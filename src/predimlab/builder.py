@@ -78,9 +78,7 @@ def _in_class(
         return in_C0(S)
     if tag == CF:
         return in_Cf(S, control)
-    if tag == KN:
-        return in_Kn(S, ngon)
-    raise InputError(f"unknown class tag {tag!r}")
+    return in_Kn(S, ngon)
 
 
 def enumerate_class(
@@ -95,6 +93,8 @@ def enumerate_class(
     Grown by vertex augmentation, which is complete because the classes are
     hereditary; every emitted structure is certified in-class.
     """
+    if tag not in (C0, CF, KN):
+        raise InputError(f"unknown class tag {tag!r}")
     if tag == CF and control is None:
         raise InputError("cf enumeration needs a control function")
     if tag == KN and ngon is None:
@@ -359,9 +359,10 @@ def _is_strong(S: FiniteStructure, ids: Iterable[int], tag: str) -> bool:
 def _good_base(
     S: FiniteStructure, image: frozenset[int], tag: str, memo: dict
 ) -> bool:
-    # the memo holds self-sufficiency for the polygon class; d-closure is asked apart
+    # the polygon class asks a base to be d-closed, which implies strong: a
+    # d-closed set is its own greatest minimizer, so it is self-sufficient
     if tag == KN:
-        return _strong(S, image, tag, memo) and is_d_closed(S, image)
+        return is_d_closed(S, image)
     return _strong(S, image, tag, memo)
 
 
@@ -420,15 +421,13 @@ class _Window:
     """What a build knows of one task's good embedded bases.
 
     ``keys`` holds, by ascending key, every good key of the structure of
-    size ``seen`` up to ``reach`` (none while it is None), or every one of
-    them when ``complete``; at most ``SCAN_WINDOW``, and a full window
-    reaches its last key.  Every key before ``cursor`` is done: found
-    realized, or amalgamated over.  ``done`` holds every key ever done,
-    also those that left the window.
+    size ``seen`` up to its last key (none while it is empty), or every one
+    of them when ``complete``; at most ``SCAN_WINDOW``.  Every key before
+    ``cursor`` is done: found realized, or amalgamated over.  ``done`` holds
+    every key ever done, also those that left the window.
     """
 
     keys: list[tuple[int, ...]] = field(default_factory=list)
-    reach: Optional[tuple[int, ...]] = None
     complete: bool = False
     seen: int = 0
     cursor: int = 0
@@ -444,24 +443,24 @@ def _bring_up_to_date(
     new ones lie above the old, and every new instance meets a new vertex.
     So an old induced embedding stays induced, and its verdict stays (see
     :func:`_strong`); the good embeddings of S are the old ones plus the new
-    good ones N that meet a new position, and those up to ``reach`` are the
-    window's keys and the members of N up to ``reach``.  N is searched by
+    good ones N that meet a new position, and those up to the last key r
+    are the window's keys and the members of N up to r.  N is searched by
     the pattern position p of its first new vertex: the positions before p
-    old, p new, no key beyond ``reach``.  The ids of ``reach`` are all old,
-    so p = 0 is searched only when the window is complete.  Its goodness is
-    judged in key order, only as far as the window goes, and the cursor goes
-    back to the first key let in.  With nothing new the window stays as it
-    is: the merge would rebuild the same keys, cursor, reach and flag.
+    old, p new, no key beyond r.  The ids of r are all old, so p = 0 is
+    searched only when the window is complete.  Its goodness is judged in
+    key order, only as far as the window goes, and the cursor goes back to
+    the first key let in.  With nothing new the window stays as it is: the
+    merge would rebuild the same keys, cursor and flag.
 
-    The polygon class also asks a base to be d-closed.  That stays too: its
-    steps are d-closed (see :func:`_amalgamate`), so d-closures of old sets
-    do not change.
+    The polygon class asks a base to be d-closed instead.  That stays too:
+    its steps are d-closed (see :func:`_amalgamate`), so d-closures of old
+    sets do not change.
     """
     n = len(S.vertices)
     if win.seen == n or not task.base_ids:
         return
     seen, win.seen = win.seen, n
-    if win.reach is None and not win.complete:
+    if not win.keys and not win.complete:
         return
     size = len(task.base_ids)
     old = (1 << seen) - 1
@@ -470,7 +469,7 @@ def _bring_up_to_date(
         for p in range(0 if win.complete else 1, size)
         for phi in _search(S, task.base_pattern, {}, task.base_steps,
                            within=[old] * p + [~old] + [-1] * (size - p - 1),
-                           upto=None if win.complete else win.reach)
+                           upto=None if win.complete else win.keys[-1])
     )
     if not fresh:
         return
@@ -485,7 +484,7 @@ def _bring_up_to_date(
             keys.append(key)
     win.keys = keys
     if len(keys) == SCAN_WINDOW:
-        win.reach, win.complete = keys[-1], False
+        win.complete = False
 
 
 def _open_keys(
@@ -493,19 +492,19 @@ def _open_keys(
 ) -> Iterator[tuple[int, ...]]:
     """The window's keys from the cursor on that are not done yet, each
     marked done as it is handed out.  Past the last key, the walk goes on
-    from ``reach`` while the window has room."""
+    from it while the window has room."""
     walk = None
     while True:
         if win.cursor == len(win.keys):
             if win.complete or len(win.keys) == SCAN_WINDOW:
                 return
-            walk = walk or _base_embeddings(S, task, memo, after=win.reach)
+            walk = walk or _base_embeddings(S, task, memo,
+                                            after=win.keys[-1] if win.keys else None)
             phi = next(walk, None)
             if phi is None:
                 win.complete = True
                 return
-            win.reach = _key(phi)
-            win.keys.append(win.reach)
+            win.keys.append(_key(phi))
         key = win.keys[win.cursor]
         win.cursor += 1
         if key not in win.done:
@@ -707,10 +706,6 @@ class AuditEntry:
     base_size: int
     embeddings_checked: int
     realized: int
-
-    @property
-    def ratio(self) -> float:
-        return 1.0 if not self.embeddings_checked else self.realized / self.embeddings_checked
 
 
 @dataclass

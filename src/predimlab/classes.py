@@ -33,7 +33,7 @@ from .structures import (
     delta_mask,
 )
 
-DEFAULT_CF_EXHAUSTIVE_CAP = 18
+DEFAULT_CF_EXHAUSTIVE_CAP = 18  # largest structure in_Cf checks on its full delta table
 DEFAULT_CONN_SIZE = 18  # largest connected subset in_Cf checks above the cap
 DEFAULT_CONN_BUDGET = 200_000  # connected subsets in_Cf checks above the cap
 DEFAULT_SAMPLES = 1000
@@ -151,13 +151,12 @@ def in_C0(S: FiniteStructure) -> MembershipResult:
 def in_Cf(
     S: FiniteStructure,
     f: ControlFunction,
-    exhaustive_cap: int = DEFAULT_CF_EXHAUSTIVE_CAP,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> MembershipResult:
     n = len(S.vertices)
     thr = [math.ceil(f(k)) for k in range(n + 1)]
-    if n <= exhaustive_cap:
+    if n <= DEFAULT_CF_EXHAUSTIVE_CAP:
         dtab = delta_table(S)
         pc = popcounts(n)
         # Clamped to the table's range, every comparison is unchanged and
@@ -239,7 +238,7 @@ def in_Cf(
         PARTIAL,
         checked=checked,
         detail=(
-            f"size {n} exceeds exhaustive cap {exhaustive_cap}; "
+            f"size {n} exceeds exhaustive cap {DEFAULT_CF_EXHAUSTIVE_CAP}; "
             f"checked {checked} subsets (connected <= {DEFAULT_CONN_SIZE} within budget "
             f"{DEFAULT_CONN_BUDGET}, plus {samples} seeded random); not a certificate"
         ),

@@ -100,7 +100,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--class", dest="klass", choices=["c0", "cf", "kn"], required=True)
     p.add_argument("--ngon", type=int, default=3)
     p.add_argument("--f", default="harmonic", help="control family (harmonic, half-harmonic)")
-    p.add_argument("--cap", type=int, default=18, help="exhaustive cap for cf")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", choices=["text", "machine"], default="text")
@@ -250,13 +249,13 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "check":
-        _at_least(args, cap=0, samples=0)
+        _at_least(args, samples=0)
         S = _load(args.file)
         if args.klass == "c0":
             res = in_C0(S)
         elif args.klass == "cf":
             f = make_control(args.f, S.signature.vertex_weight)
-            res = in_Cf(S, f, exhaustive_cap=args.cap, samples=args.samples, seed=args.seed)
+            res = in_Cf(S, f, samples=args.samples, seed=args.seed)
         else:
             res = in_Kn(S, args.ngon)
         rep = VerificationReport(suite=f"check-{args.klass}")

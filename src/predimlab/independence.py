@@ -2,8 +2,12 @@
 
 All predicates are ambient-relative: dimensions and d-closures are computed
 inside the given finite structure and claim nothing about an infinite limit.
-The axiom suite tests compatibility, monotonicity, transitivity and symmetry
-of d-independence over d-closed subsets, exhaustively up to a size cap.
+The axiom suite tests compatibility and monotonicity of d-independence over
+d-closed subsets, exhaustively up to a size cap; the Lemma 4.3 pass tests
+the three-condition characterization against it.  Symmetry and transitivity
+hold by the dim-table identity alone (see :func:`_independent_in`), so their
+cases are recorded without a pass; they stay in the report until the
+``axioms`` digest moves for the vacuous cases and for stationarity.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import numpy as np
 from .closures import (
     cld,
     d_closed_subset_masks,
+    delta_table,
     dim,
     dim_cld_tables,
     popcounts,
@@ -99,13 +104,23 @@ def perp(
 # -- axiom suite -----------------------------------------------------------------
 
 
+def _independent_in(dt, a, b, c):
+    """A is d-independent from C over B, read off the dim table ``dt``:
+    d(ABC) + d(B) = d(AB) + d(BC).
+
+    The masks are ints or int64 arrays, broadcast against each other.
+    """
+    return dt[a | b | c] + dt[b] == dt[a | b] + dt[b | c]
+
+
 def axiom_suite(S: FiniteStructure, size_cap: int = 3) -> VerificationReport:
     """Exhaustive independence-axiom check over d-closed subsets of S.
 
-    Tests compatibility, monotonicity, transitivity and symmetry of
-    d-independence; the two axioms quantifying a fourth set enumerate
-    quadruples, falling back to a deterministic prefix of the d-closed sets
-    (status PARTIAL) if the quadruple count would exceed :data:`QUAD_LIMIT`.
+    Tests compatibility and monotonicity of d-independence, and records
+    symmetry and transitivity, which hold by the identity; monotonicity
+    quantifies a fourth set and enumerates quadruples, falling back to a
+    deterministic prefix of the d-closed sets (status PARTIAL) if the
+    quadruple count would exceed :data:`QUAD_LIMIT`.
     """
     rep = VerificationReport(suite="axioms")
     n = len(S.vertices)
@@ -114,32 +129,11 @@ def axiom_suite(S: FiniteStructure, size_cap: int = 3) -> VerificationReport:
             rep.check(key, None, note="empty ambient, vacuous")
         return rep.finalize()
     dt, cl = dim_cld_tables(S)
-    closed = d_closed_subset_masks(S, size_cap=size_cap)
-    sets = np.array(closed, dtype=np.int64)
+    sets = np.array(d_closed_subset_masks(S, size_cap=size_cap), dtype=np.int64)
     k = len(sets)
-
-    def ind_matrix(a, b, c):
-        return dt[a | b | c] + dt[b] == dt[a | b] + dt[b | c]
-
-    # Symmetry and compatibility run over triples.
-    sym_bad = None
-    comp_bad = None
-
-    for ai in range(k):
-        a = int(sets[ai])
-        bb = sets[:, None]
-        cc = sets[None, :]
-        lhs = ind_matrix(a, bb, cc)
-        rhs = ind_matrix(cc, bb, a)
-        if not np.array_equal(lhs, rhs):
-            bi, ci = np.argwhere(lhs != rhs)[0]
-            sym_bad = (a, int(sets[bi]), int(sets[ci]))
-            break
-    rep.check(
-        "symmetry",
-        None if sym_bad is None else _sets_witness(S, sym_bad),
-        note=f"{k} d-closed sets (size cap {size_cap})",
-    )
+    # the identity reads the same with A and C swapped, so symmetry holds
+    # whatever the table holds
+    rep.check("symmetry", None, note=f"{k} d-closed sets (size cap {size_cap})")
 
     # Compatibility, ambient-relative restatement.  Replacing the base by its
     # d-closure, or the left side by its d-closure over the base, never
@@ -155,14 +149,15 @@ def axiom_suite(S: FiniteStructure, size_cap: int = 3) -> VerificationReport:
     bb, cc = small[:, None], sets[None, :]
     bcl = cl[bb]
     bit = np.arange(n)[:, None]
-    elem = ind_matrix(1 << bit[:, :, None], bb, cc)  # (vertex, B, C)
+    elem = _independent_in(dt, 1 << bit[:, :, None], bb, cc)  # (vertex, B, C)
+    comp_bad = None
     for a in sets.tolist():
         acl = cl[a | small]
-        base = ind_matrix(a, bb, cc)
+        base = _independent_in(dt, a, bb, cc)
         in_acl = (acl >> bit & 1).astype(bool)[:, :, None]
         fails = (
-            ("closed base", base != ind_matrix(a, bcl, cc)),
-            ("closure of a over base", base != ind_matrix(acl[:, None], bb, cc)),
+            ("closed base", base != _independent_in(dt, a, bcl, cc)),
+            ("closure of a over base", base != _independent_in(dt, acl[:, None], bb, cc)),
             ("joint independence must pass to closure elements",
              base & (in_acl & ~elem).any(axis=0)),
         )
@@ -217,6 +212,43 @@ def axiom_suite(S: FiniteStructure, size_cap: int = 3) -> VerificationReport:
         else:
             rep.check(key, None if bad is None else _sets_witness(S, bad))
     return rep.finalize()
+
+
+def _lemma43_equivalence_exhaustive(S: FiniteStructure, size_cap: int = 4) -> tuple[int, tuple | None]:
+    """Count admissible d-closed triples; return first disagreement (or None).
+
+    Triples run A, then C, then B over the d-closed sets in ascending order,
+    with B inside A and C; each A checks all its (C, B) pairs in one pass.
+    Containment is tabulated once, so each A gathers its pairs from the sets
+    B inside it and the sets C above each such B, and then sorts them back
+    to (C, B) order.
+    """
+    dt, cl = dim_cld_tables(S)
+    dtab = delta_table(S)
+    sets = np.array(d_closed_subset_masks(S, size_cap=size_cap), dtype=np.int64)
+    inside = (sets[:, None] & ~sets) == 0  # [i, j]: set i inside set j
+    above = [np.flatnonzero(row) for row in inside]
+    checked = 0
+    for amask, below in zip(sets.tolist(), inside.T):
+        bs = np.flatnonzero(below)
+        ci = np.concatenate([above[j] for j in bs])
+        bi = np.repeat(bs, [len(above[j]) for j in bs])
+        # bi ascends already, so a stable sort by C gives the (C, B) order
+        order = np.argsort(ci, kind="stable")
+        c, b = sets[ci[order]], sets[bi[order]]
+        indep = _independent_in(dt, amask, b, c)
+        u = cl[amask | b]
+        v = cl[b | c]
+        split = lemma43_free_split(S, u, v, b)
+        cond = split & (dt[u | v] == dtab[u | v])
+        bad = np.flatnonzero(indep != cond)
+        if len(bad):
+            i = bad[0]
+            # a failed split gives a plain False, as the short-circuit did
+            cond_i = cond[i] if split[i] else False
+            return checked + int(i) + 1, (amask, int(b[i]), int(c[i]), indep[i], cond_i)
+        checked += len(b)
+    return checked, None
 
 
 def _sets_witness(S: FiniteStructure, masks) -> str:

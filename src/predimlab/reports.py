@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from . import __version__
 from .errors import InputError
 
 PASS = "PASS"
@@ -24,7 +25,6 @@ PARTIAL = "PARTIAL"
 
 _STATUSES = (PASS, FAIL, DEGENERATE, PARTIAL)
 
-TOOL_VERSION = "0.1.0"
 REPORT_SCHEMA = "predimlab-report/1"
 
 
@@ -49,7 +49,6 @@ class VerificationReport:
     cases: list[CaseResult] = field(default_factory=list)
     seed: Optional[int] = None
     wall_time: Optional[float] = None
-    tool_version: str = TOOL_VERSION
 
     def add(
         self,
@@ -98,7 +97,7 @@ class VerificationReport:
         return {
             "schema": REPORT_SCHEMA,
             "suite": self.suite,
-            "tool_version": self.tool_version,
+            "tool_version": __version__,
             "seed": self.seed,
             "summary": self.counts(),
             "cases": [
@@ -123,7 +122,7 @@ class VerificationReport:
         return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
     def to_text(self) -> str:
-        lines = [f"suite {self.suite} (predimlab {self.tool_version})"]
+        lines = [f"suite {self.suite} (predimlab {__version__})"]
         if self.seed is not None:
             lines.append(f"seed {self.seed}")
         for c in self.cases:

@@ -27,10 +27,8 @@ from .builder import (
 from .classes import ControlFunction, girth_with_witness, in_C0, in_Cf, in_Kn
 from .closures import (
     cld,
-    d_closed_subset_masks,
     delta_table,
     dim,
-    dim_cld_tables,
     is_d_closed,
     popcounts,
     self_sufficient,
@@ -40,7 +38,7 @@ from .closures import (
 )
 from .errors import CapacityError, InputError
 from .extensions import enumerate_msa_pairs, MsaType
-from .independence import axiom_suite, lemma43_free_split, perp
+from .independence import _lemma43_equivalence_exhaustive, axiom_suite, perp
 from .gadgets import (
     _build_fan_probe,
     beatty,
@@ -784,43 +782,6 @@ def submodularity_suite(
 
 
 # -- axioms -------------------------------------------------------------------------
-
-
-def _lemma43_equivalence_exhaustive(S: FiniteStructure, size_cap: int = 4) -> tuple[int, tuple | None]:
-    """Count admissible d-closed triples; return first disagreement (or None).
-
-    Triples run A, then C, then B over the d-closed sets in ascending order,
-    with B inside A and C; each A checks all its (C, B) pairs in one pass.
-    Containment is tabulated once, so each A gathers its pairs from the sets
-    B inside it and the sets C above each such B, and then sorts them back
-    to (C, B) order.
-    """
-    dt, cl = dim_cld_tables(S)
-    dtab = delta_table(S)
-    sets = np.array(d_closed_subset_masks(S, size_cap=size_cap), dtype=np.int64)
-    inside = (sets[:, None] & ~sets) == 0  # [i, j]: set i inside set j
-    above = [np.flatnonzero(row) for row in inside]
-    checked = 0
-    for amask, below in zip(sets.tolist(), inside.T):
-        bs = np.flatnonzero(below)
-        ci = np.concatenate([above[j] for j in bs])
-        bi = np.repeat(bs, [len(above[j]) for j in bs])
-        # bi ascends already, so a stable sort by C gives the (C, B) order
-        order = np.argsort(ci, kind="stable")
-        c, b = sets[ci[order]], sets[bi[order]]
-        indep = dt[amask | b | c] + dt[b] == dt[amask | b] + dt[b | c]
-        u = cl[amask | b]
-        v = cl[b | c]
-        split = lemma43_free_split(S, u, v, b)
-        cond = split & (dt[u | v] == dtab[u | v])
-        bad = np.flatnonzero(indep != cond)
-        if len(bad):
-            i = bad[0]
-            # a failed split gives a plain False, as the short-circuit did
-            cond_i = cond[i] if split[i] else False
-            return checked + int(i) + 1, (amask, int(b[i]), int(c[i]), indep[i], cond_i)
-        checked += len(b)
-    return checked, None
 
 
 def axioms_suite(

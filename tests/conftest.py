@@ -599,7 +599,7 @@ def brute_free_split(S, u, v, b):
 
 
 def brute_lemma43_equivalence(S, dt, dtab, size_cap):
-    """Oracle for ``suites._lemma43_equivalence_exhaustive``: the triple loop
+    """Oracle for ``independence._lemma43_equivalence_exhaustive``: the triple loop
     over (A, C, B), on the given dim and delta tables."""
     closed = brute_d_closed_masks(dt, size_cap)
     checked = 0

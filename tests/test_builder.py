@@ -1,3 +1,4 @@
+import ast
 import collections
 import copy
 import dataclasses
@@ -43,7 +44,7 @@ from predimlab.builder import (
     _realized,
     enumerate_tasks,
 )
-from predimlab.errors import InternalError
+from predimlab.errors import InputError, InternalError
 from predimlab.reports import FAIL, PASS
 from predimlab.structures import LINE, POINT, _ascending_steps, _bits, _search
 
@@ -91,6 +92,14 @@ def test_enumerate_class_kn():
 def test_enumerate_class_cap():
     with pytest.raises(CapacityError):
         enumerate_class(SIG, C0, 9)
+
+
+def test_an_unknown_class_tag_is_rejected_up_front():
+    # with no pattern to check, an unknown tag once built a 0-vertex structure
+    with pytest.raises(InputError, match="unknown class tag 'zz'"):
+        enumerate_class(SIG, "zz", 0)
+    with pytest.raises(InputError, match="unknown class tag 'zz'"):
+        build_generic(BuildConfig(SIG, "zz", max_pattern=0, budget=5))
 
 
 def _class_keep(tag, control=None, ngon=None):
@@ -211,13 +220,12 @@ def test_a_refresh_that_lets_nothing_in_leaves_the_window_as_it_was(monkeypatch)
         before = copy.deepcopy(win)
         real(S, task, win, memo)
         if not task.base_ids or before.seen == len(S.vertices) or (
-                before.reach is None and not before.complete):
+                not before.keys and not before.complete):
             return
         # the window its docstring promises, read from scratch
         good = [builder._key(phi) for phi in builder._base_embeddings(S, task, dict(memo))]
-        want = good if win.complete else [k for k in good if k <= win.reach]
+        want = good if win.complete else [k for k in good if k <= win.keys[-1]]
         assert win.keys == want[:builder.SCAN_WINDOW]
-        assert len(win.keys) < builder.SCAN_WINDOW or win.reach == win.keys[-1]
         if win.keys == before.keys:
             before.seen = len(S.vertices)
             assert win == before
@@ -594,16 +602,15 @@ KN_BUILD = BuildConfig(polygon_signature(3), KN, max_pattern=3, budget=8, seed=0
 
 
 def _planting_at(monkeypatch, step, plant):
-    """Make the build's ``step``-th amalgamation add ``plant(prev, out)``
-    too, an edge of out; returns the structures the steps made."""
+    """Make the build's ``step``-th amalgamation make ``plant(prev, out)``,
+    its out with more added; returns the structures the steps made."""
     real = builder._amalgamate
     made = []
 
     def planting(S, task, phi):
         out, image = real(S, task, phi)
         if len(made) + 1 == step:
-            name = out.signature.relations[0].name
-            out = out.with_added([], {name: [plant(S, out)]})
+            out = plant(S, out)
         made.append(out)
         return out, image
 
@@ -611,8 +618,8 @@ def _planting_at(monkeypatch, step, plant):
     return made
 
 
-def _closing_edge(S, out, length):
-    """An edge of out that closes a cycle of ``length`` through a new
+def _closing_cycle(S, out, length):
+    """out plus an edge that closes a cycle of ``length`` through a new
     vertex: from a new y to the end w of a path y - ... - w of length - 1
     edges."""
     co, n_prev = out.bit_index().co, len(S.vertices)
@@ -622,13 +629,25 @@ def _closing_edge(S, out, length):
             paths = [p + [w] for p in paths for w in _bits(co[p[-1]]) if w not in p]
         w = next((p[-1] for p in paths if not co[y] >> p[-1] & 1), None)
         if w is not None:
-            return tuple(sorted(out.vertices[i] for i in (y, w)))
+            edge = tuple(sorted(out.vertices[i] for i in (y, w)))
+            return out.with_added([], {out.signature.relations[0].name: [edge]})
     raise AssertionError("no cycle to close")
+
+
+def _heawood(S, out):
+    """out plus the Heawood graph, the incidence graph of the Fano plane, on
+    14 new vertices: points top + i and lines top + 7 + j, line j through
+    the points j, j + 1 and j + 3 mod 7.  Its girth is 6, and its 21 edges
+    on 14 vertices give it delta 7."""
+    top = max(out.vertices) + 1
+    edges = [(top + (j + d) % 7, top + 7 + j) for j in range(7) for d in (0, 1, 3)]
+    parts = {top + i: POINT if i < 7 else LINE for i in range(14)}
+    return out.with_added(parts, {out.signature.relations[0].name: edges}, parts)
 
 
 def test_a_step_that_breaks_the_class_is_caught_by_the_fallback(monkeypatch):
     # a triangle x-y-z through a new vertex y: delta 3 < f(3)
-    made = _planting_at(monkeypatch, 6, lambda S, out: _closing_edge(S, out, 3))
+    made = _planting_at(monkeypatch, 6, lambda S, out: _closing_cycle(S, out, 3))
     checks = _class_checks(monkeypatch, CF_BUILD)
     with pytest.raises(InternalError, match=r"class violated after step 6: witness \["):
         build_generic(CF_BUILD)
@@ -643,13 +662,28 @@ def test_a_kn_step_that_closes_a_short_cycle_is_caught_at_the_end(monkeypatch):
     # a 4-cycle through a new vertex: girth 4 < 2 * 3; the eighth step's
     # new vertices start a path of three edges
     config = dataclasses.replace(KN_BUILD, max_pattern=4, budget=12)
-    made = _planting_at(monkeypatch, 8, lambda S, out: _closing_edge(S, out, 4))
+    made = _planting_at(monkeypatch, 8, lambda S, out: _closing_cycle(S, out, 4))
     checks = _class_checks(monkeypatch, config)
     with pytest.raises(InternalError, match=r"class violated after step 8: witness \["):
         build_generic(config)
     assert len(made) == config.budget and checks == [len(made[-1].vertices)]
     assert builder._in_class(made[6], KN, None, 3).holds
     assert not builder._in_class(made[7], KN, None, 3)
+
+
+def test_a_kn_step_that_plants_a_long_light_cycle_is_caught_at_the_end(monkeypatch):
+    # the Heawood graph passes the girth check of 2 * 3, but the closure of
+    # one of its long cycles has delta 7 < 2 * 3 + 2
+    made = _planting_at(monkeypatch, 5, _heawood)
+    checks = _class_checks(monkeypatch, KN_BUILD)
+    with pytest.raises(InternalError, match=r"class violated after step 5: witness \[") as err:
+        build_generic(KN_BUILD)
+    witness = ast.literal_eval(str(err.value).split("witness ", 1)[1])
+    assert set(witness) <= set(made[4].vertices[-14:])
+    assert len(made) == KN_BUILD.budget and checks == [len(made[-1].vertices)]
+    assert builder._in_class(made[3], KN, None, 3).holds
+    planted = builder._in_class(made[4], KN, None, 3)
+    assert planted.verdict == FAIL and planted.detail.startswith("subset over a ")
 
 
 @pytest.mark.parametrize("config", [CF_BUILD, BuildConfig(SIG, C0, max_pattern=3, budget=12)],

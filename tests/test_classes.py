@@ -111,23 +111,25 @@ def test_in_cf_minimal_witness_and_c0_implication():
         assert in_C0(S).holds
 
 
-def conn_caps(size, budget):
+def conn_caps(size, budget, exhaustive=classes.DEFAULT_CF_EXHAUSTIVE_CAP):
     """in_Cf's connected search capped at ``size`` vertices and ``budget``
-    subsets, for a with block."""
-    return patch.multiple(classes, DEFAULT_CONN_SIZE=size, DEFAULT_CONN_BUDGET=budget)
+    subsets, and its exhaustive check at ``exhaustive`` vertices, for a
+    with block."""
+    return patch.multiple(classes, DEFAULT_CONN_SIZE=size, DEFAULT_CONN_BUDGET=budget,
+                          DEFAULT_CF_EXHAUSTIVE_CAP=exhaustive)
 
 
 def test_in_cf_partial_above_cap():
     S = graph([(i, (i + 1) % 40) for i in range(40)])
     with conn_caps(6, 2000):
-        res = in_Cf(S, ControlFunction.harmonic(2), exhaustive_cap=18, samples=100, seed=1)
+        res = in_Cf(S, ControlFunction.harmonic(2), samples=100, seed=1)
     assert res.verdict == "PARTIAL"
     assert not res.holds
     assert "not a certificate" in res.detail
     # a genuine violation is still found exactly: hang a triangle on the cycle
     bad = graph([(i, (i + 1) % 40) for i in range(40)] + [(0, 1), (1, 41), (0, 41)])
     with conn_caps(6, 5000):
-        res2 = in_Cf(bad, ControlFunction.harmonic(2), exhaustive_cap=18, samples=200, seed=1)
+        res2 = in_Cf(bad, ControlFunction.harmonic(2), samples=200, seed=1)
     assert res2.verdict == "FAIL"
 
 
@@ -141,8 +143,8 @@ def test_in_cf_samples_draw_what_the_id_loop_drew(chords, seed):
     edges += [(ids[i], ids[(i + 5) % n]) for i in range(chords)]
     S = graph(edges, vertices=ids)
     f = ControlFunction.harmonic(2)
-    with conn_caps(3, 40):
-        res = in_Cf(S, f, exhaustive_cap=10, samples=300, seed=seed)
+    with conn_caps(3, 40, 10):
+        res = in_Cf(S, f, samples=300, seed=seed)
     # the loop it replaced, which sampled vertex ids; the connected search
     # runs over positions, so the oracle searches the same graph on them
     thr = [math.ceil(f(k)) for k in range(n + 1)]
@@ -169,8 +171,8 @@ def test_in_cf_samples_draw_what_the_id_loop_drew(chords, seed):
 @st.composite
 def cf_cases(draw):
     """A structure (graph, 3-uniform hypergraph, or a graph with a zero-weight
-    second relation) plus a control function, in_Cf's options and its
-    connected-search caps (size, budget)."""
+    second relation) plus a control function, in_Cf's options and its caps
+    (connected size, connected budget, exhaustive)."""
     kind = draw(st.sampled_from(["graph", "3-uniform", "zero-weight"]))
     n = draw(st.integers(min_value=0, max_value=9))
     vw = draw(st.integers(min_value=1, max_value=3))
@@ -187,24 +189,25 @@ def cf_cases(draw):
     anchor = draw(st.sampled_from([vw, 1, 2, 3]))
     f = draw(st.sampled_from([ControlFunction.harmonic, ControlFunction.half_harmonic]))(anchor)
     opts = dict(
-        exhaustive_cap=draw(st.integers(min_value=-1, max_value=10)),
         samples=draw(st.integers(min_value=0, max_value=12)),
         seed=draw(st.integers(min_value=0, max_value=3)),
     )
-    caps = (draw(st.integers(min_value=1, max_value=7)),
-            draw(st.integers(min_value=1, max_value=60)))
+    size = draw(st.integers(min_value=1, max_value=7))
+    budget = draw(st.integers(min_value=1, max_value=60))
+    cap = draw(st.integers(min_value=-1, max_value=10))
     if n == 0:
-        opts["exhaustive_cap"] = max(opts["exhaustive_cap"], 0)  # no sample of size >= 1
-    return S, f, opts, caps
+        cap = max(cap, 0)  # no sample of size >= 1
+    return S, f, opts, (size, budget, cap)
 
 
 @given(cf_cases())
 @settings(max_examples=250, deadline=None)
 def test_in_cf_matches_rational_oracle(case):
-    S, f, opts, (size, budget) = case
-    with conn_caps(size, budget):
+    S, f, opts, (size, budget, cap) = case
+    with conn_caps(size, budget, cap):
         got = in_Cf(S, f, **opts)
-    assert got == brute_in_Cf(S, f, conn_size=size, conn_budget=budget, **opts)
+    assert got == brute_in_Cf(S, f, exhaustive_cap=cap, conn_size=size, conn_budget=budget,
+                              **opts)
 
 
 @pytest.mark.parametrize("cap", [0, 18])
@@ -212,8 +215,8 @@ def test_in_cf_exact_bound_is_not_a_violation(cap):
     # delta = 2 = f(1) on every singleton and 4 > f(2) on every pair
     S = graph([], vertices=range(6))
     f = ControlFunction.harmonic(2)
-    with conn_caps(4, 10):
-        res = in_Cf(S, f, exhaustive_cap=cap, samples=20)
+    with conn_caps(4, 10, cap):
+        res = in_Cf(S, f, samples=20)
     assert res.verdict == ("PASS" if cap else "PARTIAL")
     assert res == brute_in_Cf(S, f, exhaustive_cap=cap, conn_size=4, conn_budget=10,
                               samples=20)
@@ -227,8 +230,8 @@ def test_in_cf_connected_budget_keeps_search_order():
     f = ControlFunction.harmonic(2)
     verdicts = []
     for budget in (5, 40, 400):
-        with conn_caps(5, budget):
-            got = in_Cf(S, f, exhaustive_cap=0, samples=0)
+        with conn_caps(5, budget, 0):
+            got = in_Cf(S, f, samples=0)
         assert got == brute_in_Cf(S, f, exhaustive_cap=0, conn_size=5, conn_budget=budget,
                                   samples=0)
         verdicts.append(got.verdict)

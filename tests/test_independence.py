@@ -23,7 +23,7 @@ from predimlab import (
     is_d_closed,
     perp,
 )
-from predimlab import closures, independence, suites
+from predimlab import closures, independence
 from predimlab.builder import C0
 from predimlab.closures import d_closed_subset_masks, delta_table, dim_cld_tables
 
@@ -190,10 +190,10 @@ def _check_against_loop_forms(S, dt, dtab, lemma43_cap, size_cap):
     """
     cl = np.array([brute_cld_from_table(dt, m) for m in range(len(dt))], dtype=np.int32)
     with pytest.MonkeyPatch.context() as mp:
-        for mod in (closures, independence, suites):
+        for mod in (closures, independence):
             mp.setattr(mod, "dim_cld_tables", lambda _S: (dt, cl))
-        mp.setattr(suites, "delta_table", lambda _S: dtab)
-        got = suites._lemma43_equivalence_exhaustive(S, size_cap=lemma43_cap)
+        mp.setattr(independence, "delta_table", lambda _S: dtab)
+        got = independence._lemma43_equivalence_exhaustive(S, size_cap=lemma43_cap)
         rep = axiom_suite(S, size_cap=size_cap)
     want = brute_lemma43_equivalence(S, dt, dtab, lemma43_cap)
     # the report prints the witness tuple, so its element types count too
