@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .closures import _LEAST, _solve, delta_table, popcounts
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .reports import FAIL, PARTIAL, PASS
 from .structures import (
     BIPARTITE,
@@ -37,6 +37,7 @@ DEFAULT_CF_EXHAUSTIVE_CAP = 18  # largest structure in_Cf checks on its full del
 DEFAULT_CONN_SIZE = 18  # largest connected subset in_Cf checks above the cap
 DEFAULT_CONN_BUDGET = 200_000  # connected subsets in_Cf checks above the cap
 DEFAULT_SAMPLES = 1000
+SAMPLES_CAP = 10_000  # most random subsets in_Cf samples above its exhaustive cap
 KN_CYCLE_BUDGET = 2_000_000  # long-cycle search steps in_Kn takes before PARTIAL
 
 
@@ -154,6 +155,8 @@ def in_Cf(
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> MembershipResult:
+    if samples > SAMPLES_CAP:
+        raise CapacityError("in_Cf samples", SAMPLES_CAP, samples)
     n = len(S.vertices)
     thr = [math.ceil(f(k)) for k in range(n + 1)]
     if n <= DEFAULT_CF_EXHAUSTIVE_CAP:

@@ -42,6 +42,13 @@ B_GE_2 = "B_GE_2"
 
 GADGET_VERIFY_CAP = 22  # most gadget vertices verify_gadget enumerates
 CLOSED_SAMPLE_MAX = 18  # largest d-closed sample sample_closed_connected_subsets keeps
+CONSTRUCTION_CAP = 10_000  # most vertices (or period entries) an integer-sized constructor builds
+
+
+def check_construction_size(what: str, size: int) -> None:
+    """Raise before a constructor sized by integers builds above the cap."""
+    if size > CONSTRUCTION_CAP:
+        raise CapacityError(f"{what} size", CONSTRUCTION_CAP, size)
 
 
 # -- Beatty sequences -------------------------------------------------------------
@@ -62,6 +69,7 @@ class BeattySequence:
 def beatty(ell: int, b: int) -> BeattySequence:
     if not 0 < ell < b:
         raise InputError(f"need 0 < ell < b, got ell={ell}, b={b}")
+    check_construction_size("beatty period", b)
     period = tuple((i * ell) // b - ((i - 1) * ell) // b for i in range(1, b + 1))
     return BeattySequence(ell, b, period)
 
@@ -127,25 +135,22 @@ def build_gadget(n: int, m: int, r: int = 2) -> GadgetPair:
     fixed (r-2)-tuple of extra X points.
     """
     params = gadget_params(n, m, r)
-    edges: list[tuple[int, int]] = []
+    sig = hypergraph_signature(n, m, r)
+    a, b, ell = params.a, params.b, params.ell
+    if params.case == M_EQUALS_1:
+        size_x, b = n + 1, 1
+    elif params.case == B_EQUALS_1:
+        size_x = a + ell
+    else:
+        size_x = (a - 1) * b + ell
+    check_construction_size("gadget", size_x + b + r - 2)
+    x_skel = list(range(size_x))
+    ys = [size_x + i for i in range(b)]
     degenerate = False
     reason = ""
-    if params.case == M_EQUALS_1:
-        x_skel = list(range(n + 1))
-        y0 = n + 1
-        ys = [y0]
-        edges = [(x, y0) for x in x_skel]
-    elif params.case == B_EQUALS_1:
-        a, ell = params.a, params.ell
-        x_skel = list(range(a + ell))
-        y0 = a + ell
-        ys = [y0]
-        edges = [(x, y0) for x in x_skel]
+    if params.case != B_GE_2:
+        edges = [(x, ys[0]) for x in x_skel]
     else:
-        a, b, ell = params.a, params.b, params.ell
-        size_x = (a - 1) * b + ell
-        x_skel = list(range(size_x))
-        ys = [size_x + i for i in range(b)]
         edges = [(ys[i], ys[(i + 1) % b]) for i in range(b)]
         pool = list(x_skel)
         for i in range(b):
@@ -163,11 +168,7 @@ def build_gadget(n: int, m: int, r: int = 2) -> GadgetPair:
         if size_x < 2:
             degenerate = True
             reason = (reason + "; " if reason else "") + "skeleton X has fewer than 2 points"
-    next_id = (x_skel[-1] if x_skel else -1) + 1 + len(ys)
-    pad: list[int] = []
-    if r >= 3:
-        pad = list(range(next_id, next_id + (r - 2)))
-    sig = hypergraph_signature(n, m, r)
+    pad = list(range(size_x + b, size_x + b + r - 2))
     instances = [tuple(sorted((u, v, *pad))) for u, v in edges]
     Y = FiniteStructure(sig, x_skel + ys + pad, {"R": instances})
     return GadgetPair(Y, frozenset(x_skel) | frozenset(pad), params, degenerate, reason)
@@ -381,6 +382,7 @@ def build_double_cycle(s: int, step: int) -> DoubleCycle:
         raise InputError(f"step {step} must be coprime to s={s}")
     if not (6 <= step and 12 * step < s):
         raise InputError(f"need 6 <= step < s/12, got step={step}, s={s}")
+    check_construction_size("double cycle", 2 * s)
     cs = tuple(range(s))
     ds = tuple(range(s, 2 * s))
     edges = []

@@ -29,6 +29,7 @@ FORMAT_HEADER = "predimlab/1"
 
 DEFAULT_SS_CAP = 24
 DEFAULT_CANON_CAP = 8
+ARITY_CAP = 16  # largest relation arity a signature takes
 
 
 # Nothing in the library calls these; the benchmark stamps the caps in effect
@@ -50,8 +51,9 @@ class Relation:
     def __post_init__(self):
         if not self.name or any(ch.isspace() for ch in self.name):
             raise InputError(f"relation name {self.name!r} must be a nonempty identifier")
-        if self.arity < 2:
-            raise InputError(f"relation {self.name}: arity must be >= 2, got {self.arity}")
+        if not 2 <= self.arity <= ARITY_CAP:
+            raise InputError(
+                f"relation {self.name}: arity must be from 2 to {ARITY_CAP}, got {self.arity}")
         if self.weight < 0:
             raise InputError(f"relation {self.name}: weight must be >= 0, got {self.weight}")
 

@@ -24,7 +24,7 @@ from .builder import (
     audit_extension_property,
     build_generic,
 )
-from .classes import ControlFunction, girth_with_witness, in_C0, in_Cf, in_Kn
+from .classes import SAMPLES_CAP, ControlFunction, girth_with_witness, in_C0, in_Cf, in_Kn
 from .closures import (
     cld,
     delta_table,
@@ -47,6 +47,7 @@ from .gadgets import (
     build_fan_join,
     build_gadget,
     build_tower_amalgam,
+    check_construction_size,
     sample_c_closures,
     sample_closed_connected_subsets,
     verify_gadget,
@@ -171,8 +172,9 @@ def gadget_suite(
     r2_max: int = 10, r3_max: int = 6, seed: int = 0, negative_control: bool = False
 ) -> VerificationReport:
     rep = VerificationReport(suite="gadget")
-    grid = [(n, m, 2) for n in range(2, r2_max + 1) for m in range(1, n)]
-    grid += [(n, m, 3) for n in range(1, r3_max + 1) for m in range(1, n + 1)]
+    # lazily, so that a grid past the verify cap stops at its first gadget above it
+    grid = itertools.chain(((n, m, 2) for n in range(2, r2_max + 1) for m in range(1, n)),
+                           ((n, m, 3) for n in range(1, r3_max + 1) for m in range(1, n + 1)))
     for n, m, r in grid:
         if math.gcd(n, m) != 1:
             continue
@@ -299,6 +301,7 @@ def path_fact_suite(seed: int = 0, negative_control: bool = False) -> Verificati
 
 def _fan_instance(r: int, a_size: int, extra_b: bool, with_relation: bool):
     sig = hypergraph_signature(1, 1, r)
+    check_construction_size("fan base", a_size + 1 + extra_b)
     base = list(range(a_size))
     inst = []
     if with_relation:
@@ -419,6 +422,8 @@ def ex512_suite(
 ) -> VerificationReport:
     if samples < 0:
         raise InputError(f"samples must be nonnegative, got {samples}")
+    if samples > SAMPLES_CAP:
+        raise CapacityError("ex512 samples", SAMPLES_CAP, samples)
     rep = VerificationReport(suite="ex512")
     dc = build_double_cycle(s, step)
     CD = dc.structure
