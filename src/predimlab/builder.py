@@ -67,6 +67,10 @@ KN = "kn"
 # the order
 SCAN_WINDOW = 50
 
+# embedded bases per task that an audit checks by default: the
+# extension-property suite's and ``predimlab audit``'s
+DEFAULT_CAP_PER_TASK = 4
+
 
 def _in_class(
     S: FiniteStructure,
@@ -725,7 +729,7 @@ class AuditReport:
 def audit_extension_property(
     S: FiniteStructure,
     tasks: Iterable[ExtensionTask],
-    cap_per_task: int = 4,
+    cap_per_task: int = DEFAULT_CAP_PER_TASK,
 ) -> AuditReport:
     """For each task, are its first embedded bases covered by an extension copy?"""
     entries = []

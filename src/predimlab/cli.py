@@ -8,7 +8,8 @@ Every rejected input leaves through one ``error: ...`` line and exit 2: a
 flag the parser refuses, a file that does not load and a cap the library
 enforces alike.  A flag's own bound lives in the parser, as its ``type=``;
 joint bounds (such as coprime n and m) and size bounds (the caps in the
-README table) live in the library.
+README table) live in the library.  A suite option's range lives in
+``suites.OPTION_RANGES``, which ``run_suite`` checks for ``verify --option``.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import json
 import sys
 
 from . import __version__
-from .builder import (BuildConfig, audit_extension_property, build_generic, enumerate_class,
-                      enumerate_tasks)
+from .builder import (DEFAULT_CAP_PER_TASK, BuildConfig, audit_extension_property,
+                      build_generic, enumerate_class, enumerate_tasks)
 from .classes import in_C0, in_Cf, in_Kn, make_control
 from .closures import cl0, cld, dim
 from .errors import ContractError, InputError, PredimlabError
@@ -31,7 +32,7 @@ from .independence import axiom_suite, check_lemma43_characterization, d_indepen
 from .reports import VerificationReport, emit_report
 from .structures import (delta, dump_structure, graph_signature, hypergraph_signature,
                          load_structure, polygon_signature)
-from .suites import _fan_instance, ex512_suite, run_suite
+from .suites import OPTION_RANGES, _fan_instance, ex512_suite, run_suite
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,7 +137,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ex512", parents=[report], help="double-cycle example construction")
     p.add_argument("--s", type=int, default=argparse.SUPPRESS)
     p.add_argument("--step", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--samples", type=_count(0), default=argparse.SUPPRESS)
+    p.add_argument("--samples", type=_count(*OPTION_RANGES["ex512"]["samples"]),
+                   default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
 
@@ -160,7 +162,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--ngon", type=int, default=3)
     p.add_argument("--max-pattern", type=_count(0), default=3)
     p.add_argument("--max-base", type=_count(0), default=1)
-    p.add_argument("--cap-per-task", type=_count(1), default=4)
+    p.add_argument("--cap-per-task", type=_count(1), default=DEFAULT_CAP_PER_TASK)
 
     p = sub.add_parser("verify", parents=[report], help="run a named verification suite")
     p.add_argument("suite")

@@ -25,13 +25,17 @@ from .closures import (
     popcounts,
     self_sufficient,
 )
-from .errors import ContractError
+from .errors import CapacityError, ContractError
 from .reports import PARTIAL, VerificationReport, subset_witness
 from .structures import FiniteStructure
 
 # most quadruples of d-closed sets axiom_suite enumerates; above it the
 # fourth set is cut to a prefix and the two axioms that need it are PARTIAL
 QUAD_LIMIT = 400_000_000
+
+# most cells of axiom_suite's (vertex, B, C) compatibility table, checked
+# before it is built: 4.1 M cells peaked at 460 MiB on 16 vertices
+COMPAT_CELL_CAP = 8_000_000
 
 
 def d_independent(
@@ -120,7 +124,8 @@ def axiom_suite(S: FiniteStructure, size_cap: int = 3) -> VerificationReport:
     symmetry and transitivity, which hold by the identity; monotonicity
     quantifies a fourth set and enumerates quadruples, falling back to a
     deterministic prefix of the d-closed sets (status PARTIAL) if the
-    quadruple count would exceed :data:`QUAD_LIMIT`.
+    quadruple count would exceed :data:`QUAD_LIMIT`.  A compatibility table
+    above :data:`COMPAT_CELL_CAP` cells raises ``CapacityError``.
     """
     rep = VerificationReport(suite="axioms")
     n = len(S.vertices)
@@ -146,6 +151,9 @@ def axiom_suite(S: FiniteStructure, size_cap: int = 3) -> VerificationReport:
     # depend on A, so it is tabulated per vertex up front.
     small = np.arange(1 << n, dtype=np.int64)
     small = small[popcounts(n) <= size_cap]
+    cells = n * len(small) * k
+    if cells > COMPAT_CELL_CAP:
+        raise CapacityError("axiom compatibility table cells", COMPAT_CELL_CAP, cells)
     bb, cc = small[:, None], sets[None, :]
     bcl = cl[bb]
     bit = np.arange(n)[:, None]

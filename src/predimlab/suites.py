@@ -4,6 +4,9 @@ Each suite exercises one family of claims end to end and reports one case
 per checked instance.  ``--negative-control`` runs the same machinery on a
 deliberately corrupted input; the resulting FAIL (with a replayable witness)
 shows the check can actually catch the fault it is aimed at.
+
+Integer options take their least values and caps from :data:`OPTION_RANGES`
+alone, which :func:`run_suite` checks before a suite runs.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 
 from .builder import (
     C0,
+    DEFAULT_CAP_PER_TASK,
     BuildConfig,
     _isomorph_free_types,
     audit_extension_property,
@@ -75,7 +79,8 @@ from .structures import (
 
 
 def run_suite(name: str, seed: int = 0, negative_control: bool = False, **options) -> VerificationReport:
-    """Dispatch a named suite; reports are deterministic for fixed seeds."""
+    """Check the options, then run a named suite; reports are deterministic
+    for fixed seeds."""
     fn = _SUITES.get(name)
     if fn is None:
         raise InputError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
@@ -88,6 +93,12 @@ def run_suite(name: str, seed: int = 0, negative_control: bool = False, **option
         if isinstance(value, int) != isinstance(params[key], int):
             raise InputError(f"option {key!r} of suite {name!r} takes "
                              f"{type(params[key]).__name__} values, got {value!r}")
+        if key in OPTION_RANGES.get(name, {}):  # every int option; tuples have no range
+            least, cap = OPTION_RANGES[name][key]
+            if value < least:
+                raise InputError(f"{name} {key} must be at least {least}, got {value}")
+            if cap is not None and value > cap:
+                raise CapacityError(f"{name} {key}", cap, value)
     t0 = time.monotonic()
     rep = fn(seed=seed, negative_control=negative_control, **options)
     rep.wall_time = time.monotonic() - t0
@@ -117,7 +128,7 @@ def _failures(sub: VerificationReport) -> str | None:
 
 # -- beatty ------------------------------------------------------------------------
 
-BEATTY_B_MAX = 800  # one (2b + 1) x 3b int64 window array stays under 32 MiB
+BEATTY_B_MAX = 150  # the suite takes 10 s here on 2 CPUs (4.4 s at 120, 2.3 s at 100)
 
 
 def _beatty_window_checks(seq, ell: int, b: int) -> str | None:
@@ -146,10 +157,6 @@ def _beatty_window_checks(seq, ell: int, b: int) -> str | None:
 
 
 def beatty_suite(b_max: int = 40, seed: int = 0, negative_control: bool = False) -> VerificationReport:
-    if b_max < 2:
-        raise InputError(f"b_max must be at least 2, got {b_max}")
-    if b_max > BEATTY_B_MAX:
-        raise CapacityError("beatty b_max", BEATTY_B_MAX, b_max)
     rep = VerificationReport(suite="beatty")
     for b in range(2, b_max + 1):
         for ell in range(1, b):
@@ -225,32 +232,16 @@ def lemma49_suite(seed: int = 0, negative_control: bool = False) -> Verification
                   note=f"|E|={len(E.vertices)}, delta(E)={d_e}")
 
     g = build_gadget(2, 1, 2)
-    run_case(
-        "point-over-empty-base",
-        FiniteStructure(sig, [0]),
-        FiniteStructure(sig, [1]),
-        [],
-        g,
-        expect_copies=2,
-    )
-    run_case(
-        "edge-over-point-base",
-        graph([(100, 0)]),  # C: base vertex 100 plus c=0
-        graph([(100, 1)]),  # B: base vertex 100 plus u0=1
-        [100],
-        g,
-        expect_copies=2,
-    )
-    # empty amalgamation arms: B adds nothing over the base, so only the
-    # distinguished point is identified and the rest of the gadget base stays fresh
-    run_case(
-        "empty-arms",
-        FiniteStructure(sig, [0]),
-        FiniteStructure(sig, []),
-        [],
-        g,
-        expect_copies=0,
-    )
+    # (key, C, B, base, copies).  Over the point base 100, C adds c=0 and B
+    # adds u0=1.  With empty amalgamation arms B adds nothing over the base, so
+    # only the distinguished point is identified and the rest of the gadget
+    # base stays fresh.
+    for key, C, B, base, copies in (
+        ("point-over-empty-base", FiniteStructure(sig, [0]), FiniteStructure(sig, [1]), [], 2),
+        ("edge-over-point-base", graph([(100, 0)]), graph([(100, 1)]), [100], 2),
+        ("empty-arms", FiniteStructure(sig, [0]), FiniteStructure(sig, []), [], 0),
+    ):
+        run_case(key, C, B, base, g, copies)
     if negative_control:
         bad = build_gadget(2, 1, 2)
         # injected fault: edge inside the gadget base
@@ -420,10 +411,6 @@ def ex512_suite(
     seed: int = 0,
     negative_control: bool = False,
 ) -> VerificationReport:
-    if samples < 0:
-        raise InputError(f"samples must be nonnegative, got {samples}")
-    if samples > SAMPLES_CAP:
-        raise CapacityError("ex512 samples", SAMPLES_CAP, samples)
     rep = VerificationReport(suite="ex512")
     dc = build_double_cycle(s, step)
     CD = dc.structure
@@ -533,8 +520,6 @@ def msa_bound_suite(
     trials: int = 200, seed: int = 0, negative_control: bool = False
 ) -> VerificationReport:
     """Straddling msa types in random free amalgams never exceed delta(base)."""
-    if trials < 0:
-        raise InputError(f"trials must be nonnegative, got {trials}")
     rep = VerificationReport(suite="msa-bound")
     rng = random.Random(seed)
     sigs = [graph_signature(2, 1), hypergraph_signature(1, 1, 3)]
@@ -714,13 +699,8 @@ def submodularity_suite(
     negative_control: bool = False,
 ) -> VerificationReport:
     rep = VerificationReport(suite="submodularity")
-    if max_n < 0:
-        raise InputError(f"max_n must be nonnegative, got {max_n}")
-    if oracle_cases < 0:
-        raise InputError(f"oracle_cases must be nonnegative, got {oracle_cases}")
-    if not 2 <= oracle_max_n <= TABLE_MAX_BITS:
-        raise InputError(f"oracle_max_n must be between 2 and {TABLE_MAX_BITS}, "
-                         f"got {oracle_max_n}")
+    if oracle_max_n > TABLE_MAX_BITS:  # the table engine's own bound
+        raise InputError(f"oracle_max_n must be at most {TABLE_MAX_BITS}, got {oracle_max_n}")
     graphs = _isomorph_free_types(graph_signature(2, 1), max_n, lambda G: True)
     sub_bad, res_bad, tr_bad = _first_exhaustive_failure(graphs)
     rep.check(
@@ -795,9 +775,6 @@ def axioms_suite(
     seed: int = 0,
     negative_control: bool = False,
 ) -> VerificationReport:
-    for key, cap in (("size_cap", size_cap), ("lemma43_cap", lemma43_cap)):
-        if cap < 0:
-            raise InputError(f"{key} must be nonnegative, got {cap}")
     rep = VerificationReport(suite="axioms")
     sig = graph_signature(2, 1)
     approximants = [
@@ -834,12 +811,9 @@ def axioms_suite(
 def extension_property_suite(
     budget: int = 200,
     max_pattern: int = 3,
-    cap_per_task: int = 4,
     seed: int = 0,
     negative_control: bool = False,
 ) -> VerificationReport:
-    if cap_per_task < 1:
-        raise InputError(f"cap_per_task must be at least 1, got {cap_per_task}")
     rep = VerificationReport(suite="extension-property")
     sig = graph_signature(2, 1)
     cfg = BuildConfig(sig, C0, max_pattern=max_pattern, budget=budget, seed=seed)
@@ -852,7 +826,7 @@ def extension_property_suite(
         note=f"{len(S.vertices)} vertices after {len(res.log.steps)} steps",
     )
     small_tasks = [t for t in res.tasks if len(t.base_ids) <= 1]
-    audit = audit_extension_property(S, small_tasks, cap_per_task=cap_per_task)
+    audit = audit_extension_property(S, small_tasks)
     ratio = audit.ratio(max_base=1)
     rep.check(
         "audit-small-bases",
@@ -864,7 +838,7 @@ def extension_property_suite(
             if e.realized != e.embeddings_checked
         ),
         note=f"realization ratio {ratio:.3f} over bases of size <= 1, "
-        f"cap {cap_per_task} embeddings per task",
+        f"cap {DEFAULT_CAP_PER_TASK} embeddings per task",
     )
     res2 = build_generic(cfg)
     same = res.log.digest() == res2.log.digest()
@@ -894,7 +868,7 @@ def extension_property_suite(
                              f"has none")
         kept = [e for e in S.instances["R"] if e not in removed]
         corrupted = FiniteStructure(S.signature, S.vertices, {"R": kept})
-        audit_c = audit_extension_property(corrupted, small_tasks, cap_per_task=cap_per_task)
+        audit_c = audit_extension_property(corrupted, small_tasks)
         ratio_c = audit_c.ratio(max_base=1)
         _negative_control(rep, "removed-edges",
                           f"removed the {len(removed)} edges at vertex {S.vertices[0]}; "
@@ -973,3 +947,17 @@ _SUITES = {
     "kn": kn_suite,
 }
 SUITE_NAMES = tuple(_SUITES)
+
+# (least, cap) of every integer suite option.  A cap sits where the suite,
+# its other options at their defaults, still finishes in about 10 s on 2 CPUs;
+# None where the cost levels off or a library cap bounds the structure built.
+OPTION_RANGES = {
+    "beatty": {"b_max": (2, BEATTY_B_MAX)},
+    "gadget": {"r2_max": (2, None), "r3_max": (1, None)},
+    # build_double_cycle needs 6 <= step < s/12, and 2s <= CONSTRUCTION_CAP
+    "ex512": {"s": (73, None), "step": (6, None), "samples": (0, SAMPLES_CAP)},
+    "msa-bound": {"trials": (1, 10_000)},
+    "submodularity": {"max_n": (0, None), "oracle_cases": (0, 100_000), "oracle_max_n": (2, None)},
+    "axioms": {"size_cap": (0, 2), "lemma43_cap": (0, None)},
+    "extension-property": {"budget": (0, None), "max_pattern": (0, None)},
+}

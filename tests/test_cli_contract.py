@@ -26,10 +26,10 @@ from pathlib import Path
 
 import pytest
 
-from predimlab import cli, dump_structure, graph
+from predimlab import cli, dump_structure, graph, suites
 from predimlab.structures import bipartite_graph
 
-from conftest import cycle_graph
+from conftest import cycle_graph, perfbench_workloads
 
 pytestmark = pytest.mark.skipif(not Path("/proc/self/statm").exists(),
                                 reason="needs fork and /proc/self/statm")
@@ -190,3 +190,39 @@ def test_a_gadget_grid_past_the_verify_cap_exits_2():
     # the grid was once a list of every (n, m) pair, built before the first
     # gadget reached the verify cap: a MemoryError traceback with exit 1
     assert _holds_the_contract(["verify", "gadget", "--option", "r2_max=1000000"])[0] == 2
+
+
+# Every ranged suite option, one at a time on the light options of the
+# negative-control runs, at the values that tests/test_input_boundary.py's
+# sweep (-1, 0 and 1) leaves out.
+TINY = perfbench_workloads().SUITE_OPTIONS["tiny"]
+OPTION_CASES = [(name, key, value) for name, ranges in suites.OPTION_RANGES.items()
+                for key in ranges for value in (2, 3, 10**6, 10**18)]
+
+# Suite inputs and a structure file that once ran on past a 6 s timeout, or
+# died in numpy with the FAIL code; {h} is a 16-cycle with three chords,
+# whose compatibility table at --cap 16 has 3.06 billion cells.
+SUITE_FIXED = [
+    ["verify", "axioms", "--option", "size_cap=1000000"],
+    ["verify", "msa-bound", "--option", "trials=1000000"],
+    ["verify", "submodularity", "--option", "oracle_cases=1000000"],
+    ["axioms", "{h}", "--cap", "16"],
+]
+
+
+@pytest.mark.parametrize("name,key,value", OPTION_CASES,
+                         ids=[f"{n} {k}={v}" for n, k, v in OPTION_CASES])
+def test_every_suite_option_at_the_boundary(name, key, value):
+    options = {**TINY[name], key: value}
+    _holds_the_contract(["verify", name,
+                         *(arg for k, v in options.items() for arg in ("--option", f"{k}={v}"))])
+
+
+@pytest.mark.parametrize("argv", SUITE_FIXED, ids=" ".join)
+def test_a_runaway_suite_input_exits_2_at_once(tmp_path, argv):
+    chorded = tmp_path / "h.pdl"
+    chorded.write_text(dump_structure(graph([(i, (i + 1) % 16) for i in range(16)]
+                                            + [(0, 8), (4, 12), (2, 10)])))
+    code, err, seconds = _holds_the_contract([arg.format(h=chorded) for arg in argv])
+    assert code == 2, err
+    assert seconds < 1, seconds

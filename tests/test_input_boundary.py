@@ -6,9 +6,11 @@ malformed line with exit code 2 (never the FAIL code 1, never a traceback).
 import ast
 import contextlib
 import importlib
+import importlib.util
 import inspect
 import io
 import itertools
+import math
 import re
 from pathlib import Path
 
@@ -31,10 +33,15 @@ from predimlab import (
     run_suite,
     suites,
 )
+from predimlab import independence
 from predimlab.cli import main
+from predimlab.closures import d_closed_subset_masks
+from predimlab.errors import CapacityError
+from predimlab.independence import axiom_suite
 from predimlab.structures import bipartite_graph
 
-from conftest import perfbench_workloads, small_graphs, small_hypergraphs, subsets_of
+from conftest import (LIGHT, cycle_graph, perfbench_workloads, small_graphs, small_hypergraphs,
+                      subsets_of)
 
 HEADER = "predimlab/1"
 VALID = (
@@ -418,3 +425,91 @@ def test_cli_axioms_above_the_table_cutoff_names_the_cap(tmp_path, capsys):
     assert main(["axioms", str(f), "--cap", "2"]) == 2
     err = capsys.readouterr().err
     assert "d-closed enumeration cap exceeded" in err and "cap 16" in err
+
+
+def test_every_integer_suite_option_has_one_range():
+    # a new integer option cannot skip the table, and its default is in range
+    assert set(suites.OPTION_RANGES) <= set(suites.SUITE_NAMES)
+    for name in suites.SUITE_NAMES:
+        ranges = suites.OPTION_RANGES.get(name, {})
+        assert set(ranges) == set(_int_options(name)), name
+        for key, (least, cap) in ranges.items():
+            default = inspect.signature(suites._SUITES[name]).parameters[key].default
+            assert least <= default and (cap is None or default <= cap), (name, key)
+
+
+def _run_all_suites_options():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_all_suites.py"
+    spec = importlib.util.spec_from_file_location("run_all_suites", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.FAST_OPTIONS
+
+
+def test_every_range_admits_the_options_in_use():
+    workloads = perfbench_workloads().SUITE_OPTIONS
+    for options in (*workloads.values(), LIGHT, _run_all_suites_options()):
+        for name, given in options.items():
+            for key, value in given.items():
+                if key in suites.OPTION_RANGES.get(name, {}):
+                    least, cap = suites.OPTION_RANGES[name][key]
+                    assert least <= value and (cap is None or value <= cap), (name, key, value)
+
+
+@pytest.mark.parametrize("name,options", [("gadget", {"r2_max": 2, "r3_max": 1}),
+                                          ("msa-bound", {"trials": 1})])
+def test_a_suite_at_its_least_options_still_checks_a_case(name, options):
+    assert run_suite(name, **options).cases
+
+
+# Options that once left a report with no case: exit 0 and "0 cases, empty".
+EMPTY_REPORTS = [
+    ["gadget", "--option", "r2_max=0", "--option", "r3_max=0"],
+    ["msa-bound", "--option", "trials=0"],
+]
+
+
+@pytest.mark.parametrize("argv", EMPTY_REPORTS, ids=" ".join)
+def test_cli_verify_rejects_options_that_leave_no_case(capsys, argv):
+    assert main(["verify", *argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {argv[0]} ")
+
+
+def test_extension_property_has_no_cap_per_task_option(capsys):
+    # the audit reads builder.DEFAULT_CAP_PER_TASK, as predimlab audit does
+    assert main(["verify", "extension-property", "--option", "cap_per_task=4"]) == 2
+    assert "has no option 'cap_per_task'" in capsys.readouterr().err
+
+
+def _readme_option_rows():
+    """{(suite, option): (default, least, cap)} from the README option table."""
+    table = README.read_text().split("| suite | option |", 1)[1].split("\n\n")[0]
+    rows = [re.fullmatch(r"\| `([\w-]+)` \| `(\w+)` \| ([\d,]+) \| ([\d,]+) \| ([\d,]+|—) \|",
+                         line) for line in table.splitlines()[2:]]
+    assert rows and all(rows), table
+
+    def number(text):
+        return None if text == "—" else int(text.replace(",", ""))
+
+    return {(name, key): tuple(map(number, rest))
+            for name, key, *rest in (row.groups() for row in rows)}
+
+
+def test_readme_option_table_matches_the_ranges():
+    rows = _readme_option_rows()
+    assert list(rows) == [(name, key) for name, ranges in suites.OPTION_RANGES.items()
+                          for key in ranges]
+    for (name, key), (default, least, cap) in rows.items():
+        assert inspect.signature(suites._SUITES[name]).parameters[key].default == default
+        assert suites.OPTION_RANGES[name][key] == (least, cap), (name, key)
+
+
+def test_axiom_suite_checks_its_table_cells_before_building_it(monkeypatch):
+    S = cycle_graph(6)
+    small = sum(math.comb(6, i) for i in range(3))
+    cells = 6 * small * len(d_closed_subset_masks(S, size_cap=2))
+    monkeypatch.setattr(independence, "COMPAT_CELL_CAP", cells)
+    assert axiom_suite(S, size_cap=2).ok
+    monkeypatch.setattr(independence, "COMPAT_CELL_CAP", cells - 1)
+    with pytest.raises(CapacityError, match=f"requested {cells}, cap {cells - 1}$"):
+        axiom_suite(S, size_cap=2)
