@@ -17,7 +17,8 @@ about 4 when it costs in proportion to the structure.  The ratio's gate
 is 2.5.  Then times the seed-0 ``kn`` ngon-3 max-pattern-4 build (as
 ``predimlab build --class kn --ngon 3 --max-pattern 4 --budget B``) at
 budgets 200 and 400 the same way; it checks its class once, at the end.
-Exits 1 when a digest differs from its pin, 0 otherwise.
+Exits 1 when a digest differs from its pin, 0 otherwise.  The pins are
+checked in the test suite too (``tests/test_builder.py``), one build each.
 """
 
 import statistics
@@ -45,6 +46,13 @@ PINNED = {
 }
 
 
+def pinned_config(tag: str, budget: int) -> BuildConfig:
+    """The seed-0 build whose log digest ``PINNED[tag][budget]`` pins."""
+    if tag == C0:
+        return BuildConfig(graph_signature(2, 1), C0, max_pattern=4, budget=budget, seed=0)
+    return BuildConfig(polygon_signature(3), KN, max_pattern=4, budget=budget, seed=0, ngon=3)
+
+
 def counted_build(config: BuildConfig):
     """The build's result and the number of strongness queries it asked."""
     real, calls = builder._is_strong, 0
@@ -66,12 +74,7 @@ def main() -> int:
     for tag, pins in PINNED.items():
         print(f"{tag}\nbudget  vertices  steps  queries  seconds  digest")
         for budget, pin in pins.items():
-            if tag == C0:
-                config = BuildConfig(graph_signature(2, 1), C0, max_pattern=4,
-                                     budget=budget, seed=0)
-            else:
-                config = BuildConfig(polygon_signature(3), KN, max_pattern=4,
-                                     budget=budget, seed=0, ngon=3)
+            config = pinned_config(tag, budget)
             times = []
             for _ in range(RUNS):
                 t0 = time.perf_counter()

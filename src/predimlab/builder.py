@@ -302,10 +302,6 @@ class BuildConfig:
     def __post_init__(self):
         if self.budget < 0 or self.max_pattern < 0:
             raise InputError("budgets must be nonnegative")
-        if self.tag == CF and self.control is None:
-            raise InputError("cf builds need a control function")
-        if self.tag == KN and self.ngon is None:
-            raise InputError("kn builds need an ngon")
 
 
 @dataclass

@@ -30,8 +30,8 @@ from .gadgets import (CONSTRUCTION_CAP, beatty, build_double_cycle, build_fan_jo
                       build_gadget, verify_gadget)
 from .independence import axiom_suite, check_lemma43_characterization, d_independent, perp
 from .reports import VerificationReport, emit_report
-from .structures import (delta, dump_structure, graph_signature, hypergraph_signature,
-                         load_structure, polygon_signature)
+from .structures import (delta, dump_structure, hypergraph_signature, load_structure,
+                         polygon_signature)
 from .suites import OPTION_RANGES, _fan_instance, ex512_suite, run_suite
 
 
@@ -342,8 +342,6 @@ def _dispatch(args) -> int:
     if cmd == "build":
         if args.klass == "kn":
             sig = polygon_signature(args.ngon)
-        elif args.r == 2:
-            sig = graph_signature(args.n, args.m)
         else:
             sig = hypergraph_signature(args.n, args.m, args.r)
         cfg = BuildConfig(

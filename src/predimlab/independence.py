@@ -8,6 +8,8 @@ the three-condition characterization against it.  Symmetry and transitivity
 hold by the dim-table identity alone (see :func:`_independent_in`), so their
 cases are recorded without a pass; they stay in the report until the
 ``axioms`` digest moves for the vacuous cases and for stationarity.
+Monotonicity holds whenever the dim table is monotone and submodular, as
+every true one is: d(A over X) is then antitone in X.
 """
 
 from __future__ import annotations
@@ -26,15 +28,11 @@ from .closures import (
     self_sufficient,
 )
 from .errors import CapacityError, ContractError
-from .reports import PARTIAL, VerificationReport, subset_witness
+from .reports import VerificationReport, subset_witness
 from .structures import FiniteStructure
 
-# most quadruples of d-closed sets axiom_suite enumerates; above it the
-# fourth set is cut to a prefix and the two axioms that need it are PARTIAL
-QUAD_LIMIT = 400_000_000
-
 # most cells of axiom_suite's (vertex, B, C) compatibility table, checked
-# before it is built: 4.1 M cells peaked at 460 MiB on 16 vertices
+# before it is built: 4.1 M cells peaked at 103 MiB on 16 vertices
 COMPAT_CELL_CAP = 8_000_000
 
 
@@ -117,15 +115,28 @@ def _independent_in(dt, a, b, c):
     return dt[a | b | c] + dt[b] == dt[a | b] + dt[b | c]
 
 
+def _monotone_submodular(dt) -> bool:
+    """dt[X] <= dt[X|i] and dt[X|i] - dt[X] >= dt[X|i|j] - dt[X|j] for every
+    mask X and points i, j: these single-point steps give both for all sets."""
+    masks = np.arange(len(dt))
+    for i in range(len(dt).bit_length() - 1):
+        gain = dt[masks | 1 << i] - dt[masks & ~(1 << i)]
+        if (gain < 0).any() or any((gain < gain[masks | 1 << j]).any() for j in range(i)):
+            return False
+    return True
+
+
 def axiom_suite(S: FiniteStructure, size_cap: int = 3) -> VerificationReport:
     """Exhaustive independence-axiom check over d-closed subsets of S.
 
     Tests compatibility and monotonicity of d-independence, and records
-    symmetry and transitivity, which hold by the identity; monotonicity
-    quantifies a fourth set and enumerates quadruples, falling back to a
-    deterministic prefix of the d-closed sets (status PARTIAL) if the
-    quadruple count would exceed :data:`QUAD_LIMIT`.  A compatibility table
-    above :data:`COMPAT_CELL_CAP` cells raises ``CapacityError``.
+    symmetry and transitivity, which hold by the identity.  Monotonicity
+    quantifies a fourth set D.  On a monotone, submodular dim table d(A over
+    X) is antitone in X, so where d(A over BC) differs from d(A over B) it is
+    below it, d(A over BCD) is no larger, and no quadruple can fail: only a
+    table that fails :func:`_monotone_submodular` enumerates quadruples.  A
+    compatibility table above :data:`COMPAT_CELL_CAP` cells raises
+    ``CapacityError``.
     """
     rep = VerificationReport(suite="axioms")
     n = len(S.vertices)
@@ -181,44 +192,30 @@ def axiom_suite(S: FiniteStructure, size_cap: int = 3) -> VerificationReport:
         note="" if comp_bad is None else comp_bad[3],
     )
 
-    # Monotonicity and transitivity quantify a fourth set.
-    d_sets = sets
-    partial_note = ""
-    if k ** 4 > QUAD_LIMIT:
-        keep = max(2, int((QUAD_LIMIT / max(k, 1)) ** (1 / 3)))
-        d_sets = sets[:keep]
-        partial_note = f"fourth set limited to first {keep} of {k} d-closed sets"
-    # Write over(X) for d(A over X).  A is independent of CD over B when
-    # over(BCD) = over(B), of C over B when over(BC) = over(B), and of D over
-    # BC when over(BCD) = over(BC).  Where over(BC) = over(B) the first
-    # holds exactly when the last two both do, so neither axiom can fail
-    # there.  Only the (B, C) pairs where over(BC) differs from over(B) take
-    # the fourth set, in row-major order, which keeps the first witness.
-    # There both of the last two cannot hold, so monotonicity fails exactly
-    # where over(BCD) = over(B), and transitivity cannot fail at all: its
-    # case is a PASS (or PARTIAL) by this equality alone.
+    # Monotonicity and transitivity quantify a fourth set.  Write over(X) for
+    # d(A over X).  A is independent of CD over B when over(BCD) = over(B),
+    # of C over B when over(BC) = over(B), and of D over BC when over(BCD) =
+    # over(BC).  Where over(BC) = over(B) the first holds exactly when the
+    # last two both do, so neither axiom can fail there.  Elsewhere both of
+    # the last two cannot hold, so transitivity cannot fail at all: its case
+    # is a PASS by this equality alone.  Monotonicity fails exactly where
+    # over(BCD) = over(B); a table out of order takes D on those (B, C)
+    # pairs, in row-major order, which keeps the first witness.
     mono_bad = None
-    bc = sets[:, None] | sets[None, :]
-    dt_b, dt_bc = dt[sets], dt[bc]
-    for a in sets.tolist():
-        over_b = dt[a | sets] - dt_b
-        bi, ci = np.nonzero(dt[a | bc] - dt_bc != over_b[:, None])
-        if not len(bi):
-            continue
-        bcd = bc[bi, ci][:, None] | d_sets
-        over_bcd = dt[bcd | a]
-        over_bcd -= dt[bcd]
-        hit = over_bcd == over_b[bi, None]
-        rows = np.flatnonzero(hit.any(axis=1))
-        if len(rows):
-            p = rows[0]
-            mono_bad = (a, int(sets[bi[p]]), int(sets[ci[p]]), int(d_sets[np.argmax(hit[p])]))
-            break
-    for key, bad in (("monotonicity", mono_bad), ("transitivity", None)):
-        if bad is None and partial_note:
-            rep.add(key, PARTIAL, note=partial_note)
-        else:
-            rep.check(key, None if bad is None else _sets_witness(S, bad))
+    if not _monotone_submodular(dt):
+        bc = sets[:, None] | sets[None, :]
+        dt_b, dt_bc = dt[sets], dt[bc]
+        for a in sets.tolist():
+            over_b = dt[a | sets] - dt_b
+            bi, ci = np.nonzero(dt[a | bc] - dt_bc != over_b[:, None])
+            bcd = bc[bi, ci][:, None] | sets
+            hits = np.argwhere(dt[bcd | a] - dt[bcd] == over_b[bi, None])
+            if len(hits):
+                p, d = hits[0]
+                mono_bad = (a, int(sets[bi[p]]), int(sets[ci[p]]), int(sets[d]))
+                break
+    rep.check("monotonicity", None if mono_bad is None else _sets_witness(S, mono_bad))
+    rep.check("transitivity", None)
     return rep.finalize()
 
 

@@ -610,17 +610,12 @@ def free_amalgam(
     verts = set(base)
     inst: dict[str, list] = {r.name: [] for r in sig.relations}
     parts: dict[int, str] | None = {} if sig.mode == BIPARTITE else None
-    seen_inst: set[tuple[str, tuple[int, ...]]] = set()
-    for f in factors:
+    for f in factors:  # the constructor merges the base's repeated instances
         verts |= set(f.vertices)
         if parts is not None:
             parts.update(f.parts)
         for name, tups in f.instances.items():
-            for t in tups:
-                key = (name, t)
-                if key not in seen_inst:
-                    seen_inst.add(key)
-                    inst[name].append(t)
+            inst[name].extend(tups)
     return FiniteStructure(sig, verts, inst, parts)
 
 

@@ -34,7 +34,6 @@ from .closures import (
     delta_table,
     dim,
     is_d_closed,
-    popcounts,
     self_sufficient,
     TABLE_MAX_BITS,
     _over_subsets,
@@ -639,8 +638,10 @@ def _exhaustive_checks(dts: np.ndarray, n: int, pairs: tuple, chains: tuple):
     n-vertex graphs, one per column of ``dts``, shape (2**n, graphs), given
     n's :func:`_crossing_pairs` and :func:`_subset_chains`.
 
-    Returns the per-graph failure flags of the three checks, shape
-    (3, graphs), and the strong-subset relation of :func:`_strong_subsets`.
+    Returns the violations of the three checks, with the graphs on their
+    last axis: submodularity per crossing pair, the failing rows of
+    :func:`_restriction_rows` and transitivity per chain; and the
+    strong-subset relation of :func:`_strong_subsets`.
     Submodularity reads the crossing pairs only, being symmetric and an
     equation on the others.  ``SS[a, b]`` implies a inside b, so a product
     ``SS[a, b] & SS[b, c]`` can only be true along a chain a inside b inside
@@ -652,9 +653,7 @@ def _exhaustive_checks(dts: np.ndarray, n: int, pairs: tuple, chains: tuple):
     sub = dts[i | j] + dts[i & j] > dts[i] + dts[j]
     SS = _strong_subsets(dts, n)
     a, b, c = chains
-    trans = SS[b, a] & SS[c, b] & ~SS[c, a]
-    fails = np.stack([sub.any(axis=0), _restriction_rows(SS).any(axis=0), trans.any(axis=0)])
-    return fails, SS
+    return sub, _restriction_rows(SS), SS[b, a] & SS[c, b] & ~SS[c, a], SS
 
 
 def _first_exhaustive_failure(graphs: list) -> tuple:
@@ -664,7 +663,8 @@ def _first_exhaustive_failure(graphs: list) -> tuple:
 
     Runs of graphs with one vertex count are checked in chunks of at most
     :data:`_CHUNK_BYTES` per relation array.  A failing graph's witness is
-    the first failing pair, triple or chain in mask order.
+    the first failing pair, triple or chain in mask order; the pairs of
+    :func:`_exhaustive_checks` are in that order.
     """
     for n, run in itertools.groupby(graphs, key=lambda G: len(G.vertices)):
         run = list(run)
@@ -673,21 +673,20 @@ def _first_exhaustive_failure(graphs: list) -> tuple:
         for start in range(0, len(run), per):
             chunk = run[start:start + per]
             dts = np.stack([delta_table(G) for G in chunk], axis=1)
-            fails, SS = _exhaustive_checks(dts, n, pairs, chains)
+            *checks, SS = _exhaustive_checks(dts, n, pairs, chains)
+            fails = np.stack([v.any(axis=0) for v in checks])
             bad = np.flatnonzero(fails.any(axis=0))
             if not len(bad):
                 continue
             g = bad[0]
-            G, dt, ss = chunk[g], dts[:, g], SS[:, :, g].T
+            G = chunk[g]
             if fails[0, g]:
-                m = np.arange(1 << n)
-                i, j = np.argwhere(dt[m[:, None] | m] > dt[:, None] + dt - dt[m[:, None] & m])[0]
-                return (G, int(i), int(j)), None, None
+                p = np.argmax(checks[0][:, g])
+                return (G, int(pairs[0][p]), int(pairs[1][p])), None, None
             if fails[1, g]:
-                return None, (G, *_restriction_witness(ss)), None
-            a, b, c = chains
-            t = np.argmax(ss[a, b] & ss[b, c] & ~ss[a, c])
-            return None, None, (G, int(a[t]), int(c[t]))
+                return None, (G, *_restriction_witness(SS[:, :, g].T)), None
+            t = np.argmax(checks[2][:, g])
+            return None, None, (G, int(chains[0][t]), int(chains[2][t]))
     return None, None, None
 
 
@@ -719,7 +718,6 @@ def submodularity_suite(
     )
 
     rng = random.Random(seed)
-    tables = {}  # n -> (masks, popcounts), built once per n
     bad_oracle = None
     checked = 0
     # batches of 25 cases per structure, the remainder in the last one
@@ -729,20 +727,18 @@ def submodularity_suite(
         edges = rng.sample(pool, rng.randint(0, len(pool)))
         S = graph(edges, vertices=range(n))
         dt = np.asarray(delta_table(S), dtype=np.int64)
-        sz = 1 << n
-        if n not in tables:
-            tables[n] = (np.arange(sz, dtype=np.int64), popcounts(n))
-        mk, pc = tables[n]
+        masks = np.arange(1 << n, dtype=np.int64)
         for _ in range(min(25, oracle_cases - first)):
             checked += 1
-            xmask = rng.randrange(sz)
-            sup = (mk & xmask) == xmask
+            xmask = rng.randrange(len(masks))
+            sup = masks[(masks & xmask) == xmask]
             vals = dt[sup]
-            cands = mk[sup]
             best = int(vals.min())
-            winners = cands[vals == best]
-            order = np.lexsort((winners, pc[winners]))
-            oracle = (best, int(winners[order[0]]), int(np.bitwise_or.reduce(winners)))
+            # delta is submodular, so its minimizers are closed under
+            # meets: their AND is the least one
+            winners = sup[vals == best]
+            oracle = (best, int(np.bitwise_and.reduce(winners)),
+                      int(np.bitwise_or.reduce(winners)))
             flow = _solve(S, xmask, engine="flow")
             table = _solve(S, xmask, engine="table")
             if not (oracle == flow == table):
@@ -760,7 +756,7 @@ def submodularity_suite(
         G = graph([(0, 1), (1, 2), (0, 2)])
         dt = np.asarray(delta_table(G), dtype=np.int64).copy()
         dt[7] += 5  # injected fault: corrupted table entry
-        bad = _exhaustive_checks(dt[:, None], 3, _crossing_pairs(3), _subset_chains(3))[0][0, 0]
+        bad = _exhaustive_checks(dt[:, None], 3, _crossing_pairs(3), _subset_chains(3))[0].any()
         _negative_control(rep, "corrupted-delta",
                           "submodularity violated by corrupted entry" if bad else None)
     return rep.finalize()
@@ -958,6 +954,6 @@ OPTION_RANGES = {
     "ex512": {"s": (73, None), "step": (6, None), "samples": (0, SAMPLES_CAP)},
     "msa-bound": {"trials": (1, 10_000)},
     "submodularity": {"max_n": (0, None), "oracle_cases": (0, 100_000), "oracle_max_n": (2, None)},
-    "axioms": {"size_cap": (0, 2), "lemma43_cap": (0, None)},
+    "axioms": {"size_cap": (0, 3), "lemma43_cap": (0, None)},
     "extension-property": {"budget": (0, None), "max_pattern": (0, None)},
 }

@@ -677,6 +677,22 @@ def brute_axiom_quadruples(dt, size_cap):
     return mono, trans
 
 
+def brute_monotone_submodular(dt):
+    """Oracle for ``independence._monotone_submodular``: every mask X and
+    points i, j outside it, one step at a time."""
+    t = dt.tolist()
+    n = len(t).bit_length() - 1
+    for x in range(len(t)):
+        out = [1 << i for i in range(n) if not x >> i & 1]
+        for i in out:
+            if t[x] > t[x | i]:
+                return False
+            for j in out:
+                if j != i and t[x | i] - t[x] < t[x | i | j] - t[x | j]:
+                    return False
+    return True
+
+
 def brute_restriction(SS):
     """Oracle for ``suites._restriction_witness``: per (a, b), every x in b."""
     masks = np.arange(len(SS))

@@ -3,6 +3,7 @@ import collections
 import copy
 import dataclasses
 import functools
+import importlib.util
 import itertools
 from fractions import Fraction
 import os
@@ -246,6 +247,19 @@ def test_seed0_kn_build_log_is_pinned():
     assert res.log.digest() == (
         "5acc2710d3c1e797ce74f8b708fd3a766c7e560d9e3ad8638a0c2498de36aedb"
     )
+
+
+def test_build_scaling_pins_hold():
+    # the five seed-0 builds of scripts/build_scaling.py, once each, against
+    # its pinned log digests
+    path = Path(__file__).resolve().parents[1] / "scripts" / "build_scaling.py"
+    spec = importlib.util.spec_from_file_location("build_scaling", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    got = {tag: {budget: build_generic(script.pinned_config(tag, budget)).log.digest()
+                 for budget in pins}
+           for tag, pins in script.PINNED.items()}
+    assert got == script.PINNED
 
 
 BUILD_SETUPS = (

@@ -17,6 +17,7 @@ from predimlab import (
     check_lemma43_characterization,
     d_independent,
     dim,
+    dump_structure,
     graph,
     graph_signature,
     hypergraph,
@@ -25,6 +26,7 @@ from predimlab import (
 )
 from predimlab import closures, independence
 from predimlab.builder import C0
+from predimlab.cli import main
 from predimlab.closures import d_closed_subset_masks, delta_table, dim_cld_tables
 
 from conftest import (
@@ -33,6 +35,7 @@ from conftest import (
     brute_cld_from_table,
     brute_free_split,
     brute_lemma43_equivalence,
+    brute_monotone_submodular,
     small_graphs,
     small_hypergraphs,
 )
@@ -263,6 +266,74 @@ def test_lemma43_and_quadruple_passes_match_loop_forms_on_corrupted_hypergraphs(
         for i, failed in enumerate(_check_against_loop_forms(S, dt, dtab, 3, 3)):
             fails[i] += failed
     assert fails[0] >= 25 and fails[1] >= 10 and fails[2] >= 3 and fails[3] == 0
+
+
+# -- the dim table's order ------------------------------------------------------
+
+
+@given(st.one_of(small_graphs(max_n=11), small_hypergraphs(max_n=11)))
+@settings(max_examples=60, deadline=None)
+def test_every_dim_table_is_monotone_and_submodular(S):
+    assert independence._monotone_submodular(dim_cld_tables(S)[0])
+
+
+def test_one_corrupted_dim_entry_breaks_the_order():
+    # an edge {0, 1} has dim 3 and each end dim 2: at 1 it falls below them
+    dt = dim_cld_tables(graph([(0, 1)], vertices=range(3)))[0]
+    assert independence._monotone_submodular(dt)
+    dt[0b011] -= 2
+    assert not independence._monotone_submodular(dt)
+    assert not brute_monotone_submodular(dt)
+
+
+def test_an_ordered_dim_table_has_no_monotonicity_witness():
+    # Graphs and 3-uniform hypergraphs with up to two corrupted dim entries:
+    # the order check agrees with its loop form, and wherever it holds,
+    # corrupted tables included, the per-quadruple loop finds no witness.
+    rng = random.Random(2)
+    ordered_faults = 0
+    for trial in range(300):
+        n = rng.randint(2, 4)
+        arity = 2 + trial % 2
+        pool = list(itertools.combinations(range(n), arity))
+        inst = rng.sample(pool, rng.randint(0, len(pool)))
+        S = graph(inst, vertices=range(n)) if arity == 2 else hypergraph(inst, vertices=range(n))
+        clean = dim_cld_tables(S)[0]
+        dt = clean.copy()
+        for _ in range(rng.randint(0, 2)):
+            dt[rng.randrange(1, len(dt))] += rng.choice((-1, 1))
+        ordered = independence._monotone_submodular(dt)
+        assert ordered == brute_monotone_submodular(dt)
+        if ordered:
+            assert brute_axiom_quadruples(dt, 3)[0] is None
+            ordered_faults += bool((dt != clean).any())
+    assert ordered_faults >= 20
+
+
+def test_corrupted_tables_reach_the_quadruple_search(monkeypatch):
+    # The loop-form tests on corrupted tables replay the quadruple search's
+    # first witness only when their tables fail the order check; count those.
+    real, searched = independence._monotone_submodular, []
+
+    def counted(dt):
+        ordered = real(dt)
+        searched.append(not ordered)
+        return ordered
+
+    monkeypatch.setattr(independence, "_monotone_submodular", counted)
+    test_lemma43_and_compatibility_match_loop_forms_on_corrupted_graphs()
+    test_lemma43_and_quadruple_passes_match_loop_forms_on_corrupted_hypergraphs()
+    assert sum(searched) > 0
+
+
+def test_cli_axioms_on_the_chorded_16_cycle_passes_at_cap_3(tmp_path, capsys):
+    # 369 d-closed sets: the quadruple search once cut the fourth set to a
+    # prefix here and left monotonicity and transitivity PARTIAL
+    f = tmp_path / "h.pdl"
+    f.write_text(dump_structure(graph([(i, (i + 1) % 16) for i in range(16)]
+                                      + [(0, 8), (4, 12), (2, 10)])))
+    assert main(["axioms", str(f), "--cap", "3"]) == 0
+    assert "summary: 4 cases, PASS=4\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("n", [12, 80])
