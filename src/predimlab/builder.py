@@ -291,6 +291,7 @@ def enumerate_tasks(
 
 @dataclass(frozen=True)
 class BuildConfig:
+    """One chain build; it draws no random number, and ``seed`` only labels its log."""
     signature: Signature
     tag: str
     max_pattern: int

@@ -80,7 +80,8 @@ class ControlFunction:
         return self._values[k]
 
     def validate(self, up_to: int = 64) -> None:
-        """Check the goodness conditions on the tabulated range; raise if broken."""
+        """Check the goodness conditions on the tabulated range; raise if broken.
+        With f(1) - f(0) = n >= 1, they give f(x+y) <= f(x) + y(f(x+1) - f(x))."""
         prev = None
         for k in range(2, up_to + 1):
             inc = self.increment(k)
@@ -91,11 +92,6 @@ class ControlFunction:
             if prev is not None and inc > prev:
                 raise InputError(f"{self.name}: increments not non-increasing at {k}")
             prev = inc
-        for x in range(0, up_to):
-            step = self(x + 1) - self(x)
-            for y in range(0, up_to - x):
-                if self(x + y) > self(x) + y * step:
-                    raise InputError(f"{self.name}: concavity surrogate fails at ({x},{y})")
 
     def __repr__(self):
         return f"ControlFunction({self.name}, n={self.n})"

@@ -65,17 +65,12 @@ def _touching(S: FiniteStructure, zmask: int, wmask: int) -> int:
     return out & zmask
 
 
-def _touching_base(S: FiniteStructure, Z: frozenset[int], new: frozenset[int]) -> frozenset[int]:
-    """Base points sharing a weighted instance (inside Z union new) with new points."""
-    return S.ids_of(_touching(S, S.mask_of(Z), S.mask_of(new)))
-
-
 def is_msa(S: FiniteStructure, Z: Iterable[int], Y: Iterable[int]) -> bool:
     """Simply algebraic with every base point attached to a new point."""
     zs, ys = S.subset(Z), S.subset(Y)
     if not is_simply_algebraic(S, zs, ys):
         return False
-    return _touching_base(S, zs, ys - zs) == zs
+    return S.ids_of(_touching(S, S.mask_of(zs), S.mask_of(ys - zs))) == zs
 
 
 def msa_base(
@@ -90,7 +85,7 @@ def msa_base(
     if not is_simply_algebraic(S, zs, ys):
         raise ContractError("msa_base needs a simply algebraic input pair")
     new = ys - zs
-    z1 = _touching_base(S, zs, new)
+    z1 = S.ids_of(_touching(S, S.mask_of(zs), S.mask_of(new)))
     y1 = z1 | new
     if not is_msa(S, z1, y1):
         raise ContractError("extracted base failed the msa check")

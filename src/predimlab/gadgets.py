@@ -21,7 +21,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .classes import _binary_co
 from .closures import cld, popcounts
 from .errors import CapacityError, InputError
 from .reports import DEGENERATE, VerificationReport, subset_witness
@@ -418,7 +417,7 @@ def sample_closed_connected_subsets(
     """
     S = dc.structure
     rng = random.Random(seed)
-    co = _binary_co(S)
+    co = S.bit_index().co
     n = len(S.vertices)
     violations = []
     seen = set()

@@ -8,8 +8,8 @@ the three-condition characterization against it.  Symmetry and transitivity
 hold by the dim-table identity alone (see :func:`_independent_in`), so their
 cases are recorded without a pass; they stay in the report until the
 ``axioms`` digest moves for the vacuous cases and for stationarity.
-Monotonicity holds whenever the dim table is monotone and submodular, as
-every true one is: d(A over X) is then antitone in X.
+Monotonicity holds on every monotone, submodular dim table, and with it
+compatibility when its d-closures are its zero set (:func:`axiom_suite`).
 """
 
 from __future__ import annotations
@@ -126,6 +126,13 @@ def _monotone_submodular(dt) -> bool:
     return True
 
 
+def _closure_is_zero_set(dt, cl) -> bool:
+    """cl[X] is X plus every point v with dt[X|v] == dt[X], for every mask X."""
+    masks = np.arange(len(dt))
+    zero = sum((dt[masks | 1 << i] == dt) << i for i in range(len(dt).bit_length() - 1))
+    return bool(((masks | zero) == cl).all())
+
+
 def axiom_suite(S: FiniteStructure, size_cap: int = 3) -> VerificationReport:
     """Exhaustive independence-axiom check over d-closed subsets of S.
 
@@ -134,9 +141,15 @@ def axiom_suite(S: FiniteStructure, size_cap: int = 3) -> VerificationReport:
     quantifies a fourth set D.  On a monotone, submodular dim table d(A over
     X) is antitone in X, so where d(A over BC) differs from d(A over B) it is
     below it, d(A over BCD) is no larger, and no quadruple can fail: only a
-    table that fails :func:`_monotone_submodular` enumerates quadruples.  A
-    compatibility table above :data:`COMPAT_CELL_CAP` cells raises
-    ``CapacityError``.
+    table that fails :func:`_monotone_submodular` enumerates quadruples.
+
+    Compatibility follows on such a table when cld is its zero set
+    (:func:`_closure_is_zero_set`): each v in cld(X) adds nothing to dim at
+    X, so by submodularity and monotonicity nothing at any Y containing X.
+    The identity's dims sit above B, those at ABC and AB above AB, so B to
+    cld(B) or A to cld(AB) moves none; and X -> dim(X | C) - dim(X) falls
+    from B to cld(AB), equal at both ends, so independence passes to each
+    element.  Engine tables pass, their cld being the greatest minimizer.
     """
     rep = VerificationReport(suite="axioms")
     n = len(S.vertices)
@@ -146,51 +159,14 @@ def axiom_suite(S: FiniteStructure, size_cap: int = 3) -> VerificationReport:
         return rep.finalize()
     dt, cl = dim_cld_tables(S)
     sets = np.array(d_closed_subset_masks(S, size_cap=size_cap), dtype=np.int64)
-    k = len(sets)
     # the identity reads the same with A and C swapped, so symmetry holds
     # whatever the table holds
-    rep.check("symmetry", None, note=f"{k} d-closed sets (size cap {size_cap})")
-
-    # Compatibility, ambient-relative restatement.  Replacing the base by its
-    # d-closure, or the left side by its d-closure over the base, never
-    # changes independence; and joint independence passes to every element of
-    # that closure.  The converse of the element-wise clause is not tested:
-    # it can fail in a finite fragment (two singletons each independent from
-    # C while the pair is not) because the entangling points it would take to
-    # detect the joint dependence need not exist in the fragment.
-    # Each A checks every (B, C) at once; the element-wise clause does not
-    # depend on A, so it is tabulated per vertex up front.
-    small = np.arange(1 << n, dtype=np.int64)
-    small = small[popcounts(n) <= size_cap]
-    cells = n * len(small) * k
-    if cells > COMPAT_CELL_CAP:
-        raise CapacityError("axiom compatibility table cells", COMPAT_CELL_CAP, cells)
-    bb, cc = small[:, None], sets[None, :]
-    bcl = cl[bb]
-    bit = np.arange(n)[:, None]
-    elem = _independent_in(dt, 1 << bit[:, :, None], bb, cc)  # (vertex, B, C)
-    comp_bad = None
-    for a in sets.tolist():
-        acl = cl[a | small]
-        base = _independent_in(dt, a, bb, cc)
-        in_acl = (acl >> bit & 1).astype(bool)[:, :, None]
-        fails = (
-            ("closed base", base != _independent_in(dt, a, bcl, cc)),
-            ("closure of a over base", base != _independent_in(dt, acl[:, None], bb, cc)),
-            ("joint independence must pass to closure elements",
-             base & (in_acl & ~elem).any(axis=0)),
-        )
-        rows = np.flatnonzero(np.any([f.any(axis=1) for _, f in fails], axis=0))
-        if len(rows):
-            bi = rows[0]
-            label, f = next((label, f) for label, f in fails if f[bi].any())
-            comp_bad = (a, int(small[bi]), int(sets[np.argmax(f[bi])]), label)
-            break
-    rep.check(
-        "compatibility",
-        None if comp_bad is None else _sets_witness(S, comp_bad[:3]),
-        note="" if comp_bad is None else comp_bad[3],
-    )
+    rep.check("symmetry", None, note=f"{len(sets)} d-closed sets (size cap {size_cap})")
+    ordered = _monotone_submodular(dt)
+    comp_bad = (None if ordered and _closure_is_zero_set(dt, cl)
+                else _compatibility_failure(dt, cl, sets, n, size_cap))
+    rep.check("compatibility", None if comp_bad is None else _sets_witness(S, comp_bad[:3]),
+              note="" if comp_bad is None else comp_bad[3])
 
     # Monotonicity and transitivity quantify a fourth set.  Write over(X) for
     # d(A over X).  A is independent of CD over B when over(BCD) = over(B),
@@ -202,7 +178,7 @@ def axiom_suite(S: FiniteStructure, size_cap: int = 3) -> VerificationReport:
     # over(BCD) = over(B); a table out of order takes D on those (B, C)
     # pairs, in row-major order, which keeps the first witness.
     mono_bad = None
-    if not _monotone_submodular(dt):
+    if not ordered:
         bc = sets[:, None] | sets[None, :]
         dt_b, dt_bc = dt[sets], dt[bc]
         for a in sets.tolist():
@@ -217,6 +193,44 @@ def axiom_suite(S: FiniteStructure, size_cap: int = 3) -> VerificationReport:
     rep.check("monotonicity", None if mono_bad is None else _sets_witness(S, mono_bad))
     rep.check("transitivity", None)
     return rep.finalize()
+
+
+def _compatibility_failure(dt, cl, sets, n: int, size_cap: int):
+    """The first (a, b, c, label) where compatibility fails, or None.
+
+    Replacing the base by its d-closure, or the left side by its d-closure
+    over the base, never changes independence; and joint independence
+    passes to every element of that closure.  The converse of the last is
+    not tested: a finite fragment (two singletons each independent from C
+    while the pair is not) need not hold the points that would show the
+    joint dependence.  Each A checks every (B, C) at once; the element-wise
+    clause does not depend on A, so its (vertex, B, C) table is built first,
+    after a check against :data:`COMPAT_CELL_CAP` (``CapacityError``).
+    """
+    small = np.flatnonzero(popcounts(n) <= size_cap)
+    cells = n * len(small) * len(sets)
+    if cells > COMPAT_CELL_CAP:
+        raise CapacityError("axiom compatibility table cells", COMPAT_CELL_CAP, cells)
+    bb, cc = small[:, None], sets[None, :]
+    bcl = cl[bb]
+    bit = np.arange(n)[:, None]
+    elem = _independent_in(dt, 1 << bit[:, :, None], bb, cc)  # (vertex, B, C)
+    for a in sets.tolist():
+        acl = cl[a | small]
+        base = _independent_in(dt, a, bb, cc)
+        in_acl = (acl >> bit & 1).astype(bool)[:, :, None]
+        fails = (
+            ("closed base", base != _independent_in(dt, a, bcl, cc)),
+            ("closure of a over base", base != _independent_in(dt, acl[:, None], bb, cc)),
+            ("joint independence must pass to closure elements",
+             base & (in_acl & ~elem).any(axis=0)),
+        )
+        rows = np.flatnonzero(np.any([f.any(axis=1) for _, f in fails], axis=0))
+        if len(rows):
+            bi = rows[0]
+            label, f = next((label, f) for label, f in fails if f[bi].any())
+            return a, int(small[bi]), int(sets[np.argmax(f[bi])]), label
+    return None
 
 
 def _lemma43_equivalence_exhaustive(S: FiniteStructure, size_cap: int = 4) -> tuple[int, tuple | None]:

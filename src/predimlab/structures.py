@@ -964,12 +964,7 @@ def graph(
     m: int = 1,
 ) -> FiniteStructure:
     """Simple-graph structure under the (n, m, r=2) predimension."""
-    edges = [tuple(e) for e in edges]
-    verts = set(vertices or ())
-    for a, b in edges:
-        verts.add(a)
-        verts.add(b)
-    return FiniteStructure(graph_signature(n, m), verts, {"R": edges})
+    return hypergraph(edges, vertices, n, m, r=2)
 
 
 def hypergraph(

@@ -294,6 +294,18 @@ def brute_in_Cf(S, f, exhaustive_cap=18, conn_size=18, conn_budget=200_000,
     )
 
 
+def brute_concavity_surrogate(f, up_to):
+    """The first (x, y) with f(x+y) > f(x) + y(f(x+1) - f(x)), x + y < up_to,
+    or None: the loop ``ControlFunction.validate`` once ran after its
+    increment checks, which imply it."""
+    for x in range(up_to):
+        step = f(x + 1) - f(x)
+        for y in range(up_to - x):
+            if f(x + y) > f(x) + y * step:
+                return x, y
+    return None
+
+
 def brute_class_violations(S, tag, f=None, ngon=3):
     """Oracle class check: the masks of the vertex sets of S that break the
     class by themselves.  For c0 a set of negative delta, for cf one of

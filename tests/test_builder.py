@@ -175,6 +175,22 @@ def test_build_deterministic():
     assert a.structure == b.structure
 
 
+@pytest.mark.parametrize("config", [
+    BuildConfig(SIG, C0, max_pattern=3, budget=40),
+    BuildConfig(SIG, CF, max_pattern=3, budget=20, control=ControlFunction.harmonic(2)),
+    BuildConfig(polygon_signature(3), KN, max_pattern=3, budget=20, ngon=3),
+], ids=[C0, CF, KN])
+def test_the_seed_only_labels_a_build_log(config):
+    # a build draws no random number: seeds 0 and 5 build the same chain,
+    # and their log digests differ only through the config key
+    a, b = (build_generic(dataclasses.replace(config, seed=s)) for s in (0, 5))
+    assert a.structure == b.structure
+    assert (a.log.steps, a.log.skipped_tasks, a.log.structure_dump) == (
+        b.log.steps, b.log.skipped_tasks, b.log.structure_dump)
+    assert a.log.config_key.replace(";seed=0;", ";seed=5;") == b.log.config_key
+    assert a.log.digest() != b.log.digest()
+
+
 def test_seed0_budget400_build_log_is_pinned():
     # scripts/build_scaling.py checks this digest too
     res = build_generic(BuildConfig(SIG, C0, max_pattern=4, budget=400, seed=0))

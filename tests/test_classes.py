@@ -43,8 +43,8 @@ from predimlab.classes import (
 from predimlab.reports import FAIL
 
 from conftest import (
-    brute_class_violations, brute_connected_subsets, brute_delta, brute_girth, brute_in_Cf,
-    cycle_graph, extension_chains, small_bipartite, small_graphs,
+    brute_class_violations, brute_concavity_surrogate, brute_connected_subsets, brute_delta,
+    brute_girth, brute_in_Cf, cycle_graph, extension_chains, small_bipartite, small_graphs,
 )
 
 
@@ -70,6 +70,28 @@ def test_control_function_goodness_rejects_bad_family():
     growing = ControlFunction(2, "growing", lambda k: Fraction(1, 100 - k))
     with pytest.raises(InputError):
         growing.validate(50)
+
+
+@given(st.integers(1, 3),
+       st.lists(st.fractions(0, 1, max_denominator=6).filter(bool), min_size=1, max_size=14))
+@settings(max_examples=60, deadline=None)
+def test_validate_implies_the_concavity_surrogate(n, scales):
+    # increment k is the least scale_j / (j - 1) over j <= k: positive,
+    # non-increasing and at most 1/(k - 1), so validate accepts it, and the
+    # surrogate loop it no longer runs finds no failure
+    incs = list(itertools.accumulate((s / (k - 1) for k, s in enumerate(scales, 2)), min))
+    f = ControlFunction(n, "drawn", lambda k: incs[k - 2])
+    up_to = len(incs) + 1
+    f.validate(up_to)
+    assert brute_concavity_surrogate(f, up_to) is None
+
+
+def test_the_surrogate_holds_on_the_families_and_fails_on_growth():
+    # ex511 once validated its half-harmonic family up to 40 on every run
+    for f in (ControlFunction.half_harmonic(1), ControlFunction.harmonic(2)):
+        assert brute_concavity_surrogate(f, 40) is None
+    growing = ControlFunction(2, "growing", lambda k: Fraction(1, 100 - k))
+    assert brute_concavity_surrogate(growing, 50) is not None
 
 
 def test_in_c0_examples():

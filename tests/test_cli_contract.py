@@ -104,6 +104,8 @@ def _int_flags(command):
 
 CASES = [(name, flag, value) for name, argv in BASES.items()
          for flag in _int_flags(argv[0]) for value in VALUES]
+CHOICE_CASES = [(name, a.option_strings[0]) for name, argv in BASES.items()
+                for a in _subparsers()[argv[0]]._actions if a.option_strings and a.choices]
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +181,11 @@ def test_every_int_flag_at_the_boundary(files, name, flag, value):
     _holds_the_contract([*_format(BASES[name], files), flag, str(value)])
 
 
+@pytest.mark.parametrize("name,flag", CHOICE_CASES, ids=[f"{n} {f}" for n, f in CHOICE_CASES])
+def test_every_choices_flag_refuses_a_value_outside_them(files, name, flag):
+    assert _holds_the_contract([*_format(BASES[name], files), flag, "none-of-them"])[0] == 2
+
+
 @pytest.mark.parametrize("argv", FIXED, ids=" ".join)
 def test_a_runaway_input_exits_2_at_once(files, argv):
     code, err, seconds = _holds_the_contract(_format(argv, files))
@@ -199,14 +206,10 @@ TINY = perfbench_workloads().SUITE_OPTIONS["tiny"]
 OPTION_CASES = [(name, key, value) for name, ranges in suites.OPTION_RANGES.items()
                 for key in ranges for value in (2, 3, 10**6, 10**18)]
 
-# Suite inputs and a structure file that once ran on past a 6 s timeout, or
-# died in numpy with the FAIL code; {h} is a 16-cycle with three chords,
-# whose compatibility table at --cap 16 has 3.06 billion cells.
+# Suite inputs that once ran on past a 6 s timeout.
 SUITE_FIXED = [
-    ["verify", "axioms", "--option", "size_cap=1000000"],
     ["verify", "msa-bound", "--option", "trials=1000000"],
     ["verify", "submodularity", "--option", "oracle_cases=1000000"],
-    ["axioms", "{h}", "--cap", "16"],
 ]
 
 
@@ -219,10 +222,7 @@ def test_every_suite_option_at_the_boundary(name, key, value):
 
 
 @pytest.mark.parametrize("argv", SUITE_FIXED, ids=" ".join)
-def test_a_runaway_suite_input_exits_2_at_once(tmp_path, argv):
-    chorded = tmp_path / "h.pdl"
-    chorded.write_text(dump_structure(graph([(i, (i + 1) % 16) for i in range(16)]
-                                            + [(0, 8), (4, 12), (2, 10)])))
-    code, err, seconds = _holds_the_contract([arg.format(h=chorded) for arg in argv])
+def test_a_runaway_suite_input_exits_2_at_once(argv):
+    code, err, seconds = _holds_the_contract(argv)
     assert code == 2, err
     assert seconds < 1, seconds

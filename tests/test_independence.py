@@ -326,13 +326,89 @@ def test_corrupted_tables_reach_the_quadruple_search(monkeypatch):
     assert sum(searched) > 0
 
 
-def test_cli_axioms_on_the_chorded_16_cycle_passes_at_cap_3(tmp_path, capsys):
-    # 369 d-closed sets: the quadruple search once cut the fourth set to a
-    # prefix here and left monotonicity and transitivity PARTIAL
+# -- the d-closures as the dim table's zero set -------------------------------
+
+
+def _zero_set(dt):
+    return np.array([brute_cld_from_table(dt, m) for m in range(len(dt))], dtype=np.int32)
+
+
+@given(st.one_of(small_graphs(max_n=11), small_hypergraphs(max_n=11)))
+@settings(max_examples=60, deadline=None)
+def test_every_cld_table_is_the_dim_tables_zero_set(S):
+    assert independence._closure_is_zero_set(*dim_cld_tables(S))
+
+
+def _counting(monkeypatch, name):
+    """Replace ``independence.<name>`` by a wrapper; return its call list."""
+    real, calls = getattr(independence, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(independence, name, counted)
+    return calls
+
+
+def test_one_corrupted_cld_entry_breaks_the_check_and_reaches_the_pass(monkeypatch):
+    # the edge {0, 1} beside the point 2: adding 2 to cld({0}) is a corruption
+    S = graph([(0, 1)], vertices=range(3))
+    dt, cl = dim_cld_tables(S)
+    assert independence._closure_is_zero_set(dt, cl) and (cl == _zero_set(dt)).all()
+    cl = cl.copy()
+    cl[0b001] |= 0b100
+    assert not independence._closure_is_zero_set(dt, cl)
+    assert independence._monotone_submodular(dt)
+    runs = _counting(monkeypatch, "_compatibility_failure")
+    monkeypatch.setattr(independence, "dim_cld_tables", lambda _S: (dt, cl))
+    case = next(c for c in axiom_suite(S, size_cap=3).cases if c.key == "compatibility")
+    assert len(runs) == 1
+    assert (case.status, case.witness, case.note) == (
+        "FAIL", "A={} B={0} C={2}", "closure of a over base")
+
+
+def test_an_ordered_zero_set_table_has_no_compatibility_witness():
+    # Graphs and 3-uniform hypergraphs with up to two corrupted dim entries
+    # and cld their zero set: the zero-set check agrees with its loop form,
+    # and wherever the order holds too, the per-(A, B) loop finds no witness.
+    rng = random.Random(3)
+    ordered_faults = 0
+    for trial in range(300):
+        n = rng.randint(2, 4)
+        arity = 2 + trial % 2
+        pool = list(itertools.combinations(range(n), arity))
+        inst = rng.sample(pool, rng.randint(0, len(pool)))
+        S = graph(inst, vertices=range(n)) if arity == 2 else hypergraph(inst, vertices=range(n))
+        clean = dim_cld_tables(S)[0]
+        dt = clean.copy()
+        for _ in range(rng.randint(0, 2)):
+            dt[rng.randrange(1, len(dt))] += rng.choice((-1, 1))
+        assert independence._closure_is_zero_set(dt, _zero_set(dt))
+        if independence._monotone_submodular(dt):
+            assert brute_axiom_suite(S, dt, 3) is None
+            ordered_faults += bool((dt != clean).any())
+    assert ordered_faults >= 20
+
+
+def test_corrupted_tables_reach_the_compatibility_pass(monkeypatch):
+    # The loop-form tests on corrupted tables replay the compatibility pass's
+    # first witness only when their tables fail a check; count those runs.
+    runs = _counting(monkeypatch, "_compatibility_failure")
+    test_lemma43_and_compatibility_match_loop_forms_on_corrupted_graphs()
+    test_lemma43_and_quadruple_passes_match_loop_forms_on_corrupted_hypergraphs()
+    assert len(runs) > 0
+
+
+@pytest.mark.parametrize("cap", [3, 16])
+def test_cli_axioms_on_the_chorded_16_cycle_passes(tmp_path, capsys, cap):
+    # 369 d-closed sets at --cap 3: the quadruple search once cut the fourth
+    # set to a prefix here and left monotonicity and transitivity PARTIAL,
+    # and the compatibility table refused --cap 16 at 3.06 billion cells
     f = tmp_path / "h.pdl"
     f.write_text(dump_structure(graph([(i, (i + 1) % 16) for i in range(16)]
                                       + [(0, 8), (4, 12), (2, 10)])))
-    assert main(["axioms", str(f), "--cap", "3"]) == 0
+    assert main(["axioms", str(f), "--cap", str(cap)]) == 0
     assert "summary: 4 cases, PASS=4\n" in capsys.readouterr().out
 
 

@@ -35,7 +35,7 @@ from predimlab import (
 )
 from predimlab import independence
 from predimlab.cli import main
-from predimlab.closures import d_closed_subset_masks
+from predimlab.closures import d_closed_subset_masks, dim_cld_tables
 from predimlab.errors import CapacityError
 from predimlab.independence import axiom_suite
 from predimlab.structures import bipartite_graph
@@ -505,11 +505,16 @@ def test_readme_option_table_matches_the_ranges():
 
 
 def test_axiom_suite_checks_its_table_cells_before_building_it(monkeypatch):
+    # only a dim table that fails the order or zero-set check builds the
+    # compatibility table, so hand the suite one with a corrupted entry
     S = cycle_graph(6)
+    dt, cl = dim_cld_tables(S)
+    dt[0b11] += 1
+    monkeypatch.setattr(independence, "dim_cld_tables", lambda _S: (dt, cl))
     small = sum(math.comb(6, i) for i in range(3))
     cells = 6 * small * len(d_closed_subset_masks(S, size_cap=2))
     monkeypatch.setattr(independence, "COMPAT_CELL_CAP", cells)
-    assert axiom_suite(S, size_cap=2).ok
+    axiom_suite(S, size_cap=2)
     monkeypatch.setattr(independence, "COMPAT_CELL_CAP", cells - 1)
     with pytest.raises(CapacityError, match=f"requested {cells}, cap {cells - 1}$"):
         axiom_suite(S, size_cap=2)
