@@ -10,11 +10,17 @@ enforces alike.  A flag's own bound lives in the parser, as its ``type=``;
 joint bounds (such as coprime n and m) and size bounds (the caps in the
 README table) live in the library.  A suite option's range lives in
 ``suites.OPTION_RANGES``, which ``run_suite`` checks for ``verify --option``.
+
+``main(argv)`` may be called any number of times in one process.  The
+parser is built by the first call and shared by every later one, which only
+reads it, so each call pays for its own command alone and keeps the
+exit-code contract as a fresh process would.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -70,7 +76,14 @@ def _option(text: str) -> tuple[str, int]:
         raise argparse.ArgumentTypeError(f"{text!r}: {val!r} is not an integer") from None
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call in this process, built by the first.
+
+    Parsing only reads it: each call's values and defaults land on a fresh
+    namespace, and the append action of ``--option`` copies its ``[]``
+    default before it appends.
+    """
     structure = argparse.ArgumentParser(add_help=False)
     structure.add_argument("file")
     report = argparse.ArgumentParser(add_help=False)
@@ -378,7 +391,7 @@ def _dispatch(args) -> int:
         rep = VerificationReport(suite="audit")
         for e in audit.entries:
             rep.check(
-                f"task:{e.task_key[:60]}",
+                f"task:{e.task_key}",
                 None if e.realized == e.embeddings_checked
                 else f"{e.realized}/{e.embeddings_checked} realized",
                 note=f"base size {e.base_size}",

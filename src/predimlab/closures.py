@@ -33,6 +33,7 @@ from .structures import FiniteStructure, delta_mask, _bits
 TABLE_MAX_BITS = 20  # hard memory guard for the table engine
 DEFAULT_TABLE_CUTOFF = 16
 TABLE_CACHE_BYTES = 4 << 20  # tables the ledger keeps for structures built again
+TABLE_WEIGHT_CAP = 1 << 62  # bounds n * vertex weight + total instance weight: int64 fits
 
 
 # Nothing in the library calls this; the benchmark stamps the caps in effect
@@ -159,9 +160,14 @@ def delta_table(S: FiniteStructure) -> np.ndarray:
     n = len(S.vertices)
     if n > TABLE_MAX_BITS:
         raise InputError(f"table engine limited to {TABLE_MAX_BITS} vertices, got {n}")
+    weighted = S.bit_index().weighted
+    # every delta, and every difference of two, lies within this span
+    span = n * S.signature.vertex_weight + sum(w for _, w in weighted)
+    if span >= TABLE_WEIGHT_CAP:
+        raise CapacityError("table engine weight", TABLE_WEIGHT_CAP, span)
     size = 1 << n
     counts = np.zeros(size, dtype=np.int64)
-    for imask, w in S.bit_index().weighted:
+    for imask, w in weighted:
         counts[imask] += w
     # zeta transform: counts[mask] = total weight of instances inside mask
     _over_subsets(counts, np.add)
@@ -309,7 +315,8 @@ class StructureFlowSolver:
         prefix, hold every instance of prev and add only instances that meet
         a new position, as a chain step does; otherwise nothing changes and
         the answer is False.  The new weighted instances are those out's
-        index tops at the new positions.
+        index tops at the new positions.  Weights too large for the network
+        raise ``CapacityError`` (see :meth:`_extend`), with nothing changed.
         """
         n = self.n_items
         if out.signature != prev.signature or out.vertices[:n] != prev.vertices:
@@ -324,7 +331,12 @@ class StructureFlowSolver:
         """Append out's new vertices and the project nodes of ``pairs``, push
         each new project edge greedily to the sink through its members, then
         resume the base flow from the new source edges the greedy pass left
-        live; the old live ones lead only into the dead set."""
+        live; the old live ones lead only into the dead set.
+
+        Before any change it raises ``CapacityError`` unless cutting every
+        project and vertex edge costs less than ``_INF_CAP``, so that no
+        minimum cut takes an infinite edge.
+        """
         to, caps, head, node_pos = self.to, self.base_caps, self.head, self.node_pos
         slot_eid = self.slot_eid
 
@@ -341,11 +353,15 @@ class StructureFlowSolver:
             node_pos.append(pos)
             return len(head) - 1
 
+        nw = out.signature.vertex_weight
+        total_w = self.total_w + sum(w for _, w in pairs)
+        cut = total_w + len(out.vertices) * nw
+        if cut >= _INF_CAP:
+            raise CapacityError("flow engine weight", _INF_CAP, cut)
         added = [node(i) for i in range(self.n_items, len(out.vertices))]
         for u in added:
             slot_eid.append(len(to))
             add(0, u, 0)
-        nw = out.signature.vertex_weight
         for u in added:
             add(u, 1, nw)
         src = []
@@ -354,7 +370,6 @@ class StructureFlowSolver:
             pnode = node(-1)
             eid = len(to)
             add(0, pnode, w)
-            self.total_w += w
             for i in _bits(imask):
                 v = to[slot_eid[i]]
                 path = (eid, len(to), head[v][1])  # project, member, sink
@@ -365,7 +380,7 @@ class StructureFlowSolver:
                     flow += pushed
             if caps[eid] > 0:
                 src.append(eid)
-        self.n_items = len(out.vertices)
+        self.n_items, self.total_w = len(out.vertices), total_w
         # one source edge at a time: a search then starts from one project
         # node, not from all of them.  A node that cannot reach the sink never
         # can again, so one pass over the edges leaves no path, and later

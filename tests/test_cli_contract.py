@@ -8,8 +8,9 @@ one child at a time, so a runaway or an unbounded allocation fails the case
 instead of the machine.
 
 The children fork from the test process, which has imported the library
-already: a fresh interpreter per case would spend about 0.4 s importing
-numpy and the library, several times what most cases run for.
+and built the parser already: a fresh interpreter per case would spend about
+0.4 s importing numpy and the library, several times what most cases run
+for.  ``main`` is re-entrant, so a child parses with the parser it inherits.
 """
 
 import argparse
@@ -18,6 +19,7 @@ import io
 import os
 import resource
 import signal
+import subprocess
 import sys
 import tempfile
 import time
@@ -25,6 +27,8 @@ import traceback
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predimlab import cli, dump_structure, graph, suites
 from predimlab.structures import bipartite_graph
@@ -124,9 +128,10 @@ def files(tmp_path_factory):
     return paths
 
 
-def _run(argv):
-    """(exit code, stderr, seconds) of ``cli.main(argv)`` in a forked child."""
-    with tempfile.TemporaryFile("w+") as err:
+def _run(argv, fresh=False):
+    """(exit code, stdout, stderr, seconds) of ``cli.main(argv)`` in a forked
+    child; a ``fresh`` child drops the parser it inherits and builds its own."""
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
         start = time.monotonic()
         pid = os.fork()
         if pid == 0:
@@ -137,23 +142,27 @@ def _run(argv):
                 pages = int(Path("/proc/self/statm").read_text().split()[0])
                 limit = pages * resource.getpagesize() + HEADROOM
                 resource.setrlimit(resource.RLIMIT_AS, (limit, resource.RLIM_INFINITY))
-                sys.stdout, sys.stderr = open(os.devnull, "w"), err
+                sys.stdout, sys.stderr = out, err
+                if fresh:
+                    cli._parser.cache_clear()
                 code = cli.main(argv)
             except SystemExit as exc:
                 code = exc.code if isinstance(exc.code, int) else 1
             except BaseException:  # reported as the interpreter reports it
                 traceback.print_exc()
             finally:
+                out.flush()
                 err.flush()
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
         seconds = time.monotonic() - start
+        out.seek(0)
         err.seek(0)
-        return os.waitstatus_to_exitcode(status), err.read(), seconds
+        return os.waitstatus_to_exitcode(status), out.read(), err.read(), seconds
 
 
 def _holds_the_contract(argv):
-    code, err, seconds = _run(argv)
+    code, _, err, seconds = _run(argv)
     assert code in (0, 1, 2), (code, err[-2000:])  # -14: killed at the wall budget
     assert "Traceback" not in err, err[-2000:]
     if code == 2:  # one error line, with no usage line before it
@@ -178,6 +187,13 @@ def test_each_base_command_line_passes(files, name):
 @pytest.mark.parametrize("name,flag,value", CASES,
                          ids=[f"{n} {f}={v}" for n, f, v in CASES])
 def test_every_int_flag_at_the_boundary(files, name, flag, value):
+    _holds_the_contract([*_format(BASES[name], files), flag, str(value)])
+
+
+@given(st.sampled_from(sorted({(name, flag) for name, flag, _ in CASES})), st.integers())
+@settings(max_examples=30, deadline=None)
+def test_an_int_flag_at_any_integer(files, case, value):
+    name, flag = case
     _holds_the_contract([*_format(BASES[name], files), flag, str(value)])
 
 
@@ -226,3 +242,34 @@ def test_a_runaway_suite_input_exits_2_at_once(argv):
     code, err, seconds = _holds_the_contract(argv)
     assert code == 2, err
     assert seconds < 1, seconds
+
+
+# One process, many calls: a refused flag, --help, --version, a refused
+# suite option, a FAIL (the negative control) and a PASS, with their codes.
+CALLS = [
+    (["verify", "kn", "--seed", "x"], 2),
+    (["--help"], 0),
+    (["--version"], 0),
+    (["verify", "path-fact", "--option", "x=1"], 2),
+    (["verify", "kn", "--negative-control"], 1),
+    (["verify", "path-fact"], 0),
+]
+
+
+def test_main_answers_every_call_as_a_fresh_process(capsys):
+    cli._parser.cache_clear()
+    for argv, code in CALLS:
+        fresh = _run(argv, fresh=True)[:3]
+        assert fresh[0] == code
+        assert (cli.main(argv), *capsys.readouterr()) == fresh
+    assert cli._parser.cache_info().misses == 1  # built by the first call alone
+    option = next(a for a in _subparsers()["verify"]._actions if a.dest == "option")
+    assert option.default == []
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    probe = "import predimlab.cli as c; assert c._parser.cache_info().currsize == 0"
+    assert subprocess.run([sys.executable, "-c", probe],
+                          env={**os.environ, "PYTHONPATH": path}).returncode == 0

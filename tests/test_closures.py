@@ -26,7 +26,7 @@ from predimlab import (
     path_graph,
     self_sufficient,
 )
-from predimlab import closures
+from predimlab import CapacityError, closures
 from predimlab.closures import (
     StructureFlowSolver,
     _solve,
@@ -531,6 +531,41 @@ def test_networks_are_handed_over_along_a_chain(monkeypatch):
     _solver_for(step)
     hand_over_solver(step, grown)
     assert step._solver is None and grown._solver is own
+
+
+def _path_with_vertex_weight(n, weight):
+    """The path 0-1-..-(n-1) with vertex weight ``weight`` and edge weight 1."""
+    return FiniteStructure(Signature(weight, (Relation("R", 2, 1),)), list(range(n)),
+                           {"R": [(i, i + 1) for i in range(n - 1)]})
+
+
+def test_each_engine_refuses_weights_its_arithmetic_cannot_hold():
+    # at vertex weight 2**62, dim([0]) on the path 0-1-2 is 2**62; int64
+    # table arithmetic once wrapped it to -2**63, and the flow network's
+    # infinite edges (2**60) once cut below it to 2**60
+    S = _path_with_vertex_weight(3, 2**62)
+    assert delta(S, [0]) == 2**62  # Python ints: exact
+    for engine, cap in (("table", closures.TABLE_WEIGHT_CAP), ("flow", closures._INF_CAP)):
+        with pytest.raises(CapacityError) as info:
+            dim(S, [0], engine=engine)
+        assert (info.value.cap_value, info.value.requested) == (cap, 3 * 2**62 + 2)
+    # just below each bound, both engines answer, and agree with delta
+    for engine, cap in (("table", closures.TABLE_WEIGHT_CAP), ("flow", closures._INF_CAP)):
+        S = _path_with_vertex_weight(3, (cap - 3) // 3)
+        assert dim(S, [0], engine=engine) == delta(S, [0]) == (cap - 3) // 3
+
+
+def test_a_network_refuses_to_grow_past_its_weight_bound():
+    prev = _path_with_vertex_weight(3, 2**58)
+    out = prev.with_added([3], {"R": [(2, 3)]})  # 4 * 2**58 + 3 passes 2**60
+    solver = StructureFlowSolver(prev)
+    before = (solver.n_items, solver.total_w, list(solver.base_caps))
+    with pytest.raises(CapacityError):
+        solver.grow(prev, out)
+    assert (solver.n_items, solver.total_w, list(solver.base_caps)) == before
+    with pytest.raises(CapacityError):
+        _solver_for(out)  # nor is a network built for it afresh
+    assert solver.solve(prev.mask_of([0])) == StructureFlowSolver(prev).solve(prev.mask_of([0]))
 
 
 def test_a_dropped_structure_frees_its_network():

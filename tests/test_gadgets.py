@@ -74,16 +74,6 @@ def test_beatty_window_sums():
                 assert (window_sum(seq, start, s) - 1) * b <= s * ell
 
 
-class _OneFlip:
-    """A Beatty sequence with the entry at index ``at`` flipped (not periodic)."""
-
-    def __init__(self, seq, at):
-        self.seq, self.at = seq, at
-
-    def value(self, i):
-        return self.seq.value(i) ^ (i == self.at)
-
-
 def test_beatty_window_checks_match_the_loop_form():
     for b in range(2, 41):
         for ell in range(1, b):
@@ -92,11 +82,11 @@ def test_beatty_window_checks_match_the_loop_form():
             assert brute_beatty_window_checks(seq, ell, b) is None
             flipped = list(seq.period)
             flipped[(7 * ell) % b] ^= 1
-            # a flip breaks the windows or the period
-            for bad in (type(seq)(ell, b, tuple(flipped)), _OneFlip(seq, (5 * ell) % (5 * b) - b)):
-                got = _beatty_window_checks(bad, ell, b)
-                assert got is not None
-                assert got == brute_beatty_window_checks(bad, ell, b)
+            # a flip breaks the windows
+            bad = type(seq)(ell, b, tuple(flipped))
+            got = _beatty_window_checks(bad, ell, b)
+            assert got is not None
+            assert got == brute_beatty_window_checks(bad, ell, b)
             # packing the ones together keeps the windows and mostly breaks
             # the density bound
             packed = type(seq)(ell, b, tuple(sorted(seq.period)))

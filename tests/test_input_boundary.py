@@ -427,6 +427,27 @@ def test_cli_axioms_above_the_table_cutoff_names_the_cap(tmp_path, capsys):
     assert "d-closed enumeration cap exceeded" in err and "cap 16" in err
 
 
+# Vertex weights past each engine's arithmetic: the first once raised a raw
+# OverflowError (exit 1, the FAIL code) from int64 numpy, the second once
+# gave a wrapped or cut-off dimension.
+HEAVY_PATHS = {"n=10**20-1": 99999999999999999999, "n=2**62": 2**62}
+
+
+@pytest.mark.parametrize("weight", HEAVY_PATHS.values(), ids=HEAVY_PATHS.keys())
+@pytest.mark.parametrize("argv", [["closure", "--set", "0"], ["check", "--class", "c0"],
+                                  ["axioms"], ["audit"]], ids=lambda argv: argv[0])
+def test_cli_refuses_weights_past_the_engines(tmp_path, capsys, weight, argv):
+    f = tmp_path / "heavy.pdl"
+    f.write_text(f"predimlab/1\nsignature n={weight}\nrelation R arity=2 weight=1\n"
+                 "vertices 0 1 2\ninstance R 0 1\ninstance R 1 2\n")
+    assert main([argv[0], str(f), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: table engine weight cap exceeded")
+    # delta is Python int arithmetic, with no such bound
+    assert main(["delta", str(f), "--set", "0,1"]) == 0
+    assert capsys.readouterr().out == f"{2 * weight - 1}\n"
+
+
 def test_every_integer_suite_option_has_one_range():
     # a new integer option cannot skip the table, and its default is in range
     assert set(suites.OPTION_RANGES) <= set(suites.SUITE_NAMES)

@@ -207,6 +207,23 @@ def test_cli_build_and_audit(tmp_path):
     ]) == 0
 
 
+def test_cli_audit_keys_each_case_by_its_whole_task(tmp_path, capsys):
+    # keys were once the first 60 characters of the task key, so two tasks
+    # could share one and a valid audit exit 2 with "duplicate case keys":
+    # on any c0 build at --max-pattern 5, and on a graph with two relations
+    built = tmp_path / "b.pdl"
+    assert main(["build", "--class", "c0", "--budget", "5", "--out", str(built)]) == 0
+    two = tmp_path / "rs.pdl"
+    two.write_text("predimlab/1\nsignature n=2\nrelation R arity=2 weight=1\n"
+                   "relation S arity=2 weight=1\nvertices 0 1 2\ninstance R 0 1\ninstance S 1 2\n")
+    for argv in (["audit", str(built), "--max-pattern", "5", "--max-base", "0"],
+                 ["audit", str(two)]):
+        capsys.readouterr()
+        assert main([*argv, "--report", "machine"]) in (0, 1)
+        keys = [case["key"] for case in json.loads(capsys.readouterr().out)["cases"]]
+        assert len(set(keys)) == len(keys) and max(map(len, keys)) > len("task:") + 60
+
+
 def test_cli_verify_machine_out(tmp_path):
     out = tmp_path / "rep.json"
     assert main([
