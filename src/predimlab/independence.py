@@ -2,14 +2,15 @@
 
 All predicates are ambient-relative: dimensions and d-closures are computed
 inside the given finite structure and claim nothing about an infinite limit.
-The axiom suite tests compatibility and monotonicity of d-independence over
-d-closed subsets, exhaustively up to a size cap; the Lemma 4.3 pass tests
-the three-condition characterization against it.  Symmetry and transitivity
-hold by the dim-table identity alone (see :func:`_independent_in`), so their
-cases are recorded without a pass; they stay in the report until the
-``axioms`` digest moves for the vacuous cases and for stationarity.
-Monotonicity holds on every monotone, submodular dim table, and with it
-compatibility when its d-closures are its zero set (:func:`axiom_suite`).
+The axiom suite decides compatibility and monotonicity of d-independence
+over every d-closed subset from two checks on the dim table: its order
+(monotone and submodular) and its d-closures as its zero set; each FAIL
+names the check's first violation (:func:`axiom_suite`).  Symmetry and
+transitivity hold by the dim-table identity alone (see
+:func:`_independent_in`), so their cases are recorded without a check; they
+stay in the report until the ``axioms`` digest moves for the vacuous cases
+and for stationarity.  The Lemma 4.3 pass tests the three-condition
+characterization against the table, exhaustively up to a size cap.
 """
 
 from __future__ import annotations
@@ -24,16 +25,11 @@ from .closures import (
     delta_table,
     dim,
     dim_cld_tables,
-    popcounts,
     self_sufficient,
 )
-from .errors import CapacityError, ContractError
+from .errors import ContractError
 from .reports import VerificationReport, subset_witness
 from .structures import FiniteStructure
-
-# most cells of axiom_suite's (vertex, B, C) compatibility table, checked
-# before it is built: 4.1 M cells peaked at 103 MiB on 16 vertices
-COMPAT_CELL_CAP = 8_000_000
 
 
 def d_independent(
@@ -115,33 +111,51 @@ def _independent_in(dt, a, b, c):
     return dt[a | b | c] + dt[b] == dt[a | b] + dt[b | c]
 
 
-def _monotone_submodular(dt) -> bool:
-    """dt[X] <= dt[X|i] and dt[X|i] - dt[X] >= dt[X|i|j] - dt[X|j] for every
-    mask X and points i, j: these single-point steps give both for all sets."""
+def _monotone_submodular(dt):
+    """The first (X, i, j), j <= i and X holding neither point, with
+    dt[X|i] - dt[X] < dt[X|i|j] - dt[X|j]; None when there is none.
+
+    At j == i the right side is 0 and the step reads dt[X|i] < dt[X], so a
+    table with no such triple is monotone and submodular on single-point
+    steps, which give both for all sets.
+    """
     masks = np.arange(len(dt))
     for i in range(len(dt).bit_length() - 1):
         gain = dt[masks | 1 << i] - dt[masks & ~(1 << i)]
-        if (gain < 0).any() or any((gain < gain[masks | 1 << j]).any() for j in range(i)):
-            return False
-    return True
+        for j in (i, *range(i)):
+            # gain is the same with or without i, and equal at X and X|j
+            # when j is in X, so the first bad mask holds neither point
+            bad = gain < (0 if j == i else gain[masks | 1 << j])
+            if bad.any():
+                return int(np.argmax(bad)), i, j
+    return None
 
 
-def _closure_is_zero_set(dt, cl) -> bool:
-    """cl[X] is X plus every point v with dt[X|v] == dt[X], for every mask X."""
+def _closure_is_zero_set(dt, cl):
+    """The first (X, v) where cl[X] differs from X plus every point v with
+    dt[X|v] == dt[X], at the lowest such v; None when there is none."""
     masks = np.arange(len(dt))
     zero = sum((dt[masks | 1 << i] == dt) << i for i in range(len(dt).bit_length() - 1))
-    return bool(((masks | zero) == cl).all())
+    bad = (masks | zero) != cl
+    if not bad.any():
+        return None
+    x = int(np.argmax(bad))
+    diff = int((x | zero[x]) ^ cl[x])
+    return x, (diff & -diff).bit_length() - 1
 
 
 def axiom_suite(S: FiniteStructure, size_cap: int = 3) -> VerificationReport:
-    """Exhaustive independence-axiom check over d-closed subsets of S.
+    """The independence axioms over the d-closed subsets of S, decided by two
+    checks on its dim table: monotonicity FAILs exactly when the order
+    check fails, compatibility when either check fails, and each witness is
+    that check's first violation.
 
-    Tests compatibility and monotonicity of d-independence, and records
-    symmetry and transitivity, which hold by the identity.  Monotonicity
-    quantifies a fourth set D.  On a monotone, submodular dim table d(A over
-    X) is antitone in X, so where d(A over BC) differs from d(A over B) it is
-    below it, d(A over BCD) is no larger, and no quadruple can fail: only a
-    table that fails :func:`_monotone_submodular` enumerates quadruples.
+    On a monotone, submodular table (:func:`_monotone_submodular`) d(A over
+    X) is antitone in X, so where d(A over BC) differs from d(A over B) it
+    is below it, d(A over BCD) is no larger, and monotonicity holds for
+    every D.  Transitivity cannot fail on any table: its conclusion d(A over
+    BCD) = d(A over B) follows from its premises by equality alone.
+    Symmetry holds as the identity reads the same with A and C swapped.
 
     Compatibility follows on such a table when cld is its zero set
     (:func:`_closure_is_zero_set`): each v in cld(X) adds nothing to dim at
@@ -152,85 +166,27 @@ def axiom_suite(S: FiniteStructure, size_cap: int = 3) -> VerificationReport:
     element.  Engine tables pass, their cld being the greatest minimizer.
     """
     rep = VerificationReport(suite="axioms")
-    n = len(S.vertices)
-    if n == 0:
+    if not S.vertices:
         for key in ("compatibility", "monotonicity", "transitivity", "symmetry"):
             rep.check(key, None, note="empty ambient, vacuous")
         return rep.finalize()
     dt, cl = dim_cld_tables(S)
-    sets = np.array(d_closed_subset_masks(S, size_cap=size_cap), dtype=np.int64)
-    # the identity reads the same with A and C swapped, so symmetry holds
-    # whatever the table holds
+    sets = d_closed_subset_masks(S, size_cap=size_cap)
     rep.check("symmetry", None, note=f"{len(sets)} d-closed sets (size cap {size_cap})")
-    ordered = _monotone_submodular(dt)
-    comp_bad = (None if ordered and _closure_is_zero_set(dt, cl)
-                else _compatibility_failure(dt, cl, sets, n, size_cap))
-    rep.check("compatibility", None if comp_bad is None else _sets_witness(S, comp_bad[:3]),
-              note="" if comp_bad is None else comp_bad[3])
-
-    # Monotonicity and transitivity quantify a fourth set.  Write over(X) for
-    # d(A over X).  A is independent of CD over B when over(BCD) = over(B),
-    # of C over B when over(BC) = over(B), and of D over BC when over(BCD) =
-    # over(BC).  Where over(BC) = over(B) the first holds exactly when the
-    # last two both do, so neither axiom can fail there.  Elsewhere both of
-    # the last two cannot hold, so transitivity cannot fail at all: its case
-    # is a PASS by this equality alone.  Monotonicity fails exactly where
-    # over(BCD) = over(B); a table out of order takes D on those (B, C)
-    # pairs, in row-major order, which keeps the first witness.
-    mono_bad = None
-    if not ordered:
-        bc = sets[:, None] | sets[None, :]
-        dt_b, dt_bc = dt[sets], dt[bc]
-        for a in sets.tolist():
-            over_b = dt[a | sets] - dt_b
-            bi, ci = np.nonzero(dt[a | bc] - dt_bc != over_b[:, None])
-            bcd = bc[bi, ci][:, None] | sets
-            hits = np.argwhere(dt[bcd | a] - dt[bcd] == over_b[bi, None])
-            if len(hits):
-                p, d = hits[0]
-                mono_bad = (a, int(sets[bi[p]]), int(sets[ci[p]]), int(sets[d]))
-                break
-    rep.check("monotonicity", None if mono_bad is None else _sets_witness(S, mono_bad))
+    step = _monotone_submodular(dt)
+    if step is not None:
+        x, i, j = step
+        order = f"X={subset_witness(S.ids_of(x))} i={S.vertices[i]} j={S.vertices[j]}"
+        rep.check("compatibility", order, note="dim table out of order")
+        rep.check("monotonicity", order, note="dim table out of order")
+    else:
+        stray = _closure_is_zero_set(dt, cl)
+        rep.check("compatibility", None if stray is None else
+                  f"X={subset_witness(S.ids_of(stray[0]))} v={S.vertices[stray[1]]}",
+                  note="" if stray is None else "cld is not the dim table's zero set")
+        rep.check("monotonicity", None)
     rep.check("transitivity", None)
     return rep.finalize()
-
-
-def _compatibility_failure(dt, cl, sets, n: int, size_cap: int):
-    """The first (a, b, c, label) where compatibility fails, or None.
-
-    Replacing the base by its d-closure, or the left side by its d-closure
-    over the base, never changes independence; and joint independence
-    passes to every element of that closure.  The converse of the last is
-    not tested: a finite fragment (two singletons each independent from C
-    while the pair is not) need not hold the points that would show the
-    joint dependence.  Each A checks every (B, C) at once; the element-wise
-    clause does not depend on A, so its (vertex, B, C) table is built first,
-    after a check against :data:`COMPAT_CELL_CAP` (``CapacityError``).
-    """
-    small = np.flatnonzero(popcounts(n) <= size_cap)
-    cells = n * len(small) * len(sets)
-    if cells > COMPAT_CELL_CAP:
-        raise CapacityError("axiom compatibility table cells", COMPAT_CELL_CAP, cells)
-    bb, cc = small[:, None], sets[None, :]
-    bcl = cl[bb]
-    bit = np.arange(n)[:, None]
-    elem = _independent_in(dt, 1 << bit[:, :, None], bb, cc)  # (vertex, B, C)
-    for a in sets.tolist():
-        acl = cl[a | small]
-        base = _independent_in(dt, a, bb, cc)
-        in_acl = (acl >> bit & 1).astype(bool)[:, :, None]
-        fails = (
-            ("closed base", base != _independent_in(dt, a, bcl, cc)),
-            ("closure of a over base", base != _independent_in(dt, acl[:, None], bb, cc)),
-            ("joint independence must pass to closure elements",
-             base & (in_acl & ~elem).any(axis=0)),
-        )
-        rows = np.flatnonzero(np.any([f.any(axis=1) for _, f in fails], axis=0))
-        if len(rows):
-            bi = rows[0]
-            label, f = next((label, f) for label, f in fails if f[bi].any())
-            return a, int(small[bi]), int(sets[np.argmax(f[bi])]), label
-    return None
 
 
 def _lemma43_equivalence_exhaustive(S: FiniteStructure, size_cap: int = 4) -> tuple[int, tuple | None]:
@@ -269,7 +225,3 @@ def _lemma43_equivalence_exhaustive(S: FiniteStructure, size_cap: int = 4) -> tu
         checked += len(b)
     return checked, None
 
-
-def _sets_witness(S: FiniteStructure, masks) -> str:
-    """The subsets of a failing triple or quadruple, labelled A, B, C, D."""
-    return " ".join(f"{label}={subset_witness(S.ids_of(m))}" for label, m in zip("ABCD", masks))

@@ -947,8 +947,8 @@ SUITE_NAMES = tuple(_SUITES)
 OPTION_RANGES = {
     "beatty": {"b_max": (2, BEATTY_B_MAX)},
     "gadget": {"r2_max": (2, None), "r3_max": (1, None)},
-    # build_double_cycle needs 6 <= step < s/12, and 2s <= CONSTRUCTION_CAP
-    "ex512": {"s": (73, None), "step": (6, None), "samples": (0, SAMPLES_CAP)},
+    # build_double_cycle needs 6 <= step < s/12; the suite takes about 10 s at s=2,500
+    "ex512": {"s": (73, 2_500), "step": (6, None), "samples": (0, SAMPLES_CAP)},
     "msa-bound": {"trials": (1, 10_000)},
     "submodularity": {"max_n": (0, None), "oracle_cases": (0, 100_000), "oracle_max_n": (2, None)},
     "axioms": {"size_cap": (0, None), "lemma43_cap": (0, None)},

@@ -133,6 +133,26 @@ def test_in_cf_minimal_witness_and_c0_implication():
         assert in_C0(S).holds
 
 
+def test_in_cf_refuses_a_negative_control_function_and_agrees_at_or_above_zero():
+    # delta({0, 1}) = 2 - 3 < 0, so S is outside C0; every threshold of
+    # ``neg`` but f(1) is negative, and a full delta table with no violation
+    # would otherwise read PASS
+    S = graph([(0, 1)], n=1, m=3)
+    neg = ControlFunction(1, "negative", lambda k: Fraction(-3))
+    assert brute_in_Cf(S, neg).verdict == FAIL
+    assert not in_C0(S).holds
+    for cap in (0, classes.DEFAULT_CF_EXHAUSTIVE_CAP):
+        with conn_caps(classes.DEFAULT_CONN_SIZE, classes.DEFAULT_CONN_BUDGET, cap):
+            with pytest.raises(InputError, match="negative at 2"):
+                in_Cf(S, neg)
+    # an ungood control function whose thresholds stay >= 0: the table alone
+    # decides C0, as the oracle's re-check does
+    flat = ControlFunction(1, "flat", lambda k: Fraction(-1, 2))
+    for T in (S, graph([(0, 1)], n=1, m=2), graph([(0, 1), (1, 2)], n=1, m=1)):
+        assert in_Cf(T, flat) == brute_in_Cf(T, flat)
+    assert in_Cf(S, flat).verdict == FAIL
+
+
 def conn_caps(size, budget, exhaustive=classes.DEFAULT_CF_EXHAUSTIVE_CAP):
     """in_Cf's connected search capped at ``size`` vertices and ``budget``
     subsets, and its exhaustive check at ``exhaustive`` vertices, for a

@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import io
 import os
+import re
 import resource
 import signal
 import subprocess
@@ -80,6 +81,8 @@ FIXED = [
     ["ex512", "--s", f"{BIG + 1}", "--step", "7"],
     ["ex512", "--s", "100001", "--step", "7"],
     ["verify", "ex512", "--option", f"s={BIG + 1}", "--option", "step=7"],
+    ["ex512", "--s", "4999", "--step", "7"],
+    ["verify", "ex512", "--option", "s=4999", "--option", "step=7"],
     ["beatty", "--l", "1", "--b", "100000000"],
     ["build", "--class", "c0", "--r", f"{BIG}", "--out", "{out}"],
     ["ex512", "--samples", "1000000"],
@@ -256,12 +259,21 @@ CALLS = [
 ]
 
 
+def _masked(out):
+    """Stdout with the report's ``wall time:`` line masked: a run's time may
+    round to 0.00s once and to 0.01s the next."""
+    return re.sub(r"^wall time: \d+\.\d\ds$", "wall time: -", out, flags=re.M)
+
+
 def test_main_answers_every_call_as_a_fresh_process(capsys):
     cli._parser.cache_clear()
     for argv, code in CALLS:
         fresh = _run(argv, fresh=True)[:3]
         assert fresh[0] == code
-        assert (cli.main(argv), *capsys.readouterr()) == fresh
+        got = (cli.main(argv), *capsys.readouterr())
+        if argv[0] == "verify" and code != 2:  # a report, with its wall time
+            assert "\nwall time: " in fresh[1] and "\nwall time: " in got[1]
+        assert (got[0], _masked(got[1]), got[2]) == (fresh[0], _masked(fresh[1]), fresh[2])
     assert cli._parser.cache_info().misses == 1  # built by the first call alone
     option = next(a for a in _subparsers()["verify"]._actions if a.dest == "option")
     assert option.default == []

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import numpy as np
@@ -158,29 +159,43 @@ def test_lemma43_ignores_zero_weight_relations():
 # -- array passes against their loop forms -----------------------------------------
 
 
-def _compatibility_case(S, dt, size_cap):
-    """(status, witness, note) that ``axiom_suite`` must give by the loop form."""
-    if not S.vertices:
-        return "PASS", None, "empty ambient, vacuous"
-    bad = brute_axiom_suite(S, dt, size_cap)
-    if bad is None:
-        return "PASS", None, ""
-    return "FAIL", independence._sets_witness(S, bad[:3]), bad[3]
+def _replays(S, dt, cl, witness):
+    """Whether an ``axioms`` witness shows its check failing on the tables:
+    X, i and j break the order in four dim entries, X and v the zero set in
+    one cld entry."""
+    fields = dict(part.split("=") for part in witness.split())
+    x = S.mask_of(int(v) for v in fields["X"].strip("{}").split(",") if v)
+    if "v" in fields:
+        v = S.mask_of([int(fields["v"])])
+        return bool(cl[x] & v) != bool(x & v or dt[x | v] == dt[x])
+    i, j = (S.mask_of([int(fields[k])]) for k in "ij")
+    return not x & (i | j) and dt[x | i] - dt[x] < dt[x | i | j] - dt[x | j]
 
 
-_QUAD_KEYS = ("monotonicity", "transitivity")
+def _check_axioms(S, dt, cl, size_cap):
+    """Run ``axiom_suite`` on the given dim and cld tables and check its rule.
 
-
-def _quadruple_cases(S, dt, size_cap):
-    """{key: (status, witness)} that ``axiom_suite`` must give for
-    monotonicity and transitivity by the per-quadruple loop."""
-    if not S.vertices:
-        return {key: ("PASS", None) for key in _QUAD_KEYS}
-    bad = brute_axiom_quadruples(dt, size_cap)
-    return {
-        key: ("PASS", None) if quad is None else ("FAIL", independence._sets_witness(S, quad))
-        for key, quad in zip(_QUAD_KEYS, bad)
-    }
+    Monotonicity FAILs exactly when the order fails by its loop form, and
+    compatibility when the order or the zero set does; each witness replays
+    on the tables; wherever a conftest oracle finds a witness, its case
+    FAILs.  Returns the cases by key.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (closures, independence):
+            mp.setattr(mod, "dim_cld_tables", lambda _S: (dt, cl))
+        cases = {c.key: c for c in axiom_suite(S, size_cap=size_cap).cases}
+    ordered = brute_monotone_submodular(dt)
+    zero_set = all(cl[m] == brute_cld_from_table(dt, m) for m in range(len(dt)))
+    fails = {key: case.status == "FAIL" for key, case in cases.items()}
+    assert fails == {"compatibility": not (ordered and zero_set), "monotonicity": not ordered,
+                     "symmetry": False, "transitivity": False}
+    for case in cases.values():
+        assert case.status == "PASS" or _replays(S, dt, cl, case.witness), case
+    mono, trans = brute_axiom_quadruples(dt, size_cap)
+    assert trans is None
+    assert fails["monotonicity"] or mono is None
+    assert fails["compatibility"] or brute_axiom_suite(S, dt, size_cap) is None
+    return cases
 
 
 def _check_against_loop_forms(S, dt, dtab, lemma43_cap, size_cap):
@@ -197,17 +212,13 @@ def _check_against_loop_forms(S, dt, dtab, lemma43_cap, size_cap):
             mp.setattr(mod, "dim_cld_tables", lambda _S: (dt, cl))
         mp.setattr(independence, "delta_table", lambda _S: dtab)
         got = independence._lemma43_equivalence_exhaustive(S, size_cap=lemma43_cap)
-        rep = axiom_suite(S, size_cap=size_cap)
     want = brute_lemma43_equivalence(S, dt, dtab, lemma43_cap)
     # the report prints the witness tuple, so its element types count too
     assert (got[0], str(got[1])) == (want[0], str(want[1]))
-    cases = {c.key: c for c in rep.cases}
-    case = cases["compatibility"]
-    assert (case.status, case.witness, case.note) == _compatibility_case(S, dt, size_cap)
-    quads = {key: (cases[key].status, cases[key].witness) for key in _QUAD_KEYS}
-    assert quads == _quadruple_cases(S, dt, size_cap)
-    return (got[1] is not None, case.status == "FAIL",
-            *(quads[key][0] == "FAIL" for key in _QUAD_KEYS))
+    cases = _check_axioms(S, dt, cl, size_cap)
+    return (got[1] is not None,
+            *(cases[key].status == "FAIL" for key in ("compatibility", "monotonicity",
+                                                      "transitivity")))
 
 
 @given(st.one_of(small_graphs(max_n=7), small_hypergraphs(max_n=7)))
@@ -235,8 +246,9 @@ def test_lemma43_and_compatibility_match_loop_forms_on_faults(seed):
 
 
 def test_lemma43_and_compatibility_match_loop_forms_on_corrupted_graphs():
-    # Small graphs with one or two corrupted dim entries; some of them fail
-    # two compatibility checks on the same (A, B), which pins their order.
+    # Small graphs with one or two corrupted dim entries: on most of them
+    # the oracles find compatibility or monotonicity witnesses, which the
+    # table checks must turn into FAILs.
     rng = random.Random(0)
     for _ in range(500):
         n = rng.randint(2, 6)
@@ -249,10 +261,9 @@ def test_lemma43_and_compatibility_match_loop_forms_on_corrupted_graphs():
 
 
 def test_lemma43_and_quadruple_passes_match_loop_forms_on_corrupted_hypergraphs():
-    # 3-uniform hypergraphs with size caps of 3: the monotonicity pass then
+    # 3-uniform hypergraphs with size caps of 3: the quadruple oracle then
     # takes its fourth set among triples, and a corrupted dim or delta entry
-    # moves the first witness of the Lemma 4.3 pass and of monotonicity
-    # anywhere in their orders
+    # moves the first witness of the Lemma 4.3 pass anywhere in its order
     rng = random.Random(1)
     fails = [0, 0, 0, 0]
     for _ in range(50):
@@ -274,16 +285,22 @@ def test_lemma43_and_quadruple_passes_match_loop_forms_on_corrupted_hypergraphs(
 @given(st.one_of(small_graphs(max_n=11), small_hypergraphs(max_n=11)))
 @settings(max_examples=60, deadline=None)
 def test_every_dim_table_is_monotone_and_submodular(S):
-    assert independence._monotone_submodular(dim_cld_tables(S)[0])
+    assert independence._monotone_submodular(dim_cld_tables(S)[0]) is None
 
 
 def test_one_corrupted_dim_entry_breaks_the_order():
-    # an edge {0, 1} has dim 3 and each end dim 2: at 1 it falls below them
-    dt = dim_cld_tables(graph([(0, 1)], vertices=range(3)))[0]
-    assert independence._monotone_submodular(dt)
+    # an edge {0, 1} has dim 3 and each end dim 2: at 1 it falls below them,
+    # so adding 0 to {1} lowers dim
+    S = graph([(0, 1)], vertices=range(3))
+    dt, cl = dim_cld_tables(S)
+    assert independence._monotone_submodular(dt) is None
     dt[0b011] -= 2
-    assert not independence._monotone_submodular(dt)
+    assert independence._monotone_submodular(dt) == (0b010, 0, 0)
     assert not brute_monotone_submodular(dt)
+    cases = _check_axioms(S, dt, _zero_set(dt), 3)
+    for key in ("compatibility", "monotonicity"):
+        assert (cases[key].status, cases[key].witness, cases[key].note) == (
+            "FAIL", "X={1} i=0 j=0", "dim table out of order")
 
 
 def test_an_ordered_dim_table_has_no_monotonicity_witness():
@@ -302,28 +319,12 @@ def test_an_ordered_dim_table_has_no_monotonicity_witness():
         dt = clean.copy()
         for _ in range(rng.randint(0, 2)):
             dt[rng.randrange(1, len(dt))] += rng.choice((-1, 1))
-        ordered = independence._monotone_submodular(dt)
+        ordered = independence._monotone_submodular(dt) is None
         assert ordered == brute_monotone_submodular(dt)
         if ordered:
             assert brute_axiom_quadruples(dt, 3)[0] is None
             ordered_faults += bool((dt != clean).any())
     assert ordered_faults >= 20
-
-
-def test_corrupted_tables_reach_the_quadruple_search(monkeypatch):
-    # The loop-form tests on corrupted tables replay the quadruple search's
-    # first witness only when their tables fail the order check; count those.
-    real, searched = independence._monotone_submodular, []
-
-    def counted(dt):
-        ordered = real(dt)
-        searched.append(not ordered)
-        return ordered
-
-    monkeypatch.setattr(independence, "_monotone_submodular", counted)
-    test_lemma43_and_compatibility_match_loop_forms_on_corrupted_graphs()
-    test_lemma43_and_quadruple_passes_match_loop_forms_on_corrupted_hypergraphs()
-    assert sum(searched) > 0
 
 
 # -- the d-closures as the dim table's zero set -------------------------------
@@ -336,36 +337,22 @@ def _zero_set(dt):
 @given(st.one_of(small_graphs(max_n=11), small_hypergraphs(max_n=11)))
 @settings(max_examples=60, deadline=None)
 def test_every_cld_table_is_the_dim_tables_zero_set(S):
-    assert independence._closure_is_zero_set(*dim_cld_tables(S))
+    assert independence._closure_is_zero_set(*dim_cld_tables(S)) is None
 
 
-def _counting(monkeypatch, name):
-    """Replace ``independence.<name>`` by a wrapper; return its call list."""
-    real, calls = getattr(independence, name), []
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(independence, name, counted)
-    return calls
-
-
-def test_one_corrupted_cld_entry_breaks_the_check_and_reaches_the_pass(monkeypatch):
+def test_one_corrupted_cld_entry_breaks_the_check_and_reaches_the_pass():
     # the edge {0, 1} beside the point 2: adding 2 to cld({0}) is a corruption
+    # that the order cannot see, so compatibility alone FAILs
     S = graph([(0, 1)], vertices=range(3))
     dt, cl = dim_cld_tables(S)
-    assert independence._closure_is_zero_set(dt, cl) and (cl == _zero_set(dt)).all()
+    assert independence._closure_is_zero_set(dt, cl) is None and (cl == _zero_set(dt)).all()
     cl = cl.copy()
     cl[0b001] |= 0b100
-    assert not independence._closure_is_zero_set(dt, cl)
-    assert independence._monotone_submodular(dt)
-    runs = _counting(monkeypatch, "_compatibility_failure")
-    monkeypatch.setattr(independence, "dim_cld_tables", lambda _S: (dt, cl))
-    case = next(c for c in axiom_suite(S, size_cap=3).cases if c.key == "compatibility")
-    assert len(runs) == 1
+    assert independence._closure_is_zero_set(dt, cl) == (0b001, 2)
+    assert independence._monotone_submodular(dt) is None
+    case = _check_axioms(S, dt, cl, 3)["compatibility"]
     assert (case.status, case.witness, case.note) == (
-        "FAIL", "A={} B={0} C={2}", "closure of a over base")
+        "FAIL", "X={0} v=2", "cld is not the dim table's zero set")
 
 
 def test_an_ordered_zero_set_table_has_no_compatibility_witness():
@@ -384,32 +371,51 @@ def test_an_ordered_zero_set_table_has_no_compatibility_witness():
         dt = clean.copy()
         for _ in range(rng.randint(0, 2)):
             dt[rng.randrange(1, len(dt))] += rng.choice((-1, 1))
-        assert independence._closure_is_zero_set(dt, _zero_set(dt))
-        if independence._monotone_submodular(dt):
+        assert independence._closure_is_zero_set(dt, _zero_set(dt)) is None
+        if independence._monotone_submodular(dt) is None:
             assert brute_axiom_suite(S, dt, 3) is None
             ordered_faults += bool((dt != clean).any())
     assert ordered_faults >= 20
 
 
-def test_corrupted_tables_reach_the_compatibility_pass(monkeypatch):
-    # The loop-form tests on corrupted tables replay the compatibility pass's
-    # first witness only when their tables fail a check; count those runs.
-    runs = _counting(monkeypatch, "_compatibility_failure")
-    test_lemma43_and_compatibility_match_loop_forms_on_corrupted_graphs()
-    test_lemma43_and_quadruple_passes_match_loop_forms_on_corrupted_hypergraphs()
-    assert len(runs) > 0
+def _chorded_16_cycle():
+    return graph([(i, (i + 1) % 16) for i in range(16)] + [(0, 8), (4, 12), (2, 10)])
 
 
 @pytest.mark.parametrize("cap", [3, 16])
 def test_cli_axioms_on_the_chorded_16_cycle_passes(tmp_path, capsys, cap):
-    # 369 d-closed sets at --cap 3: the quadruple search once cut the fourth
-    # set to a prefix here and left monotonicity and transitivity PARTIAL,
-    # and the compatibility table refused --cap 16 at 3.06 billion cells
+    # 369 d-closed sets at --cap 3: a search over a fourth set once cut it
+    # to a prefix here and left monotonicity and transitivity PARTIAL, and a
+    # (vertex, B, C) compatibility table refused --cap 16 at 3.06 billion
+    # cells; the two table checks take neither
     f = tmp_path / "h.pdl"
-    f.write_text(dump_structure(graph([(i, (i + 1) % 16) for i in range(16)]
-                                      + [(0, 8), (4, 12), (2, 10)])))
+    f.write_text(dump_structure(_chorded_16_cycle()))
     assert main(["axioms", str(f), "--cap", str(cap)]) == 0
     assert "summary: 4 cases, PASS=4\n" in capsys.readouterr().out
+
+
+# Machine-report digests of `predimlab axioms FILE`, recorded before the
+# suite's fallback passes went: the chorded 16-cycle, and the seed-0 c0
+# build at budget 5 (11 vertices) at the default --cap.
+AXIOMS_FILE_PINS = [
+    ("cycle", ["--cap", "3"], "46c12aab526c484fb3063dc7078bbc25127fdcae627a88ee04bad0becc908b66"),
+    ("cycle", ["--cap", "16"], "ad40da9b303ea6ff691ee3d64de7d39c18ec1310e439a48f5458632dd3437521"),
+    ("c0", [], "faf230280e99f1bbd2f0df1c2c716405e9ea7352eafafe317c433c16268ee1e2"),
+]
+
+
+@pytest.mark.parametrize("name,flags,digest", AXIOMS_FILE_PINS,
+                         ids=[f"{name}{''.join(flags)}" for name, flags, _ in AXIOMS_FILE_PINS])
+def test_cli_axioms_file_digest_is_pinned(tmp_path, capsys, name, flags, digest):
+    f = tmp_path / "s.pdl"
+    if name == "cycle":
+        f.write_text(dump_structure(_chorded_16_cycle()))
+    else:
+        assert main(["build", "--class", "c0", "--budget", "5", "--seed", "0",
+                     "--out", str(f)]) == 0
+    capsys.readouterr()
+    assert main(["axioms", str(f), *flags, "--report", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["digest"] == digest
 
 
 @pytest.mark.parametrize("n", [12, 80])

@@ -10,7 +10,6 @@ import importlib.util
 import inspect
 import io
 import itertools
-import math
 import re
 from pathlib import Path
 
@@ -33,14 +32,10 @@ from predimlab import (
     run_suite,
     suites,
 )
-from predimlab import independence
 from predimlab.cli import main
-from predimlab.closures import d_closed_subset_masks, dim_cld_tables
-from predimlab.errors import CapacityError
-from predimlab.independence import axiom_suite
 from predimlab.structures import bipartite_graph
 
-from conftest import (LIGHT, cycle_graph, perfbench_workloads, small_graphs, small_hypergraphs,
+from conftest import (LIGHT, perfbench_workloads, small_graphs, small_hypergraphs,
                       subsets_of)
 
 HEADER = "predimlab/1"
@@ -524,18 +519,3 @@ def test_readme_option_table_matches_the_ranges():
         assert inspect.signature(suites._SUITES[name]).parameters[key].default == default
         assert suites.OPTION_RANGES[name][key] == (least, cap), (name, key)
 
-
-def test_axiom_suite_checks_its_table_cells_before_building_it(monkeypatch):
-    # only a dim table that fails the order or zero-set check builds the
-    # compatibility table, so hand the suite one with a corrupted entry
-    S = cycle_graph(6)
-    dt, cl = dim_cld_tables(S)
-    dt[0b11] += 1
-    monkeypatch.setattr(independence, "dim_cld_tables", lambda _S: (dt, cl))
-    small = sum(math.comb(6, i) for i in range(3))
-    cells = 6 * small * len(d_closed_subset_masks(S, size_cap=2))
-    monkeypatch.setattr(independence, "COMPAT_CELL_CAP", cells)
-    axiom_suite(S, size_cap=2)
-    monkeypatch.setattr(independence, "COMPAT_CELL_CAP", cells - 1)
-    with pytest.raises(CapacityError, match=f"requested {cells}, cap {cells - 1}$"):
-        axiom_suite(S, size_cap=2)
