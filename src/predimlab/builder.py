@@ -732,7 +732,8 @@ def audit_extension_property(
     entries = []
     memo: dict[frozenset[int], bool] = {}
     for task in tasks:
-        bases = list(itertools.islice(_base_embeddings(S, task, memo), max(cap_per_task, 0)))
+        # zip with a range, not islice, whose stop may not pass sys.maxsize
+        bases = [phi for _, phi in zip(range(cap_per_task), _base_embeddings(S, task, memo))]
         realized = sum(1 for phi in bases if _realized(S, task, phi, memo))
         entries.append(
             AuditEntry(str(task.key), len(task.base_ids), len(bases), realized)

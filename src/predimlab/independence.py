@@ -111,18 +111,19 @@ def _independent_in(dt, a, b, c):
     return dt[a | b | c] + dt[b] == dt[a | b] + dt[b | c]
 
 
-def _monotone_submodular(dt):
+def _monotone_submodular(dt, monotone=True):
     """The first (X, i, j), j <= i and X holding neither point, with
     dt[X|i] - dt[X] < dt[X|i|j] - dt[X|j]; None when there is none.
 
     At j == i the right side is 0 and the step reads dt[X|i] < dt[X], so a
     table with no such triple is monotone and submodular on single-point
-    steps, which give both for all sets.
+    steps, which give both for all sets.  With ``monotone`` false the j == i
+    step is skipped and the check is submodularity alone.
     """
     masks = np.arange(len(dt))
     for i in range(len(dt).bit_length() - 1):
         gain = dt[masks | 1 << i] - dt[masks & ~(1 << i)]
-        for j in (i, *range(i)):
+        for j in (i, *range(i)) if monotone else range(i):
             # gain is the same with or without i, and equal at X and X|j
             # when j is in X, so the first bad mask holds neither point
             bad = gain < (0 if j == i else gain[masks | 1 << j])

@@ -36,12 +36,11 @@ from .closures import (
     is_d_closed,
     self_sufficient,
     TABLE_MAX_BITS,
-    _over_subsets,
     _solve,
 )
 from .errors import CapacityError, InputError
 from .extensions import enumerate_msa_pairs, MsaType
-from .independence import _lemma43_equivalence_exhaustive, axiom_suite, perp
+from .independence import _lemma43_equivalence_exhaustive, _monotone_submodular, axiom_suite, perp
 from .gadgets import (
     _build_fan_probe,
     beatty,
@@ -560,131 +559,18 @@ def msa_bound_suite(
 # -- submodularity and closure oracles -------------------------------------------------
 
 
-# bytes of one bool (subset, subset, graph) array in a chunk of the
-# per-graph passes: 64 graphs at 7 vertices
-_CHUNK_BYTES = 1 << 20
-
-
-def _strong_subsets(dts: np.ndarray, n: int) -> np.ndarray:
-    """SS[b, a, g]: a <= b in graph g, whose delta table is ``dts[:, g]``;
-    a is inside b and no set between them has smaller delta.
-
-    ``low[y, a, g]`` marks the y containing a with delta below delta(a); a
-    is strong in b exactly when no y inside b is marked.
-    """
-    masks = np.arange(1 << n)
-    inside = ((masks[:, None] & masks) == masks)[:, :, None]  # [b, a, 1]
-    low = inside & (dts[:, None, :] < dts)
-    _over_subsets(low, np.bitwise_or)
-    return inside & ~low
-
-
-def _restriction_rows(SS: np.ndarray) -> np.ndarray:
-    """[a, g]: some b with ``SS[b, a, g]`` holds an x with not ``SS[x, a & x, g]``.
-
-    ``SS[x, a & x, g]`` does not depend on b, so a fails exactly when some x
-    in the down-closure of {b : SS[b, a, g]} fails it; that down-closure is
-    one OR pass over the subsets.
-    """
-    masks = np.arange(len(SS))
-    restricts = SS[masks[:, None], masks[:, None] & masks]  # [x, a, g]
-    below = SS.copy()
-    _over_subsets(below, np.bitwise_or, up=False)
-    return (below & ~restricts).any(axis=0)
-
-
-def _restriction_witness(SS: np.ndarray) -> tuple[int, int, int] | None:
-    """First (a, b, x), in that order, with ``SS[a, b]``, x inside b and not
-    ``SS[a & x, x]``; ``SS[a, b]`` says a <= b, over all masks below len(SS)."""
-    rows = np.flatnonzero(_restriction_rows(SS.T[:, :, None])[:, 0])
-    if not len(rows):
-        return None
-    a = int(rows[0])
-    masks = np.arange(len(SS))
-    inside = (masks[:, None] & masks) == masks  # [b, x]: x inside b
-    b, x = np.argwhere(SS[a][:, None] & inside & ~SS[a & masks, masks])[0]
-    return a, int(b), int(x)
-
-
-def _subset_chains(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every chain of masks below 2**n with a inside b inside c, as three
-    index arrays sorted by (a, c).  Chain t puts bit i outside c, in c only,
-    in b only or in a, as base-4 digit i of t is 0, 1, 2 or 3: 4**n chains
-    in all."""
-    t = np.arange(4 ** n, dtype=np.int64)
-    a, b, c = (np.zeros_like(t) for _ in range(3))
-    for i in range(n):
-        digit = t >> 2 * i & 3
-        a |= (digit == 3) << i
-        b |= (digit >= 2) << i
-        c |= (digit >= 1) << i
-    order = np.lexsort((c, a))
-    return a[order], b[order], c[order]
-
-
-def _crossing_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs i < j of masks below 2**n with neither inside the other:
-    for the rest, submodularity is an equation."""
-    i, j = np.nonzero(np.triu(np.ones((1 << n, 1 << n), dtype=bool), 1))
-    keep = (i & ~j != 0) & (j & ~i != 0)
-    return i[keep], j[keep]
-
-
-def _exhaustive_checks(dts: np.ndarray, n: int, pairs: tuple, chains: tuple):
-    """Submodularity, restriction and transitivity over the delta tables of
-    n-vertex graphs, one per column of ``dts``, shape (2**n, graphs), given
-    n's :func:`_crossing_pairs` and :func:`_subset_chains`.
-
-    Returns the violations of the three checks, with the graphs on their
-    last axis: submodularity per crossing pair, the failing rows of
-    :func:`_restriction_rows` and transitivity per chain; and the
-    strong-subset relation of :func:`_strong_subsets`.
-    Submodularity reads the crossing pairs only, being symmetric and an
-    equation on the others.  ``SS[a, b]`` implies a inside b, so a product
-    ``SS[a, b] & SS[b, c]`` can only be true along a chain a inside b inside
-    c: transitivity reads those 4**n triples, not a (2**n)**3 matrix product.
-    Every array keeps the graphs on its last axis, so each gather and each
-    pass over the subsets moves whole rows of graphs.
-    """
-    i, j = pairs
-    sub = dts[i | j] + dts[i & j] > dts[i] + dts[j]
-    SS = _strong_subsets(dts, n)
-    a, b, c = chains
-    return sub, _restriction_rows(SS), SS[b, a] & SS[c, b] & ~SS[c, a], SS
-
-
-def _first_exhaustive_failure(graphs: list) -> tuple:
-    """(sub_bad, res_bad, tr_bad) of the first graph that fails a check, in
-    the order of ``graphs`` and then of the three checks, and None for the
-    others; all three None when every graph passes.
-
-    Runs of graphs with one vertex count are checked in chunks of at most
-    :data:`_CHUNK_BYTES` per relation array.  A failing graph's witness is
-    the first failing pair, triple or chain in mask order; the pairs of
-    :func:`_exhaustive_checks` are in that order.
-    """
-    for n, run in itertools.groupby(graphs, key=lambda G: len(G.vertices)):
-        run = list(run)
-        per = max(1, _CHUNK_BYTES >> 2 * n)
-        pairs, chains = _crossing_pairs(n), _subset_chains(n)
-        for start in range(0, len(run), per):
-            chunk = run[start:start + per]
-            dts = np.stack([delta_table(G) for G in chunk], axis=1)
-            *checks, SS = _exhaustive_checks(dts, n, pairs, chains)
-            fails = np.stack([v.any(axis=0) for v in checks])
-            bad = np.flatnonzero(fails.any(axis=0))
-            if not len(bad):
-                continue
-            g = bad[0]
-            G = chunk[g]
-            if fails[0, g]:
-                p = np.argmax(checks[0][:, g])
-                return (G, int(pairs[0][p]), int(pairs[1][p])), None, None
-            if fails[1, g]:
-                return None, (G, *_restriction_witness(SS[:, :, g].T)), None
-            t = np.argmax(checks[2][:, g])
-            return None, None, (G, int(chains[0][t]), int(chains[2][t]))
-    return None, None, None
+def _first_exhaustive_failure(graphs: list) -> tuple | None:
+    """(G, A, B) for the first graph of ``graphs`` whose delta table is not
+    submodular, where A = X|i and B = X|j for the first violation (X, i, j)
+    of its table (:func:`independence._monotone_submodular`), so that
+    delta(A|B) + delta(A&B) > delta(A) + delta(B); None when every table is
+    submodular."""
+    for G in graphs:
+        step = _monotone_submodular(delta_table(G), monotone=False)
+        if step is not None:
+            x, i, j = step
+            return G, x | 1 << i, x | 1 << j
+    return None
 
 
 def submodularity_suite(
@@ -694,24 +580,41 @@ def submodularity_suite(
     seed: int = 0,
     negative_control: bool = False,
 ) -> VerificationReport:
+    """Submodularity of delta on every graph type up to ``max_n`` vertices,
+    the strong-subset laws that follow from it, and the closure engines
+    against a brute-force scan on seeded cases.
+
+    A is strong in B (A <= B) when A is inside B and no set between them
+    has smaller delta.  Restriction and transitivity of <= follow from
+    submodularity, delta(Y) >= delta(Y|Z) + delta(Y&Z) - delta(Z), so they
+    cannot fail on a submodular table, and their cases FAIL exactly when
+    the submodularity case does, with its witness:
+    - restriction: for A <= B, X inside B and A&X inside Y inside X, take
+      Z = A; then A <= Y|A gives delta(Y) >= delta(A&X), so A&X <= X;
+    - transitivity: for A <= B <= C and A inside Y inside C, take Z = B;
+      then B <= Y|B and A <= Y&B give delta(Y) >= delta(A), so A <= C.
+    Single-point steps decide submodularity for all sets, so one pass per
+    pair of points reads each table.
+    """
     rep = VerificationReport(suite="submodularity")
-    if oracle_max_n > TABLE_MAX_BITS:  # the table engine's own bound
-        raise InputError(f"oracle_max_n must be at most {TABLE_MAX_BITS}, got {oracle_max_n}")
     graphs = _isomorph_free_types(graph_signature(2, 1), max_n, lambda G: True)
-    sub_bad, res_bad, tr_bad = _first_exhaustive_failure(graphs)
+    bad = _first_exhaustive_failure(graphs)
+    witness = None if bad is None else f"A={bad[1]:b} B={bad[2]:b} in {bad[0]}"
     rep.check(
         "submodularity-exhaustive",
-        None if sub_bad is None else f"A={sub_bad[1]:b} B={sub_bad[2]:b} in {sub_bad[0]}",
+        witness,
         note=f"{len(graphs)} graph types up to {max_n} vertices, all subset pairs",
     )
     rep.check(
         "restriction-exhaustive",
-        None if res_bad is None else str(res_bad[1:]),
-        note="strong subsets restrict to every subset of their ambient",
+        witness,
+        note="strong subsets restrict to every subset of their ambient"
+        if bad is None else "delta table not submodular",
     )
     rep.check(
         "transitivity-exhaustive",
-        None if tr_bad is None else str(tr_bad[1:]),
+        witness,
+        note="" if bad is None else "delta table not submodular",
     )
 
     rng = random.Random(seed)
@@ -753,7 +656,7 @@ def submodularity_suite(
         G = graph([(0, 1), (1, 2), (0, 2)])
         dt = np.asarray(delta_table(G), dtype=np.int64).copy()
         dt[7] += 5  # injected fault: corrupted table entry
-        bad = _exhaustive_checks(dt[:, None], 3, _crossing_pairs(3), _subset_chains(3))[0].any()
+        bad = _monotone_submodular(dt, monotone=False) is not None
         _negative_control(rep, "corrupted-delta",
                           "submodularity violated by corrupted entry" if bad else None)
     return rep.finalize()
@@ -942,15 +845,17 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 # (least, cap) of every integer suite option.  A cap sits where the suite,
-# its other options at their defaults, still finishes in about 10 s on 2 CPUs;
-# None where the cost levels off or a library cap bounds the structure built.
+# its other options at their defaults, still finishes in about 10 s on 2 CPUs,
+# or at a library bound (oracle_max_n: the table engine's vertices); None
+# where the cost levels off or a library cap bounds the structure built.
 OPTION_RANGES = {
     "beatty": {"b_max": (2, BEATTY_B_MAX)},
     "gadget": {"r2_max": (2, None), "r3_max": (1, None)},
     # build_double_cycle needs 6 <= step < s/12; the suite takes about 10 s at s=2,500
     "ex512": {"s": (73, 2_500), "step": (6, None), "samples": (0, SAMPLES_CAP)},
     "msa-bound": {"trials": (1, 10_000)},
-    "submodularity": {"max_n": (0, None), "oracle_cases": (0, 100_000), "oracle_max_n": (2, None)},
+    "submodularity": {"max_n": (0, None), "oracle_cases": (0, 100_000),
+                      "oracle_max_n": (2, TABLE_MAX_BITS)},
     "axioms": {"size_cap": (0, None), "lemma43_cap": (0, None)},
     "extension-property": {"budget": (0, None), "max_pattern": (0, None)},
 }

@@ -706,7 +706,9 @@ def brute_monotone_submodular(dt):
 
 
 def brute_restriction(SS):
-    """Oracle for ``suites._restriction_witness``: per (a, b), every x in b."""
+    """First (a, b, x) where the strong-subset relation ``SS`` fails to
+    restrict: SS[a, b], x inside b and not SS[a & x, x]; per (a, b), every
+    x in b."""
     masks = np.arange(len(SS))
     for amask in range(len(SS)):
         for bmask in np.nonzero(SS[amask])[0]:
@@ -718,7 +720,7 @@ def brute_restriction(SS):
 
 
 def brute_submodularity(dt):
-    """Oracle for the submodularity pass of the submodularity suite: the
+    """Oracle for the submodularity check of the submodularity suite: the
     first pair (i, j), row-major, with delta(i|j) + delta(i&j) > delta(i) + delta(j)."""
     t = dt.tolist()
     for i in range(len(t)):
@@ -748,9 +750,8 @@ def brute_strong_pairs(dt):
 
 
 def brute_transitivity(SS):
-    """Oracle for the transitivity pass of the submodularity suite: the
-    first (a, c), row-major, with SS[a, b] and SS[b, c] for some b but not
-    SS[a, c]."""
+    """First (a, c), row-major, where the strong-subset relation ``SS`` is
+    not transitive: SS[a, b] and SS[b, c] for some b but not SS[a, c]."""
     rows = SS.tolist()
     size = len(rows)
     for a in range(size):
@@ -758,28 +759,6 @@ def brute_transitivity(SS):
             if not rows[a][c] and any(rows[a][b] and rows[b][c] for b in range(size)):
                 return a, c
     return None
-
-
-def brute_first_exhaustive_failure(graphs, tables, relations=None):
-    """Oracle for ``suites._first_exhaustive_failure``: graph by graph, the
-    submodularity, restriction and transitivity loops on the given delta
-    tables, keyed by ``id`` of the graph.  ``relations`` replaces the strong
-    subset relation of some graphs, keyed the same way."""
-    for G in graphs:
-        dt = tables[id(G)]
-        bad = brute_submodularity(dt)
-        if bad:
-            return (G, *bad), None, None
-        SS = (relations or {}).get(id(G))
-        if SS is None:
-            SS = brute_strong_pairs(dt)
-        bad = brute_restriction(SS)
-        if bad:
-            return None, (G, *bad), None
-        bad = brute_transitivity(SS)
-        if bad:
-            return None, None, (G, *bad)
-    return None, None, None
 
 
 def brute_proper_parts(S, xmask, free):

@@ -200,6 +200,14 @@ def test_an_int_flag_at_any_integer(files, case, value):
     _holds_the_contract([*_format(BASES[name], files), flag, str(value)])
 
 
+def test_audit_takes_a_cap_per_task_past_sys_maxsize(files):
+    # islice refuses a stop above sys.maxsize, so 2**63 once ended in a
+    # ValueError traceback; it reads as any cap above every base count
+    argv = [*_format(BASES["audit-c0"], files), "--cap-per-task"]
+    _holds_the_contract([*argv, str(2**63)])
+    assert _run([*argv, str(2**63)])[:2] == _run([*argv, str(10**18)])[:2]
+
+
 @pytest.mark.parametrize("name,flag", CHOICE_CASES, ids=[f"{n} {f}" for n, f in CHOICE_CASES])
 def test_every_choices_flag_refuses_a_value_outside_them(files, name, flag):
     assert _holds_the_contract([*_format(BASES[name], files), flag, "none-of-them"])[0] == 2

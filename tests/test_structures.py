@@ -24,8 +24,9 @@ from predimlab import (
     polygon_signature,
     self_sufficient,
 )
-from predimlab import builder, closures, suites
+from predimlab import builder, closures, independence, suites
 from predimlab.closures import StructureFlowSolver, cl0, cld, delta_table, dim, hand_over_solver
+from predimlab.reports import FAIL, PASS
 from predimlab.structures import (
     LINE,
     POINT,
@@ -38,12 +39,13 @@ from predimlab.structures import (
 from conftest import (
     brute_canonical_form,
     brute_delta,
-    brute_first_exhaustive_failure,
     brute_isomorphic,
     brute_refine_colors,
     brute_restriction,
     brute_self_sufficient,
     brute_strong_pairs,
+    brute_submodularity,
+    brute_transitivity,
     cycle_graph,
     extension_chains,
     small_bipartite,
@@ -408,141 +410,141 @@ def test_free_amalgam():
         free_amalgam([0], B, graph([(0, 1)]))  # overlapping non-base ids
 
 
-def _strong_pairs(dt, n):
-    """SS[a, b]: a <= b, read off a delta table as the submodularity suite does."""
-    return suites._strong_subsets(dt[:, None], n)[:, :, 0].T
-
-
-@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(st.integers(-50, 50), min_size=1 << n, max_size=1 << n))))
-@settings(max_examples=60, deadline=None)
-def test_strong_subsets_match_brute_minimum(case):
-    n, values = case
-    SS = _strong_pairs(np.array(values, dtype=np.int64), n)
-    for b in range(1 << n):
-        for a in range(1 << n):
-            between = [values[y] for y in range(a, b + 1) if y & a == a and y & b == y]
-            assert SS[a, b] == (a & b == a and min(between) == values[a])
+def _breaks_submodularity(dt, x, i, j):
+    """(X, i, j) is a single-point violation of submodularity in ``dt``: X
+    holds neither of the points i != j, and A = X|i, B = X|j have
+    delta(A|B) + delta(A&B) > delta(A) + delta(B)."""
+    a, b = x | 1 << i, x | 1 << j
+    return i != j and not x & (1 << i | 1 << j) and dt[a | b] + dt[a & b] > dt[a] + dt[b]
 
 
 @given(st.one_of(small_graphs(max_n=6), small_hypergraphs(max_n=6)), st.data())
-@settings(max_examples=60, deadline=None)
-def test_restriction_matches_loop_form(S, data):
-    n = len(S.vertices)
+@settings(max_examples=80, deadline=None)
+def test_submodularity_check_matches_the_loop_form(S, data):
     dt = np.array(delta_table(S), dtype=np.int64)
-    SS = _strong_pairs(dt, n)
-    assert suites._restriction_witness(SS) == brute_restriction(SS)
-    # a corrupted delta entry, as a faulty table would give
-    dt[data.draw(st.integers(0, len(dt) - 1))] += data.draw(st.sampled_from((-2, -1, 1, 2)))
-    SS = _strong_pairs(dt, n)
-    assert suites._restriction_witness(SS) == brute_restriction(SS)
+    for _ in range(3):  # the engine's table, then with one and two corrupted entries
+        step = independence._monotone_submodular(dt, monotone=False)
+        assert (step is None) == (brute_submodularity(dt) is None)
+        assert step is None or _breaks_submodularity(dt, *step)
+        dt[data.draw(st.integers(0, len(dt) - 1))] += data.draw(st.sampled_from((-2, -1, 1, 2)))
 
 
-def test_restriction_matches_loop_form_on_faults():
-    # Every true table passes, so only faults show that the first witness
-    # is the loop form's: corrupted delta entries and arbitrary relations.
+def test_submodular_tables_never_break_restriction_or_transitivity():
+    # The theorem in submodularity_suite's docstring, on the conftest loops:
+    # wherever the check passes, the strong-subset relation restricts and is
+    # transitive.  Engine tables pass, and so do faults that add a modular
+    # function, lower delta at the empty or the whole set, or move one entry
+    # harmlessly; where the check fails, the loops do find faults.
     rng = random.Random(0)
-    fails = 0
-    for trial in range(200):
+    passed, caught = {}, 0
+    for trial in range(400):
         n = rng.randint(1, 5)
-        if trial % 2:
-            pool = list(itertools.combinations(range(n), 2))
-            S = graph(rng.sample(pool, rng.randint(0, len(pool))), vertices=range(n))
-            dt = np.array(delta_table(S), dtype=np.int64)
+        pool = list(itertools.combinations(range(n), 2))
+        S = graph(rng.sample(pool, rng.randint(0, len(pool))), vertices=range(n))
+        dt = np.array(delta_table(S), dtype=np.int64)
+        masks = np.arange(len(dt))
+        fault = trial % 4
+        if fault == 1:
             dt[rng.randrange(len(dt))] += rng.choice((-2, -1, 1, 2))
-            SS = _strong_pairs(dt, n)
+        elif fault == 2:
+            dt += sum(rng.randint(-3, 3) * (masks >> i & 1) for i in range(n))
+        elif fault == 3:
+            dt[rng.choice((0, -1))] -= rng.randint(1, 3)
+        SS = brute_strong_pairs(dt)
+        faults = brute_restriction(SS), brute_transitivity(SS)
+        if independence._monotone_submodular(dt, monotone=False) is None:
+            assert faults == (None, None), (trial, faults)
+            passed[fault] = passed.get(fault, 0) + 1
         else:
-            masks = np.arange(1 << n)
-            contained = (masks[:, None] & masks) == masks[:, None]
-            SS = contained & (np.array([rng.random() for _ in range(1 << 2 * n)])
-                              .reshape(1 << n, 1 << n) < 0.8)
-        got = suites._restriction_witness(SS)
-        assert got == brute_restriction(SS)
-        fails += got is not None
-    assert fails >= 50
-
-
-@given(small_graphs(max_n=6), st.data())
-@settings(max_examples=40, deadline=None)
-def test_strong_subsets_match_loop_form(S, data):
-    dt = np.array(delta_table(S), dtype=np.int64)
-    dt[data.draw(st.integers(0, len(dt) - 1))] += data.draw(st.sampled_from((-2, -1, 0, 1, 2)))
-    assert (_strong_pairs(dt, len(S.vertices)) == brute_strong_pairs(dt)).all()
-
-
-_STRONG_SUBSETS = suites._strong_subsets
+            caught += faults != (None, None)
+    assert passed[0] == passed[2] == passed[3] == 100 and passed[1] >= 30
+    assert caught >= 5
 
 
 def _exhaustive_deck(seed, max_n=5):
     """Every graph type up to ``max_n`` vertices with its delta table, keyed
-    by ``id``, and the suite run with chunks of four 5-vertex graphs."""
+    by ``id``."""
     graphs = builder._isomorph_free_types(graph_signature(2, 1), max_n, lambda G: True)
     tables = {id(G): np.array(delta_table(G), dtype=np.int64) for G in graphs}
     return random.Random(seed), graphs, tables
 
 
-def _first_failure(monkeypatch, graphs, tables, relations=None):
-    """``_first_exhaustive_failure`` on the given tables and relations."""
-    by_table = {tables[id(G)].tobytes(): G for G in graphs}
-    monkeypatch.setattr(suites, "_CHUNK_BYTES", 1 << 12)
-    monkeypatch.setattr(suites, "delta_table", lambda G: tables[id(G)])
-
-    def strong(dts, n):
-        SS = _STRONG_SUBSETS(dts, n)
-        for g in range(dts.shape[1]):
-            rel = (relations or {}).get(id(by_table[dts[:, g].tobytes()]))
-            if rel is not None:
-                SS[:, :, g] = rel.T
-        return SS
-
-    monkeypatch.setattr(suites, "_strong_subsets", strong)
-    return suites._first_exhaustive_failure(graphs)
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_exhaustive_passes_match_loop_forms_on_corrupted_tables(monkeypatch, seed):
-    # Corrupted delta entries in two graphs of one chunk of four 5-vertex
-    # graphs, the first of them in the middle of the chunk, so the witness
-    # must come from the first failing column, not from the chunk's edges.
-    # Entries are corrupted until the loop form fails on each graph alone.
+    # Corrupted delta entries in two graphs of 4 or 5 vertices, until the
+    # loop form flags each: the suite names the first of them in list order,
+    # with a pair that breaks the inequality on its corrupted table.
     rng, graphs, tables = _exhaustive_deck(seed)
-    assert _first_failure(monkeypatch, graphs, tables) == (None, None, None)
-    start = [len(G.vertices) for G in graphs].index(5) + 4 * rng.randrange(8)
-    first = start + rng.randint(1, 2)
-    for G in (graphs[first], graphs[rng.randint(first + 1, start + 3)]):
-        dt = tables[id(G)]
-        while brute_first_exhaustive_failure([G], tables) == (None, None, None):
+    monkeypatch.setattr(suites, "delta_table", lambda G: tables[id(G)])
+    assert suites._first_exhaustive_failure(graphs) is None
+    start = [len(G.vertices) for G in graphs].index(4)
+    first, second = sorted(rng.sample(range(start, len(graphs)), 2))
+    for g in (first, second):
+        dt = tables[id(graphs[g])]
+        while brute_submodularity(dt) is None:
             dt[rng.randrange(len(dt))] += rng.choice((-2, -1, 1, 2))
-    got = _first_failure(monkeypatch, graphs, tables)
-    assert got == brute_first_exhaustive_failure(graphs, tables)
-    assert next(bad for bad in got if bad)[0] is graphs[first]
+    flagged = next(G for G in graphs if brute_submodularity(tables[id(G)]) is not None)
+    assert flagged is graphs[first]
+    G, a, b = suites._first_exhaustive_failure(graphs)
+    assert G is flagged
+    dt = tables[id(G)]
+    assert dt[a | b] + dt[a & b] > dt[a] + dt[b]
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_exhaustive_passes_match_loop_forms_on_corrupted_relations(monkeypatch, seed):
-    # Submodular tables never fail restriction or transitivity, so faults
-    # there come from a corrupted strong-subset relation, in one or two
-    # graphs of 4 or 5 vertices, the first in the middle of its chunk.  Even
-    # seeds flip entries along containment, which mostly breaks restriction.
-    # Odd seeds clear SS[a, S] for one a: nothing above S is left to restrict
-    # it, so only transitivity can catch that, through a strong set between.
+    # Faults that keep delta submodular but change the strong-subset
+    # relation of one or two graphs of 4 or 5 vertices: a modular function
+    # added (even seeds), or delta lowered at the whole set (odd seeds).  The
+    # suite passes every graph, and the loop forms find no restriction or
+    # transitivity fault in any changed relation.
     rng, graphs, tables = _exhaustive_deck(seed)
-    relations = {}
+    monkeypatch.setattr(suites, "delta_table", lambda G: tables[id(G)])
     sizes = [len(G.vertices) for G in graphs]
     for G in rng.sample(graphs[sizes.index(4) + 1:], rng.randint(1, 2)):
-        SS = brute_strong_pairs(tables[id(G)])
-        size = len(SS)
-        for _ in range(rng.randint(1, 3)):
-            b = rng.randrange(size) if seed % 2 == 0 else size - 1
-            a = b & rng.randrange(size)
-            SS[a, b] = not SS[a, b] if seed % 2 == 0 else False
-        relations[id(G)] = SS
-    got = _first_failure(monkeypatch, graphs, tables, relations)
-    assert got == brute_first_exhaustive_failure(graphs, tables, relations)
-    if seed % 2:
-        assert got[2] is not None
-    else:
-        assert got[1] is not None
+        dt = tables[id(G)]
+        before = brute_strong_pairs(dt)
+        while (brute_strong_pairs(dt) == before).all():
+            if seed % 2:
+                dt[-1] -= 1
+            else:
+                masks = np.arange(len(dt))
+                dt += sum(rng.randint(-2, 2) * (masks >> i & 1) for i in range(len(G.vertices)))
+        SS = brute_strong_pairs(dt)
+        assert brute_restriction(SS) is None and brute_transitivity(SS) is None
+    assert suites._first_exhaustive_failure(graphs) is None
+
+
+def test_each_exhaustive_case_fails_on_a_table_that_is_not_submodular(monkeypatch):
+    # One 4-vertex graph type with a non-edge gets delta of its whole vertex
+    # set raised by 1: the two sets that each miss one end of the non-edge
+    # then break submodularity.  All three exhaustive cases FAIL on it.
+    true_table = suites.delta_table
+    types = builder._isomorph_free_types(graph_signature(2, 1), 4, lambda G: True)
+    target = next(G for G in types if len(G.vertices) == 4 and len(G.instances["R"]) == 3)
+    key = canonical_form(target)
+    corrupted = np.array(true_table(target), dtype=np.int64)
+    corrupted[-1] += 1
+
+    def table(G):
+        if len(G.vertices) == 4 and canonical_form(G) == key:
+            return corrupted
+        return true_table(G)
+
+    monkeypatch.setattr(suites, "delta_table", table)
+    rep = suites.run_suite("submodularity", max_n=4, oracle_cases=0)
+    cases = {c.key: c for c in rep.cases}
+    exhaustive = [cases[f"{name}-exhaustive"]
+                  for name in ("submodularity", "restriction", "transitivity")]
+    assert all(c.status == FAIL for c in exhaustive)
+    witness = exhaustive[0].witness
+    assert all(c.witness == witness for c in exhaustive)
+    assert witness.endswith(f" in {target}")
+    a, b = (int(part.split("=")[1], 2) for part in witness.split()[:2])
+    assert corrupted[a | b] + corrupted[a & b] > corrupted[a] + corrupted[b]
+    assert cases["restriction-exhaustive"].note == "delta table not submodular"
+    assert cases["transitivity-exhaustive"].note == "delta table not submodular"
+    assert cases["closure-oracle-agreement"].status == PASS
 
 
 @given(st.one_of(small_structures(), small_hypergraphs(), small_bipartite()), st.data())
