@@ -354,7 +354,7 @@ def _is_strong(S: FiniteStructure, ids: Iterable[int], tag: str) -> bool:
     """d-closed in S for the control-function class, self-sufficient otherwise."""
     if tag == CF:
         return is_d_closed(S, ids)
-    return self_sufficient(S, ids, want_witness=False)[0]
+    return self_sufficient(S, ids)[0]
 
 
 def _good_base(

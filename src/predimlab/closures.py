@@ -28,7 +28,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .structures import FiniteStructure, delta_mask, _bits
+from .structures import FiniteStructure, _bits
 
 TABLE_MAX_BITS = 20  # hard memory guard for the table engine
 DEFAULT_TABLE_CUTOFF = 16
@@ -159,7 +159,7 @@ def delta_table(S: FiniteStructure) -> np.ndarray:
     """delta of every vertex subset of S, indexed by bitmask."""
     n = len(S.vertices)
     if n > TABLE_MAX_BITS:
-        raise InputError(f"table engine limited to {TABLE_MAX_BITS} vertices, got {n}")
+        raise CapacityError("table engine vertices", TABLE_MAX_BITS, n)
     weighted = S.bit_index().weighted
     # every delta, and every difference of two, lies within this span
     span = n * S.signature.vertex_weight + sum(w for _, w in weighted)
@@ -281,10 +281,7 @@ class StructureFlowSolver:
       back.  A grow keeps the set too, since the edges it adds only enter
       it, and searches only from the new source edges;
     * a search stores only the nodes it visits;
-    * ``solve_value`` takes a known upper bound on dim(X) (delta(X) is one)
-      and stops augmenting once the flow reaches it, the value being exact
-      from then on;
-    * ``solve`` builds only the minimizers it is asked for.  The least one
+    * a query builds only the minimizers it is asked for.  The least one
       is the source side the last search visited.  The greatest one is the
       set of vertices that cannot reach the sink; a query only grows the
       source side, so these are the base's plus those the query cut off,
@@ -393,10 +390,10 @@ class StructureFlowSolver:
         self._dead_mask = self._vertex_mask(self._dead)
         self._sink_tree = None  # built by the first query for a greatest minimizer
 
-    def _augment(self, xmask: int, pushes: list, limit: int | None = None):
+    def _augment(self, xmask: int, pushes: list):
         """Open the slots of X on the base residual and max-flow.
 
-        Returns dim(X) and the source side (or None, see :meth:`_max_flow`).
+        Returns dim(X) and the source side (see :meth:`_max_flow`).
         The caller must hand ``xmask`` and ``pushes`` to :meth:`_restore`
         afterwards, also when this raises.
         """
@@ -410,7 +407,7 @@ class StructureFlowSolver:
             caps[eid] = _INF_CAP
             src.append(eid)
             xmask ^= low
-        extra, reach = self._max_flow(src, pushes, limit)
+        extra, reach = self._max_flow(src, pushes)
         return self._base_flow + extra - self.total_w, reach
 
     def _restore(self, xmask: int, pushes: list) -> None:
@@ -429,18 +426,14 @@ class StructureFlowSolver:
         for i in _bits(xmask):
             caps[slot_eid[i]] = 0
 
-    def solve_value(self, xmask: int, at_most: int | None = None) -> int:
-        """dim(X); ``at_most`` is an upper bound on it that lets augmenting stop early."""
-        limit = None if at_most is None else at_most + self.total_w - self._base_flow
-        pushes: list = []
-        try:
-            return self._augment(xmask, pushes, limit)[0]
-        finally:
-            self._restore(xmask, pushes)
+    # nothing in the library calls this; the benchmark's tracer wraps it by name
+    def solve_value(self, xmask: int) -> int:
+        return self.solve(xmask, 0)[0]
 
     def solve(
         self, xmask: int, need: int = _LEAST | _GREATEST
     ) -> tuple[int, int | None, int | None]:
+        """(dim, least, greatest minimizer) over supersets of X, those in ``need``."""
         if need & _GREATEST and self._sink_tree is None:
             self._sink_tree = self._build_sink_tree()  # needs the base residual
         pushes: list = []
@@ -463,19 +456,19 @@ class StructureFlowSolver:
                 mask |= 1 << node_pos[u]
         return mask
 
-    def _max_flow(self, src: list[int], pushes: list, limit: int | None = None):
+    def _max_flow(self, src: list[int], pushes: list):
         """Augment the base residual along shortest paths until none is left.
 
         ``src`` is the source's adjacency; no search enters the dead set,
         which is known not to reach the sink.  Returns the flow added and
         the nodes of the residual source side outside the dead set, with the
-        source, or None for them when the flow reached ``limit`` first.
+        source.
         Every push is appended to ``pushes`` as (path edges, amount), the
         sink edge first.
         """
         to, head, caps, node_pos = self.to, self.head, self.base_caps, self.node_pos
         flow = 0
-        while limit is None or flow < limit:
+        while True:
             # the edge each visited node was reached by
             pred = self._dead.copy()
             queue = [0]
@@ -510,7 +503,6 @@ class StructureFlowSolver:
                 caps[eid ^ 1] += pushed
             pushes.append((path, pushed))
             flow += pushed
-        return flow, None
 
     def _cut_off(self, pushes: list) -> int:
         """Mask of the vertices that cannot reach the sink after a query.
@@ -663,38 +655,24 @@ def is_d_closed(S: FiniteStructure, X: Iterable[int], engine: str = "auto") -> b
 
 
 def self_sufficient(
-    S: FiniteStructure,
-    A: Iterable[int],
-    engine: str = "auto",
-    want_witness: bool = True,
+    S: FiniteStructure, A: Iterable[int], engine: str = "auto"
 ) -> tuple[bool, Optional[frozenset[int]]]:
-    """Exact A <= S check with no enumeration cap.
+    """Exact A <= S check with no enumeration cap: A is its own least minimizer.
 
     To check A <= B for a subset B, pass ``S.induced(B)``.  It never
     enumerates subsets, so it stays polynomial on large ambients.  On failure
     the witness is the minimal-delta, minimal-cardinality violating set.
-    With ``want_witness`` off the witness is None on either engine, and the
-    flow engine only computes dim(A), stopping as soon as it reaches
-    delta(A), which always bounds it.
     """
     amask = S.mask_of(A)
-    delta_a = delta_mask(S, amask)
-    engine = _resolve_engine(S, engine)
-    if not want_witness and engine == "flow":
-        return _solver_for(S).solve_value(amask, at_most=delta_a) >= delta_a, None
-    val, minimal, _ = _solve(S, amask, engine=engine, need=_LEAST)
-    holds = val >= delta_a
-    return holds, None if holds or not want_witness else S.ids_of(minimal)
+    _, minimal, _ = _solve(S, amask, engine=engine, need=_LEAST)
+    return (True, None) if minimal == amask else (False, S.ids_of(minimal))
 
 
 def d_closed_subset_masks(S: FiniteStructure, size_cap: int | None = None) -> list[int]:
     """All d-closed subset masks (size-capped), in ascending order, via the cld table."""
+    _, greatest = dim_cld_tables(S)
     n = len(S.vertices)
-    if n > DEFAULT_TABLE_CUTOFF:
-        raise CapacityError("d-closed enumeration", DEFAULT_TABLE_CUTOFF, n)
     masks = np.arange(1 << n, dtype=np.int64)
     if size_cap is not None:
         masks = masks[popcounts(n) <= size_cap]
-    _, greatest = dim_cld_tables(S)
     return masks[greatest[masks] == masks].tolist()
-

@@ -58,11 +58,10 @@ def check_lemma43_characterization(
             raise ContractError(f"{name} must be d-closed in the ambient")
     if not (b <= a and b <= c):
         raise ContractError("B must be contained in A and in C")
-    u = cld(S, a | b)
-    v = cld(S, b | c)
+    # B lies in the d-closed A and C, so cld(AB) = A and cld(BC) = C
     return (
-        bool(lemma43_free_split(S, S.mask_of(u), S.mask_of(v), S.mask_of(b)))
-        and self_sufficient(S, u | v)[0]
+        bool(lemma43_free_split(S, S.mask_of(a), S.mask_of(c), S.mask_of(b)))
+        and self_sufficient(S, a | c)[0]
     )
 
 
@@ -132,6 +131,16 @@ def _monotone_submodular(dt, monotone=True):
     return None
 
 
+def _order_violation(S: FiniteStructure, dt) -> str | None:
+    """:func:`_monotone_submodular`'s first violation on ``dt``, as
+    ``X={..} i=p j=q``; None when there is none."""
+    step = _monotone_submodular(dt)
+    if step is None:
+        return None
+    x, i, j = step
+    return f"X={subset_witness(S.ids_of(x))} i={S.vertices[i]} j={S.vertices[j]}"
+
+
 def _closure_is_zero_set(dt, cl):
     """The first (X, v) where cl[X] differs from X plus every point v with
     dt[X|v] == dt[X], at the lowest such v; None when there is none."""
@@ -174,10 +183,8 @@ def axiom_suite(S: FiniteStructure, size_cap: int = 3) -> VerificationReport:
     dt, cl = dim_cld_tables(S)
     sets = d_closed_subset_masks(S, size_cap=size_cap)
     rep.check("symmetry", None, note=f"{len(sets)} d-closed sets (size cap {size_cap})")
-    step = _monotone_submodular(dt)
-    if step is not None:
-        x, i, j = step
-        order = f"X={subset_witness(S.ids_of(x))} i={S.vertices[i]} j={S.vertices[j]}"
+    order = _order_violation(S, dt)
+    if order is not None:
         rep.check("compatibility", order, note="dim table out of order")
         rep.check("monotonicity", order, note="dim table out of order")
     else:
@@ -199,7 +206,7 @@ def _lemma43_equivalence_exhaustive(S: FiniteStructure, size_cap: int = 4) -> tu
     B inside it and the sets C above each such B, and then sorts them back
     to (C, B) order.
     """
-    dt, cl = dim_cld_tables(S)
+    dt, _ = dim_cld_tables(S)
     dtab = delta_table(S)
     sets = np.array(d_closed_subset_masks(S, size_cap=size_cap), dtype=np.int64)
     inside = (sets[:, None] & ~sets) == 0  # [i, j]: set i inside set j
@@ -213,10 +220,10 @@ def _lemma43_equivalence_exhaustive(S: FiniteStructure, size_cap: int = 4) -> tu
         order = np.argsort(ci, kind="stable")
         c, b = sets[ci[order]], sets[bi[order]]
         indep = _independent_in(dt, amask, b, c)
-        u = cl[amask | b]
-        v = cl[b | c]
-        split = lemma43_free_split(S, u, v, b)
-        cond = split & (dt[u | v] == dtab[u | v])
+        # the sets are cld fixed points and B lies in A and C, so the
+        # closures of AB and BC are A and C
+        split = lemma43_free_split(S, amask, c, b)
+        cond = split & (dt[amask | c] == dtab[amask | c])
         bad = np.flatnonzero(indep != cond)
         if len(bad):
             i = bad[0]

@@ -32,7 +32,7 @@ from .classes import SAMPLES_CAP, ControlFunction, girth_with_witness, in_C0, in
 from .closures import (
     cld,
     delta_table,
-    dim,
+    dim_cld_tables,
     is_d_closed,
     self_sufficient,
     TABLE_MAX_BITS,
@@ -40,7 +40,9 @@ from .closures import (
 )
 from .errors import CapacityError, InputError
 from .extensions import enumerate_msa_pairs, MsaType
-from .independence import _lemma43_equivalence_exhaustive, _monotone_submodular, axiom_suite, perp
+from .independence import (
+    _lemma43_equivalence_exhaustive, _monotone_submodular, _order_violation, axiom_suite, perp,
+)
 from .gadgets import (
     _build_fan_probe,
     beatty,
@@ -82,8 +84,8 @@ def run_suite(name: str, seed: int = 0, negative_control: bool = False, **option
     fn = _SUITES.get(name)
     if fn is None:
         raise InputError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-    params = {k: p.default for k, p in inspect.signature(fn).parameters.items()
-              if k not in ("seed", "negative_control")}
+    accepted = inspect.signature(fn).parameters
+    params = {k: p.default for k, p in accepted.items() if k not in ("seed", "negative_control")}
     for key, value in options.items():
         if key not in params:
             raise InputError(f"suite {name!r} has no option {key!r}; "
@@ -97,8 +99,10 @@ def run_suite(name: str, seed: int = 0, negative_control: bool = False, **option
                 raise InputError(f"{name} {key} must be at least {least}, got {value}")
             if cap is not None and value > cap:
                 raise CapacityError(f"{name} {key}", cap, value)
+    if "seed" in accepted:
+        options["seed"] = seed
     t0 = time.monotonic()
-    rep = fn(seed=seed, negative_control=negative_control, **options)
+    rep = fn(negative_control=negative_control, **options)
     rep.wall_time = time.monotonic() - t0
     rep.seed = seed
     return rep
@@ -152,7 +156,7 @@ def _beatty_window_checks(seq, ell: int, b: int) -> str | None:
     return f"density bound broken at i={j - b}, s={int(dense[j].argmax()) + 1}"
 
 
-def beatty_suite(b_max: int = 40, seed: int = 0, negative_control: bool = False) -> VerificationReport:
+def beatty_suite(b_max: int = 40, negative_control: bool = False) -> VerificationReport:
     rep = VerificationReport(suite="beatty")
     for b in range(2, b_max + 1):
         for ell in range(1, b):
@@ -172,7 +176,7 @@ def beatty_suite(b_max: int = 40, seed: int = 0, negative_control: bool = False)
 
 
 def gadget_suite(
-    r2_max: int = 10, r3_max: int = 6, seed: int = 0, negative_control: bool = False
+    r2_max: int = 10, r3_max: int = 6, negative_control: bool = False
 ) -> VerificationReport:
     rep = VerificationReport(suite="gadget")
     # lazily, so that a grid past the verify cap stops at its first gadget above it
@@ -201,7 +205,7 @@ def gadget_suite(
 # -- lemma49 ------------------------------------------------------------------------
 
 
-def lemma49_suite(seed: int = 0, negative_control: bool = False) -> VerificationReport:
+def lemma49_suite(negative_control: bool = False) -> VerificationReport:
     rep = VerificationReport(suite="lemma49")
     sig = graph_signature(2, 1)
 
@@ -256,7 +260,7 @@ def lemma49_suite(seed: int = 0, negative_control: bool = False) -> Verification
 # -- path-fact ----------------------------------------------------------------------
 
 
-def path_fact_suite(seed: int = 0, negative_control: bool = False) -> VerificationReport:
+def path_fact_suite(negative_control: bool = False) -> VerificationReport:
     rep = VerificationReport(suite="path-fact")
     for ell in range(2, 9):
         P = path_graph(ell)
@@ -360,9 +364,7 @@ def _fan_join_claims(B, base_ids, b, r: int, f: ControlFunction):
 
 
 def ex511_suite(
-    r_values: tuple[int, ...] = (3, 4),
-    seed: int = 0,
-    negative_control: bool = False,
+    r_values: tuple[int, ...] = (3, 4), negative_control: bool = False
 ) -> VerificationReport:
     for r in r_values:  # the +deep variant pads an instance with r - 2 of its 2 base points
         if not 3 <= r <= 4:
@@ -689,15 +691,11 @@ def axioms_suite(
             note=f"{checked} admissible d-closed triples, sets up to size {lemma43_cap}",
         )
     if negative_control:
-        # claim symmetry on an asymmetric relation: swap one side's dimension
         S = approximants[0][1]
-        a, b, c = [S.vertices[0]], [S.vertices[1]], [S.vertices[2]]
-        lhs = dim(S, set(a) | set(b) | set(c)) + dim(S, b)
-        rhs = dim(S, set(a) | set(b)) + dim(S, set(b) | set(c))
-        corrupted_lhs = lhs + 1  # injected fault
-        _negative_control(rep, "corrupted-dimension",
-                          f"corrupted dim sum {corrupted_lhs} vs true {lhs}"
-                          if (corrupted_lhs == rhs) != (lhs == rhs) else None)
+        dt = dim_cld_tables(S)[0].copy()
+        dt[0b11] = dt[0b01] - 1  # injected fault: adding a point lowers dim
+        _negative_control(rep, "corrupted-dimension", _order_violation(S, dt),
+                          "dim of the first two points one below the first's")
     return rep.finalize()
 
 
@@ -784,7 +782,7 @@ def _bip_cycle(length_half: int, ngon: int) -> FiniteStructure:
 
 
 def kn_suite(
-    ngons: tuple[int, ...] = (3, 4, 5), seed: int = 0, negative_control: bool = False
+    ngons: tuple[int, ...] = (3, 4, 5), negative_control: bool = False
 ) -> VerificationReport:
     rep = VerificationReport(suite="kn")
     for n in ngons:

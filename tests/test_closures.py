@@ -39,7 +39,6 @@ from predimlab.structures import (
     FiniteStructure,
     Relation,
     Signature,
-    delta_mask,
     graph_signature,
 )
 
@@ -256,8 +255,9 @@ def _check_flow_queries(S, max_k):
             assert (res.closure, res.dimension) == (least, best)
             assert cld(S, X, engine="flow") == greatest
             assert is_d_closed(S, X, engine="flow") == (greatest == frozenset(X))
-            holds, _ = brute_self_sufficient(S, X, S.vertices)
-            assert self_sufficient(S, X, engine="flow", want_witness=False) == (holds, None)
+            want = brute_self_sufficient(S, X, S.vertices)
+            for engine in ("table", "flow"):
+                assert self_sufficient(S, X, engine=engine) == want
 
 
 @given(small_graphs())
@@ -288,7 +288,7 @@ def test_flow_queries_leave_the_base_residual_alone():
         X = rng.sample(range(30), rng.randint(0, 4))
         xmask = S.mask_of(X)
         want = StructureFlowSolver(S).solve(xmask)
-        op = rng.choice(["dim", "cl0", "cld", "is_d_closed", "ss", "ss_value"])
+        op = rng.choice(["dim", "cl0", "cld", "is_d_closed", "ss"])
         if op == "dim":
             assert dim(S, X, engine="flow") == want[0]
         elif op == "cl0":
@@ -298,11 +298,10 @@ def test_flow_queries_leave_the_base_residual_alone():
         elif op == "is_d_closed":
             assert is_d_closed(S, X, engine="flow") == (want[2] == xmask)
         else:
+            # 30 vertices: past the table engine, so only the flow answers
             holds = want[0] == delta(S, X)
-            got = self_sufficient(S, X, engine="flow", want_witness=op == "ss")
-            assert got[0] == holds
-            if op == "ss" and not holds:
-                assert got[1] == S.ids_of(want[1])
+            assert self_sufficient(S, X, engine="flow") == (
+                (True, None) if holds else (False, S.ids_of(want[1])))
         assert solver.solve(xmask) == want
     assert (solver.base_caps, solver._base_flow, solver._dead) == base
 
@@ -318,10 +317,7 @@ def test_weighted_flow_kernel_matches_the_table_engine(S):
         want = _table(S, xmask)
         assert solver.solve(xmask) == want
         assert solver.solve(xmask, need=0) == (want[0], None, None)
-        # early stops: at a bound equal to dim(X) the flow stops on reaching it
-        bound = delta_mask(S, xmask)
-        for at_most in (None, want[0], want[0] + 1, bound):
-            assert solver.solve_value(xmask, at_most=at_most) == want[0]
+        assert solver.solve_value(xmask) == want[0]
         assert solver.base_caps == base
 
 
@@ -722,7 +718,6 @@ def test_auto_engine_picks_the_table_up_to_16_vertices(monkeypatch):
             lambda e: cld(S, [0], engine=e),
             lambda e: is_d_closed(S, [0], engine=e),
             lambda e: self_sufficient(S, [0], engine=e),
-            lambda e: self_sufficient(S, [0], engine=e, want_witness=False),
         )
         want = [call(engine) for call in calls]
         with monkeypatch.context() as m:
@@ -741,29 +736,23 @@ def test_self_sufficient_respects_the_engine(monkeypatch):
         raise AssertionError("engine='table' reached the flow engine")
 
     monkeypatch.setattr(closures, "_solver_for", no_flow)
-    assert self_sufficient(S, A, engine="table", want_witness=False) == (want[0], None)
     assert self_sufficient(S, A, engine="table") == want
     monkeypatch.undo()
-    # engine="flow" takes the value-only path at any size
+    # engine="flow" takes the flow engine at any size, for the least minimizer only
     calls = []
-    real = StructureFlowSolver.solve_value
-    monkeypatch.setattr(
-        StructureFlowSolver, "solve_value", lambda *a, **k: calls.append(a) or real(*a, **k)
-    )
+    real = StructureFlowSolver.solve
+    monkeypatch.setattr(StructureFlowSolver, "solve",
+                        lambda self, *a: calls.append(a) or real(self, *a))
     small = path_graph(3)
-    assert self_sufficient(small, [0, 3], engine="flow", want_witness=False) == (True, None)
-    assert len(calls) == 1
+    assert self_sufficient(small, [0, 3], engine="flow") == (True, None)
+    assert calls == [(small.mask_of([0, 3]), closures._LEAST)]
 
 
-def test_self_sufficient_without_a_witness_gives_none_on_both_engines():
-    K4 = graph(list(itertools.combinations(range(4), 2)), n=1, m=1)
-    for engine in ("table", "flow"):
-        assert self_sufficient(K4, [0], engine=engine) == (False, frozenset(range(4)))
-        assert self_sufficient(K4, [0], engine=engine, want_witness=False) == (False, None)
-        assert self_sufficient(K4, [0, 1, 2, 3], engine=engine, want_witness=False) == (
-            True,
-            None,
-        )
+def test_the_table_engine_refuses_more_than_20_vertices():
+    with pytest.raises(CapacityError) as info:
+        dim(path_graph(20), [0], engine="table")
+    err = info.value
+    assert (err.cap_name, err.cap_value, err.requested) == ("table engine vertices", 20, 21)
 
 
 def _planted_graph(rng, n):
@@ -815,7 +804,6 @@ def test_flow_engine_on_large_ambient():
             holds, witness = self_sufficient(S, X)
             assert holds == (d == delta(S, X))
             assert witness == (None if holds else least.closure)
-            assert self_sufficient(S, X, want_witness=False) == (holds, None)
             assert is_d_closed(S, X) == (greatest == X)
             # greatest: a vertex joins at no cost exactly when it lies in cld(X)
             outside = rng.sample(sorted(set(S.vertices) - greatest), 5)

@@ -1,6 +1,7 @@
 """No leftover code under ``src/predimlab``: every import is read in its
-module, and every top-level def, class or constant is read somewhere in the
-repository's Python (``src``, ``tests``, ``scripts``, ``perfbench``).
+module, every top-level def, class or constant is read somewhere in the
+repository's Python (``src``, ``tests``, ``scripts``, ``perfbench``), and
+every parameter of every def, ``self`` and ``cls`` aside, is read in its body.
 
 No linter is installed, so the modules are parsed with ``ast``.  A name is
 read where it is loaded, named as an attribute or imported from another
@@ -67,3 +68,17 @@ def test_every_top_level_name_is_read_somewhere():
     unread = [f"{path.name}:{name}" for path in MODULES
               for name in _top_level_names(TREES[path]) if name not in read]
     assert not unread, f"defined under src/predimlab but never read: {unread}"
+
+
+def test_every_parameter_is_read_in_its_body():
+    unread = []
+    for path in MODULES:
+        for node in ast.walk(TREES[path]):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                          args.vararg, args.kwarg) if a is not None]
+                loaded = set().union(*map(_loaded, node.body))
+                unread += [f"{path.name}:{node.lineno} {node.name}({p})" for p in params
+                           if p not in ("self", "cls") and p not in loaded]
+    assert not unread, f"parameters never read in their function: {unread}"

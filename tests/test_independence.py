@@ -24,6 +24,7 @@ from predimlab import (
     hypergraph,
     is_d_closed,
     perp,
+    run_suite,
 )
 from predimlab import closures, independence
 from predimlab.builder import C0
@@ -31,6 +32,7 @@ from predimlab.cli import main
 from predimlab.closures import d_closed_subset_masks, delta_table, dim_cld_tables
 
 from conftest import (
+    LIGHT,
     brute_axiom_quadruples,
     brute_axiom_suite,
     brute_cld_from_table,
@@ -75,6 +77,17 @@ def test_lemma43_detects_edge_between_sides():
     # singletons are d-closed in a triangle; the edge between sides breaks freeness
     assert not check_lemma43_characterization(T, [0], [], [2])
     assert not d_independent(T, [0], [], [2])
+
+
+def test_lemma43_detects_a_union_that_is_not_self_sufficient():
+    # K4 less the edge 0-1: {0} and {1} are d-closed and split freely over
+    # the empty set, but {0, 1} lies below its closure, so only the
+    # self-sufficiency half decides
+    S = graph([(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    assert is_d_closed(S, [0]) and is_d_closed(S, [1])
+    assert brute_free_split(S, S.mask_of([0]), S.mask_of([1]), 0)
+    assert not check_lemma43_characterization(S, [0], [], [1])
+    assert not d_independent(S, [0], [], [1])
 
 
 def test_lemma43_equivalence_on_built_approximants():
@@ -301,6 +314,19 @@ def test_one_corrupted_dim_entry_breaks_the_order():
     for key in ("compatibility", "monotonicity"):
         assert (cases[key].status, cases[key].witness, cases[key].note) == (
             "FAIL", "X={1} i=0 j=0", "dim table out of order")
+
+
+def test_the_axioms_negative_control_replays_on_its_corrupted_table():
+    # the control lowers approx-12's dim at its first two points below the
+    # first point's, and reports the suite's own order check
+    S = build_generic(BuildConfig(graph_signature(2, 1), C0, 3, 6, seed=0)).structure
+    rep = run_suite("axioms", negative_control=True, **LIGHT["axioms"])
+    case = next(c for c in rep.cases if c.key == "negative-control:corrupted-dimension")
+    dt, cl = dim_cld_tables(S)
+    assert not _replays(S, dt, cl, case.witness)
+    dt[0b11] = dt[0b01] - 1
+    assert (case.status, case.witness) == ("FAIL", "X={1} i=0 j=0")
+    assert _replays(S, dt, cl, case.witness)
 
 
 def test_an_ordered_dim_table_has_no_monotonicity_witness():

@@ -418,11 +418,15 @@ def test_cli_verify_submodularity_above_the_canon_cap_exits_2_at_once(capsys):
 
 
 def test_cli_axioms_above_the_table_cutoff_names_the_cap(tmp_path, capsys):
-    f = tmp_path / "p17.pdl"
-    f.write_text(dump_structure(path_graph(16)))
+    # the auto engine's cutoff is 16 vertices; axioms reads the table engine
+    # up to its own bound, 20
+    f = tmp_path / "p21.pdl"
+    f.write_text(dump_structure(path_graph(20)))
     assert main(["axioms", str(f), "--cap", "2"]) == 2
     err = capsys.readouterr().err
-    assert "d-closed enumeration cap exceeded" in err and "cap 16" in err
+    assert "table engine vertices cap exceeded" in err and "cap 20" in err
+    f.write_text(dump_structure(path_graph(16)))
+    assert main(["axioms", str(f), "--cap", "2"]) == 0
 
 
 # Vertex weights past each engine's arithmetic: the first once raised a raw

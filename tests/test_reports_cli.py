@@ -102,6 +102,13 @@ def test_suite_digest_determinism_with_sampling():
     assert a.digest() == b.digest()
 
 
+def test_run_suite_hands_the_seed_only_to_suites_that_take_one():
+    a, b = (run_suite("msa-bound", seed=seed, trials=6) for seed in (4, 5))
+    assert a.cases != b.cases
+    # path-fact draws no random number and takes no seed; its report records it
+    assert run_suite("path-fact", seed=7).seed == 7
+
+
 def test_cli_exit_codes(tmp_path):
     # 0: clean suite
     assert main(["verify", "path-fact"]) == 0
