@@ -51,6 +51,7 @@ from .structures import (
     _ascending_steps,
     _bits,
     _canonical_search,
+    _mask,
     _rooted_key,
     _search,
     _search_steps,
@@ -213,6 +214,12 @@ class ExtensionTask:
         return self.ext.induced(self.base_ids)
 
     @cached_property
+    def base_positions(self) -> tuple[int, ...]:
+        """The ext positions of the base vertices, ascending: position k of
+        ``base_pattern`` is position ``base_positions[k]`` of ``ext``."""
+        return tuple(_bits(self.ext.mask_of(self.base_ids)))
+
+    @cached_property
     def search_plan(self) -> tuple[tuple[int, bool], ...]:
         """The anchored-first placement order of the positions outside the
         base, each paired with whether the prefix it completes (the base and
@@ -229,7 +236,7 @@ class ExtensionTask:
             free = list(_bits(self.ext.full_mask() & ~placed))
             i = next((j for j in free if co[j] & placed), free[0])
             placed |= 1 << i
-            plan.append((i, _is_strong(self.ext, self.ext.ids_of(placed), self.tag)))
+            plan.append((i, _is_strong(self.ext, placed, self.tag)))
         return tuple(plan)
 
     @cached_property
@@ -273,7 +280,7 @@ def enumerate_tasks(
         for bsize in range(0, len(verts)):
             for combo in _orbit_firsts(itertools.combinations(verts, bsize), images):
                 base = frozenset(combo)
-                if not _is_strong(ext, base, tag):
+                if not _is_strong(ext, ext.mask_of(base), tag):
                     continue
                 key = _rooted_key(ext, base)
                 task = ExtensionTask(ext, base, tag, key)
@@ -332,10 +339,9 @@ class BuildResult:
     tasks: list[ExtensionTask]
 
 
-def _strong(
-    S: FiniteStructure, image: frozenset[int], tag: str, memo: dict
-) -> bool:
-    """The chain's verdict on an image, memoized by image for the whole chain.
+def _strong(S: FiniteStructure, image: int, tag: str, memo: dict) -> bool:
+    """The chain's verdict on an image, a mask of S positions, memoized by
+    mask for the whole chain: a chain step keeps the old positions.
 
     The verdict is d-closure for the control-function class and
     self-sufficiency otherwise.  Both persist along the chain in both
@@ -350,26 +356,22 @@ def _strong(
     return got
 
 
-def _is_strong(S: FiniteStructure, ids: Iterable[int], tag: str) -> bool:
-    """d-closed in S for the control-function class, self-sufficient otherwise."""
-    if tag == CF:
-        return is_d_closed(S, ids)
-    return self_sufficient(S, ids)[0]
+def _is_strong(S: FiniteStructure, mask: int, tag: str) -> bool:
+    """Are the positions in ``mask`` d-closed in S for the control-function
+    class, self-sufficient otherwise?"""
+    ids = S.ids_of(mask)
+    return is_d_closed(S, ids) if tag == CF else self_sufficient(S, ids)[0]
 
 
-def _good_base(
-    S: FiniteStructure, image: frozenset[int], tag: str, memo: dict
-) -> bool:
+def _good_base(S: FiniteStructure, image: int, tag: str, memo: dict) -> bool:
     # the polygon class asks a base to be d-closed, which implies strong: a
     # d-closed set is its own greatest minimizer, so it is self-sufficient
     if tag == KN:
-        return is_d_closed(S, image)
+        return is_d_closed(S, S.ids_of(image))
     return _strong(S, image, tag, memo)
 
 
-def _realized(
-    S: FiniteStructure, task: ExtensionTask, base_phi: dict[int, int], memo: dict
-) -> bool:
+def _realized(S: FiniteStructure, task: ExtensionTask, key: tuple[int, ...], memo: dict) -> bool:
     """Is the embedded base covered by a copy of the extension strong in S?
 
     The search follows ``task.search_plan`` and checks the image so far with
@@ -383,15 +385,16 @@ def _realized(
     The last prefix is the whole pattern, so every embedding found has a
     strong image.
 
-    ``base_phi`` must be an induced embedding of ``task.base_pattern``, as
-    every embedded base that :func:`_base_embeddings` or a window hands
-    out is, so the search runs the task's compiled steps without checking
-    it again.  Candidates run ascending, as everywhere: the verdict asks
-    only whether some embedding has a strong image, so the order changes
-    the number of flow queries, never the answer.
+    ``key`` must be the key of an induced embedding of ``task.base_pattern``
+    (see :func:`_search`), as every embedded base that
+    :func:`_base_embeddings` or a window hands out is, so the search runs
+    the task's compiled steps from it without checking it again.
+    Candidates run ascending, as everywhere: the verdict asks only whether
+    some embedding has a strong image, so the order changes the number of
+    flow queries, never the answer.
     """
-    hits = _search(S, task.ext, base_phi, task.search_steps,
-                   lambda img: _strong(S, S.ids_of(img), task.tag, memo))
+    hits = _search(S, task.ext, dict(zip(task.base_positions, key)), task.search_steps,
+                   lambda img: _strong(S, img, task.tag, memo))
     return next(hits, None) is not None
 
 
@@ -400,26 +403,22 @@ def _base_embeddings(
     task: ExtensionTask,
     memo: dict,
     after: Optional[tuple[int, ...]] = None,
-) -> Iterator[dict[int, int]]:
-    """Embedded bases with a strong image, in ascending key order, and only
-    keys above ``after``."""
+) -> Iterator[tuple[int, ...]]:
+    """The keys of the embedded bases with a strong image, ascending, and
+    only those above ``after``."""
     if not task.base_ids:
         if after is None:
-            yield {}
+            yield ()
         return
-    for phi in _search(S, task.base_pattern, {}, task.base_steps, after=after):
-        if _good_base(S, frozenset(phi.values()), task.tag, memo):
-            yield phi
-
-
-def _key(phi: dict[int, int]) -> tuple[int, ...]:
-    """The S ids of the pattern vertices, in pattern vertex order."""
-    return tuple(phi[v] for v in sorted(phi))
+    for key in _search(S, task.base_pattern, {}, task.base_steps, after=after):
+        if _good_base(S, _mask(key), task.tag, memo):
+            yield key
 
 
 @dataclass
 class _Window:
-    """What a build knows of one task's good embedded bases.
+    """What a build knows of one task's good embedded bases, by their keys:
+    the S positions of the base vertices in order (see :func:`_search`).
 
     ``keys`` holds, by ascending key, every good key of the structure of
     size ``seen`` up to its last key (none while it is empty), or every one
@@ -440,17 +439,17 @@ def _bring_up_to_date(
 ) -> None:
     """Make ``win`` a window of S, reading only what is new since ``win.seen``.
 
-    The structure grew by chain steps since: its ids are its positions, the
-    new ones lie above the old, and every new instance meets a new vertex.
+    The structure grew by chain steps since: the new positions lie above
+    the old, and every new instance meets a new vertex.
     So an old induced embedding stays induced, and its verdict stays (see
     :func:`_strong`); the good embeddings of S are the old ones plus the new
     good ones N that meet a new position, and those up to the last key r
     are the window's keys and the members of N up to r.  N is searched by
     the pattern position p of its first new vertex: the positions before p
-    old, p new, no key beyond r.  The ids of r are all old, so p = 0 is
-    searched only when the window is complete.  Its goodness is judged in
-    key order, only as far as the window goes, and the cursor goes back to
-    the first key let in.  With nothing new the window stays as it is: the
+    old, p new, no key beyond r.  The positions in r are all old, so p = 0
+    is searched only when the window is complete.  Its goodness is judged
+    in key order, only as far as the window goes, and the cursor goes back
+    to the first key let in.  With nothing new the window stays as it is: the
     merge would rebuild the same keys, cursor and flag.
 
     The polygon class asks a base to be d-closed instead.  That stays too:
@@ -465,13 +464,11 @@ def _bring_up_to_date(
         return
     size = len(task.base_ids)
     old = (1 << seen) - 1
-    fresh = sorted(
-        _key(phi)
-        for p in range(0 if win.complete else 1, size)
-        for phi in _search(S, task.base_pattern, {}, task.base_steps,
-                           within=[old] * p + [~old] + [-1] * (size - p - 1),
-                           upto=None if win.complete else win.keys[-1])
-    )
+    fresh = sorted(itertools.chain.from_iterable(
+        _search(S, task.base_pattern, {}, task.base_steps,
+                within=[old] * p + [~old] + [-1] * (size - p - 1),
+                upto=None if win.complete else win.keys[-1])
+        for p in range(0 if win.complete else 1, size)))
     if not fresh:
         return
     keys = []
@@ -480,7 +477,7 @@ def _bring_up_to_date(
             break
         if not is_new:
             keys.append(key)
-        elif _good_base(S, frozenset(key), task.tag, memo):
+        elif _good_base(S, _mask(key), task.tag, memo):
             win.cursor = min(win.cursor, len(keys))
             keys.append(key)
     win.keys = keys
@@ -501,11 +498,11 @@ def _open_keys(
                 return
             walk = walk or _base_embeddings(S, task, memo,
                                             after=win.keys[-1] if win.keys else None)
-            phi = next(walk, None)
-            if phi is None:
+            key = next(walk, None)
+            if key is None:
                 win.complete = True
                 return
-            win.keys.append(_key(phi))
+            win.keys.append(key)
         key = win.keys[win.cursor]
         win.cursor += 1
         if key not in win.done:
@@ -539,7 +536,7 @@ def build_generic(config: BuildConfig) -> BuildResult:
     log = BuildLog(config_key=_config_key(config))
     log.skipped_tasks = [str(t.key) for t in skipped]
     windows: dict[int, _Window] = {}
-    memo: dict[frozenset[int], bool] = {}
+    memo: dict[int, bool] = {}
     steps = 0
     f = config.control if config.tag == CF else None
     certified = config.tag != KN  # the empty structure is in every class
@@ -551,11 +548,10 @@ def build_generic(config: BuildConfig) -> BuildResult:
             win = windows.setdefault(ti, _Window())
             _bring_up_to_date(S, task, win, memo)
             for key in _open_keys(S, task, win, memo):
-                phi = dict(zip(task.base_pattern.vertices, key))
-                if _realized(S, task, phi, memo):
+                if _realized(S, task, key, memo):
                     continue
                 prev = S
-                S, copy_image = _amalgamate(S, task, phi)
+                S, copy_image = _amalgamate(S, task, key)
                 memo[copy_image] = True  # fresh copy over a strong base
                 steps += 1
                 progressed = True
@@ -565,7 +561,8 @@ def build_generic(config: BuildConfig) -> BuildResult:
                         "step": steps,
                         "task": ti,
                         "task_key": str(task.key),
-                        "embedding": sorted(phi.items()),
+                        "embedding": [(v, prev.vertices[w])
+                                      for v, w in zip(task.base_pattern.vertices, key)],
                         "size": len(S.vertices),
                     }
                 )
@@ -583,33 +580,29 @@ def build_generic(config: BuildConfig) -> BuildResult:
 
 
 def _amalgamate(
-    S: FiniteStructure, task: ExtensionTask, base_phi: dict[int, int]
-) -> tuple[FiniteStructure, frozenset[int]]:
-    next_id = (max(S.vertices) + 1) if S.vertices else 0
-    phi = dict(base_phi)
-    new_parts = {}
-    new_ids = []
-    for v in task.ext.vertices:
-        if v not in phi:
-            phi[v] = next_id
-            new_ids.append(next_id)
-            if task.ext.parts:
-                new_parts[next_id] = task.ext.parts[v]
-            next_id += 1
+    S: FiniteStructure, task: ExtensionTask, key: tuple[int, ...]
+) -> tuple[FiniteStructure, int]:
+    """S with a fresh copy of the extension over the embedded base ``key``,
+    and the copy's image as a mask: the new vertices get ids above S's, so
+    they take the positions from ``len(S)`` on, in the extension's order."""
+    ext, n = task.ext, len(S.vertices)
+    phi = {ext.vertices[i]: S.vertices[w] for i, w in zip(task.base_positions, key)}
+    first = S.vertices[-1] + 1 if S.vertices else 0
+    new = [v for v in ext.vertices if v not in phi]
+    phi.update((v, first + k) for k, v in enumerate(new))
     new_inst: dict[str, list[tuple[int, ...]]] = {}
-    for name, tups in task.ext.instances.items():
+    for name, tups in ext.instances.items():
         for tp in tups:
             if any(v not in task.base_ids for v in tp):
-                new_inst.setdefault(name, []).append(
-                    tuple(sorted(phi[v] for v in tp))
-                )
-    out = S.with_added(new_ids, new_inst, new_parts or None)
+                new_inst.setdefault(name, []).append(tuple(sorted(phi[v] for v in tp)))
+    new_parts = {phi[v]: ext.parts[v] for v in new} if ext.parts else None
+    out = S.with_added([phi[v] for v in new], new_inst, new_parts)
     # the cf and kn tasks have bases d-closed in their extensions, which
     # makes their steps d-closed: new vertices V have delta(V/S) =
     # delta(V/base) > 0
-    _check_chain(len(S.vertices), out, strict=task.tag != C0)
+    _check_chain(n, out, strict=task.tag != C0)
     hand_over_solver(S, out)
-    return out, frozenset(phi.values())
+    return out, _mask(key) | ((1 << len(new)) - 1) << n
 
 
 def _check_chain(n_prev: int, out: FiniteStructure, strict: bool) -> None:
@@ -730,11 +723,11 @@ def audit_extension_property(
 ) -> AuditReport:
     """For each task, are its first embedded bases covered by an extension copy?"""
     entries = []
-    memo: dict[frozenset[int], bool] = {}
+    memo: dict[int, bool] = {}
     for task in tasks:
         # zip with a range, not islice, whose stop may not pass sys.maxsize
-        bases = [phi for _, phi in zip(range(cap_per_task), _base_embeddings(S, task, memo))]
-        realized = sum(1 for phi in bases if _realized(S, task, phi, memo))
+        bases = [key for _, key in zip(range(cap_per_task), _base_embeddings(S, task, memo))]
+        realized = sum(1 for key in bases if _realized(S, task, key, memo))
         entries.append(
             AuditEntry(str(task.key), len(task.base_ids), len(bases), realized)
         )

@@ -314,6 +314,8 @@ def _dispatch(args) -> int:
         if base is None:
             raise InputError("type file needs a base annotation line")
         cc = count_msa_copies(S, _ids(args.over), MsaType(pattern, base))
+        if base == set(pattern.vertices) or not is_msa(pattern, base, pattern.vertices):
+            raise InputError("the type's pattern is not minimally simply algebraic over its base")
         print(f"multiplicity (ambient-relative): {cc.count}")
         for w in cc.copies:
             print(f"  copy: {sorted(w)}")

@@ -27,6 +27,7 @@ from .structures import (
     delta_rel,
     _ascending_steps,
     _bits,
+    _mask,
     _rooted_key,
     _search,
     _search_steps,
@@ -130,23 +131,21 @@ def count_msa_copies(S: FiniteStructure, A: Iterable[int], t: MsaType) -> CopyCo
     """
     if t.pattern.signature != S.signature:
         raise InputError("the type's signature differs from the structure's")
-    a_set = S.subset(A)
-    ext = sorted(t.new_points)
-    if len(ext) > DEFAULT_EXT_CAP:
-        raise CapacityError("msa copy search", DEFAULT_EXT_CAP, len(ext))
-    a_mask = S.mask_of(a_set)
+    a_mask = S.mask_of(S.subset(A))
+    if len(t.new_points) > DEFAULT_EXT_CAP:
+        raise CapacityError("msa copy search", DEFAULT_EXT_CAP, len(t.new_points))
     base = t.pattern.induced(t.base)
     placements = _search(S, base, {}, _ascending_steps(base), within=[a_mask] * len(t.base))
     placed = t.pattern.mask_of(t.base)
-    steps = _search_steps(t.pattern, placed,
-                          [(i, True) for i in _bits(t.pattern.full_mask() & ~placed)])
+    base_positions, ext = list(_bits(placed)), list(_bits(t.pattern.full_mask() & ~placed))
+    steps = _search_steps(t.pattern, placed, [(i, True) for i in ext])
     through = S.bit_index().through
     copies: set[int] = set()
-    for base_phi in placements:
-        rest = a_mask & ~S.mask_of(base_phi.values())
-        for phi in _search(S, t.pattern, base_phi, steps,
+    for key in placements:
+        rest = a_mask & ~_mask(key)
+        for emb in _search(S, t.pattern, dict(zip(base_positions, key)), steps,
                            keep=lambda img: img & rest == 0):  # new points outside A
-            new = S.mask_of(phi[v] for v in ext)
+            new = _mask(emb[i] for i in ext)
             scope = a_mask | new
             if not any(m & rest and m & ~scope == 0 for i in _bits(new) for _, m in through[i]):
                 copies.add(new)

@@ -283,7 +283,9 @@ class FiniteStructure:
         return FiniteStructure(self.signature, keep, inst, parts)
 
     def relabel(self, mapping: Mapping[int, int]) -> "FiniteStructure":
-        if len(set(mapping.values())) != len(self.vertices):
+        """This structure with each vertex v renamed ``mapping[v]``; the keys
+        must be exactly the vertices and the values distinct."""
+        if set(mapping) != set(self.vertices) or len(set(mapping.values())) != len(mapping):
             raise InputError("relabeling must be injective and total")
         inst = {
             name: [[mapping[v] for v in t] for t in tups]
@@ -427,6 +429,11 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _mask(positions: Iterable[int]) -> int:
+    """The mask with the given positions set; the inverse of :func:`_bits`."""
+    return sum(1 << i for i in positions)
+
+
 def _submasks(mask: int) -> Iterator[int]:
     """The submasks of mask, ascending from 0 to mask."""
     sub = 0
@@ -469,53 +476,50 @@ def _ascending_steps(pattern: FiniteStructure, placed: int = 0) -> tuple[tuple, 
 def _search(
     S: FiniteStructure,
     pattern: FiniteStructure,
-    partial: dict[int, int],
+    partial: Mapping[int, int],
     steps: Sequence[tuple],
     keep: Optional[Callable[[int], bool]] = None,
     within: Optional[Sequence[int]] = None,
     after: Optional[Sequence[int]] = None,
     upto: Optional[Sequence[int]] = None,
-) -> Iterator[dict[int, int]]:
+) -> Iterator[tuple[int, ...]]:
     """Induced embeddings of pattern into S extending ``partial``, placing
     the positions of the compiled ``steps`` (see :func:`_search_steps`) in
     their order, each over ascending candidates.
 
-    ``partial`` must be an induced embedding of the pattern positions
-    placed before the first step: it maps the pattern's instances among its
-    vertices onto exactly the S instances among their images, and respects
-    part labels.  It is not checked.  With :func:`_ascending_steps` the
-    embeddings come in ascending order of their key, the S ids of the
-    pattern vertices in order.  After a placement whose step is flagged,
-    the image so far, as a mask of S positions, goes to ``keep``; a False
-    drops every embedding through it.  ``within`` gives, per pattern
+    Everything is in vertex positions.  ``partial`` maps pattern positions
+    to S positions, and each embedding comes as its key: the tuple of S
+    positions by pattern position.  Vertices are sorted, so position order
+    is id order.  ``partial`` must be an induced embedding of the pattern
+    positions placed before the first step: it maps the pattern's instances
+    among them onto exactly the S instances among their images, and
+    respects part labels.  It is not checked.  With :func:`_ascending_steps`
+    the keys come in ascending order.  After a placement whose step is
+    flagged, the image so far, as a mask of S positions, goes to ``keep``;
+    a False drops every embedding through it.  ``within`` gives, per pattern
     position, a mask of the S positions the search may place it on.  With
     ascending steps, ``after`` and ``upto`` bound the key: only keys above
-    ``after`` and not above ``upto`` come, and a candidate is cut as soon
-    as the placed prefix of its key falls outside them.
+    ``after`` and not above ``upto`` come, and a candidate is cut as soon as
+    the placed prefix of its key falls outside them.
 
-    The search runs on vertex positions and the two structures' bitmask
-    indexes: the candidates of an anchored vertex are the AND of the
-    co-instance masks of its placed neighbours' images, the others range
-    over all of S, and the image is masked out of both.  Consistency is
-    kept incrementally: every pattern instance a placement completes must
-    be an instance of S, and the S instances through the new image vertex
-    inside the image must be exactly as many, so they are the images of
-    those (the embedding is induced).  A candidate with no co-instance
-    neighbour in the image lies in no such S instance, so its count is 0
-    without a scan.
+    The search runs on the two structures' bitmask indexes: the candidates
+    of an anchored vertex are the AND of the co-instance masks of its placed
+    neighbours' images, the others range over all of S, and the image is
+    masked out of both.  Consistency is kept incrementally: every pattern
+    instance a placement completes must be an instance of S, and the S
+    instances through the new image vertex inside the image must be exactly
+    as many, so they are the images of those (the embedding is induced).  A
+    candidate with no co-instance neighbour in the image lies in no such S
+    instance, so its count is 0 without a scan.
     """
     sx = S.bit_index()
     pverts, sverts = pattern.vertices, S.vertices
     pparts = [pattern.parts[v] for v in pverts] if pattern.parts else None
     phi = [-1] * len(pverts)  # pattern position -> S position
-    for v, w in partial.items():
-        phi[pverts.index(v)] = S.mask_of((w,)).bit_length() - 1
-    img, full = S.mask_of(partial.values()), S.full_mask()
-
-    def positions(key):
-        return None if key is None else [S.mask_of((w,)).bit_length() - 1 for w in key]
-
-    after, upto = positions(after), positions(upto)
+    for i, w in partial.items():
+        phi[i] = w
+    img, full = _mask(partial.values()), S.full_mask()
+    after, upto = (None if key is None else list(key) for key in (after, upto))
 
     def image_of(m: int) -> int:
         out = 0
@@ -526,7 +530,7 @@ def _search(
     def consistent(fresh) -> bool:
         return all((name, image_of(m)) in sx.pairs for name, m in fresh)
 
-    def rec(k: int, img: int) -> Iterator[dict[int, int]]:
+    def rec(k: int, img: int) -> Iterator[tuple[int, ...]]:
         # the key prefix up to the next placement is known (the default
         # order places ascending); outside the bounds' prefixes, no
         # completion fits, and on one of them the next position is bounded
@@ -543,12 +547,8 @@ def _search(
                     return
                 high = prefix == upto[:head]
         if k == len(steps):
-            if low:  # the key equals ``after``
-                return
-            out = dict(partial)
-            for i, _, _, _ in steps:
-                out[pverts[i]] = sverts[phi[i]]
-            yield out
+            if not low:  # the key equals ``after``
+                yield tuple(phi)
             return
         i, anchors, fresh, check = steps[k]
         pool = full if within is None else within[i] & full

@@ -670,14 +670,13 @@ def submodularity_suite(
 def axioms_suite(
     size_cap: int = 2,
     lemma43_cap: int = 4,
-    seed: int = 0,
     negative_control: bool = False,
 ) -> VerificationReport:
     rep = VerificationReport(suite="axioms")
     sig = graph_signature(2, 1)
     approximants = [
-        ("approx-12", build_generic(BuildConfig(sig, C0, 3, 6, seed=seed)).structure),
-        ("approx-9", build_generic(BuildConfig(sig, C0, 2, 5, seed=seed)).structure),
+        ("approx-12", build_generic(BuildConfig(sig, C0, 3, 6)).structure),
+        ("approx-9", build_generic(BuildConfig(sig, C0, 2, 5)).structure),
     ]
     for label, S in approximants:
         sub = axiom_suite(S, size_cap=size_cap)

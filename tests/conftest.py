@@ -426,16 +426,18 @@ def brute_embeddings(S, pattern, partial):
     yield from rec(dict(partial), mapped0, todo)
 
 
-def brute_realized(S, task, base_phi):
+def brute_realized(S, task, key):
     """Oracle for ``builder._realized``: the search without the prefix cut.
 
-    Every induced copy of the extension over the embedded base, in ascending
-    placement order, until one has an image that the exact engine finds
-    d-closed in S (control-function class) or self-sufficient (otherwise).
+    Every induced copy of the extension over the embedded base with the key
+    ``key`` (S positions), in ascending placement order, until one has an
+    image that the exact engine finds d-closed in S (control-function class)
+    or self-sufficient (otherwise).
     """
-    for phi in _search(S, task.ext, base_phi,
-                       _ascending_steps(task.ext, task.ext.mask_of(base_phi))):
-        image = frozenset(phi.values())
+    base = sorted(task.ext.vertices.index(v) for v in task.base_ids)
+    for phi in _search(S, task.ext, dict(zip(base, key)),
+                       _ascending_steps(task.ext, task.ext.mask_of(task.base_ids))):
+        image = [S.vertices[w] for w in phi]
         if is_d_closed(S, image) if task.tag == CF else self_sufficient(S, image)[0]:
             return True
     return False
@@ -463,19 +465,20 @@ def brute_build_generic(config):
             if steps >= config.budget:
                 break
             bases = builder._base_embeddings(S, task, memo)
-            for phi in itertools.islice(bases, builder.SCAN_WINDOW):
-                key = (ti, tuple(phi[v] for v in sorted(phi)))
-                if key in done:
+            for key in itertools.islice(bases, builder.SCAN_WINDOW):
+                if (ti, key) in done:
                     continue
-                done.add(key)
-                if builder._realized(S, task, phi, memo):
+                done.add((ti, key))
+                if builder._realized(S, task, key, memo):
                     continue
-                S, copy_image = builder._amalgamate(S, task, phi)
+                prev = S
+                S, copy_image = builder._amalgamate(S, task, key)
                 memo[copy_image] = True
                 steps += 1
                 progressed = True
+                embedding = sorted(zip(task.base_pattern.vertices, (prev.vertices[w] for w in key)))
                 log.steps.append({"step": steps, "task": ti, "task_key": str(task.key),
-                                  "embedding": sorted(phi.items()), "size": len(S.vertices)})
+                                  "embedding": embedding, "size": len(S.vertices)})
                 break
         if not progressed:
             break
@@ -540,7 +543,7 @@ def brute_enumerate_tasks(patterns, tag):
         for bsize in range(0, len(verts)):
             for combo in itertools.combinations(verts, bsize):
                 base = frozenset(combo)
-                if not builder._is_strong(ext, base, tag):
+                if not builder._is_strong(ext, ext.mask_of(base), tag):
                     continue
                 colors = {v: int(v in base) + (2 if ext.parts and ext.parts[v] == LINE else 0)
                           for v in verts}

@@ -1,12 +1,15 @@
 import ast
 import collections
+import contextlib
 import copy
 import dataclasses
 import functools
 import importlib.util
+import io
 import itertools
 from fractions import Fraction
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +38,8 @@ from predimlab import (
     self_sufficient,
 )
 from predimlab import builder, structures
+from predimlab.cli import main
+from predimlab.extensions import MsaType, count_msa_copies
 from predimlab.builder import (
     C0,
     CF,
@@ -47,7 +52,7 @@ from predimlab.builder import (
 )
 from predimlab.errors import InputError, InternalError
 from predimlab.reports import FAIL, PASS
-from predimlab.structures import LINE, POINT, _ascending_steps, _bits, _search
+from predimlab.structures import LINE, POINT, _ascending_steps, _bits, _search, load_structure
 
 from conftest import (
     CHAIN_SIGNATURES,
@@ -215,9 +220,9 @@ def test_seed0_budget40_build_asks_few_strongness_queries(monkeypatch):
     calls = []
     real = builder._is_strong
 
-    def counting(S, ids, tag):
+    def counting(S, mask, tag):
         calls.append(tag)
-        return real(S, ids, tag)
+        return real(S, mask, tag)
 
     monkeypatch.setattr(builder, "_is_strong", counting)
     res = build_generic(BuildConfig(SIG, C0, max_pattern=4, budget=40, seed=0))
@@ -240,7 +245,7 @@ def test_a_refresh_that_lets_nothing_in_leaves_the_window_as_it_was(monkeypatch)
                 not before.keys and not before.complete):
             return
         # the window its docstring promises, read from scratch
-        good = [builder._key(phi) for phi in builder._base_embeddings(S, task, dict(memo))]
+        good = list(builder._base_embeddings(S, task, dict(memo)))
         want = good if win.complete else [k for k in good if k <= win.keys[-1]]
         assert win.keys == want[:builder.SCAN_WINDOW]
         if win.keys == before.keys:
@@ -314,7 +319,7 @@ def test_a_polygon_step_must_be_d_closed():
                         {0: POINT, 1: LINE, 2: POINT})
     ext = FiniteStructure(sigp, [0, 1], {"adj": [(0, 1)]}, {0: POINT, 1: LINE})
     task = ExtensionTask(ext, frozenset({0}), KN)
-    out, _ = _amalgamate(S, task, {0: 0})
+    out, _ = _amalgamate(S, task, (0,))
     assert is_d_closed(out, S.vertices)
     real = FiniteStructure.with_added
 
@@ -328,7 +333,7 @@ def test_a_polygon_step_must_be_d_closed():
         bad = FiniteStructure.with_added(S, [3], {"adj": [(0, 3)]}, {3: LINE})
         assert self_sufficient(bad, S.vertices)[0] and not is_d_closed(bad, S.vertices)
         with pytest.raises(InternalError, match="chain property broken"):
-            _amalgamate(S, task, {0: 0})
+            _amalgamate(S, task, (0,))
 
 
 def _live_structures_after_build(budget):
@@ -450,14 +455,25 @@ def embedding_cases(draw):
     return S, pattern, {v: phi[v] for v in keep}
 
 
+def _search_by_ids(S, pattern, partial, **bounds):
+    """``_search`` with ids at the boundary: ``partial`` maps pattern ids to
+    S ids, and each embedding comes back as such a dict."""
+    ppos = {v: i for i, v in enumerate(pattern.vertices)}
+    spos = {w: i for i, w in enumerate(S.vertices)}
+    for name in ("after", "upto"):
+        if bounds.get(name) is not None:
+            bounds[name] = tuple(spos[w] for w in bounds[name])
+    steps = _ascending_steps(pattern, pattern.mask_of(partial))
+    for key in _search(S, pattern, {ppos[v]: spos[w] for v, w in partial.items()},
+                       steps, **bounds):
+        yield dict(zip(pattern.vertices, (S.vertices[w] for w in key)))
+
+
 @given(embedding_cases())
 @settings(max_examples=150, deadline=None)
 def test_embedding_search_matches_the_set_based_oracle(case):
     S, pattern, partial = case
-    steps = _ascending_steps(pattern, pattern.mask_of(partial))
-    got = [list(phi.items()) for phi in _search(S, pattern, partial, steps)]
-    want = [list(phi.items()) for phi in brute_embeddings(S, pattern, partial)]
-    assert got == want
+    assert list(_search_by_ids(S, pattern, partial)) == list(brute_embeddings(S, pattern, partial))
 
 
 @given(embedding_cases(), st.data())
@@ -478,9 +494,8 @@ def test_key_bounds_and_position_masks_filter_the_oracle(case, data):
             if (after is None or k > after) and (upto is None or k <= upto)
             and (within is None or all(S.mask_of((w,)) & m for w, m in zip(k, within)
                                        if w not in partial.values()))]
-    steps = _ascending_steps(pattern, pattern.mask_of(partial))
-    got = [key(phi) for phi in _search(S, pattern, partial, steps, within=within,
-                                       after=after, upto=upto)]
+    got = [key(phi) for phi in _search_by_ids(S, pattern, partial, within=within,
+                                              after=after, upto=upto)]
     assert got == want
 
 
@@ -500,9 +515,9 @@ def test_chain_check_matches_the_exact_engine(chain):
 
 @pytest.mark.parametrize("tag,edges,base,phi", [
     # C0: the new vertex hangs on two base vertices (delta 0 over the path)
-    (C0, [(0, 1), (1, 2)], {0, 2}, {0: 0, 2: 2}),
+    (C0, [(0, 1), (1, 2)], {0, 2}, (0, 2)),
     # CF: the new vertex hangs on one base vertex (delta 1 over the path)
-    (CF, [(0, 1)], {0}, {0: 0}),
+    (CF, [(0, 1)], {0}, (0,)),
 ])
 def test_amalgam_with_an_injected_instance_breaks_the_chain(monkeypatch, tag, edges, base, phi):
     S = graph([(0, 1), (1, 2), (2, 3)])
@@ -637,8 +652,8 @@ def _planting_at(monkeypatch, step, plant):
     real = builder._amalgamate
     made = []
 
-    def planting(S, task, phi):
-        out, image = real(S, task, phi)
+    def planting(S, task, key):
+        out, image = real(S, task, key)
         if len(made) + 1 == step:
             out = plant(S, out)
         made.append(out)
@@ -773,7 +788,8 @@ def _oracle_tasks(sig, tag):
 @st.composite
 def realized_cases(draw):
     """(S, tasks): the structure of a short build chain, with a few extra
-    instances among its vertices that break some copies, and drawn tasks."""
+    instances among its vertices that break some copies, and drawn tasks.
+    S's vertex ids are spread out, so no id is its position."""
     sig, tag = draw(st.sampled_from(REALIZED_SETUPS))
     config = BuildConfig(
         sig, tag, max_pattern=draw(st.integers(min_value=2, max_value=3)),
@@ -791,7 +807,9 @@ def realized_cases(draw):
             extra.setdefault(name, []).append(t)
     tasks = _oracle_tasks(sig, tag)
     picked = draw(st.lists(st.sampled_from(range(len(tasks))), min_size=1, max_size=4, unique=True))
-    return S.with_added([], extra), [tasks[i] for i in picked]
+    stride = draw(st.integers(min_value=1, max_value=3))
+    S = S.with_added([], extra)
+    return S.relabel({v: stride * v + 1 for v in S.vertices}), [tasks[i] for i in picked]
 
 
 @given(realized_cases())
@@ -801,8 +819,8 @@ def test_prefix_cut_keeps_the_verdict_of_the_uncut_search(case):
     memo = {}  # one chain memo across tasks and bases, as in a build
     for task in tasks:
         # every embedded base, strong in S or not: the cut never relies on it
-        for phi in itertools.islice(_search(S, task.base_pattern, {}, task.base_steps), 6):
-            assert _realized(S, task, phi, memo) == brute_realized(S, task, phi)
+        for key in itertools.islice(_search(S, task.base_pattern, {}, task.base_steps), 6):
+            assert _realized(S, task, key, memo) == brute_realized(S, task, key)
 
 
 def test_a_build_compiles_each_task_search_steps_at_most_twice(monkeypatch):
@@ -833,9 +851,9 @@ def test_prefix_cut_decides_an_impossible_task_with_few_checks(monkeypatch):
     task = ExtensionTask(graph([(0, 1), (0, 2), (1, 2)], vertices=[0, 1, 2, 3]),
                          frozenset({0}), C0)
     assert task.search_plan == ((1, True), (2, True), (3, True))
-    phi = {0: 1}
-    steps = _ascending_steps(task.ext, task.ext.mask_of(phi))
-    uncut = sum(1 for _ in _search(S, task.ext, phi, steps))  # one check per image
+    key = (1,)  # the base on S position 1, which is vertex 1
+    steps = _ascending_steps(task.ext, task.ext.mask_of(task.base_ids))
+    uncut = sum(1 for _ in _search(S, task.ext, {0: 1}, steps))  # one check per image
     checked = []
     real = builder._strong
 
@@ -844,8 +862,60 @@ def test_prefix_cut_decides_an_impossible_task_with_few_checks(monkeypatch):
         return real(S, image, tag, memo)
 
     monkeypatch.setattr(builder, "_strong", counting)
-    assert not _realized(S, task, phi, {})
-    assert not brute_realized(S, task, phi)
+    assert not _realized(S, task, key, {})
+    assert not brute_realized(S, task, key)
     # the cut asks once per image of the edge {0, 1}, never for a whole image
     assert uncut == 62
-    assert sorted(map(sorted, checked)) == [[0, 1], [1, 2], [1, 3]]
+    assert sorted(sorted(S.ids_of(image)) for image in checked) == [[0, 1], [1, 2], [1, 3]]
+
+
+def _renamed(v):
+    return 3 * v + 1000
+
+
+def _renamed_build(tmp_path, klass):
+    """A seed-0 max-pattern-3 budget-40 build file, and a copy with its ids
+    renamed by ``_renamed``, which keeps their order, so no position moves,
+    and its lines after the header shuffled."""
+    built, renamed = tmp_path / "built.pdl", tmp_path / "renamed.pdl"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["build", "--class", klass, "--max-pattern", "3", "--budget", "40",
+                     "--seed", "0", "--out", str(built)]) == 0
+    ids = {"vertices": slice(0, None), "instance": slice(1, None), "part": slice(0, 1)}
+    head, *body = built.read_text().splitlines()
+    lines = []
+    for line in body:
+        kind, *fields = line.split()
+        if kind in ids:
+            fields[ids[kind]] = [str(_renamed(int(v))) for v in fields[ids[kind]]]
+        lines.append(" ".join([kind, *fields]))
+    random.Random(0).shuffle(lines)
+    renamed.write_text("\n".join([head, *lines]) + "\n")
+    S, T = (load_structure(f.read_text())[0] for f in (built, renamed))
+    assert T == S.relabel({v: _renamed(v) for v in S.vertices})
+    return built, renamed, S, T
+
+
+@pytest.mark.parametrize("klass", [C0, KN])
+def test_vertex_ids_that_are_not_positions_change_no_audit(tmp_path, klass):
+    # a max-pattern-4 audit of a max-pattern-3 build finds unrealized bases
+    built, renamed, S, T = _renamed_build(tmp_path, klass)
+    audit = ["--class", klass, "--max-pattern", "4", "--max-base", "2"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert [main(["audit", str(f), *audit]) for f in (built, renamed)] == [1, 1]
+    patterns = enumerate_class(S.signature, klass, 4, ngon=3 if klass == KN else None)
+    tasks = [t for t in enumerate_tasks(patterns, klass)[0] if len(t.base_ids) <= 2]
+    entries = audit_extension_property(S, tasks).entries
+    assert any(e.realized < e.embeddings_checked for e in entries)
+    assert audit_extension_property(T, tasks).entries == entries
+
+
+def test_vertex_ids_that_are_not_positions_change_no_copy(tmp_path):
+    _, _, S, T = _renamed_build(tmp_path, "c0")
+    # a new vertex on two base vertices, over the first ten vertices
+    t = MsaType(graph([(0, 2), (1, 2)]), frozenset({0, 1}))
+    got = count_msa_copies(S, S.vertices[:10], t)
+    assert got.count > 1
+    want = count_msa_copies(T, [_renamed(v) for v in S.vertices[:10]], t)
+    assert (want.count, want.disjoint_over_base) == (got.count, got.disjoint_over_base)
+    assert set(want.copies) == {frozenset(map(_renamed, c)) for c in got.copies}

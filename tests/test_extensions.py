@@ -168,8 +168,11 @@ def test_msa_bound_on_seeded_amalgams():
 @st.composite
 def copy_cases(draw):
     """(S, A, type): an msa pair of S as the type, or any rooted
-    substructure of S; A holds the base or is any subset."""
+    substructure of S; A holds the base or is any subset.  S's vertex ids
+    are spread out, so no id is its position."""
     S = draw(small_structures(max_n=7))
+    stride = draw(st.integers(min_value=1, max_value=3))
+    S = S.relabel({v: stride * v + 1 for v in S.vertices})
     pairs = list(enumerate_msa_pairs(S, max_new=3))
     if pairs and draw(st.booleans()):
         Z, W = draw(st.sampled_from(pairs))

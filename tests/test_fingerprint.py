@@ -83,5 +83,5 @@ def test_seed0_audit_matches_the_uncut_search(seed0_build, monkeypatch):
     got = audit_extension_property(S, tasks).entries
     assert any(e.realized < e.embeddings_checked for e in got)
     monkeypatch.setattr(builder, "_realized",
-                        lambda S, task, base_phi, memo: brute_realized(S, task, base_phi))
+                        lambda S, task, key, memo: brute_realized(S, task, key))
     assert audit_extension_property(S, tasks).entries == got

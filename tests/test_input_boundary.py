@@ -171,6 +171,28 @@ OTHER_SIGNATURE_TYPES = {
 }
 
 
+# Type files that are not msa over their base: once a count and exit 0.
+NOT_MSA_TYPES = {
+    "base-is-everything": (graph([], vertices=[0]), [0]),
+    "not-simply-algebraic": (graph([(0, 1)]), [0]),  # delta(1/0) = 1
+    # simply algebraic, but base point 1 is on no instance
+    "a-base-point-unattached": (
+        graph(list(itertools.combinations([0, 2, 3, 4], 2)), vertices=range(5)), [0, 1]),
+}
+
+
+@pytest.mark.parametrize("pattern,base", NOT_MSA_TYPES.values(), ids=NOT_MSA_TYPES.keys())
+def test_cli_mult_rejects_a_type_that_is_not_msa(tmp_path, capsys, pattern, base):
+    amb, typefile = tmp_path / "amb.pdl", tmp_path / "type.pdl"
+    amb.write_text(dump_structure(graph([(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])))
+    typefile.write_text(dump_structure(pattern, base_ids=base))
+    assert main(["mult", str(amb), "--over", "0,1", "--type", str(typefile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "not minimally simply algebraic" in captured.err
+
+
 @pytest.mark.parametrize("pattern", OTHER_SIGNATURE_TYPES.values(),
                          ids=OTHER_SIGNATURE_TYPES.keys())
 def test_cli_mult_rejects_a_type_from_another_signature(tmp_path, capsys, pattern):

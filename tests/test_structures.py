@@ -284,6 +284,20 @@ def test_loader_rejects_same_part_edge():
         load_structure(text)
 
 
+@pytest.mark.parametrize("mapping", [
+    {0: 10, 1: 11, 7: 12},  # vertex 2 left out, 7 not a vertex
+    {0: 10, 2: 12, 7: 11},  # vertex 1 left out
+    {0: 10, 1: 11},  # vertex 2 left out
+    {0: 10, 1: 11, 2: 11},  # two vertices on one id
+    {0: 10, 1: 11, 2: 12, 3: 13},  # 3 not a vertex
+])
+def test_relabel_takes_only_a_bijection_of_the_vertex_set(mapping):
+    S = graph([(0, 1)], vertices=[0, 1, 2])
+    with pytest.raises(InputError, match="injective and total"):
+        S.relabel(mapping)
+    assert S.relabel({0: 10, 1: 11, 2: 12}) == graph([(10, 11)], vertices=[10, 11, 12])
+
+
 def test_derived_structures_of_an_empty_bipartite_structure():
     empty = FiniteStructure(polygon_signature(3), [], {}, {})
     assert empty.induced([]) == empty
