@@ -50,7 +50,7 @@ def pinned_config(tag: str, budget: int) -> BuildConfig:
     """The seed-0 build whose log digest ``PINNED[tag][budget]`` pins."""
     if tag == C0:
         return BuildConfig(graph_signature(2, 1), C0, max_pattern=4, budget=budget, seed=0)
-    return BuildConfig(polygon_signature(3), KN, max_pattern=4, budget=budget, seed=0, ngon=3)
+    return BuildConfig(polygon_signature(3), KN, max_pattern=4, budget=budget, seed=0)
 
 
 def counted_build(config: BuildConfig):

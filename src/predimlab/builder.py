@@ -74,16 +74,14 @@ DEFAULT_CAP_PER_TASK = 4
 
 
 def _in_class(
-    S: FiniteStructure,
-    tag: str,
-    control: Optional[ControlFunction],
-    ngon: Optional[int],
+    S: FiniteStructure, tag: str, control: Optional[ControlFunction]
 ) -> MembershipResult:
+    """S's membership in the class ``tag``; kn reads its n from S's signature."""
     if tag == C0:
         return in_C0(S)
     if tag == CF:
         return in_Cf(S, control)
-    return in_Kn(S, ngon)
+    return in_Kn(S)
 
 
 def enumerate_class(
@@ -91,21 +89,19 @@ def enumerate_class(
     tag: str,
     max_size: int,
     control: Optional[ControlFunction] = None,
-    ngon: Optional[int] = None,
 ) -> list[FiniteStructure]:
     """All isomorphism types in the class up to ``max_size``, canonically ordered.
 
     Grown by vertex augmentation, which is complete because the classes are
-    hereditary; every emitted structure is certified in-class.
+    hereditary; every emitted structure is certified in-class.  For kn the
+    signature fixes n (:func:`in_Kn`).
     """
     if tag not in (C0, CF, KN):
         raise InputError(f"unknown class tag {tag!r}")
     if tag == CF and control is None:
         raise InputError("cf enumeration needs a control function")
-    if tag == KN and ngon is None:
-        raise InputError("kn enumeration needs an ngon")
     return _isomorph_free_types(
-        signature, max_size, lambda S: _in_class(S, tag, control, ngon).verdict != FAIL
+        signature, max_size, lambda S: _in_class(S, tag, control).verdict != FAIL
     )
 
 
@@ -298,14 +294,14 @@ def enumerate_tasks(
 
 @dataclass(frozen=True)
 class BuildConfig:
-    """One chain build; it draws no random number, and ``seed`` only labels its log."""
+    """One chain build; it draws no random number, and ``seed`` only labels its log.
+    A kn build's n is the one its signature fixes (:func:`in_Kn`)."""
     signature: Signature
     tag: str
     max_pattern: int
     budget: int
     seed: int = 0
     control: Optional[ControlFunction] = None
-    ngon: Optional[int] = None
 
     def __post_init__(self):
         if self.budget < 0 or self.max_pattern < 0:
@@ -527,9 +523,7 @@ def build_generic(config: BuildConfig) -> BuildResult:
     the last one.  A FAIL raises ``InternalError`` naming the first step
     whose structure holds the witness, which already leaves the class.
     """
-    patterns = enumerate_class(
-        config.signature, config.tag, config.max_pattern, config.control, config.ngon
-    )
+    patterns = enumerate_class(config.signature, config.tag, config.max_pattern, config.control)
     tasks, skipped = enumerate_tasks(patterns, config.tag)
     bipartite = config.signature.mode == BIPARTITE
     S = FiniteStructure(config.signature, [], {}, {} if bipartite else None)
@@ -570,7 +564,7 @@ def build_generic(config: BuildConfig) -> BuildResult:
         if not progressed:
             break
     if not certified:
-        r = _in_class(S, config.tag, config.control, config.ngon)
+        r = _in_class(S, config.tag, config.control)
         if r.verdict == FAIL:
             top = max(r.witness)
             step = next(e["step"] for e in log.steps if e["size"] > top)
@@ -684,10 +678,11 @@ def _config_key(config: BuildConfig) -> str:
     sig = config.signature
     rels = ",".join(f"{r.name}:{r.arity}:{r.weight}" for r in sig.relations)
     ctrl = f"{config.control.name}:{config.control.n}" if config.control else "-"
+    ngon = sig.vertex_weight + 1 if config.tag == KN else None
     return (
         f"tag={config.tag};n={sig.vertex_weight};rels={rels};mode={sig.mode};"
         f"max={config.max_pattern};budget={config.budget};seed={config.seed};"
-        f"f={ctrl};ngon={config.ngon}"
+        f"f={ctrl};ngon={ngon}"
     )
 
 
@@ -706,14 +701,9 @@ class AuditEntry:
 class AuditReport:
     entries: list[AuditEntry]
 
-    def ratio(self, max_base: Optional[int] = None) -> float:
-        tot = rea = 0
-        for e in self.entries:
-            if max_base is not None and e.base_size > max_base:
-                continue
-            tot += e.embeddings_checked
-            rea += e.realized
-        return 1.0 if tot == 0 else rea / tot
+    def ratio(self) -> float:
+        tot = sum(e.embeddings_checked for e in self.entries)
+        return 1.0 if tot == 0 else sum(e.realized for e in self.entries) / tot
 
 
 def audit_extension_property(

@@ -328,15 +328,19 @@ def _simple_cycles_longer_than(
     return cycles, True
 
 
-def in_Kn(S: FiniteStructure, ngon: int) -> MembershipResult:
-    """Generalized-polygon class: girth and long-cycle predimension conditions.
+def in_Kn(S: FiniteStructure) -> MembershipResult:
+    """Generalized-polygon class K_n: girth and long-cycle predimension conditions.
 
-    The structure must be in bipartite mode, so its one relation is binary.
+    n comes from the signature, which must be that of ``polygon_signature(n)``
+    up to the relation's name: bipartite mode, vertex weight n-1 and edge
+    weight n-2, with n >= 3.  Any other signature raises ``InputError``.
     """
-    if ngon < 3:
-        raise InputError(f"ngon must be >= 3, got {ngon}")
-    if S.signature.mode != BIPARTITE:
-        raise InputError("Kn membership needs a bipartite-mode structure")
+    sig = S.signature
+    ngon = sig.vertex_weight + 1
+    if sig.mode != BIPARTITE or ngon < 3 or sig.relations[0].weight != ngon - 2:
+        raise InputError(
+            f"Kn needs a bipartite signature with weights (n-1, n-2) for some n >= 3, "
+            f"got {sig.mode} with ({sig.vertex_weight}, {sig.relations[0].weight})")
     c0 = in_C0(S)
     if not c0.holds:
         return MembershipResult(FAIL, witness=c0.witness, margin=c0.margin,

@@ -103,7 +103,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[structure, report], help="class membership with witness")
     p.add_argument("--class", dest="klass", choices=["c0", "cf", "kn"], required=True)
-    p.add_argument("--ngon", type=int, default=3)
     p.add_argument("--f", default="harmonic", help="control family (harmonic, half-harmonic)")
     p.add_argument("--samples", type=_count(0), default=1000)
     p.add_argument("--seed", type=int, default=0)
@@ -172,7 +171,6 @@ def _parser() -> argparse.ArgumentParser:
                        help="extension-property audit of a structure")
     p.add_argument("--class", dest="klass", choices=["c0", "cf", "kn"], default="c0")
     p.add_argument("--f", default="harmonic")
-    p.add_argument("--ngon", type=int, default=3)
     p.add_argument("--max-pattern", type=_count(0), default=3)
     p.add_argument("--max-base", type=_count(0), default=1)
     p.add_argument("--cap-per-task", type=_count(1), default=DEFAULT_CAP_PER_TASK)
@@ -268,7 +266,7 @@ def _dispatch(args) -> int:
             f = make_control(args.f, S.signature.vertex_weight)
             res = in_Cf(S, f, samples=args.samples, seed=args.seed)
         else:
-            res = in_Kn(S, args.ngon)
+            res = in_Kn(S)
         rep = VerificationReport(suite=f"check-{args.klass}")
         rep.add(
             f"{args.klass}-membership",
@@ -366,7 +364,6 @@ def _dispatch(args) -> int:
             budget=args.budget,
             seed=args.seed,
             control=make_control(args.f, args.n) if args.klass == "cf" else None,
-            ngon=args.ngon if args.klass == "kn" else None,
         )
         res = build_generic(cfg)
         _write(dump_structure(res.structure), args.out)
@@ -383,10 +380,7 @@ def _dispatch(args) -> int:
 
     if cmd == "audit":
         control = make_control(args.f, S.signature.vertex_weight) if args.klass == "cf" else None
-        patterns = enumerate_class(
-            S.signature, args.klass, args.max_pattern, control,
-            args.ngon if args.klass == "kn" else None,
-        )
+        patterns = enumerate_class(S.signature, args.klass, args.max_pattern, control)
         tasks, _ = enumerate_tasks(patterns, args.klass)
         tasks = [t for t in tasks if len(t.base_ids) <= args.max_base]
         audit = audit_extension_property(S, tasks, cap_per_task=args.cap_per_task)

@@ -561,18 +561,26 @@ def msa_bound_suite(
 # -- submodularity and closure oracles -------------------------------------------------
 
 
-def _first_exhaustive_failure(graphs: list) -> tuple | None:
-    """(G, A, B) for the first graph of ``graphs`` whose delta table is not
-    submodular, where A = X|i and B = X|j for the first violation (X, i, j)
-    of its table (:func:`independence._monotone_submodular`), so that
-    delta(A|B) + delta(A&B) > delta(A) + delta(B); None when every table is
-    submodular."""
-    for G in graphs:
-        step = _monotone_submodular(delta_table(G), monotone=False)
-        if step is not None:
-            x, i, j = step
-            return G, x | 1 << i, x | 1 << j
-    return None
+def _submodularity_witness(G: FiniteStructure, dt) -> str | None:
+    """A replayable witness that ``dt``, G's delta table as checked, is not
+    submodular: A = X|i and B = X|j by vertex id for its first violation (X, i,
+    j) (:func:`independence._monotone_submodular`), G's vertices and edges, and
+    the two sums of delta(A|B) + delta(A&B) <= delta(A) + delta(B) from ``dt``."""
+    step = _monotone_submodular(dt, monotone=False)
+    if step is None:
+        return None
+    x, i, j = step
+    a, b = x | 1 << i, x | 1 << j
+    return (f"A={subset_witness(G.ids_of(a))} B={subset_witness(G.ids_of(b))} "
+            f"in graph on {subset_witness(G.vertices)} with edges {list(G.instances['R'])}: "
+            f"delta(A|B) + delta(A&B) = {dt[a | b] + dt[a & b]} > {dt[a] + dt[b]} "
+            f"= delta(A) + delta(B)")
+
+
+def _first_exhaustive_failure(graphs: list) -> str | None:
+    """The witness of the first graph of ``graphs`` whose delta table is not
+    submodular; None when every table is."""
+    return next(filter(None, (_submodularity_witness(G, delta_table(G)) for G in graphs)), None)
 
 
 def submodularity_suite(
@@ -600,8 +608,7 @@ def submodularity_suite(
     """
     rep = VerificationReport(suite="submodularity")
     graphs = _isomorph_free_types(graph_signature(2, 1), max_n, lambda G: True)
-    bad = _first_exhaustive_failure(graphs)
-    witness = None if bad is None else f"A={bad[1]:b} B={bad[2]:b} in {bad[0]}"
+    witness = _first_exhaustive_failure(graphs)
     rep.check(
         "submodularity-exhaustive",
         witness,
@@ -611,12 +618,12 @@ def submodularity_suite(
         "restriction-exhaustive",
         witness,
         note="strong subsets restrict to every subset of their ambient"
-        if bad is None else "delta table not submodular",
+        if witness is None else "delta table not submodular",
     )
     rep.check(
         "transitivity-exhaustive",
         witness,
-        note="" if bad is None else "delta table not submodular",
+        note="" if witness is None else "delta table not submodular",
     )
 
     rng = random.Random(seed)
@@ -658,9 +665,7 @@ def submodularity_suite(
         G = graph([(0, 1), (1, 2), (0, 2)])
         dt = np.asarray(delta_table(G), dtype=np.int64).copy()
         dt[7] += 5  # injected fault: corrupted table entry
-        bad = _monotone_submodular(dt, monotone=False) is not None
-        _negative_control(rep, "corrupted-delta",
-                          "submodularity violated by corrupted entry" if bad else None)
+        _negative_control(rep, "corrupted-delta", _submodularity_witness(G, dt))
     return rep.finalize()
 
 
@@ -720,7 +725,7 @@ def extension_property_suite(
     )
     small_tasks = [t for t in res.tasks if len(t.base_ids) <= 1]
     audit = audit_extension_property(S, small_tasks)
-    ratio = audit.ratio(max_base=1)
+    ratio = audit.ratio()
     rep.check(
         "audit-small-bases",
         None
@@ -762,7 +767,7 @@ def extension_property_suite(
         kept = [e for e in S.instances["R"] if e not in removed]
         corrupted = FiniteStructure(S.signature, S.vertices, {"R": kept})
         audit_c = audit_extension_property(corrupted, small_tasks)
-        ratio_c = audit_c.ratio(max_base=1)
+        ratio_c = audit_c.ratio()
         _negative_control(rep, "removed-edges",
                           f"removed the {len(removed)} edges at vertex {S.vertices[0]}; "
                           f"ratio {ratio_c:.3f}" if ratio_c < 1.0 else None)
@@ -801,26 +806,26 @@ def kn_suite(
             f"vertex {sig.vertex_weight}, edge {sig.relations[0].weight}",
             note=f"vertex weight {n - 1}, edge weight {n - 2}",
         )
-        good = in_Kn(_bip_cycle(n, n), n)
+        good = in_Kn(_bip_cycle(n, n))
         rep.check(
             f"n={n}:accepts-2n-cycle",
             None if good.holds else subset_witness(good.witness or []),
         )
         for m in range(2, n):
-            bad = in_Kn(_bip_cycle(m, n), n)
+            bad = in_Kn(_bip_cycle(m, n))
             rep.add(
                 f"n={n}:rejects-{2 * m}-cycle",
                 PASS if (not bad.holds and bad.witness) else FAIL,
                 witness=subset_witness(bad.witness) if bad.witness else "no witness",
                 note="short cycle must be rejected with a cycle witness",
             )
-        edge_m = in_Kn(edge, n)
+        edge_m = in_Kn(edge)
         rep.check(
             f"n={n}:accepts-edge",
             None if edge_m.holds else subset_witness(edge_m.witness or []),
         )
     if negative_control:
-        verdict = in_Kn(_bip_cycle(2, 3), 3)  # fault: a 4-cycle claimed admissible
+        verdict = in_Kn(_bip_cycle(2, 3))  # fault: a 4-cycle claimed admissible
         _negative_control(rep, "4-cycle-claimed",
                           None if verdict.holds else subset_witness(verdict.witness or []))
     return rep.finalize()

@@ -452,7 +452,7 @@ def brute_build_generic(config):
     one.  Returns the build log.
     """
     patterns = builder.enumerate_class(
-        config.signature, config.tag, config.max_pattern, config.control, config.ngon)
+        config.signature, config.tag, config.max_pattern, config.control)
     tasks, skipped = builder.enumerate_tasks(patterns, config.tag)
     S = FiniteStructure(config.signature, [], {},
                         {} if config.signature.mode == "bipartite" else None)
@@ -482,7 +482,7 @@ def brute_build_generic(config):
                 break
         if not progressed:
             break
-    r = builder._in_class(S, config.tag, config.control, config.ngon)
+    r = builder._in_class(S, config.tag, config.control)
     assert r.verdict != FAIL, r.witness
     log.structure_dump = dump_structure(S)
     return log

@@ -19,10 +19,13 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from predimlab import (
+    BIPARTITE,
     BuildConfig,
     CapacityError,
     ControlFunction,
     FiniteStructure,
+    Relation,
+    Signature,
     audit_extension_property,
     build_generic,
     enumerate_class,
@@ -88,9 +91,9 @@ def test_enumerate_class_counts():
 
 def test_enumerate_class_kn():
     sigp = polygon_signature(3)
-    got = enumerate_class(sigp, KN, 4, ngon=3)
+    got = enumerate_class(sigp, KN, 4)
     for s in got:
-        assert in_Kn(s, 3).holds
+        assert in_Kn(s).holds
     sizes = sorted(len(s.vertices) for s in got)
     assert sizes[0] == 0 and sizes[-1] == 4
 
@@ -108,15 +111,15 @@ def test_an_unknown_class_tag_is_rejected_up_front():
         build_generic(BuildConfig(SIG, "zz", max_pattern=0, budget=5))
 
 
-def _class_keep(tag, control=None, ngon=None):
-    return lambda S: builder._in_class(S, tag, control, ngon).verdict != FAIL
+def _class_keep(tag, control=None):
+    return lambda S: builder._in_class(S, tag, control).verdict != FAIL
 
 
 @pytest.mark.parametrize("signature, max_size, keep", [
     (SIG, 6, _class_keep(C0)),
     (SIG, 5, _class_keep(CF, control=ControlFunction.harmonic(2))),
-    (polygon_signature(3), 5, _class_keep(KN, ngon=3)),
-    (polygon_signature(4), 5, _class_keep(KN, ngon=4)),
+    (polygon_signature(3), 5, _class_keep(KN)),
+    (polygon_signature(4), 5, _class_keep(KN)),
     (hypergraph_signature(1, 1, 3), 5, lambda S: True),
 ], ids=["c0", "cf", "k3", "k4", "3-uniform"])
 def test_orbit_pruned_generation_matches_unpruned(signature, max_size, keep):
@@ -137,15 +140,15 @@ def test_graph_type_counts_and_canonical_searches(monkeypatch):
     assert len(searches) == 663
 
 
-# (tasks, skipped) at max_pattern 4, by tag and ngon
+# (tasks, skipped) at max_pattern 4, by tag and the n a kn signature fixes
 TASK_COUNTS = {(C0, None): (94, 0), (CF, None): (58, 0), (KN, 3): (183, 16), (KN, 4): (182, 1)}
 
 
 @pytest.mark.parametrize("tag, signature, options", [
     (C0, SIG, {}),
     (CF, SIG, {"control": ControlFunction.harmonic(2)}),
-    (KN, polygon_signature(3), {"ngon": 3}),
-    (KN, polygon_signature(4), {"ngon": 4}),
+    (KN, polygon_signature(3), {}),
+    (KN, polygon_signature(4), {}),
 ])
 def test_orbit_pruned_tasks_match_unpruned(tag, signature, options):
     patterns = enumerate_class(signature, tag, 4, **options)
@@ -155,7 +158,8 @@ def test_orbit_pruned_tasks_match_unpruned(tag, signature, options):
         [(t.ext, t.base_ids, t.key) for t in lst] for lst in want]
     # the kn keys tell lines from points, so tasks that differ only in which
     # vertices are lines are all kept
-    assert tuple(map(len, got)) == TASK_COUNTS[tag, options.get("ngon")]
+    ngon = signature.vertex_weight + 1 if tag == KN else None
+    assert tuple(map(len, got)) == TASK_COUNTS[tag, ngon]
 
 
 def test_tasks_have_strong_bases():
@@ -183,7 +187,7 @@ def test_build_deterministic():
 @pytest.mark.parametrize("config", [
     BuildConfig(SIG, C0, max_pattern=3, budget=40),
     BuildConfig(SIG, CF, max_pattern=3, budget=20, control=ControlFunction.harmonic(2)),
-    BuildConfig(polygon_signature(3), KN, max_pattern=3, budget=20, ngon=3),
+    BuildConfig(polygon_signature(3), KN, max_pattern=3, budget=20),
 ], ids=[C0, CF, KN])
 def test_the_seed_only_labels_a_build_log(config):
     # a build draws no random number: seeds 0 and 5 build the same chain,
@@ -263,8 +267,7 @@ def test_a_refresh_that_lets_nothing_in_leaves_the_window_as_it_was(monkeypatch)
 
 def test_seed0_kn_build_log_is_pinned():
     # a kn build checks its class once, after the last step; this pins it
-    res = build_generic(BuildConfig(polygon_signature(3), KN, max_pattern=4, budget=40,
-                                    seed=0, ngon=3))
+    res = build_generic(BuildConfig(polygon_signature(3), KN, max_pattern=4, budget=40, seed=0))
     assert res.log.digest() == (
         "5acc2710d3c1e797ce74f8b708fd3a766c7e560d9e3ad8638a0c2498de36aedb"
     )
@@ -305,7 +308,6 @@ def test_windowed_build_matches_the_rewalk(setup, max_pattern, budget, window):
     config = BuildConfig(
         sig, tag, max_pattern=max_pattern, budget=budget,
         control=ControlFunction.harmonic(sig.vertex_weight) if tag == CF else None,
-        ngon=3 if tag == KN else None,
     )
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(builder, "SCAN_WINDOW", window)
@@ -385,17 +387,22 @@ def test_build_cf_mode():
 
 def test_build_kn_mode():
     sigp = polygon_signature(3)
-    res = build_generic(
-        BuildConfig(sigp, KN, max_pattern=3, budget=10, seed=0, ngon=3)
-    )
-    assert in_Kn(res.structure, 3).holds
+    res = build_generic(BuildConfig(sigp, KN, max_pattern=3, budget=10, seed=0))
+    assert in_Kn(res.structure).holds
+
+
+def test_a_kn_build_refuses_weights_of_no_polygon_class():
+    # (3, 1) is (n - 1, n - 2) for no n; the build once ran with the n it was told
+    sig = Signature(3, (Relation("adj", 2, 1),), mode=BIPARTITE)
+    with pytest.raises(InputError, match=r"weights \(n-1, n-2\).*\(3, 1\)"):
+        build_generic(BuildConfig(sig, KN, max_pattern=3, budget=10))
 
 
 def test_audit_controls():
     res = build_generic(BuildConfig(SIG, C0, max_pattern=2, budget=20, seed=0))
     tasks_small = [t for t in res.tasks if len(t.base_ids) <= 1]
     audit = audit_extension_property(res.structure, tasks_small, cap_per_task=3)
-    assert audit.ratio(max_base=1) == 1.0
+    assert audit.ratio() == 1.0
     # zero-budget negative control: nothing realized for the from-empty tasks
     empty = build_generic(BuildConfig(SIG, C0, max_pattern=1, budget=0, seed=0))
     audit0 = audit_extension_property(empty.structure, empty.tasks, cap_per_task=2)
@@ -415,7 +422,7 @@ def test_audit_monotone_in_budget():
         if tasks is None:
             tasks = [t for t in res.tasks if len(t.base_ids) <= 1]
         audit = audit_extension_property(res.structure, tasks, cap_per_task=3)
-        ratio = audit.ratio(max_base=1)
+        ratio = audit.ratio()
         assert ratio >= prev_ratio
         prev_ratio = ratio
 
@@ -632,7 +639,7 @@ def _class_checks(monkeypatch, config):
     """The sizes of the structures that builds of ``config`` check against
     the class, apart from the patterns they enumerate first."""
     patterns = enumerate_class(config.signature, config.tag, config.max_pattern,
-                               config.control, config.ngon)
+                               config.control)
     monkeypatch.setattr(builder, "enumerate_class", lambda *args: patterns)
     calls = []
     real = builder._in_class
@@ -643,7 +650,7 @@ def _class_checks(monkeypatch, config):
 
 CF_BUILD = BuildConfig(SIG, CF, max_pattern=3, budget=12, seed=0,
                        control=ControlFunction.harmonic(2))
-KN_BUILD = BuildConfig(polygon_signature(3), KN, max_pattern=3, budget=8, seed=0, ngon=3)
+KN_BUILD = BuildConfig(polygon_signature(3), KN, max_pattern=3, budget=8, seed=0)
 
 
 def _planting_at(monkeypatch, step, plant):
@@ -700,7 +707,7 @@ def test_a_step_that_breaks_the_class_is_caught_by_the_fallback(monkeypatch):
     # last structure gets the one class check
     assert len(made) == CF_BUILD.budget and checks == [len(made[-1].vertices)]
     assert not builder._step_certified(made[4], made[5], CF_BUILD.control)
-    assert not builder._in_class(made[5], CF, CF_BUILD.control, None)
+    assert not builder._in_class(made[5], CF, CF_BUILD.control)
 
 
 def test_a_kn_step_that_closes_a_short_cycle_is_caught_at_the_end(monkeypatch):
@@ -712,8 +719,8 @@ def test_a_kn_step_that_closes_a_short_cycle_is_caught_at_the_end(monkeypatch):
     with pytest.raises(InternalError, match=r"class violated after step 8: witness \["):
         build_generic(config)
     assert len(made) == config.budget and checks == [len(made[-1].vertices)]
-    assert builder._in_class(made[6], KN, None, 3).holds
-    assert not builder._in_class(made[7], KN, None, 3)
+    assert builder._in_class(made[6], KN, None).holds
+    assert not builder._in_class(made[7], KN, None)
 
 
 def test_a_kn_step_that_plants_a_long_light_cycle_is_caught_at_the_end(monkeypatch):
@@ -726,8 +733,8 @@ def test_a_kn_step_that_plants_a_long_light_cycle_is_caught_at_the_end(monkeypat
     witness = ast.literal_eval(str(err.value).split("witness ", 1)[1])
     assert set(witness) <= set(made[4].vertices[-14:])
     assert len(made) == KN_BUILD.budget and checks == [len(made[-1].vertices)]
-    assert builder._in_class(made[3], KN, None, 3).holds
-    planted = builder._in_class(made[4], KN, None, 3)
+    assert builder._in_class(made[3], KN, None).holds
+    planted = builder._in_class(made[4], KN, None)
     assert planted.verdict == FAIL and planted.detail.startswith("subset over a ")
 
 
@@ -795,7 +802,6 @@ def realized_cases(draw):
         sig, tag, max_pattern=draw(st.integers(min_value=2, max_value=3)),
         budget=draw(st.integers(min_value=1, max_value=8)),
         control=ControlFunction.harmonic(sig.vertex_weight) if tag == CF else None,
-        ngon=3 if tag == KN else None,
     )
     S = build_generic(config).structure
     pool = [(rel.name, t) for rel in sig.relations
@@ -903,7 +909,7 @@ def test_vertex_ids_that_are_not_positions_change_no_audit(tmp_path, klass):
     audit = ["--class", klass, "--max-pattern", "4", "--max-base", "2"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert [main(["audit", str(f), *audit]) for f in (built, renamed)] == [1, 1]
-    patterns = enumerate_class(S.signature, klass, 4, ngon=3 if klass == KN else None)
+    patterns = enumerate_class(S.signature, klass, 4)
     tasks = [t for t in enumerate_tasks(patterns, klass)[0] if len(t.base_ids) <= 2]
     entries = audit_extension_property(S, tasks).entries
     assert any(e.realized < e.embeddings_checked for e in entries)

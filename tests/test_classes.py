@@ -316,7 +316,7 @@ def test_a_chain_leaves_its_class_exactly_when_its_last_member_does(case):
     chain, tag, f = case
     fails = [brute_class_violations(S, tag, f) for S in chain]
     assert bool(fails[-1]) == any(fails)
-    last = _in_class(chain[-1], tag, f, 3)
+    last = _in_class(chain[-1], tag, f)
     assert (last.verdict == FAIL) == bool(fails[-1])
     event(f"{tag}: {last.verdict}")
     if last.verdict == FAIL:
@@ -368,16 +368,16 @@ def test_in_kn_examples():
     hexagon = bipartite_graph(
         [(i, (i + 1) % 6) for i in range(6)], points=[0, 2, 4], lines_=[1, 3, 5], ngon=3
     )
-    assert in_Kn(hexagon, 3).holds
+    assert in_Kn(hexagon).holds
     square = bipartite_graph(
         [(i, (i + 1) % 4) for i in range(4)], points=[0, 2], lines_=[1, 3], ngon=3
     )
-    res = in_Kn(square, 3)
+    res = in_Kn(square)
     assert not res.holds and res.witness == frozenset({0, 1, 2, 3})
     edge = bipartite_graph([(0, 1)], points=[0], lines_=[1], ngon=3)
-    assert in_Kn(edge, 3).holds
+    assert in_Kn(edge).holds
     with pytest.raises(InputError):
-        in_Kn(graph([(0, 1)]), 3)
+        in_Kn(graph([(0, 1)]))
 
 
 def test_in_kn_long_cycle_condition():
@@ -385,14 +385,14 @@ def test_in_kn_long_cycle_condition():
     octo = bipartite_graph(
         [(i, (i + 1) % 8) for i in range(8)], points=[0, 2, 4, 6], lines_=[1, 3, 5, 7], ngon=3
     )
-    assert in_Kn(octo, 3).holds
+    assert in_Kn(octo).holds
     # an 8-cycle with an extra path between two of its points
     edges = [(i, (i + 1) % 8) for i in range(8)]
     edges += [(0, 8), (8, 9), (9, 10), (10, 11), (11, 12), (12, 13), (13, 14), (14, 2)]
     points = [0, 2, 4, 6, 9, 11, 13]
     lines = [1, 3, 5, 7, 8, 10, 12, 14]
     merged = bipartite_graph(edges, points=points, lines_=lines, ngon=3)
-    verdict = in_Kn(merged, 3)
+    verdict = in_Kn(merged)
     # exactness check against a direct subset scan
     def has_long_cycle_brute(T, subset, bound):
         sub = T.induced(subset)

@@ -3,6 +3,7 @@
 malformed line with exit code 2 (never the FAIL code 1, never a traceback).
 """
 
+import argparse
 import ast
 import contextlib
 import importlib
@@ -19,11 +20,15 @@ from hypothesis import strategies as st
 
 import predimlab
 from predimlab import (
+    BIPARTITE,
     BuildConfig,
     FiniteStructure,
     InputError,
+    Relation,
+    Signature,
     audit_extension_property,
     build_generic,
+    cli,
     dump_structure,
     graph,
     graph_signature,
@@ -33,7 +38,7 @@ from predimlab import (
     suites,
 )
 from predimlab.cli import main
-from predimlab.structures import bipartite_graph
+from predimlab.structures import LINE, POINT, bipartite_graph
 
 from conftest import (LIGHT, perfbench_workloads, small_graphs, small_hypergraphs,
                       subsets_of)
@@ -288,6 +293,49 @@ def test_cli_check_has_no_cap_option(budget30_build, capsys):
     assert "unrecognized arguments: --cap -1" in capsys.readouterr().err
 
 
+def _theta(vertex_weight, edge_weight):
+    """A 12-cycle and three 2-paths, each through a new line between a pair
+    of opposite points, over the bipartite signature of the given weights."""
+    edges = [(i, (i + 1) % 12) for i in range(12)]
+    for k, u in enumerate((0, 2, 4)):
+        edges += [(u, 12 + k), (12 + k, u + 6)]
+    sig = Signature(vertex_weight, (Relation("adj", 2, edge_weight),), mode=BIPARTITE)
+    parts = {v: POINT if v < 12 and v % 2 == 0 else LINE for v in range(15)}
+    return FiniteStructure(sig, range(15), {"adj": edges}, parts)
+
+
+@pytest.mark.parametrize("weights, code, line", [
+    ((2, 1), 0, "  [PASS      ] kn-membership"),
+    ((3, 2), 1, "  [FAIL      ] kn-membership margin=-1 (subset over a 12-cycle has "
+                f"delta 9 < 10) witness={list(range(15))}"),
+], ids=["k3", "k4"])
+def test_cli_check_kn_reads_n_from_the_weights(tmp_path, capsys, weights, code, line):
+    # the same graph is in K_3 and not in K_4; its weights say which is asked
+    f = tmp_path / "theta.pdl"
+    f.write_text(dump_structure(_theta(*weights)))
+    assert main(["check", str(f), "--class", "kn"]) == code
+    assert line in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("command", ["check", "audit"])
+def test_cli_kn_refuses_weights_of_no_polygon_class(tmp_path, capsys, command):
+    # (3, 1) is (n - 1, n - 2) for no n; such a file once passed as K_3 and as K_4
+    f = tmp_path / "theta.pdl"
+    f.write_text(dump_structure(_theta(3, 1)))
+    assert main([command, str(f), "--class", "kn"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Kn needs a bipartite signature with weights (n-1, n-2)")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_check_has_no_ngon_option(tmp_path, capsys):
+    f = tmp_path / "theta.pdl"
+    f.write_text(dump_structure(_theta(2, 1)))
+    assert main(["check", str(f), "--class", "kn", "--ngon", "4"]) == 2
+    assert "unrecognized arguments: --ngon 4" in capsys.readouterr().err
+
+
 # Vertex-id options with a token that is not an integer.
 BAD_IDS = [
     ["delta", "{file}", "--set", "a"],
@@ -370,6 +418,22 @@ def _readme_cap_rows():
     rows = [re.fullmatch(r"\| `(\w+)\.(\w+)` \| ([\d,]+) \| .* \|", line) for line in table[2:]]
     assert rows and all(rows), table
     return [row.groups() for row in rows]
+
+
+def test_readme_command_block_matches_the_parser():
+    # each `predimlab <command>` of the README's command-line block shows
+    # only flags its subparser takes, and every subcommand is shown; the
+    # block is split at "predimlab ", since "c0|cf|kn" holds a pipe too
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    text = "\n".join(line.split("#", 1)[0] for line in block.splitlines())
+    subparsers = next(a for a in cli._parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    shown = {}
+    for chunk in text.split("predimlab ")[1:]:
+        shown.setdefault(chunk.split()[0], set()).update(re.findall(r"--[\w-]+", chunk))
+    assert sorted(shown) == sorted(subparsers)
+    for command, flags in shown.items():
+        assert flags <= set(subparsers[command]._option_string_actions), (command, flags)
 
 
 def _source_trees():

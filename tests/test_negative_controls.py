@@ -23,7 +23,7 @@ DIGESTS = {
     "ex511": "e12d8eed9968750e2015ae72b2e75d1ddeeb033727bb5c0c76e84186bf3b19a8",
     "ex512": "47b31638f6b242242750a253b8834638cd86557b3a61361c89d4e5779cca324f",
     "msa-bound": "aa934e2abde6a9b586f69e9cd96b299e3c5ea1db13eb18209d41e2c44dbf8f9b",
-    "submodularity": "7dd38be12611e86e5a53b6ad7bf5e2e628b063d6fec959657e5f45006a5be3c4",
+    "submodularity": "7a116754ec9d8d28fcdc49a403b65e33b869ab45a00dd75b455039c8dc75f8f7",
     "axioms": "eda2e456adbef9e319ea9187412f803980ea1f84010c2a0f5203c8faa6229b99",
     "extension-property": "5d966972570ac0d0e0c4d4653feb715c8b4e26f5eb325e437ce51741fb094de6",
     "kn": "4d3046d5a505e8593c586a767bf38771b3e105b11ebaff795b0490cd601488ea",

@@ -269,7 +269,7 @@ def test_fail_witness_replayable():
     square = bipartite_graph(
         [(i, (i + 1) % 4) for i in range(4)], points=[0, 2], lines_=[1, 3], ngon=3
     )
-    again = in_Kn(square, 3)
+    again = in_Kn(square)
     assert not again.holds and again.witness == frozenset(ids)
 
 
@@ -283,7 +283,7 @@ CLI_COVERAGE = [
     (["ex511", "--r", "3"], 0, "summary: 5 cases, PASS=5"),
     (["ex512", "--samples", "50"], 0, "summary: 7 cases, PASS=6 PARTIAL=1"),
     (["gadget", "--n", "3", "--m", "2", "--out", "{out}"], 0, "base 0 1"),
-    (["check", "{k}", "--class", "kn", "--ngon", "3"], 0, "  [PASS      ] kn-membership"),
+    (["check", "{k}", "--class", "kn"], 0, "  [PASS      ] kn-membership"),
     (["closure", "{g}", "--set", "1", "--kind", "cl0"], 0, "cl0: [1]"),
     (["closure", "{g}", "--set", "1,2", "--kind", "cld", "--report", "machine"], 0,
      '{"ambient_relative": true, "closure": [0, 1, 2], "dimension": 4, "kind": "cld", '

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -499,10 +501,10 @@ def test_exhaustive_passes_match_loop_forms_on_corrupted_tables(monkeypatch, see
             dt[rng.randrange(len(dt))] += rng.choice((-2, -1, 1, 2))
     flagged = next(G for G in graphs if brute_submodularity(tables[id(G)]) is not None)
     assert flagged is graphs[first]
-    G, a, b = suites._first_exhaustive_failure(graphs)
-    assert G is flagged
-    dt = tables[id(G)]
-    assert dt[a | b] + dt[a & b] > dt[a] + dt[b]
+    G, a, b, left, right = _replay(suites._first_exhaustive_failure(graphs))
+    assert G == flagged
+    dt = tables[id(flagged)]
+    assert left == dt[a | b] + dt[a & b] > dt[a] + dt[b] == right
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -529,6 +531,34 @@ def test_exhaustive_passes_match_loop_forms_on_corrupted_relations(monkeypatch, 
     assert suites._first_exhaustive_failure(graphs) is None
 
 
+_SUBMODULARITY_WITNESS = re.compile(
+    r"A=(\{.*?\}) B=(\{.*?\}) in graph on (\{.*?\}) with edges (\[.*\]): "
+    r"delta\(A\|B\) \+ delta\(A&B\) = (-?\d+) > (-?\d+) = delta\(A\) \+ delta\(B\)")
+
+
+def _replay(witness):
+    """(G, A, B, left, right) from a submodularity witness: the graph it
+    names, A and B as masks of G, and the two sums it reports."""
+    m = _SUBMODULARITY_WITNESS.fullmatch(witness)
+    assert m, witness
+    a, b, vertices = (ast.literal_eval(m[k].replace("{", "[").replace("}", "]")) for k in (1, 2, 3))
+    G = graph(ast.literal_eval(m[4]), vertices=vertices)
+    return G, G.mask_of(a), G.mask_of(b), int(m[5]), int(m[6])
+
+
+def test_the_negative_control_witness_replays_on_the_corrupted_table():
+    # the control raises delta of the triangle's whole vertex set by 5; its
+    # witness names the triangle and sums that differ from the true table's
+    # by that entry alone
+    rep = suites.run_suite("submodularity", max_n=2, oracle_cases=0, negative_control=True)
+    control = {c.key: c for c in rep.cases}["negative-control:corrupted-delta"]
+    G, a, b, left, right = _replay(control.witness)
+    assert G == graph([(0, 1), (1, 2), (0, 2)])
+    dt = np.asarray(delta_table(G))
+    assert a | b == G.full_mask() and right == dt[a] + dt[b]
+    assert left == dt[a | b] + 5 + dt[a & b] > right >= dt[a | b] + dt[a & b]
+
+
 def test_each_exhaustive_case_fails_on_a_table_that_is_not_submodular(monkeypatch):
     # One 4-vertex graph type with a non-edge gets delta of its whole vertex
     # set raised by 1: the two sets that each miss one end of the non-edge
@@ -553,9 +583,9 @@ def test_each_exhaustive_case_fails_on_a_table_that_is_not_submodular(monkeypatc
     assert all(c.status == FAIL for c in exhaustive)
     witness = exhaustive[0].witness
     assert all(c.witness == witness for c in exhaustive)
-    assert witness.endswith(f" in {target}")
-    a, b = (int(part.split("=")[1], 2) for part in witness.split()[:2])
-    assert corrupted[a | b] + corrupted[a & b] > corrupted[a] + corrupted[b]
+    G, a, b, left, right = _replay(witness)
+    assert G == target
+    assert left == corrupted[a | b] + corrupted[a & b] > corrupted[a] + corrupted[b] == right
     assert cases["restriction-exhaustive"].note == "delta table not submodular"
     assert cases["transitivity-exhaustive"].note == "delta table not submodular"
     assert cases["closure-oracle-agreement"].status == PASS
